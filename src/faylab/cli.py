@@ -6,28 +6,26 @@ from __future__ import annotations
 
 import argparse
 import sys
-import time
 
 import numpy as np
 
 from .curves import HyperellipticCurve, period_matrix, CurveError
-from .identities import SuiteConfig, run_suite, SuiteError, UnknownIdentity
+from .identities import (IDENTITIES, IdentitySpec, SuiteConfig, run_identity,
+                         run_suite, SuiteError, UnknownIdentity)
 from .quasidet import (random_quasimatrix, check_sylvester, check_column_expansion,
-                       check_row_homological, check_col_homological, SingularMinor)
+                       check_row_homological, check_col_homological)
 from .registry import registry_entries, load_curve_entry, RegistryError
-from .report import IdentityReport, write_report, format_report_line
-from .rng import trial_rng
+from .report import write_report, format_report_line
 
 
 def _cmd_list_curves(args):
-    for cid, entry in sorted(registry_entries().items()):
-        if entry["type"] == "hyperelliptic":
-            g = (len(entry["branch_points"]) - 1) // 2 \
-                if len(entry["branch_points"]) % 2 else \
-                (len(entry["branch_points"]) - 2) // 2
-            print(f"{cid:20s} hyperelliptic  genus {g}")
-        else:
-            print(f"{cid:20s} plane_quartic  genus 3")
+    try:
+        entries = registry_entries()
+    except RegistryError as ex:
+        print(f"error: {ex}", file=sys.stderr)
+        return 2
+    for cid, entry in sorted(entries.items()):
+        print(f"{cid:20s} {entry['type']:13s}  genus {entry['genus']}")
     return 0
 
 
@@ -64,12 +62,10 @@ def _cmd_verify(args):
     curves = None if args.curve == "all" else args.curve.split(",")
     tolerances = {}
     if args.tol is not None:
-        from .identities import all_identity_names
-        names = identities if identities is not None else all_identity_names()
+        names = identities if identities is not None else IDENTITIES
         tolerances = {name: args.tol for name in names}
     config = SuiteConfig(curves=curves, identities=identities, trials=args.trials,
-                         master_seed=args.seed, tolerances=tolerances,
-                         out_path=args.out)
+                         master_seed=args.seed, tolerances=tolerances)
     def progress(rep):
         status = "pass" if rep.passed else "FAIL"
         print(f"[{status}] {rep.identity_id:28s} {rep.curve_id:16s} "
@@ -92,38 +88,27 @@ def _cmd_verify(args):
 
 
 def _cmd_quasidet_selftest(args):
-    rng_n = args.size
-    k = args.block
-    t0 = time.perf_counter()
-    worst = 0.0
-    completed = 0
-    for trial in range(args.trials):
-        rng = trial_rng(args.seed, f"quasidet-selftest|{rng_n}x{k}", trial)
-        for _ in range(20):
-            try:
-                A = random_quasimatrix(rng, rng_n, k)
-                r1 = check_sylvester(A, max(1, rng_n - 2))
-                r2 = check_column_expansion(A)
-                idx = rng.permutation(rng_n)
-                jdx = rng.permutation(rng_n)
-                r3 = check_row_homological(A, int(idx[0]), int(jdx[0]),
-                                           int(idx[1]), int(jdx[1]))
-                r4 = check_col_homological(A, int(idx[0]), int(jdx[0]),
-                                           int(idx[1]), int(jdx[1]))
-            except SingularMinor:
-                continue
-            worst = max(worst, r1, r2, r3, r4)
-            completed += 1
-            break
-    elapsed = int(1000 * (time.perf_counter() - t0))
+    n, k = args.size, args.block
+
+    def runner(env, rng):
+        A = random_quasimatrix(rng, n, k)
+        r1 = check_sylvester(A, max(1, n - 2))
+        r2 = check_column_expansion(A)
+        idx = rng.permutation(n)
+        jdx = rng.permutation(n)
+        r3 = check_row_homological(A, int(idx[0]), int(jdx[0]),
+                                   int(idx[1]), int(jdx[1]))
+        r4 = check_col_homological(A, int(idx[0]), int(jdx[0]),
+                                   int(idx[1]), int(jdx[1]))
+        worst = max(r1, r2, r3, r4)
+        return worst, worst
+
     tol = 1e-9
-    ok = worst < tol and completed >= 0.9 * args.trials
-    rep = IdentityReport(identity_id=f"quasidet_selftest_n{rng_n}_k{k}",
-                         curve_id="-", trials=args.trials, completed=completed,
-                         max_abs_residual=worst, max_rel_residual=worst,
-                         seed=args.seed, tol=tol, passed=ok, elapsed_ms=elapsed)
+    spec = IdentitySpec(f"quasidet_selftest_n{n}_k{k}", "carrier", runner,
+                        {"-": (args.trials, tol)})
+    rep = run_identity(spec, None, "-", args.trials, tol, args.seed)
     print(format_report_line(rep))
-    return 0 if ok else 1
+    return 0 if rep.passed else 1
 
 
 def build_parser():

@@ -43,10 +43,6 @@ class RejectionBudgetExceeded(CurveError):
     pass
 
 
-class CalibrationFailed(CurveError):
-    pass
-
-
 # ---------------------------------------------------------------------------
 # Gauss-Legendre panels
 

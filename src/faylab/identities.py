@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .theta import theta_batch
+from .theta import theta_batch, ThetaError
 from .curves import (HyperellipticCurve, period_matrix, random_line_bundle,
                      CurveError)
 from .kernels import (CurveContext, fay_F, prime_form, massey_m3_prime,
@@ -26,6 +26,10 @@ from .kernels import (CurveContext, fay_F, prime_form, massey_m3_prime,
 from .quasidet import (QuasiMatrix, SingularMinor, random_quasimatrix,
                        check_sylvester, check_column_expansion,
                        check_row_homological, check_col_homological)
+from .quartic import (PlaneQuartic, QuarticError, canprop_residual, cor2_residual,
+                      ratio_dual_residual, tangent_reconstruction_residual,
+                      reconstruct_synthetic_residual)
+from .registry import registry_entries
 from .report import IdentityReport
 from .rng import trial_rng
 
@@ -266,15 +270,6 @@ def idcor_residual(ctx, rng):
     return abs(lhs - rhs), abs(lhs - rhs) / abs(rhs)
 
 
-def skewsym2_scalar_residual(ctx, rng):
-    """Scalar skew-symmetry m3(V,x,y) = -m3(V^dual tensor omega, y, x)."""
-    x, y = _distinct_points(ctx, rng, 2)
-    xi = sample_xi(ctx, rng)
-    t1 = massey_m3_prime(ctx, bundle_of_xi(ctx, xi), x, y)
-    t2 = massey_m3_prime(ctx, bundle_of_xi(ctx, -xi), y, x)
-    return _rel(t1 + t2, [t1, t2])
-
-
 def theta_derivative_divisor_residual(ctx, rng, n_controls=20):
     """The derivative 1-form vanishes on the odd-characteristic divisor.
 
@@ -385,82 +380,91 @@ def homological_residual(rng, n=3, k=2):
     return max(r1, r2), max(r1, r2)
 
 
+
+
 # ---------------------------------------------------------------------------
 # identity registry and suite runner
 
 
 @dataclass
 class IdentitySpec:
+    """One identity and the (trials, tol) it runs at, per key.
+
+    `kind` is a registry curve type ("hyperelliptic" or "plane_quartic"),
+    or "carrier" for checks that need no curve.  `table` maps a key to
+    (trials, tol); the key is the genus for hyperelliptic specs, the curve
+    id for plane-quartic specs and "-" for carrier specs.  A (spec, curve)
+    pair runs only if its key is in the table.
+    """
     name: str
-    kind: str                      # "hyperelliptic" | "quartic" | "carrier"
+    kind: str
     runner: object                 # fn(env, rng) -> (abs_res, rel_res)
-    genera: tuple = ()             # for hyperelliptic identities
-    curve_ids: tuple = ()          # for quartic identities
-    trials: dict = field(default_factory=dict)     # key: genus or curve id
-    tol: dict = field(default_factory=dict)
-
-    def default_trials(self, key):
-        return self.trials.get(key, 100)
-
-    def default_tol(self, key):
-        return self.tol.get(key, 1e-8)
-
-
-def _hyper(name, fn, genera, trials, tol):
-    return IdentitySpec(name=name, kind="hyperelliptic", runner=fn,
-                        genera=tuple(genera), trials=dict(trials), tol=dict(tol))
+    table: dict
 
 
 IDENTITIES = {}
 
-for spec in [
-    _hyper("skewsym_n2", lambda ctx, rng: residue_identity_residual(ctx, 2, rng),
-           (1, 2), {1: 100, 2: 50}, {1: 1e-9, 2: 1e-9}),
-    _hyper("residue_n3", lambda ctx, rng: residue_identity_residual(ctx, 3, rng),
-           (1,), {1: 100}, {1: 1e-8}),
-    _hyper("maincor_kernel", maincor_kernel_residual,
-           (1,), {1: 100}, {1: 1e-8}),
-    _hyper("trisecant_general_n1", lambda ctx, rng: trisecant_general_residual(ctx, 1, rng),
-           (1, 2), {1: 200, 2: 100}, {1: 1e-9, 2: 1e-8}),
-    _hyper("trisecant_general_n2", lambda ctx, rng: trisecant_general_residual(ctx, 2, rng),
-           (1, 2), {1: 50, 2: 50}, {1: 1e-9, 2: 1e-7}),
-    _hyper("trisecant_general_n3", lambda ctx, rng: trisecant_general_residual(ctx, 3, rng),
-           (1, 2), {1: 50, 2: 50}, {1: 1e-9, 2: 1e-7}),
-    _hyper("trisecant_classical", trisecant_classical_residual,
-           (1, 2), {1: 200, 2: 100}, {1: 1e-9, 2: 1e-8}),
-    _hyper("divisor_symmetric_n1", lambda ctx, rng: divisor_symmetric_residual(ctx, 1, rng),
-           (1, 2), {1: 100, 2: 50}, {1: 1e-9, 2: 1e-8}),
-    _hyper("divisor_symmetric_n2", lambda ctx, rng: divisor_symmetric_residual(ctx, 2, rng),
-           (1, 2), {1: 50, 2: 50}, {1: 1e-9, 2: 1e-8}),
-    _hyper("prime_form_n1", lambda ctx, rng: prime_form_identity_residual(ctx, 1, rng),
-           (1, 2), {1: 200, 2: 100}, {1: 1e-8, 2: 1e-8}),
-    _hyper("prime_form_n2", lambda ctx, rng: prime_form_identity_residual(ctx, 2, rng),
-           (2,), {2: 50}, {2: 1e-7}),
-    _hyper("theta_derivative_divisor", theta_derivative_divisor_residual,
-           (1, 2), {1: 3, 2: 3}, {1: 1e-6, 2: 1e-6}),
-    _hyper("cross_formula_m3", cross_formula_residual,
-           (1, 2), {1: 200, 2: 200}, {1: 1e-8, 2: 1e-8}),
-    _hyper("idcor", idcor_residual,
-           (1, 2), {1: 100, 2: 50}, {1: 1e-9, 2: 1e-8}),
-    _hyper("skewsym2_scalar", skewsym2_scalar_residual,
-           (1, 2), {1: 100, 2: 50}, {1: 1e-9, 2: 1e-8}),
-    _hyper("quasidet_geometric_n1", lambda ctx, rng: quasidet_geometric_residual(ctx, 1, rng),
-           (1, 2), {1: 100, 2: 50}, {1: 1e-9, 2: 1e-8}),
-    _hyper("quasidet_geometric_n2", lambda ctx, rng: quasidet_geometric_residual(ctx, 2, rng),
-           (1, 2), {1: 50, 2: 50}, {1: 1e-9, 2: 1e-8}),
-    _hyper("quasidet_geometric_diag", lambda ctx, rng: quasidet_geometric_residual(ctx, 1, rng, block=2),
-           (1,), {1: 50}, {1: 1e-9}),
+for kind, rows in [
+    ("hyperelliptic", [
+        ("skewsym_n2", lambda ctx, rng: residue_identity_residual(ctx, 2, rng),
+         {1: (100, 1e-9), 2: (50, 1e-9)}),
+        ("residue_n3", lambda ctx, rng: residue_identity_residual(ctx, 3, rng),
+         {1: (100, 1e-8)}),
+        ("maincor_kernel", maincor_kernel_residual, {1: (100, 1e-8)}),
+        ("trisecant_general_n1", lambda ctx, rng: trisecant_general_residual(ctx, 1, rng),
+         {1: (200, 1e-9), 2: (100, 1e-8)}),
+        ("trisecant_general_n2", lambda ctx, rng: trisecant_general_residual(ctx, 2, rng),
+         {1: (50, 1e-9), 2: (50, 1e-7)}),
+        ("trisecant_general_n3", lambda ctx, rng: trisecant_general_residual(ctx, 3, rng),
+         {1: (50, 1e-9), 2: (50, 1e-7)}),
+        ("trisecant_classical", trisecant_classical_residual,
+         {1: (200, 1e-9), 2: (100, 1e-8)}),
+        ("divisor_symmetric_n1", lambda ctx, rng: divisor_symmetric_residual(ctx, 1, rng),
+         {1: (100, 1e-9), 2: (50, 1e-8)}),
+        ("divisor_symmetric_n2", lambda ctx, rng: divisor_symmetric_residual(ctx, 2, rng),
+         {1: (50, 1e-9), 2: (50, 1e-8)}),
+        ("prime_form_n1", lambda ctx, rng: prime_form_identity_residual(ctx, 1, rng),
+         {1: (200, 1e-8), 2: (100, 1e-8), 3: (50, 1e-8)}),
+        ("prime_form_n2", lambda ctx, rng: prime_form_identity_residual(ctx, 2, rng),
+         {2: (50, 1e-7)}),
+        ("theta_derivative_divisor", theta_derivative_divisor_residual,
+         {1: (3, 1e-6), 2: (3, 1e-6)}),
+        ("cross_formula_m3", cross_formula_residual,
+         {1: (200, 1e-8), 2: (200, 1e-8), 3: (50, 1e-8)}),
+        ("idcor", idcor_residual, {1: (100, 1e-9), 2: (50, 1e-8), 3: (50, 1e-8)}),
+        ("quasidet_geometric_n1", lambda ctx, rng: quasidet_geometric_residual(ctx, 1, rng),
+         {1: (100, 1e-9), 2: (50, 1e-8), 3: (50, 1e-8)}),
+        ("quasidet_geometric_n2", lambda ctx, rng: quasidet_geometric_residual(ctx, 2, rng),
+         {1: (50, 1e-9), 2: (50, 1e-8), 3: (50, 1e-8)}),
+        ("quasidet_geometric_diag",
+         lambda ctx, rng: quasidet_geometric_residual(ctx, 1, rng, block=2),
+         {1: (50, 1e-9)}),
+    ]),
+    ("plane_quartic", [
+        ("canprop", canprop_residual,
+         {"fermat": (200, 1e-9), "quartic-generic": (100, 1e-8)}),
+        ("cor2_three_term", cor2_residual,
+         {"fermat": (100, 1e-9), "quartic-generic": (50, 1e-8)}),
+        ("ratio_dual", ratio_dual_residual,
+         {"fermat": (200, 1e-9), "quartic-generic": (100, 1e-8)}),
+        ("tangent_reconstruction", tangent_reconstruction_residual,
+         {"fermat": (100, 1e-8), "quartic-generic": (100, 1e-8)}),
+        ("reconstruct_synthetic", lambda env, rng: reconstruct_synthetic_residual(rng),
+         {"fermat": (100, 1e-10), "quartic-generic": (100, 1e-10)}),
+    ]),
+    ("carrier", [
+        ("quasidet_det_ratio", lambda env, rng: quasidet_det_ratio_residual(rng),
+         {"-": (100, 1e-9)}),
+        ("quasidet_sylvester", lambda env, rng: sylvester_residual(rng),
+         {"-": (100, 1e-9)}),
+        ("quasidet_column_expansion", lambda env, rng: column_expansion_residual(rng),
+         {"-": (100, 1e-9)}),
+        ("quasidet_homological", lambda env, rng: homological_residual(rng),
+         {"-": (100, 1e-9)}),
+    ]),
 ]:
-    IDENTITIES[spec.name] = spec
-
-for name, fn, tol in [
-    ("quasidet_det_ratio", lambda env, rng: quasidet_det_ratio_residual(rng), 1e-9),
-    ("quasidet_sylvester", lambda env, rng: sylvester_residual(rng), 1e-9),
-    ("quasidet_column_expansion", lambda env, rng: column_expansion_residual(rng), 1e-9),
-    ("quasidet_homological", lambda env, rng: homological_residual(rng), 1e-9),
-]:
-    IDENTITIES[name] = IdentitySpec(name=name, kind="carrier", runner=fn,
-                                    trials={"-": 100}, tol={"-": tol})
+    for name, runner, table in rows:
+        IDENTITIES[name] = IdentitySpec(name, kind, runner, table)
 
 
 def run_identity(spec: IdentitySpec, env, curve_id, trials, tol, seed,
@@ -482,7 +486,7 @@ def run_identity(spec: IdentitySpec, env, curve_id, trials, tol, seed,
                 abs_r, rel_r = spec.runner(env, rng)
             except _RETRY:
                 continue
-            except (KernelError, CurveError, SuiteError):
+            except (KernelError, CurveError, SuiteError, QuarticError):
                 # hard per-check failure: fail this report, keep the suite going
                 max_abs = max_rel = math.inf
                 break
@@ -507,7 +511,6 @@ class SuiteConfig:
     trials: int = None            # override per-identity defaults
     master_seed: int = 42
     tolerances: dict = field(default_factory=dict)
-    out_path: str = None
 
     def validate(self):
         if self.identities is not None:
@@ -521,37 +524,29 @@ class SuiteConfig:
                 raise SuiteError("tolerances must be positive")
 
 
-class _EnvCache:
-    """Builds and caches per-curve evaluation contexts."""
+_CARRIER = {"id": "-", "type": "carrier"}
 
-    def __init__(self):
-        self._ctx = {}
-        self._quartics = {}
 
-    def hyperelliptic(self, entry):
-        cid = entry["id"]
-        if cid not in self._ctx:
-            curve = HyperellipticCurve(entry["branch_points"], cid)
-            _, _, pd = period_matrix(curve)
-            self._ctx[cid] = CurveContext(curve, pd)
-        return self._ctx[cid]
-
-    def quartic(self, entry):
-        cid = entry["id"]
-        if cid not in self._quartics:
-            from .quartic import PlaneQuartic
-            self._quartics[cid] = PlaneQuartic(entry["coefficients"], cid)
-        return self._quartics[cid]
+def _build_env(entry):
+    """The evaluation environment a registry curve's identities run on."""
+    if entry["type"] == "plane_quartic":
+        return PlaneQuartic(entry["coefficients"], entry["id"])
+    curve = HyperellipticCurve(entry["branch_points"], entry["id"])
+    _, _, periods = period_matrix(curve)
+    return CurveContext(curve, periods)
 
 
 def run_suite(config: SuiteConfig, progress=None):
     """Execute the configured identities over the configured curves.
 
-    Deterministic given (config, master_seed); per-check errors are
-    aggregated into failing reports instead of aborting the suite.
+    Identities run in the configured order (all of them, sorted, if None);
+    each runs on the configured curves of its kind in configured order, or
+    once on "-" if it is a carrier check, whenever its table has the key of
+    that curve (see IdentitySpec).  Environments are built once per curve,
+    on first use.  Deterministic given (config, master_seed); per-check
+    errors, and a curve whose environment cannot be built, give failing
+    reports instead of aborting the suite.
     """
-    from .registry import registry_entries
-    from . import quartic as quartic_mod
     config.validate()
     entries = registry_entries()
     if config.curves is None:
@@ -562,59 +557,34 @@ def run_suite(config: SuiteConfig, progress=None):
             if cid not in entries:
                 raise SuiteError(f"unknown curve {cid!r}")
     names = config.identities if config.identities is not None else sorted(IDENTITIES)
-    quartic_names = set(quartic_mod.QUARTIC_IDENTITIES)
-    cache = _EnvCache()
+    targets = [_CARRIER] + [entries[cid] for cid in curve_ids]
+    envs = {"-": None}
     reports = []
     for name in names:
-        if name in quartic_names:
-            spec = quartic_mod.QUARTIC_IDENTITIES[name]
-            targets = [entries[c] for c in curve_ids
-                       if entries[c]["type"] == "plane_quartic"]
-            for entry in targets:
-                key = entry["id"]
-                trials = config.trials or spec.default_trials(key)
-                tol = config.tolerances.get(name, spec.default_tol(key))
-                env = cache.quartic(entry)
-                rep = run_identity(spec, env, key, trials, tol, config.master_seed)
-                reports.append(rep)
-                if progress:
-                    progress(rep)
-            continue
         spec = IDENTITIES[name]
-        if spec.kind == "carrier":
-            trials = config.trials or spec.default_trials("-")
-            tol = config.tolerances.get(name, spec.default_tol("-"))
-            rep = run_identity(spec, None, "-", trials, tol, config.master_seed)
-            reports.append(rep)
-            if progress:
-                progress(rep)
-            continue
-        targets = [entries[c] for c in curve_ids
-                   if entries[c]["type"] == "hyperelliptic"]
         for entry in targets:
-            curve = HyperellipticCurve(entry["branch_points"], entry["id"])
-            if curve.genus not in spec.genera:
+            cid = entry["id"]
+            key = entry["genus"] if entry["type"] == "hyperelliptic" else cid
+            if entry["type"] != spec.kind or key not in spec.table:
                 continue
-            trials = config.trials or spec.default_trials(curve.genus)
-            tol = config.tolerances.get(name, spec.default_tol(curve.genus))
-            env = cache.hyperelliptic(entry)
-            rep = run_identity(spec, env, entry["id"], trials, tol,
-                               config.master_seed)
+            trials, tol = spec.table[key]
+            trials = config.trials or trials
+            tol = config.tolerances.get(name, tol)
+            if cid not in envs:
+                try:
+                    envs[cid] = _build_env(entry)
+                except (CurveError, ThetaError, QuarticError, ValueError) as ex:
+                    envs[cid] = ex
+            if isinstance(envs[cid], Exception):
+                rep = IdentityReport(identity_id=name, curve_id=cid, trials=trials,
+                                     completed=0, max_abs_residual=math.inf,
+                                     max_rel_residual=math.inf,
+                                     seed=config.master_seed, tol=tol,
+                                     passed=False, elapsed_ms=0)
+            else:
+                rep = run_identity(spec, envs[cid], cid, trials, tol,
+                                   config.master_seed)
             reports.append(rep)
             if progress:
                 progress(rep)
     return reports
-
-
-def all_identity_names():
-    from . import quartic as quartic_mod
-    return sorted(set(IDENTITIES) | set(quartic_mod.QUARTIC_IDENTITIES))
-
-
-# public aliases mirroring the check-style naming of the other modules
-check_residue_identity = residue_identity_residual
-check_trisecant_general = trisecant_general_residual
-check_trisecant_classical = trisecant_classical_residual
-check_divisor_symmetric = divisor_symmetric_residual
-check_prime_form_identity = prime_form_identity_residual
-check_theta_derivative_on_divisor = theta_derivative_divisor_residual

@@ -38,10 +38,6 @@ class CoincidentPoints(KernelError):
     pass
 
 
-class NearBranchPoint(KernelError):
-    pass
-
-
 class RootSearchFailed(KernelError):
     pass
 
@@ -97,9 +93,6 @@ class CurveContext:
 
     def theta_delta(self, z):
         return self.mult * theta(z, self.rm, self.delta, tol=self.tol).value
-
-    def theta_plain(self, z):
-        return self.mult * theta(z, self.rm, tol=self.tol).value
 
     def theta_delta_many(self, Z):
         vals, _, _, _ = theta_batch(np.asarray(Z), self.rm, self.delta, tol=self.tol)
@@ -221,16 +214,6 @@ def massey_m3_theta(ctx: CurveContext, xi, p: CurvePoint, q: CurvePoint,
 def bundle_of_xi(ctx: CurveContext, xi):
     """Theta point of the bundle xi(D_delta); inverse of xi_of_bundle."""
     return ThetaLineBundle(e=ctx.w - np.asarray(xi, dtype=complex), degree=ctx.g - 1)
-
-
-def twist_xi(ctx: CurveContext, xi, plus_points, minus_points):
-    """xi of L(sum plus - sum minus) given xi of L."""
-    out = np.asarray(xi, dtype=complex).copy()
-    for p in plus_points:
-        out = out + ctx.aj(p)
-    for p in minus_points:
-        out = out - ctx.aj(p)
-    return out
 
 
 def sample_point(ctx: CurveContext, rng, spread=1.6, clearance=0.04):

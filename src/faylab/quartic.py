@@ -545,33 +545,3 @@ def reconstruct_synthetic_residual(rng, length=5):
         dist = projective_distance(np.array(coords), u / u[0])
         return dist, dist
     raise QuarticError("synthetic oracle kept hitting degenerate ratios")
-
-
-# quartic identity registry (consumed by identities.run_suite)
-
-from .identities import IdentitySpec  # noqa: E402  (cycle-free: late import)
-
-QUARTIC_IDENTITIES = {
-    "canprop": IdentitySpec(
-        name="canprop", kind="quartic", runner=canprop_residual,
-        trials={"fermat": 200, "quartic-generic": 100},
-        tol={"fermat": 1e-9, "quartic-generic": 1e-8}),
-    "cor2_three_term": IdentitySpec(
-        name="cor2_three_term", kind="quartic", runner=cor2_residual,
-        trials={"fermat": 100, "quartic-generic": 50},
-        tol={"fermat": 1e-9, "quartic-generic": 1e-8}),
-    "ratio_dual": IdentitySpec(
-        name="ratio_dual", kind="quartic", runner=ratio_dual_residual,
-        trials={"fermat": 200, "quartic-generic": 100},
-        tol={"fermat": 1e-9, "quartic-generic": 1e-8}),
-    "tangent_reconstruction": IdentitySpec(
-        name="tangent_reconstruction", kind="quartic",
-        runner=tangent_reconstruction_residual,
-        trials={"fermat": 100, "quartic-generic": 100},
-        tol={"fermat": 1e-8, "quartic-generic": 1e-8}),
-    "reconstruct_synthetic": IdentitySpec(
-        name="reconstruct_synthetic", kind="quartic",
-        runner=lambda env, rng: reconstruct_synthetic_residual(rng),
-        trials={"fermat": 100, "quartic-generic": 100},
-        tol={"fermat": 1e-10, "quartic-generic": 1e-10}),
-}

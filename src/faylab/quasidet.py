@@ -112,10 +112,6 @@ class QuasiMatrix:
         return out
 
 
-def quasideterminant(A: QuasiMatrix, row, col):
-    return A.qdet(row, col)
-
-
 def carrier_norm(a):
     return float(np.abs(a).max())
 

@@ -36,22 +36,31 @@ def _parse_monomial(key):
     return tuple(expo)
 
 
-def _load_entry(raw):
-    if "id" not in raw or "type" not in raw:
-        raise RegistryError("registry entry needs 'id' and 'type'")
-    if raw["type"] == "hyperelliptic":
-        pts = [complex(re_, im_) for re_, im_ in raw["branch_points"]]
-        return {"id": raw["id"], "type": "hyperelliptic", "branch_points": pts}
-    if raw["type"] == "plane_quartic":
-        coeffs = {_parse_monomial(k): complex(v[0], v[1])
-                  for k, v in raw["coefficients"].items()}
-        return {"id": raw["id"], "type": "plane_quartic", "coefficients": coeffs}
-    raise RegistryError(f"unknown curve type {raw['type']!r}")
+def _load_entry(path):
+    """Parse and check one JSON entry; every defect is a RegistryError."""
+    try:
+        raw = json.loads(Path(path).read_text())
+        kind = raw["type"]
+        if kind == "hyperelliptic":
+            pts = [complex(re_, im_) for re_, im_ in raw["branch_points"]]
+            if not 3 <= len(pts) <= 8:
+                raise RegistryError(f"{path}: {len(pts)} branch points, "
+                                    "need 3 to 8 (genus 1 to 3)")
+            return {"id": raw["id"], "type": kind, "branch_points": pts,
+                    "genus": (len(pts) - 1) // 2}
+        if kind == "plane_quartic":
+            coeffs = {_parse_monomial(k): complex(v[0], v[1])
+                      for k, v in raw["coefficients"].items()}
+            return {"id": raw["id"], "type": kind, "coefficients": coeffs, "genus": 3}
+    except KeyError as ex:
+        raise RegistryError(f"{path}: entry lacks the key {ex}") from None
+    except (OSError, TypeError, ValueError, AttributeError) as ex:
+        raise RegistryError(f"{path}: malformed entry ({ex})") from None
+    raise RegistryError(f"{path}: unknown curve type {kind!r}")
 
 
 def registry_entries():
     """All registry entries, id -> entry; env-dir entries shadow builtins."""
-    out = {}
     dirs = [_BUILTIN_DIR]
     env = os.environ.get("FAYLAB_REGISTRY")
     if env:
@@ -61,8 +70,7 @@ def registry_entries():
         if not d.is_dir():
             continue
         for path in sorted(d.glob("*.json")):
-            raw = json.loads(path.read_text())
-            entry = _load_entry(raw)
+            entry = _load_entry(path)
             if entry["id"] not in seen:
                 seen[entry["id"]] = entry
     return seen
@@ -73,17 +81,6 @@ def load_curve_entry(name):
     entries = registry_entries()
     if name in entries:
         return entries[name]
-    p = Path(name)
-    if p.is_file():
-        return _load_entry(json.loads(p.read_text()))
+    if Path(name).is_file():
+        return _load_entry(name)
     raise RegistryError(f"unknown curve {name!r}")
-
-
-def hyperelliptic_ids():
-    return [k for k, v in sorted(registry_entries().items())
-            if v["type"] == "hyperelliptic"]
-
-
-def quartic_ids():
-    return [k for k, v in sorted(registry_entries().items())
-            if v["type"] == "plane_quartic"]

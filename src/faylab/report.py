@@ -19,10 +19,6 @@ class IdentityReport:
     passed: bool
     elapsed_ms: int
 
-    @property
-    def ok(self):
-        return self.passed
-
 
 _FIELDS = ("identity", "curve", "trials", "completed", "max_abs_residual",
            "max_rel_residual", "seed", "tol", "pass", "elapsed_ms")

@@ -59,6 +59,17 @@ class TestSubcommands:
         rec = json.loads(out.read_text().splitlines()[0])
         assert rec["pass"] is False
 
+    def test_verify_quartic_identity(self, tmp_path, capsys):
+        out = tmp_path / "rep.jsonl"
+        code = run_cli(["verify", "--identity", "canprop", "--curve", "fermat",
+                        "--trials", "5", "--out", str(out)])
+        assert code == 0
+        recs = [json.loads(line) for line in out.read_text().splitlines()]
+        assert len(recs) == 1
+        assert recs[0]["identity"] == "canprop"
+        assert recs[0]["curve"] == "fermat"
+        assert recs[0]["pass"] is True
+
     def test_quasidet_selftest(self, capsys):
         assert run_cli(["quasidet-selftest", "--size", "3", "--block", "2",
                         "--trials", "10", "--seed", "3"]) == 0
@@ -106,6 +117,41 @@ class TestReportFormat:
         path.write_text(json.dumps(extra))
         assert run_cli(["periods", "--curve", str(path)]) == 0
         assert "positive definite: True" in capsys.readouterr().out
+
+
+class TestBadCurves:
+    def test_colliding_branch_points_fail_only_their_reports(self, tmp_path,
+                                                              monkeypatch, capsys):
+        entry = {"id": "collide", "type": "hyperelliptic",
+                 "branch_points": [[0.0, 0.0], [0.0, 0.0], [1.0, 0.0]]}
+        (tmp_path / "collide.json").write_text(json.dumps(entry))
+        monkeypatch.setenv("FAYLAB_REGISTRY", str(tmp_path))
+        out = tmp_path / "rep.jsonl"
+        code = run_cli(["verify", "--identity", "skewsym_n2,quasidet_det_ratio",
+                        "--curve", "collide,lemniscatic", "--trials", "3",
+                        "--out", str(out)])
+        assert code == 1
+        recs = [json.loads(line) for line in out.read_text().splitlines()]
+        status = {(r["identity"], r["curve"]): (r["pass"], r["completed"])
+                  for r in recs}
+        assert status == {("skewsym_n2", "collide"): (False, 0),
+                          ("skewsym_n2", "lemniscatic"): (True, 3),
+                          ("quasidet_det_ratio", "-"): (True, 3)}
+
+    @pytest.mark.parametrize("text,reason", [
+        ('{"id": "bad", "type": "hyperelliptic"}', "branch_points"),
+        ('{"id": "bad", "type": ', "malformed"),
+        (json.dumps({"id": "bad", "type": "hyperelliptic",
+                     "branch_points": [[k, 0.0] for k in range(9)]}), "9 branch points"),
+    ])
+    def test_unreadable_entry_is_a_usage_error(self, tmp_path, monkeypatch, capsys,
+                                               text, reason):
+        (tmp_path / "bad.json").write_text(text)
+        monkeypatch.setenv("FAYLAB_REGISTRY", str(tmp_path))
+        assert run_cli(["list-curves"]) == 2
+        assert run_cli(["verify", "--identity", "skewsym_n2", "--curve",
+                        "lemniscatic", "--trials", "1"]) == 2
+        assert reason in capsys.readouterr().err
 
 
 class TestDeterminism:

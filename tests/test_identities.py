@@ -1,17 +1,18 @@
 import numpy as np
 import pytest
 
-from faylab.identities import (SuiteConfig, run_suite, run_identity,
+from faylab.identities import (IDENTITIES, SuiteConfig, run_suite, run_identity,
                                trisecant_general_residual,
                                trisecant_classical_residual,
                                divisor_symmetric_residual,
                                prime_form_identity_residual,
                                residue_identity_residual, maincor_kernel_residual,
-                               idcor_residual, skewsym2_scalar_residual,
+                               idcor_residual,
                                quasidet_geometric_residual,
                                theta_derivative_divisor_residual,
                                UnknownIdentity, SuiteError, _distinct_points)
 from faylab.kernels import CurveContext, fay_F, sample_xi, NearDivisor
+from faylab.registry import registry_entries
 from faylab.rng import trial_rng
 
 from conftest import build_context
@@ -151,15 +152,6 @@ class TestResidueIdentities:
         assert run_many(idcor_residual, ctx_g1, None, "id1") < 1e-9
         assert run_many(idcor_residual, ctx_g2, None, "id2") < 1e-8
 
-    def test_skewsym2_matches_suite_route(self, ctx_g1):
-        # same identity through the two harnesses agrees trial by trial
-        for trial in range(5):
-            rng1 = trial_rng(3, "same", trial)
-            rng2 = trial_rng(3, "same", trial)
-            r1 = residue_identity_residual(ctx_g1, 2, rng1)[1]
-            r2 = skewsym2_scalar_residual(ctx_g1, rng2)[1]
-            assert abs(r1 - r2) < 1e-10
-
 
 class TestPrimeFormIdentity:
     @pytest.mark.parametrize("n,tol", [(1, 1e-8), (2, 1e-7)])
@@ -241,7 +233,14 @@ class TestSuiteRunner:
         def always_near(env, rng):
             raise NearDivisor("synthetic rejection")
         spec = IdentitySpec(name="synthetic", kind="hyperelliptic",
-                            runner=always_near, genera=(1,))
+                            runner=always_near, table={1: (10, 1e-8)})
         rep = run_identity(spec, ctx_g1, "lemniscatic", 10, 1e-8, 1)
         assert rep.completed == 0
         assert not rep.passed
+
+    def test_every_identity_reachable(self):
+        # one trial of every spec on every builtin curve of its kind
+        reports = run_suite(SuiteConfig(trials=1))
+        assert {r.identity_id for r in reports} == set(IDENTITIES)
+        assert {r.curve_id for r in reports} == set(registry_entries()) | {"-"}
+        assert all(r.passed for r in reports)
