@@ -9,7 +9,8 @@ import sys
 
 import numpy as np
 
-from .curves import HyperellipticCurve, period_matrix, CurveError
+from .curves import (HyperellipticCurve, period_matrix, BranchPointCollision,
+                     CurveError)
 from .identities import (IDENTITIES, IdentitySpec, SuiteConfig, run_identity,
                          run_suite, SuiteError, UnknownIdentity)
 from .quasidet import (random_quasimatrix, check_sylvester, check_column_expansion,
@@ -38,9 +39,12 @@ def _cmd_periods(args):
     if entry["type"] != "hyperelliptic":
         print("error: periods are computed for hyperelliptic curves", file=sys.stderr)
         return 2
-    curve = HyperellipticCurve(entry["branch_points"], entry["id"])
     try:
+        curve = HyperellipticCurve(entry["branch_points"], entry["id"])
         A, B, pd = period_matrix(curve, quadrature_order=args.order)
+    except (BranchPointCollision, ValueError) as ex:
+        print(f"error: {ex}", file=sys.stderr)
+        return 2
     except CurveError as ex:
         print(f"error: {ex}", file=sys.stderr)
         return 1
@@ -77,6 +81,9 @@ def _cmd_verify(args):
     except (UnknownIdentity, SuiteError, RegistryError) as ex:
         print(f"error: {ex}", file=sys.stderr)
         return 2
+    if not reports:
+        print("error: no (identity, curve) pair selected", file=sys.stderr)
+        return 2
     if args.out:
         write_report(reports, args.out)
     failing = [r for r in reports if not r.passed]
@@ -89,6 +96,10 @@ def _cmd_verify(args):
 
 def _cmd_quasidet_selftest(args):
     n, k = args.size, args.block
+    if n < 2 or k < 1 or args.trials < 1:
+        print("error: need --size >= 2, --block >= 1 and --trials >= 1",
+              file=sys.stderr)
+        return 2
 
     def runner(env, rng):
         A = random_quasimatrix(rng, n, k)

@@ -6,6 +6,13 @@ finite branch points (one branch point at infinity).  Even-degree input
 models are converted by a Moebius change of variable.  All contour work
 is done on closed polygonal paths in the x-plane with continuous
 analytic continuation of y (no branch-cut bookkeeping).
+
+One routine, `_track_points`, continues y along every straight segment:
+a walk in steps of a quarter of the segment's clearance from the branch
+points, bisected until each step moves arg f by at most pi/2 and |f| by a
+factor in [0.1, 10].  On the ray into a branch point e_k the factor
+(x - e_k) does not rotate, so that walk is sized from the other branch
+points; the amplitude test refines it near e_k.
 """
 
 from __future__ import annotations
@@ -167,63 +174,29 @@ def reduce_mod_lattice(z, rm: RiemannMatrix):
 # analytic continuation of y along polygonal paths
 
 
-def _continue_step(curve, za, zb, ya, max_depth=48):
-    """One continuation step with the arg-halving rule.
-
-    Uses y_b = y_a * exp(log(f_b/f_a)/2) on steps where arg(f) moves by
-    less than pi/2 (so arg(y) moves by less than pi/4), halving otherwise.
-    Only safe when the step is short against the branch-point distance.
-    """
-    fa = curve.f(np.array([za]))[0]
-    fb = curve.f(np.array([zb]))[0]
-    if fb == 0 or fa == 0:
-        raise PathTooCloseToBranchPoint("continuation hit a branch point")
-    ratio = fb / fa
-    if abs(np.angle(ratio)) <= 0.5 * math.pi and 0.1 <= abs(ratio) <= 10.0:
-        return ya * np.exp(0.5 * np.log(ratio))
-    if max_depth <= 0:
-        raise PathTooCloseToBranchPoint("sheet tracking failed to converge")
-    mid = 0.5 * (za + zb)
-    ym = _continue_step(curve, za, mid, ya, max_depth - 1)
-    return _continue_step(curve, mid, zb, ym, max_depth - 1)
-
-
-def _continue_y(curve, za, zb, ya):
-    """Continue y from za (value ya) to zb along the straight segment.
-
-    The segment is pre-subdivided so each step is short relative to the
-    distance to the branch locus; otherwise the principal-branch angle
-    test can alias a near-full winding of f to a small one.
-    """
+def _segment_feet(points, za, zb):
+    """For each of `points`, the parameter t in [0, 1] of its nearest point
+    on the segment [za, zb] and its distance to the segment."""
     seg = zb - za
-    length = abs(seg)
-    if length == 0.0:
-        return ya
-    t = np.clip(((curve.branch_points - za) / seg).real, 0.0, 1.0)
-    dmin = float(np.abs(za + t * seg - curve.branch_points).min())
-    if dmin <= 1e-9:
-        raise PathTooCloseToBranchPoint("continuation path touches a branch point")
-    n = max(1, int(math.ceil(length / (0.3 * dmin))))
-    y = ya
-    prev = za
-    for i in range(1, n + 1):
-        nxt = za + seg * (i / n)
-        y = _continue_step(curve, prev, nxt, y)
-        prev = nxt
-    return y
+    t = np.clip(((points - za) / seg).real, 0.0, 1.0)
+    return t, np.abs(za + t * seg - points)
 
 
-def _track_points(curve, za, zb, ya, ts, dmin, max_rounds=24):
+def _track_points(curve, za, zb, ya, ts=(), dmin=None, max_rounds=24):
     """y values at parameters ts in (0, 1] along [za, zb], given y(za) = ya.
 
-    Vectorized: evaluates f on a walk grid refined until every step keeps
-    |delta arg f| <= pi/2 and the amplitude ratio within [0.1, 10]; y is
-    then the cumulative product of the half-log ratios.  Returns (y at the
+    Walks in steps of dmin/4 (dmin defaults to the segment's clearance from
+    the branch points, so no step aliases a near-full winding of f), bisects
+    until every step keeps |delta arg f| <= pi/2 and the amplitude ratio in
+    [0.1, 10], and multiplies the half-log ratios.  Returns (y at the
     requested ts, y at zb).
     """
     seg = zb - za
-    length = abs(seg)
-    n_walk = max(2, int(math.ceil(length / (0.25 * dmin))))
+    if dmin is None:
+        dmin = float(_segment_feet(curve.branch_points, za, zb)[1].min())
+    if dmin <= 1e-9:
+        raise PathTooCloseToBranchPoint("continuation path touches a branch point")
+    n_walk = max(2, int(math.ceil(abs(seg) / (0.25 * dmin))))
     walk = np.linspace(0.0, 1.0, n_walk + 1)
     grid = np.unique(np.concatenate([walk, ts, [1.0]]))
     for _ in range(max_rounds):
@@ -256,9 +229,7 @@ def _integrate_segment(curve, za, zb, ya, order, min_clear=1e-6):
     total = np.zeros(g, dtype=complex)
     if length == 0:
         return total, ya
-    # distance from the segment to each branch point
-    t = np.clip(((curve.branch_points - za) / seg).real, 0.0, 1.0)
-    dmin = float(np.abs(za + t * seg - curve.branch_points).min())
+    dmin = float(_segment_feet(curve.branch_points, za, zb)[1].min())
     if dmin <= min_clear:
         raise PathTooCloseToBranchPoint(
             f"segment [{za:.4g}, {zb:.4g}] within {min_clear} of a branch point")
@@ -359,7 +330,7 @@ def _attach_sheets(curve, cycle):
     """Continue y around the polygon from the principal value at vertex 0."""
     ys = [curve.y_principal(np.array([cycle.vertices[0]]))[0]]
     for za, zb in zip(cycle.vertices[:-1], cycle.vertices[1:]):
-        ys.append(_continue_y(curve, za, zb, ys[-1]))
+        ys.append(_track_points(curve, za, zb, ys[-1])[1])
     cycle.y_values = ys
     # closed on the surface: y returns to its start
     if abs(ys[-1] - ys[0]) > 1e-8 * abs(ys[0]):
@@ -393,8 +364,8 @@ def _intersection_number(curve, c1: Cycle, c2: Cycle):
                 continue
             t, s, sign = hit
             zc = a0 + t * (a1 - a0)
-            y1 = _continue_y(curve, a0, zc, c1.y_values[i])
-            y2 = _continue_y(curve, b0, zc, c2.y_values[j])
+            y1 = _track_points(curve, a0, zc, c1.y_values[i])[1]
+            y2 = _track_points(curve, b0, zc, c2.y_values[j])[1]
             if abs(y1 - y2) < abs(y1 + y2):
                 total += sign
     return total
@@ -488,15 +459,13 @@ def _route(curve, za, zb, clear=None, detour_seed=0):
         for p, q in zip(path[:-1], path[1:]):
             seg = q - p
             if abs(seg) > 0:
-                t = np.clip(((curve.branch_points - p) / seg).real, 0.0, 1.0)
-                feet = p + t * seg
-                dists = np.abs(feet - curve.branch_points)
+                t, dists = _segment_feet(curve.branch_points, p, q)
                 k = int(np.argmin(dists))
                 if dists[k] < clear and 0.0 < t[k] < 1.0:
                     e = curve.branch_points[k]
                     n = 1j * seg / abs(seg)
                     side = 1.0 if (detour_seed + k) % 2 == 0 else -1.0
-                    off = e - feet[k]
+                    off = e - (p + t[k] * seg)
                     if abs(off) > 1e-12:
                         n = -off / abs(off)
                         side = 1.0
@@ -537,13 +506,17 @@ def abel_jacobi(periods: PeriodData, P: CurvePoint, base: CurvePoint,
     return periods.A_inv @ vec
 
 
-def _branch_leg(curve, e_k, z_entry, y_entry, order=32):
+def _branch_leg(curve, k, z_entry, y_entry, order=32):
     """Integral of the basis from the branch point e_k to z_entry.
 
     Substitutes x = e_k + s^2 * u (u the unit entry direction); the
     integrand 2 x^(i-1) s / y is regular at s = 0 once y/s is continued.
+    y is tracked inward along the ray in one walk sized from the other
+    branch points; sized from e_k it would take ~2e6 steps, as the
+    innermost node sits at s^2 ~ 1.8e-6 r.
     """
     g = curve.genus
+    e_k = curve.branch_points[k]
     u = (z_entry - e_k)
     r = abs(u)
     u /= r
@@ -552,14 +525,10 @@ def _branch_leg(curve, e_k, z_entry, y_entry, order=32):
     half = 0.5 * s_hi
     ss = half * nodes + half          # s in (0, s_hi)
     xs = e_k + (ss**2) * u
-    # continue y inward from the entry point through the s-nodes
-    ys = np.empty(len(ss), dtype=complex)
-    y_prev = y_entry
-    x_prev = z_entry
-    for i in range(len(ss) - 1, -1, -1):
-        y_prev = _continue_y(curve, x_prev, xs[i], y_prev)
-        x_prev = xs[i]
-        ys[i] = y_prev
+    ts = (r - ss**2) / (r - ss[0]**2)  # the s-nodes on the ray z_entry -> xs[0]
+    others = np.delete(curve.branch_points, k)
+    dmin = float(_segment_feet(others, z_entry, xs[0])[1].min())
+    ys, _ = _track_points(curve, z_entry, xs[0], y_entry, ts, dmin)
     powers = xs[None, :] ** np.arange(g)[:, None]
     w = ys / ss                        # regular, nonzero at s = 0
     vec = half * (2.0 * powers / w[None, :]) @ weights
@@ -581,7 +550,7 @@ def abel_jacobi_from_branch(periods: PeriodData, P: CurvePoint, branch_index=0,
     y_target = P.y(curve)
     vec_out, y_entry = integrate_path(curve, list(reversed(path)), y_target, order)
     vec_out = -vec_out                 # now: integral entry -> P, y at entry known
-    vec_in = _branch_leg(curve, e_k, z_entry, y_entry, order)
+    vec_in = _branch_leg(curve, branch_index, z_entry, y_entry, order)
     return periods.A_inv @ (vec_in + vec_out)
 
 

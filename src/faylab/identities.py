@@ -65,10 +65,6 @@ def _distinct_points(ctx, rng, count, min_sep=1e-3):
     raise BadTriple("could not sample distinct points")
 
 
-def _theta_many(ctx, Z):
-    return ctx.theta_delta_many(np.array(Z))
-
-
 # ---------------------------------------------------------------------------
 # theta-kernel identities
 
@@ -111,9 +107,9 @@ def trisecant_classical_residual(ctx, rng, pts=None, xi=None):
         xi = sample_xi(ctx, rng)
     x, y, z, t = pts
     X, Y, Z, T = (ctx.aj(p) for p in pts)
-    th = _theta_many(ctx, [X - T, Y - Z, X - Z, Y - T, xi, xi + Y - X + Z - T,
-                           Z - T, Y - X, Z - X, xi + Z - X, xi + Y - T,
-                           xi + Z - T, xi + Y - X])
+    th = ctx.theta_delta_many([X - T, Y - Z, X - Z, Y - T, xi, xi + Y - X + Z - T,
+                               Z - T, Y - X, Z - X, xi + Z - X, xi + Y - T,
+                               xi + Z - T, xi + Y - X])
     (xt, yz, xz, yt, t_xi, t_long, zt, yx, zx, t_zx, t_yt, r1, r2) = th
     if min(abs(xz), abs(yt), abs(zx)) < 1e-8 * ctx.scale:
         raise NearDivisor("trisecant denominator too small")
@@ -407,18 +403,18 @@ IDENTITIES = {}
 for kind, rows in [
     ("hyperelliptic", [
         ("skewsym_n2", lambda ctx, rng: residue_identity_residual(ctx, 2, rng),
-         {1: (100, 1e-9), 2: (50, 1e-9)}),
+         {1: (100, 1e-9), 2: (50, 1e-9), 3: (50, 1e-9)}),
         ("residue_n3", lambda ctx, rng: residue_identity_residual(ctx, 3, rng),
          {1: (100, 1e-8)}),
         ("maincor_kernel", maincor_kernel_residual, {1: (100, 1e-8)}),
         ("trisecant_general_n1", lambda ctx, rng: trisecant_general_residual(ctx, 1, rng),
-         {1: (200, 1e-9), 2: (100, 1e-8)}),
+         {1: (200, 1e-9), 2: (100, 1e-8), 3: (50, 1e-8)}),
         ("trisecant_general_n2", lambda ctx, rng: trisecant_general_residual(ctx, 2, rng),
          {1: (50, 1e-9), 2: (50, 1e-7)}),
         ("trisecant_general_n3", lambda ctx, rng: trisecant_general_residual(ctx, 3, rng),
          {1: (50, 1e-9), 2: (50, 1e-7)}),
         ("trisecant_classical", trisecant_classical_residual,
-         {1: (200, 1e-9), 2: (100, 1e-8)}),
+         {1: (200, 1e-9), 2: (100, 1e-8), 3: (50, 1e-8)}),
         ("divisor_symmetric_n1", lambda ctx, rng: divisor_symmetric_residual(ctx, 1, rng),
          {1: (100, 1e-9), 2: (50, 1e-8)}),
         ("divisor_symmetric_n2", lambda ctx, rng: divisor_symmetric_residual(ctx, 2, rng),

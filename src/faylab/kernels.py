@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .theta import ThetaChar, theta, theta_batch, theta_gradient
+from .theta import theta, theta_batch, theta_gradient
 from .curves import (HyperellipticCurve, CurvePoint, PeriodData, make_point,
                      abel_jacobi, find_odd_char, theta_scale, ThetaLineBundle,
                      CurveError)
@@ -112,18 +112,10 @@ class CurveContext:
         return self.periods.A_inv @ v
 
 
-def theta_form_at(ctx: CurveContext, p: CurvePoint, char_or_translate=None):
-    """The 1-form sum_i (d theta/d z_i)(0) omega_i evaluated at p, as the
-    coefficient of dx.  Defaults to the context's odd characteristic; a
-    ThetaChar or a translate vector w may be supplied instead."""
-    if char_or_translate is None:
-        grad = ctx.grad0
-    elif isinstance(char_or_translate, ThetaChar):
-        grad = theta_gradient(np.zeros(ctx.g), ctx.rm, char_or_translate, tol=ctx.tol)
-    else:
-        w = np.asarray(char_or_translate, dtype=complex)
-        grad = theta_gradient(w, ctx.rm, tol=ctx.tol)
-    return complex(grad @ ctx.omega_frame(p))
+def theta_form_at(ctx: CurveContext, p: CurvePoint):
+    """The 1-form sum_i (d theta[delta]/d z_i)(0) omega_i evaluated at p,
+    as the coefficient of dx, for the context's odd characteristic delta."""
+    return complex(ctx.grad0 @ ctx.omega_frame(p))
 
 
 def h_value(ctx: CurveContext, p: CurvePoint):

@@ -125,17 +125,14 @@ def odd_theta_chars(g):
 class ThetaValue:
     """Result of a theta evaluation.
 
-    ``value`` is exp(log_scale) * reduced_value; ``tail_bound`` is the
-    certified truncation error of the reduced sum relative to the scale
-    factor exp(pi y' Im(Omega)^-1 y), y = Im of the reduced argument.
+    ``tail_bound`` is the certified truncation error of the reduced sum
+    relative to the scale factor exp(pi y' Im(Omega)^-1 y), y = Im of the
+    reduced argument.
     """
 
     value: complex
     gradient: object  # complex g-vector or None
-    truncation_radius: float
     tail_bound: float
-    log_scale: complex = 0.0
-    reduced_value: complex = 0.0
 
 
 def _gauss_moments(x0, kmax):
@@ -270,7 +267,7 @@ def _reduce_arguments(Z, rm: RiemannMatrix, char: ThetaChar):
 
 
 def theta_batch(Z, rm: RiemannMatrix, char: ThetaChar = None, tol=1e-10,
-                gradient=False, max_terms=None):
+                gradient=False):
     """Evaluate theta[char](z | Omega) for every row z of Z.
 
     Returns (values, gradients, radius, tail_bounds); gradients is None
@@ -287,8 +284,7 @@ def theta_batch(Z, rm: RiemannMatrix, char: ThetaChar = None, tol=1e-10,
     Zr, m0, lp = _reduce_arguments(Z, rm, char)
     centers = a + Zr.imag @ rm.imag_inv.T
     c_off = float(np.max(np.linalg.norm(centers - a, axis=1))) if len(centers) else 0.0
-    R = truncation_radius(rm, tol, gradient=gradient, center_offset=c_off,
-                          max_terms=max_terms)
+    R = truncation_radius(rm, tol, gradient=gradient, center_offset=c_off)
     # reduced arguments keep their centers within D/2 of the characteristic,
     # so one cached enumeration around `a` covers every batch at this radius
     D = rm._S_norm * math.sqrt(rm.g)
@@ -316,26 +312,18 @@ def theta_batch(Z, rm: RiemannMatrix, char: ThetaChar = None, tol=1e-10,
 
 
 def theta(z, rm: RiemannMatrix, char: ThetaChar = None, tol=1e-10,
-          gradient=False, max_terms=None) -> ThetaValue:
+          gradient=False) -> ThetaValue:
     """Evaluate a single theta value (optionally with its z-gradient)."""
     if not 0.0 < tol <= 1e-3:
         raise ValueError("tol must lie in (0, 1e-3]")
     z = np.atleast_1d(np.asarray(z, dtype=complex))
-    values, grads, R, tails = theta_batch(z[None, :], rm, char, tol,
-                                          gradient=gradient, max_terms=max_terms)
-    if char is None:
-        char = ThetaChar.zero(rm.g)
-    Zr, _, lp = _reduce_arguments(z[None, :], rm, char)
-    red = values[0] * np.exp(-lp[0])
+    values, grads, _, tails = theta_batch(z[None, :], rm, char, tol,
+                                          gradient=gradient)
     return ThetaValue(value=complex(values[0]),
                       gradient=None if grads is None else grads[0],
-                      truncation_radius=R,
-                      tail_bound=float(tails[0]),
-                      log_scale=complex(lp[0]),
-                      reduced_value=complex(red))
+                      tail_bound=float(tails[0]))
 
 
-def theta_gradient(z, rm: RiemannMatrix, char: ThetaChar = None, tol=1e-10,
-                   max_terms=None):
+def theta_gradient(z, rm: RiemannMatrix, char: ThetaChar = None, tol=1e-10):
     """The g-vector of first partials (d theta / d z_i)(z)."""
-    return theta(z, rm, char, tol, gradient=True, max_terms=max_terms).gradient
+    return theta(z, rm, char, tol, gradient=True).gradient

@@ -154,6 +154,26 @@ class TestBadCurves:
         assert reason in capsys.readouterr().err
 
 
+class TestBadInput:
+    @pytest.mark.parametrize("args,reason", [
+        (["periods", "--curve", "COLLIDE"], "branch points closer"),
+        (["periods", "--curve", "lemniscatic", "--order", "8"], "quadrature_order"),
+        (["quasidet-selftest", "--size", "1"], "--size >= 2"),
+        (["quasidet-selftest", "--block", "0"], "--block >= 1"),
+        (["quasidet-selftest", "--trials", "0"], "--trials >= 1"),
+        (["verify", "--identity", "idcor", "--curve", "fermat"],
+         "no (identity, curve) pair"),
+    ])
+    def test_exit_2_with_message(self, tmp_path, capsys, args, reason):
+        collide = tmp_path / "collide.json"
+        collide.write_text(json.dumps(
+            {"id": "collide", "type": "hyperelliptic",
+             "branch_points": [[0.0, 0.0], [0.0, 0.0], [1.0, 0.0]]}))
+        args = [str(collide) if a == "COLLIDE" else a for a in args]
+        assert run_cli(args) == 2
+        assert reason in capsys.readouterr().err
+
+
 class TestDeterminism:
     def test_verify_byte_identical(self, tmp_path):
         reps = []

@@ -7,13 +7,16 @@ from faylab.curves import (HyperellipticCurve, period_matrix, make_point,
                            random_line_bundle, vanishing_locus_check,
                            BranchPointCollision, PathTooCloseToBranchPoint,
                            RejectionBudgetExceeded, _build_cycles,
-                           _attach_sheets, _intersection_matrix)
+                           _attach_sheets, _intersection_matrix, _segment_feet,
+                           _track_points)
 from faylab.theta import theta, ThetaChar
 from faylab.kernels import riemann_constant, sample_point
 from faylab.registry import registry_entries
 
 from conftest import build_context
-from oracles import agm_tau
+from oracles import agm_tau, qseries_theta_char
+
+HYPERELLIPTIC = ["lemniscatic", "equianharmonic", "g2-real", "g3-real"]
 
 
 def frac_dist(z, rm):
@@ -61,6 +64,51 @@ class TestHomology:
         assert np.array_equal(np.abs(M[:g, g:]), np.eye(g, dtype=int))
 
 
+def tracker_segments(c):
+    """(za, zb, dmin) triples: a generic segment, one passing 0.05 min_gap
+    from a branch point, and a branch-leg ray into that branch point with
+    its walk sized from the other branch points."""
+    e = c.branch_points[1]
+    gap = c.min_gap
+    others = np.delete(c.branch_points, 1)
+    ray_in = e + 1.8e-6 * 0.4 * gap
+    return [(-2.3 - 1.1j, 3.1 + 1.7j, None),
+            (e + gap * (-0.5 + 0.05j), e + gap * (0.5 + 0.05j), None),
+            (e + 0.4 * gap, ray_in,
+             float(_segment_feet(others, e + 0.4 * gap, ray_in)[1].min()))]
+
+
+class TestTracker:
+    @pytest.mark.parametrize("cid", HYPERELLIPTIC)
+    def test_y_squared_is_f(self, cid):
+        entry = registry_entries()[cid]
+        c = HyperellipticCurve(entry["branch_points"], cid)
+        ts = np.linspace(0.0, 1.0, 41)[1:]
+        for za, zb, dmin in tracker_segments(c):
+            ya = c.y_principal(np.array([za]))[0]
+            ys, y_end = _track_points(c, za, zb, ya, ts, dmin)
+            fx = c.f(za + ts * (zb - za))
+            assert np.all(np.abs(ys**2 - fx) <= 1e-12 * np.abs(fx))
+            assert y_end == ys[-1]
+
+    @pytest.mark.parametrize("cid", HYPERELLIPTIC)
+    def test_split_walk_agrees(self, cid):
+        entry = registry_entries()[cid]
+        c = HyperellipticCurve(entry["branch_points"], cid)
+        for za, zb, dmin in tracker_segments(c):
+            zm = za + 0.37 * (zb - za)
+            ya = c.y_principal(np.array([za]))[0]
+            _, y_whole = _track_points(c, za, zb, ya, dmin=dmin)
+            _, y_mid = _track_points(c, za, zm, ya, dmin=dmin)
+            _, y_split = _track_points(c, zm, zb, y_mid, dmin=dmin)
+            assert abs(y_whole - y_split) <= 1e-13 * abs(y_whole)
+
+    def test_touching_path_rejected(self):
+        c = HyperellipticCurve([0.0, 1.0, -1.0])
+        with pytest.raises(PathTooCloseToBranchPoint):
+            _track_points(c, -0.5 + 1e-10j, 0.5 + 1e-10j, 1.0)
+
+
 class TestPeriods:
     def test_lemniscatic_agm(self):
         c = HyperellipticCurve([0.0, 1.0, -1.0], "lemniscatic")
@@ -68,6 +116,17 @@ class TestPeriods:
         tau = agm_tau(-1.0, 0.0, 1.0)
         assert abs(pd.rm.omega[0, 0] - tau) < 1e-8
         assert abs(pd.rm.omega[0, 0] - 1j) < 1e-8
+
+    def test_equianharmonic_lambda(self):
+        # j = 0: the modular lambda of tau is a primitive sixth root of unity,
+        # a root of l^2 - l + 1 for every tau in the SL2(Z) orbit
+        entry = registry_entries()["equianharmonic"]
+        c = HyperellipticCurve(entry["branch_points"], "equianharmonic")
+        _, _, pd = period_matrix(c)
+        tau = pd.rm.omega[0, 0]
+        lam = (qseries_theta_char(0.5, 0.0, 0.0, tau)
+               / qseries_theta_char(0.0, 0.0, 0.0, tau)) ** 4
+        assert abs(lam * lam - lam + 1.0) < 1e-10
 
     def test_order_convergence(self):
         c = HyperellipticCurve([0.0, 1.0, 2.0, 3.0, 4.0], "g2-real")
@@ -147,13 +206,14 @@ class TestAbelJacobi:
             assert frac_dist(v1 - v2, pd.rm) < 1e-8
             assert frac_dist(v1 - v3, pd.rm) < 1e-8
 
-    def test_branch_points_are_half_periods(self, ctx_g1):
-        pd = ctx_g1.periods
-        for j in (1, 2):
-            v = abel_jacobi_between_branch_points(pd, j, 0)
-            al, be = lattice_coords(v, pd.rm)
-            assert np.abs(2 * al - np.round(2 * al)).max() < 1e-8
-            assert np.abs(2 * be - np.round(2 * be)).max() < 1e-8
+    def test_branch_points_are_half_periods(self):
+        for cid in HYPERELLIPTIC:
+            pd = build_context(cid).periods
+            for j in range(1, len(pd.curve.branch_points)):
+                v = abel_jacobi_between_branch_points(pd, j, 0)
+                al, be = lattice_coords(v, pd.rm)
+                assert np.abs(2 * al - np.round(2 * al)).max() < 1e-11
+                assert np.abs(2 * be - np.round(2 * be)).max() < 1e-11
 
     def test_reduction(self, ctx_g2):
         rm = ctx_g2.rm

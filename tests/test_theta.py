@@ -190,6 +190,38 @@ def test_parity_property(seed):
     assert abs(tm - sign * tp) < 1e-10 * max(abs(tp), 1e-3)
 
 
+def box_sum(rm, char, z, R):
+    """theta[char](z) summed term by term over every n in the bounding box
+    of the truncation ellipsoid of radius R about the series' centre."""
+    a, b = np.array(char.a), np.array(char.b)
+    centre = a + rm.imag_inv @ z.imag
+    ext = R * np.sqrt(np.diag(np.linalg.inv(np.pi * rm.imag)))
+    axes = [np.arange(np.floor(-c - e), np.ceil(-c + e) + 1)
+            for c, e in zip(centre, ext)]
+    na = np.stack([x.ravel() for x in np.meshgrid(*axes, indexing="ij")], -1) + a
+    quad = np.einsum("ij,ij->i", na @ rm.omega, na)
+    return np.exp(1j * np.pi * quad + 2j * np.pi * (na @ (z + b))).sum()
+
+
+cell = st.floats(min_value=-0.49, max_value=0.49)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(g=st.integers(min_value=1, max_value=3), data=st.data())
+def test_tail_bound_certifies_truncation(g, data):
+    # z = alpha + Omega beta in the fundamental cell is its own reduced
+    # argument, so the certified bound scales by exp(pi y' Im(Omega)^-1 y)
+    rm = RMS[g]
+    alpha = np.array(data.draw(st.lists(cell, min_size=g, max_size=g)))
+    beta = np.array(data.draw(st.lists(cell, min_size=g, max_size=g)))
+    char = data.draw(st.sampled_from(theta_chars(g)))
+    tol = data.draw(st.sampled_from([1e-3, 1e-5, 1e-7, 1e-9]))
+    z = alpha + rm.omega @ beta
+    vals, _, R, tails = theta_batch(z[None, :], rm, char, tol=tol)
+    scale = np.exp(np.pi * z.imag @ rm.imag_inv @ z.imag)
+    assert abs(vals[0] - box_sum(rm, char, z, R + 3)) <= tails[0] * scale
+
+
 def test_batch_matches_single():
     rng = np.random.default_rng(11)
     Z = rng.standard_normal((6, 2)) * 0.4 + 1j * rng.standard_normal((6, 2)) * 0.3
