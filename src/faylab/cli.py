@@ -90,6 +90,8 @@ def _cmd_verify(args):
     if failing:
         for r in failing:
             print("failing: " + format_report_line(r), file=sys.stderr)
+            if r.failure:
+                print(f"  reason: {r.failure}", file=sys.stderr)
         return 1
     return 0
 

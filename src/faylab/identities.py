@@ -20,9 +20,9 @@ from .theta import theta_batch, ThetaError
 from .curves import (HyperellipticCurve, period_matrix, random_line_bundle,
                      CurveError)
 from .kernels import (CurveContext, fay_F, prime_form, massey_m3_prime,
-                      massey_m3_theta, bundle_of_xi, h_value, theta_form_at,
+                      massey_m3_theta, h_value, theta_form_at,
                       sample_point, sample_xi, delta_divisor_root,
-                      NearDivisor, CoincidentPoints, KernelError)
+                      NEAR_DIVISOR, NearDivisor, CoincidentPoints, KernelError)
 from .quasidet import (QuasiMatrix, SingularMinor, random_quasimatrix,
                        check_sylvester, check_column_expansion,
                        check_row_homological, check_col_homological)
@@ -69,34 +69,37 @@ def _distinct_points(ctx, rng, count, min_sep=1e-3):
 # theta-kernel identities
 
 
+def _mainid_residual(ctx, X, Y, Z, T, xi):
+    """The residual of eq. (mainid), the three-block sum of F-products over
+    x, y, z_i, t_i (AJ vectors, Z and T of shape (n, g)) and xi, from one
+    batched fay_F call."""
+    n = len(Z)
+    D = Z - T
+    S = D.sum(axis=0)
+    i, j = np.nonzero(~np.eye(n, dtype=bool))
+    xis = np.broadcast_to(xi, Z.shape)
+    # F(z_i - z_j, z_j - t_j) for i != j; for each i F(z_i - x, xi),
+    # F(y - z_i, S + xi), F(x - z_i, z_i - t_i) and F(y - z_i, z_i - t_i);
+    # then F(y - x, S + xi) and F(y - x, xi)
+    F = fay_F(ctx,
+              np.concatenate([Z[i] - Z[j], Z - X, Y - Z, X - Z, Y - Z, [Y - X] * 2]),
+              np.concatenate([D[j], xis, S + xis, D, D, [S + xi, xi]]))
+    Fzz = np.ones((n, n), dtype=complex)
+    Fzz[i, j] = F[:len(i)]
+    a, b, c, e = F[len(i):-2].reshape(4, n)
+    blocks = list(Fzz.prod(axis=1) * (a * b))
+    blocks.append(c.prod() * F[-2])
+    blocks.append(-(e.prod() * F[-1]))
+    return _rel(sum(blocks), blocks)
+
+
 def trisecant_general_residual(ctx, n, rng):
     """Eq. (mainid): the three-block sum of F-products over x, y, z_i, t_i
     and a free Jacobian point xi."""
     pts = _distinct_points(ctx, rng, 2 + 2 * n)
-    x, y = pts[0], pts[1]
-    zs, ts = pts[2:2 + n], pts[2 + n:]
     xi = sample_xi(ctx, rng)
-    X, Y = ctx.aj(x), ctx.aj(y)
-    Z = [ctx.aj(p) for p in zs]
-    T = [ctx.aj(p) for p in ts]
-    S = sum(Z[k] - T[k] for k in range(n))
-    blocks = []
-    for i in range(n):
-        term = 1.0 + 0j
-        for j in range(n):
-            if j != i:
-                term *= fay_F(ctx, Z[i] - Z[j], Z[j] - T[j])
-        term *= fay_F(ctx, Z[i] - X, xi) * fay_F(ctx, Y - Z[i], S + xi)
-        blocks.append(term)
-    t2 = 1.0 + 0j
-    for i in range(n):
-        t2 *= fay_F(ctx, X - Z[i], Z[i] - T[i])
-    blocks.append(t2 * fay_F(ctx, Y - X, S + xi))
-    t3 = 1.0 + 0j
-    for i in range(n):
-        t3 *= fay_F(ctx, Y - Z[i], Z[i] - T[i])
-    blocks.append(-t3 * fay_F(ctx, Y - X, xi))
-    return _rel(sum(blocks), blocks)
+    X, Y, *ZT = (ctx.aj(p) for p in pts)
+    return _mainid_residual(ctx, X, Y, np.array(ZT[:n]), np.array(ZT[n:]), xi)
 
 
 def trisecant_classical_residual(ctx, rng, pts=None, xi=None):
@@ -105,45 +108,26 @@ def trisecant_classical_residual(ctx, rng, pts=None, xi=None):
         pts = _distinct_points(ctx, rng, 4)
     if xi is None:
         xi = sample_xi(ctx, rng)
-    x, y, z, t = pts
     X, Y, Z, T = (ctx.aj(p) for p in pts)
-    th = ctx.theta_delta_many([X - T, Y - Z, X - Z, Y - T, xi, xi + Y - X + Z - T,
-                               Z - T, Y - X, Z - X, xi + Z - X, xi + Y - T,
-                               xi + Z - T, xi + Y - X])
+    th = ctx.theta_delta([X - T, Y - Z, X - Z, Y - T, xi, xi + Y - X + Z - T,
+                          Z - T, Y - X, Z - X, xi + Z - X, xi + Y - T,
+                          xi + Z - T, xi + Y - X])
     (xt, yz, xz, yt, t_xi, t_long, zt, yx, zx, t_zx, t_yt, r1, r2) = th
-    if min(abs(xz), abs(yt), abs(zx)) < 1e-8 * ctx.scale:
+    if min(abs(xz), abs(yt), abs(zx)) < NEAR_DIVISOR * ctx.scale:
         raise NearDivisor("trisecant denominator too small")
     L1 = (xt * yz / (xz * yt)) * t_xi * t_long
     L2 = (zt * yx / (zx * yt)) * t_zx * t_yt
     R = r1 * r2
-    blocks = [L1, L2, R] if abs(R) > 0 else [L1, L2, 1.0]
-    total = L1 + L2 - R
-    return abs(total), abs(total) / max(abs(b) for b in blocks)
+    return _rel(L1 + L2 - R, [L1, L2, R] if abs(R) > 0 else [L1, L2, 1.0])
 
 
 def divisor_symmetric_residual(ctx, n, rng):
-    """Cor. (divisorid): the symmetric F-product identity over n+1 pairs."""
-    m = n + 1
-    pts = _distinct_points(ctx, rng, 1 + 2 * m)
-    y = pts[0]
-    zs, ts = pts[1:1 + m], pts[1 + m:]
-    Y = ctx.aj(y)
-    Z = [ctx.aj(p) for p in zs]
-    T = [ctx.aj(p) for p in ts]
-    S = sum(Z[k] - T[k] for k in range(m))
-    blocks = []
-    for i in range(m):
-        term = 1.0 + 0j
-        for j in range(m):
-            if j != i:
-                term *= fay_F(ctx, Z[i] - Z[j], Z[j] - T[j])
-        term *= fay_F(ctx, Y - Z[i], S)
-        blocks.append(term)
-    rhs = 1.0 + 0j
-    for i in range(m):
-        rhs *= fay_F(ctx, Y - Z[i], Z[i] - T[i])
-    blocks.append(-rhs)
-    return _rel(sum(blocks), blocks)
+    """Cor. (divisorid): the symmetric F-product identity over n+1 pairs,
+    which is eq. (mainid) over the last n pairs at x = z_0, xi = z_0 - t_0."""
+    pts = _distinct_points(ctx, rng, 3 + 2 * n)
+    Y, *ZT = (ctx.aj(p) for p in pts)
+    Z, T = np.array(ZT[:n + 1]), np.array(ZT[n + 1:])
+    return _mainid_residual(ctx, Z[0], Y, Z[1:], T[1:], Z[0] - T[0])
 
 
 def prime_form_identity_residual(ctx, n, rng):
@@ -151,36 +135,24 @@ def prime_form_identity_residual(ctx, n, rng):
     realized with a random translate of the plain theta."""
     e = random_line_bundle(ctx.rm, rng, scale=ctx.scale_raw).e
     pts = _distinct_points(ctx, rng, 2 + 2 * n)
-    x, y = pts[0], pts[1]
-    zs, ts = pts[2:2 + n], pts[2 + n:]
-    X, Y = ctx.aj(x), ctx.aj(y)
-    Z = [ctx.aj(p) for p in zs]
-    T = [ctx.aj(p) for p in ts]
-    S = sum(Z[k] - T[k] for k in range(n))
-    args = []
-    for i in range(n):
-        args += [Z[i] - X + e, Y - Z[i] + S + e]
-    args += [Y - X + e, S + e, Y - X + S + e, e]
-    vals, _, _, _ = theta_batch(np.array(args), ctx.rm, tol=ctx.tol)
+    X, Y, *ZT = (ctx.aj(p) for p in pts)
+    Z, T = np.array(ZT[:n]), np.array(ZT[n:])
+    S = (Z - T).sum(axis=0)
+    args = np.concatenate([Z - X + e, Y - Z + S + e,
+                           [Y - X + e, S + e, Y - X + S + e, e]])
+    vals, _, _, _ = theta_batch(args, ctx.rm, tol=ctx.tol)
     vals = ctx.mult * vals
-    blocks = []
-    for i in range(n):
-        term = 1.0 + 0j
-        for j in range(n):
-            if j != i:
-                term *= prime_form(ctx, ts[j], zs[i]) / prime_form(ctx, zs[j], zs[i])
-        term *= (prime_form(ctx, ts[i], zs[i]) * prime_form(ctx, x, y)
-                 / (prime_form(ctx, x, zs[i]) * prime_form(ctx, y, zs[i])))
-        term *= vals[2 * i] * vals[2 * i + 1]
-        blocks.append(term)
-    t2 = 1.0 + 0j
-    for i in range(n):
-        t2 *= prime_form(ctx, ts[i], y) / prime_form(ctx, zs[i], y)
-    blocks.append(t2 * vals[2 * n] * vals[2 * n + 1])
-    t3 = 1.0 + 0j
-    for i in range(n):
-        t3 *= prime_form(ctx, ts[i], x) / prime_form(ctx, zs[i], x)
-    blocks.append(-t3 * vals[2 * n + 2] * vals[2 * n + 3])
+    # E[a, b] = E(pts[a], pts[b]), 1 on the diagonal, with the point
+    # indices x = 0, y = 1, z_i = 2 + i, t_i = 2 + n + i
+    a, b = np.nonzero(~np.eye(len(pts), dtype=bool))
+    E = np.ones((len(pts), len(pts)), dtype=complex)
+    E[a, b] = prime_form(ctx, [pts[k] for k in a], [pts[k] for k in b])
+    z = 2 + np.arange(n)
+    t = z + n
+    blocks = list(E[np.ix_(t, z)].prod(axis=0) / E[np.ix_(z, z)].prod(axis=0)
+                  * E[0, 1] / (E[0, z] * E[1, z]) * vals[:n] * vals[n:2 * n])
+    blocks.append((E[t, 1] / E[z, 1]).prod() * vals[2 * n] * vals[2 * n + 1])
+    blocks.append(-(E[t, 0] / E[z, 0]).prod() * vals[2 * n + 2] * vals[2 * n + 3])
     return _rel(sum(blocks), blocks)
 
 
@@ -196,9 +168,8 @@ def residue_identity_residual(ctx, n, rng):
     if n == 2:
         x, y = _distinct_points(ctx, rng, 2)
         xi = sample_xi(ctx, rng)
-        t1 = massey_m3_prime(ctx, bundle_of_xi(ctx, xi), x, y)
-        t2 = massey_m3_prime(ctx, bundle_of_xi(ctx, -xi), y, x)
-        return _rel(t1 + t2, [t1, t2])
+        blocks = massey_m3_prime(ctx, [xi, -xi], [x, y], [y, x])
+        return _rel(blocks.sum(), blocks)
     if n == 3:
         if ctx.g != 1:
             raise SuiteError("n=3 residue identity needs genus 1 "
@@ -206,16 +177,12 @@ def residue_identity_residual(ctx, n, rng):
         xs = _distinct_points(ctx, rng, 3)
         xi1 = sample_xi(ctx, rng)
         xi2 = sample_xi(ctx, rng)
-        xis = [xi1, xi2, -(xi1 + xi2)]
-        blocks = []
-        for i in range(3):
-            term = 1.0 / h_value(ctx, xs[i])
-            for j in range(3):
-                if j != i:
-                    term *= massey_m3_prime(ctx, bundle_of_xi(ctx, xis[j]),
-                                            xs[j], xs[i])
-            blocks.append(term)
-        return _rel(sum(blocks), blocks)
+        xis = np.array([xi1, xi2, -(xi1 + xi2)])
+        i, j = np.nonzero(~np.eye(3, dtype=bool))
+        m = np.ones((3, 3), dtype=complex)
+        m[i, j] = massey_m3_prime(ctx, xis[j], [xs[k] for k in j], [xs[k] for k in i])
+        blocks = m.prod(axis=1) / np.array([h_value(ctx, p) for p in xs])
+        return _rel(blocks.sum(), blocks)
     raise SuiteError(f"residue identity implemented for n in (2, 3), not {n}")
 
 
@@ -227,27 +194,24 @@ def maincor_kernel_residual(ctx, rng):
         raise SuiteError("kernel-form corollary check runs at genus 1")
     x, y, z, t = _distinct_points(ctx, rng, 4)
     xi = sample_xi(ctx, rng)
-    Z, T = ctx.aj(z), ctx.aj(t)
+    X, Y, Z, T = (ctx.aj(p) for p in (x, y, z, t))
     xi2 = (Z - T) - xi
-    thd = ctx.theta_delta
-
-    def phi(p):
-        return thd(ctx.aj(p) - T) / thd(ctx.aj(p) - Z)
-
-    t0 = (thd(Z - T) / h_value(ctx, z)**2
-          * massey_m3_prime(ctx, bundle_of_xi(ctx, xi), x, z)
-          * massey_m3_prime(ctx, bundle_of_xi(ctx, xi2), y, z))
-    t1 = phi(x) * massey_m3_prime(ctx, bundle_of_xi(ctx, xi2), y, x)
-    t2 = phi(y) * massey_m3_prime(ctx, bundle_of_xi(ctx, xi), x, y)
+    # phi(p) = theta[delta](p - t) / theta[delta](p - z)
+    zt, xt, xz, yt, yz = ctx.theta_delta([Z - T, X - T, X - Z, Y - T, Y - Z])
+    m_xz, m_yz, m_yx, m_xy = massey_m3_prime(ctx, [xi, xi2, xi2, xi],
+                                             [x, y, y, x], [z, z, x, y])
+    t0 = zt / h_value(ctx, z)**2 * m_xz * m_yz
+    t1 = xt / xz * m_yx
+    t2 = yt / yz * m_xy
     return _rel(t0 + t1 + t2, [t0, t1, t2])
 
 
 def cross_formula_residual(ctx, rng):
     """massey_m3_prime against massey_m3_theta on a random triple."""
     x, y = _distinct_points(ctx, rng, 2)
-    L = random_line_bundle(ctx.rm, rng, scale=ctx.scale_raw)
-    m1 = massey_m3_prime(ctx, L, x, y)
-    m2 = massey_m3_theta(ctx, ctx.xi_of_bundle(L), x, y)
+    xi = ctx.xi_of_bundle(random_line_bundle(ctx.rm, rng, scale=ctx.scale_raw))
+    m1 = massey_m3_prime(ctx, [xi], [x], [y])[0]
+    m2 = massey_m3_theta(ctx, [xi], [x], [y])[0]
     return abs(m1 - m2), abs(m1 - m2) / abs(m1)
 
 
@@ -257,11 +221,10 @@ def idcor_residual(ctx, rng):
     the abstract bundle equality into numbers in the affine frames."""
     x, y, z = _distinct_points(ctx, rng, 3)
     xi = sample_xi(ctx, rng)
-    m_xz = massey_m3_prime(ctx, bundle_of_xi(ctx, xi), x, z)
-    m_xy = massey_m3_prime(ctx, bundle_of_xi(ctx, xi), x, y)
     xi_t = xi + ctx.aj(x) - ctx.aj(z)
-    lhs = (massey_m3_prime(ctx, bundle_of_xi(ctx, xi_t), z, y)
-           * prime_form(ctx, z, y) * prime_form(ctx, x, z) / prime_form(ctx, x, y))
+    m_xz, m_xy, m_zy = massey_m3_prime(ctx, [xi, xi, xi_t], [x, x, z], [z, y, y])
+    E_zy, E_xz, E_xy = prime_form(ctx, [z, x, x], [y, z, y])
+    lhs = m_zy * E_zy * E_xz / E_xy
     rhs = m_xy / m_xz
     return abs(lhs - rhs), abs(lhs - rhs) / abs(rhs)
 
@@ -305,29 +268,23 @@ def quasidet_geometric_residual(ctx, n, rng, block=1):
     genus-1 curve (k theta points, one per slot, same E-factor)."""
     pts = _distinct_points(ctx, rng, 2 * (n + 1))
     xs, ys = pts[:n + 1], pts[n + 1:]
-    if block == 1:
-        xis = [sample_xi(ctx, rng)]
-    else:
-        if ctx.g != 1:
-            raise SuiteError("diagonal flat bundles are exercised at genus 1")
-        xis = [sample_xi(ctx, rng) for _ in range(block)]
+    if block > 1 and ctx.g != 1:
+        raise SuiteError("diagonal flat bundles are exercised at genus 1")
+    xis = np.array([sample_xi(ctx, rng) for _ in range(block)])
+    # entries m3(xi_s, x_j, y_i) for every (s, i, j), then m3(xi_s + shift, x_0, y_0)
+    s, i, j = np.indices((block, n + 1, n + 1)).reshape(3, -1)
+    shift = sum(ctx.aj(xs[k]) - ctx.aj(ys[k]) for k in range(1, n + 1))
+    m3 = massey_m3_prime(ctx, np.concatenate([xis[s], xis + shift]),
+                         [xs[k] for k in j] + [xs[0]] * block,
+                         [ys[k] for k in i] + [ys[0]] * block)
     ent = np.zeros((n + 1, n + 1, block, block), dtype=complex)
-    for s, xi in enumerate(xis):
-        for i in range(n + 1):
-            for j in range(n + 1):
-                ent[i, j, s, s] = massey_m3_prime(ctx, bundle_of_xi(ctx, xi),
-                                                  xs[j], ys[i])
-    A = QuasiMatrix(ent)
-    lhs = A.qdet(0, 0)
-    shift = sum(ctx.aj(xs[i]) - ctx.aj(ys[i]) for i in range(1, n + 1))
-    EF = 1.0 + 0j
-    for i in range(1, n + 1):
-        EF *= (prime_form(ctx, xs[0], xs[i]) * prime_form(ctx, ys[0], ys[i])
-               / (prime_form(ctx, xs[0], ys[i]) * prime_form(ctx, ys[0], xs[i])))
-    rhs = np.zeros((block, block), dtype=complex)
-    for s, xi in enumerate(xis):
-        rhs[s, s] = massey_m3_prime(ctx, bundle_of_xi(ctx, xi + shift),
-                                    xs[0], ys[0]) * EF
+    ent[i, j, s, s] = m3[:len(s)]
+    lhs = QuasiMatrix(ent).qdet(0, 0)
+    # EF = prod_k E(x_0, x_k) E(y_0, y_k) / (E(x_0, y_k) E(y_0, x_k))
+    E = prime_form(ctx, ([xs[0]] * n + [ys[0]] * n) * 2,
+                   xs[1:] + ys[1:] + ys[1:] + xs[1:]).reshape(4, n)
+    EF = (E[0] * E[1] / (E[2] * E[3])).prod()
+    rhs = np.diag(m3[len(s):] * EF)
     num = float(np.abs(lhs - rhs).max())
     den = float(np.abs(rhs).max())
     return num, num / den
@@ -387,10 +344,10 @@ class IdentitySpec:
     """One identity and the (trials, tol) it runs at, per key.
 
     `kind` is a registry curve type ("hyperelliptic" or "plane_quartic"),
-    or "carrier" for checks that need no curve.  `table` maps a key to
-    (trials, tol); the key is the genus for hyperelliptic specs, the curve
-    id for plane-quartic specs and "-" for carrier specs.  A (spec, curve)
-    pair runs only if its key is in the table.
+    or "carrier" for checks that need no curve.  `table` maps a curve id
+    or a genus to (trials, tol); a curve takes the row of its id if there
+    is one, else the row of its genus, and carrier specs use the id "-".
+    A (spec, curve) pair runs only if the curve finds a row.
     """
     name: str
     kind: str
@@ -410,19 +367,19 @@ for kind, rows in [
         ("trisecant_general_n1", lambda ctx, rng: trisecant_general_residual(ctx, 1, rng),
          {1: (200, 1e-9), 2: (100, 1e-8), 3: (50, 1e-8)}),
         ("trisecant_general_n2", lambda ctx, rng: trisecant_general_residual(ctx, 2, rng),
-         {1: (50, 1e-9), 2: (50, 1e-7)}),
+         {1: (50, 1e-9), 2: (50, 1e-7), 3: (50, 1e-8)}),
         ("trisecant_general_n3", lambda ctx, rng: trisecant_general_residual(ctx, 3, rng),
-         {1: (50, 1e-9), 2: (50, 1e-7)}),
+         {1: (50, 1e-9), 2: (50, 1e-7), 3: (50, 1e-8)}),
         ("trisecant_classical", trisecant_classical_residual,
          {1: (200, 1e-9), 2: (100, 1e-8), 3: (50, 1e-8)}),
         ("divisor_symmetric_n1", lambda ctx, rng: divisor_symmetric_residual(ctx, 1, rng),
-         {1: (100, 1e-9), 2: (50, 1e-8)}),
+         {1: (100, 1e-9), 2: (50, 1e-8), 3: (50, 1e-8)}),
         ("divisor_symmetric_n2", lambda ctx, rng: divisor_symmetric_residual(ctx, 2, rng),
-         {1: (50, 1e-9), 2: (50, 1e-8)}),
+         {1: (50, 1e-9), 2: (50, 1e-8), 3: (50, 1e-8)}),
         ("prime_form_n1", lambda ctx, rng: prime_form_identity_residual(ctx, 1, rng),
          {1: (200, 1e-8), 2: (100, 1e-8), 3: (50, 1e-8)}),
         ("prime_form_n2", lambda ctx, rng: prime_form_identity_residual(ctx, 2, rng),
-         {2: (50, 1e-7)}),
+         {2: (50, 1e-7), 3: (50, 1e-8)}),
         ("theta_derivative_divisor", theta_derivative_divisor_residual,
          {1: (3, 1e-6), 2: (3, 1e-6)}),
         ("cross_formula_m3", cross_formula_residual,
@@ -438,15 +395,15 @@ for kind, rows in [
     ]),
     ("plane_quartic", [
         ("canprop", canprop_residual,
-         {"fermat": (200, 1e-9), "quartic-generic": (100, 1e-8)}),
+         {"fermat": (200, 1e-9), 3: (100, 1e-8)}),
         ("cor2_three_term", cor2_residual,
-         {"fermat": (100, 1e-9), "quartic-generic": (50, 1e-8)}),
+         {"fermat": (100, 1e-9), 3: (50, 1e-8)}),
         ("ratio_dual", ratio_dual_residual,
-         {"fermat": (200, 1e-9), "quartic-generic": (100, 1e-8)}),
+         {"fermat": (200, 1e-9), 3: (100, 1e-8)}),
         ("tangent_reconstruction", tangent_reconstruction_residual,
-         {"fermat": (100, 1e-8), "quartic-generic": (100, 1e-8)}),
+         {"fermat": (100, 1e-8), 3: (100, 1e-8)}),
         ("reconstruct_synthetic", lambda env, rng: reconstruct_synthetic_residual(rng),
-         {"fermat": (100, 1e-10), "quartic-generic": (100, 1e-10)}),
+         {"fermat": (100, 1e-10), 3: (100, 1e-10)}),
     ]),
     ("carrier", [
         ("quasidet_det_ratio", lambda env, rng: quasidet_det_ratio_residual(rng),
@@ -473,6 +430,7 @@ def run_identity(spec: IdentitySpec, env, curve_id, trials, tol, seed,
     """
     t0 = time.perf_counter()
     completed = 0
+    failure = ""
     max_abs = 0.0
     max_rel = 0.0
     for trial in range(trials):
@@ -482,9 +440,10 @@ def run_identity(spec: IdentitySpec, env, curve_id, trials, tol, seed,
                 abs_r, rel_r = spec.runner(env, rng)
             except _RETRY:
                 continue
-            except (KernelError, CurveError, SuiteError, QuarticError):
+            except (KernelError, CurveError, SuiteError, QuarticError) as ex:
                 # hard per-check failure: fail this report, keep the suite going
                 max_abs = max_rel = math.inf
+                failure = f"{type(ex).__name__}: {ex}"
                 break
             completed += 1
             max_abs = max(max_abs, abs_r)
@@ -497,7 +456,8 @@ def run_identity(spec: IdentitySpec, env, curve_id, trials, tol, seed,
     return IdentityReport(identity_id=spec.name, curve_id=curve_id,
                           trials=trials, completed=completed,
                           max_abs_residual=max_abs, max_rel_residual=max_rel,
-                          seed=seed, tol=tol, passed=passed, elapsed_ms=elapsed)
+                          seed=seed, tol=tol, passed=passed, elapsed_ms=elapsed,
+                          failure=failure)
 
 
 @dataclass
@@ -537,7 +497,7 @@ def run_suite(config: SuiteConfig, progress=None):
 
     Identities run in the configured order (all of them, sorted, if None);
     each runs on the configured curves of its kind in configured order, or
-    once on "-" if it is a carrier check, whenever its table has the key of
+    once on "-" if it is a carrier check, whenever its table has a row for
     that curve (see IdentitySpec).  Environments are built once per curve,
     on first use.  Deterministic given (config, master_seed); per-check
     errors, and a curve whose environment cannot be built, give failing
@@ -560,10 +520,10 @@ def run_suite(config: SuiteConfig, progress=None):
         spec = IDENTITIES[name]
         for entry in targets:
             cid = entry["id"]
-            key = entry["genus"] if entry["type"] == "hyperelliptic" else cid
-            if entry["type"] != spec.kind or key not in spec.table:
+            row = spec.table.get(cid, spec.table.get(entry.get("genus")))
+            if entry["type"] != spec.kind or row is None:
                 continue
-            trials, tol = spec.table[key]
+            trials, tol = row
             trials = config.trials or trials
             tol = config.tolerances.get(name, tol)
             if cid not in envs:
@@ -576,7 +536,8 @@ def run_suite(config: SuiteConfig, progress=None):
                                      completed=0, max_abs_residual=math.inf,
                                      max_rel_residual=math.inf,
                                      seed=config.master_seed, tol=tol,
-                                     passed=False, elapsed_ms=0)
+                                     passed=False, elapsed_ms=0,
+                                     failure=f"{type(envs[cid]).__name__}: {envs[cid]}")
             else:
                 rep = run_identity(spec, envs[cid], cid, trials, tol,
                                    config.master_seed)

@@ -1,6 +1,9 @@
-"""Scalar kernels on a curve: the Fay kernel F, the prime form E, the
+"""Kernels on a curve: the Fay kernel F, the prime form E, the
 half-differential h, the pulled-back derivative 1-form, and the triple
 Massey product m3 computed by two formulas.
+
+F, E and m3 take batches first (see each function): each call makes one
+theta_batch call for its whole batch, and raises if any pair in it would.
 
 Conventions.  All section-valued quantities are numbers in the affine
 x-coordinate frame at each curve point (dx trivializes the canonical
@@ -20,7 +23,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .theta import theta, theta_batch, theta_gradient
+from .theta import theta_batch, theta_gradient
 from .curves import (HyperellipticCurve, CurvePoint, PeriodData, make_point,
                      abel_jacobi, find_odd_char, theta_scale, ThetaLineBundle,
                      CurveError)
@@ -42,7 +45,8 @@ class RootSearchFailed(KernelError):
     pass
 
 
-TWO_PI_I = 2j * np.pi
+#: |theta| below NEAR_DIVISOR * ctx.scale counts as on the theta divisor
+NEAR_DIVISOR = 1e-8
 
 
 class CurveContext:
@@ -91,12 +95,13 @@ class CurveContext:
 
     # -- theta shorthands --------------------------------------------------
 
-    def theta_delta(self, z):
-        return self.mult * theta(z, self.rm, self.delta, tol=self.tol).value
-
-    def theta_delta_many(self, Z):
-        vals, _, _, _ = theta_batch(np.asarray(Z), self.rm, self.delta, tol=self.tol)
-        return self.mult * vals
+    def theta_delta(self, Z):
+        """theta[delta] (times the context multiplier) over the last axis of
+        Z, in one theta_batch call for all leading indices."""
+        Z = np.asarray(Z, dtype=complex)
+        vals, _, _, _ = theta_batch(Z.reshape(-1, self.g), self.rm, self.delta,
+                                    tol=self.tol)
+        return self.mult * vals.reshape(Z.shape[:-1])
 
     def xi_of_bundle(self, L):
         e = L.e if isinstance(L, ThetaLineBundle) else np.asarray(L, dtype=complex)
@@ -127,62 +132,76 @@ def h_value(ctx: CurveContext, p: CurvePoint):
     """
     k = p.key()
     if k not in ctx._h_cache:
-        val = np.sqrt(complex(ctx.grad0 @ ctx.omega_frame(p)))
-        ctx._h_cache[k] = val
+        ctx._h_cache[k] = np.sqrt(theta_form_at(ctx, p))
     out = ctx._h_cache[k]
     return -out if k in ctx._h_flips else out
 
 
-def fay_F(ctx: CurveContext, xi1, xi2, threshold=1e-8):
+def _h_values(ctx, ps):
+    return np.array([h_value(ctx, p) for p in ps])
+
+
+def _check_off_divisor(ctx, *denominators):
+    """Raise NearDivisor if any theta denominator of a batch is below
+    NEAR_DIVISOR * ctx.scale."""
+    if min(np.abs(d).min() for d in denominators) < NEAR_DIVISOR * ctx.scale:
+        raise NearDivisor("theta denominator below threshold")
+
+
+def _pair_diffs(ctx, ps, qs):
+    """The Jacobian points q - p of equal-length point lists, as an (N, g)
+    array; raises CoincidentPoints if any pair repeats a point."""
+    if any(p.key() == q.key() for p, q in zip(ps, qs, strict=True)):
+        raise CoincidentPoints("kernel needs distinct points in every pair")
+    return np.array([ctx.diff(q, p) for p, q in zip(ps, qs)])
+
+
+def fay_F(ctx: CurveContext, xi1, xi2):
     """F(xi1, xi2) = theta(xi1+xi2) / (theta(xi1) theta(xi2)) for the
-    odd-characteristic theta (a degree-1 theta vanishing at 0)."""
-    xi1 = np.asarray(xi1, dtype=complex)
-    xi2 = np.asarray(xi2, dtype=complex)
-    vals = ctx.theta_delta_many([xi1 + xi2, xi1, xi2])
-    if min(abs(vals[1]), abs(vals[2])) < threshold * ctx.scale:
-        raise NearDivisor("theta denominator below threshold in F")
-    return complex(vals[0] / (vals[1] * vals[2]))
+    odd-characteristic theta (a degree-1 theta vanishing at 0).
+
+    xi1 and xi2 broadcast against each other; the last axis is C^g and the
+    result has the broadcast leading shape.
+    """
+    xi1, xi2 = np.broadcast_arrays(np.asarray(xi1, dtype=complex),
+                                   np.asarray(xi2, dtype=complex))
+    num, d1, d2 = ctx.theta_delta(np.stack([xi1 + xi2, xi1, xi2]))
+    _check_off_divisor(ctx, d1, d2)
+    return num / (d1 * d2)
 
 
-def kronecker_F(ctx: CurveContext, x, xi, threshold=1e-8):
-    """Genus-1 Fay kernel (the Kronecker function up to the theta'(0)
-    normalization); arguments are scalars."""
-    if ctx.g != 1:
-        raise ValueError("kronecker_F needs a genus-1 context")
-    return fay_F(ctx, np.atleast_1d(x), np.atleast_1d(xi), threshold)
-
-
-def prime_form(ctx: CurveContext, p: CurvePoint, q: CurvePoint, threshold=1e-12):
-    """E(p, q) = theta[delta](q - p) / (h(p) h(q)), in the x-frames.
+def prime_form(ctx: CurveContext, ps, qs):
+    """E(p, q) = theta[delta](q - p) / (h(p) h(q)), in the x-frames, for
+    each pair (ps[k], qs[k]).
 
     Antisymmetric; simple zero on the diagonal with residue-1
     normalization: E(p, t) ~ (x_t - x_p) as t -> p.
     """
-    if p.key() == q.key():
-        raise CoincidentPoints("prime form needs distinct points")
-    v = ctx.diff(q, p)
-    th = ctx.theta_delta(v)
-    return complex(th / (h_value(ctx, p) * h_value(ctx, q)))
+    th = ctx.theta_delta(_pair_diffs(ctx, ps, qs))
+    return th / (_h_values(ctx, ps) * _h_values(ctx, qs))
 
 
-def massey_m3_prime(ctx: CurveContext, L, p: CurvePoint, q: CurvePoint,
-                    threshold=1e-8):
-    """m3(L, p, q) = theta_L(q - p) / (E(p, q) theta_L(0)), the prime-form
-    route, with theta_L the odd-characteristic translate of the bundle."""
-    if p.key() == q.key():
-        raise CoincidentPoints("m3 needs distinct points")
-    xi = ctx.xi_of_bundle(L)
-    v = ctx.diff(q, p)
-    num, den = ctx.theta_delta_many([v - xi, -xi])
-    if abs(den) < threshold * ctx.scale:
-        raise NearDivisor("theta_L(0) below threshold: h^0(L) != 0 numerically")
-    E = prime_form(ctx, p, q)
-    return complex(num / (E * den))
+def _m3_thetas(ctx, xis, ps, qs):
+    """theta[delta] at v - xi, -xi and v (v = q - p) for each pair, in one
+    theta_batch call; raises NearDivisor if any theta_L(0) = theta[delta](-xi)."""
+    V = _pair_diffs(ctx, ps, qs)
+    xis = np.asarray(xis, dtype=complex)
+    num, den, th_v = ctx.theta_delta(np.stack([V - xis, -xis, V]))
+    _check_off_divisor(ctx, den)
+    return num, den, th_v
 
 
-def massey_m3_theta(ctx: CurveContext, xi, p: CurvePoint, q: CurvePoint,
-                    threshold=1e-8):
-    """The derivative-formula route:
+def massey_m3_prime(ctx: CurveContext, xis, ps, qs):
+    """m3(xi, p, q) = theta_L(q - p) / (E(p, q) theta_L(0)) for each pair,
+    the prime-form route, with theta_L(z) = theta[delta](z - xi) the
+    odd-characteristic translate of the bundle (one xi per pair, (N, g))."""
+    num, den, th_v = _m3_thetas(ctx, xis, ps, qs)
+    E = th_v / (_h_values(ctx, ps) * _h_values(ctx, qs))
+    return num / (E * den)
+
+
+def massey_m3_theta(ctx: CurveContext, xis, ps, qs):
+    """The derivative-formula route, for each pair:
 
         m3(xi(D), p, q) = theta[d](v - xi) theta'[d](0)(p)
                           / (theta[d](v) theta[d](-xi)) * h(q)/h(p),
@@ -191,21 +210,10 @@ def massey_m3_theta(ctx: CurveContext, xi, p: CurvePoint, q: CurvePoint,
     factor that lands the value in the same affine frames as the
     prime-form route.
     """
-    if p.key() == q.key():
-        raise CoincidentPoints("m3 needs distinct points")
-    xi = np.asarray(xi, dtype=complex)
-    v = ctx.diff(q, p)
-    num, mid, den = ctx.theta_delta_many([v - xi, v, -xi])
-    if abs(den) < threshold * ctx.scale or abs(mid) < threshold * ctx.scale:
-        raise NearDivisor("theta denominator below threshold in m3")
-    form_p = theta_form_at(ctx, p)
-    return complex(num * form_p * h_value(ctx, q)
-                   / (mid * den * h_value(ctx, p)))
-
-
-def bundle_of_xi(ctx: CurveContext, xi):
-    """Theta point of the bundle xi(D_delta); inverse of xi_of_bundle."""
-    return ThetaLineBundle(e=ctx.w - np.asarray(xi, dtype=complex), degree=ctx.g - 1)
+    num, den, mid = _m3_thetas(ctx, xis, ps, qs)
+    _check_off_divisor(ctx, mid)
+    form_p = np.array([theta_form_at(ctx, p) for p in ps])
+    return num * form_p * _h_values(ctx, qs) / (mid * den * _h_values(ctx, ps))
 
 
 def sample_point(ctx: CurveContext, rng, spread=1.6, clearance=0.04):

@@ -10,6 +10,7 @@ The FAYLAB_REGISTRY environment variable may name a directory whose
 
 from __future__ import annotations
 
+import cmath
 import json
 import os
 import re
@@ -36,6 +37,12 @@ def _parse_monomial(key):
     return tuple(expo)
 
 
+def _check_finite(path, values, what):
+    # json accepts NaN and Infinity, which no curve can use
+    if not all(cmath.isfinite(v) for v in values):
+        raise RegistryError(f"{path}: non-finite {what}")
+
+
 def _load_entry(path):
     """Parse and check one JSON entry; every defect is a RegistryError."""
     try:
@@ -43,6 +50,7 @@ def _load_entry(path):
         kind = raw["type"]
         if kind == "hyperelliptic":
             pts = [complex(re_, im_) for re_, im_ in raw["branch_points"]]
+            _check_finite(path, pts, "branch point")
             if not 3 <= len(pts) <= 8:
                 raise RegistryError(f"{path}: {len(pts)} branch points, "
                                     "need 3 to 8 (genus 1 to 3)")
@@ -51,6 +59,7 @@ def _load_entry(path):
         if kind == "plane_quartic":
             coeffs = {_parse_monomial(k): complex(v[0], v[1])
                       for k, v in raw["coefficients"].items()}
+            _check_finite(path, coeffs.values(), "coefficient")
             return {"id": raw["id"], "type": kind, "coefficients": coeffs, "genus": 3}
     except KeyError as ex:
         raise RegistryError(f"{path}: entry lacks the key {ex}") from None

@@ -18,6 +18,9 @@ class IdentityReport:
     tol: float
     passed: bool
     elapsed_ms: int
+    #: "<exception class>: <message>" of a hard failure, else ""; not
+    #: part of the ndjson record
+    failure: str = ""
 
 
 _FIELDS = ("identity", "curve", "trials", "completed", "max_abs_residual",

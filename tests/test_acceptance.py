@@ -155,8 +155,8 @@ def test_criterion_3_kernel_cross_oracle():
             L = random_line_bundle(ctx.rm, rng, scale=ctx.scale_raw)
             P = sample_point(ctx, rng)
             Q = sample_point(ctx, rng)
-            m1 = massey_m3_prime(ctx, L, P, Q)
-            m2 = massey_m3_theta(ctx, ctx.xi_of_bundle(L), P, Q)
+            m1 = massey_m3_prime(ctx, [ctx.xi_of_bundle(L)], [P], [Q])[0]
+            m2 = massey_m3_theta(ctx, [ctx.xi_of_bundle(L)], [P], [Q])[0]
             return abs(m1 - m2) / abs(m1)
 
         worst = max(worst, run_trials(one, 200, f"acc3|{cid}"))
@@ -233,8 +233,8 @@ def test_criterion_5_prime_form_suite():
         def one(rng):
             P = sample_point(ctx, rng)
             Q = sample_point(ctx, rng)
-            E1 = prime_form(ctx, P, Q)
-            return abs(E1 + prime_form(ctx, Q, P)) / abs(E1)
+            E1 = prime_form(ctx, [P], [Q])[0]
+            return abs(E1 + prime_form(ctx, [Q], [P])[0]) / abs(E1)
         return one
     r = max(run_trials(antisym(ctx1), 50, "acc5|anti1"),
             run_trials(antisym(ctx2), 50, "acc5|anti2"))
@@ -249,8 +249,8 @@ def test_criterion_5_prime_form_suite():
         def one(rng, ca=ca, cb=cb):
             P = sample_point(ca, rng)
             Q = sample_point(ca, rng)
-            E1 = prime_form(ca, P, Q)
-            E2 = prime_form(cb, P, Q)
+            E1 = prime_form(ca, [P], [Q])[0]
+            E2 = prime_form(cb, [P], [Q])[0]
             return abs(E1**2 - E2**2) / abs(E1**2)
         worst = max(worst, run_trials(one, 25, f"acc5|ind{cid}"))
     checks.append(("E independent of delta", worst, 1e-8))

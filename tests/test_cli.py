@@ -137,12 +137,41 @@ class TestBadCurves:
         assert status == {("skewsym_n2", "collide"): (False, 0),
                           ("skewsym_n2", "lemniscatic"): (True, 3),
                           ("quasidet_det_ratio", "-"): (True, 3)}
+        err = capsys.readouterr().err.splitlines()
+        at = next(k for k, line in enumerate(err) if '"curve": "collide"' in line)
+        assert err[at + 1] == ("  reason: BranchPointCollision: branch points "
+                               "closer than 1e-8 (min gap 0.00e+00)")
+
+    def test_user_quartic_runs_the_quartic_identities(self, tmp_path, monkeypatch,
+                                                      capsys):
+        # the Klein quartic; a user quartic takes the genus-3 rows
+        entry = {"id": "my-quartic", "type": "plane_quartic",
+                 "coefficients": {"X0^3*X1": [1, 0], "X1^3*X2": [1, 0],
+                                  "X0*X2^3": [1, 0]}}
+        (tmp_path / "my-quartic.json").write_text(json.dumps(entry))
+        monkeypatch.setenv("FAYLAB_REGISTRY", str(tmp_path))
+        out = tmp_path / "rep.jsonl"
+        assert run_cli(["verify", "--curve", "my-quartic", "--trials", "2",
+                        "--out", str(out)]) == 0
+        recs = [json.loads(line) for line in out.read_text().splitlines()]
+        assert sorted(r["identity"] for r in recs if r["curve"] == "my-quartic") == [
+            "canprop", "cor2_three_term", "ratio_dual", "reconstruct_synthetic",
+            "tangent_reconstruction"]
+        assert run_cli(["verify", "--identity", "canprop", "--curve",
+                        "my-quartic", "--trials", "2"]) == 0
 
     @pytest.mark.parametrize("text,reason", [
         ('{"id": "bad", "type": "hyperelliptic"}', "branch_points"),
         ('{"id": "bad", "type": ', "malformed"),
         (json.dumps({"id": "bad", "type": "hyperelliptic",
                      "branch_points": [[k, 0.0] for k in range(9)]}), "9 branch points"),
+        (json.dumps({"id": "bad", "type": "hyperelliptic",
+                     "branch_points": [[0.0, 0.0], [float("nan"), 0.0], [1.0, 0.0]]}),
+         "non-finite branch point"),
+        (json.dumps({"id": "bad", "type": "plane_quartic",
+                     "coefficients": {"X0^4": [1.0, 0.0], "X1^4": [float("inf"), 0.0],
+                                      "X2^4": [1.0, 0.0]}}),
+         "non-finite coefficient"),
     ])
     def test_unreadable_entry_is_a_usage_error(self, tmp_path, monkeypatch, capsys,
                                                text, reason):
@@ -163,13 +192,18 @@ class TestBadInput:
         (["quasidet-selftest", "--trials", "0"], "--trials >= 1"),
         (["verify", "--identity", "idcor", "--curve", "fermat"],
          "no (identity, curve) pair"),
+        (["periods", "--curve", "NAN"], "non-finite branch point"),
     ])
     def test_exit_2_with_message(self, tmp_path, capsys, args, reason):
         collide = tmp_path / "collide.json"
         collide.write_text(json.dumps(
             {"id": "collide", "type": "hyperelliptic",
              "branch_points": [[0.0, 0.0], [0.0, 0.0], [1.0, 0.0]]}))
-        args = [str(collide) if a == "COLLIDE" else a for a in args]
+        nan = tmp_path / "nan.json"
+        nan.write_text(json.dumps(
+            {"id": "nan", "type": "hyperelliptic",
+             "branch_points": [[0.0, 0.0], [float("nan"), 0.0], [1.0, 0.0]]}))
+        args = [{"COLLIDE": str(collide), "NAN": str(nan)}.get(a, a) for a in args]
         assert run_cli(args) == 2
         assert reason in capsys.readouterr().err
 

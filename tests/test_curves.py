@@ -270,7 +270,7 @@ class TestLineBundles:
     def test_lattice_representatives_agree(self, ctx_g1):
         # kernel values from e and e + lattice agree after the predicted
         # automorphy factor is cancelled
-        from faylab.kernels import massey_m3_prime, bundle_of_xi
+        from faylab.kernels import massey_m3_prime
         from faylab.curves import ThetaLineBundle
         rng = np.random.default_rng(10)
         L = random_line_bundle(ctx_g1.rm, rng, scale=ctx_g1.scale)
@@ -279,8 +279,8 @@ class TestLineBundles:
         m = np.array([1.0])
         n = np.array([-2.0])
         L2 = ThetaLineBundle(e=L.e + n + ctx_g1.rm.omega @ m, degree=L.degree)
-        m1 = massey_m3_prime(ctx_g1, L, P, Q)
-        m2 = massey_m3_prime(ctx_g1, L2, P, Q)
+        m1 = massey_m3_prime(ctx_g1, [ctx_g1.xi_of_bundle(L)], [P], [Q])[0]
+        m2 = massey_m3_prime(ctx_g1, [ctx_g1.xi_of_bundle(L2)], [P], [Q])[0]
         v = ctx_g1.diff(Q, P)
         # e -> e + lattice shifts xi by -lattice; the m3 ratio picks up
         # exp(-2 pi i m . v)

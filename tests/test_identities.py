@@ -1,3 +1,5 @@
+from collections import Counter
+
 import numpy as np
 import pytest
 
@@ -237,6 +239,30 @@ class TestSuiteRunner:
         rep = run_identity(spec, ctx_g1, "lemniscatic", 10, 1e-8, 1)
         assert rep.completed == 0
         assert not rep.passed
+
+    def test_one_call_per_kernel_per_trial(self, monkeypatch):
+        import faylab.identities as ids
+        calls, total = Counter(), Counter()
+        kernels = ("fay_F", "prime_form", "massey_m3_prime", "massey_m3_theta")
+        for name in kernels:
+            def counted(*args, _fn=getattr(ids, name), _name=name):
+                calls[_name] += 1
+                return _fn(*args)
+            monkeypatch.setattr(ids, name, counted)
+        for cid in ("lemniscatic", "g2-real"):
+            ctx = build_context(cid)
+            for spec in IDENTITIES.values():
+                if spec.kind != "hyperelliptic" or ctx.g not in spec.table:
+                    continue
+                for trial in range(3):
+                    calls.clear()
+                    try:
+                        spec.runner(ctx, trial_rng(7, spec.name, trial))
+                    except ids._RETRY:
+                        pass
+                    assert max(calls.values(), default=0) <= 1, (spec.name, calls)
+                    total += calls
+        assert set(total) == set(kernels)
 
     def test_every_identity_reachable(self):
         # one trial of every spec on every builtin curve of its kind

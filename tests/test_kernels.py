@@ -2,9 +2,9 @@ import numpy as np
 import pytest
 
 from faylab.curves import make_point, random_line_bundle
-from faylab.kernels import (CurveContext, fay_F, kronecker_F, prime_form,
+from faylab.kernels import (CurveContext, fay_F, prime_form,
                             massey_m3_prime, massey_m3_theta, theta_form_at,
-                            h_value, bundle_of_xi, sample_point, sample_xi,
+                            h_value, sample_point, sample_xi,
                             delta_divisor_root, NearDivisor, CoincidentPoints)
 from faylab.theta import theta_gradient, odd_theta_chars
 
@@ -60,7 +60,7 @@ class TestFayKernel:
         for _ in range(5):
             x = complex(sample_xi(ctx_g1, rng)[0])
             xi = complex(sample_xi(ctx_g1, rng)[0])
-            mine = kronecker_F(ctx_g1, x, xi)
+            mine = fay_F(ctx_g1, [x], [xi])
             th = lambda z: qseries_theta_char(0.5, 0.5, z, tau)
             thp0 = qseries_theta_char_deriv(0.5, 0.5, 0.0, tau)
             kron = thp0 * th(x + xi) / (th(x) * th(xi))
@@ -75,7 +75,7 @@ class TestFayKernel:
         vals = []
         for eps in (1e-2, 1e-3, 1e-4, 1e-5):
             x = eps * (1 + 0.3j)
-            vals.append(x * kronecker_F(ctx_g1, x, xi[0]))
+            vals.append(x * fay_F(ctx_g1, [x], xi))
         extrap = (10.0 * vals[-1] - vals[-2]) / 9.0
         assert abs(extrap - 1.0 / thp0) < 1e-6 * abs(1.0 / thp0)
 
@@ -147,15 +147,15 @@ class TestPrimeForm:
         for _ in range(10):
             P = sample_point(ctx, rng)
             Q = sample_point(ctx, rng)
-            E1 = prime_form(ctx, P, Q)
-            E2 = prime_form(ctx, Q, P)
+            E1 = prime_form(ctx, [P], [Q])[0]
+            E2 = prime_form(ctx, [Q], [P])[0]
             assert abs(E1 + E2) < 1e-9 * abs(E1)
 
     def test_coincident_points(self, ctx_g1):
         rng = np.random.default_rng(7)
         P = sample_point(ctx_g1, rng)
         with pytest.raises(CoincidentPoints):
-            prime_form(ctx_g1, P, P)
+            prime_form(ctx_g1, [P], [P])
 
     def test_diagonal_residue(self, ctx_g2):
         # E(P, t)/(x_t - x_P) -> 1 as t -> P in the x-frames
@@ -164,7 +164,7 @@ class TestPrimeForm:
         vals = []
         for eps in (1e-2, 1e-3, 1e-4, 1e-5):
             t = make_point(ctx_g2.curve, P.x + eps, P.sheet)
-            vals.append(prime_form(ctx_g2, P, t) / eps)
+            vals.append(prime_form(ctx_g2, [P], [t])[0] / eps)
         assert abs(vals[-1] - 1.0) < 1e-6
 
     def test_lemniscatic_sigma_oracle(self, ctx_g1):
@@ -179,7 +179,7 @@ class TestPrimeForm:
             v = complex((ctx_g1.aj(Q) - ctx_g1.aj(P))[0])
             h_or = lambda R: np.sqrt(thp0 * Ainv / R.y(ctx_g1.curve))
             oracle = qseries_theta_char(0.5, 0.5, v, tau) / (h_or(P) * h_or(Q))
-            mine = prime_form(ctx_g1, P, Q)
+            mine = prime_form(ctx_g1, [P], [Q])[0]
             # principal square roots on both sides: equal up to sign per point
             assert min(abs(mine - oracle), abs(mine + oracle)) < 1e-8 * abs(mine)
 
@@ -192,7 +192,7 @@ class TestPrimeForm:
             if abs(P.x - Q.x) < 0.1:
                 continue
             count += 1
-            assert abs(prime_form(ctx_g2, P, Q)) > 1e-6
+            assert abs(prime_form(ctx_g2, [P], [Q])[0]) > 1e-6
 
     @pytest.mark.parametrize("cid", ["g2-real", "g3-real"])
     def test_independent_of_odd_char(self, cid):
@@ -202,8 +202,8 @@ class TestPrimeForm:
         for _ in range(8):
             P = sample_point(ctx1, rng)
             Q = sample_point(ctx1, rng)
-            E1 = prime_form(ctx1, P, Q)
-            E2 = prime_form(ctx2, P, Q)
+            E1 = prime_form(ctx1, [P], [Q])[0]
+            E2 = prime_form(ctx2, [P], [Q])[0]
             # E^2 is branch-free; E itself matches up to the h-branch signs
             assert abs(E1**2 - E2**2) < 1e-8 * abs(E1**2)
 
@@ -219,8 +219,8 @@ class TestMassey:
             P = sample_point(ctx, rng)
             Q = sample_point(ctx, rng)
             try:
-                m1 = massey_m3_prime(ctx, L, P, Q)
-                m2 = massey_m3_theta(ctx, ctx.xi_of_bundle(L), P, Q)
+                m1 = massey_m3_prime(ctx, [ctx.xi_of_bundle(L)], [P], [Q])[0]
+                m2 = massey_m3_theta(ctx, [ctx.xi_of_bundle(L)], [P], [Q])[0]
             except (NearDivisor, CoincidentPoints):
                 continue
             done += 1
@@ -237,7 +237,7 @@ class TestMassey:
             P = sample_point(ctx_g1, rng)
             Q = sample_point(ctx_g1, rng)
             try:
-                m = massey_m3_prime(ctx_g1, L, P, Q)
+                m = massey_m3_prime(ctx_g1, [ctx_g1.xi_of_bundle(L)], [P], [Q])[0]
             except (NearDivisor, CoincidentPoints):
                 continue
             shifted = abs(theta(L.e + ctx_g1.diff(Q, P), ctx_g1.rm).value)
@@ -255,8 +255,8 @@ class TestMassey:
             xi = sample_xi(ctx_g1, rng)
             P = sample_point(ctx_g1, rng)
             Q = sample_point(ctx_g1, rng)
-            m1 = massey_m3_prime(ctx_g1, bundle_of_xi(ctx_g1, xi), P, Q)
-            m2 = massey_m3_prime(ctx_g1, bundle_of_xi(ctx_g1, -xi), Q, P)
+            m1 = massey_m3_prime(ctx_g1, [xi], [P], [Q])[0]
+            m2 = massey_m3_prime(ctx_g1, [-xi], [Q], [P])[0]
             assert abs(m1 + m2) < 1e-9 * abs(m1)
 
     def test_theta_route_lattice_invariance(self, ctx_g2):
@@ -267,11 +267,60 @@ class TestMassey:
         m = np.array([1.0, -1.0])
         n = np.array([0.0, 2.0])
         lam = n + ctx_g2.rm.omega @ m
-        m1 = massey_m3_theta(ctx_g2, xi, P, Q)
-        m2 = massey_m3_theta(ctx_g2, xi + lam, P, Q)
+        m1 = massey_m3_theta(ctx_g2, [xi], [P], [Q])[0]
+        m2 = massey_m3_theta(ctx_g2, [xi + lam], [P], [Q])[0]
         v = ctx_g2.diff(Q, P)
         fac = np.exp(2j * np.pi * m @ v)
         assert abs(m2 - fac * m1) < 1e-9 * abs(m1)
+
+
+class TestBatches:
+    """A stacked kernel call equals its row-by-row calls and raises if any
+    row would."""
+
+    @staticmethod
+    def draws(ctx, count=6):
+        rng = np.random.default_rng(17)
+        ps = [sample_point(ctx, rng) for _ in range(count)]
+        qs = [sample_point(ctx, rng) for _ in range(count)]
+        xis = np.array([sample_xi(ctx, rng) for _ in range(count)])
+        return ps, qs, xis
+
+    @pytest.mark.parametrize("cid", ["lemniscatic", "g2-real", "g3-real"])
+    def test_stacked_equals_rows(self, cid):
+        ctx = build_context(cid)
+        ps, qs, xis = self.draws(ctx)
+        # fay_F broadcasts over leading axes: a 6 x 6 table in one call
+        F = fay_F(ctx, xis[:, None], xis[None, ::-1] + 0.1)
+        rows = [[fay_F(ctx, a, b + 0.1) for b in xis[::-1]] for a in xis]
+        assert F.shape == (6, 6)
+        assert np.all(np.abs(F - np.array(rows)) <= 1e-14 * np.abs(F))
+        for kernel, args in [(prime_form, (ps, qs)),
+                             (massey_m3_prime, (xis, ps, qs)),
+                             (massey_m3_theta, (xis, ps, qs))]:
+            stacked = kernel(ctx, *args)
+            rows = np.array([kernel(ctx, *([a[k]] for a in args))[0]
+                             for k in range(len(ps))])
+            assert np.all(np.abs(stacked - rows) <= 1e-14 * np.abs(rows)), kernel
+
+    def test_one_near_divisor_row_raises(self, ctx_g2):
+        ps, qs, xis = self.draws(ctx_g2)
+        xis[2] = 0.0              # theta[delta](0) = 0: on the theta divisor
+        with pytest.raises(NearDivisor):
+            fay_F(ctx_g2, xis, xis[::-1])
+        with pytest.raises(NearDivisor):
+            massey_m3_prime(ctx_g2, xis, ps, qs)
+        with pytest.raises(NearDivisor):
+            massey_m3_theta(ctx_g2, xis, ps, qs)
+
+    def test_one_coincident_pair_raises(self, ctx_g2):
+        ps, qs, xis = self.draws(ctx_g2)
+        qs[3] = ps[3]
+        for kernel, args in [(prime_form, (ps, qs)),
+                             (massey_m3_prime, (xis, ps, qs)),
+                             (massey_m3_theta, (xis, ps, qs))]:
+            with pytest.raises(CoincidentPoints):
+                kernel(ctx_g2, *args)
 
 
 class TestSignFlips:
@@ -296,12 +345,12 @@ class TestSignFlips:
         L = random_line_bundle(ctx_g1.rm, rng, scale=ctx_g1.scale)
         P = sample_point(ctx_g1, rng)
         Q = sample_point(ctx_g1, rng)
-        m1 = massey_m3_prime(ctx_g1, L, P, Q)
-        t1 = massey_m3_theta(ctx_g1, ctx_g1.xi_of_bundle(L), P, Q)
+        m1 = massey_m3_prime(ctx_g1, [ctx_g1.xi_of_bundle(L)], [P], [Q])[0]
+        t1 = massey_m3_theta(ctx_g1, [ctx_g1.xi_of_bundle(L)], [P], [Q])[0]
         ctx_g1._h_flips.add(P.key())
         try:
-            m2 = massey_m3_prime(ctx_g1, L, P, Q)
-            t2 = massey_m3_theta(ctx_g1, ctx_g1.xi_of_bundle(L), P, Q)
+            m2 = massey_m3_prime(ctx_g1, [ctx_g1.xi_of_bundle(L)], [P], [Q])[0]
+            t2 = massey_m3_theta(ctx_g1, [ctx_g1.xi_of_bundle(L)], [P], [Q])[0]
         finally:
             ctx_g1._h_flips.clear()
         # both routes flip together; their agreement is branch-insensitive
