@@ -98,9 +98,9 @@ def _cmd_verify(args):
 
 def _cmd_quasidet_selftest(args):
     n, k = args.size, args.block
-    if n < 2 or k < 1 or args.trials < 1:
-        print("error: need --size >= 2, --block >= 1 and --trials >= 1",
-              file=sys.stderr)
+    if not (2 <= n <= 16 and 1 <= k <= 8) or args.trials < 1:
+        print("error: need --size >= 2 and <= 16, --block >= 1 and <= 8, "
+              "and --trials >= 1", file=sys.stderr)
         return 2
 
     def runner(env, rng):

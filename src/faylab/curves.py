@@ -10,9 +10,8 @@ analytic continuation of y (no branch-cut bookkeeping).
 One routine, `_track_points`, continues y along every straight segment:
 a walk in steps of a quarter of the segment's clearance from the branch
 points, bisected until each step moves arg f by at most pi/2 and |f| by a
-factor in [0.1, 10].  On the ray into a branch point e_k the factor
-(x - e_k) does not rotate, so that walk is sized from the other branch
-points; the amplitude test refines it near e_k.
+factor in [0.1, 10].  Every Abel-Jacobi integral, branch-point endpoints
+included, is `integrate_path` over a polygon.
 """
 
 from __future__ import annotations
@@ -147,27 +146,12 @@ def make_point(curve, x, sheet):
     return p
 
 
-@dataclass
-class JacobianPoint:
-    """Vector in C^g, considered modulo the lattice Z^g + Omega Z^g."""
-
-    z: np.ndarray
-    reduced: bool = False
-
-
 def lattice_coords(z, rm: RiemannMatrix):
     """Real coordinates (alpha, beta) with z = alpha + Omega beta."""
     z = np.asarray(z, dtype=complex)
     beta = rm.imag_inv @ z.imag
     alpha = z.real - rm.omega.real @ beta
     return alpha, beta
-
-
-def reduce_mod_lattice(z, rm: RiemannMatrix):
-    alpha, beta = lattice_coords(z, rm)
-    alpha = alpha - np.round(alpha)
-    beta = beta - np.round(beta)
-    return JacobianPoint(alpha + rm.omega @ beta, reduced=True)
 
 
 # ---------------------------------------------------------------------------
@@ -182,7 +166,7 @@ def _segment_feet(points, za, zb):
     return t, np.abs(za + t * seg - points)
 
 
-def _track_points(curve, za, zb, ya, ts=(), dmin=None, max_rounds=24):
+def _track_points(curve, za, zb, ya, ts=(), dmin=None):
     """y values at parameters ts in (0, 1] along [za, zb], given y(za) = ya.
 
     Walks in steps of dmin/4 (dmin defaults to the segment's clearance from
@@ -199,7 +183,7 @@ def _track_points(curve, za, zb, ya, ts=(), dmin=None, max_rounds=24):
     n_walk = max(2, int(math.ceil(abs(seg) / (0.25 * dmin))))
     walk = np.linspace(0.0, 1.0, n_walk + 1)
     grid = np.unique(np.concatenate([walk, ts, [1.0]]))
-    for _ in range(max_rounds):
+    for _ in range(24):
         pts = za + grid * seg
         fv = curve.f(pts)
         if np.any(fv == 0):
@@ -217,7 +201,7 @@ def _track_points(curve, za, zb, ya, ts=(), dmin=None, max_rounds=24):
     raise PathTooCloseToBranchPoint("sheet tracking failed to converge")
 
 
-def _integrate_segment(curve, za, zb, ya, order, min_clear=1e-6):
+def _integrate_segment(curve, za, zb, ya, order):
     """Integrate (1, x, .., x^(g-1)) dx / y over [za, zb]; returns (vec, y_b).
 
     Panels are sized from the distance to the nearest branch point; y is
@@ -230,16 +214,16 @@ def _integrate_segment(curve, za, zb, ya, order, min_clear=1e-6):
     if length == 0:
         return total, ya
     dmin = float(_segment_feet(curve.branch_points, za, zb)[1].min())
-    if dmin <= min_clear:
+    if dmin <= 1e-6:
         raise PathTooCloseToBranchPoint(
-            f"segment [{za:.4g}, {zb:.4g}] within {min_clear} of a branch point")
+            f"segment [{za:.4g}, {zb:.4g}] within 1e-6 of a branch point")
     n_panels = max(1, int(math.ceil(length / (0.5 * dmin))))
     nodes, weights = _gl_nodes(order)
     # all panel nodes as parameters in (0, 1)
     offs = (np.arange(n_panels)[:, None] + 0.5 * (nodes[None, :] + 1.0)) / n_panels
     ts = offs.ravel()
     xs = za + ts * seg
-    if curve.dist_to_branch(xs).min() <= min_clear:
+    if curve.dist_to_branch(xs).min() <= 1e-6:
         raise PathTooCloseToBranchPoint("quadrature node too close to a branch point")
     ys, y_end = _track_points(curve, za, zb, ya, ts, dmin)
     half = 0.5 * seg / n_panels
@@ -404,8 +388,8 @@ def period_matrix(curve: HyperellipticCurve, quadrature_order=32):
     crossing matrix must equal the standard symplectic pairing (b-cycles
     are flipped as needed to make a_k . b_k = +1).
     """
-    if quadrature_order < 16:
-        raise ValueError("quadrature_order must be >= 16")
+    if not 16 <= quadrature_order <= 256:
+        raise ValueError("quadrature_order must be between 16 and 256")
     g = curve.genus
     a_cycles, b_cycles = _build_cycles(curve)
     for c in a_cycles + b_cycles:
@@ -443,15 +427,14 @@ def period_matrix(curve: HyperellipticCurve, quadrature_order=32):
 # Abel-Jacobi
 
 
-def _route(curve, za, zb, clear=None, detour_seed=0):
+def _route(curve, za, zb, detour_seed=0):
     """Polyline from za to zb keeping clear of branch points.
 
     Straight segments get a perpendicular detour waypoint around any
     branch point they approach too closely; detour side is deterministic
     in detour_seed.
     """
-    if clear is None:
-        clear = 0.2 * curve.min_gap
+    clear = 0.2 * curve.min_gap
     path = [za, zb]
     for _ in range(12):
         changed = False
@@ -490,71 +473,37 @@ def _flip_loop(curve, x0):
 
 
 def abel_jacobi(periods: PeriodData, P: CurvePoint, base: CurvePoint,
-                order=32, detour_seed=0):
+                detour_seed=0):
     """A^-1 int_base^P of the differential vector, on an auto-routed path."""
     curve = periods.curve
     path = _route(curve, base.x, P.x, detour_seed=detour_seed)
     y0 = base.y(curve)
-    vec, y_end = integrate_path(curve, path, y0, order)
+    vec, y_end = integrate_path(curve, path, y0)
     y_target = P.y(curve)
     if abs(y_end - y_target) > abs(y_end + y_target):
         loop = _flip_loop(curve, P.x)
-        vec2, y_end = integrate_path(curve, loop, y_end, order)
+        vec2, y_end = integrate_path(curve, loop, y_end)
         vec += vec2
     if abs(y_end - y_target) > 1e-6 * abs(y_target):
         raise CurveError("sheet tracking did not land on the requested point")
     return periods.A_inv @ vec
 
 
-def _branch_leg(curve, k, z_entry, y_entry, order=32):
-    """Integral of the basis from the branch point e_k to z_entry.
-
-    Substitutes x = e_k + s^2 * u (u the unit entry direction); the
-    integrand 2 x^(i-1) s / y is regular at s = 0 once y/s is continued.
-    y is tracked inward along the ray in one walk sized from the other
-    branch points; sized from e_k it would take ~2e6 steps, as the
-    innermost node sits at s^2 ~ 1.8e-6 r.
-    """
-    g = curve.genus
-    e_k = curve.branch_points[k]
-    u = (z_entry - e_k)
-    r = abs(u)
-    u /= r
-    nodes, weights = _gl_nodes(order)
-    s_hi = math.sqrt(r)
-    half = 0.5 * s_hi
-    ss = half * nodes + half          # s in (0, s_hi)
-    xs = e_k + (ss**2) * u
-    ts = (r - ss**2) / (r - ss[0]**2)  # the s-nodes on the ray z_entry -> xs[0]
-    others = np.delete(curve.branch_points, k)
-    dmin = float(_segment_feet(others, z_entry, xs[0])[1].min())
-    ys, _ = _track_points(curve, z_entry, xs[0], y_entry, ts, dmin)
-    powers = xs[None, :] ** np.arange(g)[:, None]
-    w = ys / ss                        # regular, nonzero at s = 0
-    vec = half * (2.0 * powers / w[None, :]) @ weights
-    return vec * u                     # dx = 2 s u ds
-
-
-def abel_jacobi_from_branch(periods: PeriodData, P: CurvePoint, branch_index=0,
-                            order=32):
-    """A^-1 int_{e_k}^P, with the branch-point endpoint handled by the
-    s = sqrt(x - e) substitution on the final approach."""
+def abel_jacobi_from_branch(periods: PeriodData, P: CurvePoint, branch_index=0):
+    """A^-1 int_{e_k}^P: the routed path from an entry point E near e_k to
+    P, plus half the flip loop from iota(E) to E, since the involution
+    negates integrals from e_k and so int_{iota E}^E = 2 int_{e_k}^E."""
     curve = periods.curve
     e_k = curve.branch_points[branch_index]
     d = np.abs(np.delete(curve.branch_points, branch_index) - e_k).min()
-    r = 0.4 * d
-    direction = (P.x - e_k) / abs(P.x - e_k)
-    z_entry = e_k + r * direction
-    # leg from entry to P with ordinary tracking, starting on P's sheet
+    z_entry = e_k + 0.4 * d * (P.x - e_k) / abs(P.x - e_k)
     path = _route(curve, z_entry, P.x)
-    y_target = P.y(curve)
-    vec_out, y_entry = integrate_path(curve, list(reversed(path)), y_target, order)
-    vec_out = -vec_out                 # now: integral entry -> P, y at entry known
-    vec_in = _branch_leg(curve, branch_index, z_entry, y_entry, order)
-    return periods.A_inv @ (vec_in + vec_out)
+    vec_back, y_entry = integrate_path(curve, list(reversed(path)), P.y(curve))
+    vec_loop, _ = integrate_path(curve, _flip_loop(curve, z_entry), -y_entry)
+    return periods.A_inv @ (0.5 * vec_loop - vec_back)
 
 
-def abel_jacobi_between_branch_points(periods: PeriodData, j, k, order=32):
+def abel_jacobi_between_branch_points(periods: PeriodData, j, k):
     """A^-1 int_{e_k}^{e_j} through a midpoint off the branch locus."""
     curve = periods.curve
     ej, ek = curve.branch_points[j], curve.branch_points[k]
@@ -562,8 +511,8 @@ def abel_jacobi_between_branch_points(periods: PeriodData, j, k, order=32):
     if curve.dist_to_branch(np.array([mid]))[0] < 0.15 * curve.min_gap:
         mid = 0.5 * (ej + ek) - 0.43j * abs(ej - ek)
     Pmid = CurvePoint(complex(mid), 1)
-    to_j = abel_jacobi_from_branch(periods, Pmid, j, order)
-    to_k = abel_jacobi_from_branch(periods, Pmid, k, order)
+    to_j = abel_jacobi_from_branch(periods, Pmid, j)
+    to_k = abel_jacobi_from_branch(periods, Pmid, k)
     # int_{e_k}^{e_j} = int_{e_k}^{mid} - int_{e_j}^{mid}
     return to_k - to_j
 
@@ -625,16 +574,16 @@ def random_line_bundle(rm: RiemannMatrix, rng, threshold_factor=1e-4,
 
 
 def vanishing_locus_check(periods: PeriodData, e, x: CurvePoint, divisor,
-                          controls, base: CurvePoint, order=32):
+                          controls, base: CurvePoint):
     """Evaluate t -> theta(AJ(t) - AJ(x) + e) on expected zeros and controls.
 
     Returns (max |theta| over divisor points, min |theta| over controls).
     """
     rm = periods.rm
-    aj_x = abel_jacobi(periods, x, base, order)
+    aj_x = abel_jacobi(periods, x, base)
     args = []
     for t in list(divisor) + list(controls):
-        aj_t = abel_jacobi(periods, t, base, order)
+        aj_t = abel_jacobi(periods, t, base)
         args.append(aj_t - aj_x + np.asarray(e, dtype=complex))
     vals, _, _, _ = theta_batch(np.array(args), rm, tol=1e-10)
     nz = len(divisor)

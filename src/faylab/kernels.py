@@ -21,12 +21,14 @@ would otherwise surface in cross-formula comparisons).
 
 from __future__ import annotations
 
+from itertools import product
+
 import numpy as np
 
 from .theta import theta_batch, theta_gradient
 from .curves import (HyperellipticCurve, CurvePoint, PeriodData, make_point,
-                     abel_jacobi, find_odd_char, theta_scale, ThetaLineBundle,
-                     CurveError)
+                     abel_jacobi, abel_jacobi_from_branch, find_odd_char,
+                     theta_scale, ThetaLineBundle, CurveError)
 
 
 class KernelError(Exception):
@@ -240,32 +242,28 @@ def sample_xi(ctx: CurveContext, rng, spread=0.9):
     return u + ctx.rm.omega @ v
 
 
-def riemann_constant(ctx: CurveContext, n_divisors=None, rng_seed=20240719):
+def riemann_constant(ctx: CurveContext):
     """Vector kappa with theta(AJ(D) - kappa) = 0 for effective divisors D
     of degree g-1 (Abel-Jacobi taken from the context base).
 
     Calibration solve: kappa is a half-period shifted by (g-1) times the
-    base-to-branch-point vector; candidates are scanned and verified on
+    base-to-branch-point vector; candidates are scanned and verified on g + 2
     sampled divisors, then cached.
     """
     if ctx._kappa is not None:
         return ctx._kappa
-    from .curves import abel_jacobi_from_branch
-    from itertools import product as iproduct
     g = ctx.g
-    if n_divisors is None:
-        n_divisors = g + 2
     V1 = abel_jacobi_from_branch(ctx.periods, ctx.base, 0)
-    rng = np.random.default_rng(rng_seed)
+    rng = np.random.default_rng(20240719)
     Us = []
-    for _ in range(n_divisors):
+    for _ in range(g + 2):
         u = np.zeros(g, dtype=complex)
         for _ in range(g - 1):
             u += ctx.aj(sample_point(ctx, rng))
         Us.append(u)
     best = None
-    for a in iproduct((0.0, 0.5), repeat=g):
-        for b in iproduct((0.0, 0.5), repeat=g):
+    for a in product((0.0, 0.5), repeat=g):
+        for b in product((0.0, 0.5), repeat=g):
             wc = ctx.rm.omega @ np.array(a) + np.array(b)
             kap = wc - (g - 1) * V1
             vals, _, _, _ = theta_batch(np.array([U - kap for U in Us]), ctx.rm,

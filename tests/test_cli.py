@@ -193,6 +193,10 @@ class TestBadInput:
         (["verify", "--identity", "idcor", "--curve", "fermat"],
          "no (identity, curve) pair"),
         (["periods", "--curve", "NAN"], "non-finite branch point"),
+        (["periods", "--curve", "lemniscatic", "--order", "1000000000"],
+         "quadrature_order"),
+        (["quasidet-selftest", "--size", "17"], "--size >= 2 and <= 16"),
+        (["quasidet-selftest", "--block", "9"], "--block >= 1 and <= 8"),
     ])
     def test_exit_2_with_message(self, tmp_path, capsys, args, reason):
         collide = tmp_path / "collide.json"

@@ -2,8 +2,9 @@ import numpy as np
 import pytest
 
 from faylab.curves import (HyperellipticCurve, period_matrix, make_point,
-                           abel_jacobi, abel_jacobi_between_branch_points,
-                           lattice_coords, reduce_mod_lattice, find_odd_char,
+                           abel_jacobi, abel_jacobi_from_branch,
+                           abel_jacobi_between_branch_points,
+                           lattice_coords, find_odd_char,
                            random_line_bundle, vanishing_locus_check,
                            BranchPointCollision, PathTooCloseToBranchPoint,
                            RejectionBudgetExceeded, _build_cycles,
@@ -66,8 +67,9 @@ class TestHomology:
 
 def tracker_segments(c):
     """(za, zb, dmin) triples: a generic segment, one passing 0.05 min_gap
-    from a branch point, and a branch-leg ray into that branch point with
-    its walk sized from the other branch points."""
+    from a branch point, and a ray ending 7.2e-7 min_gap from that branch
+    point, with its walk sized from the other branch points (along the ray
+    the factor x - e does not rotate)."""
     e = c.branch_points[1]
     gap = c.min_gap
     others = np.delete(c.branch_points, 1)
@@ -138,6 +140,8 @@ class TestPeriods:
         c = HyperellipticCurve([0.0, 1.0, -1.0])
         with pytest.raises(ValueError):
             period_matrix(c, quadrature_order=8)
+        with pytest.raises(ValueError):
+            period_matrix(c, quadrature_order=257)
 
     def test_random_real_g2(self):
         rng = np.random.default_rng(77)
@@ -212,19 +216,24 @@ class TestAbelJacobi:
             for j in range(1, len(pd.curve.branch_points)):
                 v = abel_jacobi_between_branch_points(pd, j, 0)
                 al, be = lattice_coords(v, pd.rm)
-                assert np.abs(2 * al - np.round(2 * al)).max() < 1e-11
-                assert np.abs(2 * be - np.round(2 * be)).max() < 1e-11
+                assert np.abs(2 * al - np.round(2 * al)).max() < 1e-13
+                assert np.abs(2 * be - np.round(2 * be)).max() < 1e-13
 
-    def test_reduction(self, ctx_g2):
-        rm = ctx_g2.rm
-        rng = np.random.default_rng(8)
-        z = rng.standard_normal(2) * 3 + 1j * rng.standard_normal(2) * 2
-        red = reduce_mod_lattice(z, rm)
-        assert red.reduced
-        al, be = lattice_coords(red.z, rm)
-        assert np.all(np.abs(al) <= 0.5 + 1e-12)
-        assert np.all(np.abs(be) <= 0.5 + 1e-12)
-        assert frac_dist(z - red.z, rm) < 1e-10
+    @pytest.mark.parametrize("cid", HYPERELLIPTIC)
+    def test_from_branch_differences(self, cid):
+        # the branch-point endpoint cancels: AJ from e_k to P minus AJ from
+        # e_k to P' is AJ from P' to P, for every k
+        ctx = build_context(cid)
+        pd = ctx.periods
+        rng = np.random.default_rng(14)
+        for _ in range(2):
+            P = sample_point(ctx, rng)
+            Q = sample_point(ctx, rng)
+            ref = abel_jacobi(pd, P, Q)
+            for k in range(len(pd.curve.branch_points)):
+                v = (abel_jacobi_from_branch(pd, P, k)
+                     - abel_jacobi_from_branch(pd, Q, k))
+                assert frac_dist(v - ref, pd.rm) < 1e-13
 
 
 class TestCharacteristics:
