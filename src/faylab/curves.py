@@ -379,6 +379,7 @@ class PeriodData:
         self.B = B
         self.A_inv = np.linalg.inv(A)
         self.rm = rm
+        self._branch_aj = {}    # (base.key(), k) -> AJ_base(e_k)
 
 
 def period_matrix(curve: HyperellipticCurve, quadrature_order=32):
@@ -474,19 +475,26 @@ def _flip_loop(curve, x0):
 
 def abel_jacobi(periods: PeriodData, P: CurvePoint, base: CurvePoint,
                 detour_seed=0):
-    """A^-1 int_base^P of the differential vector, on an auto-routed path."""
+    """A^-1 int_base^P of the differential vector, on an auto-routed path.
+
+    When the routed path lands on iota P instead, reflect through the branch
+    point e_k nearest P: iota negates integrals from e_k, so
+    AJ(P) = 2 c_k - AJ(iota P), with c_k = AJ_base(e_k) cached per (base, k).
+    """
     curve = periods.curve
     path = _route(curve, base.x, P.x, detour_seed=detour_seed)
-    y0 = base.y(curve)
-    vec, y_end = integrate_path(curve, path, y0)
+    vec, y_end = integrate_path(curve, path, base.y(curve))
     y_target = P.y(curve)
-    if abs(y_end - y_target) > abs(y_end + y_target):
-        loop = _flip_loop(curve, P.x)
-        vec2, y_end = integrate_path(curve, loop, y_end)
-        vec += vec2
+    aj = periods.A_inv @ vec
+    if abs(y_end + y_target) <= 1e-6 * abs(y_target):
+        k = int(np.argmin(np.abs(curve.branch_points - P.x)))
+        key = (base.key(), k)
+        if key not in periods._branch_aj:
+            periods._branch_aj[key] = -abel_jacobi_from_branch(periods, base, k)
+        return 2.0 * periods._branch_aj[key] - aj
     if abs(y_end - y_target) > 1e-6 * abs(y_target):
         raise CurveError("sheet tracking did not land on the requested point")
-    return periods.A_inv @ vec
+    return aj
 
 
 def abel_jacobi_from_branch(periods: PeriodData, P: CurvePoint, branch_index=0):

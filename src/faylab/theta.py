@@ -7,9 +7,10 @@ Evaluates
 
 by a truncated lattice sum over an ellipsoid chosen from a certified
 Gaussian tail bound.  Arguments are reduced modulo the period lattice
-Z^g + Omega Z^g before summation; the exact exponential prefactor of the
-reduction is kept as log-scale bookkeeping so unreduced Abel-Jacobi
-vectors never overflow the series itself.
+Z^g + Omega Z^g before summation: `_reduce_arguments` returns the log of
+the exact exponential prefactor of the reduction, and `theta_batch` sums
+the series at the reduced argument and multiplies by exp of that log, so
+unreduced Abel-Jacobi vectors never overflow the series itself.
 """
 
 from __future__ import annotations
@@ -72,6 +73,7 @@ class RiemannMatrix:
         self._Sinv_norm = np.linalg.norm(np.linalg.inv(self._S), 2)
         self._det_S = math.pi ** (self.g / 2.0) * float(np.prod(np.diag(self._chol)))
         self._lattice_cache = {}
+        self._radius_cache = {}
 
     def __repr__(self):
         return f"RiemannMatrix(g={self.g})"
@@ -284,7 +286,12 @@ def theta_batch(Z, rm: RiemannMatrix, char: ThetaChar = None, tol=1e-10,
     Zr, m0, lp = _reduce_arguments(Z, rm, char)
     centers = a + Zr.imag @ rm.imag_inv.T
     c_off = float(np.max(np.linalg.norm(centers - a, axis=1))) if len(centers) else 0.0
-    R = truncation_radius(rm, tol, gradient=gradient, center_offset=c_off)
+    # without a gradient the tail bound does not depend on the offset
+    r_key = (tol, gradient, c_off if gradient else 0.0)
+    if r_key not in rm._radius_cache:
+        rm._radius_cache[r_key] = truncation_radius(rm, tol, gradient=gradient,
+                                                    center_offset=c_off)
+    R = rm._radius_cache[r_key]
     # reduced arguments keep their centers within D/2 of the characteristic,
     # so one cached enumeration around `a` covers every batch at this radius
     D = rm._S_norm * math.sqrt(rm.g)

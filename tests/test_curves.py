@@ -1,15 +1,16 @@
 import numpy as np
 import pytest
 
+from faylab import curves
 from faylab.curves import (HyperellipticCurve, period_matrix, make_point,
                            abel_jacobi, abel_jacobi_from_branch,
                            abel_jacobi_between_branch_points,
                            lattice_coords, find_odd_char,
                            random_line_bundle, vanishing_locus_check,
-                           BranchPointCollision, PathTooCloseToBranchPoint,
-                           RejectionBudgetExceeded, _build_cycles,
-                           _attach_sheets, _intersection_matrix, _segment_feet,
-                           _track_points)
+                           integrate_path, BranchPointCollision, CurveError,
+                           PathTooCloseToBranchPoint, RejectionBudgetExceeded,
+                           _build_cycles, _attach_sheets, _intersection_matrix,
+                           _segment_feet, _track_points, _route, _flip_loop)
 from faylab.theta import theta, ThetaChar
 from faylab.kernels import riemann_constant, sample_point
 from faylab.registry import registry_entries
@@ -234,6 +235,40 @@ class TestAbelJacobi:
                 v = (abel_jacobi_from_branch(pd, P, k)
                      - abel_jacobi_from_branch(pd, Q, k))
                 assert frac_dist(v - ref, pd.rm) < 1e-13
+
+    @pytest.mark.parametrize("cid", HYPERELLIPTIC)
+    def test_branch_constant_matches_flip_loop(self, cid):
+        # where the routed path lands on iota P, AJ(P) = 2 AJ(e_k) - AJ(iota P)
+        # must equal the routed path closed by a flip loop around the
+        # branch point nearest P, modulo the lattice
+        ctx = build_context(cid)
+        pd, base, c = ctx.periods, ctx.base, ctx.curve
+        rng = np.random.default_rng(16)
+        flipped = 0
+        for _ in range(30):
+            P = sample_point(ctx, rng)
+            vec, y_end = integrate_path(c, _route(c, base.x, P.x), base.y(c))
+            if abs(y_end - P.y(c)) < abs(y_end + P.y(c)):
+                continue
+            flipped += 1
+            vec_loop, _ = integrate_path(c, _flip_loop(c, P.x), y_end)
+            ref = pd.A_inv @ (vec + vec_loop)
+            assert frac_dist(abel_jacobi(pd, P, base) - ref, pd.rm) < 1e-12
+        assert flipped > 0
+
+    def test_unlanded_sheet_raises(self, ctx_g1, monkeypatch):
+        # a continuation that ends on neither sheet over P is an error, not
+        # a silent pick of the nearer sheet
+        pd = ctx_g1.periods
+        P = sample_point(ctx_g1, np.random.default_rng(17))
+        y_off = 1j * P.y(pd.curve)
+
+        def off_sheet(curve, vertices, y0, order=32):
+            return integrate_path(curve, vertices, y0, order)[0], y_off
+
+        monkeypatch.setattr(curves, "integrate_path", off_sheet)
+        with pytest.raises(CurveError, match="did not land"):
+            abel_jacobi(pd, P, ctx_g1.base)
 
 
 class TestCharacteristics:

@@ -230,3 +230,32 @@ def test_batch_matches_single():
         tv = theta(Z[k], RM2, tol=1e-12, gradient=True)
         assert abs(vals[k] - tv.value) < 1e-12 * max(1.0, abs(tv.value))
         assert np.abs(grads[k] - tv.gradient).max() < 1e-10
+
+
+def test_radius_memo_matches_fresh_matrix():
+    # theta_batch memoizes the truncation radius on the RiemannMatrix; a
+    # warm matrix must give bitwise what a fresh one gives.  At tol 8e-4 the
+    # two gradient batches need different radii (their reduced centres lie
+    # 0.01 and 0.64 from the characteristic), so the key must keep the
+    # centre offset of gradient calls.
+    rng = np.random.default_rng(21)
+    alpha = rng.uniform(-0.4, 0.4, (3, 2))
+    near = alpha + 0.01 * rng.uniform(-1.0, 1.0, (3, 2)) @ RM2.omega.T
+    far = alpha + np.array([0.45, -0.45]) @ RM2.omega.T
+    radii = [theta_batch(Z, RiemannMatrix(RM2.omega), tol=8e-4, gradient=True)[2]
+             for Z in (near, far)]
+    assert radii[0] != radii[1]
+    warm = RiemannMatrix(RM2.omega)
+    calls = [(Z, tol, grad) for tol in (8e-4, 1e-10) for grad in (False, True)
+             for Z in (near, far)]
+    for _ in range(2):
+        for Z, tol, grad in calls:
+            vals, grads, R, tails = theta_batch(Z, warm, tol=tol, gradient=grad)
+            f_vals, f_grads, f_R, f_tails = theta_batch(
+                Z, RiemannMatrix(RM2.omega), tol=tol, gradient=grad)
+            assert R == f_R
+            assert np.array_equal(vals, f_vals)
+            assert np.array_equal(tails, f_tails)
+            assert (grads is None) == (f_grads is None)
+            if grad:
+                assert np.array_equal(grads, f_grads)
