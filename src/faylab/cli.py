@@ -70,6 +70,14 @@ def _cmd_verify(args):
         tolerances = {name: args.tol for name in names}
     config = SuiteConfig(curves=curves, identities=identities, trials=args.trials,
                          master_seed=args.seed, tolerances=tolerances)
+    if args.out:
+        # fail before the suite runs, not after it: opening for append
+        # leaves an existing report as it is
+        try:
+            open(args.out, "a").close()
+        except OSError as ex:
+            print(f"error: cannot write --out: {ex}", file=sys.stderr)
+            return 2
     def progress(rep):
         status = "pass" if rep.passed else "FAIL"
         print(f"[{status}] {rep.identity_id:28s} {rep.curve_id:16s} "

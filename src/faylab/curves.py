@@ -540,8 +540,9 @@ def theta_scale(rm: RiemannMatrix):
     return float(np.median(np.abs(vals)))
 
 
-def find_odd_char(rm: RiemannMatrix, grad_threshold=1e-6):
-    """First odd half-characteristic with a non-singular gradient at 0."""
+def find_odd_char(rm: RiemannMatrix):
+    """First odd half-characteristic with a non-singular gradient at 0 (norm
+    above 1e-6 of the largest gradient seen so far, or of 1)."""
     zero = np.zeros(rm.g)
     best = None
     max_grad = 0.0
@@ -549,7 +550,7 @@ def find_odd_char(rm: RiemannMatrix, grad_threshold=1e-6):
         grad = theta_gradient(zero, rm, ch, tol=1e-10)
         norm = float(np.linalg.norm(grad))
         max_grad = max(max_grad, norm)
-        if best is None and norm > grad_threshold * max(1.0, max_grad):
+        if best is None and norm > 1e-6 * max(1.0, max_grad):
             best = ch
     if best is None:
         raise NoNonsingularOddChar("all odd characteristics have tiny gradients")
@@ -565,10 +566,9 @@ class ThetaLineBundle:
     degree: int
 
 
-def random_line_bundle(rm: RiemannMatrix, rng, threshold_factor=1e-4,
-                       budget=1000, scale=None):
+def random_line_bundle(rm: RiemannMatrix, rng, budget=1000, scale=None):
     """Sample e uniformly in the fundamental parallelotope until
-    |theta(e)| clears the threshold."""
+    |theta(e)| clears 1e-4 * scale."""
     if scale is None:
         scale = theta_scale(rm)
     for _ in range(budget):
@@ -576,7 +576,7 @@ def random_line_bundle(rm: RiemannMatrix, rng, threshold_factor=1e-4,
         v = rng.random(rm.g)
         e = u + rm.omega @ v
         val = theta(e, rm, tol=1e-10).value
-        if abs(val) > threshold_factor * scale:
+        if abs(val) > 1e-4 * scale:
             return ThetaLineBundle(e=e, degree=rm.g - 1)
     raise RejectionBudgetExceeded("no bundle off the theta divisor in budget")
 

@@ -1,6 +1,6 @@
 """Scalar identity checks: each identity evaluated as a residual over
 randomized inputs on registry curves, with deterministic per-trial
-random streams and near-divisor resampling.
+random streams and resampling of rejected draws.
 
 All bundle parameters are carried as exact C^g vectors (never reduced
 mid-identity) so that every term of an identity uses one consistent set
@@ -26,9 +26,10 @@ from .kernels import (CurveContext, fay_F, prime_form, massey_m3_prime,
 from .quasidet import (QuasiMatrix, SingularMinor, random_quasimatrix,
                        check_sylvester, check_column_expansion,
                        check_row_homological, check_col_homological)
-from .quartic import (PlaneQuartic, QuarticError, canprop_residual, cor2_residual,
-                      ratio_dual_residual, tangent_reconstruction_residual,
-                      reconstruct_synthetic_residual)
+from .quartic import (PlaneQuartic, QuarticError, TangentOrSingularLine,
+                      HigherOrderZero, NotAZero, DegenerateRatios, canprop_residual,
+                      cor2_residual, ratio_dual_residual,
+                      tangent_reconstruction_residual, reconstruct_synthetic_residual)
 from .registry import registry_entries
 from .report import IdentityReport
 from .rng import trial_rng
@@ -46,7 +47,9 @@ class BadTriple(KernelError):
     pass
 
 
-_RETRY = (NearDivisor, CoincidentPoints, SingularMinor, BadTriple)
+#: rejections of a trial's draw: run_identity resamples from the same stream
+_RETRY = (NearDivisor, CoincidentPoints, SingularMinor, BadTriple,
+          TangentOrSingularLine, HigherOrderZero, NotAZero, DegenerateRatios)
 
 
 def _rel(total, blocks):
@@ -54,13 +57,13 @@ def _rel(total, blocks):
     return abs(total), abs(total) / m
 
 
-def _distinct_points(ctx, rng, count, min_sep=1e-3):
+def _distinct_points(ctx, rng, count):
     for _ in range(40):
         pts = [sample_point(ctx, rng) for _ in range(count)]
         xs = np.array([p.x for p in pts])
         d = np.abs(xs[:, None] - xs[None, :])
         np.fill_diagonal(d, np.inf)
-        if d.min() > min_sep * ctx.curve.min_gap:
+        if d.min() > 1e-3 * ctx.curve.min_gap:
             return pts
     raise BadTriple("could not sample distinct points")
 
@@ -229,7 +232,7 @@ def idcor_residual(ctx, rng):
     return abs(lhs - rhs), abs(lhs - rhs) / abs(rhs)
 
 
-def theta_derivative_divisor_residual(ctx, rng, n_controls=20):
+def theta_derivative_divisor_residual(ctx, rng):
     """The derivative 1-form vanishes on the odd-characteristic divisor.
 
     The form is N(x) dx / y with N the adjoint numerator; its divisor is
@@ -238,9 +241,9 @@ def theta_derivative_divisor_residual(ctx, rng, n_controls=20):
     evaluated on it directly, so the root distance is the residual).
     Genus 1: the divisor is empty, N is the nonzero constant making the
     form proportional to the invariant differential; the residual is the
-    spread of theta_form * y over the controls.
+    spread of theta_form * y over 20 controls.
     """
-    controls = [sample_point(ctx, rng) for _ in range(n_controls)]
+    controls = [sample_point(ctx, rng) for _ in range(20)]
     ctrl_vals = np.array([theta_form_at(ctx, p) for p in controls])
     scale = float(np.median(np.abs(ctrl_vals)))
     if ctx.g == 2:
@@ -333,8 +336,6 @@ def homological_residual(rng, n=3, k=2):
     return max(r1, r2), max(r1, r2)
 
 
-
-
 # ---------------------------------------------------------------------------
 # identity registry and suite runner
 
@@ -420,10 +421,9 @@ for kind, rows in [
         IDENTITIES[name] = IdentitySpec(name, kind, runner, table)
 
 
-def run_identity(spec: IdentitySpec, env, curve_id, trials, tol, seed,
-                 retry_budget=20):
+def run_identity(spec: IdentitySpec, env, curve_id, trials, tol, seed):
     """Run one identity for `trials` trials; resample (fresh draws from the
-    same stream) on near-divisor rejections, up to the retry budget.
+    same stream) on rejected draws (_RETRY), up to 20 attempts per trial.
 
     Reports carry requested vs completed counts: completion below 90%
     fails the report regardless of residuals.
@@ -435,7 +435,7 @@ def run_identity(spec: IdentitySpec, env, curve_id, trials, tol, seed,
     max_rel = 0.0
     for trial in range(trials):
         rng = trial_rng(seed, f"{spec.name}|{curve_id}", trial)
-        for _ in range(retry_budget):
+        for _ in range(20):
             try:
                 abs_r, rel_r = spec.runner(env, rng)
             except _RETRY:

@@ -56,26 +56,23 @@ class CurveContext:
     caches for Abel-Jacobi values and square-root branches of h."""
 
     def __init__(self, curve: HyperellipticCurve, periods: PeriodData,
-                 base: CurvePoint = None, tol=1e-10, theta_multiplier=1.0):
+                 theta_multiplier=1.0):
         self.curve = curve
         self.periods = periods
         self.rm = periods.rm
         self.g = curve.genus
-        self.tol = tol
+        self.tol = 1e-10
         # scales every theta value; identities must be insensitive to it
         # (sections are defined up to constants), which the suite asserts
         self.mult = complex(theta_multiplier)
-        if base is None:
-            x0 = curve.branch_points.real.max() + 0.9 + 0.6j
-            base = make_point(curve, x0, 1)
-        self.base = base
+        self.base = make_point(curve, curve.branch_points.real.max() + 0.9 + 0.6j, 1)
         self.delta = find_odd_char(self.rm)
         self.w = self.delta.shift_vector(self.rm)
         self.a_delta = np.array(self.delta.a)
         self.scale_raw = theta_scale(self.rm)
         self.scale = abs(self.mult) * self.scale_raw
         self.grad0 = self.mult * theta_gradient(np.zeros(self.g), self.rm,
-                                                self.delta, tol=tol)
+                                                self.delta, tol=self.tol)
         self._aj_cache = {}
         self._h_cache = {}
         self._h_flips = set()
@@ -218,8 +215,9 @@ def massey_m3_theta(ctx: CurveContext, xis, ps, qs):
     return num * form_p * _h_values(ctx, qs) / (mid * den * _h_values(ctx, ps))
 
 
-def sample_point(ctx: CurveContext, rng, spread=1.6, clearance=0.04):
-    """Random curve point in a box around the branch locus, clear of it."""
+def sample_point(ctx: CurveContext, rng):
+    """Random curve point in a box 1.6 times the branch locus's (padded)
+    extent, at least 0.04 min_gap clear of it."""
     e = ctx.curve.branch_points
     lo_r, hi_r = e.real.min(), e.real.max()
     lo_i, hi_i = e.imag.min(), e.imag.max()
@@ -227,18 +225,18 @@ def sample_point(ctx: CurveContext, rng, spread=1.6, clearance=0.04):
     half_r = 0.5 * (hi_r - lo_r) + ctx.curve.min_gap
     half_i = 0.5 * (hi_i - lo_i) + ctx.curve.min_gap
     for _ in range(200):
-        x = (c_r + spread * half_r * (2 * rng.random() - 1)
-             + 1j * (c_i + spread * half_i * (2 * rng.random() - 1)))
-        if ctx.curve.dist_to_branch(np.array([x]))[0] > clearance * ctx.curve.min_gap:
+        x = (c_r + 1.6 * half_r * (2 * rng.random() - 1)
+             + 1j * (c_i + 1.6 * half_i * (2 * rng.random() - 1)))
+        if ctx.curve.dist_to_branch(np.array([x]))[0] > 0.04 * ctx.curve.min_gap:
             sheet = 1 if rng.random() < 0.5 else -1
             return make_point(ctx.curve, x, sheet)
     raise CurveError("could not sample a point clear of the branch locus")
 
 
-def sample_xi(ctx: CurveContext, rng, spread=0.9):
-    """Random Jacobian point u + Omega v with u, v uniform in a box."""
-    u = spread * (rng.random(ctx.g) - 0.5)
-    v = spread * (rng.random(ctx.g) - 0.5)
+def sample_xi(ctx: CurveContext, rng):
+    """Random Jacobian point u + Omega v with u, v uniform in [-0.45, 0.45]^g."""
+    u = 0.9 * (rng.random(ctx.g) - 0.5)
+    v = 0.9 * (rng.random(ctx.g) - 0.5)
     return u + ctx.rm.omega @ v
 
 

@@ -53,8 +53,7 @@ MONOMIALS = tuple((i, j, 4 - i - j) for i in range(5) for j in range(5 - i))
 class PlaneQuartic:
     """Homogeneous quartic F(X0, X1, X2) given by monomial coefficients."""
 
-    def __init__(self, coefficients, curve_id="quartic", validate=True,
-                 probes=200):
+    def __init__(self, coefficients, curve_id="quartic", probes=200):
         self.curve_id = curve_id
         self.coeffs = np.zeros(len(MONOMIALS), dtype=complex)
         index = {m: k for k, m in enumerate(MONOMIALS)}
@@ -67,8 +66,7 @@ class PlaneQuartic:
         self._grad_data = [self._derivative_data(axis) for axis in range(3)]
         self._hess_data = [[self._derivative_data(a, b) for b in range(3)]
                            for a in range(3)]
-        if validate:
-            self.assert_smooth(probes)
+        self.assert_smooth(probes)
 
     def _derivative_data(self, *axes):
         monos = []
@@ -106,10 +104,10 @@ class PlaneQuartic:
     def hess(self, X, a, b):
         return self._eval_monos(*self._hess_data[a][b], X)
 
-    def assert_smooth(self, probes=200, seed=20240720):
+    def assert_smooth(self, probes=200):
         """Random-line smoothness probe: every probe line must meet the
         quartic in 4 distinct points with nonvanishing gradient."""
-        rng = np.random.default_rng(seed)
+        rng = np.random.default_rng(20240720)
         for _ in range(probes):
             l = rng.standard_normal(3) + 1j * rng.standard_normal(3)
             try:
@@ -174,7 +172,7 @@ def _newton_polish(coeffs, lam):
     return lam
 
 
-def line_section(C4: PlaneQuartic, l, multiplicity_tol=1e-7):
+def line_section(C4: PlaneQuartic, l):
     """The 4 points of {l = 0} on the quartic, via companion-matrix roots
     of the restricted binary form plus one Newton polish step."""
     u, v = _line_basis(l)
@@ -211,7 +209,7 @@ def line_section(C4: PlaneQuartic, l, multiplicity_tol=1e-7):
         return abs(l1 - l2) / np.sqrt((1 + abs(l1)**2) * (1 + abs(l2)**2))
     for i in range(4):
         for j in range(i + 1, 4):
-            if chord(lams[i], lams[j]) < multiplicity_tol:
+            if chord(lams[i], lams[j]) < 1e-7:
                 raise TangentOrSingularLine("multiple intersection point")
     return pts
 
@@ -250,13 +248,13 @@ def form_value(C4: PlaneQuartic, m, P: QuarticPoint):
                    / C4.grad(lift)[vpos])
 
 
-def eta_prime(C4: PlaneQuartic, l, P: QuarticPoint, zero_tol=1e-9):
+def eta_prime(C4: PlaneQuartic, l, P: QuarticPoint):
     """Derivative along the curve of the vanishing 1-form l du / F_v at its
     zero P, in the du^2 frame of P's chart."""
     lift, _ = P.normalized()
     l = np.asarray(l, dtype=complex)
     lval = l @ lift
-    if abs(lval) > zero_tol * np.linalg.norm(l) * np.linalg.norm(lift):
+    if abs(lval) > 1e-9 * np.linalg.norm(l) * np.linalg.norm(lift):
         raise NotAZero("the form does not vanish at the point")
     alpha, upos, vpos = chart_of(C4, P)
     g = C4.grad(lift)
@@ -310,7 +308,6 @@ def check_cor2(C4: PlaneQuartic, l, m1, m2):
         sum over {x,y,z} of eta_1(P) eta_2(P) / eta'(P) = 0.
     """
     pts = line_section(C4, l)
-    t = pts[3]
     terms = []
     for P in pts[:3]:
         e1 = form_value(C4, m1, P)
@@ -372,7 +369,7 @@ def ratio_r(C4: PlaneQuartic, x_lift, y_lift, l):
     return complex(r_div), complex(r_tan)
 
 
-def reconstruct_tangent_coords(a_seq, b_seq, tol=1e-10):
+def reconstruct_tangent_coords(a_seq, b_seq):
     """Tangent coordinates from hyperplane ratios: the continued-product
     formula
 
@@ -391,13 +388,13 @@ def reconstruct_tangent_coords(a_seq, b_seq, tol=1e-10):
     if m == 1:
         return out
     den = a[1] - b[1]
-    if abs(den) < tol * scale:
+    if abs(den) < 1e-10 * scale:
         raise DegenerateRatios("a2 - b2 too small")
     out.append(out[0] * (b[1] - b[0]) / den)
     for i in range(1, m - 1):          # u_{i+2}/u_{i+1} in 0-based terms
         d1 = b[i] - b[i - 1]
         d2 = a[i + 1] - b[i + 1]
-        if min(abs(d1), abs(d2)) < tol * scale:
+        if min(abs(d1), abs(d2)) < 1e-10 * scale:
             raise DegenerateRatios("degenerate ratio denominators")
         ratio = (a[i] - b[i - 1]) * (b[i + 1] - b[i]) / (d1 * d2)
         out.append(out[-1] * ratio)
@@ -436,49 +433,28 @@ def _form_through(rng, points):
 
 
 def canprop_residual(C4: PlaneQuartic, rng):
-    for _ in range(20):
-        try:
-            return check_canprop(C4, _random_form(rng), _random_quadric(rng))
-        except (TangentOrSingularLine, HigherOrderZero, NotAZero):
-            continue
-    raise QuarticError("could not sample a transversal line")
+    return check_canprop(C4, _random_form(rng), _random_quadric(rng))
 
 
 def cor2_residual(C4: PlaneQuartic, rng):
-    for _ in range(20):
-        l = _random_form(rng)
-        try:
-            pts = line_section(C4, l)
-        except TangentOrSingularLine:
-            continue
-        t_lift = pts[3].lift
-        jstar = int(np.argmax(np.abs(t_lift)))
-        ms = []
-        for _ in range(2):
-            r = _random_form(rng)
-            m = r.copy()
-            m[jstar] -= (r @ t_lift) / t_lift[jstar]
-            ms.append(m)
-        try:
-            return check_cor2(C4, l, ms[0], ms[1])
-        except (HigherOrderZero, NotAZero):
-            continue
-    raise QuarticError("could not sample a cor2 configuration")
+    l = _random_form(rng)
+    t_lift = line_section(C4, l)[3].lift
+    jstar = int(np.argmax(np.abs(t_lift)))
+    ms = []
+    for _ in range(2):
+        r = _random_form(rng)
+        m = r.copy()
+        m[jstar] -= (r @ t_lift) / t_lift[jstar]
+        ms.append(m)
+    return check_cor2(C4, l, ms[0], ms[1])
 
 
 def ratio_dual_residual(C4: PlaneQuartic, rng):
-    for _ in range(20):
-        l = _random_form(rng)
-        try:
-            pts = line_section(C4, l)
-            scales = rng.standard_normal(2) + 1j * rng.standard_normal(2)
-            x_lift = pts[0].lift * scales[0]
-            y_lift = pts[1].lift * scales[1]
-            r_div, r_tan = ratio_r(C4, x_lift, y_lift, l)
-        except (TangentOrSingularLine, HigherOrderZero, NotAZero, QuarticError):
-            continue
-        return abs(r_div - r_tan), abs(r_div - r_tan) / abs(r_div)
-    raise QuarticError("could not sample a ratio configuration")
+    l = _random_form(rng)
+    pts = line_section(C4, l)
+    scales = rng.standard_normal(2) + 1j * rng.standard_normal(2)
+    r_div, r_tan = ratio_r(C4, pts[0].lift * scales[0], pts[1].lift * scales[1], l)
+    return abs(r_div - r_tan), abs(r_div - r_tan) / abs(r_div)
 
 
 def tangent_reconstruction_residual(C4: PlaneQuartic, rng):
@@ -495,53 +471,30 @@ def tangent_reconstruction_residual(C4: PlaneQuartic, rng):
 
     The result must match the direct tangent-machinery values.
     """
-    for _ in range(40):
-        l0 = _random_form(rng)
-        try:
-            sec0 = line_section(C4, l0)
-        except TangentOrSingularLine:
-            continue
-        x, y0 = sec0[0], sec0[1]
-        l1 = _form_through(rng, [x.lift])
-        try:
-            sec1 = line_section(C4, l1)
-        except TangentOrSingularLine:
-            continue
-        # find a section point of l1 distinct from x
-        y1 = None
-        for p in sec1:
-            if projective_distance(p.lift, x.lift) > 1e-6:
-                y1 = p
-                break
-        if y1 is None:
-            continue
-        try:
-            c0 = ratio_r(C4, x.lift, y0.lift, l0)[0]
-            c1 = ratio_r(C4, x.lift, y1.lift, l1)[0]
-            B0 = l_of_v(C4, l0, y0)
-            B1 = l_of_v(C4, l1, y1)
-            direct = np.array([l_of_v(C4, l0, x), l_of_v(C4, l1, x)])
-        except (TangentOrSingularLine, HigherOrderZero, NotAZero, QuarticError):
-            continue
-        recon = np.array([-B0 / c0, -B1 / c1])
-        dist = projective_distance(recon, direct)
-        return dist, dist
-    raise QuarticError("could not sample a reconstruction configuration")
+    l0 = _random_form(rng)
+    x, y0 = line_section(C4, l0)[:2]
+    l1 = _form_through(rng, [x.lift])
+    # a section point of l1 distinct from x
+    y1 = next((p for p in line_section(C4, l1)
+               if projective_distance(p.lift, x.lift) > 1e-6), None)
+    if y1 is None:
+        raise TangentOrSingularLine("the second line meets the quartic only at x")
+    c0 = ratio_r(C4, x.lift, y0.lift, l0)[0]
+    c1 = ratio_r(C4, x.lift, y1.lift, l1)[0]
+    recon = np.array([-l_of_v(C4, l0, y0) / c0, -l_of_v(C4, l1, y1) / c1])
+    direct = np.array([l_of_v(C4, l0, x), l_of_v(C4, l1, x)])
+    dist = projective_distance(recon, direct)
+    return dist, dist
 
 
-def reconstruct_synthetic_residual(rng, length=5):
+def reconstruct_synthetic_residual(rng):
     """Oracle for the continued-product formula: choose u, v, feed the
     ratios a_i = -v_i/u_i, b_i = -(sum v)/(sum u); output must be
-    proportional to u."""
-    for _ in range(20):
-        u = rng.standard_normal(length) + 1j * rng.standard_normal(length)
-        v = rng.standard_normal(length) + 1j * rng.standard_normal(length)
-        a = [-v[i] / u[i] for i in range(length)]
-        b = [-(v[:i + 1].sum()) / (u[:i + 1].sum()) for i in range(length)]
-        try:
-            coords = reconstruct_tangent_coords(a, b)
-        except DegenerateRatios:
-            continue
-        dist = projective_distance(np.array(coords), u / u[0])
-        return dist, dist
-    raise QuarticError("synthetic oracle kept hitting degenerate ratios")
+    proportional to u (sequences of length 5)."""
+    u = rng.standard_normal(5) + 1j * rng.standard_normal(5)
+    v = rng.standard_normal(5) + 1j * rng.standard_normal(5)
+    a = -v / u
+    b = [-v[:i + 1].sum() / u[:i + 1].sum() for i in range(5)]
+    coords = reconstruct_tangent_coords(a, b)
+    dist = projective_distance(np.array(coords), u / u[0])
+    return dist, dist

@@ -335,7 +335,7 @@ def test_criterion_7_canonical_tangent(fermat, quartic_generic):
             lambda rng: tangent_reconstruction_residual(C4, rng)[1],
             100, f"acc7|tr{label}"))
     checks.append(("tangent reconstruction", worst, 1e-8))
-    r = run_trials(lambda rng: reconstruct_synthetic_residual(rng, 5)[1],
+    r = run_trials(lambda rng: reconstruct_synthetic_residual(rng)[1],
                    100, "acc7|syn")
     checks.append(("synthetic oracle len 5", r, 1e-10))
     elapsed = time.time() - t0

@@ -1,9 +1,16 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
 from faylab.cli import main
 from faylab.report import IdentityReport, write_report, format_report_line
+
+
+SRC = str(Path(__file__).resolve().parent.parent / "src")
 
 
 def run_cli(args):
@@ -197,6 +204,10 @@ class TestBadInput:
          "quadrature_order"),
         (["quasidet-selftest", "--size", "17"], "--size >= 2 and <= 16"),
         (["quasidet-selftest", "--block", "9"], "--block >= 1 and <= 8"),
+        (["verify", "--identity", "skewsym_n2", "--curve", "lemniscatic",
+          "--trials", "1", "--out", "DIR"], "cannot write --out"),
+        (["verify", "--identity", "skewsym_n2", "--curve", "lemniscatic",
+          "--trials", "1", "--out", "MISSING"], "cannot write --out"),
     ])
     def test_exit_2_with_message(self, tmp_path, capsys, args, reason):
         collide = tmp_path / "collide.json"
@@ -207,9 +218,23 @@ class TestBadInput:
         nan.write_text(json.dumps(
             {"id": "nan", "type": "hyperelliptic",
              "branch_points": [[0.0, 0.0], [float("nan"), 0.0], [1.0, 0.0]]}))
-        args = [{"COLLIDE": str(collide), "NAN": str(nan)}.get(a, a) for a in args]
-        assert run_cli(args) == 2
-        assert reason in capsys.readouterr().err
+        paths = {"COLLIDE": str(collide), "NAN": str(nan), "DIR": str(tmp_path),
+                 "MISSING": str(tmp_path / "no-such-dir" / "rep.jsonl")}
+        assert run_cli([paths.get(a, a) for a in args]) == 2
+        captured = capsys.readouterr()
+        assert reason in captured.err
+        # rejected before any report ran
+        assert "[pass]" not in captured.out
+
+
+def test_cli_import_loads_no_scipy():
+    # numpy is the one runtime dependency
+    code = ("import sys, faylab.cli; "
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                         text=True, check=True,
+                         env={**os.environ, "PYTHONPATH": SRC}).stdout
+    assert out.strip() == "[]"
 
 
 class TestDeterminism:

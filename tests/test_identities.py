@@ -240,6 +240,27 @@ class TestSuiteRunner:
         assert rep.completed == 0
         assert not rep.passed
 
+    @pytest.mark.parametrize("failures", [1, None])
+    def test_run_identity_resamples_quartic_draws(self, monkeypatch, fermat, failures):
+        # a tangent line is a rejected draw, resampled by run_identity alone:
+        # one rejection costs one attempt, endless ones leave every trial
+        # incomplete instead of failing the report
+        import faylab.quartic as quartic
+        real = quartic.line_section
+        raised = []
+        def tangent_first(C4, l):
+            if failures is None or len(raised) < failures:
+                raised.append(l)
+                raise quartic.TangentOrSingularLine("synthetic tangent line")
+            return real(C4, l)
+        monkeypatch.setattr(quartic, "line_section", tangent_first)
+        rep = run_identity(IDENTITIES["canprop"], fermat, "fermat", 5, 1e-9, 42)
+        if failures:
+            assert (rep.completed, rep.passed, rep.failure) == (5, True, "")
+        else:
+            assert (rep.completed, rep.passed, rep.failure) == (0, False, "")
+            assert rep.max_rel_residual == 0.0
+
     def test_one_call_per_kernel_per_trial(self, monkeypatch):
         import faylab.identities as ids
         calls, total = Counter(), Counter()

@@ -241,7 +241,7 @@ class TestReconstruction:
         worst = 0.0
         for trial in range(40):
             rng = trial_rng(16, "synth", trial)
-            worst = max(worst, reconstruct_synthetic_residual(rng, length=5)[1])
+            worst = max(worst, reconstruct_synthetic_residual(rng)[1])
         assert worst < 1e-10
 
     def test_two_point_formula_algebra(self):
