@@ -41,7 +41,7 @@ def _cmd_periods(args):
         return 2
     try:
         curve = HyperellipticCurve(entry["branch_points"], entry["id"])
-        A, B, pd = period_matrix(curve, quadrature_order=args.order)
+        _, _, pd = period_matrix(curve, quadrature_order=args.order)
     except (BranchPointCollision, ValueError) as ex:
         print(f"error: {ex}", file=sys.stderr)
         return 2

@@ -346,7 +346,7 @@ def _intersection_number(curve, c1: Cycle, c2: Cycle):
             hit = _segment_crossing(a0, a1, b0, b1)
             if hit is None:
                 continue
-            t, s, sign = hit
+            t, _, sign = hit
             zc = a0 + t * (a1 - a0)
             y1 = _track_points(curve, a0, zc, c1.y_values[i])[1]
             y2 = _track_points(curve, b0, zc, c2.y_values[j])[1]

@@ -451,6 +451,9 @@ def run_identity(spec: IdentitySpec, env, curve_id, trials, tol, seed):
             break
         if math.isinf(max_rel):
             break
+    if completed == 0:
+        # no residual was measured: report none, never a perfect 0.0
+        max_abs = max_rel = math.inf
     elapsed = int(1000 * (time.perf_counter() - t0))
     passed = (completed >= math.ceil(0.9 * trials)) and (max_rel < tol)
     return IdentityReport(identity_id=spec.name, curve_id=curve_id,
@@ -475,7 +478,7 @@ class SuiteConfig:
                     raise UnknownIdentity(f"unknown identity {name!r}")
         if self.trials is not None and self.trials < 1:
             raise SuiteError("trials must be >= 1")
-        for k, v in self.tolerances.items():
+        for v in self.tolerances.values():
             if not v > 0:
                 raise SuiteError("tolerances must be positive")
 

@@ -3,14 +3,21 @@ adjoint differentials, the residue-sum identity, the hyperplane ratio
 invariant, and tangent-line reconstruction.
 
 All computations are exact algebra on lifts; nothing here touches the
-theta machinery.  Section-valued quantities are realized through adjoint
-differentials m du / F_v in per-point affine charts; quantities exposed to
-identities are always chart-free ratios or residues.
+theta machinery, and no quantity is evaluated in an affine chart.  The
+tangent line at P is grad F(P), so for a linear form l vanishing at P the
+two lines l and grad F(P) meet at P and their cross product is a multiple
+of the lift: l x grad F(P) = mu P.  `l_of_v` returns this mu, the
+lift-quadratic quantity l(v_P).  By the residue description of adjoint
+differentials (m du / F_v in any chart; Griffiths & Harris, Principles of
+Algebraic Geometry, 1978), in a chart (alpha, u, v) at the lift with
+X_alpha = 1 the derivative of l / F_v along the curve at its zero P is
+(l x grad F)_alpha / F_v^2, signed by the parity of (alpha, u, v).  The
+F_v^2 and the sign cancel in every ratio the identities use: canprop
+terms are Q(P) / mu(P) and cor2 terms m1(P) m2(P) / mu(P), each of
+degree 0 in the lift.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -28,10 +35,6 @@ class DegenerateForm(QuarticError):
 
 
 class NotSmooth(QuarticError):
-    pass
-
-
-class BadChart(QuarticError):
     pass
 
 
@@ -64,26 +67,18 @@ class PlaneQuartic:
         if not np.any(self.coeffs):
             raise DegenerateForm("zero quartic")
         self._grad_data = [self._derivative_data(axis) for axis in range(3)]
-        self._hess_data = [[self._derivative_data(a, b) for b in range(3)]
-                           for a in range(3)]
         self.assert_smooth(probes)
 
-    def _derivative_data(self, *axes):
+    def _derivative_data(self, axis):
+        """Monomials and coefficients of dF/dX_axis."""
         monos = []
         coeffs = []
         for m, c in zip(MONOMIALS, self.coeffs):
-            e = list(m)
-            fac = 1.0
-            ok = True
-            for ax in axes:
-                if e[ax] == 0:
-                    ok = False
-                    break
-                fac *= e[ax]
-                e[ax] -= 1
-            if ok and c != 0:
+            if m[axis] and c != 0:
+                e = list(m)
+                e[axis] -= 1
                 monos.append(tuple(e))
-                coeffs.append(fac * c)
+                coeffs.append(m[axis] * c)
         return monos, np.array(coeffs, dtype=complex)
 
     @staticmethod
@@ -101,9 +96,6 @@ class PlaneQuartic:
         return np.array([self._eval_monos(*self._grad_data[a], X)
                          for a in range(3)])
 
-    def hess(self, X, a, b):
-        return self._eval_monos(*self._hess_data[a][b], X)
-
     def assert_smooth(self, probes=200):
         """Random-line smoothness probe: every probe line must meet the
         quartic in 4 distinct points with nonvanishing gradient."""
@@ -115,23 +107,12 @@ class PlaneQuartic:
             except TangentOrSingularLine as ex:
                 raise NotSmooth(f"probe line degenerate: {ex}")
             for p in pts:
-                gn = np.linalg.norm(self.grad(p.lift))
-                if gn < 1e-8 * np.linalg.norm(self.coeffs) * np.linalg.norm(p.lift)**3:
+                gn = np.linalg.norm(self.grad(p))
+                if gn < 1e-8 * np.linalg.norm(self.coeffs) * np.linalg.norm(p)**3:
                     raise NotSmooth("vanishing gradient on a probe line")
 
     def __repr__(self):
         return f"PlaneQuartic({self.curve_id!r})"
-
-
-@dataclass
-class QuarticPoint:
-    """A point of the quartic as a lift vector in C^3."""
-
-    lift: np.ndarray
-
-    def normalized(self):
-        a = int(np.argmax(np.abs(self.lift)))
-        return self.lift / self.lift[a], a
 
 
 def _line_basis(l):
@@ -173,33 +154,24 @@ def _newton_polish(coeffs, lam):
 
 
 def line_section(C4: PlaneQuartic, l):
-    """The 4 points of {l = 0} on the quartic, via companion-matrix roots
-    of the restricted binary form plus one Newton polish step."""
+    """The 4 points of {l = 0} on the quartic as a (4, 3) array of lifts,
+    via companion-matrix roots of the restricted binary form plus one
+    Newton polish step."""
     u, v = _line_basis(l)
     c = _restrict_quartic(C4, u, v)
     scale = np.abs(c).max()
     if scale == 0:
         raise DegenerateForm("line lies on the quartic")
-    pts = []
-    lams = []
     if abs(c[0]) > 1e-12 * scale:
         roots = np.roots(c)
-        roots = [_newton_polish(c, r) for r in roots]
-        lams = list(roots)
-        pts = [QuarticPoint(lam * u + v) for lam in lams]
     else:
-        # root(s) at t = 0: work in the reversed chart for the rest
-        rev = c[::-1]
-        nz = np.trim_zeros(rev, "b")
-        roots = np.roots(nz[::-1]) if len(nz) > 1 else []
-        roots = [_newton_polish(c, r) for r in roots]
-        lams = list(roots)
-        pts = [QuarticPoint(lam * u + v) for lam in lams]
-        for _ in range(4 - len(roots)):
-            lams.append(np.inf)
-            pts.append(QuarticPoint(u.astype(complex)))
-    if len(pts) != 4:
-        raise TangentOrSingularLine("restricted quartic degenerated")
+        # root(s) at t = 0, i.e. the point u: drop the vanishing leading
+        # coefficients and pad with u
+        nz = np.trim_zeros(c, "f")
+        roots = np.roots(nz) if len(nz) > 1 else []
+    lams = [_newton_polish(c, r) for r in roots]
+    pts = [lam * u + v for lam in lams] + [u] * (4 - len(lams))
+    lams += [np.inf] * (4 - len(lams))
     # projective chordal distances between roots
     def chord(l1, l2):
         if np.isinf(l1) and np.isinf(l2):
@@ -211,74 +183,24 @@ def line_section(C4: PlaneQuartic, l):
         for j in range(i + 1, 4):
             if chord(lams[i], lams[j]) < 1e-7:
                 raise TangentOrSingularLine("multiple intersection point")
-    return pts
+    return np.array(pts)
 
 
-_EVEN_PERMS = {(0, 1, 2), (1, 2, 0), (2, 0, 1)}
-
-
-def _chart_parity(alpha, upos, vpos):
-    return 1.0 if (alpha, upos, vpos) in _EVEN_PERMS else -1.0
-
-
-def chart_of(C4: PlaneQuartic, P: QuarticPoint):
-    """Affine chart (alpha = normalizing axis, upos, vpos) with F_v != 0.
-
-    The adjoint form is m (X_a dX_b - X_b dX_a)/F_c for even permutations
-    (a, b, c); charts with odd (alpha, u, v) carry a sign so every chart
-    realizes the same global differential.
-    """
-    lift, alpha = P.normalized()
-    g = C4.grad(lift)
-    others = [i for i in range(3) if i != alpha]
-    vpos = max(others, key=lambda i: abs(g[i]))
-    upos = [i for i in others if i != vpos][0]
-    if abs(g[vpos]) < 1e-10 * np.linalg.norm(C4.coeffs):
-        raise BadChart("both chart derivatives vanish (singular point?)")
-    return alpha, upos, vpos
-
-
-def form_value(C4: PlaneQuartic, m, P: QuarticPoint):
-    """Adjoint differential value: the du coefficient at P of the 1-form
-    attached to the linear form m (parity-corrected m(P)/F_v(P))."""
-    lift, _ = P.normalized()
-    alpha, upos, vpos = chart_of(C4, P)
-    m = np.asarray(m, dtype=complex)
-    return complex(_chart_parity(alpha, upos, vpos) * (m @ lift)
-                   / C4.grad(lift)[vpos])
-
-
-def eta_prime(C4: PlaneQuartic, l, P: QuarticPoint):
-    """Derivative along the curve of the vanishing 1-form l du / F_v at its
-    zero P, in the du^2 frame of P's chart."""
-    lift, _ = P.normalized()
+def l_of_v(C4: PlaneQuartic, l, lift):
+    """The lift-quadratic quantity l(v_P) for a form l vanishing at P: the
+    scalar mu with l x grad F(lift) = mu * lift, read at the largest
+    coordinate of the lift.  Chart-free: Q(lift)/mu is the residue of
+    Q du / (F_v l) at P, and mu(c lift) = c^2 mu(lift)."""
     l = np.asarray(l, dtype=complex)
-    lval = l @ lift
-    if abs(lval) > 1e-9 * np.linalg.norm(l) * np.linalg.norm(lift):
+    lift = np.asarray(lift, dtype=complex)
+    if abs(l @ lift) > 1e-9 * np.linalg.norm(l) * np.linalg.norm(lift):
         raise NotAZero("the form does not vanish at the point")
-    alpha, upos, vpos = chart_of(C4, P)
     g = C4.grad(lift)
-    vprime = -g[upos] / g[vpos]
-    dl_du = l[upos] + l[vpos] * vprime
-    dFv_du = C4.hess(lift, vpos, upos) + C4.hess(lift, vpos, vpos) * vprime
-    out = _chart_parity(alpha, upos, vpos) * (dl_du / g[vpos]
-                                              - lval * dFv_du / g[vpos]**2)
-    scale = np.linalg.norm(l) / max(abs(g[vpos]), 1e-300)
-    if abs(out) < 1e-9 * scale:
+    a = int(np.argmax(np.abs(lift)))
+    mu = np.cross(l, g)[a] / lift[a]
+    if abs(mu) <= 1e-9 * np.linalg.norm(l) * np.linalg.norm(g) / np.linalg.norm(lift):
         raise HigherOrderZero("zero of the section is not simple")
-    return complex(out)
-
-
-def l_of_v(C4: PlaneQuartic, l, P: QuarticPoint):
-    """The lift-quadratic quantity l(v_P) for a form l vanishing at P,
-    realized as lift_alpha^2 * F_v^2 * eta'.  Chart-free: the ratio
-    Q(lift)/l(v_P) is the residue of Q du / (F_v l) at P."""
-    lift = P.lift
-    alpha, upos, vpos = chart_of(C4, P)
-    norm = lift / lift[alpha]
-    Pn = QuarticPoint(norm)
-    fv = C4.grad(norm)[vpos]
-    return complex(lift[alpha]**2 * fv**2 * eta_prime(C4, l, Pn))
+    return complex(mu)
 
 
 def check_canprop(C4: PlaneQuartic, l, Q):
@@ -289,11 +211,7 @@ def check_canprop(C4: PlaneQuartic, l, Q):
     largest term.
     """
     Q = np.asarray(Q, dtype=complex)
-    pts = line_section(C4, l)
-    terms = []
-    for P in pts:
-        qv = P.lift @ Q @ P.lift
-        terms.append(qv / l_of_v(C4, l, P))
+    terms = [P @ Q @ P / l_of_v(C4, l, P) for P in line_section(C4, l)]
     total = sum(terms)
     scale = max(abs(t) for t in terms)
     if scale == 0.0:
@@ -305,15 +223,14 @@ def check_cor2(C4: PlaneQuartic, l, m1, m2):
     """Three-term residue identity: for a line section {x, y, z, t} and
     adjoint forms m1, m2 vanishing at t,
 
-        sum over {x,y,z} of eta_1(P) eta_2(P) / eta'(P) = 0.
+        sum over {x,y,z} of m1(P) m2(P) / l(v_P) = 0,
+
+    the chart-free form of sum eta_1(P) eta_2(P) / eta'(P) = 0.
     """
-    pts = line_section(C4, l)
-    terms = []
-    for P in pts[:3]:
-        e1 = form_value(C4, m1, P)
-        e2 = form_value(C4, m2, P)
-        Pn = QuarticPoint(P.normalized()[0])
-        terms.append(e1 * e2 / eta_prime(C4, l, Pn))
+    m1 = np.asarray(m1, dtype=complex)
+    m2 = np.asarray(m2, dtype=complex)
+    terms = [(m1 @ P) * (m2 @ P) / l_of_v(C4, l, P)
+             for P in line_section(C4, l)[:3]]
     total = sum(terms)
     scale = max(abs(tm) for tm in terms)
     if scale == 0.0:
@@ -339,22 +256,17 @@ def ratio_r(C4: PlaneQuartic, x_lift, y_lift, l):
     """
     pts = line_section(C4, l)
     u, v = _line_basis(l)
-    coords = [_plane_coords(u, v, p.lift) for p in pts]
+    coords = [_plane_coords(u, v, p) for p in pts]
     cx = _plane_coords(u, v, np.asarray(x_lift, dtype=complex))
     cy = _plane_coords(u, v, np.asarray(y_lift, dtype=complex))
     # identify which section points are x and y
     def match(c):
-        best, second = None, None
-        for i, cc in enumerate(coords):
-            d = abs(c[0] * cc[1] - c[1] * cc[0]) / (np.linalg.norm(c) * np.linalg.norm(cc))
-            if best is None or d < best[0]:
-                second = best
-                best = (d, i)
-            elif second is None or d < second[0]:
-                second = (d, i)
-        if best[0] > 1e-6:
+        d = [abs(c[0] * cc[1] - c[1] * cc[0]) / (np.linalg.norm(c) * np.linalg.norm(cc))
+             for cc in coords]
+        i = int(np.argmin(d))
+        if d[i] > 1e-6:
             raise QuarticError("lift does not lie on the hyperplane section")
-        return best[1]
+        return i
     ix, iy = match(cx), match(cy)
     if ix == iy:
         raise QuarticError("x and y identify the same section point")
@@ -364,8 +276,7 @@ def ratio_r(C4: PlaneQuartic, x_lift, y_lift, l):
         sD, tD = coords[i]
         L.append(lambda c, sD=sD, tD=tD: c[0] * tD - c[1] * sD)
     r_div = (L[0](cy) * L[1](cy)) / (L[0](cx) * L[1](cx))
-    r_tan = -l_of_v(C4, l, QuarticPoint(np.asarray(y_lift, dtype=complex))) \
-        / l_of_v(C4, l, QuarticPoint(np.asarray(x_lift, dtype=complex)))
+    r_tan = -l_of_v(C4, l, y_lift) / l_of_v(C4, l, x_lift)
     return complex(r_div), complex(r_tan)
 
 
@@ -426,7 +337,7 @@ def _form_through(rng, points):
     """Random linear form vanishing at the given lifts (<= 2 of them)."""
     A = np.stack([np.asarray(p, dtype=complex) for p in points])
     # basis of the null space of A
-    _, s, vh = np.linalg.svd(A)
+    vh = np.linalg.svd(A)[2]
     null = vh[len(points):].conj()
     w = rng.standard_normal(len(null)) + 1j * rng.standard_normal(len(null))
     return w @ null
@@ -438,7 +349,7 @@ def canprop_residual(C4: PlaneQuartic, rng):
 
 def cor2_residual(C4: PlaneQuartic, rng):
     l = _random_form(rng)
-    t_lift = line_section(C4, l)[3].lift
+    t_lift = line_section(C4, l)[3]
     jstar = int(np.argmax(np.abs(t_lift)))
     ms = []
     for _ in range(2):
@@ -453,7 +364,7 @@ def ratio_dual_residual(C4: PlaneQuartic, rng):
     l = _random_form(rng)
     pts = line_section(C4, l)
     scales = rng.standard_normal(2) + 1j * rng.standard_normal(2)
-    r_div, r_tan = ratio_r(C4, pts[0].lift * scales[0], pts[1].lift * scales[1], l)
+    r_div, r_tan = ratio_r(C4, pts[0] * scales[0], pts[1] * scales[1], l)
     return abs(r_div - r_tan), abs(r_div - r_tan) / abs(r_div)
 
 
@@ -473,14 +384,14 @@ def tangent_reconstruction_residual(C4: PlaneQuartic, rng):
     """
     l0 = _random_form(rng)
     x, y0 = line_section(C4, l0)[:2]
-    l1 = _form_through(rng, [x.lift])
+    l1 = _form_through(rng, [x])
     # a section point of l1 distinct from x
     y1 = next((p for p in line_section(C4, l1)
-               if projective_distance(p.lift, x.lift) > 1e-6), None)
+               if projective_distance(p, x) > 1e-6), None)
     if y1 is None:
         raise TangentOrSingularLine("the second line meets the quartic only at x")
-    c0 = ratio_r(C4, x.lift, y0.lift, l0)[0]
-    c1 = ratio_r(C4, x.lift, y1.lift, l1)[0]
+    c0 = ratio_r(C4, x, y0, l0)[0]
+    c1 = ratio_r(C4, x, y1, l1)[0]
     recon = np.array([-l_of_v(C4, l0, y0) / c0, -l_of_v(C4, l1, y1) / c1])
     direct = np.array([l_of_v(C4, l0, x), l_of_v(C4, l1, x)])
     dist = projective_distance(recon, direct)

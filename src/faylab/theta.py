@@ -6,15 +6,14 @@ Evaluates
                                                + 2*pi*i (n+a)' (z+b))
 
 by a truncated lattice sum over an ellipsoid chosen from one certified
-Gaussian tail bound, the splitting bound of `_tail_bound`.  A second,
-integral-comparison bound over lattice cells was removed: it gives a
-smaller radius only on fine lattices, Im(Omega) below about 0.1 (at genus
-1 the two radii cross near tau = 0.1i), and no registry curve comes near
-that.  Arguments are reduced modulo the period lattice Z^g + Omega Z^g
-before summation: `_reduce_arguments` returns the log of the exact
-exponential prefactor of the reduction, and `theta_batch` sums the series
-at the reduced argument and multiplies by exp of that log, so unreduced
-Abel-Jacobi vectors never overflow the series itself.
+Gaussian tail bound, the splitting bound of `_tail_bound`; one bound is
+enough because a lattice-cell integral bound is tighter only below the
+crossover at Im(Omega) of about 0.1.  Arguments are reduced modulo the
+period lattice Z^g + Omega Z^g before summation: `_reduce_arguments`
+returns the log of the exact exponential prefactor of the reduction, and
+`theta_batch` sums the series at the reduced argument and multiplies by
+exp of that log, so unreduced Abel-Jacobi vectors never overflow the
+series itself.
 """
 
 from __future__ import annotations
@@ -150,11 +149,10 @@ def _tail_bound(rm: RiemannMatrix, R, gradient, center_offset):
            <= sup_{r >= R} [f(r) e^{-r^2/2}] * e^{-R^2/4}
               * prod_axes sum_n e^{-sigma^2 (n+c)^2 / 4}
 
-    where each axis sum is bounded by 2 + 2 sqrt(4 pi) / sigma.  On every
-    registry curve it alone sets the radius the minimum of it and a
-    cell-sum integral bound set, so that bound went; the integral bound is
-    smaller only once Im(Omega) falls below about 0.1 (radius 5.25 against
-    6.25 at tau = 1e-4 i, tol 1e-10).
+    where each axis sum is bounded by 2 + 2 sqrt(4 pi) / sigma.  A
+    cell-sum integral bound would give a smaller radius only once Im(Omega)
+    falls below about 0.1 (5.25 against 6.25 at tau = 1e-4 i, tol 1e-10);
+    on every registry curve this bound gives the smaller one.
     """
     g = rm.g
     sigma = 1.0 / rm._Sinv_norm

@@ -1,3 +1,4 @@
+import math
 from collections import Counter
 
 import numpy as np
@@ -239,6 +240,7 @@ class TestSuiteRunner:
         rep = run_identity(spec, ctx_g1, "lemniscatic", 10, 1e-8, 1)
         assert rep.completed == 0
         assert not rep.passed
+        assert math.isinf(rep.max_abs_residual) and math.isinf(rep.max_rel_residual)
 
     @pytest.mark.parametrize("failures", [1, None])
     def test_run_identity_resamples_quartic_draws(self, monkeypatch, fermat, failures):
@@ -259,7 +261,7 @@ class TestSuiteRunner:
             assert (rep.completed, rep.passed, rep.failure) == (5, True, "")
         else:
             assert (rep.completed, rep.passed, rep.failure) == (0, False, "")
-            assert rep.max_rel_residual == 0.0
+            assert math.isinf(rep.max_rel_residual)
 
     def test_one_call_per_kernel_per_trial(self, monkeypatch):
         import faylab.identities as ids

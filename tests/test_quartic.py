@@ -1,15 +1,14 @@
 import numpy as np
 import pytest
 
-from faylab.quartic import (PlaneQuartic, QuarticPoint, line_section, form_value,
-                            eta_prime, check_canprop, check_cor2, ratio_r,
-                            reconstruct_tangent_coords, projective_distance,
-                            chart_of, canprop_residual, cor2_residual,
+from faylab.quartic import (PlaneQuartic, line_section, l_of_v, check_canprop,
+                            check_cor2, ratio_r, reconstruct_tangent_coords,
+                            projective_distance, canprop_residual, cor2_residual,
                             ratio_dual_residual, tangent_reconstruction_residual,
                             reconstruct_synthetic_residual, _random_form,
-                            _random_quadric, _form_through,
-                            TangentOrSingularLine, DegenerateForm, NotSmooth,
-                            NotAZero, DegenerateRatios)
+                            _random_quadric, TangentOrSingularLine,
+                            DegenerateForm, NotSmooth, NotAZero, HigherOrderZero,
+                            DegenerateRatios)
 from faylab.rng import trial_rng
 
 
@@ -19,10 +18,9 @@ class TestLineSection:
         pts = line_section(fermat, [0.0, 0.0, 1.0])
         assert len(pts) == 4
         for p in pts:
-            lift, _ = QuarticPoint(p.lift).normalized()
-            assert abs(lift[2]) < 1e-12
-            assert abs(fermat.value(p.lift)) < 1e-10 * np.linalg.norm(p.lift)**4
-            ratio = p.lift[1] / p.lift[0]
+            assert abs(p[2]) < 1e-12 * np.abs(p).max()
+            assert abs(fermat.value(p)) < 1e-10 * np.linalg.norm(p)**4
+            ratio = p[1] / p[0]
             assert abs(ratio**4 + 1.0) < 1e-10
 
     def test_random_lines_on_curve(self, quartic_generic):
@@ -31,14 +29,14 @@ class TestLineSection:
             l = _random_form(rng)
             pts = line_section(quartic_generic, l)
             for p in pts:
-                nrm = np.linalg.norm(p.lift)
-                assert abs(quartic_generic.value(p.lift)) < 1e-10 * nrm**4
-                assert abs(np.asarray(l) @ p.lift) < 1e-9 * nrm * np.linalg.norm(l)
+                nrm = np.linalg.norm(p)
+                assert abs(quartic_generic.value(p)) < 1e-10 * nrm**4
+                assert abs(np.asarray(l) @ p) < 1e-9 * nrm * np.linalg.norm(l)
 
     def test_tangent_line_rejected(self, fermat):
         rng = np.random.default_rng(1)
         pts = line_section(fermat, _random_form(rng))
-        P = pts[0].lift
+        P = pts[0]
         tangent = fermat.grad(P)          # the tangent line at P
         with pytest.raises(TangentOrSingularLine):
             line_section(fermat, tangent)
@@ -55,94 +53,71 @@ class TestLineSection:
 
 
 class TestForms:
-    def test_vanishing_form(self, fermat):
-        rng = np.random.default_rng(2)
-        pts = line_section(fermat, _random_form(rng))
-        P = pts[0]
-        m = _form_through(rng, [P.lift])
-        assert abs(form_value(fermat, m, P)) < 1e-9
-
-    def test_linearity_in_m(self, fermat):
-        rng = np.random.default_rng(3)
-        pts = line_section(fermat, _random_form(rng))
-        P = pts[0]
-        m = _random_form(rng)
-        c = 2.0 - 1.3j
-        assert abs(form_value(fermat, c * m, P) - c * form_value(fermat, m, P)) \
-            < 1e-14 * abs(form_value(fermat, m, P))
-
-    def test_chart_covariance(self, quartic_generic):
-        # the same 1-form evaluated through two charts transforms by the
-        # Jacobian du_beta/du_alpha computed by implicit differentiation
-        C4 = quartic_generic
-        rng = np.random.default_rng(4)
-        found = 0
-        for _ in range(40):
-            pts = line_section(C4, _random_form(rng))
-            for P in pts:
-                lift, alpha = P.normalized()
-                g = C4.grad(lift)
-                others = [i for i in range(3) if i != alpha]
-                # try the chart with the other admissible pivot
-                vpos = max(others, key=lambda i: abs(g[i]))
-                upos = [i for i in others if i != vpos][0]
-                if abs(g[upos]) < 0.3 * abs(g[vpos]):
-                    continue
-                m = _random_form(rng)
-                val1 = form_value(C4, m, P)      # default chart (upos, vpos)
-                # forced swapped chart: v' = upos, u' = vpos
-                from faylab.quartic import _chart_parity
-                par = _chart_parity(alpha, vpos, upos)
-                val2 = par * (m @ lift) / g[upos]
-                # du'/du along the curve: u' = X_vpos coordinate, so
-                # du'/du = v'(u) = -F_u/F_v in the default chart
-                jac = -g[upos] / g[vpos]
-                assert abs(val1 - val2 * jac) < 1e-9 * abs(val1)
-                found += 1
-                break
-            if found >= 5:
-                break
-        assert found >= 5
-
-    def test_eta_prime_requires_zero(self, fermat):
-        rng = np.random.default_rng(5)
-        pts = line_section(fermat, _random_form(rng))
-        P = QuarticPoint(pts[0].normalized()[0])
-        with pytest.raises(NotAZero):
-            eta_prime(fermat, _random_form(rng), P)
-
-    def test_eta_prime_scaling(self, fermat):
-        rng = np.random.default_rng(6)
-        l = _random_form(rng)
-        pts = line_section(fermat, l)
-        P = QuarticPoint(pts[0].normalized()[0])
-        v1 = eta_prime(fermat, l, P)
-        v2 = eta_prime(fermat, 3.5j * l, P)
-        assert abs(v2 - 3.5j * v1) < 1e-12 * abs(v1)
-
-    def test_eta_prime_finite_difference(self, quartic_generic):
-        # derivative of the adjoint coefficient along the curve
+    def test_l_of_v_finite_difference(self, quartic_generic):
+        # chart reference: with alpha the largest coordinate of P and
+        # (alpha, u, v) a chart with F_v != 0, walk along the curve in X_u
+        # (X_alpha = 1, X_v by Newton) and differentiate the adjoint
+        # coefficient l / F_v; then l(v_P) = parity * P_alpha^2 * F_v^2 *
+        # d(l / F_v)/du.  Both charts of every section point must agree
+        # with the chart-free l_of_v.
         C4 = quartic_generic
         rng = np.random.default_rng(7)
         l = _random_form(rng)
-        pts = line_section(C4, l)
-        lift, alpha = pts[0].normalized()
-        P = QuarticPoint(lift)
-        a, upos, vpos = chart_of(C4, P)
-        val = eta_prime(C4, l, P)
-        # walk along the curve in u, solving v by Newton
         h = 1e-6
-        def eta_at(du):
-            X = lift.copy()
-            X[upos] += du
-            for _ in range(60):
-                F = C4.value(X)
-                X[vpos] -= F / C4.grad(X)[vpos]
-                if abs(C4.value(X)) < 1e-14:
-                    break
-            return form_value(C4, l, QuarticPoint(X))
-        fd = (eta_at(h) - eta_at(-h)) / (2 * h)
-        assert abs(val - fd) < 1e-7 * abs(val)
+        charts = 0
+        for P in line_section(C4, l):
+            alpha = int(np.argmax(np.abs(P)))
+            lift = P / P[alpha]
+            g = C4.grad(lift)
+            others = [i for i in range(3) if i != alpha]
+            val = l_of_v(C4, l, P)
+            for upos, vpos in (others, others[::-1]):
+                if abs(g[vpos]) < 0.3 * max(abs(g[i]) for i in others):
+                    continue
+                def coeff_at(du):
+                    X = lift.copy()
+                    X[upos] += du
+                    for _ in range(60):
+                        X[vpos] -= C4.value(X) / C4.grad(X)[vpos]
+                        if abs(C4.value(X)) < 1e-14:
+                            break
+                    return (l @ X) / C4.grad(X)[vpos]
+                fd = (coeff_at(h) - coeff_at(-h)) / (2 * h)
+                parity = 1.0 if upos == (alpha + 1) % 3 else -1.0
+                ref = parity * P[alpha]**2 * g[vpos]**2 * fd
+                assert abs(val - ref) < 1e-7 * abs(val)
+                charts += 1
+        assert charts >= 6
+
+    def test_l_of_v_requires_zero(self, fermat):
+        rng = np.random.default_rng(5)
+        pts = line_section(fermat, _random_form(rng))
+        with pytest.raises(NotAZero):
+            l_of_v(fermat, _random_form(rng), pts[0])
+
+    def test_l_of_v_scaling(self, fermat):
+        rng = np.random.default_rng(6)
+        l = _random_form(rng)
+        P = line_section(fermat, l)[0]
+        v1 = l_of_v(fermat, l, P)
+        v2 = l_of_v(fermat, 3.5j * l, P)
+        assert abs(v2 - 3.5j * v1) < 1e-12 * abs(v1)
+
+    def test_l_of_v_lift_rescaling(self, quartic_generic):
+        rng = np.random.default_rng(19)
+        l = _random_form(rng)
+        c = 1.7 - 0.3j
+        for P in line_section(quartic_generic, l):
+            v1 = l_of_v(quartic_generic, l, P)
+            v2 = l_of_v(quartic_generic, l, c * P)
+            assert abs(v2 - c**2 * v1) < 1e-12 * abs(v2)
+
+    def test_tangent_form_is_higher_order_zero(self, fermat):
+        # the tangent line grad F(P) meets the curve at P to second order
+        rng = np.random.default_rng(20)
+        P = line_section(fermat, _random_form(rng))[0]
+        with pytest.raises(HigherOrderZero):
+            l_of_v(fermat, fermat.grad(P), P)
 
 
 class TestCanprop:
@@ -216,15 +191,15 @@ class TestRatio:
         rng = np.random.default_rng(14)
         l = _random_form(rng)
         pts = line_section(fermat, l)
-        r1, _ = ratio_r(fermat, pts[0].lift, pts[1].lift, l)
-        r2, _ = ratio_r(fermat, pts[0].lift, pts[1].lift, l)
+        r1, _ = ratio_r(fermat, pts[0], pts[1], l)
+        r2, _ = ratio_r(fermat, pts[0], pts[1], l)
         assert r1 == r2
 
     def test_lift_rescaling_law(self, fermat):
         rng = np.random.default_rng(15)
         l = _random_form(rng)
         pts = line_section(fermat, l)
-        x, y = pts[0].lift, pts[1].lift
+        x, y = pts[0], pts[1]
         r0, t0 = ratio_r(fermat, x, y, l)
         c, cp = 1.7 - 0.3j, -0.6 + 1.1j
         r1, t1 = ratio_r(fermat, c * x, cp * y, l)
