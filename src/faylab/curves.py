@@ -223,8 +223,6 @@ def _integrate_segment(curve, za, zb, ya, order):
     offs = (np.arange(n_panels)[:, None] + 0.5 * (nodes[None, :] + 1.0)) / n_panels
     ts = offs.ravel()
     xs = za + ts * seg
-    if curve.dist_to_branch(xs).min() <= 1e-6:
-        raise PathTooCloseToBranchPoint("quadrature node too close to a branch point")
     ys, y_end = _track_points(curve, za, zb, ya, ts, dmin)
     half = 0.5 * seg / n_panels
     powers = xs[None, :] ** np.arange(g)[:, None]
@@ -371,12 +369,11 @@ def _intersection_matrix(curve, cycles):
 
 
 class PeriodData:
-    """Period matrices A, B over the symplectic basis and Omega = A^-1 B."""
+    """The inverse A^-1 of the a-period matrix and the Riemann matrix
+    Omega = A^-1 B over the symplectic basis."""
 
-    def __init__(self, curve, A, B, rm):
+    def __init__(self, curve, A, rm):
         self.curve = curve
-        self.A = A
-        self.B = B
         self.A_inv = np.linalg.inv(A)
         self.rm = rm
         self._branch_aj = {}    # (base.key(), k) -> AJ_base(e_k)
@@ -421,7 +418,7 @@ def period_matrix(curve: HyperellipticCurve, quadrature_order=32):
     if sym_res > 1e-8:
         raise NotSymplectic(f"Omega symmetry residual {sym_res:.2e}")
     rm = RiemannMatrix(0.5 * (omega + omega.T))
-    return A, B, PeriodData(curve, A, B, rm)
+    return A, B, PeriodData(curve, A, rm)
 
 
 # ---------------------------------------------------------------------------

@@ -68,14 +68,12 @@ class CurveContext:
         self.base = make_point(curve, curve.branch_points.real.max() + 0.9 + 0.6j, 1)
         self.delta = find_odd_char(self.rm)
         self.w = self.delta.shift_vector(self.rm)
-        self.a_delta = np.array(self.delta.a)
         self.scale_raw = theta_scale(self.rm)
         self.scale = abs(self.mult) * self.scale_raw
         self.grad0 = self.mult * theta_gradient(np.zeros(self.g), self.rm,
                                                 self.delta, tol=self.tol)
         self._aj_cache = {}
         self._h_cache = {}
-        self._h_flips = set()
         self._kappa = None
 
     # -- point bookkeeping -------------------------------------------------
@@ -132,8 +130,7 @@ def h_value(ctx: CurveContext, p: CurvePoint):
     k = p.key()
     if k not in ctx._h_cache:
         ctx._h_cache[k] = np.sqrt(theta_form_at(ctx, p))
-    out = ctx._h_cache[k]
-    return -out if k in ctx._h_flips else out
+    return ctx._h_cache[k]
 
 
 def _h_values(ctx, ps):

@@ -19,6 +19,8 @@ degree 0 in the lift.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 
@@ -54,7 +56,8 @@ MONOMIALS = tuple((i, j, 4 - i - j) for i in range(5) for j in range(5 - i))
 
 
 class PlaneQuartic:
-    """Homogeneous quartic F(X0, X1, X2) given by monomial coefficients."""
+    """Homogeneous quartic F(X0, X1, X2) given by monomial coefficients,
+    stored as the symmetric tensor T with F(X) = T(X, X, X, X)."""
 
     def __init__(self, coefficients, curve_id="quartic", probes=200):
         self.curve_id = curve_id
@@ -66,35 +69,22 @@ class PlaneQuartic:
             self.coeffs[index[tuple(mono)]] = complex(c)
         if not np.any(self.coeffs):
             raise DegenerateForm("zero quartic")
-        self._grad_data = [self._derivative_data(axis) for axis in range(3)]
+        # a monomial's coefficient is shared by its 4!/(i! j! k!) orderings
+        self.T = np.zeros((3, 3, 3, 3), dtype=complex)
+        for idx in np.ndindex(self.T.shape):
+            m = tuple(np.bincount(idx, minlength=3))
+            orderings = 24 // math.prod(math.factorial(e) for e in m)
+            self.T[idx] = self.coeffs[index[m]] / orderings
         self.assert_smooth(probes)
 
-    def _derivative_data(self, axis):
-        """Monomials and coefficients of dF/dX_axis."""
-        monos = []
-        coeffs = []
-        for m, c in zip(MONOMIALS, self.coeffs):
-            if m[axis] and c != 0:
-                e = list(m)
-                e[axis] -= 1
-                monos.append(tuple(e))
-                coeffs.append(m[axis] * c)
-        return monos, np.array(coeffs, dtype=complex)
-
-    @staticmethod
-    def _eval_monos(monos, coeffs, X):
-        X = np.asarray(X, dtype=complex)
-        out = 0.0 + 0.0j
-        for (i, j, k), c in zip(monos, coeffs):
-            out = out + c * X[..., 0]**i * X[..., 1]**j * X[..., 2]**k
-        return out
-
     def value(self, X):
-        return self._eval_monos(MONOMIALS, self.coeffs, X)
+        X = np.asarray(X, dtype=complex)
+        return np.einsum("abcd,...a,...b,...c,...d->...", self.T, X, X, X, X)
 
     def grad(self, X):
-        return np.array([self._eval_monos(*self._grad_data[a], X)
-                         for a in range(3)])
+        """4 T(., X, X, X), gradient axis first."""
+        X = np.asarray(X, dtype=complex)
+        return 4 * np.einsum("abcd,...b,...c,...d->a...", self.T, X, X, X)
 
     def assert_smooth(self, probes=200):
         """Random-line smoothness probe: every probe line must meet the
@@ -131,18 +121,12 @@ def _line_basis(l):
 
 
 def _restrict_quartic(C4: PlaneQuartic, u, v):
-    """Coefficients c_m of F(s u + t v) = sum_m c_m s^(4-m) t^m."""
-    lin = [np.array([u[a], v[a]], dtype=complex) for a in range(3)]
-    total = np.zeros(5, dtype=complex)
-    for (i, j, k), c in zip(MONOMIALS, C4.coeffs):
-        if c == 0:
-            continue
-        poly = np.array([1.0 + 0j])
-        for a, e in enumerate((i, j, k)):
-            for _ in range(e):
-                poly = np.convolve(poly, lin[a])
-        total[:len(poly)] += c * poly
-    return total
+    """Coefficients c_m = C(4, m) T(u^(4-m), v^m) of
+    F(s u + t v) = sum_m c_m s^(4-m) t^m."""
+    W = np.array([u, v], dtype=complex)
+    S = np.einsum("abcd,ia,jb,kc,ld->ijkl", C4.T, W, W, W, W)
+    return np.array([math.comb(4, m) * S[(0,) * (4 - m) + (1,) * m]
+                     for m in range(5)])
 
 
 def _newton_polish(coeffs, lam):

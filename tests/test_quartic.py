@@ -8,8 +8,44 @@ from faylab.quartic import (PlaneQuartic, line_section, l_of_v, check_canprop,
                             reconstruct_synthetic_residual, _random_form,
                             _random_quadric, TangentOrSingularLine,
                             DegenerateForm, NotSmooth, NotAZero, HigherOrderZero,
-                            DegenerateRatios)
+                            DegenerateRatios, _restrict_quartic)
+from faylab.registry import registry_entries
 from faylab.rng import trial_rng
+
+
+def _monomial_sum(coefficients, X):
+    return sum(c * X[0]**i * X[1]**j * X[2]**k
+               for (i, j, k), c in coefficients.items())
+
+
+def _monomial_grad(coefficients, X):
+    g = np.zeros(3, dtype=complex)
+    for e, c in coefficients.items():
+        for a in range(3):
+            if e[a]:
+                d = list(e)
+                d[a] -= 1
+                g[a] += e[a] * c * X[0]**d[0] * X[1]**d[1] * X[2]**d[2]
+    return g
+
+
+@pytest.mark.parametrize("cid", ["fermat", "quartic-generic"])
+def test_tensor_matches_monomial_sum(cid):
+    coefficients = registry_entries()[cid]["coefficients"]
+    C4 = PlaneQuartic(coefficients, cid)
+    rng = np.random.default_rng(21)
+    lams = np.exp(2j * np.pi * np.arange(5) / 5)
+    for _ in range(10):
+        X, u, v = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
+        F = _monomial_sum(coefficients, X)
+        assert abs(C4.value(X) - F) < 1e-13 * np.linalg.norm(X)**4
+        g = _monomial_grad(coefficients, X)
+        assert np.abs(C4.grad(X) - g).max() < 1e-13 * np.linalg.norm(X)**3
+        # F(lam u + v) = sum_m c_m lam^(4-m), sampled at the 5th roots of unity
+        vals = [_monomial_sum(coefficients, lam * u + v) for lam in lams]
+        c = np.linalg.solve(np.vander(lams, 5), vals)
+        scale = (np.linalg.norm(u) + np.linalg.norm(v))**4
+        assert np.abs(_restrict_quartic(C4, u, v) - c).max() < 1e-13 * scale
 
 
 class TestLineSection:

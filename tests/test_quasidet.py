@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from faylab.quasidet import (QuasiMatrix, random_quasimatrix, block_inverse,
+from faylab.quasidet import (QuasiMatrix, random_quasimatrix,
                              carrier_inv, check_sylvester,
                              check_column_expansion, check_row_homological,
                              check_col_homological, SingularMinor)
@@ -17,24 +17,6 @@ class TestCarrier:
     def test_singular_rejected(self):
         with pytest.raises(SingularMinor):
             carrier_inv(np.zeros((2, 2)))
-
-    def test_block_inverse(self):
-        rng = np.random.default_rng(1)
-        M = rng.standard_normal((3, 3, 2, 2)) + 1j * rng.standard_normal((3, 3, 2, 2))
-        Minv = block_inverse(M)
-        big = np.block([[M[i, j] for j in range(3)] for i in range(3)])
-        biginv = np.block([[Minv[i, j] for j in range(3)] for i in range(3)])
-        assert np.abs(big @ biginv - np.eye(6)).max() < 1e-9
-
-    def test_block_inverse_needs_pivot_search(self):
-        # leading block singular: elimination must pivot
-        rng = np.random.default_rng(2)
-        M = rng.standard_normal((2, 2, 2, 2)) + 1j * rng.standard_normal((2, 2, 2, 2))
-        M[0, 0] = 0.0
-        Minv = block_inverse(M)
-        big = np.block([[M[i, j] for j in range(2)] for i in range(2)])
-        biginv = np.block([[Minv[i, j] for j in range(2)] for i in range(2)])
-        assert np.abs(big @ biginv - np.eye(4)).max() < 1e-9
 
 
 class TestQuasideterminant:
@@ -78,6 +60,36 @@ class TestQuasideterminant:
         A = random_quasimatrix(rng, 3, 2)
         P = A.permuted([2, 0, 1], [1, 2, 0])
         assert np.abs(A.qdet(2, 1) - P.qdet(2, 1)).max() < 1e-12
+
+    def test_inverse_block_oracle(self):
+        # |A|_ij = ((A^-1)_ji)^-1 for every (i, j), with A^-1 the inverse
+        # of the flattened nk x nk matrix
+        rng = np.random.default_rng(2)
+        for k in (1, 2, 3):
+            for n in (2, 3, 4, 5):
+                A = random_quasimatrix(rng, n, k)
+                if n == 3:
+                    A.entries[1, 1] = 0.0    # zero leading block in the minor of (0, 0)
+                big = A.entries.transpose(0, 2, 1, 3).reshape(n * k, n * k)
+                inv = np.linalg.inv(big).reshape(n, k, n, k)
+                for i in range(n):
+                    for j in range(n):
+                        oracle = np.linalg.inv(inv[j, :, i, :])
+                        err = np.abs(A.qdet(i, j) - oracle).max()
+                        assert err < 1e-10 * np.abs(oracle).max()
+
+    def test_minor_without_invertible_block_in_a_column(self):
+        # block column 0 of the minor holds two rank-1 blocks, yet the
+        # minor is invertible as a whole
+        rng = np.random.default_rng(3)
+        A = random_quasimatrix(rng, 3, 2)
+        A.entries[1, 1] = [[1.0, 0.0], [0.0, 0.0]]
+        A.entries[2, 1] = [[0.0, 0.0], [0.0, 1.0]]
+        minor = A.entries[1:, 1:].transpose(0, 2, 1, 3).reshape(4, 4)
+        assert np.linalg.matrix_rank(minor) == 4
+        big = A.entries.transpose(0, 2, 1, 3).reshape(6, 6)
+        expect = np.linalg.inv(np.linalg.inv(big)[:2, :2])
+        assert np.abs(A.qdet(0, 0) - expect).max() < 1e-12 * np.abs(expect).max()
 
     def test_singular_minor_raises(self):
         ent = np.zeros((3, 3, 1, 1), dtype=complex)

@@ -40,3 +40,33 @@ def test_no_dead_locals_in_package():
         for fn, name, line in _dead_locals(ast.parse(path.read_text())):
             hits.append(f"{path.name}:{line} {fn}: {name}")
     assert hits == [], "assigned but never read:\n" + "\n".join(hits)
+
+
+def _unread_attributes(trees):
+    """(attribute, line) for every self.<name> the trees store but never
+    read, on any object; an augmented assignment counts as a read."""
+    stored, loaded = {}, set()
+    for tree in trees:
+        for node in ast.walk(tree):
+            if isinstance(node, ast.AugAssign) and isinstance(node.target, ast.Attribute):
+                loaded.add(node.target.attr)
+            elif isinstance(node, ast.Attribute):
+                if not isinstance(node.ctx, ast.Store):
+                    loaded.add(node.attr)
+                elif isinstance(node.value, ast.Name) and node.value.id == "self":
+                    stored.setdefault(node.attr, node.lineno)
+    return sorted((name, line) for name, line in stored.items()
+                  if name not in loaded)
+
+
+def test_unread_attributes_detected():
+    tree = ast.parse("class C:\n    def __init__(self, o):\n        self.a = 1\n"
+                     "        self.b = 2\n        self.c = 0\n        self.c += 1\n"
+                     "        o.d = 3\n    def f(self):\n        return self.b\n")
+    assert [h[0] for h in _unread_attributes([tree])] == ["a"]
+
+
+def test_no_unread_attributes_in_package():
+    paths = sorted(SRC.glob("*.py"))
+    hits = _unread_attributes([ast.parse(p.read_text()) for p in paths])
+    assert hits == [], "stored but never read: " + ", ".join(n for n, _ in hits)
