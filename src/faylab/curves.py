@@ -7,17 +7,20 @@ models are converted by a Moebius change of variable.  All contour work
 is done on closed polygonal paths in the x-plane with continuous
 analytic continuation of y (no branch-cut bookkeeping).
 
-One routine, `_track_points`, continues y along every straight segment:
-a walk in steps of a quarter of the segment's clearance from the branch
-points, bisected until each step moves arg f by at most pi/2 and |f| by a
-factor in [0.1, 10].  Every Abel-Jacobi integral, branch-point endpoints
-included, is `integrate_path` over a polygon.
+One routine, `integrate_path`, continues y and integrates: it lays
+Gauss-Legendre panels no wider than half each edge's clearance from the
+branch points, evaluates f once at every vertex and node of the polygon,
+continues y through them with one cumulative sum of half-log ratios, and
+returns the integrals and y at every vertex.  Every period, crossing
+sheet match and Abel-Jacobi integral, branch-point endpoints included,
+is one call of it.
 """
 
 from __future__ import annotations
 
+import functools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -52,13 +55,9 @@ class RejectionBudgetExceeded(CurveError):
 # ---------------------------------------------------------------------------
 # Gauss-Legendre panels
 
-_GL_CACHE = {}
-
-
+@functools.lru_cache(maxsize=None)
 def _gl_nodes(order):
-    if order not in _GL_CACHE:
-        _GL_CACHE[order] = np.polynomial.legendre.leggauss(order)
-    return _GL_CACHE[order]
+    return np.polynomial.legendre.leggauss(order)
 
 
 # ---------------------------------------------------------------------------
@@ -166,83 +165,44 @@ def _segment_feet(points, za, zb):
     return t, np.abs(za + t * seg - points)
 
 
-def _track_points(curve, za, zb, ya, ts=(), dmin=None):
-    """y values at parameters ts in (0, 1] along [za, zb], given y(za) = ya.
-
-    Walks in steps of dmin/4 (dmin defaults to the segment's clearance from
-    the branch points, so no step aliases a near-full winding of f), bisects
-    until every step keeps |delta arg f| <= pi/2 and the amplitude ratio in
-    [0.1, 10], and multiplies the half-log ratios.  Returns (y at the
-    requested ts, y at zb).
-    """
-    seg = zb - za
-    if dmin is None:
-        dmin = float(_segment_feet(curve.branch_points, za, zb)[1].min())
-    if dmin <= 1e-9:
-        raise PathTooCloseToBranchPoint("continuation path touches a branch point")
-    n_walk = max(2, int(math.ceil(abs(seg) / (0.25 * dmin))))
-    walk = np.linspace(0.0, 1.0, n_walk + 1)
-    grid = np.unique(np.concatenate([walk, ts, [1.0]]))
-    for _ in range(24):
-        pts = za + grid * seg
-        fv = curve.f(pts)
-        if np.any(fv == 0):
-            raise PathTooCloseToBranchPoint("continuation hit a branch point")
-        ratios = fv[1:] / fv[:-1]
-        bad = (np.abs(np.angle(ratios)) > 0.5 * math.pi) \
-            | (np.abs(ratios) > 10.0) | (np.abs(ratios) < 0.1)
-        if not bad.any():
-            logr = 0.5 * np.log(ratios)
-            y_all = ya * np.exp(np.concatenate([[0.0], np.cumsum(logr)]))
-            idx = np.searchsorted(grid, ts)
-            return y_all[idx], y_all[-1]
-        mids = 0.5 * (grid[:-1][bad] + grid[1:][bad])
-        grid = np.unique(np.concatenate([grid, mids]))
-    raise PathTooCloseToBranchPoint("sheet tracking failed to converge")
-
-
-def _integrate_segment(curve, za, zb, ya, order):
-    """Integrate (1, x, .., x^(g-1)) dx / y over [za, zb]; returns (vec, y_b).
-
-    Panels are sized from the distance to the nearest branch point; y is
-    continued through the quadrature nodes with the vectorized tracker.
-    """
-    g = curve.genus
-    seg = zb - za
-    length = abs(seg)
-    total = np.zeros(g, dtype=complex)
-    if length == 0:
-        return total, ya
-    dmin = float(_segment_feet(curve.branch_points, za, zb)[1].min())
-    if dmin <= 1e-6:
-        raise PathTooCloseToBranchPoint(
-            f"segment [{za:.4g}, {zb:.4g}] within 1e-6 of a branch point")
-    n_panels = max(1, int(math.ceil(length / (0.5 * dmin))))
-    nodes, weights = _gl_nodes(order)
-    # all panel nodes as parameters in (0, 1)
-    offs = (np.arange(n_panels)[:, None] + 0.5 * (nodes[None, :] + 1.0)) / n_panels
-    ts = offs.ravel()
-    xs = za + ts * seg
-    ys, y_end = _track_points(curve, za, zb, ya, ts, dmin)
-    half = 0.5 * seg / n_panels
-    powers = xs[None, :] ** np.arange(g)[:, None]
-    w_all = np.tile(weights, n_panels)
-    total = half * ((powers / ys[None, :]) @ w_all)
-    return total, y_end
-
-
 def integrate_path(curve, vertices, y0, order=32):
-    """Integrate the differential basis along a polygonal path.
+    """Integrate (1, x, .., x^(g-1)) dx / y along a polygonal path, with
+    y = y0 at vertices[0]; returns (integrals, y at every vertex).
 
-    Returns (integrals, y at the end).  y0 is the starting y value at
-    vertices[0].
+    Each edge is cut into Gauss-Legendre panels no wider than half its
+    clearance dmin from the branch points (an edge within 1e-6 of one is
+    refused).  y is continued through every vertex and node of the path in
+    one pass: y_{j+1} = y_j sqrt(f_{j+1} / f_j), the square root taken as
+    exp(log / 2) of a ratio that must keep |delta arg f| <= pi/2 and its
+    modulus in [0.1, 10] (else PathTooCloseToBranchPoint).  That test
+    cannot fail at order >= 16: consecutive points are at most 0.0475 dmin
+    apart, so each of the at most 7 factors x - e_k of f turns by less than
+    0.05 rad and changes modulus by less than 5 % per step.
     """
-    total = np.zeros(curve.genus, dtype=complex)
-    y = y0
-    for za, zb in zip(vertices[:-1], vertices[1:]):
-        vec, y = _integrate_segment(curve, za, zb, y, order)
-        total += vec
-    return total, y
+    z = np.asarray(vertices, dtype=complex)
+    nodes, weights = _gl_nodes(order)
+    xs, ws = [z[:1]], [np.zeros(1)]     # vertices carry weight 0
+    for za, zb in zip(z[:-1], z[1:]):
+        seg = zb - za
+        if seg != 0:
+            dmin = float(_segment_feet(curve.branch_points, za, zb)[1].min())
+            if dmin <= 1e-6:
+                raise PathTooCloseToBranchPoint(
+                    f"segment [{za:.4g}, {zb:.4g}] within 1e-6 of a branch point")
+            n_panels = max(1, int(math.ceil(abs(seg) / (0.5 * dmin))))
+            ts = (np.arange(n_panels)[:, None] + 0.5 * (nodes + 1.0)) / n_panels
+            xs.append(za + ts.ravel() * seg)
+            ws.append(np.tile(weights, n_panels) * (0.5 * seg / n_panels))
+        xs.append(np.array([zb]))
+        ws.append(np.zeros(1))
+    x, w = np.concatenate(xs), np.concatenate(ws)
+    fx = curve.f(x)
+    ratios = fx[1:] / fx[:-1]
+    if np.any((np.abs(np.angle(ratios)) > 0.5 * math.pi)
+              | (np.abs(ratios) > 10.0) | (np.abs(ratios) < 0.1)):
+        raise PathTooCloseToBranchPoint("continuation step too coarse for f")
+    y = y0 * np.exp(np.concatenate([[0.0], np.cumsum(0.5 * np.log(ratios))]))
+    return (x ** np.arange(curve.genus)[:, None] / y) @ w, y[w == 0]
 
 
 # ---------------------------------------------------------------------------
@@ -251,13 +211,12 @@ def integrate_path(curve, vertices, y0, order=32):
 
 @dataclass
 class Cycle:
-    vertices: list           # closed polygon, vertices[0] == vertices[-1] implied
-    y_values: list = field(default_factory=list)   # continued y at each vertex
+    vertices: list           # closed polygon, vertices[0] == vertices[-1]
+    y_values: np.ndarray = None   # continued y at each vertex
+    integral: np.ndarray = None   # integral of the differential basis
 
     def reversed(self):
-        c = Cycle(list(reversed(self.vertices)))
-        c.y_values = list(reversed(self.y_values))
-        return c
+        return Cycle(self.vertices[::-1], self.y_values[::-1], -self.integral)
 
 
 def _close(poly):
@@ -308,11 +267,11 @@ def _build_cycles(curve):
     return a_cycles, b_cycles
 
 
-def _attach_sheets(curve, cycle):
-    """Continue y around the polygon from the principal value at vertex 0."""
-    ys = [curve.y_principal(np.array([cycle.vertices[0]]))[0]]
-    for za, zb in zip(cycle.vertices[:-1], cycle.vertices[1:]):
-        ys.append(_track_points(curve, za, zb, ys[-1])[1])
+def _attach_sheets(curve, cycle, order):
+    """Continue y around the polygon from the principal value at vertex 0
+    and integrate the differential basis along it."""
+    y0 = curve.y_principal(np.array([cycle.vertices[0]]))[0]
+    cycle.integral, ys = integrate_path(curve, cycle.vertices, y0, order)
     cycle.y_values = ys
     # closed on the surface: y returns to its start
     if abs(ys[-1] - ys[0]) > 1e-8 * abs(ys[0]):
@@ -346,8 +305,8 @@ def _intersection_number(curve, c1: Cycle, c2: Cycle):
                 continue
             t, _, sign = hit
             zc = a0 + t * (a1 - a0)
-            y1 = _track_points(curve, a0, zc, c1.y_values[i])[1]
-            y2 = _track_points(curve, b0, zc, c2.y_values[j])[1]
+            y1 = integrate_path(curve, [a0, zc], c1.y_values[i])[1][-1]
+            y2 = integrate_path(curve, [b0, zc], c2.y_values[j])[1][-1]
             if abs(y1 - y2) < abs(y1 + y2):
                 total += sign
     return total
@@ -391,7 +350,7 @@ def period_matrix(curve: HyperellipticCurve, quadrature_order=32):
     g = curve.genus
     a_cycles, b_cycles = _build_cycles(curve)
     for c in a_cycles + b_cycles:
-        _attach_sheets(curve, c)
+        _attach_sheets(curve, c, quadrature_order)
     # normalize orientations: a_k . b_k = +1
     for k in range(g):
         v = _intersection_number(curve, a_cycles[k], b_cycles[k])
@@ -404,15 +363,8 @@ def period_matrix(curve: HyperellipticCurve, quadrature_order=32):
                   [-np.eye(g, dtype=int), np.zeros((g, g), dtype=int)]])
     if not np.array_equal(M, J):
         raise NotSymplectic(f"intersection pairing is not standard:\n{M}")
-    A = np.zeros((g, g), dtype=complex)
-    B = np.zeros((g, g), dtype=complex)
-    for k in range(g):
-        vec, _ = integrate_path(curve, a_cycles[k].vertices,
-                                a_cycles[k].y_values[0], quadrature_order)
-        A[:, k] = vec
-        vec, _ = integrate_path(curve, b_cycles[k].vertices,
-                                b_cycles[k].y_values[0], quadrature_order)
-        B[:, k] = vec
+    A = np.stack([c.integral for c in a_cycles], axis=1)
+    B = np.stack([c.integral for c in b_cycles], axis=1)
     omega = np.linalg.solve(A, B)
     sym_res = np.abs(omega - omega.T).max() / max(np.abs(omega).max(), 1.0)
     if sym_res > 1e-8:
@@ -480,7 +432,8 @@ def abel_jacobi(periods: PeriodData, P: CurvePoint, base: CurvePoint,
     """
     curve = periods.curve
     path = _route(curve, base.x, P.x, detour_seed=detour_seed)
-    vec, y_end = integrate_path(curve, path, base.y(curve))
+    vec, ys = integrate_path(curve, path, base.y(curve))
+    y_end = ys[-1]
     y_target = P.y(curve)
     aj = periods.A_inv @ vec
     if abs(y_end + y_target) <= 1e-6 * abs(y_target):
@@ -503,8 +456,8 @@ def abel_jacobi_from_branch(periods: PeriodData, P: CurvePoint, branch_index=0):
     d = np.abs(np.delete(curve.branch_points, branch_index) - e_k).min()
     z_entry = e_k + 0.4 * d * (P.x - e_k) / abs(P.x - e_k)
     path = _route(curve, z_entry, P.x)
-    vec_back, y_entry = integrate_path(curve, list(reversed(path)), P.y(curve))
-    vec_loop, _ = integrate_path(curve, _flip_loop(curve, z_entry), -y_entry)
+    vec_back, ys = integrate_path(curve, path[::-1], P.y(curve))
+    vec_loop, _ = integrate_path(curve, _flip_loop(curve, z_entry), -ys[-1])
     return periods.A_inv @ (0.5 * vec_loop - vec_back)
 
 
@@ -554,27 +507,17 @@ def find_odd_char(rm: RiemannMatrix):
     return best
 
 
-@dataclass
-class ThetaLineBundle:
-    """Degree-(g-1) line bundle off the theta divisor, stored as the theta
-    point e with |theta(e)| above threshold (h^0 = 0)."""
-
-    e: np.ndarray
-    degree: int
-
-
-def random_line_bundle(rm: RiemannMatrix, rng, budget=1000, scale=None):
-    """Sample e uniformly in the fundamental parallelotope until
+def random_line_bundle(rm: RiemannMatrix, rng, scale, budget=1000):
+    """A degree-(g-1) line bundle off the theta divisor (h^0 = 0), as its
+    theta point e: sampled uniformly in the fundamental parallelotope until
     |theta(e)| clears 1e-4 * scale."""
-    if scale is None:
-        scale = theta_scale(rm)
     for _ in range(budget):
         u = rng.random(rm.g)
         v = rng.random(rm.g)
         e = u + rm.omega @ v
         val = theta(e, rm, tol=1e-10).value
         if abs(val) > 1e-4 * scale:
-            return ThetaLineBundle(e=e, degree=rm.g - 1)
+            return e
     raise RejectionBudgetExceeded("no bundle off the theta divisor in budget")
 
 

@@ -136,7 +136,7 @@ def divisor_symmetric_residual(ctx, n, rng):
 def prime_form_identity_residual(ctx, n, rng):
     """The three-block E/theta identity for an arbitrary degree-1 theta,
     realized with a random translate of the plain theta."""
-    e = random_line_bundle(ctx.rm, rng, scale=ctx.scale_raw).e
+    e = random_line_bundle(ctx.rm, rng, ctx.scale_raw)
     pts = _distinct_points(ctx, rng, 2 + 2 * n)
     X, Y, *ZT = (ctx.aj(p) for p in pts)
     Z, T = np.array(ZT[:n]), np.array(ZT[n:])
@@ -212,7 +212,7 @@ def maincor_kernel_residual(ctx, rng):
 def cross_formula_residual(ctx, rng):
     """massey_m3_prime against massey_m3_theta on a random triple."""
     x, y = _distinct_points(ctx, rng, 2)
-    xi = ctx.xi_of_bundle(random_line_bundle(ctx.rm, rng, scale=ctx.scale_raw))
+    xi = ctx.xi_of_bundle(random_line_bundle(ctx.rm, rng, ctx.scale_raw))
     m1 = massey_m3_prime(ctx, [xi], [x], [y])[0]
     m2 = massey_m3_theta(ctx, [xi], [x], [y])[0]
     return abs(m1 - m2), abs(m1 - m2) / abs(m1)

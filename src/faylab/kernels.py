@@ -28,7 +28,7 @@ import numpy as np
 from .theta import theta_batch, theta_gradient
 from .curves import (HyperellipticCurve, CurvePoint, PeriodData, make_point,
                      abel_jacobi, abel_jacobi_from_branch, find_odd_char,
-                     theta_scale, ThetaLineBundle, CurveError)
+                     theta_scale, CurveError)
 
 
 class KernelError(Exception):
@@ -100,9 +100,9 @@ class CurveContext:
                                     tol=self.tol)
         return self.mult * vals.reshape(Z.shape[:-1])
 
-    def xi_of_bundle(self, L):
-        e = L.e if isinstance(L, ThetaLineBundle) else np.asarray(L, dtype=complex)
-        return self.w - e
+    def xi_of_bundle(self, e):
+        """xi = w - e for the theta point e of a degree-(g-1) bundle."""
+        return self.w - np.asarray(e, dtype=complex)
 
     # -- kernels -----------------------------------------------------------
 

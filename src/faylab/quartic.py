@@ -203,9 +203,9 @@ def check_canprop(C4: PlaneQuartic, l, Q):
     return abs(total), abs(total) / scale
 
 
-def check_cor2(C4: PlaneQuartic, l, m1, m2):
-    """Three-term residue identity: for a line section {x, y, z, t} and
-    adjoint forms m1, m2 vanishing at t,
+def check_cor2(C4: PlaneQuartic, l, section, m1, m2):
+    """Three-term residue identity: for the section {x, y, z, t} of {l = 0}
+    (`line_section(C4, l)`) and adjoint forms m1, m2 vanishing at t,
 
         sum over {x,y,z} of m1(P) m2(P) / l(v_P) = 0,
 
@@ -214,7 +214,7 @@ def check_cor2(C4: PlaneQuartic, l, m1, m2):
     m1 = np.asarray(m1, dtype=complex)
     m2 = np.asarray(m2, dtype=complex)
     terms = [(m1 @ P) * (m2 @ P) / l_of_v(C4, l, P)
-             for P in line_section(C4, l)[:3]]
+             for P in section[:3]]
     total = sum(terms)
     scale = max(abs(tm) for tm in terms)
     if scale == 0.0:
@@ -229,39 +229,40 @@ def _plane_coords(u, v, lift):
     return sol
 
 
-def ratio_r(C4: PlaneQuartic, x_lift, y_lift, l):
-    """The hyperplane ratio r(x~, y~, H) computed two ways.
-
-    (a) through the section divisor: with H section = {x, y, D1, D2} and
-    L_i the forms on H vanishing at D_i,
-        r = L1(y~) L2(y~) / (L1(x~) L2(x~));
-    (b) through the tangent machinery: r = -l(v_y~) / l(v_x~).
-    Returns (r_divisor, r_tangent).
-    """
-    pts = line_section(C4, l)
+def section_index(l, section, lift):
+    """Index of the point of `section` (the section of {l = 0}) that
+    `lift` represents, compared in the line's coordinates (s, t)."""
     u, v = _line_basis(l)
-    coords = [_plane_coords(u, v, p) for p in pts]
-    cx = _plane_coords(u, v, np.asarray(x_lift, dtype=complex))
-    cy = _plane_coords(u, v, np.asarray(y_lift, dtype=complex))
-    # identify which section points are x and y
-    def match(c):
-        d = [abs(c[0] * cc[1] - c[1] * cc[0]) / (np.linalg.norm(c) * np.linalg.norm(cc))
-             for cc in coords]
-        i = int(np.argmin(d))
-        if d[i] > 1e-6:
-            raise QuarticError("lift does not lie on the hyperplane section")
-        return i
-    ix, iy = match(cx), match(cy)
+    c = _plane_coords(u, v, np.asarray(lift, dtype=complex))
+    d = [abs(c[0] * cc[1] - c[1] * cc[0]) / (np.linalg.norm(c) * np.linalg.norm(cc))
+         for cc in (_plane_coords(u, v, p) for p in section)]
+    i = int(np.argmin(d))
+    if d[i] > 1e-6:
+        raise QuarticError("lift does not lie on the hyperplane section")
+    return i
+
+
+def ratio_r(l, section, ix, iy, x_lift, y_lift):
+    """The hyperplane ratio r(x~, y~, H) through the section divisor: with
+    section[ix], section[iy] the points of x~ and y~ on H = {l = 0}, the
+    other two D1, D2, and L_i the forms on H vanishing at D_i,
+
+        r = L1(y~) L2(y~) / (L1(x~) L2(x~)).
+
+    The tangent machinery gives the same ratio as -l(v_y~) / l(v_x~).
+    """
     if ix == iy:
         raise QuarticError("x and y identify the same section point")
-    d_idx = [i for i in range(4) if i not in (ix, iy)]
-    L = []
-    for i in d_idx:
-        sD, tD = coords[i]
-        L.append(lambda c, sD=sD, tD=tD: c[0] * tD - c[1] * sD)
-    r_div = (L[0](cy) * L[1](cy)) / (L[0](cx) * L[1](cx))
-    r_tan = -l_of_v(C4, l, y_lift) / l_of_v(C4, l, x_lift)
-    return complex(r_div), complex(r_tan)
+    u, v = _line_basis(l)
+    cx = _plane_coords(u, v, np.asarray(x_lift, dtype=complex))
+    cy = _plane_coords(u, v, np.asarray(y_lift, dtype=complex))
+    num = den = 1.0
+    for i in range(4):
+        if i not in (ix, iy):
+            sD, tD = _plane_coords(u, v, section[i])
+            num = num * (cy[0] * tD - cy[1] * sD)
+            den = den * (cx[0] * tD - cx[1] * sD)
+    return complex(num / den)
 
 
 def reconstruct_tangent_coords(a_seq, b_seq):
@@ -333,7 +334,8 @@ def canprop_residual(C4: PlaneQuartic, rng):
 
 def cor2_residual(C4: PlaneQuartic, rng):
     l = _random_form(rng)
-    t_lift = line_section(C4, l)[3]
+    pts = line_section(C4, l)
+    t_lift = pts[3]
     jstar = int(np.argmax(np.abs(t_lift)))
     ms = []
     for _ in range(2):
@@ -341,14 +343,16 @@ def cor2_residual(C4: PlaneQuartic, rng):
         m = r.copy()
         m[jstar] -= (r @ t_lift) / t_lift[jstar]
         ms.append(m)
-    return check_cor2(C4, l, ms[0], ms[1])
+    return check_cor2(C4, l, pts, ms[0], ms[1])
 
 
 def ratio_dual_residual(C4: PlaneQuartic, rng):
     l = _random_form(rng)
     pts = line_section(C4, l)
     scales = rng.standard_normal(2) + 1j * rng.standard_normal(2)
-    r_div, r_tan = ratio_r(C4, pts[0] * scales[0], pts[1] * scales[1], l)
+    x, y = pts[0] * scales[0], pts[1] * scales[1]
+    r_div = ratio_r(l, pts, 0, 1, x, y)
+    r_tan = -l_of_v(C4, l, y) / l_of_v(C4, l, x)
     return abs(r_div - r_tan), abs(r_div - r_tan) / abs(r_div)
 
 
@@ -367,17 +371,22 @@ def tangent_reconstruction_residual(C4: PlaneQuartic, rng):
     The result must match the direct tangent-machinery values.
     """
     l0 = _random_form(rng)
-    x, y0 = line_section(C4, l0)[:2]
+    pts0 = line_section(C4, l0)
+    x, y0 = pts0[:2]
     l1 = _form_through(rng, [x])
+    pts1 = line_section(C4, l1)
     # a section point of l1 distinct from x
-    y1 = next((p for p in line_section(C4, l1)
+    iy = next((i for i, p in enumerate(pts1)
                if projective_distance(p, x) > 1e-6), None)
-    if y1 is None:
+    if iy is None:
         raise TangentOrSingularLine("the second line meets the quartic only at x")
-    c0 = ratio_r(C4, x, y0, l0)[0]
-    c1 = ratio_r(C4, x, y1, l1)[0]
-    recon = np.array([-l_of_v(C4, l0, y0) / c0, -l_of_v(C4, l1, y1) / c1])
-    direct = np.array([l_of_v(C4, l0, x), l_of_v(C4, l1, x)])
+    y1 = pts1[iy]
+    c0 = ratio_r(l0, pts0, 0, 1, x, y0)
+    tan0 = l_of_v(C4, l0, y0), l_of_v(C4, l0, x)
+    c1 = ratio_r(l1, pts1, section_index(l1, pts1, x), iy, x, y1)
+    tan1 = l_of_v(C4, l1, y1), l_of_v(C4, l1, x)
+    recon = np.array([-tan0[0] / c0, -tan1[0] / c1])
+    direct = np.array([tan0[1], tan1[1]])
     dist = projective_distance(recon, direct)
     return dist, dist
 

@@ -45,3 +45,18 @@ def agm_tau(e1, e2, e3):
 
 def central_diff(f, x, h=1e-5):
     return (f(x + h) - f(x - h)) / (2.0 * h)
+
+
+def brute_force_continuation(branch_points, lead, vertices, y0, steps=20000):
+    """y at every vertex of a polygon, continued from y0 at vertices[0] in
+    `steps` uniform steps per edge, each taking the square root of
+    lead * prod(x - e_k) nearest the previous y."""
+    ys = [complex(y0)]
+    for za, zb in zip(vertices[:-1], vertices[1:]):
+        x = np.linspace(za, zb, steps + 1)
+        r = np.sqrt(lead * np.prod(x[:, None] - np.asarray(branch_points), axis=1))
+        # the root nearest s r_{j-1} is s r_j when Re(r_j conj(r_{j-1})) >= 0
+        keep = np.where((r[1:] * r[:-1].conj()).real >= 0, 1, -1)
+        s = (1 if abs(r[0] - ys[-1]) <= abs(r[0] + ys[-1]) else -1) * np.prod(keep)
+        ys.append(s * r[-1])
+    return np.array(ys)

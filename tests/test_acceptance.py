@@ -152,11 +152,11 @@ def test_criterion_3_kernel_cross_oracle():
         ctx = build_context(cid)
 
         def one(rng):
-            L = random_line_bundle(ctx.rm, rng, scale=ctx.scale_raw)
+            e = random_line_bundle(ctx.rm, rng, ctx.scale_raw)
             P = sample_point(ctx, rng)
             Q = sample_point(ctx, rng)
-            m1 = massey_m3_prime(ctx, [ctx.xi_of_bundle(L)], [P], [Q])[0]
-            m2 = massey_m3_theta(ctx, [ctx.xi_of_bundle(L)], [P], [Q])[0]
+            m1 = massey_m3_prime(ctx, [ctx.xi_of_bundle(e)], [P], [Q])[0]
+            m2 = massey_m3_theta(ctx, [ctx.xi_of_bundle(e)], [P], [Q])[0]
             return abs(m1 - m2) / abs(m1)
 
         worst = max(worst, run_trials(one, 200, f"acc3|{cid}"))

@@ -10,13 +10,13 @@ from faylab.curves import (HyperellipticCurve, period_matrix, make_point,
                            integrate_path, BranchPointCollision, CurveError,
                            PathTooCloseToBranchPoint, RejectionBudgetExceeded,
                            _build_cycles, _attach_sheets, _intersection_matrix,
-                           _segment_feet, _track_points, _route, _flip_loop)
+                           _route, _flip_loop)
 from faylab.theta import theta, ThetaChar
 from faylab.kernels import riemann_constant, sample_point
 from faylab.registry import registry_entries
 
 from conftest import build_context
-from oracles import agm_tau, qseries_theta_char
+from oracles import agm_tau, brute_force_continuation, qseries_theta_char
 
 HYPERELLIPTIC = ["lemniscatic", "equianharmonic", "g2-real", "g3-real"]
 
@@ -58,7 +58,7 @@ class TestHomology:
         g = c.genus
         a_cycles, b_cycles = _build_cycles(c)
         for cyc in a_cycles + b_cycles:
-            _attach_sheets(c, cyc)
+            _attach_sheets(c, cyc, 32)
         M = _intersection_matrix(c, a_cycles + b_cycles)
         # diagonal blocks vanish; off-diagonal is +-identity
         assert np.array_equal(M[:g, :g], np.zeros((g, g), dtype=int))
@@ -66,50 +66,64 @@ class TestHomology:
         assert np.array_equal(np.abs(M[:g, g:]), np.eye(g, dtype=int))
 
 
-def tracker_segments(c):
-    """(za, zb, dmin) triples: a generic segment, one passing 0.05 min_gap
-    from a branch point, and a ray ending 7.2e-7 min_gap from that branch
-    point, with its walk sized from the other branch points (along the ray
-    the factor x - e does not rotate)."""
-    e = c.branch_points[1]
-    gap = c.min_gap
-    others = np.delete(c.branch_points, 1)
-    ray_in = e + 1.8e-6 * 0.4 * gap
-    return [(-2.3 - 1.1j, 3.1 + 1.7j, None),
-            (e + gap * (-0.5 + 0.05j), e + gap * (0.5 + 0.05j), None),
-            (e + 0.4 * gap, ray_in,
-             float(_segment_feet(others, e + 0.4 * gap, ray_in)[1].min()))]
+def near_branch_path(c):
+    """A polygon that comes within 0.01 min_gap of the branch point e_1,
+    winds once around it on a square of that radius, and leaves."""
+    e, gap = c.branch_points[1], c.min_gap
+    return ([-2.3 - 1.1j, e + gap * (0.3 + 0.6j)]
+            + [e + 0.01 * gap * 1j**k for k in range(1, 6)]
+            + [e + gap * (0.4 - 0.5j), 3.1 + 1.7j])
+
+
+def registry_curve(cid):
+    return HyperellipticCurve(registry_entries()[cid]["branch_points"], cid)
 
 
 class TestTracker:
+    @pytest.mark.parametrize("order", [16, 256])
+    @pytest.mark.parametrize("cid", HYPERELLIPTIC)
+    def test_matches_brute_force(self, cid, order):
+        c = registry_curve(cid)
+        path = near_branch_path(c)
+        y0 = c.y_principal(np.array([path[0]]))[0]
+        _, ys = integrate_path(c, path, y0, order)
+        ref = brute_force_continuation(c.branch_points, c.lead, path, y0)
+        assert np.all(np.abs(ys - ref) <= 1e-12 * np.abs(ref))
+
     @pytest.mark.parametrize("cid", HYPERELLIPTIC)
     def test_y_squared_is_f(self, cid):
-        entry = registry_entries()[cid]
-        c = HyperellipticCurve(entry["branch_points"], cid)
-        ts = np.linspace(0.0, 1.0, 41)[1:]
-        for za, zb, dmin in tracker_segments(c):
-            ya = c.y_principal(np.array([za]))[0]
-            ys, y_end = _track_points(c, za, zb, ya, ts, dmin)
-            fx = c.f(za + ts * (zb - za))
-            assert np.all(np.abs(ys**2 - fx) <= 1e-12 * np.abs(fx))
-            assert y_end == ys[-1]
+        c = registry_curve(cid)
+        path = near_branch_path(c)
+        _, ys = integrate_path(c, path, c.y_principal(np.array([path[0]]))[0])
+        fx = c.f(np.array(path))
+        assert np.all(np.abs(ys**2 - fx) <= 1e-12 * np.abs(fx))
 
     @pytest.mark.parametrize("cid", HYPERELLIPTIC)
     def test_split_walk_agrees(self, cid):
-        entry = registry_entries()[cid]
-        c = HyperellipticCurve(entry["branch_points"], cid)
-        for za, zb, dmin in tracker_segments(c):
-            zm = za + 0.37 * (zb - za)
-            ya = c.y_principal(np.array([za]))[0]
-            _, y_whole = _track_points(c, za, zb, ya, dmin=dmin)
-            _, y_mid = _track_points(c, za, zm, ya, dmin=dmin)
-            _, y_split = _track_points(c, zm, zb, y_mid, dmin=dmin)
-            assert abs(y_whole - y_split) <= 1e-13 * abs(y_whole)
+        c = registry_curve(cid)
+        path = near_branch_path(c)
+        y0 = c.y_principal(np.array([path[0]]))[0]
+        vec, ys = integrate_path(c, path, y0, 16)
+        for k in (0, 3, 6):
+            zm = path[k] + 0.37 * (path[k + 1] - path[k])
+            vec_split, ys_split = integrate_path(
+                c, path[:k + 1] + [zm] + path[k + 1:], y0, 16)
+            assert np.abs(vec_split - vec).max() <= 1e-12 * np.abs(vec).max()
+            assert abs(ys_split[-1] - ys[-1]) <= 1e-13 * abs(ys[-1])
+
+    @pytest.mark.parametrize("cid", HYPERELLIPTIC)
+    def test_order_independent(self, cid):
+        c = registry_curve(cid)
+        path = near_branch_path(c)
+        y0 = c.y_principal(np.array([path[0]]))[0]
+        v16, _ = integrate_path(c, path, y0, 16)
+        v256, _ = integrate_path(c, path, y0, 256)
+        assert np.abs(v16 - v256).max() <= 1e-12 * np.abs(v256).max()
 
     def test_touching_path_rejected(self):
         c = HyperellipticCurve([0.0, 1.0, -1.0])
         with pytest.raises(PathTooCloseToBranchPoint):
-            _track_points(c, -0.5 + 1e-10j, 0.5 + 1e-10j, 1.0)
+            integrate_path(c, [-0.5 + 1e-10j, 0.5 + 1e-10j], 1.0)
 
 
 class TestPeriods:
@@ -247,7 +261,8 @@ class TestAbelJacobi:
         flipped = 0
         for _ in range(30):
             P = sample_point(ctx, rng)
-            vec, y_end = integrate_path(c, _route(c, base.x, P.x), base.y(c))
+            vec, ys = integrate_path(c, _route(c, base.x, P.x), base.y(c))
+            y_end = ys[-1]
             if abs(y_end - P.y(c)) < abs(y_end + P.y(c)):
                 continue
             flipped += 1
@@ -264,7 +279,7 @@ class TestAbelJacobi:
         y_off = 1j * P.y(pd.curve)
 
         def off_sheet(curve, vertices, y0, order=32):
-            return integrate_path(curve, vertices, y0, order)[0], y_off
+            return integrate_path(curve, vertices, y0, order)[0], np.array([y_off])
 
         monkeypatch.setattr(curves, "integrate_path", off_sheet)
         with pytest.raises(CurveError, match="did not land"):
@@ -292,8 +307,8 @@ class TestLineBundles:
         rng = np.random.default_rng(9)
         scale = ctx_g2.scale
         for _ in range(5):
-            L = random_line_bundle(ctx_g2.rm, rng, scale=scale)
-            assert abs(theta(L.e, ctx_g2.rm).value) > 1e-4 * scale
+            e = random_line_bundle(ctx_g2.rm, rng, scale)
+            assert abs(theta(e, ctx_g2.rm).value) > 1e-4 * scale
 
     def test_budget_exceeded(self, ctx_g1):
         class ZeroRng:
@@ -308,23 +323,22 @@ class TestLineBundles:
             def random(self, n=None):
                 return self.u
         with pytest.raises(RejectionBudgetExceeded):
-            random_line_bundle(ctx_g1.rm, OnTheta(ctx_g1.rm), budget=10,
-                               scale=ctx_g1.scale)
+            random_line_bundle(ctx_g1.rm, OnTheta(ctx_g1.rm), ctx_g1.scale,
+                               budget=10)
 
     def test_lattice_representatives_agree(self, ctx_g1):
         # kernel values from e and e + lattice agree after the predicted
         # automorphy factor is cancelled
         from faylab.kernels import massey_m3_prime
-        from faylab.curves import ThetaLineBundle
         rng = np.random.default_rng(10)
-        L = random_line_bundle(ctx_g1.rm, rng, scale=ctx_g1.scale)
+        e = random_line_bundle(ctx_g1.rm, rng, ctx_g1.scale)
         P = sample_point(ctx_g1, rng)
         Q = sample_point(ctx_g1, rng)
         m = np.array([1.0])
         n = np.array([-2.0])
-        L2 = ThetaLineBundle(e=L.e + n + ctx_g1.rm.omega @ m, degree=L.degree)
-        m1 = massey_m3_prime(ctx_g1, [ctx_g1.xi_of_bundle(L)], [P], [Q])[0]
-        m2 = massey_m3_prime(ctx_g1, [ctx_g1.xi_of_bundle(L2)], [P], [Q])[0]
+        e2 = e + n + ctx_g1.rm.omega @ m
+        m1 = massey_m3_prime(ctx_g1, [ctx_g1.xi_of_bundle(e)], [P], [Q])[0]
+        m2 = massey_m3_prime(ctx_g1, [ctx_g1.xi_of_bundle(e2)], [P], [Q])[0]
         v = ctx_g1.diff(Q, P)
         # e -> e + lattice shifts xi by -lattice; the m3 ratio picks up
         # exp(-2 pi i m . v)

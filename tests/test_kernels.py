@@ -214,12 +214,12 @@ class TestMassey:
         rng = np.random.default_rng(12)
         done = 0
         while done < 200:
-            L = random_line_bundle(ctx.rm, rng, scale=ctx.scale)
+            e = random_line_bundle(ctx.rm, rng, ctx.scale)
             P = sample_point(ctx, rng)
             Q = sample_point(ctx, rng)
             try:
-                m1 = massey_m3_prime(ctx, [ctx.xi_of_bundle(L)], [P], [Q])[0]
-                m2 = massey_m3_theta(ctx, [ctx.xi_of_bundle(L)], [P], [Q])[0]
+                m1 = massey_m3_prime(ctx, [ctx.xi_of_bundle(e)], [P], [Q])[0]
+                m2 = massey_m3_theta(ctx, [ctx.xi_of_bundle(e)], [P], [Q])[0]
             except (NearDivisor, CoincidentPoints):
                 continue
             done += 1
@@ -232,14 +232,14 @@ class TestMassey:
         rng = np.random.default_rng(13)
         pairs = []
         for _ in range(60):
-            L = random_line_bundle(ctx_g1.rm, rng, scale=ctx_g1.scale)
+            e = random_line_bundle(ctx_g1.rm, rng, ctx_g1.scale)
             P = sample_point(ctx_g1, rng)
             Q = sample_point(ctx_g1, rng)
             try:
-                m = massey_m3_prime(ctx_g1, [ctx_g1.xi_of_bundle(L)], [P], [Q])[0]
+                m = massey_m3_prime(ctx_g1, [ctx_g1.xi_of_bundle(e)], [P], [Q])[0]
             except (NearDivisor, CoincidentPoints):
                 continue
-            shifted = abs(theta(L.e + ctx_g1.diff(Q, P), ctx_g1.rm).value)
+            shifted = abs(theta(e + ctx_g1.diff(Q, P), ctx_g1.rm).value)
             pairs.append((abs(m), shifted / ctx_g1.scale))
         small_m = [s for m, s in pairs if m < 1e-4]
         large_m = [s for m, s in pairs if m > 1e-1]
@@ -341,15 +341,15 @@ class TestSignFlips:
 
     def test_cross_formula_invariant_under_flip(self, ctx_g1):
         rng = np.random.default_rng(16)
-        L = random_line_bundle(ctx_g1.rm, rng, scale=ctx_g1.scale)
+        e = random_line_bundle(ctx_g1.rm, rng, ctx_g1.scale)
         P = sample_point(ctx_g1, rng)
         Q = sample_point(ctx_g1, rng)
-        m1 = massey_m3_prime(ctx_g1, [ctx_g1.xi_of_bundle(L)], [P], [Q])[0]
-        t1 = massey_m3_theta(ctx_g1, [ctx_g1.xi_of_bundle(L)], [P], [Q])[0]
+        m1 = massey_m3_prime(ctx_g1, [ctx_g1.xi_of_bundle(e)], [P], [Q])[0]
+        t1 = massey_m3_theta(ctx_g1, [ctx_g1.xi_of_bundle(e)], [P], [Q])[0]
         ctx_g1._h_cache[P.key()] = -ctx_g1._h_cache[P.key()]
         try:
-            m2 = massey_m3_prime(ctx_g1, [ctx_g1.xi_of_bundle(L)], [P], [Q])[0]
-            t2 = massey_m3_theta(ctx_g1, [ctx_g1.xi_of_bundle(L)], [P], [Q])[0]
+            m2 = massey_m3_prime(ctx_g1, [ctx_g1.xi_of_bundle(e)], [P], [Q])[0]
+            t2 = massey_m3_theta(ctx_g1, [ctx_g1.xi_of_bundle(e)], [P], [Q])[0]
         finally:
             ctx_g1._h_cache[P.key()] = -ctx_g1._h_cache[P.key()]
         # both routes flip together; their agreement is branch-insensitive

@@ -2,13 +2,13 @@ import numpy as np
 import pytest
 
 from faylab.quartic import (PlaneQuartic, line_section, l_of_v, check_canprop,
-                            check_cor2, ratio_r, reconstruct_tangent_coords,
+                            check_cor2, ratio_r, section_index, reconstruct_tangent_coords,
                             projective_distance, canprop_residual, cor2_residual,
                             ratio_dual_residual, tangent_reconstruction_residual,
                             reconstruct_synthetic_residual, _random_form,
                             _random_quadric, TangentOrSingularLine,
                             DegenerateForm, NotSmooth, NotAZero, HigherOrderZero,
-                            DegenerateRatios, _restrict_quartic)
+                            DegenerateRatios, QuarticError, _restrict_quartic)
 from faylab.registry import registry_entries
 from faylab.rng import trial_rng
 
@@ -209,7 +209,7 @@ class TestCor2:
         # every term carries l(P)^2 ~ roundoff^2
         rng = np.random.default_rng(10)
         l = _random_form(rng)
-        abs_r, rel_r = check_cor2(fermat, l, l, l)
+        abs_r, rel_r = check_cor2(fermat, l, line_section(fermat, l), l, l)
         assert abs_r < 1e-20
 
 
@@ -222,13 +222,12 @@ class TestRatio:
         assert worst < 1e-9
 
     def test_swap_divisor_labels(self, fermat):
-        # r is a symmetric product over D1, D2: label order cannot matter,
-        # which holds structurally (the product runs over the set)
+        # r is a symmetric product over D1, D2: label order cannot matter
         rng = np.random.default_rng(14)
         l = _random_form(rng)
         pts = line_section(fermat, l)
-        r1, _ = ratio_r(fermat, pts[0], pts[1], l)
-        r2, _ = ratio_r(fermat, pts[0], pts[1], l)
+        r1 = ratio_r(l, pts, 0, 1, pts[0], pts[1])
+        r2 = ratio_r(l, pts[[0, 1, 3, 2]], 0, 1, pts[0], pts[1])
         assert r1 == r2
 
     def test_lift_rescaling_law(self, fermat):
@@ -236,12 +235,28 @@ class TestRatio:
         l = _random_form(rng)
         pts = line_section(fermat, l)
         x, y = pts[0], pts[1]
-        r0, t0 = ratio_r(fermat, x, y, l)
         c, cp = 1.7 - 0.3j, -0.6 + 1.1j
-        r1, t1 = ratio_r(fermat, c * x, cp * y, l)
         law = (cp**2 / c**2)
+        r0 = ratio_r(l, pts, 0, 1, x, y)
+        r1 = ratio_r(l, pts, 0, 1, c * x, cp * y)
         assert abs(r1 - law * r0) < 1e-10 * abs(r1)
+        t0 = -l_of_v(fermat, l, y) / l_of_v(fermat, l, x)
+        t1 = -l_of_v(fermat, l, cp * y) / l_of_v(fermat, l, c * x)
         assert abs(t1 - law * t0) < 1e-10 * abs(t1)
+
+    def test_section_index(self, fermat):
+        rng = np.random.default_rng(20)
+        l = _random_form(rng)
+        pts = line_section(fermat, l)
+        assert [section_index(l, pts, (0.3 - 2j) * p) for p in pts] == [0, 1, 2, 3]
+        with pytest.raises(QuarticError, match="does not lie"):
+            section_index(l, pts, pts[0] + 1e-3 * np.array([1.0, 2.0, 3.0]))
+
+    def test_same_point_rejected(self, fermat):
+        l = _random_form(np.random.default_rng(21))
+        pts = line_section(fermat, l)
+        with pytest.raises(QuarticError, match="same section point"):
+            ratio_r(l, pts, 2, 2, pts[2], pts[2])
 
 
 class TestReconstruction:
@@ -289,3 +304,21 @@ class TestReconstruction:
             rng = trial_rng(19, f"recon|{which}", trial)
             worst = max(worst, tangent_reconstruction_residual(C4, rng)[1])
         assert worst < 1e-8
+
+
+@pytest.mark.parametrize("runner,sections,tangents", [
+    (canprop_residual, 1, 4), (cor2_residual, 1, 3),
+    (ratio_dual_residual, 1, 2), (tangent_reconstruction_residual, 2, 4)],
+    ids=["canprop", "cor2", "ratio_dual", "tangent_reconstruction"])
+def test_each_line_sectioned_once(monkeypatch, fermat, runner, sections, tangents):
+    # one trial sections each random line once and evaluates only the
+    # tangent quantities l(v_P) that its residual reads
+    import faylab.quartic as quartic
+    calls = {"line_section": 0, "l_of_v": 0}
+    for name in calls:
+        def counted(*args, _fn=getattr(quartic, name), _name=name):
+            calls[_name] += 1
+            return _fn(*args)
+        monkeypatch.setattr(quartic, name, counted)
+    runner(fermat, trial_rng(42, runner.__name__, 0))
+    assert calls == {"line_section": sections, "l_of_v": tangents}

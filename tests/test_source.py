@@ -1,4 +1,5 @@
 import ast
+import re
 from pathlib import Path
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "faylab"
@@ -70,3 +71,43 @@ def test_no_unread_attributes_in_package():
     paths = sorted(SRC.glob("*.py"))
     hits = _unread_attributes([ast.parse(p.read_text()) for p in paths])
     assert hits == [], "stored but never read: " + ", ".join(n for n, _ in hits)
+
+
+def _unreferenced_definitions(modules, trees):
+    """(module, name, line) for every module-level function or class of
+    `modules` that no tree names: as a bare name, as an attribute, or as a
+    string that is a (dotted) identifier, as in monkeypatch.setattr.
+    Imports do not count as uses."""
+    used = set()
+    for tree in trees:
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name):
+                used.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                used.add(node.attr)
+            elif (isinstance(node, ast.Constant) and isinstance(node.value, str)
+                  and re.fullmatch(r"[\w.]+", node.value)):
+                used.update(node.value.split("."))
+    return [(mod, node.name, node.lineno) for mod, tree in modules
+            for node in tree.body
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+            and node.name not in used]
+
+
+def test_unreferenced_definitions_detected():
+    lib = ast.parse("def f():\n    return g()\ndef g():\n    pass\n"
+                    "def h():\n    pass\nclass C:\n    pass\nclass D:\n    pass\n")
+    user = ast.parse("from lib import C, h\nimport lib\nlib.f()\n"
+                     "setattr(lib, 'lib.D', None)\n'''h is documented'''\n")
+    hits = _unreferenced_definitions([("lib", lib)], [lib, user])
+    assert [h[1] for h in hits] == ["h", "C"]
+
+
+def test_no_unreferenced_definitions_in_package():
+    root = SRC.parent.parent
+    modules = [(p.name, ast.parse(p.read_text())) for p in sorted(SRC.glob("*.py"))]
+    users = [ast.parse(p.read_text()) for d in ("src", "tests", "perfbench")
+             for p in sorted((root / d).rglob("*.py"))]
+    hits = _unreferenced_definitions(modules, users)
+    assert hits == [], "defined but never used: " + ", ".join(
+        f"{mod}:{line} {name}" for mod, name, line in hits)
