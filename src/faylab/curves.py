@@ -7,13 +7,14 @@ models are converted by a Moebius change of variable.  All contour work
 is done on closed polygonal paths in the x-plane with continuous
 analytic continuation of y (no branch-cut bookkeeping).
 
-One routine, `integrate_path`, continues y and integrates: it lays
-Gauss-Legendre panels no wider than half each edge's clearance from the
-branch points, evaluates f once at every vertex and node of the polygon,
-continues y through them with one cumulative sum of half-log ratios, and
-returns the integrals and y at every vertex.  Every period, crossing
-sheet match and Abel-Jacobi integral, branch-point endpoints included,
-is one call of it.
+One routine, `integrate_path`, continues y through the Gauss-Legendre
+nodes of a polygon and integrates along it; every period, crossing sheet
+match and Abel-Jacobi integral is one call of it.
+
+Abel-Jacobi integrals run along hub paths: from a hub on a circle about
+the branch point nearest P, round it to the angle of P, then straight out
+to P.  AJ from e_0 to each e_k is chained once across neighbouring pairs,
+so AJ(P) - AJ(base) is two hub paths and two cached constants.
 """
 
 from __future__ import annotations
@@ -40,6 +41,10 @@ class PathTooCloseToBranchPoint(CurveError):
     pass
 
 
+class PathTooLong(CurveError):
+    pass
+
+
 class NotSymplectic(CurveError):
     pass
 
@@ -50,14 +55,6 @@ class NoNonsingularOddChar(CurveError):
 
 class RejectionBudgetExceeded(CurveError):
     pass
-
-
-# ---------------------------------------------------------------------------
-# Gauss-Legendre panels
-
-@functools.lru_cache(maxsize=None)
-def _gl_nodes(order):
-    return np.polynomial.legendre.leggauss(order)
 
 
 # ---------------------------------------------------------------------------
@@ -156,13 +153,13 @@ def lattice_coords(z, rm: RiemannMatrix):
 # ---------------------------------------------------------------------------
 # analytic continuation of y along polygonal paths
 
+#: most quadrature nodes of one path (a registry cycle at order 256: ~11,000)
+MAX_PATH_NODES = 2**21
 
-def _segment_feet(points, za, zb):
-    """For each of `points`, the parameter t in [0, 1] of its nearest point
-    on the segment [za, zb] and its distance to the segment."""
-    seg = zb - za
-    t = np.clip(((points - za) / seg).real, 0.0, 1.0)
-    return t, np.abs(za + t * seg - points)
+
+@functools.lru_cache(maxsize=None)
+def _gl_nodes(order):
+    return np.polynomial.legendre.leggauss(order)
 
 
 def integrate_path(curve, vertices, y0, order=32):
@@ -171,35 +168,39 @@ def integrate_path(curve, vertices, y0, order=32):
 
     Each edge is cut into Gauss-Legendre panels no wider than half its
     clearance dmin from the branch points (an edge within 1e-6 of one is
-    refused).  y is continued through every vertex and node of the path in
-    one pass: y_{j+1} = y_j sqrt(f_{j+1} / f_j), the square root taken as
-    exp(log / 2) of a ratio that must keep |delta arg f| <= pi/2 and its
-    modulus in [0.1, 10] (else PathTooCloseToBranchPoint).  That test
-    cannot fail at order >= 16: consecutive points are at most 0.0475 dmin
-    apart, so each of the at most 7 factors x - e_k of f turns by less than
-    0.05 rad and changes modulus by less than 5 % per step.
+    refused, and a path of more than MAX_PATH_NODES nodes raises
+    PathTooLong before any node is laid).  y is continued through every
+    vertex and node of the path in one pass: y_{j+1} = y_j sqrt(f_{j+1} /
+    f_j), the square root taken as exp(log / 2) of a ratio that must keep
+    |delta arg f| <= pi/2 and its modulus in [0.1, 10] (else
+    PathTooCloseToBranchPoint).  That test cannot fail at order >= 16:
+    consecutive points are at most 0.0475 dmin apart, so each of the at
+    most 7 factors x - e_k of f turns by less than 0.05 rad and changes
+    modulus by less than 5 % per step.
     """
     z = np.asarray(vertices, dtype=complex)
+    za, seg, e = z[:-1, None], (z[1:] - z[:-1])[:, None], curve.branch_points
+    # each branch point's distance to its foot on each edge
+    t = ((e - za) / np.where(seg == 0, 1, seg)).real.clip(0.0, 1.0)
+    dmin = np.abs(za + t * seg - e).min(axis=1)
+    if (dmin <= 1e-6).any():
+        raise PathTooCloseToBranchPoint(
+            f"edge {np.argmax(dmin <= 1e-6)} within 1e-6 of a branch point")
+    panels = np.ceil(np.abs(seg[:, 0]) / (0.5 * dmin)).astype(int)
+    if panels.sum() * order > MAX_PATH_NODES:
+        raise PathTooLong(f"path needs {panels.sum() * order} quadrature nodes, "
+                          f"more than {MAX_PATH_NODES}")
     nodes, weights = _gl_nodes(order)
     xs, ws = [z[:1]], [np.zeros(1)]     # vertices carry weight 0
-    for za, zb in zip(z[:-1], z[1:]):
-        seg = zb - za
-        if seg != 0:
-            dmin = float(_segment_feet(curve.branch_points, za, zb)[1].min())
-            if dmin <= 1e-6:
-                raise PathTooCloseToBranchPoint(
-                    f"segment [{za:.4g}, {zb:.4g}] within 1e-6 of a branch point")
-            n_panels = max(1, int(math.ceil(abs(seg) / (0.5 * dmin))))
-            ts = (np.arange(n_panels)[:, None] + 0.5 * (nodes + 1.0)) / n_panels
-            xs.append(za + ts.ravel() * seg)
-            ws.append(np.tile(weights, n_panels) * (0.5 * seg / n_panels))
-        xs.append(np.array([zb]))
-        ws.append(np.zeros(1))
+    for za, zb, n in zip(z[:-1], z[1:], panels):
+        ts = (np.arange(n)[:, None] + 0.5 * (nodes + 1.0)) / max(n, 1)
+        xs += [za + ts.ravel() * (zb - za), np.array([zb])]
+        ws += [np.tile(weights, n) * (0.5 * (zb - za) / max(n, 1)), np.zeros(1)]
     x, w = np.concatenate(xs), np.concatenate(ws)
     fx = curve.f(x)
     ratios = fx[1:] / fx[:-1]
-    if np.any((np.abs(np.angle(ratios)) > 0.5 * math.pi)
-              | (np.abs(ratios) > 10.0) | (np.abs(ratios) < 0.1)):
+    modulus = np.abs(ratios)
+    if np.any((ratios.real < 0) | (modulus > 10.0) | (modulus < 0.1)):
         raise PathTooCloseToBranchPoint("continuation step too coarse for f")
     y = y0 * np.exp(np.concatenate([[0.0], np.cumsum(0.5 * np.log(ratios))]))
     return (x ** np.arange(curve.genus)[:, None] / y) @ w, y[w == 0]
@@ -335,7 +336,9 @@ class PeriodData:
         self.curve = curve
         self.A_inv = np.linalg.inv(A)
         self.rm = rm
-        self._branch_aj = {}    # (base.key(), k) -> AJ_base(e_k)
+        self._hubs = {}         # k -> (y at h_k, A^-1 int_{e_k}^{h_k})
+        self._branch = None     # row k: A^-1 int_{e_0}^{e_k}
+        self._base_aj = {}      # base.key() -> A^-1 int_{e_0}^base
 
 
 def period_matrix(curve: HyperellipticCurve, quadrature_order=32):
@@ -377,102 +380,84 @@ def period_matrix(curve: HyperellipticCurve, quadrature_order=32):
 # Abel-Jacobi
 
 
-def _route(curve, za, zb, detour_seed=0):
-    """Polyline from za to zb keeping clear of branch points.
-
-    Straight segments get a perpendicular detour waypoint around any
-    branch point they approach too closely; detour side is deterministic
-    in detour_seed.
-    """
-    clear = 0.2 * curve.min_gap
-    path = [za, zb]
-    for _ in range(12):
-        changed = False
-        new_path = [path[0]]
-        for p, q in zip(path[:-1], path[1:]):
-            seg = q - p
-            if abs(seg) > 0:
-                t, dists = _segment_feet(curve.branch_points, p, q)
-                k = int(np.argmin(dists))
-                if dists[k] < clear and 0.0 < t[k] < 1.0:
-                    e = curve.branch_points[k]
-                    n = 1j * seg / abs(seg)
-                    side = 1.0 if (detour_seed + k) % 2 == 0 else -1.0
-                    off = e - (p + t[k] * seg)
-                    if abs(off) > 1e-12:
-                        n = -off / abs(off)
-                        side = 1.0
-                    new_path.append(e + side * n * 2.2 * clear)
-                    changed = True
-            new_path.append(q)
-        path = new_path
-        if not changed:
-            break
-    return path
+def _nearest_branch(curve, x):
+    return int(np.argmin(np.abs(curve.branch_points - x)))
 
 
-def _flip_loop(curve, x0):
-    """Closed polyline from x0 around the nearest branch point (sheet flip)."""
-    k = int(np.argmin(np.abs(curve.branch_points - x0)))
-    e = curve.branch_points[k]
-    d = np.abs(np.delete(curve.branch_points, k) - e).min()
-    r = 0.3 * min(d, abs(x0 - e))
-    u = (x0 - e) / abs(x0 - e)
-    ring = [e + r * u * np.exp(2j * np.pi * t / 8) for t in range(9)]
-    return [x0] + ring + [x0]
+def _hub_path(curve, k, x, turns=0):
+    """Polygon from the hub h_k = e_k + rho_k, rho_k half the distance from
+    e_k to the next branch point, along |z - e_k| = rho_k in chords of at
+    most a quarter turn to the angle of x (plus `turns` full turns), then
+    straight to x.  If e_k is a nearest branch point of x, the path keeps
+    min(0.7 rho_k, |x - e_k|) clear of all: within rho_k of e_k the rest
+    are rho_k away, and chords keep rho_k cos(pi/4), the leg |x - e_k| from
+    e_k; beyond, the open disk about a leg point z of radius |z - e_k| lies
+    in the one about x of radius |x - e_k|, which holds no branch point."""
+    e = curve.branch_points
+    rho = 0.5 * np.sort(np.abs(e - e[k]))[1]
+    angle = np.angle(x - e[k]) + 2.0 * math.pi * turns
+    n = max(1, math.ceil(abs(angle) / (0.5 * math.pi)))
+    return list(e[k] + rho * np.exp(1j * angle * np.arange(n + 1) / n)) + [x]
 
 
-def abel_jacobi(periods: PeriodData, P: CurvePoint, base: CurvePoint,
-                detour_seed=0):
-    """A^-1 int_base^P of the differential vector, on an auto-routed path.
-
-    When the routed path lands on iota P instead, reflect through the branch
-    point e_k nearest P: iota negates integrals from e_k, so
-    AJ(P) = 2 c_k - AJ(iota P), with c_k = AJ_base(e_k) cached per (base, k).
-    """
+def _from_hub(periods, P, k):
+    """A^-1 int_{e_k}^P along the hub path.  The involution negates integrals
+    from e_k, so the hub constant A^-1 int_{e_k}^{h_k} (principal y) is half
+    a full turn from iota h_k, and a path landing on iota P gives -AJ(P)."""
     curve = periods.curve
-    path = _route(curve, base.x, P.x, detour_seed=detour_seed)
-    vec, ys = integrate_path(curve, path, base.y(curve))
-    y_end = ys[-1]
-    y_target = P.y(curve)
-    aj = periods.A_inv @ vec
-    if abs(y_end + y_target) <= 1e-6 * abs(y_target):
-        k = int(np.argmin(np.abs(curve.branch_points - P.x)))
-        key = (base.key(), k)
-        if key not in periods._branch_aj:
-            periods._branch_aj[key] = -abel_jacobi_from_branch(periods, base, k)
-        return 2.0 * periods._branch_aj[key] - aj
-    if abs(y_end - y_target) > 1e-6 * abs(y_target):
-        raise CurveError("sheet tracking did not land on the requested point")
-    return aj
+    if k not in periods._hubs:
+        h = _hub_path(curve, k, curve.branch_points[k])[0]   # the hub h_k
+        y_h = complex(curve.y_principal(h))
+        loop, _ = integrate_path(curve, _hub_path(curve, k, h, turns=1), -y_h)
+        periods._hubs[k] = y_h, 0.5 * (periods.A_inv @ loop)
+    y_h, c_k = periods._hubs[k]
+    vec, ys = integrate_path(curve, _hub_path(curve, k, P.x), y_h)
+    y = P.y(curve)
+    for sign in (1, -1):
+        if abs(ys[-1] - sign * y) <= 1e-6 * abs(y):
+            return sign * (c_k + periods.A_inv @ vec)
+    raise CurveError("sheet tracking did not land on the requested point")
+
+
+def _branch_constants(periods):
+    """Row k: A^-1 int_{e_0}^{e_k}, built on first use by a chain from e_0
+    across each pair (e_j, e_k) whose midpoint m has no nearer branch point
+    (these include the nearest-neighbour tree, so every k is reached):
+    int_{e_0}^{e_k} = int_{e_0}^{e_j} + int_{e_j}^m - int_{e_k}^m.  Each is
+    reduced into the cell [-1/4, 3/4)^2g of lattice coordinates."""
+    if periods._branch is None:
+        e, rm = periods.curve.branch_points, periods.rm
+        consts, reached = {0: np.zeros(periods.curve.genus, dtype=complex)}, [0]
+        for j in reached:
+            for k in range(len(e)):
+                m = 0.5 * (e[j] + e[k])
+                if k not in consts and np.abs(e - m).min() >= (1 - 1e-9) * abs(m - e[j]):
+                    M = CurvePoint(complex(m), 1)
+                    v = consts[j] + _from_hub(periods, M, j) - _from_hub(periods, M, k)
+                    al, be = lattice_coords(v, rm)
+                    consts[k] = v - np.floor(al + 0.25) - rm.omega @ np.floor(be + 0.25)
+                    reached.append(k)
+        periods._branch = np.array([consts[k] for k in range(len(e))])
+    return periods._branch
+
+
+def abel_jacobi(periods: PeriodData, P: CurvePoint, base: CurvePoint):
+    """A^-1 int_base^P = AJ_{e_0}(P) - AJ_{e_0}(base), the base term cached."""
+    if base.key() not in periods._base_aj:
+        periods._base_aj[base.key()] = abel_jacobi_from_branch(periods, base)
+    return abel_jacobi_from_branch(periods, P) - periods._base_aj[base.key()]
 
 
 def abel_jacobi_from_branch(periods: PeriodData, P: CurvePoint, branch_index=0):
-    """A^-1 int_{e_k}^P: the routed path from an entry point E near e_k to
-    P, plus half the flip loop from iota(E) to E, since the involution
-    negates integrals from e_k and so int_{iota E}^E = 2 int_{e_k}^E."""
-    curve = periods.curve
-    e_k = curve.branch_points[branch_index]
-    d = np.abs(np.delete(curve.branch_points, branch_index) - e_k).min()
-    z_entry = e_k + 0.4 * d * (P.x - e_k) / abs(P.x - e_k)
-    path = _route(curve, z_entry, P.x)
-    vec_back, ys = integrate_path(curve, path[::-1], P.y(curve))
-    vec_loop, _ = integrate_path(curve, _flip_loop(curve, z_entry), -ys[-1])
-    return periods.A_inv @ (0.5 * vec_loop - vec_back)
+    """A^-1 int_{e_k}^P, k = branch_index, through the branch point nearest P."""
+    n = _nearest_branch(periods.curve, P.x)
+    consts = _branch_constants(periods)
+    return consts[n] - consts[branch_index] + _from_hub(periods, P, n)
 
 
 def abel_jacobi_between_branch_points(periods: PeriodData, j, k):
-    """A^-1 int_{e_k}^{e_j} through a midpoint off the branch locus."""
-    curve = periods.curve
-    ej, ek = curve.branch_points[j], curve.branch_points[k]
-    mid = 0.5 * (ej + ek) + 0.31j * abs(ej - ek)
-    if curve.dist_to_branch(np.array([mid]))[0] < 0.15 * curve.min_gap:
-        mid = 0.5 * (ej + ek) - 0.43j * abs(ej - ek)
-    Pmid = CurvePoint(complex(mid), 1)
-    to_j = abel_jacobi_from_branch(periods, Pmid, j)
-    to_k = abel_jacobi_from_branch(periods, Pmid, k)
-    # int_{e_k}^{e_j} = int_{e_k}^{mid} - int_{e_j}^{mid}
-    return to_k - to_j
+    """A^-1 int_{e_k}^{e_j}."""
+    return _branch_constants(periods)[j] - _branch_constants(periods)[k]
 
 
 # ---------------------------------------------------------------------------

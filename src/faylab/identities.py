@@ -297,9 +297,8 @@ def quasidet_geometric_residual(ctx, n, rng, block=1):
 # carrier-level checks (no curve)
 
 
-def quasidet_det_ratio_residual(rng, n=None):
-    if n is None:
-        n = int(rng.integers(2, 6))
+def quasidet_det_ratio_residual(env, rng):
+    n = int(rng.integers(2, 6))
     A = random_quasimatrix(rng, n, 1)
     M = A.entries[:, :, 0, 0]
     i = int(rng.integers(0, n))
@@ -313,23 +312,27 @@ def quasidet_det_ratio_residual(rng, n=None):
     return abs(q - oracle), abs(q - oracle) / abs(oracle)
 
 
-def sylvester_residual(rng, n=3, k=2):
-    A = random_quasimatrix(rng, n, k)
-    r = check_sylvester(A, int(rng.integers(1, n)))
+#: n x n carriers of k x k blocks; the column expansion draws n in 2..COLUMN_N
+CARRIER_N, CARRIER_K, COLUMN_N = 3, 2, 4
+
+
+def sylvester_residual(env, rng):
+    A = random_quasimatrix(rng, CARRIER_N, CARRIER_K)
+    r = check_sylvester(A, int(rng.integers(1, CARRIER_N)))
     return r, r
 
 
-def column_expansion_residual(rng, n=4, k=2):
-    A = random_quasimatrix(rng, int(rng.integers(2, n + 1)), k)
+def column_expansion_residual(env, rng):
+    A = random_quasimatrix(rng, int(rng.integers(2, COLUMN_N + 1)), CARRIER_K)
     r = check_column_expansion(A)
     return r, r
 
 
-def homological_residual(rng, n=3, k=2):
-    A = random_quasimatrix(rng, n, k)
-    idx = rng.permutation(n)
+def homological_residual(env, rng):
+    A = random_quasimatrix(rng, CARRIER_N, CARRIER_K)
+    idx = rng.permutation(CARRIER_N)
     i, krow = int(idx[0]), int(idx[1])
-    idx = rng.permutation(n)
+    idx = rng.permutation(CARRIER_N)
     j, lcol = int(idx[0]), int(idx[1])
     r1 = check_row_homological(A, i, j, krow, lcol)
     r2 = check_col_homological(A, i, j, krow, lcol)
@@ -407,14 +410,10 @@ for kind, rows in [
          {"fermat": (100, 1e-10), 3: (100, 1e-10)}),
     ]),
     ("carrier", [
-        ("quasidet_det_ratio", lambda env, rng: quasidet_det_ratio_residual(rng),
-         {"-": (100, 1e-9)}),
-        ("quasidet_sylvester", lambda env, rng: sylvester_residual(rng),
-         {"-": (100, 1e-9)}),
-        ("quasidet_column_expansion", lambda env, rng: column_expansion_residual(rng),
-         {"-": (100, 1e-9)}),
-        ("quasidet_homological", lambda env, rng: homological_residual(rng),
-         {"-": (100, 1e-9)}),
+        ("quasidet_det_ratio", quasidet_det_ratio_residual, {"-": (100, 1e-9)}),
+        ("quasidet_sylvester", sylvester_residual, {"-": (100, 1e-9)}),
+        ("quasidet_column_expansion", column_expansion_residual, {"-": (100, 1e-9)}),
+        ("quasidet_homological", homological_residual, {"-": (100, 1e-9)}),
     ]),
 ]:
     for name, runner, table in rows:

@@ -60,3 +60,10 @@ def brute_force_continuation(branch_points, lead, vertices, y0, steps=20000):
         s = (1 if abs(r[0] - ys[-1]) <= abs(r[0] + ys[-1]) else -1) * np.prod(keep)
         ys.append(s * r[-1])
     return np.array(ys)
+
+
+def branch_expansion(e_k, x, y, genus):
+    """Leading term of int_{e_k}^{(x, y)} t^i dt / y(t), i < genus, near the
+    branch point e_k: there y^2 is c (t - e_k) to first order, so the
+    integral is 2 e_k^i (x - e_k) / y."""
+    return 2.0 * e_k ** np.arange(genus) * (x - e_k) / y

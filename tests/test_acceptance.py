@@ -10,7 +10,7 @@ import pytest
 
 from faylab.theta import (RiemannMatrix, theta, theta_gradient, theta_chars)
 from faylab.curves import (HyperellipticCurve, period_matrix, abel_jacobi,
-                           make_point, lattice_coords)
+                           lattice_coords)
 from faylab.kernels import (prime_form, massey_m3_prime, massey_m3_theta,
                             sample_point, NearDivisor, CoincidentPoints)
 from faylab.curves import random_line_bundle
@@ -30,7 +30,7 @@ from faylab.quartic import (canprop_residual, cor2_residual, ratio_dual_residual
 from faylab.rng import trial_rng
 from faylab.report import report_record
 
-from conftest import build_context
+from conftest import build_context, far_path_aj
 from oracles import qseries_theta3, agm_tau
 
 RMS = {1: RiemannMatrix([[1j]]),
@@ -125,25 +125,29 @@ def test_criterion_2_periods():
         om = pdd.rm.omega
         worst_sym = max(worst_sym, float(np.abs(om - om.T).max()))
         min_eig = min(min_eig, float(np.linalg.eigvalsh(om.imag).min()))
-    # path independence
+    # path independence: AJ against one integral along a polygon through a
+    # far point, at the point where the polygon lands
     ctx = build_context("g2-real")
     worst_frac = 0.0
+    compared = 0
     rng = np.random.default_rng(7)
     for _ in range(10):
         P = sample_point(ctx, rng)
         Q = sample_point(ctx, rng)
-        v1 = abel_jacobi(ctx.periods, P, Q, detour_seed=0)
-        mid = make_point(ctx.curve, 6.0 + 3.0j, 1)
-        v2 = abel_jacobi(ctx.periods, P, mid) + abel_jacobi(ctx.periods, mid, Q)
-        al, be = lattice_coords(v1 - v2, ctx.rm)
+        hit = far_path_aj(ctx.periods, Q, P)
+        if hit is None:
+            continue
+        vec, landed = hit
+        al, be = lattice_coords(abel_jacobi(ctx.periods, landed, Q) - vec, ctx.rm)
         worst_frac = max(worst_frac, float(np.abs(al - np.round(al)).max()),
                          float(np.abs(be - np.round(be)).max()))
+        compared += 1
     elapsed = time.time() - t0
     ok = (agm_err < 1e-8 and worst_sym < 1e-10 and min_eig > 0
-          and worst_frac < 1e-8 and elapsed < 120)
+          and worst_frac < 1e-8 and compared >= 8 and elapsed < 120)
     announce(2, "periods (AGM oracle/symmetry/positivity/path independence)", ok,
              f"agm {agm_err:.2e} sym {worst_sym:.2e} eig {min_eig:.3f} "
-             f"path {worst_frac:.2e} in {elapsed:.1f}s")
+             f"path {worst_frac:.2e} over {compared} in {elapsed:.1f}s")
 
 
 def test_criterion_3_kernel_cross_oracle():

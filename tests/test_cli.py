@@ -149,6 +149,26 @@ class TestBadCurves:
         assert err[at + 1] == ("  reason: BranchPointCollision: branch points "
                                "closer than 1e-8 (min gap 0.00e+00)")
 
+    def test_spread_branch_points_fail_fast(self, tmp_path, monkeypatch, capsys):
+        # a b-cycle past a branch point 1e6 away would need about 2.6e8
+        # quadrature nodes: one error line from periods, failing reports
+        # for that curve only from verify
+        entry = {"id": "spread", "type": "hyperelliptic",
+                 "branch_points": [[0.0, 0.0], [1.0, 0.0], [1e6, 0.0]]}
+        (tmp_path / "spread.json").write_text(json.dumps(entry))
+        monkeypatch.setenv("FAYLAB_REGISTRY", str(tmp_path))
+        assert run_cli(["periods", "--curve", "spread"]) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: path needs")
+        out = tmp_path / "rep.jsonl"
+        assert run_cli(["verify", "--identity", "skewsym_n2", "--curve",
+                        "spread,lemniscatic", "--trials", "3",
+                        "--out", str(out)]) == 1
+        recs = [json.loads(line) for line in out.read_text().splitlines()]
+        assert [(r["curve"], r["pass"], r["completed"]) for r in recs] == [
+            ("spread", False, 0), ("lemniscatic", True, 3)]
+        assert "  reason: PathTooLong: path needs" in capsys.readouterr().err
+
     def test_user_quartic_runs_the_quartic_identities(self, tmp_path, monkeypatch,
                                                       capsys):
         # the Klein quartic; a user quartic takes the genus-3 rows

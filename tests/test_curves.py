@@ -1,22 +1,27 @@
+import time
+from itertools import combinations
+
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from faylab import curves
-from faylab.curves import (HyperellipticCurve, period_matrix, make_point,
-                           abel_jacobi, abel_jacobi_from_branch,
+from faylab.curves import (HyperellipticCurve, CurvePoint, period_matrix,
+                           make_point, abel_jacobi, abel_jacobi_from_branch,
                            abel_jacobi_between_branch_points,
                            lattice_coords, find_odd_char,
                            random_line_bundle, vanishing_locus_check,
                            integrate_path, BranchPointCollision, CurveError,
-                           PathTooCloseToBranchPoint, RejectionBudgetExceeded,
-                           _build_cycles, _attach_sheets, _intersection_matrix,
-                           _route, _flip_loop)
+                           PathTooCloseToBranchPoint, PathTooLong,
+                           RejectionBudgetExceeded,
+                           _build_cycles, _attach_sheets, _intersection_matrix)
 from faylab.theta import theta, ThetaChar
 from faylab.kernels import riemann_constant, sample_point
 from faylab.registry import registry_entries
 
-from conftest import build_context
-from oracles import agm_tau, brute_force_continuation, qseries_theta_char
+from conftest import build_context, far_path_aj, polygon_clearance
+from oracles import (agm_tau, branch_expansion, brute_force_continuation,
+                     qseries_theta_char)
 
 HYPERELLIPTIC = ["lemniscatic", "equianharmonic", "g2-real", "g3-real"]
 
@@ -151,6 +156,14 @@ class TestPeriods:
         _, _, pd2 = period_matrix(c, quadrature_order=64)
         assert np.abs(pd1.rm.omega - pd2.rm.omega).max() < 1e-10
 
+    def test_spread_branch_points_refused_fast(self):
+        # the b-cycle would need about 2.6e8 nodes at order 32
+        c = HyperellipticCurve([0.0, 1.0, 1e6], "spread")
+        t0 = time.perf_counter()
+        with pytest.raises(PathTooLong, match="quadrature nodes"):
+            period_matrix(c)
+        assert time.perf_counter() - t0 < 1.0
+
     def test_order_floor(self):
         c = HyperellipticCurve([0.0, 1.0, -1.0])
         with pytest.raises(ValueError):
@@ -211,19 +224,21 @@ class TestAbelJacobi:
             assert frac_dist(v + w, pd.rm) < 1e-9
 
     def test_path_independence(self, ctx_g2):
+        # AJ against one integral along a polygon Q -> F -> P through a far
+        # point F, compared at the point over P.x where the polygon lands
         pd = ctx_g2.periods
         rng = np.random.default_rng(6)
-        for seed in range(4):
+        compared = 0
+        for _ in range(4):
             P = sample_point(ctx_g2, rng)
             Q = sample_point(ctx_g2, rng)
-            v1 = abel_jacobi(pd, P, Q, detour_seed=0)
-            v2 = abel_jacobi(pd, P, Q, detour_seed=1)
-            # route through an explicit far midpoint for an honestly
-            # different homotopy class
-            mid = make_point(ctx_g2.curve, 6.0 + 3.0j, 1)
-            v3 = abel_jacobi(pd, P, mid) + abel_jacobi(pd, mid, Q)
-            assert frac_dist(v1 - v2, pd.rm) < 1e-8
-            assert frac_dist(v1 - v3, pd.rm) < 1e-8
+            hit = far_path_aj(pd, Q, P)
+            if hit is None:
+                continue
+            vec, landed = hit
+            assert frac_dist(abel_jacobi(pd, landed, Q) - vec, pd.rm) < 1e-8
+            compared += 1
+        assert compared >= 3
 
     def test_branch_points_are_half_periods(self):
         for cid in HYPERELLIPTIC:
@@ -251,25 +266,45 @@ class TestAbelJacobi:
                 assert frac_dist(v - ref, pd.rm) < 1e-13
 
     @pytest.mark.parametrize("cid", HYPERELLIPTIC)
-    def test_branch_constant_matches_flip_loop(self, cid):
-        # where the routed path lands on iota P, AJ(P) = 2 AJ(e_k) - AJ(iota P)
-        # must equal the routed path closed by a flip loop around the
-        # branch point nearest P, modulo the lattice
-        ctx = build_context(cid)
-        pd, base, c = ctx.periods, ctx.base, ctx.curve
-        rng = np.random.default_rng(16)
-        flipped = 0
-        for _ in range(30):
-            P = sample_point(ctx, rng)
-            vec, ys = integrate_path(c, _route(c, base.x, P.x), base.y(c))
-            y_end = ys[-1]
-            if abs(y_end - P.y(c)) < abs(y_end + P.y(c)):
-                continue
-            flipped += 1
-            vec_loop, _ = integrate_path(c, _flip_loop(c, P.x), y_end)
-            ref = pd.A_inv @ (vec + vec_loop)
-            assert frac_dist(abel_jacobi(pd, P, base) - ref, pd.rm) < 1e-12
-        assert flipped > 0
+    def test_hub_constant_local_expansion(self, cid):
+        # at 1e-3 rho_k from e_k, in 8 directions and on both sheets, AJ
+        # from e_k is the leading term of the local expansion
+        pd = build_context(cid).periods
+        c = pd.curve
+        for k, e_k in enumerate(c.branch_points):
+            rho = 0.5 * np.abs(np.delete(c.branch_points, k) - e_k).min()
+            for d in range(8):
+                for sheet in (1, -1):
+                    P = make_point(c, e_k + 1e-3 * rho * np.exp(0.25j * np.pi * d), sheet)
+                    ref = pd.A_inv @ branch_expansion(e_k, P.x, P.y(c), c.genus)
+                    got = abel_jacobi_from_branch(pd, P, k)
+                    assert np.abs(got - ref).max() <= 1e-2 * np.abs(ref).max()
+
+    @pytest.mark.parametrize("cid", HYPERELLIPTIC)
+    def test_hub_routes_agree_on_bisectors(self, cid):
+        # where two chained branch points tie as nearest, routing through
+        # either gives the same point of the Jacobian
+        pd = build_context(cid).periods
+        c = pd.curve
+        e = c.branch_points
+        B = [abel_jacobi_between_branch_points(pd, j, 0) for j in range(len(e))]
+        checked = 0
+        for j, k in combinations(range(len(e)), 2):
+            m, r = 0.5 * (e[j] + e[k]), 0.5 * abs(e[k] - e[j])
+            if c.dist_to_branch(m) < (1 - 1e-9) * r:
+                continue                      # a nearer branch point: not chained
+            u = 1j * (e[k] - e[j]) / abs(e[k] - e[j])
+            for s in (-0.6, -0.25, 0.25, 0.6):
+                x = m + s * r * u
+                if c.dist_to_branch(x) < (1 - 1e-9) * abs(x - e[j]):
+                    continue                  # e_j and e_k no longer nearest
+                for sheet in (1, -1):
+                    X = CurvePoint(complex(x), sheet)
+                    v_j = B[j] + curves._from_hub(pd, X, j)
+                    v_k = B[k] + curves._from_hub(pd, X, k)
+                    assert frac_dist(v_j - v_k, pd.rm) < 1e-12
+                    checked += 1
+        assert checked >= 8
 
     def test_unlanded_sheet_raises(self, ctx_g1, monkeypatch):
         # a continuation that ends on neither sheet over P is an error, not
@@ -284,6 +319,30 @@ class TestAbelJacobi:
         monkeypatch.setattr(curves, "integrate_path", off_sheet)
         with pytest.raises(CurveError, match="did not land"):
             abel_jacobi(pd, P, ctx_g1.base)
+
+
+unit_square = st.tuples(st.floats(-1.0, 1.0), st.floats(-1.0, 1.0)).map(
+    lambda p: complex(*p))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.sampled_from([3, 5, 7]).flatmap(
+           lambda n: st.lists(unit_square, min_size=n, max_size=n)),
+       unit_square.map(lambda x: 1.5 * x))
+def test_hub_path_clearance(pts, x):
+    # the hub path of x's nearest branch point keeps min(0.7 rho_k, |x - e_k|)
+    # clear of every branch point
+    e = np.array(pts)
+    gaps = np.abs(e[:, None] - e[None, :]) + np.eye(len(e))
+    assume(gaps.min() >= 0.05)
+    c = HyperellipticCurve(e)
+    k = curves._nearest_branch(c, x)
+    e_k = c.branch_points[k]
+    assume(abs(x - e_k) > 1e-6)
+    rho = 0.5 * np.abs(np.delete(c.branch_points, k) - e_k).min()
+    path = curves._hub_path(c, k, x)
+    bound = min(0.7 * rho, abs(x - e_k))
+    assert polygon_clearance(path, c.branch_points) >= (1 - 1e-9) * bound
 
 
 class TestCharacteristics:

@@ -1,4 +1,5 @@
 import ast
+import math
 import re
 from pathlib import Path
 
@@ -111,3 +112,101 @@ def test_no_unreferenced_definitions_in_package():
     hits = _unreferenced_definitions(modules, users)
     assert hits == [], "defined but never used: " + ", ".join(
         f"{mod}:{line} {name}" for mod, name, line in hits)
+
+
+def _defaults(tree):
+    """{name: [(qualname, [params with defaults, as (name, position)])]}
+    for every function of the tree, with a method's first parameter dropped
+    and a class's name mapped to its __init__ (position None: keyword only)."""
+    found = {}
+
+    def add(fn, name, qualname, skip):
+        a = fn.args
+        pos = (a.posonlyargs + a.args)[skip:]
+        params = [(p.arg, i) for i, p in enumerate(pos)][len(pos) - len(a.defaults):]
+        params += [(p.arg, None) for p, d in zip(a.kwonlyargs, a.kw_defaults) if d]
+        if params:
+            found.setdefault(name, []).append((qualname, params))
+
+    for node in tree.body:
+        if isinstance(node, ast.FunctionDef):
+            add(node, node.name, node.name, 0)
+        elif isinstance(node, ast.ClassDef):
+            for fn in node.body:
+                if isinstance(fn, ast.FunctionDef):
+                    name = node.name if fn.name == "__init__" else fn.name
+                    add(fn, name, f"{node.name}.{fn.name}", 1)
+    return found
+
+
+def _set_params(defs, trees):
+    """The set of qualname.param that some call in `trees` sets, by keyword
+    or by position; a call is matched to every definition of its name."""
+    hits = set()
+    for tree in trees:
+        for call in ast.walk(tree):
+            if not isinstance(call, ast.Call):
+                continue
+            name = getattr(call.func, "id", getattr(call.func, "attr", None))
+            n_pos = (math.inf if any(isinstance(a, ast.Starred) for a in call.args)
+                     else len(call.args))
+            kws = {k.arg for k in call.keywords}
+            for qualname, params in defs.get(name, []):
+                hits.update(f"{qualname}.{p}" for p, i in params
+                            if p in kws or None in kws or (i is not None and i < n_pos))
+    return hits
+
+
+def _unset_options(lib_trees, user_trees):
+    """qualname.param for every parameter with a default that no call in
+    `user_trees` sets."""
+    defs = {}
+    for tree in lib_trees:
+        for name, entries in _defaults(tree).items():
+            defs.setdefault(name, []).extend(entries)
+    every = {f"{q}.{p}" for entries in defs.values() for q, params in entries
+             for p, _ in params}
+    return sorted(every - _set_params(defs, user_trees)), defs
+
+
+def test_unset_options_detected():
+    lib = ast.parse("def f(a, b=1, *, c=2):\n    pass\n"
+                    "class K:\n    def __init__(self, x, y=0):\n        pass\n"
+                    "    def m(self, z=1, w=2):\n        pass\n")
+    user = ast.parse("f(0, c=3)\nK(1, 2)\nk.m(5)\n")
+    assert _unset_options([lib], [user])[0] == ["K.m.w", "f.b"]
+    assert _unset_options([lib], [ast.parse("f(*args)\nK(**kw)\n")])[0] == [
+        "K.m.w", "K.m.z", "f.c"]
+
+
+#: parameters that only tests set, each with the test (or test helper) that
+#: sets it
+TEST_HOOKS = {
+    "main.argv": "test_cli.py::run_cli",
+    "random_line_bundle.budget": "test_curves.py::test_budget_exceeded",
+    "trisecant_classical_residual.pts":
+        "test_identities.py::test_classical_degenerate_t_equals_z",
+    "trisecant_classical_residual.xi":
+        "test_identities.py::test_classical_degenerate_t_equals_z",
+    "delta_divisor_root.char": "test_kernels.py::test_other_odd_chars_also_root_on_branch",
+    "truncation_radius.max_terms": "test_theta.py::test_terms_cap",
+    "CurveContext.__init__.theta_multiplier":
+        "test_kernels.py::test_scaling_linearity",
+    "PlaneQuartic.__init__.probes":
+        "test_quartic.py::test_smoothness_probe_rejects_singular",
+}
+
+
+def test_no_unset_options_in_package():
+    root = SRC.parent.parent
+    lib = [ast.parse(p.read_text()) for p in sorted(SRC.glob("*.py"))]
+    users = [ast.parse(p.read_text()) for d in ("src", "perfbench")
+             for p in sorted((root / d).rglob("*.py"))]
+    unset, defs = _unset_options(lib, users)
+    assert sorted(TEST_HOOKS) == unset, "options no program call sets"
+    for option, where in TEST_HOOKS.items():
+        path, fn_name = where.split("::")
+        tree = ast.parse((root / "tests" / path).read_text())
+        fn = next(n for n in ast.walk(tree)
+                  if isinstance(n, ast.FunctionDef) and n.name == fn_name)
+        assert option in _set_params(defs, [fn]), f"{where} does not set {option}"
