@@ -11,8 +11,8 @@ import numpy as np
 
 from .curves import (HyperellipticCurve, period_matrix, BranchPointCollision,
                      CurveError)
-from .identities import (IDENTITIES, IdentitySpec, SuiteConfig, run_identity,
-                         run_suite, SuiteError, UnknownIdentity)
+from .identities import (IdentitySpec, SuiteConfig, run_identity, run_suite,
+                         SuiteError, UnknownIdentity)
 from .quasidet import (random_quasimatrix, check_sylvester, check_column_expansion,
                        check_row_homological, check_col_homological)
 from .registry import registry_entries, load_curve_entry, RegistryError
@@ -64,12 +64,8 @@ def _cmd_periods(args):
 def _cmd_verify(args):
     identities = None if args.identity == "all" else args.identity.split(",")
     curves = None if args.curve == "all" else args.curve.split(",")
-    tolerances = {}
-    if args.tol is not None:
-        names = identities if identities is not None else IDENTITIES
-        tolerances = {name: args.tol for name in names}
     config = SuiteConfig(curves=curves, identities=identities, trials=args.trials,
-                         master_seed=args.seed, tolerances=tolerances)
+                         master_seed=args.seed, tol=args.tol)
     if args.out:
         # fail before the suite runs, not after it: opening for append
         # leaves an existing report as it is

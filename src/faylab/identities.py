@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -168,25 +168,21 @@ def residue_identity_residual(ctx, n, rng):
     the odd-translate frames); n = 3 needs genus 1, where all bundles have
     degree 0 and alpha(x_i) = 1/h(x_i) realizes the trivialization.
     """
-    if n == 2:
-        x, y = _distinct_points(ctx, rng, 2)
-        xi = sample_xi(ctx, rng)
-        blocks = massey_m3_prime(ctx, [xi, -xi], [x, y], [y, x])
-        return _rel(blocks.sum(), blocks)
+    if n not in (2, 3):
+        raise SuiteError(f"residue identity implemented for n in (2, 3), not {n}")
+    if n == 3 and ctx.g != 1:
+        raise SuiteError("n=3 residue identity needs genus 1 "
+                         "(degree count: n(g-1) = 2g-2 forces n = 2 otherwise)")
+    xs = _distinct_points(ctx, rng, n)
+    xis = [sample_xi(ctx, rng) for _ in range(n - 1)]
+    xis = np.array(xis + [-sum(xis)])
+    i, j = np.nonzero(~np.eye(n, dtype=bool))
+    m = np.ones((n, n), dtype=complex)
+    m[i, j] = massey_m3_prime(ctx, xis[j], [xs[k] for k in j], [xs[k] for k in i])
+    blocks = m.prod(axis=1)
     if n == 3:
-        if ctx.g != 1:
-            raise SuiteError("n=3 residue identity needs genus 1 "
-                             "(degree count: n(g-1) = 2g-2 forces n = 2 otherwise)")
-        xs = _distinct_points(ctx, rng, 3)
-        xi1 = sample_xi(ctx, rng)
-        xi2 = sample_xi(ctx, rng)
-        xis = np.array([xi1, xi2, -(xi1 + xi2)])
-        i, j = np.nonzero(~np.eye(3, dtype=bool))
-        m = np.ones((3, 3), dtype=complex)
-        m[i, j] = massey_m3_prime(ctx, xis[j], [xs[k] for k in j], [xs[k] for k in i])
-        blocks = m.prod(axis=1) / np.array([h_value(ctx, p) for p in xs])
-        return _rel(blocks.sum(), blocks)
-    raise SuiteError(f"residue identity implemented for n in (2, 3), not {n}")
+        blocks = blocks / np.array([h_value(ctx, p) for p in xs])
+    return _rel(blocks.sum(), blocks)
 
 
 def maincor_kernel_residual(ctx, rng):
@@ -468,7 +464,7 @@ class SuiteConfig:
     identities: list = None       # identity names (None = all)
     trials: int = None            # override per-identity defaults
     master_seed: int = 42
-    tolerances: dict = field(default_factory=dict)
+    tol: float = None             # override per-identity defaults
 
     def validate(self):
         if self.identities is not None:
@@ -477,9 +473,8 @@ class SuiteConfig:
                     raise UnknownIdentity(f"unknown identity {name!r}")
         if self.trials is not None and self.trials < 1:
             raise SuiteError("trials must be >= 1")
-        for v in self.tolerances.values():
-            if not v > 0:
-                raise SuiteError("tolerances must be positive")
+        if self.tol is not None and not self.tol > 0:
+            raise SuiteError("tol must be positive")
 
 
 _CARRIER = {"id": "-", "type": "carrier"}
@@ -527,7 +522,7 @@ def run_suite(config: SuiteConfig, progress=None):
                 continue
             trials, tol = row
             trials = config.trials or trials
-            tol = config.tolerances.get(name, tol)
+            tol = config.tol or tol
             if cid not in envs:
                 try:
                     envs[cid] = _build_env(entry)

@@ -28,7 +28,7 @@ import numpy as np
 from .theta import theta_batch, theta_gradient
 from .curves import (HyperellipticCurve, CurvePoint, PeriodData, make_point,
                      abel_jacobi, abel_jacobi_from_branch, find_odd_char,
-                     theta_scale, CurveError)
+                     lattice_coords, theta_scale, CurveError)
 
 
 class KernelError(Exception):
@@ -242,8 +242,9 @@ def riemann_constant(ctx: CurveContext):
     of degree g-1 (Abel-Jacobi taken from the context base).
 
     Calibration solve: kappa is a half-period shifted by (g-1) times the
-    base-to-branch-point vector; candidates are scanned and verified on g + 2
-    sampled divisors, then cached.
+    base-to-branch-point vector; candidates, each reduced into the
+    fundamental cell, are scanned and verified on g + 2 sampled divisors,
+    then cached.
     """
     if ctx._kappa is not None:
         return ctx._kappa
@@ -259,8 +260,11 @@ def riemann_constant(ctx: CurveContext):
     best = None
     for a in product((0.0, 0.5), repeat=g):
         for b in product((0.0, 0.5), repeat=g):
-            wc = ctx.rm.omega @ np.array(a) + np.array(b)
-            kap = wc - (g - 1) * V1
+            kap = ctx.rm.omega @ np.array(a) + np.array(b) - (g - 1) * V1
+            # theta(U - kap) changes by an exponential factor under lattice
+            # shifts of kap: score every candidate in one cell
+            al, be = lattice_coords(kap, ctx.rm)
+            kap = kap - np.floor(al + 0.25) - ctx.rm.omega @ np.floor(be + 0.25)
             vals, _, _, _ = theta_batch(np.array([U - kap for U in Us]), ctx.rm,
                                         tol=ctx.tol)
             score = float(np.abs(vals).max()) / ctx.scale_raw

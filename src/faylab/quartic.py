@@ -2,19 +2,22 @@
 adjoint differentials, the residue-sum identity, the hyperplane ratio
 invariant, and tangent-line reconstruction.
 
-All computations are exact algebra on lifts; nothing here touches the
-theta machinery, and no quantity is evaluated in an affine chart.  The
-tangent line at P is grad F(P), so for a linear form l vanishing at P the
-two lines l and grad F(P) meet at P and their cross product is a multiple
-of the lift: l x grad F(P) = mu P.  `l_of_v` returns this mu, the
-lift-quadratic quantity l(v_P).  By the residue description of adjoint
-differentials (m du / F_v in any chart; Griffiths & Harris, Principles of
-Algebraic Geometry, 1978), in a chart (alpha, u, v) at the lift with
-X_alpha = 1 the derivative of l / F_v along the curve at its zero P is
+All computations are exact algebra on lifts in C^3; nothing here touches
+the theta machinery, and no point is ever written in coordinates on a line
+or in an affine chart.  The tangent line at P is grad F(P), so for a linear
+form l vanishing at P the two lines l and grad F(P) meet at P and their
+cross product is a multiple of the lift: l x grad F(P) = mu P.  `l_of_v`
+returns this mu, the lift-quadratic quantity l(v_P), for a whole batch of
+lifts at once.  By the residue description of adjoint differentials
+(m du / F_v in any chart; Griffiths & Harris, Principles of Algebraic
+Geometry, 1978), in a chart (alpha, u, v) at the lift with X_alpha = 1 the
+derivative of l / F_v along the curve at its zero P is
 (l x grad F)_alpha / F_v^2, signed by the parity of (alpha, u, v).  The
 F_v^2 and the sign cancel in every ratio the identities use: canprop
 terms are Q(P) / mu(P) and cor2 terms m1(P) m2(P) / mu(P), each of
-degree 0 in the lift.
+degree 0 in the lift, and `residue_sum` adds either kind.  On H = {l = 0}
+the form vanishing at D is det(l, D, X) = (l x D) . X, so `ratio_r` is a
+ratio of products of determinants over the residual section points.
 """
 
 from __future__ import annotations
@@ -82,9 +85,9 @@ class PlaneQuartic:
         return np.einsum("abcd,...a,...b,...c,...d->...", self.T, X, X, X, X)
 
     def grad(self, X):
-        """4 T(., X, X, X), gradient axis first."""
+        """4 T(., X, X, X), gradient axis last."""
         X = np.asarray(X, dtype=complex)
-        return 4 * np.einsum("abcd,...b,...c,...d->a...", self.T, X, X, X)
+        return 4 * np.einsum("abcd,...b,...c,...d->...a", self.T, X, X, X)
 
     def assert_smooth(self, probes=200):
         """Random-line smoothness probe: every probe line must meet the
@@ -96,10 +99,10 @@ class PlaneQuartic:
                 pts = line_section(self, l)
             except TangentOrSingularLine as ex:
                 raise NotSmooth(f"probe line degenerate: {ex}")
-            for p in pts:
-                gn = np.linalg.norm(self.grad(p))
-                if gn < 1e-8 * np.linalg.norm(self.coeffs) * np.linalg.norm(p)**3:
-                    raise NotSmooth("vanishing gradient on a probe line")
+            gn = np.linalg.norm(self.grad(pts), axis=1)
+            if np.any(gn < 1e-8 * np.linalg.norm(self.coeffs)
+                      * np.linalg.norm(pts, axis=1)**3):
+                raise NotSmooth("vanishing gradient on a probe line")
 
     def __repr__(self):
         return f"PlaneQuartic({self.curve_id!r})"
@@ -170,99 +173,55 @@ def line_section(C4: PlaneQuartic, l):
     return np.array(pts)
 
 
-def l_of_v(C4: PlaneQuartic, l, lift):
-    """The lift-quadratic quantity l(v_P) for a form l vanishing at P: the
-    scalar mu with l x grad F(lift) = mu * lift, read at the largest
-    coordinate of the lift.  Chart-free: Q(lift)/mu is the residue of
-    Q du / (F_v l) at P, and mu(c lift) = c^2 mu(lift)."""
+def l_of_v(C4: PlaneQuartic, l, lifts):
+    """The lift-quadratic quantity l(v_P) for a form l vanishing at every
+    row P of `lifts` (an (m, 3) array, or one lift): the scalar mu with
+    l x grad F(P) = mu P, fitted over all three coordinates.  Chart-free:
+    Q(P)/mu is the residue of Q du / (F_v l) at P, and mu(c P) = c^2 mu(P).
+    Raises if any row is not a zero of l, or not a simple one."""
     l = np.asarray(l, dtype=complex)
-    lift = np.asarray(lift, dtype=complex)
-    if abs(l @ lift) > 1e-9 * np.linalg.norm(l) * np.linalg.norm(lift):
+    P = np.asarray(lifts, dtype=complex)
+    nl, nP = np.linalg.norm(l), np.linalg.norm(P, axis=-1)
+    if np.any(np.abs(P @ l) > 1e-9 * nl * nP):
         raise NotAZero("the form does not vanish at the point")
-    g = C4.grad(lift)
-    a = int(np.argmax(np.abs(lift)))
-    mu = np.cross(l, g)[a] / lift[a]
-    if abs(mu) <= 1e-9 * np.linalg.norm(l) * np.linalg.norm(g) / np.linalg.norm(lift):
+    g = C4.grad(P)
+    mu = np.einsum("...a,...a->...", np.cross(l, g), P.conj()) / nP**2
+    if np.any(np.abs(mu) <= 1e-9 * nl * np.linalg.norm(g, axis=-1) / nP):
         raise HigherOrderZero("zero of the section is not simple")
-    return complex(mu)
+    return mu
 
 
-def check_canprop(C4: PlaneQuartic, l, Q):
-    """Residue-sum identity: sum over the section {l=0} of Q(P)/l(v_P) = 0.
+def residue_sum(C4: PlaneQuartic, l, points, numerators):
+    """Sum over the rows P of `points`, zeros of l on the quartic, of
+    numerators[i] / l(v_P), as (|sum|, |sum| / largest |term|).
 
-    Q is a 3x3 symmetric coefficient matrix.  Each term is the residue of
-    the twisted form Q du/(F_v l); the sum is reported relative to the
-    largest term.
+    Each term is the residue of a twisted adjoint form at P.  With the
+    whole section {l = 0} and numerators Q(P) for a quadric Q this is the
+    canprop identity; with three points x, y, z of the section
+    {x, y, z, t} and numerators m1(P) m2(P) for forms m1, m2 vanishing at
+    t it is the three-term identity sum eta_1 eta_2 / eta' = 0 (cor2).
     """
-    Q = np.asarray(Q, dtype=complex)
-    terms = [P @ Q @ P / l_of_v(C4, l, P) for P in line_section(C4, l)]
-    total = sum(terms)
-    scale = max(abs(t) for t in terms)
+    terms = np.asarray(numerators) / l_of_v(C4, l, points)
+    total = abs(terms.sum())
+    scale = np.abs(terms).max()
     if scale == 0.0:
         return 0.0, 0.0
-    return abs(total), abs(total) / scale
+    return float(total), float(total / scale)
 
 
-def check_cor2(C4: PlaneQuartic, l, section, m1, m2):
-    """Three-term residue identity: for the section {x, y, z, t} of {l = 0}
-    (`line_section(C4, l)`) and adjoint forms m1, m2 vanishing at t,
+def ratio_r(l, residual, x, y):
+    """The hyperplane ratio r(x~, y~, H) of H = {l = 0} through the rows
+    D_1, D_2 of `residual`, the section points other than x and y.  The
+    form on H vanishing at D_i is L_i(X) = det(l, D_i, X) = (l x D_i) . X,
+    and
 
-        sum over {x,y,z} of m1(P) m2(P) / l(v_P) = 0,
+        r = L1(y~) L2(y~) / (L1(x~) L2(x~)),
 
-    the chart-free form of sum eta_1(P) eta_2(P) / eta'(P) = 0.
+    the genus-3 case of a conic through the residual divisor.  The
+    tangent machinery gives the same ratio as -l(v_y~) / l(v_x~).
     """
-    m1 = np.asarray(m1, dtype=complex)
-    m2 = np.asarray(m2, dtype=complex)
-    terms = [(m1 @ P) * (m2 @ P) / l_of_v(C4, l, P)
-             for P in section[:3]]
-    total = sum(terms)
-    scale = max(abs(tm) for tm in terms)
-    if scale == 0.0:
-        return 0.0, 0.0
-    return abs(total), abs(total) / scale
-
-
-def _plane_coords(u, v, lift):
-    """Coordinates (s, t) with lift = s u + t v (least squares on C^3)."""
-    Mat = np.stack([u, v], axis=1)
-    sol, *_ = np.linalg.lstsq(Mat, lift, rcond=None)
-    return sol
-
-
-def section_index(l, section, lift):
-    """Index of the point of `section` (the section of {l = 0}) that
-    `lift` represents, compared in the line's coordinates (s, t)."""
-    u, v = _line_basis(l)
-    c = _plane_coords(u, v, np.asarray(lift, dtype=complex))
-    d = [abs(c[0] * cc[1] - c[1] * cc[0]) / (np.linalg.norm(c) * np.linalg.norm(cc))
-         for cc in (_plane_coords(u, v, p) for p in section)]
-    i = int(np.argmin(d))
-    if d[i] > 1e-6:
-        raise QuarticError("lift does not lie on the hyperplane section")
-    return i
-
-
-def ratio_r(l, section, ix, iy, x_lift, y_lift):
-    """The hyperplane ratio r(x~, y~, H) through the section divisor: with
-    section[ix], section[iy] the points of x~ and y~ on H = {l = 0}, the
-    other two D1, D2, and L_i the forms on H vanishing at D_i,
-
-        r = L1(y~) L2(y~) / (L1(x~) L2(x~)).
-
-    The tangent machinery gives the same ratio as -l(v_y~) / l(v_x~).
-    """
-    if ix == iy:
-        raise QuarticError("x and y identify the same section point")
-    u, v = _line_basis(l)
-    cx = _plane_coords(u, v, np.asarray(x_lift, dtype=complex))
-    cy = _plane_coords(u, v, np.asarray(y_lift, dtype=complex))
-    num = den = 1.0
-    for i in range(4):
-        if i not in (ix, iy):
-            sD, tD = _plane_coords(u, v, section[i])
-            num = num * (cy[0] * tD - cy[1] * sD)
-            den = den * (cx[0] * tD - cx[1] * sD)
-    return complex(num / den)
+    L = np.cross(l, residual)
+    return complex(np.prod(L @ y) / np.prod(L @ x))
 
 
 def reconstruct_tangent_coords(a_seq, b_seq):
@@ -298,11 +257,12 @@ def reconstruct_tangent_coords(a_seq, b_seq):
 
 
 def projective_distance(p, q):
+    """max |p_i q_j - p_j q_i| / (|p| |q|) over the last axis, broadcast."""
     p = np.asarray(p, dtype=complex)
     q = np.asarray(q, dtype=complex)
-    M = np.outer(p, q)
-    num = np.abs(M - M.T).max()
-    return float(num / (np.linalg.norm(p) * np.linalg.norm(q)))
+    M = p[..., :, None] * q[..., None, :]
+    num = np.abs(M - np.swapaxes(M, -1, -2)).max(axis=(-2, -1))
+    return num / (np.linalg.norm(p, axis=-1) * np.linalg.norm(q, axis=-1))
 
 
 # ---------------------------------------------------------------------------
@@ -318,32 +278,27 @@ def _random_quadric(rng):
     return 0.5 * (M + M.T)
 
 
-def _form_through(rng, points):
-    """Random linear form vanishing at the given lifts (<= 2 of them)."""
-    A = np.stack([np.asarray(p, dtype=complex) for p in points])
-    # basis of the null space of A
-    vh = np.linalg.svd(A)[2]
-    null = vh[len(points):].conj()
-    w = rng.standard_normal(len(null)) + 1j * rng.standard_normal(len(null))
-    return w @ null
+def _form_through(rng, x):
+    """Random linear form vanishing at the lift x."""
+    null = np.linalg.svd(np.asarray(x, dtype=complex)[None])[2][1:].conj()
+    return (rng.standard_normal(2) + 1j * rng.standard_normal(2)) @ null
 
 
 def canprop_residual(C4: PlaneQuartic, rng):
-    return check_canprop(C4, _random_form(rng), _random_quadric(rng))
+    l, Q = _random_form(rng), _random_quadric(rng)
+    pts = line_section(C4, l)
+    return residue_sum(C4, l, pts, np.einsum("ia,ab,ib->i", pts, Q, pts))
 
 
 def cor2_residual(C4: PlaneQuartic, rng):
     l = _random_form(rng)
     pts = line_section(C4, l)
-    t_lift = pts[3]
-    jstar = int(np.argmax(np.abs(t_lift)))
-    ms = []
-    for _ in range(2):
-        r = _random_form(rng)
-        m = r.copy()
-        m[jstar] -= (r @ t_lift) / t_lift[jstar]
-        ms.append(m)
-    return check_cor2(C4, l, pts, ms[0], ms[1])
+    t = pts[3]
+    j = int(np.argmax(np.abs(t)))
+    # two random forms, each moved along X_j to vanish at t
+    m = np.array([_random_form(rng) for _ in range(2)])
+    m[:, j] -= m @ t / t[j]
+    return residue_sum(C4, l, pts[:3], (pts[:3] @ m.T).prod(axis=1))
 
 
 def ratio_dual_residual(C4: PlaneQuartic, rng):
@@ -351,9 +306,10 @@ def ratio_dual_residual(C4: PlaneQuartic, rng):
     pts = line_section(C4, l)
     scales = rng.standard_normal(2) + 1j * rng.standard_normal(2)
     x, y = pts[0] * scales[0], pts[1] * scales[1]
-    r_div = ratio_r(l, pts, 0, 1, x, y)
-    r_tan = -l_of_v(C4, l, y) / l_of_v(C4, l, x)
-    return abs(r_div - r_tan), abs(r_div - r_tan) / abs(r_div)
+    mu_x, mu_y = l_of_v(C4, l, [x, y])
+    r_div = ratio_r(l, pts[2:], x, y)
+    err = abs(r_div + mu_y / mu_x)          # r_tan = -mu_y / mu_x
+    return err, err / abs(r_div)
 
 
 def tangent_reconstruction_residual(C4: PlaneQuartic, rng):
@@ -373,21 +329,22 @@ def tangent_reconstruction_residual(C4: PlaneQuartic, rng):
     l0 = _random_form(rng)
     pts0 = line_section(C4, l0)
     x, y0 = pts0[:2]
-    l1 = _form_through(rng, [x])
+    l1 = _form_through(rng, x)
     pts1 = line_section(C4, l1)
-    # a section point of l1 distinct from x
-    iy = next((i for i, p in enumerate(pts1)
-               if projective_distance(p, x) > 1e-6), None)
-    if iy is None:
-        raise TangentOrSingularLine("the second line meets the quartic only at x")
-    y1 = pts1[iy]
-    c0 = ratio_r(l0, pts0, 0, 1, x, y0)
-    tan0 = l_of_v(C4, l0, y0), l_of_v(C4, l0, x)
-    c1 = ratio_r(l1, pts1, section_index(l1, pts1, x), iy, x, y1)
-    tan1 = l_of_v(C4, l1, y1), l_of_v(C4, l1, x)
-    recon = np.array([-tan0[0] / c0, -tan1[0] / c1])
-    direct = np.array([tan0[1], tan1[1]])
-    dist = projective_distance(recon, direct)
+    # x must be one simple point of the second section; y1 is the first other
+    d = projective_distance(pts1, x)
+    near = np.argsort(d)
+    if d[near[0]] > 1e-6:
+        raise QuarticError("x does not lie on the second section")
+    if d[near[1]] <= 1e-6:
+        raise TangentOrSingularLine("x is not a simple point of the second section")
+    rest = np.delete(pts1, near[0], axis=0)
+    y1 = rest[0]
+    mu0 = l_of_v(C4, l0, [y0, x])
+    mu1 = l_of_v(C4, l1, [y1, x])
+    recon = -np.array([mu0[0] / ratio_r(l0, pts0[2:], x, y0),
+                       mu1[0] / ratio_r(l1, rest[1:], x, y1)])
+    dist = projective_distance(recon, [mu0[1], mu1[1]])
     return dist, dist
 
 
@@ -399,6 +356,5 @@ def reconstruct_synthetic_residual(rng):
     v = rng.standard_normal(5) + 1j * rng.standard_normal(5)
     a = -v / u
     b = [-v[:i + 1].sum() / u[:i + 1].sum() for i in range(5)]
-    coords = reconstruct_tangent_coords(a, b)
-    dist = projective_distance(np.array(coords), u / u[0])
+    dist = projective_distance(reconstruct_tangent_coords(a, b), u / u[0])
     return dist, dist

@@ -370,20 +370,19 @@ class TestLineBundles:
             assert abs(theta(e, ctx_g2.rm).value) > 1e-4 * scale
 
     def test_budget_exceeded(self, ctx_g1):
-        class ZeroRng:
-            def random(self, n=None):
-                return np.zeros(n) if n else 0.0
         kappa = riemann_constant(ctx_g1)
-        # a "generator" that always lands on the theta divisor
+        # a "generator" whose draws u, v always give e = u + Omega v = kappa,
+        # on the theta divisor: two draws for each of the 10 attempts
         class OnTheta:
-            def __init__(self, rm):
+            def __init__(self):
                 al, be = lattice_coords(kappa, ctx_g1.rm)
-                self.u, self.v = al % 1.0, be % 1.0
+                self.draws = [al % 1.0, be % 1.0] * 10
             def random(self, n=None):
-                return self.u
+                return self.draws.pop(0)
+        gen = OnTheta()
         with pytest.raises(RejectionBudgetExceeded):
-            random_line_bundle(ctx_g1.rm, OnTheta(ctx_g1.rm), ctx_g1.scale,
-                               budget=10)
+            random_line_bundle(ctx_g1.rm, gen, ctx_g1.scale, budget=10)
+        assert gen.draws == []
 
     def test_lattice_representatives_agree(self, ctx_g1):
         # kernel values from e and e + lattice agree after the predicted
@@ -434,6 +433,21 @@ class TestVanishingLocus:
 
 
 class TestRiemannConstant:
+    @pytest.mark.parametrize("m,n", [(1, 1), (2, 3)])
+    @pytest.mark.parametrize("cid", ["g2-real", "g3-real"])
+    def test_independent_of_lattice_representative(self, monkeypatch, cid, m, n):
+        # the same calibration from a base-to-branch vector moved by the
+        # lattice vector n + m Omega 1 finds the same kappa modulo the lattice
+        import faylab.kernels as kernels
+        ctx = build_context(cid)
+        ref = riemann_constant(kernels.CurveContext(ctx.curve, ctx.periods))
+        ones = np.ones(ctx.g)
+        real = kernels.abel_jacobi_from_branch
+        monkeypatch.setattr(kernels, "abel_jacobi_from_branch",
+                            lambda *a: real(*a) + n * ones + m * ctx.rm.omega @ ones)
+        kappa = riemann_constant(kernels.CurveContext(ctx.curve, ctx.periods))
+        assert frac_dist(kappa - ref, ctx.rm) < 1e-12
+
     @pytest.mark.parametrize("cid", ["lemniscatic", "g2-real", "g3-real"])
     def test_vanishing_on_divisors(self, cid):
         ctx = build_context(cid)

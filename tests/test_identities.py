@@ -200,9 +200,10 @@ class TestSuiteRunner:
             run_suite(cfg)
 
     def test_bad_tolerance_rejected(self):
-        cfg = SuiteConfig(identities=["skewsym_n2"], tolerances={"skewsym_n2": 0.0})
-        with pytest.raises(SuiteError):
-            cfg.validate()
+        for tol in (0.0, -1e-9, float("nan")):
+            cfg = SuiteConfig(identities=["skewsym_n2"], tol=tol)
+            with pytest.raises(SuiteError, match="tol must be positive"):
+                cfg.validate()
 
     def test_reports_deterministic(self):
         cfg = SuiteConfig(curves=["lemniscatic"], identities=["skewsym_n2"],

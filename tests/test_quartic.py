@@ -1,14 +1,15 @@
 import numpy as np
 import pytest
 
-from faylab.quartic import (PlaneQuartic, line_section, l_of_v, check_canprop,
-                            check_cor2, ratio_r, section_index, reconstruct_tangent_coords,
+from faylab.quartic import (PlaneQuartic, line_section, l_of_v, residue_sum,
+                            ratio_r, reconstruct_tangent_coords,
                             projective_distance, canprop_residual, cor2_residual,
                             ratio_dual_residual, tangent_reconstruction_residual,
                             reconstruct_synthetic_residual, _random_form,
                             _random_quadric, TangentOrSingularLine,
                             DegenerateForm, NotSmooth, NotAZero, HigherOrderZero,
-                            DegenerateRatios, QuarticError, _restrict_quartic)
+                            DegenerateRatios, QuarticError, _line_basis,
+                            _restrict_quartic)
 from faylab.registry import registry_entries
 from faylab.rng import trial_rng
 
@@ -155,6 +156,41 @@ class TestForms:
         with pytest.raises(HigherOrderZero):
             l_of_v(fermat, fermat.grad(P), P)
 
+    def test_batch_matches_rows(self, quartic_generic):
+        l = _random_form(np.random.default_rng(22))
+        pts = line_section(quartic_generic, l)
+        batch = l_of_v(quartic_generic, l, pts)
+        assert batch.shape == (4,)
+        for P, mu in zip(pts, batch):
+            assert abs(l_of_v(quartic_generic, l, P) - mu) <= 1e-14 * abs(mu)
+
+    def test_one_bad_row_fails_the_batch(self, fermat):
+        # a batch raises if any one of its rows would
+        rng = np.random.default_rng(23)
+        l = _random_form(rng)
+        pts = line_section(fermat, l)
+        l_of_v(fermat, l, pts)
+        off = pts.copy()
+        off[2] = line_section(fermat, _random_form(rng))[0]
+        with pytest.raises(NotAZero):
+            l_of_v(fermat, l, off)
+        # the tangent line at P meets the curve doubly at P and simply at
+        # two other points
+        P = pts[1]
+        t = fermat.grad(P)
+        u, v = _line_basis(t)
+        simple = [lam * u + v for lam in np.roots(_restrict_quartic(fermat, u, v))
+                  if projective_distance(lam * u + v, P) > 1e-3]
+        assert len(simple) == 2
+        l_of_v(fermat, t, simple)
+        with pytest.raises(HigherOrderZero):
+            l_of_v(fermat, t, [simple[0], P, simple[1]])
+
+
+def _canprop(C4, l, Q):
+    pts = line_section(C4, l)
+    return residue_sum(C4, l, pts, np.einsum("ia,ab,ib->i", pts, Q, pts))
+
 
 class TestCanprop:
     def test_divisible_quadric_exact_zero(self, fermat):
@@ -162,7 +198,7 @@ class TestCanprop:
         l = _random_form(rng)
         m = _random_form(rng)
         Q = 0.5 * (np.outer(l, m) + np.outer(m, l))
-        abs_r, rel_r = check_canprop(fermat, l, Q)
+        abs_r, rel_r = _canprop(fermat, l, Q)
         assert abs_r < 1e-12
 
     def test_fermat(self, fermat):
@@ -185,8 +221,8 @@ class TestCanprop:
         Q = _random_quadric(rng)
         m = _random_form(rng)
         shift = 0.5 * (np.outer(l, m) + np.outer(m, l))
-        r1 = check_canprop(fermat, l, Q)
-        r2 = check_canprop(fermat, l, Q + shift)
+        r1 = _canprop(fermat, l, Q)
+        r2 = _canprop(fermat, l, Q + shift)
         assert abs(r1[0] - r2[0]) < 1e-12 * max(1.0, r1[0])
 
 
@@ -209,7 +245,8 @@ class TestCor2:
         # every term carries l(P)^2 ~ roundoff^2
         rng = np.random.default_rng(10)
         l = _random_form(rng)
-        abs_r, rel_r = check_cor2(fermat, l, line_section(fermat, l), l, l)
+        pts = line_section(fermat, l)[:3]
+        abs_r, rel_r = residue_sum(fermat, l, pts, (pts @ l)**2)
         assert abs_r < 1e-20
 
 
@@ -226,9 +263,26 @@ class TestRatio:
         rng = np.random.default_rng(14)
         l = _random_form(rng)
         pts = line_section(fermat, l)
-        r1 = ratio_r(l, pts, 0, 1, pts[0], pts[1])
-        r2 = ratio_r(l, pts[[0, 1, 3, 2]], 0, 1, pts[0], pts[1])
+        r1 = ratio_r(l, pts[[2, 3]], pts[0], pts[1])
+        r2 = ratio_r(l, pts[[3, 2]], pts[0], pts[1])
         assert r1 == r2
+
+    def test_matches_line_coordinates(self, quartic_generic):
+        # det(l, D, s u + t v) = -(s t_D - t s_D) det(l, u, v): the ratio of
+        # determinants is the ratio of binary forms in line coordinates
+        rng = np.random.default_rng(24)
+        for _ in range(10):
+            l = _random_form(rng)
+            pts = line_section(quartic_generic, l)
+            c = [2.0 - 1j, 0.3 + 0.8j]
+            x, y = c[0] * pts[0], c[1] * pts[1]
+            uv = np.stack(_line_basis(l), axis=1)
+            sx, sy, *sD = [np.linalg.lstsq(uv, p, rcond=None)[0]
+                           for p in (x, y, *pts[2:])]
+            def forms(s):
+                return np.prod([s[0] * d[1] - s[1] * d[0] for d in sD])
+            r = ratio_r(l, pts[2:], x, y)
+            assert abs(r - forms(sy) / forms(sx)) < 1e-12 * abs(r)
 
     def test_lift_rescaling_law(self, fermat):
         rng = np.random.default_rng(15)
@@ -237,26 +291,12 @@ class TestRatio:
         x, y = pts[0], pts[1]
         c, cp = 1.7 - 0.3j, -0.6 + 1.1j
         law = (cp**2 / c**2)
-        r0 = ratio_r(l, pts, 0, 1, x, y)
-        r1 = ratio_r(l, pts, 0, 1, c * x, cp * y)
+        r0 = ratio_r(l, pts[2:], x, y)
+        r1 = ratio_r(l, pts[2:], c * x, cp * y)
         assert abs(r1 - law * r0) < 1e-10 * abs(r1)
         t0 = -l_of_v(fermat, l, y) / l_of_v(fermat, l, x)
         t1 = -l_of_v(fermat, l, cp * y) / l_of_v(fermat, l, c * x)
         assert abs(t1 - law * t0) < 1e-10 * abs(t1)
-
-    def test_section_index(self, fermat):
-        rng = np.random.default_rng(20)
-        l = _random_form(rng)
-        pts = line_section(fermat, l)
-        assert [section_index(l, pts, (0.3 - 2j) * p) for p in pts] == [0, 1, 2, 3]
-        with pytest.raises(QuarticError, match="does not lie"):
-            section_index(l, pts, pts[0] + 1e-3 * np.array([1.0, 2.0, 3.0]))
-
-    def test_same_point_rejected(self, fermat):
-        l = _random_form(np.random.default_rng(21))
-        pts = line_section(fermat, l)
-        with pytest.raises(QuarticError, match="same section point"):
-            ratio_r(l, pts, 2, 2, pts[2], pts[2])
 
 
 class TestReconstruction:
@@ -305,14 +345,38 @@ class TestReconstruction:
             worst = max(worst, tangent_reconstruction_residual(C4, rng)[1])
         assert worst < 1e-8
 
+    def test_second_line_missing_x_is_hard_failure(self, monkeypatch, fermat):
+        # x must be among the points of the second line: a form not through
+        # x is a fault of the runner, not a draw to resample
+        import faylab.quartic as quartic
+        monkeypatch.setattr(quartic, "_form_through", lambda rng, x: _random_form(rng))
+        with pytest.raises(QuarticError, match="does not lie") as info:
+            tangent_reconstruction_residual(fermat, trial_rng(25, "recon", 0))
+        assert not isinstance(info.value, TangentOrSingularLine)
+
+    def test_x_repeated_on_second_line_is_redrawn(self, monkeypatch, fermat):
+        # x found twice among the second section is not one simple point
+        import faylab.quartic as quartic
+        sections = []
+        def doubled_x(C4, l):
+            pts = line_section(C4, l)
+            sections.append(pts)
+            if len(sections) == 2:
+                x = sections[0][0]
+                pts[np.argmax(projective_distance(pts, x))] = (0.5 + 2j) * x
+            return pts
+        monkeypatch.setattr(quartic, "line_section", doubled_x)
+        with pytest.raises(TangentOrSingularLine, match="not a simple point"):
+            tangent_reconstruction_residual(fermat, trial_rng(25, "recon", 1))
+
 
 @pytest.mark.parametrize("runner,sections,tangents", [
-    (canprop_residual, 1, 4), (cor2_residual, 1, 3),
-    (ratio_dual_residual, 1, 2), (tangent_reconstruction_residual, 2, 4)],
+    (canprop_residual, 1, 1), (cor2_residual, 1, 1),
+    (ratio_dual_residual, 1, 1), (tangent_reconstruction_residual, 2, 2)],
     ids=["canprop", "cor2", "ratio_dual", "tangent_reconstruction"])
 def test_each_line_sectioned_once(monkeypatch, fermat, runner, sections, tangents):
-    # one trial sections each random line once and evaluates only the
-    # tangent quantities l(v_P) that its residual reads
+    # one trial sections each random line once and reads the tangent
+    # quantities l(v_P) of each line from one batched call
     import faylab.quartic as quartic
     calls = {"line_section": 0, "l_of_v": 0}
     for name in calls:

@@ -210,3 +210,50 @@ def test_no_unset_options_in_package():
         fn = next(n for n in ast.walk(tree)
                   if isinstance(n, ast.FunctionDef) and n.name == fn_name)
         assert option in _set_params(defs, [fn]), f"{where} does not set {option}"
+
+
+#: the faylab modules each module may import; modules not listed are free
+IMPORT_LAYERS = {
+    "theta": set(), "quartic": set(), "quasidet": set(), "report": set(),
+    "rng": set(), "registry": set(), "curves": {"theta"},
+    "kernels": {"theta", "curves"},
+}
+
+
+def _faylab_imports(tree):
+    """The faylab modules a tree imports, relatively or as faylab.<name>,
+    at any depth."""
+    found = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            if node.level == 0 and not (node.module or "").startswith("faylab"):
+                continue
+            parts = (node.module or "").split(".")
+            parts = parts[1:] if node.level == 0 else parts
+            if parts and parts[0]:
+                found.add(parts[0])
+            else:                       # from . import x / from faylab import x
+                found.update(a.name for a in node.names)
+        elif isinstance(node, ast.Import):
+            found.update(a.name.split(".")[1] for a in node.names
+                         if a.name.startswith("faylab."))
+    return found
+
+
+def test_faylab_imports_detected():
+    tree = ast.parse("import numpy as np\nfrom .theta import theta\n"
+                     "def f():\n    from . import curves\n"
+                     "    from faylab.kernels import h_value\n"
+                     "    import faylab.rng\n")
+    assert _faylab_imports(tree) == {"theta", "curves", "kernels", "rng"}
+
+
+def test_import_layers():
+    # quartic, quasidet and the plumbing modules stand alone; curves sits
+    # on theta, and kernels on theta and curves
+    hits = []
+    for name, allowed in IMPORT_LAYERS.items():
+        extra = _faylab_imports(ast.parse((SRC / f"{name}.py").read_text())) - allowed
+        if extra:
+            hits.append(f"{name} imports {sorted(extra)}")
+    assert hits == [], "; ".join(hits)
