@@ -14,7 +14,7 @@ from .curves import (HyperellipticCurve, period_matrix, BranchPointCollision,
 from .identities import (IdentitySpec, SuiteConfig, run_identity, run_suite,
                          SuiteError, UnknownIdentity)
 from .quasidet import (random_quasimatrix, check_sylvester, check_column_expansion,
-                       check_row_homological, check_col_homological)
+                       check_homological)
 from .registry import registry_entries, load_curve_entry, RegistryError
 from .report import write_report, format_report_line
 
@@ -113,11 +113,8 @@ def _cmd_quasidet_selftest(args):
         r2 = check_column_expansion(A)
         idx = rng.permutation(n)
         jdx = rng.permutation(n)
-        r3 = check_row_homological(A, int(idx[0]), int(jdx[0]),
-                                   int(idx[1]), int(jdx[1]))
-        r4 = check_col_homological(A, int(idx[0]), int(jdx[0]),
-                                   int(idx[1]), int(jdx[1]))
-        worst = max(r1, r2, r3, r4)
+        r3 = check_homological(A, int(idx[0]), int(jdx[0]), int(idx[1]), int(jdx[1]))
+        worst = max(r1, r2, r3)
         return worst, worst
 
     tol = 1e-9

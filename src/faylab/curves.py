@@ -20,6 +20,7 @@ so AJ(P) - AJ(base) is two hub paths and two cached constants.
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -314,14 +315,10 @@ def _intersection_number(curve, c1: Cycle, c2: Cycle):
 
 
 def _intersection_matrix(curve, cycles):
-    n = len(cycles)
-    M = np.zeros((n, n), dtype=int)
-    for i in range(n):
-        for j in range(i + 1, n):
-            v = _intersection_number(curve, cycles[i], cycles[j])
-            M[i, j] = v
-            M[j, i] = -v
-    return M
+    M = np.zeros((len(cycles), len(cycles)), dtype=int)
+    for i, j in itertools.combinations(range(len(cycles)), 2):
+        M[i, j] = _intersection_number(curve, cycles[i], cycles[j])
+    return M - M.T
 
 
 # ---------------------------------------------------------------------------
@@ -354,14 +351,15 @@ def period_matrix(curve: HyperellipticCurve, quadrature_order=32):
     a_cycles, b_cycles = _build_cycles(curve)
     for c in a_cycles + b_cycles:
         _attach_sheets(curve, c, quadrature_order)
-    # normalize orientations: a_k . b_k = +1
-    for k in range(g):
-        v = _intersection_number(curve, a_cycles[k], b_cycles[k])
-        if v == -1:
-            b_cycles[k] = b_cycles[k].reversed()
-        elif v != 1:
-            raise NotSymplectic(f"a_{k}.b_{k} = {v}")
     M = _intersection_matrix(curve, a_cycles + b_cycles)
+    # normalize orientations: reversing b_k with a_k . b_k = -1 makes it +1
+    signs = M[range(g), range(g, 2 * g)]
+    for k in range(g):
+        if abs(signs[k]) != 1:
+            raise NotSymplectic(f"a_{k}.b_{k} = {signs[k]}")
+    b_cycles = [c if s == 1 else c.reversed() for c, s in zip(b_cycles, signs)]
+    D = np.diag(np.concatenate([np.ones(g, dtype=int), signs]))
+    M = D @ M @ D
     J = np.block([[np.zeros((g, g), dtype=int), np.eye(g, dtype=int)],
                   [-np.eye(g, dtype=int), np.zeros((g, g), dtype=int)]])
     if not np.array_equal(M, J):

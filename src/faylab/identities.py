@@ -20,12 +20,11 @@ from .theta import theta_batch, ThetaError
 from .curves import (HyperellipticCurve, period_matrix, random_line_bundle,
                      CurveError)
 from .kernels import (CurveContext, fay_F, prime_form, massey_m3_prime,
-                      massey_m3_theta, h_value, theta_form_at,
+                      massey_m3_theta, h_values, theta_form,
                       sample_point, sample_xi, delta_divisor_root,
                       NEAR_DIVISOR, NearDivisor, CoincidentPoints, KernelError)
 from .quasidet import (QuasiMatrix, SingularMinor, random_quasimatrix,
-                       check_sylvester, check_column_expansion,
-                       check_row_homological, check_col_homological)
+                       check_sylvester, check_column_expansion, check_homological)
 from .quartic import (PlaneQuartic, QuarticError, TangentOrSingularLine,
                       HigherOrderZero, NotAZero, DegenerateRatios, canprop_residual,
                       cor2_residual, ratio_dual_residual,
@@ -58,14 +57,15 @@ def _rel(total, blocks):
 
 
 def _distinct_points(ctx, rng, count):
-    for _ in range(40):
-        pts = [sample_point(ctx, rng) for _ in range(count)]
-        xs = np.array([p.x for p in pts])
-        d = np.abs(xs[:, None] - xs[None, :])
-        np.fill_diagonal(d, np.inf)
-        if d.min() > 1e-3 * ctx.curve.min_gap:
-            return pts
-    raise BadTriple("could not sample distinct points")
+    """count sampled points; raises BadTriple (run_identity redraws) if two
+    x-coordinates are within 1e-3 min_gap."""
+    pts = [sample_point(ctx, rng) for _ in range(count)]
+    xs = np.array([p.x for p in pts])
+    d = np.abs(xs[:, None] - xs[None, :])
+    np.fill_diagonal(d, np.inf)
+    if d.min() <= 1e-3 * ctx.curve.min_gap:
+        raise BadTriple("sampled points too close")
+    return pts
 
 
 # ---------------------------------------------------------------------------
@@ -101,8 +101,8 @@ def trisecant_general_residual(ctx, n, rng):
     and a free Jacobian point xi."""
     pts = _distinct_points(ctx, rng, 2 + 2 * n)
     xi = sample_xi(ctx, rng)
-    X, Y, *ZT = (ctx.aj(p) for p in pts)
-    return _mainid_residual(ctx, X, Y, np.array(ZT[:n]), np.array(ZT[n:]), xi)
+    V = ctx.aj(pts)
+    return _mainid_residual(ctx, V[0], V[1], V[2:2 + n], V[2 + n:], xi)
 
 
 def trisecant_classical_residual(ctx, rng, pts=None, xi=None):
@@ -111,7 +111,7 @@ def trisecant_classical_residual(ctx, rng, pts=None, xi=None):
         pts = _distinct_points(ctx, rng, 4)
     if xi is None:
         xi = sample_xi(ctx, rng)
-    X, Y, Z, T = (ctx.aj(p) for p in pts)
+    X, Y, Z, T = ctx.aj(pts)
     th = ctx.theta_delta([X - T, Y - Z, X - Z, Y - T, xi, xi + Y - X + Z - T,
                           Z - T, Y - X, Z - X, xi + Z - X, xi + Y - T,
                           xi + Z - T, xi + Y - X])
@@ -128,8 +128,8 @@ def divisor_symmetric_residual(ctx, n, rng):
     """Cor. (divisorid): the symmetric F-product identity over n+1 pairs,
     which is eq. (mainid) over the last n pairs at x = z_0, xi = z_0 - t_0."""
     pts = _distinct_points(ctx, rng, 3 + 2 * n)
-    Y, *ZT = (ctx.aj(p) for p in pts)
-    Z, T = np.array(ZT[:n + 1]), np.array(ZT[n + 1:])
+    V = ctx.aj(pts)
+    Y, Z, T = V[0], V[1:n + 2], V[n + 2:]
     return _mainid_residual(ctx, Z[0], Y, Z[1:], T[1:], Z[0] - T[0])
 
 
@@ -138,8 +138,8 @@ def prime_form_identity_residual(ctx, n, rng):
     realized with a random translate of the plain theta."""
     e = random_line_bundle(ctx.rm, rng, ctx.scale_raw)
     pts = _distinct_points(ctx, rng, 2 + 2 * n)
-    X, Y, *ZT = (ctx.aj(p) for p in pts)
-    Z, T = np.array(ZT[:n]), np.array(ZT[n:])
+    V = ctx.aj(pts)
+    X, Y, Z, T = V[0], V[1], V[2:2 + n], V[2 + n:]
     S = (Z - T).sum(axis=0)
     args = np.concatenate([Z - X + e, Y - Z + S + e,
                            [Y - X + e, S + e, Y - X + S + e, e]])
@@ -181,7 +181,7 @@ def residue_identity_residual(ctx, n, rng):
     m[i, j] = massey_m3_prime(ctx, xis[j], [xs[k] for k in j], [xs[k] for k in i])
     blocks = m.prod(axis=1)
     if n == 3:
-        blocks = blocks / np.array([h_value(ctx, p) for p in xs])
+        blocks = blocks / h_values(ctx, xs)
     return _rel(blocks.sum(), blocks)
 
 
@@ -193,13 +193,13 @@ def maincor_kernel_residual(ctx, rng):
         raise SuiteError("kernel-form corollary check runs at genus 1")
     x, y, z, t = _distinct_points(ctx, rng, 4)
     xi = sample_xi(ctx, rng)
-    X, Y, Z, T = (ctx.aj(p) for p in (x, y, z, t))
+    X, Y, Z, T = ctx.aj([x, y, z, t])
     xi2 = (Z - T) - xi
     # phi(p) = theta[delta](p - t) / theta[delta](p - z)
     zt, xt, xz, yt, yz = ctx.theta_delta([Z - T, X - T, X - Z, Y - T, Y - Z])
     m_xz, m_yz, m_yx, m_xy = massey_m3_prime(ctx, [xi, xi2, xi2, xi],
                                              [x, y, y, x], [z, z, x, y])
-    t0 = zt / h_value(ctx, z)**2 * m_xz * m_yz
+    t0 = zt / h_values(ctx, [z])[0]**2 * m_xz * m_yz
     t1 = xt / xz * m_yx
     t2 = yt / yz * m_xy
     return _rel(t0 + t1 + t2, [t0, t1, t2])
@@ -220,7 +220,8 @@ def idcor_residual(ctx, rng):
     the abstract bundle equality into numbers in the affine frames."""
     x, y, z = _distinct_points(ctx, rng, 3)
     xi = sample_xi(ctx, rng)
-    xi_t = xi + ctx.aj(x) - ctx.aj(z)
+    X, Z = ctx.aj([x, z])
+    xi_t = xi + X - Z
     m_xz, m_xy, m_zy = massey_m3_prime(ctx, [xi, xi, xi_t], [x, x, z], [z, y, y])
     E_zy, E_xz, E_xy = prime_form(ctx, [z, x, x], [y, z, y])
     lhs = m_zy * E_zy * E_xz / E_xy
@@ -240,7 +241,7 @@ def theta_derivative_divisor_residual(ctx, rng):
     spread of theta_form * y over 20 controls.
     """
     controls = [sample_point(ctx, rng) for _ in range(20)]
-    ctrl_vals = np.array([theta_form_at(ctx, p) for p in controls])
+    ctrl_vals = theta_form(ctx, controls)
     scale = float(np.median(np.abs(ctrl_vals)))
     if ctx.g == 2:
         roots, dists = delta_divisor_root(ctx)
@@ -249,7 +250,7 @@ def theta_derivative_divisor_residual(ctx, rng):
         else:
             zero_val = float(dists.max()) / ctx.curve.min_gap
     elif ctx.g == 1:
-        ratios = np.array([theta_form_at(ctx, p) * p.y(ctx.curve) for p in controls])
+        ratios = np.array([v * p.y(ctx.curve) for v, p in zip(ctrl_vals, controls)])
         zero_val = float(np.abs(ratios - ratios.mean()).max() / abs(ratios.mean()))
     else:
         raise SuiteError("divisor-vanishing check runs at genus 1 or 2")
@@ -272,7 +273,8 @@ def quasidet_geometric_residual(ctx, n, rng, block=1):
     xis = np.array([sample_xi(ctx, rng) for _ in range(block)])
     # entries m3(xi_s, x_j, y_i) for every (s, i, j), then m3(xi_s + shift, x_0, y_0)
     s, i, j = np.indices((block, n + 1, n + 1)).reshape(3, -1)
-    shift = sum(ctx.aj(xs[k]) - ctx.aj(ys[k]) for k in range(1, n + 1))
+    V = ctx.aj(xs[1:] + ys[1:])
+    shift = sum(V[:n] - V[n:])
     m3 = massey_m3_prime(ctx, np.concatenate([xis[s], xis + shift]),
                          [xs[k] for k in j] + [xs[0]] * block,
                          [ys[k] for k in i] + [ys[0]] * block)
@@ -330,9 +332,8 @@ def homological_residual(env, rng):
     i, krow = int(idx[0]), int(idx[1])
     idx = rng.permutation(CARRIER_N)
     j, lcol = int(idx[0]), int(idx[1])
-    r1 = check_row_homological(A, i, j, krow, lcol)
-    r2 = check_col_homological(A, i, j, krow, lcol)
-    return max(r1, r2), max(r1, r2)
+    r = check_homological(A, i, j, krow, lcol)
+    return r, r
 
 
 # ---------------------------------------------------------------------------
@@ -421,14 +422,15 @@ def run_identity(spec: IdentitySpec, env, curve_id, trials, tol, seed):
     same stream) on rejected draws (_RETRY), up to 20 attempts per trial.
 
     Reports carry requested vs completed counts: completion below 90%
-    fails the report regardless of residuals.
+    fails the report regardless of residuals.  An environment that failed
+    to build (an exception in place of env) runs no trial and fails.
     """
     t0 = time.perf_counter()
     completed = 0
-    failure = ""
+    failure = f"{type(env).__name__}: {env}" if isinstance(env, Exception) else ""
     max_abs = 0.0
     max_rel = 0.0
-    for trial in range(trials):
+    for trial in range(0 if failure else trials):
         rng = trial_rng(seed, f"{spec.name}|{curve_id}", trial)
         for _ in range(20):
             try:
@@ -528,16 +530,7 @@ def run_suite(config: SuiteConfig, progress=None):
                     envs[cid] = _build_env(entry)
                 except (CurveError, ThetaError, QuarticError, ValueError) as ex:
                     envs[cid] = ex
-            if isinstance(envs[cid], Exception):
-                rep = IdentityReport(identity_id=name, curve_id=cid, trials=trials,
-                                     completed=0, max_abs_residual=math.inf,
-                                     max_rel_residual=math.inf,
-                                     seed=config.master_seed, tol=tol,
-                                     passed=False, elapsed_ms=0,
-                                     failure=f"{type(envs[cid]).__name__}: {envs[cid]}")
-            else:
-                rep = run_identity(spec, envs[cid], cid, trials, tol,
-                                   config.master_seed)
+            rep = run_identity(spec, envs[cid], cid, trials, tol, config.master_seed)
             reports.append(rep)
             if progress:
                 progress(rep)

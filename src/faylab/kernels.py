@@ -2,8 +2,9 @@
 half-differential h, the pulled-back derivative 1-form, and the triple
 Massey product m3 computed by two formulas.
 
-F, E and m3 take batches first (see each function): each call makes one
-theta_batch call for its whole batch, and raises if any pair in it would.
+Every kernel takes a batch of points first.  CurveContext.aj, theta_form
+and h_values map a point list to one row per point; F, E and m3 make one
+theta_batch call for their whole batch, and raise if any pair in it would.
 
 Conventions.  All section-valued quantities are numbers in the affine
 x-coordinate frame at each curve point (dx trivializes the canonical
@@ -26,7 +27,7 @@ from itertools import product
 import numpy as np
 
 from .theta import theta_batch, theta_gradient
-from .curves import (HyperellipticCurve, CurvePoint, PeriodData, make_point,
+from .curves import (HyperellipticCurve, PeriodData, make_point,
                      abel_jacobi, abel_jacobi_from_branch, find_odd_char,
                      lattice_coords, theta_scale, CurveError)
 
@@ -78,17 +79,15 @@ class CurveContext:
 
     # -- point bookkeeping -------------------------------------------------
 
-    def aj(self, p: CurvePoint):
-        """Abel-Jacobi vector of p from the context base point (cached, so
-        every identity reuses the exact same representative)."""
-        k = p.key()
-        if k not in self._aj_cache:
-            self._aj_cache[k] = abel_jacobi(self.periods, p, self.base)
-        return self._aj_cache[k]
-
-    def diff(self, q: CurvePoint, p: CurvePoint):
-        """The Jacobian point q - p (independent of the base)."""
-        return self.aj(q) - self.aj(p)
+    def aj(self, ps):
+        """Abel-Jacobi vectors of the points ps from the context base point,
+        as an (N, g) array (cached per point, so every identity reuses the
+        exact same representative)."""
+        keys = [p.key() for p in ps]
+        for k, p in zip(keys, ps):
+            if k not in self._aj_cache:
+                self._aj_cache[k] = abel_jacobi(self.periods, p, self.base)
+        return np.array([self._aj_cache[k] for k in keys]).reshape(len(ps), self.g)
 
     # -- theta shorthands --------------------------------------------------
 
@@ -104,37 +103,33 @@ class CurveContext:
         """xi = w - e for the theta point e of a degree-(g-1) bundle."""
         return self.w - np.asarray(e, dtype=complex)
 
-    # -- kernels -----------------------------------------------------------
 
-    def omega_frame(self, p: CurvePoint):
-        """Values of the normalized differentials at p, as dx-coefficients:
-        A^{-1} (x^{i-1} / y)."""
-        y = p.y(self.curve)
-        v = np.array([p.x**i for i in range(self.g)], dtype=complex) / y
-        return self.periods.A_inv @ v
-
-
-def theta_form_at(ctx: CurveContext, p: CurvePoint):
-    """The 1-form sum_i (d theta[delta]/d z_i)(0) omega_i evaluated at p,
-    as the coefficient of dx, for the context's odd characteristic delta."""
-    return complex(ctx.grad0 @ ctx.omega_frame(p))
+def theta_form(ctx: CurveContext, ps):
+    """The 1-form sum_i (d theta[delta]/d z_i)(0) omega_i at each point of
+    ps, as the coefficient of dx, for the context's odd characteristic:
+    grad0 . A^{-1} (x^{i-1} / y)."""
+    out = np.empty(len(ps), dtype=complex)
+    for k, p in enumerate(ps):
+        v = np.array([p.x**i for i in range(ctx.g)], dtype=complex) / p.y(ctx.curve)
+        out[k] = ctx.grad0 @ (ctx.periods.A_inv @ v)
+    return out
 
 
-def h_value(ctx: CurveContext, p: CurvePoint):
-    """Principal square root of theta_form_at, cached per point.
+def h_values(ctx: CurveContext, ps):
+    """Principal square roots of theta_form at the points ps, cached per
+    point; the cache misses of a batch take one theta_form call.
 
     h(p)^2 equals the derivative 1-form at p; identities use each point's
     h with uniform parity, so the branch choice cancels (asserted by the
     sign-flip tests, not assumed).
     """
-    k = p.key()
-    if k not in ctx._h_cache:
-        ctx._h_cache[k] = np.sqrt(theta_form_at(ctx, p))
-    return ctx._h_cache[k]
-
-
-def _h_values(ctx, ps):
-    return np.array([h_value(ctx, p) for p in ps])
+    keys = [p.key() for p in ps]
+    miss = {}
+    for k, p in zip(keys, ps):
+        if k not in ctx._h_cache:
+            miss.setdefault(k, p)
+    ctx._h_cache.update(zip(miss, np.sqrt(theta_form(ctx, list(miss.values())))))
+    return np.array([ctx._h_cache[k] for k in keys])
 
 
 def _check_off_divisor(ctx, *denominators):
@@ -149,7 +144,7 @@ def _pair_diffs(ctx, ps, qs):
     array; raises CoincidentPoints if any pair repeats a point."""
     if any(p.key() == q.key() for p, q in zip(ps, qs, strict=True)):
         raise CoincidentPoints("kernel needs distinct points in every pair")
-    return np.array([ctx.diff(q, p) for p, q in zip(ps, qs)])
+    return ctx.aj(qs) - ctx.aj(ps)
 
 
 def fay_F(ctx: CurveContext, xi1, xi2):
@@ -174,7 +169,7 @@ def prime_form(ctx: CurveContext, ps, qs):
     normalization: E(p, t) ~ (x_t - x_p) as t -> p.
     """
     th = ctx.theta_delta(_pair_diffs(ctx, ps, qs))
-    return th / (_h_values(ctx, ps) * _h_values(ctx, qs))
+    return th / (h_values(ctx, ps) * h_values(ctx, qs))
 
 
 def _m3_thetas(ctx, xis, ps, qs):
@@ -192,7 +187,7 @@ def massey_m3_prime(ctx: CurveContext, xis, ps, qs):
     the prime-form route, with theta_L(z) = theta[delta](z - xi) the
     odd-characteristic translate of the bundle (one xi per pair, (N, g))."""
     num, den, th_v = _m3_thetas(ctx, xis, ps, qs)
-    E = th_v / (_h_values(ctx, ps) * _h_values(ctx, qs))
+    E = th_v / (h_values(ctx, ps) * h_values(ctx, qs))
     return num / (E * den)
 
 
@@ -208,8 +203,7 @@ def massey_m3_theta(ctx: CurveContext, xis, ps, qs):
     """
     num, den, mid = _m3_thetas(ctx, xis, ps, qs)
     _check_off_divisor(ctx, mid)
-    form_p = np.array([theta_form_at(ctx, p) for p in ps])
-    return num * form_p * _h_values(ctx, qs) / (mid * den * _h_values(ctx, ps))
+    return num * theta_form(ctx, ps) * h_values(ctx, qs) / (mid * den * h_values(ctx, ps))
 
 
 def sample_point(ctx: CurveContext, rng):
@@ -251,12 +245,9 @@ def riemann_constant(ctx: CurveContext):
     g = ctx.g
     V1 = abel_jacobi_from_branch(ctx.periods, ctx.base, 0)
     rng = np.random.default_rng(20240719)
-    Us = []
-    for _ in range(g + 2):
-        u = np.zeros(g, dtype=complex)
-        for _ in range(g - 1):
-            u += ctx.aj(sample_point(ctx, rng))
-        Us.append(u)
+    # g + 2 divisors of g - 1 points each, summed in draw order
+    pts = [sample_point(ctx, rng) for _ in range((g + 2) * (g - 1))]
+    Us = ctx.aj(pts).reshape(g + 2, g - 1, g).sum(axis=1)
     best = None
     for a in product((0.0, 0.5), repeat=g):
         for b in product((0.0, 0.5), repeat=g):
@@ -265,8 +256,7 @@ def riemann_constant(ctx: CurveContext):
             # shifts of kap: score every candidate in one cell
             al, be = lattice_coords(kap, ctx.rm)
             kap = kap - np.floor(al + 0.25) - ctx.rm.omega @ np.floor(be + 0.25)
-            vals, _, _, _ = theta_batch(np.array([U - kap for U in Us]), ctx.rm,
-                                        tol=ctx.tol)
+            vals, _, _, _ = theta_batch(Us - kap, ctx.rm, tol=ctx.tol)
             score = float(np.abs(vals).max()) / ctx.scale_raw
             if best is None or score < best[0]:
                 best = (score, kap)

@@ -22,8 +22,8 @@ from faylab.identities import (run_suite, SuiteConfig,
                                theta_derivative_divisor_residual,
                                quasidet_geometric_residual, _distinct_points)
 from faylab.quasidet import (random_quasimatrix, check_sylvester,
-                             check_column_expansion, check_row_homological,
-                             check_col_homological, SingularMinor)
+                             check_column_expansion, check_homological,
+                             SingularMinor)
 from faylab.quartic import (canprop_residual, cor2_residual, ratio_dual_residual,
                             tangent_reconstruction_residual,
                             reconstruct_synthetic_residual)
@@ -204,7 +204,7 @@ def test_criterion_4_trisecant_suite():
         except Exception:
             continue
         y, z0, t0_, z1, t1 = pts
-        Y, Z0, T0, Z1, T1 = (ctx1.aj(p) for p in pts)
+        Y, Z0, T0, Z1, T1 = ctx1.aj(pts)
         xi = Z0 - T0
         S = Z1 - T1
         blocks = [fay_F(ctx1, Z1 - Z0, xi) * fay_F(ctx1, Y - Z1, S + xi),
@@ -280,10 +280,8 @@ def test_criterion_6_quasidet_suite():
         if n >= 3:
             idx = rng.permutation(n)
             jdx = rng.permutation(n)
-            vals.append(check_row_homological(A, int(idx[0]), int(jdx[0]),
-                                              int(idx[1]), int(jdx[1])))
-            vals.append(check_col_homological(A, int(idx[0]), int(jdx[0]),
-                                              int(idx[1]), int(jdx[1])))
+            vals.append(check_homological(A, int(idx[0]), int(jdx[0]),
+                                          int(idx[1]), int(jdx[1])))
         return max(vals)
     r = run_trials(structural, 100, "acc6|struct")
     checks.append(("sylvester/column/homological k=2", r, 1e-9))

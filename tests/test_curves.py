@@ -183,6 +183,32 @@ class TestPeriods:
             assert np.abs(om - om.T).max() < 1e-10
             assert np.linalg.eigvalsh(om.imag).min() > 0
 
+    def test_intersection_numbers_computed_once(self, monkeypatch):
+        # one crossing count per pair of the 2g cycles, none repeated for
+        # the orientation check
+        calls = []
+        real = curves._intersection_number
+        monkeypatch.setattr(curves, "_intersection_number",
+                            lambda *a: calls.append(a) or real(*a))
+        c = HyperellipticCurve([0.0, 1.0, 2.0, 3.0, 4.0], "g2-real")
+        period_matrix(c)
+        assert len(calls) == 6
+
+    def test_reversed_b_cycle_flipped_back(self, monkeypatch):
+        # a b-cycle built clockwise has a_0 . b_0 = -1; period_matrix
+        # reverses it and corrects its row and column of the pairing
+        c = HyperellipticCurve([0.0, 1.0, 2.0, 3.0, 4.0], "g2-real")
+        _, _, ref = period_matrix(c)
+        real = curves._build_cycles
+
+        def first_b_clockwise(curve):
+            a_cycles, b_cycles = real(curve)
+            b_cycles[0] = curves.Cycle(b_cycles[0].vertices[::-1])
+            return a_cycles, b_cycles
+        monkeypatch.setattr(curves, "_build_cycles", first_b_clockwise)
+        _, _, pd = period_matrix(c)
+        assert np.abs(pd.rm.omega - ref.rm.omega).max() < 1e-12
+
     @pytest.mark.parametrize("cid", ["lemniscatic", "equianharmonic",
                                      "g2-real", "g3-real"])
     def test_registry_omegas_valid(self, cid):
@@ -397,7 +423,7 @@ class TestLineBundles:
         e2 = e + n + ctx_g1.rm.omega @ m
         m1 = massey_m3_prime(ctx_g1, [ctx_g1.xi_of_bundle(e)], [P], [Q])[0]
         m2 = massey_m3_prime(ctx_g1, [ctx_g1.xi_of_bundle(e2)], [P], [Q])[0]
-        v = ctx_g1.diff(Q, P)
+        v = (ctx_g1.aj([Q]) - ctx_g1.aj([P]))[0]
         # e -> e + lattice shifts xi by -lattice; the m3 ratio picks up
         # exp(-2 pi i m . v)
         fac = np.exp(-2j * np.pi * m @ v)
@@ -419,7 +445,7 @@ class TestVanishingLocus:
         kappa = riemann_constant(ctx_g2)
         x = sample_point(ctx_g2, rng)
         D2 = [sample_point(ctx_g2, rng)]
-        e = kappa - sum(ctx_g2.aj(p) for p in D2)
+        e = kappa - ctx_g2.aj(D2).sum(axis=0)
         controls = [sample_point(ctx_g2, rng) for _ in range(100)]
         max_zero, min_ctrl = vanishing_locus_check(
             ctx_g2.periods, e, x, D2 + [x], controls, ctx_g2.base)
@@ -456,6 +482,6 @@ class TestRiemannConstant:
         for _ in range(4):
             u = np.zeros(ctx.g, dtype=complex)
             for _ in range(ctx.g - 1):
-                u += ctx.aj(sample_point(ctx, rng))
+                u += ctx.aj([sample_point(ctx, rng)])[0]
             val = abs(theta(u - kappa, ctx.rm).value)
             assert val < 1e-7 * ctx.scale

@@ -73,10 +73,8 @@ class TestTrisecant:
         z0, t0 = pts[1], pts[2]
         zs = pts[3:3 + n]
         ts = pts[3 + n:]
-        Y = ctx_g1.aj(y)
-        Z0, T0 = ctx_g1.aj(z0), ctx_g1.aj(t0)
-        Z = [ctx_g1.aj(p) for p in zs]
-        T = [ctx_g1.aj(p) for p in ts]
+        Y, Z0, T0 = ctx_g1.aj([y, z0, t0])
+        Z, T = list(ctx_g1.aj(zs)), list(ctx_g1.aj(ts))
         xi = Z0 - T0
         # general identity blocks at x = z0
         S = sum(Z[k] - T[k] for k in range(n))
@@ -147,6 +145,33 @@ class TestResidueIdentities:
                 return self.r.integers(*a, **k)
         with pytest.raises(BadTriple):
             _distinct_points(ctx_g1, Collapse(), 3)
+
+    def test_coincident_draw_redrawn_by_run_identity(self, ctx_g1, monkeypatch):
+        # one coincident draw raises BadTriple at once; run_identity then
+        # completes the trial with the next draws of the same stream
+        import faylab.identities as ids
+        from faylab.identities import BadTriple, IdentitySpec
+        real = ids.sample_point
+        drawn = []
+
+        def first_three_coincide(ctx, rng):
+            drawn.append(real(ctx, rng))
+            return drawn[0] if len(drawn) <= 3 else drawn[-1]
+        monkeypatch.setattr(ids, "sample_point", first_three_coincide)
+        with pytest.raises(BadTriple):
+            _distinct_points(ctx_g1, trial_rng(7, "redraw", 0), 3)
+        assert len(drawn) == 3
+        drawn.clear()
+        got = []
+
+        def runner(ctx, rng):
+            got.append(_distinct_points(ctx, rng, 3))
+            return 0.0, 0.0
+        spec = IdentitySpec("redraw", "hyperelliptic", runner, {1: (1, 1.0)})
+        rep = run_identity(spec, ctx_g1, "lemniscatic", 1, 1.0, 7)
+        assert (rep.completed, rep.passed, len(got)) == (1, True, 1)
+        rng = trial_rng(7, "redraw|lemniscatic", 0)
+        assert got[0] == [real(ctx_g1, rng) for _ in range(6)][3:]
 
     def test_maincor_kernel(self, ctx_g1):
         assert run_many(maincor_kernel_residual, ctx_g1, None, "mk") < 1e-8
@@ -242,6 +267,19 @@ class TestSuiteRunner:
         assert rep.completed == 0
         assert not rep.passed
         assert math.isinf(rep.max_abs_residual) and math.isinf(rep.max_rel_residual)
+
+    def test_unbuilt_environment_fails_its_reports(self, monkeypatch):
+        import faylab.identities as ids
+        from faylab.curves import BranchPointCollision
+        def refuse(entry):
+            raise BranchPointCollision("synthetic collision")
+        monkeypatch.setattr(ids, "_build_env", refuse)
+        reps = run_suite(SuiteConfig(curves=["lemniscatic"], trials=2,
+                                     identities=["idcor", "quasidet_det_ratio"]))
+        assert [(r.curve_id, r.completed, r.passed, r.failure) for r in reps] == [
+            ("lemniscatic", 0, False, "BranchPointCollision: synthetic collision"),
+            ("-", 2, True, "")]
+        assert math.isinf(reps[0].max_rel_residual)
 
     @pytest.mark.parametrize("failures", [1, None])
     def test_run_identity_resamples_quartic_draws(self, monkeypatch, fermat, failures):

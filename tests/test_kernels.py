@@ -3,8 +3,8 @@ import pytest
 
 from faylab.curves import make_point, random_line_bundle
 from faylab.kernels import (CurveContext, fay_F, prime_form,
-                            massey_m3_prime, massey_m3_theta, theta_form_at,
-                            h_value, sample_point, sample_xi,
+                            massey_m3_prime, massey_m3_theta, theta_form,
+                            h_values, sample_point, sample_xi,
                             delta_divisor_root, NearDivisor, CoincidentPoints)
 from faylab.theta import theta_gradient, odd_theta_chars
 
@@ -85,19 +85,19 @@ class TestFayKernel:
 
 class TestThetaForm:
     def test_fd_along_curve(self, ctx_g2):
-        # theta_form_at = d/dx theta[delta](AJ(t)) in the x-chart
+        # theta_form = d/dx theta[delta](AJ(t)) in the x-chart
         from faylab.curves import abel_jacobi
         from faylab.theta import theta
         rng = np.random.default_rng(4)
         for _ in range(4):
             P = sample_point(ctx_g2, rng)
-            form = theta_form_at(ctx_g2, P)
+            form = theta_form(ctx_g2, [P])[0]
             h = 1e-5
             vals = []
             for dx in (h, -h):
                 Q = make_point(ctx_g2.curve, P.x + dx, P.sheet)
                 arg = abel_jacobi(ctx_g2.periods, Q, ctx_g2.base)
-                vals.append(theta(arg - ctx_g2.aj(P) + 0j, ctx_g2.rm,
+                vals.append(theta(arg - ctx_g2.aj([P])[0] + 0j, ctx_g2.rm,
                                   ctx_g2.delta, tol=1e-12).value)
             fd = (vals[0] - vals[1]) / (2 * h)
             assert abs(form - fd) < 1e-6 * abs(form)
@@ -105,10 +105,10 @@ class TestThetaForm:
     def test_scaling_linearity(self, ctx_g2):
         rng = np.random.default_rng(5)
         P = sample_point(ctx_g2, rng)
-        base_val = theta_form_at(ctx_g2, P)
+        base_val = theta_form(ctx_g2, [P])[0]
         ctx2 = CurveContext(ctx_g2.curve, ctx_g2.periods,
                             theta_multiplier=2.5 - 1.0j)
-        assert abs(theta_form_at(ctx2, P) - (2.5 - 1.0j) * base_val) \
+        assert abs(theta_form(ctx2, [P])[0] - (2.5 - 1.0j) * base_val) \
             < 1e-12 * abs(base_val)
 
     def test_vanishes_on_divisor_g2(self, ctx_g2):
@@ -122,7 +122,7 @@ class TestThetaForm:
         vals = []
         for rho in (1e-2, 1e-4, 1e-6):
             P = make_point(ctx_g2.curve, e_star + rho * (1 + 0.4j), 1)
-            vals.append(abs(theta_form_at(ctx_g2, P)))
+            vals.append(abs(theta_form(ctx_g2, [P])[0]))
         assert vals[0] > vals[1] > vals[2]
         # sqrt decay: value(rho/100) ~ value(rho)/10
         assert vals[2] / vals[1] < 0.3
@@ -175,7 +175,7 @@ class TestPrimeForm:
         for _ in range(5):
             P = sample_point(ctx_g1, rng)
             Q = sample_point(ctx_g1, rng)
-            v = complex((ctx_g1.aj(Q) - ctx_g1.aj(P))[0])
+            v = complex((ctx_g1.aj([Q]) - ctx_g1.aj([P]))[0, 0])
             h_or = lambda R: np.sqrt(thp0 * Ainv / R.y(ctx_g1.curve))
             oracle = qseries_theta_char(0.5, 0.5, v, tau) / (h_or(P) * h_or(Q))
             mine = prime_form(ctx_g1, [P], [Q])[0]
@@ -239,7 +239,8 @@ class TestMassey:
                 m = massey_m3_prime(ctx_g1, [ctx_g1.xi_of_bundle(e)], [P], [Q])[0]
             except (NearDivisor, CoincidentPoints):
                 continue
-            shifted = abs(theta(e + ctx_g1.diff(Q, P), ctx_g1.rm).value)
+            shifted = abs(theta(e + (ctx_g1.aj([Q]) - ctx_g1.aj([P]))[0],
+                                ctx_g1.rm).value)
             pairs.append((abs(m), shifted / ctx_g1.scale))
         small_m = [s for m, s in pairs if m < 1e-4]
         large_m = [s for m, s in pairs if m > 1e-1]
@@ -268,7 +269,7 @@ class TestMassey:
         lam = n + ctx_g2.rm.omega @ m
         m1 = massey_m3_theta(ctx_g2, [xi], [P], [Q])[0]
         m2 = massey_m3_theta(ctx_g2, [xi + lam], [P], [Q])[0]
-        v = ctx_g2.diff(Q, P)
+        v = (ctx_g2.aj([Q]) - ctx_g2.aj([P]))[0]
         fac = np.exp(2j * np.pi * m @ v)
         assert abs(m2 - fac * m1) < 1e-9 * abs(m1)
 
@@ -301,6 +302,21 @@ class TestBatches:
             rows = np.array([kernel(ctx, *([a[k]] for a in args))[0]
                              for k in range(len(ps))])
             assert np.all(np.abs(stacked - rows) <= 1e-14 * np.abs(rows)), kernel
+
+    @pytest.mark.parametrize("cid", ["lemniscatic", "g2-real", "g3-real"])
+    def test_point_batches_equal_single_calls(self, cid):
+        # rows of ctx.aj and h_values equal one-point calls bitwise, in any
+        # order and with repeated points; fresh contexts keep caches apart
+        base = build_context(cid)
+        ps, qs, _ = self.draws(base, 4)
+        batch = [(ps + qs)[k] for k in (5, 2, 2, 7, 0, 5, 1, 6, 3, 4, 0)]
+        ctx = CurveContext(base.curve, base.periods)
+        aj, h = ctx.aj(batch), h_values(ctx, batch)
+        one = CurveContext(base.curve, base.periods)
+        assert aj.shape == (len(batch), ctx.g)
+        assert np.array_equal(aj, np.array([one.aj([p])[0] for p in batch]))
+        assert np.array_equal(h, np.array([h_values(one, [p])[0] for p in batch]))
+        assert ctx.aj([]).shape == (0, ctx.g) and h_values(ctx, []).shape == (0,)
 
     def test_one_near_divisor_row_raises(self, ctx_g2):
         ps, qs, xis = self.draws(ctx_g2)

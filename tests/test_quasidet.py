@@ -4,8 +4,8 @@ from hypothesis import given, settings, strategies as st
 
 from faylab.quasidet import (QuasiMatrix, random_quasimatrix,
                              carrier_inv, check_sylvester,
-                             check_column_expansion, check_row_homological,
-                             check_col_homological, SingularMinor)
+                             check_column_expansion, check_homological,
+                             SingularMinor)
 
 
 class TestCarrier:
@@ -58,8 +58,26 @@ class TestQuasideterminant:
     def test_permutation_equivariance(self):
         rng = np.random.default_rng(5)
         A = random_quasimatrix(rng, 3, 2)
-        P = A.permuted([2, 0, 1], [1, 2, 0])
-        assert np.abs(A.qdet(2, 1) - P.qdet(2, 1)).max() < 1e-12
+        # row 2 and column 1 of A are row 0 and column 0 of P
+        P = QuasiMatrix(A.entries[np.ix_([2, 0, 1], [1, 2, 0])])
+        assert np.abs(A.qdet(2, 1) - P.qdet(0, 0)).max() < 1e-12
+
+    def test_index_lists_equal_extracted_submatrix(self):
+        # qdet(i, j, rows, cols) is the quasideterminant of the submatrix
+        # on rows x cols, at the positions of i and j in those lists
+        rng = np.random.default_rng(11)
+        for k in (1, 2, 3):
+            A = random_quasimatrix(rng, 5, k)
+            for rows, cols in [([3, 0, 4], [1, 4, 2]), ([4, 1, 2, 0], [0, 3, 2, 1]),
+                               ([2], [3])]:
+                sub = QuasiMatrix(A.entries[np.ix_(rows, cols)])
+                for a, i in enumerate(rows):
+                    for b, j in enumerate(cols):
+                        assert np.array_equal(A.qdet(i, j, rows, cols), sub.qdet(a, b))
+        with pytest.raises(ValueError):
+            A.qdet(0, 0, [1, 2], [0, 1])
+        with pytest.raises(ValueError):
+            A.qdet(0, 0, [0, 1, 2], [0, 1])
 
     def test_inverse_block_oracle(self):
         # |A|_ij = ((A^-1)_ji)^-1 for every (i, j), with A^-1 the inverse
@@ -140,5 +158,4 @@ class TestStructuralIdentities:
             jdx = rng.permutation(3)
             i, k = int(idx[0]), int(idx[1])
             j, l = int(jdx[0]), int(jdx[1])
-            assert check_row_homological(A, i, j, k, l) < 1e-9
-            assert check_col_homological(A, i, j, k, l) < 1e-9
+            assert check_homological(A, i, j, k, l) < 1e-9

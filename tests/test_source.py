@@ -114,6 +114,54 @@ def test_no_unreferenced_definitions_in_package():
         f"{mod}:{line} {name}" for mod, name, line in hits)
 
 
+#: entries that take a whole list of points in one call
+BATCH_ENTRIES = {"aj", "h_values", "theta_form"}
+
+
+def _per_iteration(node):
+    """The subtrees of a for loop or comprehension that run once per
+    iteration (all but the iterable its first loop walks)."""
+    if isinstance(node, (ast.For, ast.AsyncFor)):
+        return node.body + node.orelse
+    if isinstance(node, (ast.ListComp, ast.SetComp, ast.GeneratorExp, ast.DictComp)):
+        first, *rest = node.generators
+        own = [getattr(node, f) for f in ("elt", "key", "value") if hasattr(node, f)]
+        return own + first.ifs + rest
+    return []
+
+
+def _batch_calls_in_loops(tree):
+    """(line, name) for every call of a BATCH_ENTRIES name, as a function or
+    a method, that runs once per iteration of a loop or comprehension."""
+    hits = set()
+    for loop in ast.walk(tree):
+        for part in _per_iteration(loop):
+            for node in ast.walk(part):
+                if isinstance(node, ast.Call):
+                    name = getattr(node.func, "attr", getattr(node.func, "id", None))
+                    if name in BATCH_ENTRIES:
+                        hits.add((node.lineno, name))
+    return sorted(hits)
+
+
+def test_batch_calls_in_loops_detected():
+    tree = ast.parse("def f(ctx, ps):\n    a = ctx.aj(ps)\n"
+                     "    for v in ctx.aj(ps):\n        h_values(ctx, [v])\n"
+                     "    b = [ctx.aj([p]) for p in ps]\n"
+                     "    c = sum(theta_form(ctx, [p]) for p in ps)\n"
+                     "    d = {p: k.h_values(ctx, [p]) for p in ps}\n"
+                     "    return [x for x in theta_form(ctx, ps)], a, b, c, d\n")
+    assert _batch_calls_in_loops(tree) == [(4, "h_values"), (5, "aj"),
+                                           (6, "theta_form"), (7, "h_values")]
+
+
+def test_no_batch_calls_in_loops_in_package():
+    # a point list goes to ctx.aj, h_values and theta_form in one call
+    hits = [f"{p.name}:{line} {name}" for p in sorted(SRC.glob("*.py"))
+            for line, name in _batch_calls_in_loops(ast.parse(p.read_text()))]
+    assert hits == [], "batch entry called per point: " + ", ".join(hits)
+
+
 def _defaults(tree):
     """{name: [(qualname, [params with defaults, as (name, position)])]}
     for every function of the tree, with a method's first parameter dropped
@@ -243,7 +291,7 @@ def _faylab_imports(tree):
 def test_faylab_imports_detected():
     tree = ast.parse("import numpy as np\nfrom .theta import theta\n"
                      "def f():\n    from . import curves\n"
-                     "    from faylab.kernels import h_value\n"
+                     "    from faylab.kernels import h_values\n"
                      "    import faylab.rng\n")
     assert _faylab_imports(tree) == {"theta", "curves", "kernels", "rng"}
 
