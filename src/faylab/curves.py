@@ -8,8 +8,8 @@ is done on closed polygonal paths in the x-plane with continuous
 analytic continuation of y (no branch-cut bookkeeping).
 
 One routine, `integrate_path`, continues y through the Gauss-Legendre
-nodes of a polygon and integrates along it; every period, crossing sheet
-match and Abel-Jacobi integral is one call of it.
+nodes of a batch of polygons and integrates along each: all periods are
+one call, all crossing sheet matches one, and each Abel-Jacobi batch one.
 
 Abel-Jacobi integrals run along hub paths: from a hub on a circle about
 the branch point nearest P, round it to the angle of P, then straight out
@@ -101,7 +101,9 @@ class HyperellipticCurve:
         x = np.asarray(x, dtype=complex)
         out = np.full(x.shape, self.lead, dtype=complex)
         for e in self.branch_points:
-            out = out * (x - e)
+            # in place: out = out * (x - e) takes another multiply loop from
+            # 2**14 points on, which changes last bits with the array's size
+            out *= x - e
         return out
 
     def y_principal(self, x):
@@ -125,6 +127,9 @@ class CurvePoint:
     def __post_init__(self):
         if self.sheet not in (1, -1):
             raise ValueError("sheet must be +1 or -1")
+        # rounded once; not a field, so equality and hashing stay on x, sheet
+        key = (round(self.x.real, 12), round(self.x.imag, 12), self.sheet)
+        object.__setattr__(self, "_key", key)
 
     def y(self, curve):
         return self.sheet * curve.y_principal(self.x)
@@ -133,7 +138,7 @@ class CurvePoint:
         return CurvePoint(self.x, -self.sheet)
 
     def key(self):
-        return (round(self.x.real, 12), round(self.x.imag, 12), self.sheet)
+        return self._key
 
 
 def make_point(curve, x, sheet):
@@ -157,131 +162,112 @@ def lattice_coords(z, rm: RiemannMatrix):
 #: most quadrature nodes of one path (a registry cycle at order 256: ~11,000)
 MAX_PATH_NODES = 2**21
 
+#: Gauss-Legendre order of the Abel-Jacobi integrals
+AJ_ORDER = 32
+
 
 @functools.lru_cache(maxsize=None)
 def _gl_nodes(order):
     return np.polynomial.legendre.leggauss(order)
 
 
-def integrate_path(curve, vertices, y0, order=32):
-    """Integrate (1, x, .., x^(g-1)) dx / y along a polygonal path, with
-    y = y0 at vertices[0]; returns (integrals, y at every vertex).
+def integrate_path(curve, paths, y0s, order):
+    """Integrate (1, x, .., x^(g-1)) dx / y along each polygonal path, with
+    y = y0s[i] at paths[i][0]; returns the (N, g) integrals and, per path,
+    y at every vertex.
 
     Each edge is cut into Gauss-Legendre panels no wider than half its
     clearance dmin from the branch points (an edge within 1e-6 of one is
     refused, and a path of more than MAX_PATH_NODES nodes raises
-    PathTooLong before any node is laid).  y is continued through every
-    vertex and node of the path in one pass: y_{j+1} = y_j sqrt(f_{j+1} /
-    f_j), the square root taken as exp(log / 2) of a ratio that must keep
-    |delta arg f| <= pi/2 and its modulus in [0.1, 10] (else
-    PathTooCloseToBranchPoint).  That test cannot fail at order >= 16:
-    consecutive points are at most 0.0475 dmin apart, so each of the at
-    most 7 factors x - e_k of f turns by less than 0.05 rad and changes
-    modulus by less than 5 % per step.
+    PathTooLong before any node is laid).  The nodes of all paths are laid
+    and f evaluated in one pass; y is continued through every vertex and
+    node of a path: y_{j+1} = y_j sqrt(f_{j+1} / f_j), the square root
+    taken as exp(log / 2) of a ratio that must keep |delta arg f| <= pi/2
+    and its modulus in [0.1, 10] (else PathTooCloseToBranchPoint).  That
+    test cannot fail at order >= 12: consecutive points are at most 0.063
+    dmin apart, so each of the at most 7 factors x - e_k of f turns by less
+    than 0.063 rad and changes modulus by less than 6.3 % per step.  The
+    running sum of log ratios and the weighted sum run on each path's own
+    slice, so a path's row does not depend on the others in its batch.
     """
-    z = np.asarray(vertices, dtype=complex)
-    za, seg, e = z[:-1, None], (z[1:] - z[:-1])[:, None], curve.branch_points
+    e = curve.branch_points
+    zs = [np.asarray(z, dtype=complex) for z in paths]
+    lens = [len(z) for z in zs]
+    # edges in path order, each path's vertex 0 a zero-length edge of its own
+    za, zb = np.concatenate([np.append(z[0], z[:-1]) for z in zs]), np.concatenate(zs)
+    seg = (zb - za)[:, None]
     # each branch point's distance to its foot on each edge
-    t = ((e - za) / np.where(seg == 0, 1, seg)).real.clip(0.0, 1.0)
-    dmin = np.abs(za + t * seg - e).min(axis=1)
+    t = ((e - za[:, None]) / np.where(seg == 0, 1, seg)).real.clip(0.0, 1.0)
+    dmin = np.abs(za[:, None] + t * seg - e).min(axis=1)
     if (dmin <= 1e-6).any():
-        raise PathTooCloseToBranchPoint(
-            f"edge {np.argmax(dmin <= 1e-6)} within 1e-6 of a branch point")
+        raise PathTooCloseToBranchPoint("an edge within 1e-6 of a branch point")
     panels = np.ceil(np.abs(seg[:, 0]) / (0.5 * dmin)).astype(int)
-    if panels.sum() * order > MAX_PATH_NODES:
-        raise PathTooLong(f"path needs {panels.sum() * order} quadrature nodes, "
+    need = np.add.reduceat(panels, np.cumsum(lens) - lens) * order
+    if need.max() > MAX_PATH_NODES:
+        raise PathTooLong(f"path needs {need.max()} quadrature nodes, "
                           f"more than {MAX_PATH_NODES}")
+    # each edge's nodes, then its end vertex (weight 0)
     nodes, weights = _gl_nodes(order)
-    xs, ws = [z[:1]], [np.zeros(1)]     # vertices carry weight 0
-    for za, zb, n in zip(z[:-1], z[1:], panels):
-        ts = (np.arange(n)[:, None] + 0.5 * (nodes + 1.0)) / max(n, 1)
-        xs += [za + ts.ravel() * (zb - za), np.array([zb])]
-        ws += [np.tile(weights, n) * (0.5 * (zb - za) / max(n, 1)), np.zeros(1)]
-    x, w = np.concatenate(xs), np.concatenate(ws)
+    edge = np.repeat(np.arange(len(za)), panels)
+    k = np.arange(len(edge)) - np.repeat(np.cumsum(panels) - panels, panels)
+    ts = (k[:, None] + 0.5 * (nodes + 1.0)) / np.maximum(panels, 1)[edge, None]
+    ends = np.cumsum(panels * order + 1) - 1
+    starts = np.append(ends[np.cumsum(lens) - lens], ends[-1] + 1)
+    x, w = np.empty(ends[-1] + 1, dtype=complex), np.zeros(ends[-1] + 1, dtype=complex)
+    node = np.ones(len(x), dtype=bool)
+    node[ends] = False
+    x[ends], x[node] = zb, (za[edge, None] + ts * seg[edge]).ravel()
+    w[node] = (weights * (0.5 * seg[:, 0] / np.maximum(panels, 1))[edge, None]).ravel()
     fx = curve.f(x)
     ratios = fx[1:] / fx[:-1]
     modulus = np.abs(ratios)
-    if np.any((ratios.real < 0) | (modulus > 10.0) | (modulus < 0.1)):
+    bad = (ratios.real < 0) | (modulus > 10.0) | (modulus < 0.1)
+    bad[starts[1:-1] - 1] = False       # steps from one path to the next
+    if bad.any():
         raise PathTooCloseToBranchPoint("continuation step too coarse for f")
-    y = y0 * np.exp(np.concatenate([[0.0], np.cumsum(0.5 * np.log(ratios))]))
-    return (x ** np.arange(curve.genus)[:, None] / y) @ w, y[w == 0]
+    half_log, powers = 0.5 * np.log(ratios), np.arange(curve.genus)[:, None]
+    vecs, ys = [], []
+    for y0, s, u in zip(y0s, starts[:-1], starts[1:]):
+        y = y0 * np.exp(np.concatenate([[0.0], np.cumsum(half_log[s:u - 1])]))
+        vecs.append((x[s:u] ** powers / y) @ w[s:u])
+        ys.append(y[w[s:u] == 0])
+    return np.array(vecs).reshape(len(zs), curve.genus), ys
 
 
 # ---------------------------------------------------------------------------
 # homology basis: stadium a-cycles, channel b-cycles
 
 
-@dataclass
-class Cycle:
-    vertices: list           # closed polygon, vertices[0] == vertices[-1]
-    y_values: np.ndarray = None   # continued y at each vertex
-    integral: np.ndarray = None   # integral of the differential basis
-
-    def reversed(self):
-        return Cycle(self.vertices[::-1], self.y_values[::-1], -self.integral)
-
-
-def _close(poly):
-    return poly + [poly[0]]
-
-
 def _stadium(p, q, margin, height):
-    """Rectangle with margins around the segment [p, q], counterclockwise."""
+    """Closed counterclockwise rectangle with margins around [p, q]."""
     u = (q - p) / abs(q - p)
     n = 1j * u
-    return [p - margin * u + height * n,
-            q + margin * u + height * n,
-            q + margin * u - height * n,
-            p - margin * u - height * n]
+    corners = [p - margin * u + height * n, q + margin * u + height * n,
+               q + margin * u - height * n, p - margin * u - height * n]
+    return corners + corners[:1]
 
 
 def _build_cycles(curve):
-    """a_k around cut k = [e_{2k-1}, e_{2k}]; b_k through cut k and the
-    final cut (the ray from e_{2g+1} to +infinity), enclosing the branch
-    points e_{2k} .. e_{2g+1}."""
-    e = curve.branch_points
-    g = curve.genus
-    d = curve.min_gap
-    im = e.imag
-    a_cycles = []
-    b_cycles = []
+    """Closed polygons (vertex 0 repeated at the end): a_k around cut k =
+    [e_{2k-1}, e_{2k}]; b_k through cut k and the final cut (the ray from
+    e_{2g+1} to +infinity), enclosing the branch points e_{2k} .. e_{2g+1}."""
+    e, g, d = curve.branch_points, curve.genus, curve.min_gap
+    a_cycles, b_cycles = [], []
     for k in range(g):
         p, q = e[2 * k], e[2 * k + 1]
-        a_cycles.append(Cycle(_close(_stadium(p, q, 0.25 * d, 0.3 * d))))
-    e_last = e[-1]
-    for k in range(g):
-        p, q = e[2 * k], e[2 * k + 1]
-        mu = 0.5 * (p + q)
-        nhat = 1j * (q - p) / abs(q - p)
-        eps = 0.2 * d
-        yt = im.max() + (0.5 + 0.3 * (g - 1 - k)) * d
-        yb = im.min() - (0.5 + 0.3 * (g - 1 - k)) * d
-        rho = e_last + (0.35 + 0.3 * (g - 1 - k)) * d
-        p1 = mu + eps * nhat
-        p6 = mu - eps * nhat
-        poly = [p1,
-                complex(p1.real, yt),
-                complex(rho.real, yt),
-                complex(rho.real, yb),
-                complex(p6.real, yb),
-                p6]
-        b_cycles.append(Cycle(_close(poly)))
+        a_cycles.append(_stadium(p, q, 0.25 * d, 0.3 * d))
+        mu, nhat = 0.5 * (p + q), 1j * (q - p) / abs(q - p)
+        yt = e.imag.max() + (0.5 + 0.3 * (g - 1 - k)) * d
+        yb = e.imag.min() - (0.5 + 0.3 * (g - 1 - k)) * d
+        rho = e[-1] + (0.35 + 0.3 * (g - 1 - k)) * d
+        p1, p6 = mu + 0.2 * d * nhat, mu - 0.2 * d * nhat
+        b_cycles.append([p1, complex(p1.real, yt), complex(rho.real, yt),
+                         complex(rho.real, yb), complex(p6.real, yb), p6, p1])
     return a_cycles, b_cycles
 
 
-def _attach_sheets(curve, cycle, order):
-    """Continue y around the polygon from the principal value at vertex 0
-    and integrate the differential basis along it."""
-    y0 = curve.y_principal(np.array([cycle.vertices[0]]))[0]
-    cycle.integral, ys = integrate_path(curve, cycle.vertices, y0, order)
-    cycle.y_values = ys
-    # closed on the surface: y returns to its start
-    if abs(ys[-1] - ys[0]) > 1e-8 * abs(ys[0]):
-        raise NotSymplectic("cycle does not close on the surface")
-
-
 def _segment_crossing(a0, a1, b0, b1):
-    """Transversal crossing of open segments; returns (t, s, sign) or None."""
+    """Transversal crossing of open segments; returns (t, sign) or None."""
     d1 = a1 - a0
     d2 = b1 - b0
     denom = d1.real * d2.imag - d1.imag * d2.real
@@ -292,32 +278,29 @@ def _segment_crossing(a0, a1, b0, b1):
     s = (w.real * d1.imag - w.imag * d1.real) / denom
     if not (1e-9 < t < 1 - 1e-9 and 1e-9 < s < 1 - 1e-9):
         return None
-    return t, s, 1 if denom > 0 else -1
+    return t, 1 if denom > 0 else -1
 
 
-def _intersection_number(curve, c1: Cycle, c2: Cycle):
-    """Signed sheet-matched crossing count of two cycles on the surface."""
-    total = 0
-    for i in range(len(c1.vertices) - 1):
-        a0, a1 = c1.vertices[i], c1.vertices[i + 1]
-        for j in range(len(c2.vertices) - 1):
-            b0, b1 = c2.vertices[j], c2.vertices[j + 1]
-            hit = _segment_crossing(a0, a1, b0, b1)
-            if hit is None:
-                continue
-            t, _, sign = hit
-            zc = a0 + t * (a1 - a0)
-            y1 = integrate_path(curve, [a0, zc], c1.y_values[i])[1][-1]
-            y2 = integrate_path(curve, [b0, zc], c2.y_values[j])[1][-1]
-            if abs(y1 - y2) < abs(y1 + y2):
-                total += sign
-    return total
-
-
-def _intersection_matrix(curve, cycles):
-    M = np.zeros((len(cycles), len(cycles)), dtype=int)
+def _intersection_matrix(curve, cycles, ys, order):
+    """Signed sheet-matched crossing counts of each pair of cycles on the
+    surface, ys[i] the y values at the vertices of cycles[i]; y is continued
+    along every crossing leg in one integrate_path call.  Returns the
+    antisymmetric matrix."""
+    legs, y0s, hits = [], [], []
     for i, j in itertools.combinations(range(len(cycles)), 2):
-        M[i, j] = _intersection_number(curve, cycles[i], cycles[j])
+        for m, (a0, a1) in enumerate(zip(cycles[i][:-1], cycles[i][1:])):
+            for n, (b0, b1) in enumerate(zip(cycles[j][:-1], cycles[j][1:])):
+                hit = _segment_crossing(a0, a1, b0, b1)
+                if hit is not None:
+                    zc = a0 + hit[0] * (a1 - a0)
+                    legs += [[a0, zc], [b0, zc]]
+                    y0s += [ys[i][m], ys[j][n]]
+                    hits.append((i, j, hit[1]))
+    M = np.zeros((len(cycles), len(cycles)), dtype=int)
+    ends = [y[-1] for y in integrate_path(curve, legs, y0s, order)[1]]
+    for (i, j, sign), y1, y2 in zip(hits, ends[::2], ends[1::2]):
+        if abs(y1 - y2) < abs(y1 + y2):
+            M[i, j] += sign
     return M - M.T
 
 
@@ -333,7 +316,7 @@ class PeriodData:
         self.curve = curve
         self.A_inv = np.linalg.inv(A)
         self.rm = rm
-        self._hubs = {}         # k -> (y at h_k, A^-1 int_{e_k}^{h_k})
+        self._hubs = None       # row k: rho_k, y at h_k, A^-1 int_{e_k}^{h_k}
         self._branch = None     # row k: A^-1 int_{e_0}^{e_k}
         self._base_aj = {}      # base.key() -> A^-1 int_{e_0}^base
 
@@ -349,23 +332,26 @@ def period_matrix(curve: HyperellipticCurve, quadrature_order=32):
         raise ValueError("quadrature_order must be between 16 and 256")
     g = curve.genus
     a_cycles, b_cycles = _build_cycles(curve)
-    for c in a_cycles + b_cycles:
-        _attach_sheets(curve, c, quadrature_order)
-    M = _intersection_matrix(curve, a_cycles + b_cycles)
+    cycles = a_cycles + b_cycles
+    # y continued around every cycle from its principal value at vertex 0
+    integrals, ys = integrate_path(curve, cycles, curve.y_principal([c[0] for c in cycles]),
+                                   quadrature_order)
+    # closed on the surface: y returns to its start
+    if any(abs(y[-1] - y[0]) > 1e-8 * abs(y[0]) for y in ys):
+        raise NotSymplectic("cycle does not close on the surface")
+    M = _intersection_matrix(curve, cycles, ys, quadrature_order)
     # normalize orientations: reversing b_k with a_k . b_k = -1 makes it +1
     signs = M[range(g), range(g, 2 * g)]
-    for k in range(g):
-        if abs(signs[k]) != 1:
-            raise NotSymplectic(f"a_{k}.b_{k} = {signs[k]}")
-    b_cycles = [c if s == 1 else c.reversed() for c, s in zip(b_cycles, signs)]
+    if (abs(signs) != 1).any():
+        raise NotSymplectic(f"a_k.b_k = {signs}, not +-1")
     D = np.diag(np.concatenate([np.ones(g, dtype=int), signs]))
     M = D @ M @ D
-    J = np.block([[np.zeros((g, g), dtype=int), np.eye(g, dtype=int)],
-                  [-np.eye(g, dtype=int), np.zeros((g, g), dtype=int)]])
+    J = np.kron([[0, 1], [-1, 0]], np.eye(g, dtype=int))
     if not np.array_equal(M, J):
         raise NotSymplectic(f"intersection pairing is not standard:\n{M}")
-    A = np.stack([c.integral for c in a_cycles], axis=1)
-    B = np.stack([c.integral for c in b_cycles], axis=1)
+    # a reversed b-cycle has the negated periods
+    A = np.stack(list(integrals[:g]), axis=1)
+    B = np.stack([v if s == 1 else -v for v, s in zip(integrals[g:], signs)], axis=1)
     omega = np.linalg.solve(A, B)
     sym_res = np.abs(omega - omega.T).max() / max(np.abs(omega).max(), 1.0)
     if sym_res > 1e-8:
@@ -378,79 +364,93 @@ def period_matrix(curve: HyperellipticCurve, quadrature_order=32):
 # Abel-Jacobi
 
 
-def _nearest_branch(curve, x):
-    return int(np.argmin(np.abs(curve.branch_points - x)))
-
-
-def _hub_path(curve, k, x, turns=0):
-    """Polygon from the hub h_k = e_k + rho_k, rho_k half the distance from
-    e_k to the next branch point, along |z - e_k| = rho_k in chords of at
+def _hub_path(e_k, rho, x, turns=0):
+    """Polygon from the hub h_k = e_k + rho, rho = rho_k half the distance
+    from e_k to the next branch point, along |z - e_k| = rho in chords of at
     most a quarter turn to the angle of x (plus `turns` full turns), then
     straight to x.  If e_k is a nearest branch point of x, the path keeps
     min(0.7 rho_k, |x - e_k|) clear of all: within rho_k of e_k the rest
     are rho_k away, and chords keep rho_k cos(pi/4), the leg |x - e_k| from
     e_k; beyond, the open disk about a leg point z of radius |z - e_k| lies
     in the one about x of radius |x - e_k|, which holds no branch point."""
-    e = curve.branch_points
-    rho = 0.5 * np.sort(np.abs(e - e[k]))[1]
-    angle = np.angle(x - e[k]) + 2.0 * math.pi * turns
+    angle = np.angle(x - e_k) + 2.0 * math.pi * turns
     n = max(1, math.ceil(abs(angle) / (0.5 * math.pi)))
-    return list(e[k] + rho * np.exp(1j * angle * np.arange(n + 1) / n)) + [x]
+    return list(e_k + rho * np.exp(1j * angle * np.arange(n + 1) / n)) + [x]
 
 
-def _from_hub(periods, P, k):
-    """A^-1 int_{e_k}^P along the hub path.  The involution negates integrals
-    from e_k, so the hub constant A^-1 int_{e_k}^{h_k} (principal y) is half
-    a full turn from iota h_k, and a path landing on iota P gives -AJ(P)."""
-    curve = periods.curve
-    if k not in periods._hubs:
-        h = _hub_path(curve, k, curve.branch_points[k])[0]   # the hub h_k
-        y_h = complex(curve.y_principal(h))
-        loop, _ = integrate_path(curve, _hub_path(curve, k, h, turns=1), -y_h)
-        periods._hubs[k] = y_h, 0.5 * (periods.A_inv @ loop)
-    y_h, c_k = periods._hubs[k]
-    vec, ys = integrate_path(curve, _hub_path(curve, k, P.x), y_h)
-    y = P.y(curve)
-    for sign in (1, -1):
-        if abs(ys[-1] - sign * y) <= 1e-6 * abs(y):
-            return sign * (c_k + periods.A_inv @ vec)
-    raise CurveError("sheet tracking did not land on the requested point")
+def _from_hubs(periods, pts, ks):
+    """Rows A^-1 int_{e_k}^P along the hub paths of the points P = pts[i]
+    from their branch points k = ks[i], in one integrate_path call, the
+    hub constants built (see _branch_constants).  A path landing on
+    iota P gives -AJ(P)."""
+    curve, e = periods.curve, periods.curve.branch_points
+    rhos, y_hs, cs = zip(*(periods._hubs[k] for k in ks))
+    vecs, ys = integrate_path(curve, [_hub_path(e[k], rho, p.x) for k, rho, p
+                                      in zip(ks, rhos, pts)], y_hs, AJ_ORDER)
+    y = np.array([p.sheet for p in pts]) * curve.y_principal([p.x for p in pts])
+    end = np.array([v[-1] for v in ys]) / y     # +-1 where a path lands on +-y
+    sign = np.sign(end.real)
+    if (abs(end - sign) > 1e-6).any():
+        raise CurveError("sheet tracking did not land on the requested point")
+    # A^-1 applied row by row (a stacked matrix-vector product), as for one point
+    return sign[:, None] * (np.array(cs) + (periods.A_inv @ vecs[..., None])[..., 0])
 
 
 def _branch_constants(periods):
     """Row k: A^-1 int_{e_0}^{e_k}, built on first use by a chain from e_0
     across each pair (e_j, e_k) whose midpoint m has no nearer branch point
     (these include the nearest-neighbour tree, so every k is reached):
-    int_{e_0}^{e_k} = int_{e_0}^{e_j} + int_{e_j}^m - int_{e_k}^m.  Each is
-    reduced into the cell [-1/4, 3/4)^2g of lattice coordinates."""
+    int_{e_0}^{e_k} = int_{e_0}^{e_j} + int_{e_j}^m - int_{e_k}^m, all legs
+    in one batch.  Each is reduced into the cell [-1/4, 3/4)^2g of lattice
+    coordinates.  First the hub constants, all in one batch: the involution
+    negates integrals from e_k, so A^-1 int_{e_k}^{h_k} (principal y) is
+    half a full turn from iota h_k."""
     if periods._branch is None:
-        e, rm = periods.curve.branch_points, periods.rm
-        consts, reached = {0: np.zeros(periods.curve.genus, dtype=complex)}, [0]
+        curve, e, rm = periods.curve, periods.curve.branch_points, periods.rm
+        rhos = [0.5 * np.sort(np.abs(e - e_k))[1] for e_k in e]
+        y_hs = [complex(curve.y_principal(e_k + rho)) for e_k, rho in zip(e, rhos)]
+        loops, _ = integrate_path(curve, [_hub_path(e_k, rho, e_k + rho, turns=1)
+                                          for e_k, rho in zip(e, rhos)],
+                                  [-y for y in y_hs], AJ_ORDER)
+        periods._hubs = [(rho, y_h, 0.5 * (periods.A_inv @ loop))
+                         for rho, y_h, loop in zip(rhos, y_hs, loops)]
+        chain, reached = [], [0]
         for j in reached:
             for k in range(len(e)):
                 m = 0.5 * (e[j] + e[k])
-                if k not in consts and np.abs(e - m).min() >= (1 - 1e-9) * abs(m - e[j]):
-                    M = CurvePoint(complex(m), 1)
-                    v = consts[j] + _from_hub(periods, M, j) - _from_hub(periods, M, k)
-                    al, be = lattice_coords(v, rm)
-                    consts[k] = v - np.floor(al + 0.25) - rm.omega @ np.floor(be + 0.25)
+                if k not in reached and np.abs(e - m).min() >= (1 - 1e-9) * abs(m - e[j]):
+                    chain.append((j, k, CurvePoint(complex(m), 1)))
                     reached.append(k)
+        js, ks, ms = zip(*chain)
+        legs = _from_hubs(periods, ms + ms, js + ks)
+        consts = {0: np.zeros(periods.curve.genus, dtype=complex)}
+        for (j, k, _), to_j, to_k in zip(chain, legs, legs[len(chain):]):
+            v = consts[j] + to_j - to_k
+            al, be = lattice_coords(v, rm)
+            consts[k] = v - np.floor(al + 0.25) - rm.omega @ np.floor(be + 0.25)
         periods._branch = np.array([consts[k] for k in range(len(e))])
     return periods._branch
 
 
-def abel_jacobi(periods: PeriodData, P: CurvePoint, base: CurvePoint):
-    """A^-1 int_base^P = AJ_{e_0}(P) - AJ_{e_0}(base), the base term cached."""
+def abel_jacobi(periods: PeriodData, P, base: CurvePoint):
+    """A^-1 int_base^P = AJ_{e_0}(P) - AJ_{e_0}(base), the base term cached:
+    a (g,) vector for one point P, an (N, g) array for a list of points,
+    whose hub paths are integrated in one batch (a point that does not
+    land fails the batch)."""
     if base.key() not in periods._base_aj:
         periods._base_aj[base.key()] = abel_jacobi_from_branch(periods, base)
     return abel_jacobi_from_branch(periods, P) - periods._base_aj[base.key()]
 
 
-def abel_jacobi_from_branch(periods: PeriodData, P: CurvePoint, branch_index=0):
-    """A^-1 int_{e_k}^P, k = branch_index, through the branch point nearest P."""
-    n = _nearest_branch(periods.curve, P.x)
+def abel_jacobi_from_branch(periods: PeriodData, P, branch_index=0):
+    """A^-1 int_{e_k}^P, k = branch_index, through the branch point nearest
+    P; a (g,) vector for one point P, an (N, g) array for a list."""
+    pts = [P] if isinstance(P, CurvePoint) else list(P)
+    e = periods.curve.branch_points
+    n = np.argmin(np.abs(e - np.array([[p.x] for p in pts])), axis=1)
     consts = _branch_constants(periods)
-    return consts[n] - consts[branch_index] + _from_hub(periods, P, n)
+    v = consts[n] - consts[branch_index] + _from_hubs(periods, pts, n)
+    return v[0] if isinstance(P, CurvePoint) else v
 
 
 def abel_jacobi_between_branch_points(periods: PeriodData, j, k):
@@ -510,13 +510,9 @@ def vanishing_locus_check(periods: PeriodData, e, x: CurvePoint, divisor,
 
     Returns (max |theta| over divisor points, min |theta| over controls).
     """
-    rm = periods.rm
-    aj_x = abel_jacobi(periods, x, base)
-    args = []
-    for t in list(divisor) + list(controls):
-        aj_t = abel_jacobi(periods, t, base)
-        args.append(aj_t - aj_x + np.asarray(e, dtype=complex))
-    vals, _, _, _ = theta_batch(np.array(args), rm, tol=1e-10)
+    aj = abel_jacobi(periods, [x] + list(divisor) + list(controls), base)
+    vals, _, _, _ = theta_batch(aj[1:] - aj[0] + np.asarray(e, dtype=complex),
+                                periods.rm, tol=1e-10)
     nz = len(divisor)
     max_zero = float(np.abs(vals[:nz]).max()) if nz else 0.0
     min_ctrl = float(np.abs(vals[nz:]).min()) if len(controls) else math.inf

@@ -57,14 +57,15 @@ def _rel(total, blocks):
 
 
 def _distinct_points(ctx, rng, count):
-    """count sampled points; raises BadTriple (run_identity redraws) if two
-    x-coordinates are within 1e-3 min_gap."""
+    """count sampled points, Abel-Jacobi mapped in one batch; raises BadTriple
+    (run_identity redraws) if two x-coordinates are within 1e-3 min_gap."""
     pts = [sample_point(ctx, rng) for _ in range(count)]
     xs = np.array([p.x for p in pts])
     d = np.abs(xs[:, None] - xs[None, :])
     np.fill_diagonal(d, np.inf)
     if d.min() <= 1e-3 * ctx.curve.min_gap:
         raise BadTriple("sampled points too close")
+    ctx.aj(pts)
     return pts
 
 

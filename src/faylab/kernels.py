@@ -82,12 +82,9 @@ class CurveContext:
     def aj(self, ps):
         """Abel-Jacobi vectors of the points ps from the context base point,
         as an (N, g) array (cached per point, so every identity reuses the
-        exact same representative)."""
-        keys = [p.key() for p in ps]
-        for k, p in zip(keys, ps):
-            if k not in self._aj_cache:
-                self._aj_cache[k] = abel_jacobi(self.periods, p, self.base)
-        return np.array([self._aj_cache[k] for k in keys]).reshape(len(ps), self.g)
+        exact same representative), the misses in one abel_jacobi batch."""
+        return _cached_rows(self._aj_cache, ps, lambda miss: abel_jacobi(
+            self.periods, miss, self.base)).reshape(len(ps), self.g)
 
     # -- theta shorthands --------------------------------------------------
 
@@ -123,13 +120,19 @@ def h_values(ctx: CurveContext, ps):
     h with uniform parity, so the branch choice cancels (asserted by the
     sign-flip tests, not assumed).
     """
+    return _cached_rows(ctx._h_cache, ps, lambda miss: np.sqrt(theta_form(ctx, miss)))
+
+
+def _cached_rows(cache, ps, compute):
+    """Cached rows for the points ps; the misses take one compute call."""
     keys = [p.key() for p in ps]
     miss = {}
     for k, p in zip(keys, ps):
-        if k not in ctx._h_cache:
+        if k not in cache:
             miss.setdefault(k, p)
-    ctx._h_cache.update(zip(miss, np.sqrt(theta_form(ctx, list(miss.values())))))
-    return np.array([ctx._h_cache[k] for k in keys])
+    if miss:
+        cache.update(zip(miss, compute(list(miss.values()))))
+    return np.array([cache[k] for k in keys])
 
 
 def _check_off_divisor(ctx, *denominators):
@@ -144,7 +147,8 @@ def _pair_diffs(ctx, ps, qs):
     array; raises CoincidentPoints if any pair repeats a point."""
     if any(p.key() == q.key() for p, q in zip(ps, qs, strict=True)):
         raise CoincidentPoints("kernel needs distinct points in every pair")
-    return ctx.aj(qs) - ctx.aj(ps)
+    V = ctx.aj(list(ps) + list(qs))
+    return V[len(ps):] - V[:len(ps)]
 
 
 def fay_F(ctx: CurveContext, xi1, xi2):

@@ -70,7 +70,7 @@ def far_path_aj(periods, Q, P):
     for far in _FAR:
         F = centre + extent * far
         if polygon_clearance([Q.x, F, P.x], e) >= 0.1 * c.min_gap:
-            vec, ys = integrate_path(c, [Q.x, F, P.x], Q.y(c))
+            (vec,), (ys,) = integrate_path(c, [[Q.x, F, P.x]], [Q.y(c)], 32)
             landed = P if abs(ys[-1] - P.y(c)) < abs(ys[-1] + P.y(c)) else P.involution()
             return periods.A_inv @ vec, landed
     return None

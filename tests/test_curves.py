@@ -1,3 +1,4 @@
+import math
 import time
 from itertools import combinations
 
@@ -13,8 +14,7 @@ from faylab.curves import (HyperellipticCurve, CurvePoint, period_matrix,
                            random_line_bundle, vanishing_locus_check,
                            integrate_path, BranchPointCollision, CurveError,
                            PathTooCloseToBranchPoint, PathTooLong,
-                           RejectionBudgetExceeded,
-                           _build_cycles, _attach_sheets, _intersection_matrix)
+                           RejectionBudgetExceeded)
 from faylab.theta import theta, ThetaChar
 from faylab.kernels import riemann_constant, sample_point
 from faylab.registry import registry_entries
@@ -54,17 +54,33 @@ class TestConstruction:
         assert abs(p.y(c) ** 2 - c.f(np.array([p.x]))[0]) < 1e-10
 
 
+    def test_key_rounded_once(self, monkeypatch):
+        # the cache key is rounded when the point is made, not per lookup;
+        # equality and hashing stay on the fields
+        calls = []
+        monkeypatch.setattr(curves, "round", lambda v, n: calls.append(v) or round(v, n),
+                            raising=False)
+        p = CurvePoint(0.3 + 0.7j, -1)
+        assert [p.key() for _ in range(5)] == [(0.3, 0.7, -1)] * 5
+        assert len(calls) == 2
+        q = CurvePoint(0.3 + 0.7j, -1)
+        assert p == q and hash(p) == hash(q) and p != p.involution()
+
+
 class TestHomology:
     @pytest.mark.parametrize("cid", ["lemniscatic", "equianharmonic",
                                      "g2-real", "g3-real"])
-    def test_symplectic_pairing(self, cid):
+    def test_symplectic_pairing(self, cid, monkeypatch):
+        # the crossing matrix of the built cycles, before any orientation fix
         entry = registry_entries()[cid]
         c = HyperellipticCurve(entry["branch_points"], cid)
         g = c.genus
-        a_cycles, b_cycles = _build_cycles(c)
-        for cyc in a_cycles + b_cycles:
-            _attach_sheets(c, cyc, 32)
-        M = _intersection_matrix(c, a_cycles + b_cycles)
+        seen = []
+        real = curves._intersection_matrix
+        monkeypatch.setattr(curves, "_intersection_matrix",
+                            lambda *a: seen.append(real(*a)) or seen[-1])
+        period_matrix(c)
+        M, = seen
         # diagonal blocks vanish; off-diagonal is +-identity
         assert np.array_equal(M[:g, :g], np.zeros((g, g), dtype=int))
         assert np.array_equal(M[g:, g:], np.zeros((g, g), dtype=int))
@@ -91,7 +107,7 @@ class TestTracker:
         c = registry_curve(cid)
         path = near_branch_path(c)
         y0 = c.y_principal(np.array([path[0]]))[0]
-        _, ys = integrate_path(c, path, y0, order)
+        _, (ys,) = integrate_path(c, [path], [y0], order)
         ref = brute_force_continuation(c.branch_points, c.lead, path, y0)
         assert np.all(np.abs(ys - ref) <= 1e-12 * np.abs(ref))
 
@@ -99,7 +115,7 @@ class TestTracker:
     def test_y_squared_is_f(self, cid):
         c = registry_curve(cid)
         path = near_branch_path(c)
-        _, ys = integrate_path(c, path, c.y_principal(np.array([path[0]]))[0])
+        _, (ys,) = integrate_path(c, [path], [c.y_principal(np.array([path[0]]))[0]], 32)
         fx = c.f(np.array(path))
         assert np.all(np.abs(ys**2 - fx) <= 1e-12 * np.abs(fx))
 
@@ -108,11 +124,11 @@ class TestTracker:
         c = registry_curve(cid)
         path = near_branch_path(c)
         y0 = c.y_principal(np.array([path[0]]))[0]
-        vec, ys = integrate_path(c, path, y0, 16)
+        (vec,), (ys,) = integrate_path(c, [path], [y0], 16)
         for k in (0, 3, 6):
             zm = path[k] + 0.37 * (path[k + 1] - path[k])
-            vec_split, ys_split = integrate_path(
-                c, path[:k + 1] + [zm] + path[k + 1:], y0, 16)
+            (vec_split,), (ys_split,) = integrate_path(
+                c, [path[:k + 1] + [zm] + path[k + 1:]], [y0], 16)
             assert np.abs(vec_split - vec).max() <= 1e-12 * np.abs(vec).max()
             assert abs(ys_split[-1] - ys[-1]) <= 1e-13 * abs(ys[-1])
 
@@ -121,14 +137,47 @@ class TestTracker:
         c = registry_curve(cid)
         path = near_branch_path(c)
         y0 = c.y_principal(np.array([path[0]]))[0]
-        v16, _ = integrate_path(c, path, y0, 16)
-        v256, _ = integrate_path(c, path, y0, 256)
+        v16, _ = integrate_path(c, [path], [y0], 16)
+        v256, _ = integrate_path(c, [path], [y0], 256)
         assert np.abs(v16 - v256).max() <= 1e-12 * np.abs(v256).max()
+
+    @pytest.mark.parametrize("cid", HYPERELLIPTIC)
+    def test_batch_rows_equal_single_paths(self, cid):
+        # each row of a batch equals the path integrated alone, bitwise: a
+        # long path, a two-vertex one, a hub path and one with a zero-length
+        # edge, in mixed order
+        c = registry_curve(cid)
+        e, gap = c.branch_points, c.min_gap
+        paths = [near_branch_path(c), [e[0] + gap * (0.3 + 0.4j), e[-1] + 2.0j],
+                 curves._hub_path(e[1], 0.5 * gap, e[1] + 0.8 * gap * (1 - 1j)),
+                 [3.1 + 1.7j, 3.1 + 1.7j, -2.3 - 1.1j]]
+        order = [2, 0, 3, 1, 0]
+        y0s = [c.y_principal(np.array([paths[i][0]]))[0] for i in order]
+        vecs, ys = integrate_path(c, [paths[i] for i in order], y0s, 16)
+        assert vecs.shape == (len(order), c.genus)
+        for i, y0, vec, y in zip(order, y0s, vecs, ys):
+            (one,), (one_ys,) = integrate_path(c, [paths[i]], [y0], 16)
+            assert np.array_equal(vec, one) and np.array_equal(y, one_ys)
+            assert len(y) == len(paths[i])
+
+    def test_node_cap_per_path(self, monkeypatch):
+        # MAX_PATH_NODES bounds each path of a batch, not the batch
+        c = registry_curve("lemniscatic")
+        path = near_branch_path(c)
+        short = path[:3]
+        y0 = c.y_principal(np.array([path[0]]))[0]
+        need = 16 * sum(math.ceil(abs(b - a) / (0.5 * polygon_clearance([a, b], c.branch_points)))
+                        for a, b in zip(short[:-1], short[1:]))
+        monkeypatch.setattr(curves, "MAX_PATH_NODES", need)
+        vecs, _ = integrate_path(c, [short] * 3, [y0] * 3, 16)
+        assert vecs.shape == (3, 1)
+        with pytest.raises(PathTooLong):
+            integrate_path(c, [short, path], [y0, y0], 16)
 
     def test_touching_path_rejected(self):
         c = HyperellipticCurve([0.0, 1.0, -1.0])
         with pytest.raises(PathTooCloseToBranchPoint):
-            integrate_path(c, [-0.5 + 1e-10j, 0.5 + 1e-10j], 1.0)
+            integrate_path(c, [[-0.5 + 1e-10j, 0.5 + 1e-10j]], [1.0], 32)
 
 
 class TestPeriods:
@@ -184,15 +233,15 @@ class TestPeriods:
             assert np.linalg.eigvalsh(om.imag).min() > 0
 
     def test_intersection_numbers_computed_once(self, monkeypatch):
-        # one crossing count per pair of the 2g cycles, none repeated for
-        # the orientation check
+        # one integrate_path call continues y around all 2g cycles and one
+        # along every crossing leg, none repeated for the orientation check
         calls = []
-        real = curves._intersection_number
-        monkeypatch.setattr(curves, "_intersection_number",
-                            lambda *a: calls.append(a) or real(*a))
+        real = curves.integrate_path
+        monkeypatch.setattr(curves, "integrate_path",
+                            lambda *a: calls.append(len(a[1])) or real(*a))
         c = HyperellipticCurve([0.0, 1.0, 2.0, 3.0, 4.0], "g2-real")
         period_matrix(c)
-        assert len(calls) == 6
+        assert len(calls) == 2 and calls[0] == 4
 
     def test_reversed_b_cycle_flipped_back(self, monkeypatch):
         # a b-cycle built clockwise has a_0 . b_0 = -1; period_matrix
@@ -203,7 +252,7 @@ class TestPeriods:
 
         def first_b_clockwise(curve):
             a_cycles, b_cycles = real(curve)
-            b_cycles[0] = curves.Cycle(b_cycles[0].vertices[::-1])
+            b_cycles[0] = b_cycles[0][::-1]
             return a_cycles, b_cycles
         monkeypatch.setattr(curves, "_build_cycles", first_b_clockwise)
         _, _, pd = period_matrix(c)
@@ -326,25 +375,26 @@ class TestAbelJacobi:
                     continue                  # e_j and e_k no longer nearest
                 for sheet in (1, -1):
                     X = CurvePoint(complex(x), sheet)
-                    v_j = B[j] + curves._from_hub(pd, X, j)
-                    v_k = B[k] + curves._from_hub(pd, X, k)
-                    assert frac_dist(v_j - v_k, pd.rm) < 1e-12
+                    to_j, to_k = curves._from_hubs(pd, [X, X], [j, k])
+                    assert frac_dist((B[j] + to_j) - (B[k] + to_k), pd.rm) < 1e-12
                     checked += 1
         assert checked >= 8
 
     def test_unlanded_sheet_raises(self, ctx_g1, monkeypatch):
         # a continuation that ends on neither sheet over P is an error, not
-        # a silent pick of the nearer sheet
+        # a silent pick of the nearer sheet, and it fails P's whole batch
         pd = ctx_g1.periods
-        P = sample_point(ctx_g1, np.random.default_rng(17))
-        y_off = 1j * P.y(pd.curve)
+        ps = [sample_point(ctx_g1, np.random.default_rng(s)) for s in (17, 18, 19)]
+        abel_jacobi(pd, ps, ctx_g1.base)          # hub and base constants built
 
-        def off_sheet(curve, vertices, y0, order=32):
-            return integrate_path(curve, vertices, y0, order)[0], np.array([y_off])
+        def off_sheet(curve, paths, y0s, order):
+            vecs, ys = integrate_path(curve, paths, y0s, order)
+            ys[1] = np.array([1j * ps[1].y(curve)])
+            return vecs, ys
 
         monkeypatch.setattr(curves, "integrate_path", off_sheet)
         with pytest.raises(CurveError, match="did not land"):
-            abel_jacobi(pd, P, ctx_g1.base)
+            abel_jacobi(pd, ps, ctx_g1.base)
 
 
 unit_square = st.tuples(st.floats(-1.0, 1.0), st.floats(-1.0, 1.0)).map(
@@ -362,11 +412,11 @@ def test_hub_path_clearance(pts, x):
     gaps = np.abs(e[:, None] - e[None, :]) + np.eye(len(e))
     assume(gaps.min() >= 0.05)
     c = HyperellipticCurve(e)
-    k = curves._nearest_branch(c, x)
+    k = int(np.argmin(np.abs(c.branch_points - x)))
     e_k = c.branch_points[k]
     assume(abs(x - e_k) > 1e-6)
     rho = 0.5 * np.abs(np.delete(c.branch_points, k) - e_k).min()
-    path = curves._hub_path(c, k, x)
+    path = curves._hub_path(e_k, rho, x)
     bound = min(0.7 * rho, abs(x - e_k))
     assert polygon_clearance(path, c.branch_points) >= (1 - 1e-9) * bound
 

@@ -337,6 +337,31 @@ class TestBatches:
             with pytest.raises(CoincidentPoints):
                 kernel(ctx_g2, *args)
 
+    def test_one_integration_per_attempt(self, monkeypatch):
+        # once the hub and branch constants are built, every idcor attempt
+        # that gets past _distinct_points maps all its points in one
+        # integrate_path call, and no kernel integrates again
+        import faylab.curves as curves
+        import faylab.identities as identities
+        from faylab.rng import trial_rng
+        base = build_context("lemniscatic")
+        ctx = CurveContext(base.curve, base.periods)
+        ctx.aj([base.base])
+        calls = {"integrate_path": 0, "_distinct_points": 0}
+        for mod, name in ((curves, "integrate_path"), (identities, "_distinct_points")):
+            def counted(*args, _fn=getattr(mod, name), _name=name):
+                out = _fn(*args)
+                calls[_name] += 1
+                return out
+            monkeypatch.setattr(mod, name, counted)
+        for k in range(20):
+            try:
+                identities.idcor_residual(ctx, trial_rng(42, "idcor", k))
+            except identities.KernelError:
+                pass
+        assert calls["_distinct_points"] >= 15
+        assert calls["integrate_path"] == calls["_distinct_points"]
+
 
 class TestSignFlips:
     def test_identity_residuals_invariant(self, ctx_g2):
