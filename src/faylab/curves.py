@@ -101,9 +101,7 @@ class HyperellipticCurve:
         x = np.asarray(x, dtype=complex)
         out = np.full(x.shape, self.lead, dtype=complex)
         for e in self.branch_points:
-            # in place: out = out * (x - e) takes another multiply loop from
-            # 2**14 points on, which changes last bits with the array's size
-            out *= x - e
+            out *= x - e    # in place, so the last bits do not depend on len(x)
         return out
 
     def y_principal(self, x):
@@ -162,8 +160,11 @@ def lattice_coords(z, rm: RiemannMatrix):
 #: most quadrature nodes of one path (a registry cycle at order 256: ~11,000)
 MAX_PATH_NODES = 2**21
 
-#: Gauss-Legendre order of the Abel-Jacobi integrals
-AJ_ORDER = 32
+#: Gauss-Legendre order of the Abel-Jacobi integrals.  On a panel no wider
+#: than dmin/2 the integrand is analytic inside the Bernstein ellipse rho =
+#: 4 + sqrt(15), where |integrand| <= M; n + 1 nodes then err by at most
+#: (64/15) M rho^(-2n) / (rho^2 - 1) (Trefethen 2008), 1.3e-21 M at 12 nodes.
+AJ_ORDER = 12
 
 
 @functools.lru_cache(maxsize=None)
@@ -349,9 +350,8 @@ def period_matrix(curve: HyperellipticCurve, quadrature_order=32):
     J = np.kron([[0, 1], [-1, 0]], np.eye(g, dtype=int))
     if not np.array_equal(M, J):
         raise NotSymplectic(f"intersection pairing is not standard:\n{M}")
-    # a reversed b-cycle has the negated periods
-    A = np.stack(list(integrals[:g]), axis=1)
-    B = np.stack([v if s == 1 else -v for v, s in zip(integrals[g:], signs)], axis=1)
+    # reversing b_k negates its periods
+    A, B = integrals[:g].T, integrals[g:].T * signs
     omega = np.linalg.solve(A, B)
     sym_res = np.abs(omega - omega.T).max() / max(np.abs(omega).max(), 1.0)
     if sym_res > 1e-8:
@@ -446,8 +446,7 @@ def abel_jacobi_from_branch(periods: PeriodData, P, branch_index=0):
     """A^-1 int_{e_k}^P, k = branch_index, through the branch point nearest
     P; a (g,) vector for one point P, an (N, g) array for a list."""
     pts = [P] if isinstance(P, CurvePoint) else list(P)
-    e = periods.curve.branch_points
-    n = np.argmin(np.abs(e - np.array([[p.x] for p in pts])), axis=1)
+    n = np.argmin(np.abs(periods.curve.branch_points - [[p.x] for p in pts]), axis=1)
     consts = _branch_constants(periods)
     v = consts[n] - consts[branch_index] + _from_hubs(periods, pts, n)
     return v[0] if isinstance(P, CurvePoint) else v
