@@ -8,13 +8,13 @@ is done on closed polygonal paths in the x-plane with continuous
 analytic continuation of y (no branch-cut bookkeeping).
 
 One routine, `integrate_path`, continues y through the Gauss-Legendre
-nodes of a batch of polygons and integrates along each: all periods are
-one call, all crossing sheet matches one, and each Abel-Jacobi batch one.
+nodes of a batch of polygons and integrates each on its own slice: all
+periods are one call, all crossing sheet matches one, each AJ batch one.
 
-Abel-Jacobi integrals run along hub paths: from a hub on a circle about
-the branch point nearest P, round it to the angle of P, then straight out
-to P.  AJ from e_0 to each e_k is chained once across neighbouring pairs,
-so AJ(P) - AJ(base) is two hub paths and two cached constants.
+Abel-Jacobi integrals run along hub paths, at the certified order AJ_ORDER
+= 12: from a hub on a circle about the branch point nearest P, round it to
+the angle of P, then straight out to P.  AJ from e_0 to each e_k is chained
+once across neighbouring pairs and cached with AJ(base): one path per P.
 """
 
 from __future__ import annotations
@@ -435,8 +435,8 @@ def _branch_constants(periods):
 def abel_jacobi(periods: PeriodData, P, base: CurvePoint):
     """A^-1 int_base^P = AJ_{e_0}(P) - AJ_{e_0}(base), the base term cached:
     a (g,) vector for one point P, an (N, g) array for a list of points,
-    whose hub paths are integrated in one batch (a point that does not
-    land fails the batch)."""
+    whose hub paths are one integrate_path batch at order AJ_ORDER (a point
+    that does not land fails the batch)."""
     if base.key() not in periods._base_aj:
         periods._base_aj[base.key()] = abel_jacobi_from_branch(periods, base)
     return abel_jacobi_from_branch(periods, P) - periods._base_aj[base.key()]
