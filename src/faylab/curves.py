@@ -9,7 +9,7 @@ analytic continuation of y (no branch-cut bookkeeping).
 
 One routine, `integrate_path`, continues y through the Gauss-Legendre
 nodes of a batch of polygons and integrates each on its own slice: all
-periods are one call, all crossing sheet matches one, each AJ batch one.
+periods are one call, all crossing sheet matches one, each AJ chunk one.
 
 Abel-Jacobi integrals run along hub paths, at the certified order AJ_ORDER
 = 12: from a hub on a circle about the branch point nearest P, round it to
@@ -84,6 +84,11 @@ class HyperellipticCurve:
             raise BranchPointCollision(
                 f"branch points closer than 1e-8 (min gap {self.min_gap:.2e})")
         self.genus = (len(self.branch_points) - 1) // 2
+        # centre and half-widths of the branch locus's box padded by min_gap
+        r, i = self.branch_points.real, self.branch_points.imag
+        self.box = tuple(float(v) for v in (
+            0.5 * (r.min() + r.max()), 0.5 * (i.min() + i.max()),
+            0.5 * (r.max() - r.min()) + self.min_gap, 0.5 * (i.max() - i.min()) + self.min_gap))
 
     def _to_odd_model(self, pts):
         # send the branch point with the largest clearance to infinity:
@@ -166,6 +171,10 @@ MAX_PATH_NODES = 2**21
 #: (64/15) M rho^(-2n) / (rho^2 - 1) (Trefethen 2008), 1.3e-21 M at 12 nodes.
 AJ_ORDER = 12
 
+#: most points of one Abel-Jacobi integrate_path call (about 7,000 nodes),
+#: so that a whole report's first draws do not raise the peak memory
+AJ_CHUNK = 64
+
 
 @functools.lru_cache(maxsize=None)
 def _gl_nodes(order):
@@ -189,13 +198,16 @@ def integrate_path(curve, paths, y0s, order):
     dmin apart, so each of the at most 7 factors x - e_k of f turns by less
     than 0.063 rad and changes modulus by less than 6.3 % per step.  The
     running sum of log ratios and the weighted sum run on each path's own
-    slice, so a path's row does not depend on the others in its batch.
+    slice, and y and the integrand elementwise over all nodes, so a path's
+    row does not depend on the others in its batch.
     """
     e = curve.branch_points
-    zs = [np.asarray(z, dtype=complex) for z in paths]
-    lens = [len(z) for z in zs]
+    lens = np.array([len(z) for z in paths])
+    first = np.cumsum(lens) - lens
     # edges in path order, each path's vertex 0 a zero-length edge of its own
-    za, zb = np.concatenate([np.append(z[0], z[:-1]) for z in zs]), np.concatenate(zs)
+    zb = np.concatenate(paths, dtype=complex)
+    za = np.roll(zb, 1)
+    za[first] = zb[first]
     seg = (zb - za)[:, None]
     # each branch point's distance to its foot on each edge
     t = ((e - za[:, None]) / np.where(seg == 0, 1, seg)).real.clip(0.0, 1.0)
@@ -203,7 +215,7 @@ def integrate_path(curve, paths, y0s, order):
     if (dmin <= 1e-6).any():
         raise PathTooCloseToBranchPoint("an edge within 1e-6 of a branch point")
     panels = np.ceil(np.abs(seg[:, 0]) / (0.5 * dmin)).astype(int)
-    need = np.add.reduceat(panels, np.cumsum(lens) - lens) * order
+    need = np.add.reduceat(panels, first) * order
     if need.max() > MAX_PATH_NODES:
         raise PathTooLong(f"path needs {need.max()} quadrature nodes, "
                           f"more than {MAX_PATH_NODES}")
@@ -213,7 +225,7 @@ def integrate_path(curve, paths, y0s, order):
     k = np.arange(len(edge)) - np.repeat(np.cumsum(panels) - panels, panels)
     ts = (k[:, None] + 0.5 * (nodes + 1.0)) / np.maximum(panels, 1)[edge, None]
     ends = np.cumsum(panels * order + 1) - 1
-    starts = np.append(ends[np.cumsum(lens) - lens], ends[-1] + 1)
+    starts = np.append(ends[first], ends[-1] + 1)
     x, w = np.empty(ends[-1] + 1, dtype=complex), np.zeros(ends[-1] + 1, dtype=complex)
     node = np.ones(len(x), dtype=bool)
     node[ends] = False
@@ -226,13 +238,25 @@ def integrate_path(curve, paths, y0s, order):
     bad[starts[1:-1] - 1] = False       # steps from one path to the next
     if bad.any():
         raise PathTooCloseToBranchPoint("continuation step too coarse for f")
-    half_log, powers = 0.5 * np.log(ratios), np.arange(curve.genus)[:, None]
-    vecs, ys = [], []
-    for y0, s, u in zip(y0s, starts[:-1], starts[1:]):
-        y = y0 * np.exp(np.concatenate([[0.0], np.cumsum(half_log[s:u - 1])]))
-        vecs.append((x[s:u] ** powers / y) @ w[s:u])
-        ys.append(y[w[s:u] == 0])
-    return np.array(vecs).reshape(len(zs), curve.genus), ys
+    # each node-sized buffer is reused or dropped once dead: a 64-path AJ
+    # batch has ~7,000 nodes, and the heap memory a call grows by is handed
+    # back after it and faulted in again by the next call
+    half_log = np.log(ratios, out=ratios)
+    half_log *= 0.5
+    del fx, ratios, modulus, bad, ts
+    log_y = np.zeros(len(x), dtype=complex)
+    bounds = list(zip(starts[:-1], starts[1:]))
+    for s, u in bounds:
+        np.cumsum(half_log[s:u - 1], out=log_y[s + 1:u])
+    # y0 the first factor: complex products are not commutative bitwise
+    y = np.repeat(np.asarray(y0s, dtype=complex), np.diff(starts))
+    y *= np.exp(log_y, out=log_y)
+    del half_log, log_y
+    # complex exponents, as the power loop takes them, spare a cast buffer
+    integrand = x ** np.arange(curve.genus, dtype=complex)[:, None]
+    integrand /= y
+    vecs = np.array([integrand[:, s:u] @ w[s:u] for s, u in bounds])
+    return vecs.reshape(len(paths), curve.genus), np.split(y[ends], np.cumsum(lens)[:-1])
 
 
 # ---------------------------------------------------------------------------
@@ -317,7 +341,7 @@ class PeriodData:
         self.curve = curve
         self.A_inv = np.linalg.inv(A)
         self.rm = rm
-        self._hubs = None       # row k: rho_k, y at h_k, A^-1 int_{e_k}^{h_k}
+        self._hubs = None       # arrays over k: rho_k, y at h_k, A^-1 int_{e_k}^{h_k}
         self._branch = None     # row k: A^-1 int_{e_0}^{e_k}
         self._base_aj = {}      # base.key() -> A^-1 int_{e_0}^base
 
@@ -364,18 +388,25 @@ def period_matrix(curve: HyperellipticCurve, quadrature_order=32):
 # Abel-Jacobi
 
 
-def _hub_path(e_k, rho, x, turns=0):
-    """Polygon from the hub h_k = e_k + rho, rho = rho_k half the distance
-    from e_k to the next branch point, along |z - e_k| = rho in chords of at
-    most a quarter turn to the angle of x (plus `turns` full turns), then
-    straight to x.  If e_k is a nearest branch point of x, the path keeps
-    min(0.7 rho_k, |x - e_k|) clear of all: within rho_k of e_k the rest
-    are rho_k away, and chords keep rho_k cos(pi/4), the leg |x - e_k| from
-    e_k; beyond, the open disk about a leg point z of radius |z - e_k| lies
-    in the one about x of radius |x - e_k|, which holds no branch point."""
+def _hub_paths(e_k, rho, x, turns=0):
+    """Polygons, one per entry of the arrays e_k, rho and x, each from its
+    hub h = e_k + rho (rho = rho_k, half the distance from e_k to the next
+    branch point) along |z - e_k| = rho in chords of at most a quarter turn
+    to the angle of x (plus `turns` full turns), then straight to x.  If
+    e_k is a nearest branch point of x, the path keeps min(0.7 rho_k,
+    |x - e_k|) clear of all: within rho_k of e_k the rest are rho_k away,
+    and chords keep rho_k cos(pi/4), the leg |x - e_k| from e_k; beyond,
+    the open disk about a leg point z of radius |z - e_k| lies in the one
+    about x of radius |x - e_k|, which holds no branch point."""
     angle = np.angle(x - e_k) + 2.0 * math.pi * turns
-    n = max(1, math.ceil(abs(angle) / (0.5 * math.pi)))
-    return list(e_k + rho * np.exp(1j * angle * np.arange(n + 1) / n)) + [x]
+    n = np.maximum(1, np.ceil(np.abs(angle) / (0.5 * math.pi))).astype(int)
+    # arc vertices 0..n of each path, then a slot for x
+    end = np.cumsum(n + 2)
+    path = np.repeat(np.arange(len(n)), n + 2)
+    j = np.arange(end[-1]) - np.repeat(end - n - 2, n + 2)
+    z = e_k[path] + rho[path] * np.exp(1j * angle[path] * j / n[path])
+    z[end - 1] = x
+    return np.split(z, end[:-1])
 
 
 def _from_hubs(periods, pts, ks):
@@ -383,17 +414,17 @@ def _from_hubs(periods, pts, ks):
     from their branch points k = ks[i], in one integrate_path call, the
     hub constants built (see _branch_constants).  A path landing on
     iota P gives -AJ(P)."""
-    curve, e = periods.curve, periods.curve.branch_points
-    rhos, y_hs, cs = zip(*(periods._hubs[k] for k in ks))
-    vecs, ys = integrate_path(curve, [_hub_path(e[k], rho, p.x) for k, rho, p
-                                      in zip(ks, rhos, pts)], y_hs, AJ_ORDER)
-    y = np.array([p.sheet for p in pts]) * curve.y_principal([p.x for p in pts])
+    curve, (rho, y_h, c) = periods.curve, periods._hubs
+    x = np.array([p.x for p in pts])
+    vecs, ys = integrate_path(curve, _hub_paths(curve.branch_points[ks], rho[ks], x),
+                              y_h[ks], AJ_ORDER)
+    y = np.array([p.sheet for p in pts]) * curve.y_principal(x)
     end = np.array([v[-1] for v in ys]) / y     # +-1 where a path lands on +-y
     sign = np.sign(end.real)
     if (abs(end - sign) > 1e-6).any():
         raise CurveError("sheet tracking did not land on the requested point")
     # A^-1 applied row by row (a stacked matrix-vector product), as for one point
-    return sign[:, None] * (np.array(cs) + (periods.A_inv @ vecs[..., None])[..., 0])
+    return sign[:, None] * (c[ks] + (periods.A_inv @ vecs[..., None])[..., 0])
 
 
 def _branch_constants(periods):
@@ -407,13 +438,12 @@ def _branch_constants(periods):
     half a full turn from iota h_k."""
     if periods._branch is None:
         curve, e, rm = periods.curve, periods.curve.branch_points, periods.rm
-        rhos = [0.5 * np.sort(np.abs(e - e_k))[1] for e_k in e]
-        y_hs = [complex(curve.y_principal(e_k + rho)) for e_k, rho in zip(e, rhos)]
-        loops, _ = integrate_path(curve, [_hub_path(e_k, rho, e_k + rho, turns=1)
-                                          for e_k, rho in zip(e, rhos)],
-                                  [-y for y in y_hs], AJ_ORDER)
-        periods._hubs = [(rho, y_h, 0.5 * (periods.A_inv @ loop))
-                         for rho, y_h, loop in zip(rhos, y_hs, loops)]
+        rho = 0.5 * np.sort(np.abs(e - e[:, None]), axis=1)[:, 1]
+        # one at a time: f of a lone point can differ in the last bit
+        y_h = np.array([complex(curve.y_principal(h)) for h in e + rho])
+        loops, _ = integrate_path(curve, _hub_paths(e, rho, e + rho, turns=1), -y_h,
+                                  AJ_ORDER)
+        periods._hubs = rho, y_h, np.array([0.5 * (periods.A_inv @ v) for v in loops])
         chain, reached = [], [0]
         for j in reached:
             for k in range(len(e)):
@@ -422,7 +452,7 @@ def _branch_constants(periods):
                     chain.append((j, k, CurvePoint(complex(m), 1)))
                     reached.append(k)
         js, ks, ms = zip(*chain)
-        legs = _from_hubs(periods, ms + ms, js + ks)
+        legs = _from_hubs(periods, ms + ms, list(js + ks))
         consts = {0: np.zeros(periods.curve.genus, dtype=complex)}
         for (j, k, _), to_j, to_k in zip(chain, legs, legs[len(chain):]):
             v = consts[j] + to_j - to_k
@@ -435,8 +465,8 @@ def _branch_constants(periods):
 def abel_jacobi(periods: PeriodData, P, base: CurvePoint):
     """A^-1 int_base^P = AJ_{e_0}(P) - AJ_{e_0}(base), the base term cached:
     a (g,) vector for one point P, an (N, g) array for a list of points,
-    whose hub paths are one integrate_path batch at order AJ_ORDER (a point
-    that does not land fails the batch)."""
+    whose hub paths are integrated at order AJ_ORDER, AJ_CHUNK paths to an
+    integrate_path call (a point that does not land fails the list)."""
     if base.key() not in periods._base_aj:
         periods._base_aj[base.key()] = abel_jacobi_from_branch(periods, base)
     return abel_jacobi_from_branch(periods, P) - periods._base_aj[base.key()]
@@ -444,11 +474,14 @@ def abel_jacobi(periods: PeriodData, P, base: CurvePoint):
 
 def abel_jacobi_from_branch(periods: PeriodData, P, branch_index=0):
     """A^-1 int_{e_k}^P, k = branch_index, through the branch point nearest
-    P; a (g,) vector for one point P, an (N, g) array for a list."""
+    P; a (g,) vector for one point P, an (N, g) array for a list, whose
+    points take one integrate_path call per AJ_CHUNK."""
     pts = [P] if isinstance(P, CurvePoint) else list(P)
     n = np.argmin(np.abs(periods.curve.branch_points - [[p.x] for p in pts]), axis=1)
     consts = _branch_constants(periods)
-    v = consts[n] - consts[branch_index] + _from_hubs(periods, pts, n)
+    hubs = [_from_hubs(periods, pts[i:i + AJ_CHUNK], n[i:i + AJ_CHUNK])
+            for i in range(0, len(pts), AJ_CHUNK)]
+    v = consts[n] - consts[branch_index] + np.concatenate(hubs)
     return v[0] if isinstance(P, CurvePoint) else v
 
 

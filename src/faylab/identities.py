@@ -422,6 +422,10 @@ def run_identity(spec: IdentitySpec, env, curve_id, trials, tol, seed):
     """Run one identity for `trials` trials; resample (fresh draws from the
     same stream) on rejected draws (_RETRY), up to 20 attempts per trial.
 
+    On a CurveContext, CurveContext.look_ahead first maps the Abel-Jacobi
+    points of every trial's first attempt, on a fresh copy of its stream,
+    in one batch; the trials then draw the same points and find them cached.
+
     Reports carry requested vs completed counts: completion below 90%
     fails the report regardless of residuals.  An environment that failed
     to build (an exception in place of env) runs no trial and fails.
@@ -431,8 +435,11 @@ def run_identity(spec: IdentitySpec, env, curve_id, trials, tol, seed):
     failure = f"{type(env).__name__}: {env}" if isinstance(env, Exception) else ""
     max_abs = 0.0
     max_rel = 0.0
+    label = f"{spec.name}|{curve_id}"
+    if isinstance(env, CurveContext):
+        env.look_ahead(spec.runner, (trial_rng(seed, label, t) for t in range(trials)))
     for trial in range(0 if failure else trials):
-        rng = trial_rng(seed, f"{spec.name}|{curve_id}", trial)
+        rng = trial_rng(seed, label, trial)
         for _ in range(20):
             try:
                 abs_r, rel_r = spec.runner(env, rng)

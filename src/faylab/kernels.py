@@ -22,12 +22,13 @@ would otherwise surface in cross-formula comparisons).
 
 from __future__ import annotations
 
+from contextlib import suppress
 from itertools import product
 
 import numpy as np
 
 from .theta import theta_batch, theta_gradient
-from .curves import (HyperellipticCurve, PeriodData, make_point,
+from .curves import (HyperellipticCurve, PeriodData, CurvePoint, make_point,
                      abel_jacobi, abel_jacobi_from_branch, find_odd_char,
                      lattice_coords, theta_scale, CurveError)
 
@@ -46,6 +47,10 @@ class CoincidentPoints(KernelError):
 
 class RootSearchFailed(KernelError):
     pass
+
+
+class _Recorded(Exception):
+    """Ends a look-ahead attempt at its first aj call (not a rejection)."""
 
 
 #: |theta| below NEAR_DIVISOR * ctx.scale counts as on the theta divisor
@@ -76,15 +81,36 @@ class CurveContext:
         self._aj_cache = {}
         self._h_cache = {}
         self._kappa = None
+        self._recording = None
 
     # -- point bookkeeping -------------------------------------------------
 
     def aj(self, ps):
         """Abel-Jacobi vectors of the points ps from the context base point,
         as an (N, g) array (cached per point, so every identity reuses the
-        exact same representative), the misses in one abel_jacobi batch."""
+        exact same representative), the misses in one abel_jacobi batch.
+        During look_ahead it records ps and ends the attempt instead."""
+        if self._recording is not None:
+            self._recording += ps
+            raise _Recorded
         return _cached_rows(self._aj_cache, ps, lambda miss: abel_jacobi(
             self.periods, miss, self.base)).reshape(len(ps), self.g)
+
+    def look_ahead(self, runner, rngs):
+        """Run runner(self, rng) for each rng up to its first aj call, then
+        map the points of all those calls in one aj call, so that the same
+        attempts, run again on fresh copies of the streams, find them cached.
+        An exception of an attempt, or of the batch, is swallowed and caches
+        nothing for the points it concerns: run again, the attempt raises it."""
+        self._recording = recorded = []
+        try:
+            for rng in rngs:
+                with suppress(Exception):
+                    runner(self, rng)
+        finally:
+            self._recording = None
+        with suppress(Exception):
+            self.aj(recorded)
 
     # -- theta shorthands --------------------------------------------------
 
@@ -214,17 +240,16 @@ def sample_point(ctx: CurveContext, rng):
     """Random curve point in a box 1.6 times the branch locus's (padded)
     extent, at least 0.04 min_gap clear of it."""
     e = ctx.curve.branch_points
-    lo_r, hi_r = e.real.min(), e.real.max()
-    lo_i, hi_i = e.imag.min(), e.imag.max()
-    c_r, c_i = 0.5 * (lo_r + hi_r), 0.5 * (lo_i + hi_i)
-    half_r = 0.5 * (hi_r - lo_r) + ctx.curve.min_gap
-    half_i = 0.5 * (hi_i - lo_i) + ctx.curve.min_gap
+    c_r, c_i, half_r, half_i = ctx.curve.box
     for _ in range(200):
         x = (c_r + 1.6 * half_r * (2 * rng.random() - 1)
              + 1j * (c_i + 1.6 * half_i * (2 * rng.random() - 1)))
-        if ctx.curve.dist_to_branch(np.array([x]))[0] > 0.04 * ctx.curve.min_gap:
+        clear = np.abs(x - e).min()
+        if clear > 0.04 * ctx.curve.min_gap:
             sheet = 1 if rng.random() < 0.5 else -1
-            return make_point(ctx.curve, x, sheet)
+            if clear > 1e-6:
+                return CurvePoint(complex(x), sheet)
+            return make_point(ctx.curve, x, sheet)      # which refuses it
     raise CurveError("could not sample a point clear of the branch locus")
 
 

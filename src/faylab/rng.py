@@ -2,11 +2,13 @@
 
 from __future__ import annotations
 
+import functools
 import hashlib
 
 import numpy as np
 
 
+@functools.lru_cache(maxsize=4096)
 def _label_hash(label: str) -> int:
     return int.from_bytes(hashlib.sha256(label.encode()).digest()[:8], "big")
 

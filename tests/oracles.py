@@ -67,3 +67,11 @@ def branch_expansion(e_k, x, y, genus):
     branch point e_k: there y^2 is c (t - e_k) to first order, so the
     integral is 2 e_k^i (x - e_k) / y."""
     return 2.0 * e_k ** np.arange(genus) * (x - e_k) / y
+
+
+def hub_path_one(e_k, rho, x, turns=0):
+    """The hub path of one point on its own, as one array expression over
+    its arc vertices e_k + rho exp(i angle j / n), j = 0..n, then x."""
+    angle = np.angle(x - e_k) + 2.0 * np.pi * turns
+    n = max(1, int(np.ceil(abs(angle) / (0.5 * np.pi))))
+    return list(e_k + rho * np.exp(1j * angle * np.arange(n + 1) / n)) + [x]

@@ -20,7 +20,7 @@ from faylab.kernels import riemann_constant, sample_point
 from faylab.registry import registry_entries
 
 from conftest import build_context, far_path_aj, polygon_clearance
-from oracles import (agm_tau, branch_expansion, brute_force_continuation,
+from oracles import (agm_tau, branch_expansion, brute_force_continuation, hub_path_one,
                      qseries_theta_char)
 
 HYPERELLIPTIC = ["lemniscatic", "equianharmonic", "g2-real", "g3-real"]
@@ -149,7 +149,8 @@ class TestTracker:
         c = registry_curve(cid)
         e, gap = c.branch_points, c.min_gap
         paths = [near_branch_path(c), [e[0] + gap * (0.3 + 0.4j), e[-1] + 2.0j],
-                 curves._hub_path(e[1], 0.5 * gap, e[1] + 0.8 * gap * (1 - 1j)),
+                 curves._hub_paths(e[1:2], np.array([0.5 * gap]),
+                                   np.array([e[1] + 0.8 * gap * (1 - 1j)]))[0],
                  [3.1 + 1.7j, 3.1 + 1.7j, -2.3 - 1.1j]]
         order = [2, 0, 3, 1, 0]
         y0s = [c.y_principal(np.array([paths[i][0]]))[0] for i in order]
@@ -396,6 +397,26 @@ class TestAbelJacobi:
         with pytest.raises(CurveError, match="did not land"):
             abel_jacobi(pd, ps, ctx_g1.base)
 
+    @pytest.mark.parametrize("cid", ["lemniscatic", "g2-real"])
+    def test_long_lists_integrate_in_chunks(self, cid, monkeypatch):
+        # 150 points take ceil(150 / AJ_CHUNK) = 3 integrate_path calls of at
+        # most AJ_CHUNK paths, and every row is the point's own, bitwise
+        ctx = build_context(cid)
+        pd = ctx.periods
+        rng = np.random.default_rng(23)
+        ps = [sample_point(ctx, rng) for _ in range(150)]
+        one = np.array([abel_jacobi(pd, p, ctx.base) for p in ps])
+        sizes = []
+        real = curves.integrate_path
+
+        def counted(curve, paths, y0s, order):
+            sizes.append(len(paths))
+            return real(curve, paths, y0s, order)
+        monkeypatch.setattr(curves, "integrate_path", counted)
+        rows = abel_jacobi(pd, ps, ctx.base)
+        assert curves.AJ_CHUNK == 64 and sizes == [64, 64, 22]
+        assert np.array_equal(rows, one)
+
 
 unit_square = st.tuples(st.floats(-1.0, 1.0), st.floats(-1.0, 1.0)).map(
     lambda p: complex(*p))
@@ -404,21 +425,27 @@ unit_square = st.tuples(st.floats(-1.0, 1.0), st.floats(-1.0, 1.0)).map(
 @settings(max_examples=300, deadline=None)
 @given(st.sampled_from([3, 5, 7]).flatmap(
            lambda n: st.lists(unit_square, min_size=n, max_size=n)),
-       unit_square.map(lambda x: 1.5 * x))
-def test_hub_path_clearance(pts, x):
-    # the hub path of x's nearest branch point keeps min(0.7 rho_k, |x - e_k|)
-    # clear of every branch point
+       st.lists(unit_square.map(lambda x: 1.5 * x), min_size=1, max_size=4),
+       st.sampled_from([0, 1]))
+def test_hub_path_clearance(pts, xs, turns):
+    # the hub path of each x's nearest branch point keeps min(0.7 rho_k,
+    # |x - e_k|) clear of every branch point, and a batch lays each path
+    # bitwise as it lays that path alone
     e = np.array(pts)
     gaps = np.abs(e[:, None] - e[None, :]) + np.eye(len(e))
     assume(gaps.min() >= 0.05)
     c = HyperellipticCurve(e)
-    k = int(np.argmin(np.abs(c.branch_points - x)))
-    e_k = c.branch_points[k]
-    assume(abs(x - e_k) > 1e-6)
-    rho = 0.5 * np.abs(np.delete(c.branch_points, k) - e_k).min()
-    path = curves._hub_path(e_k, rho, x)
-    bound = min(0.7 * rho, abs(x - e_k))
-    assert polygon_clearance(path, c.branch_points) >= (1 - 1e-9) * bound
+    xs = np.array(xs)
+    ks = np.argmin(np.abs(c.branch_points - xs[:, None]), axis=1)
+    e_k = c.branch_points[ks]
+    assume((np.abs(xs - e_k) > 1e-6).all())
+    rho = 0.5 * np.sort(np.abs(c.branch_points - e_k[:, None]), axis=1)[:, 1]
+    paths = curves._hub_paths(e_k, rho, xs, turns)
+    assert len(paths) == len(xs)
+    for i, path in enumerate(paths):
+        bound = min(0.7 * rho[i], abs(xs[i] - e_k[i]))
+        assert polygon_clearance(path, c.branch_points) >= (1 - 1e-9) * bound
+        assert np.array_equal(path, hub_path_one(e_k[i], rho[i], xs[i], turns))
 
 
 class TestCharacteristics:

@@ -16,6 +16,7 @@ from faylab.identities import (IDENTITIES, SuiteConfig, run_suite, run_identity,
                                UnknownIdentity, SuiteError, _distinct_points)
 from faylab.kernels import CurveContext, fay_F, sample_xi, NearDivisor
 from faylab.registry import registry_entries
+from faylab.report import report_record
 from faylab.rng import trial_rng
 
 from conftest import build_context
@@ -152,15 +153,17 @@ class TestResidueIdentities:
         import faylab.identities as ids
         from faylab.identities import BadTriple, IdentitySpec
         real = ids.sample_point
-        drawn = []
+        drawn = {}
 
         def first_three_coincide(ctx, rng):
-            drawn.append(real(ctx, rng))
-            return drawn[0] if len(drawn) <= 3 else drawn[-1]
+            # the first three draws of every stream coincide
+            mine = drawn.setdefault(rng, [])
+            mine.append(real(ctx, rng))
+            return mine[0] if len(mine) <= 3 else mine[-1]
         monkeypatch.setattr(ids, "sample_point", first_three_coincide)
         with pytest.raises(BadTriple):
             _distinct_points(ctx_g1, trial_rng(7, "redraw", 0), 3)
-        assert len(drawn) == 3
+        assert [len(d) for d in drawn.values()] == [3]
         drawn.clear()
         got = []
 
@@ -332,3 +335,76 @@ class TestSuiteRunner:
         assert {r.identity_id for r in reports} == set(IDENTITIES)
         assert {r.curve_id for r in reports} == set(registry_entries()) | {"-"}
         assert all(r.passed for r in reports)
+
+
+class TestLookAhead:
+    """run_identity maps the points of every trial's first draw in one
+    batch before the trial loop; the reports must not notice."""
+
+    @staticmethod
+    def fresh(cid):
+        base = build_context(cid)
+        return CurveContext(base.curve, base.periods)
+
+    @staticmethod
+    def run(spec, cid, trials, look_ahead, monkeypatch):
+        with monkeypatch.context() as m:
+            if not look_ahead:
+                m.setattr(CurveContext, "look_ahead", lambda self, runner, rngs: None)
+            ctx = TestLookAhead.fresh(cid)
+            rep = run_identity(spec, ctx, cid, trials, 1.0, 11)
+        rec = report_record(rep)
+        del rec["elapsed_ms"]
+        return dict(rec, failure=rep.failure)
+
+    @pytest.mark.parametrize("cid", ["lemniscatic", "g2-real"])
+    def test_same_records_as_without(self, cid, monkeypatch):
+        g = build_context(cid).g
+        for spec in IDENTITIES.values():
+            if spec.kind == "hyperelliptic" and g in spec.table:
+                assert (self.run(spec, cid, 4, True, monkeypatch)
+                        == self.run(spec, cid, 4, False, monkeypatch)), spec.name
+
+    def test_failed_batch_fails_the_same_trial(self, monkeypatch):
+        # integrate_path refuses trial 3's first point: the look-ahead batch
+        # fails and is dropped, and the loop fails at trial 3 as without it
+        import faylab.curves as curves
+        from faylab.kernels import sample_point
+        ctx = self.fresh("lemniscatic")
+        bad = sample_point(ctx, trial_rng(11, "idcor|lemniscatic", 3)).x
+        real = curves.integrate_path
+
+        def refuse(curve, paths, y0s, order):
+            if any(p[-1] == bad for p in paths):
+                raise curves.PathTooLong("synthetic refusal")
+            return real(curve, paths, y0s, order)
+        monkeypatch.setattr(curves, "integrate_path", refuse)
+        got = [self.run(IDENTITIES["idcor"], "lemniscatic", 6, look, monkeypatch)
+               for look in (True, False)]
+        assert got[0] == got[1]
+        assert (got[0]["completed"], got[0]["failure"]) == (3, "PathTooLong: synthetic refusal")
+        assert math.isinf(got[0]["max_rel_residual"])
+
+    def test_one_batch_for_first_draws(self, monkeypatch):
+        # after set-up a 20-trial report integrates its first draws' 60
+        # points in ceil(60 / 64) = 1 call, plus one per retried attempt
+        import faylab.curves as curves
+        from faylab.identities import IdentitySpec
+        ctx = self.fresh("lemniscatic")
+        ctx.aj([ctx.base])                 # hub, branch and base constants
+        attempts, calls = [], []
+
+        def runner(env, rng):
+            attempts.append(rng)
+            return idcor_residual(env, rng)
+        real = curves.integrate_path
+
+        def counted(*args):
+            calls.append(args)
+            return real(*args)
+        monkeypatch.setattr(curves, "integrate_path", counted)
+        spec = IdentitySpec("idcor", "hyperelliptic", runner, {1: (20, 1e-9)})
+        rep = run_identity(spec, ctx, "lemniscatic", 20, 1e-9, 42)
+        retried = len(attempts) - 2 * 20
+        assert rep.completed == 20 and rep.passed
+        assert 1 <= len(calls) <= math.ceil(3 * 20 / 64) + retried

@@ -396,3 +396,32 @@ class TestSignFlips:
         # both routes flip together; their agreement is branch-insensitive
         assert abs(m2 - t2) < 1e-10 * abs(m2)
         assert abs(abs(m2) - abs(m1)) < 1e-10 * abs(m1)
+
+
+def test_sample_point_clearance():
+    # one clearance test per draw: within 0.04 min_gap of a branch point
+    # the draw is redrawn, and within 1e-6 (below 0.04 min_gap only when
+    # min_gap < 2.5e-5) the sheet is drawn and the point refused
+    from types import SimpleNamespace
+    from faylab.curves import HyperellipticCurve, PathTooCloseToBranchPoint
+    c = HyperellipticCurve([0.0, 1e-5, 1.0])
+    ctx = SimpleNamespace(curve=c)
+    half_r, half_i = 0.5 + c.min_gap, c.min_gap
+
+    class Scripted:
+        """Uniform draws that put x at the given points, then a sheet draw."""
+        def __init__(self, *xs):
+            self.draws = [d for x in xs for d in (0.5 * ((x.real - 0.5) / (1.6 * half_r) + 1),
+                                                  0.5 * (x.imag / (1.6 * half_i) + 1))]
+            self.draws.append(0.25)
+
+        def random(self):
+            return self.draws.pop(0)
+
+    rng = Scripted(1 + 1e-7j, 1 + 2e-6j)
+    p = sample_point(ctx, rng)
+    assert rng.draws == [] and p.sheet == 1 and abs(p.x - (1 + 2e-6j)) < 1e-12
+    rng = Scripted(1 + 3e-7j, 1 + 5e-7j)
+    with pytest.raises(PathTooCloseToBranchPoint):
+        sample_point(ctx, rng)
+    assert rng.draws == []
