@@ -9,7 +9,7 @@ analytic continuation of y (no branch-cut bookkeeping).
 
 One routine, `integrate_path`, continues y through the Gauss-Legendre
 nodes of a batch of polygons and integrates each on its own slice: all
-periods are one call, all crossing sheet matches one, each AJ chunk one.
+periods are one call, all crossing sheet matches one, each AJ batch one.
 
 Abel-Jacobi integrals run along hub paths, at the certified order AJ_ORDER
 = 12: from a hub on a circle about the branch point nearest P, round it to
@@ -106,7 +106,9 @@ class HyperellipticCurve:
         x = np.asarray(x, dtype=complex)
         out = np.full(x.shape, self.lead, dtype=complex)
         for e in self.branch_points:
-            out *= x - e    # in place, so the last bits do not depend on len(x)
+            # in place: from two points up a point's last bits do not depend
+            # on len(x); a lone point (0-d or length 1) takes another loop
+            out *= x - e
         return out
 
     def y_principal(self, x):
@@ -171,9 +173,11 @@ MAX_PATH_NODES = 2**21
 #: (64/15) M rho^(-2n) / (rho^2 - 1) (Trefethen 2008), 1.3e-21 M at 12 nodes.
 AJ_ORDER = 12
 
-#: most points of one Abel-Jacobi integrate_path call (about 7,000 nodes),
-#: so that a whole report's first draws do not raise the peak memory
-AJ_CHUNK = 64
+#: most paths integrate_path lays nodes for at once (3,000-6,000 nodes on
+#: genus-3 Abel-Jacobi paths), so that a whole report's batch keeps its
+#: node buffers small: heap memory a call grows by is handed back after it
+#: and faulted in again by the next call
+PATH_BLOCK = 32
 
 
 @functools.lru_cache(maxsize=None)
@@ -184,12 +188,20 @@ def _gl_nodes(order):
 def integrate_path(curve, paths, y0s, order):
     """Integrate (1, x, .., x^(g-1)) dx / y along each polygonal path, with
     y = y0s[i] at paths[i][0]; returns the (N, g) integrals and, per path,
-    y at every vertex.
+    y at every vertex.  The paths are integrated PATH_BLOCK at a time, each
+    row as if alone (see _integrate_paths)."""
+    parts = [_integrate_paths(curve, paths[k:k + PATH_BLOCK], y0s[k:k + PATH_BLOCK], order)
+             for k in range(0, len(paths), PATH_BLOCK)]
+    return np.concatenate([v for v, _ in parts]), [y for _, ys in parts for y in ys]
+
+
+def _integrate_paths(curve, paths, y0s, order):
+    """integrate_path on one block of paths.
 
     Each edge is cut into Gauss-Legendre panels no wider than half its
     clearance dmin from the branch points (an edge within 1e-6 of one is
     refused, and a path of more than MAX_PATH_NODES nodes raises
-    PathTooLong before any node is laid).  The nodes of all paths are laid
+    PathTooLong before a node of its block is laid).  The nodes of all paths are laid
     and f evaluated in one pass; y is continued through every vertex and
     node of a path: y_{j+1} = y_j sqrt(f_{j+1} / f_j), the square root
     taken as exp(log / 2) of a ratio that must keep |delta arg f| <= pi/2
@@ -238,9 +250,7 @@ def integrate_path(curve, paths, y0s, order):
     bad[starts[1:-1] - 1] = False       # steps from one path to the next
     if bad.any():
         raise PathTooCloseToBranchPoint("continuation step too coarse for f")
-    # each node-sized buffer is reused or dropped once dead: a 64-path AJ
-    # batch has ~7,000 nodes, and the heap memory a call grows by is handed
-    # back after it and faulted in again by the next call
+    # each node-sized buffer is reused or dropped once dead
     half_log = np.log(ratios, out=ratios)
     half_log *= 0.5
     del fx, ratios, modulus, bad, ts
@@ -465,8 +475,8 @@ def _branch_constants(periods):
 def abel_jacobi(periods: PeriodData, P, base: CurvePoint):
     """A^-1 int_base^P = AJ_{e_0}(P) - AJ_{e_0}(base), the base term cached:
     a (g,) vector for one point P, an (N, g) array for a list of points,
-    whose hub paths are integrated at order AJ_ORDER, AJ_CHUNK paths to an
-    integrate_path call (a point that does not land fails the list)."""
+    whose hub paths are integrated at order AJ_ORDER in one integrate_path
+    call (a point that does not land fails the list)."""
     if base.key() not in periods._base_aj:
         periods._base_aj[base.key()] = abel_jacobi_from_branch(periods, base)
     return abel_jacobi_from_branch(periods, P) - periods._base_aj[base.key()]
@@ -475,13 +485,11 @@ def abel_jacobi(periods: PeriodData, P, base: CurvePoint):
 def abel_jacobi_from_branch(periods: PeriodData, P, branch_index=0):
     """A^-1 int_{e_k}^P, k = branch_index, through the branch point nearest
     P; a (g,) vector for one point P, an (N, g) array for a list, whose
-    points take one integrate_path call per AJ_CHUNK."""
+    points take one integrate_path call."""
     pts = [P] if isinstance(P, CurvePoint) else list(P)
     n = np.argmin(np.abs(periods.curve.branch_points - [[p.x] for p in pts]), axis=1)
     consts = _branch_constants(periods)
-    hubs = [_from_hubs(periods, pts[i:i + AJ_CHUNK], n[i:i + AJ_CHUNK])
-            for i in range(0, len(pts), AJ_CHUNK)]
-    v = consts[n] - consts[branch_index] + np.concatenate(hubs)
+    v = consts[n] - consts[branch_index] + _from_hubs(periods, pts, n)
     return v[0] if isinstance(P, CurvePoint) else v
 
 

@@ -57,110 +57,151 @@ def _rel(total, blocks):
 
 
 def _distinct_points(ctx, rng, count):
-    """count sampled points, Abel-Jacobi mapped in one batch; raises BadTriple
-    (run_identity redraws) if two x-coordinates are within 1e-3 min_gap."""
+    """count sampled points; raises BadTriple (run_identity redraws) if two
+    x-coordinates are within 1e-3 min_gap."""
     pts = [sample_point(ctx, rng) for _ in range(count)]
     xs = np.array([p.x for p in pts])
     d = np.abs(xs[:, None] - xs[None, :])
     np.fill_diagonal(d, np.inf)
     if d.min() <= 1e-3 * ctx.curve.min_gap:
         raise BadTriple("sampled points too close")
-    ctx.aj(pts)
     return pts
+
+
+def _points_and_xi(ctx, rng, count):
+    return _distinct_points(ctx, rng, count), sample_xi(ctx, rng)
+
+
+def _points(draws, idx):
+    """Points idx of every trial's point list (the first entry of its
+    draw), trial after trial."""
+    return [pts[k] for pts, *_ in draws for k in idx]
+
+
+def _aj_rows(ctx, draws):
+    """The Abel-Jacobi vectors of every trial's points in one ctx.aj call,
+    as a (trials, points, g) array."""
+    return ctx.aj(_points(draws, range(len(draws[0][0])))).reshape(len(draws), -1, ctx.g)
 
 
 # ---------------------------------------------------------------------------
 # theta-kernel identities
+#
+# Each identity is a draw, a function (ctx, rng) in the table below that
+# makes one trial's random choices and rejects bad ones, and an evaluation,
+# `<name>_evaluate(ctx, draws)`, which yields every trial's (abs, rel) from
+# one ctx.aj call and one call per kernel.  The arithmetic around the
+# kernels runs trial by trial, so a trial's residual does not depend on
+# the trials evaluated with it.
 
 
-def _mainid_residual(ctx, X, Y, Z, T, xi):
-    """The residual of eq. (mainid), the three-block sum of F-products over
-    x, y, z_i, t_i (AJ vectors, Z and T of shape (n, g)) and xi, from one
-    batched fay_F call."""
-    n = len(Z)
-    D = Z - T
-    S = D.sum(axis=0)
+def _mainid_residuals(ctx, cases):
+    """The residual of eq. (mainid), the three-block sum of F-products, of
+    each case (X, Y, Z, T, xi): AJ vectors of x, y, z_i, t_i (Z and T of
+    shape (n, g)) and xi, from one fay_F call.  Its arguments per case:
+    F(z_i - z_j, z_j - t_j) for i != j; for each i F(z_i - x, xi),
+    F(y - z_i, S + xi), F(x - z_i, z_i - t_i) and F(y - z_i, z_i - t_i);
+    then F(y - x, S + xi) and F(y - x, xi)."""
+    n = len(cases[0][2])
     i, j = np.nonzero(~np.eye(n, dtype=bool))
-    xis = np.broadcast_to(xi, Z.shape)
-    # F(z_i - z_j, z_j - t_j) for i != j; for each i F(z_i - x, xi),
-    # F(y - z_i, S + xi), F(x - z_i, z_i - t_i) and F(y - z_i, z_i - t_i);
-    # then F(y - x, S + xi) and F(y - x, xi)
-    F = fay_F(ctx,
-              np.concatenate([Z[i] - Z[j], Z - X, Y - Z, X - Z, Y - Z, [Y - X] * 2]),
-              np.concatenate([D[j], xis, S + xis, D, D, [S + xi, xi]]))
-    Fzz = np.ones((n, n), dtype=complex)
-    Fzz[i, j] = F[:len(i)]
-    a, b, c, e = F[len(i):-2].reshape(4, n)
-    blocks = list(Fzz.prod(axis=1) * (a * b))
-    blocks.append(c.prod() * F[-2])
-    blocks.append(-(e.prod() * F[-1]))
-    return _rel(sum(blocks), blocks)
+    A, B = [], []
+    for X, Y, Z, T, xi in cases:
+        D = Z - T
+        S = D.sum(axis=0)
+        xis = np.broadcast_to(xi, Z.shape)
+        A.append(np.concatenate([Z[i] - Z[j], Z - X, Y - Z, X - Z, Y - Z, [Y - X] * 2]))
+        B.append(np.concatenate([D[j], xis, S + xis, D, D, [S + xi, xi]]))
+    for F in fay_F(ctx, np.array(A), np.array(B)):
+        Fzz = np.ones((n, n), dtype=complex)
+        Fzz[i, j] = F[:len(i)]
+        a, b, c, e = F[len(i):-2].reshape(4, n)
+        blocks = list(Fzz.prod(axis=1) * (a * b))
+        blocks.append(c.prod() * F[-2])
+        blocks.append(-(e.prod() * F[-1]))
+        yield _rel(sum(blocks), blocks)
 
 
-def trisecant_general_residual(ctx, n, rng):
+def trisecant_general_evaluate(ctx, draws):
     """Eq. (mainid): the three-block sum of F-products over x, y, z_i, t_i
-    and a free Jacobian point xi."""
-    pts = _distinct_points(ctx, rng, 2 + 2 * n)
-    xi = sample_xi(ctx, rng)
-    V = ctx.aj(pts)
-    return _mainid_residual(ctx, V[0], V[1], V[2:2 + n], V[2 + n:], xi)
+    (2 + 2n points) and a free Jacobian point xi."""
+    n = len(draws[0][0]) // 2 - 1
+    return _mainid_residuals(ctx, [(V[0], V[1], V[2:2 + n], V[2 + n:], xi)
+                                   for V, (_, xi) in zip(_aj_rows(ctx, draws), draws)])
 
 
-def trisecant_classical_residual(ctx, rng, pts=None, xi=None):
-    """The two-fraction n=1 form of the trisecant identity."""
-    if pts is None:
-        pts = _distinct_points(ctx, rng, 4)
-    if xi is None:
-        xi = sample_xi(ctx, rng)
-    X, Y, Z, T = ctx.aj(pts)
-    th = ctx.theta_delta([X - T, Y - Z, X - Z, Y - T, xi, xi + Y - X + Z - T,
-                          Z - T, Y - X, Z - X, xi + Z - X, xi + Y - T,
-                          xi + Z - T, xi + Y - X])
-    (xt, yz, xz, yt, t_xi, t_long, zt, yx, zx, t_zx, t_yt, r1, r2) = th
-    if min(abs(xz), abs(yt), abs(zx)) < NEAR_DIVISOR * ctx.scale:
-        raise NearDivisor("trisecant denominator too small")
-    L1 = (xt * yz / (xz * yt)) * t_xi * t_long
-    L2 = (zt * yx / (zx * yt)) * t_zx * t_yt
-    R = r1 * r2
-    return _rel(L1 + L2 - R, [L1, L2, R] if abs(R) > 0 else [L1, L2, 1.0])
+def trisecant_classical_evaluate(ctx, draws):
+    """The two-fraction n=1 form of the trisecant identity over x, y, z, t
+    and xi."""
+    th = ctx.theta_delta([[X - T, Y - Z, X - Z, Y - T, xi, xi + Y - X + Z - T,
+                           Z - T, Y - X, Z - X, xi + Z - X, xi + Y - T,
+                           xi + Z - T, xi + Y - X]
+                          for (X, Y, Z, T), (_, xi) in zip(_aj_rows(ctx, draws), draws)])
+    for (xt, yz, xz, yt, t_xi, t_long, zt, yx, zx, t_zx, t_yt, r1, r2) in th:
+        if min(abs(xz), abs(yt), abs(zx)) < NEAR_DIVISOR * ctx.scale:
+            raise NearDivisor("trisecant denominator too small")
+        L1 = (xt * yz / (xz * yt)) * t_xi * t_long
+        L2 = (zt * yx / (zx * yt)) * t_zx * t_yt
+        R = r1 * r2
+        yield _rel(L1 + L2 - R, [L1, L2, R] if abs(R) > 0 else [L1, L2, 1.0])
 
 
-def divisor_symmetric_residual(ctx, n, rng):
-    """Cor. (divisorid): the symmetric F-product identity over n+1 pairs,
-    which is eq. (mainid) over the last n pairs at x = z_0, xi = z_0 - t_0."""
-    pts = _distinct_points(ctx, rng, 3 + 2 * n)
-    V = ctx.aj(pts)
-    Y, Z, T = V[0], V[1:n + 2], V[n + 2:]
-    return _mainid_residual(ctx, Z[0], Y, Z[1:], T[1:], Z[0] - T[0])
+def divisor_symmetric_evaluate(ctx, draws):
+    """Cor. (divisorid): the symmetric F-product identity over y and n+1
+    pairs z_i, t_i, which is eq. (mainid) over the last n pairs at x = z_0,
+    xi = z_0 - t_0."""
+    n = (len(draws[0][0]) - 3) // 2
+    return _mainid_residuals(ctx, [(V[1], V[0], V[2:n + 2], V[n + 3:], V[1] - V[n + 2])
+                                   for V in _aj_rows(ctx, draws)])
 
 
-def prime_form_identity_residual(ctx, n, rng):
+def prime_form_identity_draw(ctx, n, rng):
+    """A theta point e, then x, y, z_i, t_i (2 + 2n points)."""
+    e = random_line_bundle(ctx.rm, rng, ctx.scale_raw)
+    return _distinct_points(ctx, rng, 2 + 2 * n), e
+
+
+def prime_form_identity_evaluate(ctx, draws):
     """The three-block E/theta identity for an arbitrary degree-1 theta,
     realized with a random translate of the plain theta."""
-    e = random_line_bundle(ctx.rm, rng, ctx.scale_raw)
-    pts = _distinct_points(ctx, rng, 2 + 2 * n)
-    V = ctx.aj(pts)
-    X, Y, Z, T = V[0], V[1], V[2:2 + n], V[2 + n:]
-    S = (Z - T).sum(axis=0)
-    args = np.concatenate([Z - X + e, Y - Z + S + e,
-                           [Y - X + e, S + e, Y - X + S + e, e]])
-    vals, _, _, _ = theta_batch(args, ctx.rm, tol=ctx.tol)
-    vals = ctx.mult * vals
+    m = len(draws[0][0])
+    n = m // 2 - 1
+    args = []
+    for V, (_, e) in zip(_aj_rows(ctx, draws), draws):
+        X, Y, Z, T = V[0], V[1], V[2:2 + n], V[2 + n:]
+        S = (Z - T).sum(axis=0)
+        args.append(np.concatenate([Z - X + e, Y - Z + S + e,
+                                    [Y - X + e, S + e, Y - X + S + e, e]]))
+    vals, _, _, _ = theta_batch(np.concatenate(args), ctx.rm, tol=ctx.tol)
+    vals = (ctx.mult * vals).reshape(len(draws), -1)
     # E[a, b] = E(pts[a], pts[b]), 1 on the diagonal, with the point
     # indices x = 0, y = 1, z_i = 2 + i, t_i = 2 + n + i
-    a, b = np.nonzero(~np.eye(len(pts), dtype=bool))
-    E = np.ones((len(pts), len(pts)), dtype=complex)
-    E[a, b] = prime_form(ctx, [pts[k] for k in a], [pts[k] for k in b])
+    a, b = np.nonzero(~np.eye(m, dtype=bool))
+    Es = prime_form(ctx, _points(draws, a), _points(draws, b)).reshape(len(draws), -1)
     z = 2 + np.arange(n)
     t = z + n
-    blocks = list(E[np.ix_(t, z)].prod(axis=0) / E[np.ix_(z, z)].prod(axis=0)
-                  * E[0, 1] / (E[0, z] * E[1, z]) * vals[:n] * vals[n:2 * n])
-    blocks.append((E[t, 1] / E[z, 1]).prod() * vals[2 * n] * vals[2 * n + 1])
-    blocks.append(-(E[t, 0] / E[z, 0]).prod() * vals[2 * n + 2] * vals[2 * n + 3])
-    return _rel(sum(blocks), blocks)
+    for row, v in zip(Es, vals):
+        E = np.ones((m, m), dtype=complex)
+        E[a, b] = row
+        blocks = list(E[np.ix_(t, z)].prod(axis=0) / E[np.ix_(z, z)].prod(axis=0)
+                      * E[0, 1] / (E[0, z] * E[1, z]) * v[:n] * v[n:2 * n])
+        blocks.append((E[t, 1] / E[z, 1]).prod() * v[2 * n] * v[2 * n + 1])
+        blocks.append(-(E[t, 0] / E[z, 0]).prod() * v[2 * n + 2] * v[2 * n + 3])
+        yield _rel(sum(blocks), blocks)
 
 
-def residue_identity_residual(ctx, n, rng):
+def residue_identity_draw(ctx, n, rng):
+    """n points x_i and n theta points, the last the lattice-closing one."""
+    if n not in (2, 3):
+        raise SuiteError(f"residue identity implemented for n in (2, 3), not {n}")
+    if n == 3 and ctx.g != 1:
+        raise SuiteError("n=3 residue identity needs genus 1 "
+                         "(degree count: n(g-1) = 2g-2 forces n = 2 otherwise)")
+    xs = _distinct_points(ctx, rng, n)
+    xis = [sample_xi(ctx, rng) for _ in range(n - 1)]
+    return xs, np.array(xis + [-sum(xis)])
+
+
+def residue_identity_evaluate(ctx, draws):
     """Good-triple residue identity: sum_i alpha(x_i) prod_{j != i}
     m3(L_j, x_j, x_i) = 0 with the bundles closing up to the canonical
     class (the last theta point is the lattice-closing value).
@@ -169,68 +210,81 @@ def residue_identity_residual(ctx, n, rng):
     the odd-translate frames); n = 3 needs genus 1, where all bundles have
     degree 0 and alpha(x_i) = 1/h(x_i) realizes the trivialization.
     """
-    if n not in (2, 3):
-        raise SuiteError(f"residue identity implemented for n in (2, 3), not {n}")
-    if n == 3 and ctx.g != 1:
-        raise SuiteError("n=3 residue identity needs genus 1 "
-                         "(degree count: n(g-1) = 2g-2 forces n = 2 otherwise)")
-    xs = _distinct_points(ctx, rng, n)
-    xis = [sample_xi(ctx, rng) for _ in range(n - 1)]
-    xis = np.array(xis + [-sum(xis)])
+    n = len(draws[0][0])
     i, j = np.nonzero(~np.eye(n, dtype=bool))
-    m = np.ones((n, n), dtype=complex)
-    m[i, j] = massey_m3_prime(ctx, xis[j], [xs[k] for k in j], [xs[k] for k in i])
-    blocks = m.prod(axis=1)
-    if n == 3:
-        blocks = blocks / h_values(ctx, xs)
-    return _rel(blocks.sum(), blocks)
+    m3 = massey_m3_prime(ctx, np.concatenate([xis[j] for _, xis in draws]),
+                         _points(draws, j), _points(draws, i)).reshape(len(draws), -1)
+    h = h_values(ctx, _points(draws, range(n))).reshape(len(draws), n)
+    for row, h_x in zip(m3, h):
+        m = np.ones((n, n), dtype=complex)
+        m[i, j] = row
+        blocks = m.prod(axis=1)
+        if n == 3:
+            blocks = blocks / h_x
+        yield _rel(blocks.sum(), blocks)
 
 
-def maincor_kernel_residual(ctx, rng):
-    """Kernel-level n=1 instance of the two-bundle residue corollary:
-    alpha = phi * eta with phi the theta-ratio section and eta realized by
-    the squared half-differential (folded into the m3 frames)."""
+def maincor_kernel_draw(ctx, rng):
     if ctx.g != 1:
         raise SuiteError("kernel-form corollary check runs at genus 1")
-    x, y, z, t = _distinct_points(ctx, rng, 4)
-    xi = sample_xi(ctx, rng)
-    X, Y, Z, T = ctx.aj([x, y, z, t])
-    xi2 = (Z - T) - xi
+    return _points_and_xi(ctx, rng, 4)
+
+
+def maincor_kernel_evaluate(ctx, draws):
+    """Kernel-level n=1 instance of the two-bundle residue corollary over
+    x, y, z, t and xi: alpha = phi * eta with phi the theta-ratio section
+    and eta realized by the squared half-differential (folded into the m3
+    frames)."""
+    V = _aj_rows(ctx, draws)
     # phi(p) = theta[delta](p - t) / theta[delta](p - z)
-    zt, xt, xz, yt, yz = ctx.theta_delta([Z - T, X - T, X - Z, Y - T, Y - Z])
-    m_xz, m_yz, m_yx, m_xy = massey_m3_prime(ctx, [xi, xi2, xi2, xi],
-                                             [x, y, y, x], [z, z, x, y])
-    t0 = zt / h_values(ctx, [z])[0]**2 * m_xz * m_yz
-    t1 = xt / xz * m_yx
-    t2 = yt / yz * m_xy
-    return _rel(t0 + t1 + t2, [t0, t1, t2])
+    th = ctx.theta_delta([[Z - T, X - T, X - Z, Y - T, Y - Z] for X, Y, Z, T in V])
+    xis = [[xi, Z - T - xi, Z - T - xi, xi] for (_, xi), (_, _, Z, T) in zip(draws, V)]
+    m3 = massey_m3_prime(ctx, np.concatenate(xis), _points(draws, (0, 1, 1, 0)),
+                         _points(draws, (2, 2, 0, 1)))
+    h_z = h_values(ctx, _points(draws, [2]))
+    for (zt, xt, xz, yt, yz), (m_xz, m_yz, m_yx, m_xy), h in zip(th, m3.reshape(-1, 4), h_z):
+        t0 = zt / h**2 * m_xz * m_yz
+        t1 = xt / xz * m_yx
+        t2 = yt / yz * m_xy
+        yield _rel(t0 + t1 + t2, [t0, t1, t2])
 
 
-def cross_formula_residual(ctx, rng):
+def cross_formula_draw(ctx, rng):
+    """Points x, y, then the xi of a random bundle."""
+    pts = _distinct_points(ctx, rng, 2)
+    return pts, ctx.xi_of_bundle(random_line_bundle(ctx.rm, rng, ctx.scale_raw))
+
+
+def cross_formula_evaluate(ctx, draws):
     """massey_m3_prime against massey_m3_theta on a random triple."""
-    x, y = _distinct_points(ctx, rng, 2)
-    xi = ctx.xi_of_bundle(random_line_bundle(ctx.rm, rng, ctx.scale_raw))
-    m1 = massey_m3_prime(ctx, [xi], [x], [y])[0]
-    m2 = massey_m3_theta(ctx, [xi], [x], [y])[0]
-    return abs(m1 - m2), abs(m1 - m2) / abs(m1)
+    args = np.array([xi for _, xi in draws]), _points(draws, [0]), _points(draws, [1])
+    m1 = massey_m3_prime(ctx, *args)
+    m2 = massey_m3_theta(ctx, *args)
+    return [(abs(a - b), abs(a - b) / abs(a)) for a, b in zip(m1, m2)]
 
 
-def idcor_residual(ctx, rng):
-    """Degenerate n=1 corollary m3(V(x-z), z, y) = m3(V,x,y) m3(V,x,z)^-1,
-    with the O(x-z) trivialization factor E(x,y)/(E(z,y)E(x,z)) that turns
-    the abstract bundle equality into numbers in the affine frames."""
-    x, y, z = _distinct_points(ctx, rng, 3)
-    xi = sample_xi(ctx, rng)
-    X, Z = ctx.aj([x, z])
-    xi_t = xi + X - Z
-    m_xz, m_xy, m_zy = massey_m3_prime(ctx, [xi, xi, xi_t], [x, x, z], [z, y, y])
-    E_zy, E_xz, E_xy = prime_form(ctx, [z, x, x], [y, z, y])
-    lhs = m_zy * E_zy * E_xz / E_xy
-    rhs = m_xy / m_xz
-    return abs(lhs - rhs), abs(lhs - rhs) / abs(rhs)
+def idcor_evaluate(ctx, draws):
+    """Degenerate n=1 corollary m3(V(x-z), z, y) = m3(V,x,y) m3(V,x,z)^-1
+    over x, y, z and xi, with the O(x-z) trivialization factor
+    E(x,y)/(E(z,y)E(x,z)) that turns the abstract bundle equality into
+    numbers in the affine frames."""
+    xis = [[xi, xi, xi + X - Z] for (X, _, Z), (_, xi) in zip(_aj_rows(ctx, draws), draws)]
+    m3 = massey_m3_prime(ctx, np.concatenate(xis), _points(draws, (0, 0, 2)),
+                         _points(draws, (2, 1, 1)))
+    E = prime_form(ctx, _points(draws, (2, 0, 0)), _points(draws, (1, 2, 1)))
+    for (m_xz, m_xy, m_zy), (E_zy, E_xz, E_xy) in zip(m3.reshape(-1, 3), E.reshape(-1, 3)):
+        lhs = m_zy * E_zy * E_xz / E_xy
+        rhs = m_xy / m_xz
+        yield abs(lhs - rhs), abs(lhs - rhs) / abs(rhs)
 
 
-def theta_derivative_divisor_residual(ctx, rng):
+def theta_derivative_divisor_draw(ctx, rng):
+    if ctx.g not in (1, 2):
+        raise SuiteError("divisor-vanishing check runs at genus 1 or 2")
+    return ([sample_point(ctx, rng) for _ in range(20)],)
+
+
+def theta_derivative_divisor_evaluate(ctx, draws):
     """The derivative 1-form vanishes on the odd-characteristic divisor.
 
     The form is N(x) dx / y with N the adjoint numerator; its divisor is
@@ -239,57 +293,57 @@ def theta_derivative_divisor_residual(ctx, rng):
     evaluated on it directly, so the root distance is the residual).
     Genus 1: the divisor is empty, N is the nonzero constant making the
     form proportional to the invariant differential; the residual is the
-    spread of theta_form * y over 20 controls.
+    spread of theta_form * y over the controls.
     """
-    controls = [sample_point(ctx, rng) for _ in range(20)]
-    ctrl_vals = theta_form(ctx, controls)
-    scale = float(np.median(np.abs(ctrl_vals)))
+    vals = theta_form(ctx, _points(draws, range(20)))
     if ctx.g == 2:
         roots, dists = delta_divisor_root(ctx)
-        if len(roots) == 0:
-            zero_val = 0.0        # divisor at the branch point at infinity
-        else:
-            zero_val = float(dists.max()) / ctx.curve.min_gap
-    elif ctx.g == 1:
-        ratios = np.array([v * p.y(ctx.curve) for v, p in zip(ctrl_vals, controls)])
-        zero_val = float(np.abs(ratios - ratios.mean()).max() / abs(ratios.mean()))
-    else:
-        raise SuiteError("divisor-vanishing check runs at genus 1 or 2")
-    min_ctrl = float(np.abs(ctrl_vals).min()) / scale
-    if min_ctrl < 1e-3:
-        raise NearDivisor("control point accidentally near the divisor")
-    return zero_val * scale, zero_val
+        # no root: the divisor sits at the branch point at infinity
+        zero_val = float(dists.max()) / ctx.curve.min_gap if len(roots) else 0.0
+    for (controls,), ctrl_vals in zip(draws, vals.reshape(len(draws), -1)):
+        scale = float(np.median(np.abs(ctrl_vals)))
+        if ctx.g == 1:
+            ratios = np.array([v * p.y(ctx.curve) for v, p in zip(ctrl_vals, controls)])
+            zero_val = float(np.abs(ratios - ratios.mean()).max() / abs(ratios.mean()))
+        if float(np.abs(ctrl_vals).min()) / scale < 1e-3:
+            raise NearDivisor("control point accidentally near the divisor")
+        yield zero_val * scale, zero_val
 
 
-def quasidet_geometric_residual(ctx, n, rng, block=1):
+def quasidet_geometric_draw(ctx, n, rng, block=1):
+    """Points x_0..x_n, y_0..y_n, then one theta point per block slot."""
+    pts = _distinct_points(ctx, rng, 2 * (n + 1))
+    if block > 1 and ctx.g != 1:
+        raise SuiteError("diagonal flat bundles are exercised at genus 1")
+    return pts, np.array([sample_xi(ctx, rng) for _ in range(block)])
+
+
+def quasidet_geometric_evaluate(ctx, draws):
     """Theta-kernel quasideterminant identity: |(m3(V,x_j,y_i))|_00 equals
     the twisted kernel times the prime-form cross-ratio product.
 
-    block=1 is the scalar case; block=k uses a diagonal flat bundle on a
-    genus-1 curve (k theta points, one per slot, same E-factor)."""
-    pts = _distinct_points(ctx, rng, 2 * (n + 1))
-    xs, ys = pts[:n + 1], pts[n + 1:]
-    if block > 1 and ctx.g != 1:
-        raise SuiteError("diagonal flat bundles are exercised at genus 1")
-    xis = np.array([sample_xi(ctx, rng) for _ in range(block)])
-    # entries m3(xi_s, x_j, y_i) for every (s, i, j), then m3(xi_s + shift, x_0, y_0)
+    One theta point is the scalar case; k of them make a diagonal flat
+    bundle on a genus-1 curve (one per slot, same E-factor)."""
+    n = len(draws[0][0]) // 2 - 1
+    block = len(draws[0][1])
+    # entries m3(xi_s, x_j, y_i) for every (s, i, j), then m3(xi_s + shift, x_0, y_0),
+    # with x_k point k and y_k point n + 1 + k; EF = prod_k E(x_0, x_k) E(y_0, y_k)
+    # / (E(x_0, y_k) E(y_0, x_k))
     s, i, j = np.indices((block, n + 1, n + 1)).reshape(3, -1)
-    V = ctx.aj(xs[1:] + ys[1:])
-    shift = sum(V[:n] - V[n:])
-    m3 = massey_m3_prime(ctx, np.concatenate([xis[s], xis + shift]),
-                         [xs[k] for k in j] + [xs[0]] * block,
-                         [ys[k] for k in i] + [ys[0]] * block)
-    ent = np.zeros((n + 1, n + 1, block, block), dtype=complex)
-    ent[i, j, s, s] = m3[:len(s)]
-    lhs = QuasiMatrix(ent).qdet(0, 0)
-    # EF = prod_k E(x_0, x_k) E(y_0, y_k) / (E(x_0, y_k) E(y_0, x_k))
-    E = prime_form(ctx, ([xs[0]] * n + [ys[0]] * n) * 2,
-                   xs[1:] + ys[1:] + ys[1:] + xs[1:]).reshape(4, n)
-    EF = (E[0] * E[1] / (E[2] * E[3])).prod()
-    rhs = np.diag(m3[len(s):] * EF)
-    num = float(np.abs(lhs - rhs).max())
-    den = float(np.abs(rhs).max())
-    return num, num / den
+    xis = [np.concatenate([xi[s], xi + sum(V[1:n + 1] - V[n + 2:])])
+           for V, (_, xi) in zip(_aj_rows(ctx, draws), draws)]
+    m3 = massey_m3_prime(ctx, np.concatenate(xis), _points(draws, [*j] + [0] * block),
+                         _points(draws, [*(n + 1 + i)] + [n + 1] * block))
+    x, y = list(range(1, n + 1)), list(range(n + 2, 2 * n + 2))
+    E = prime_form(ctx, _points(draws, ([0] * n + [n + 1] * n) * 2),
+                   _points(draws, x + y + y + x)).reshape(len(draws), 4, n)
+    for m, (E_xx, E_yy, E_xy, E_yx) in zip(m3.reshape(len(draws), -1), E):
+        ent = np.zeros((n + 1, n + 1, block, block), dtype=complex)
+        ent[i, j, s, s] = m[:len(s)]
+        lhs = QuasiMatrix(ent).qdet(0, 0)
+        rhs = np.diag(m[len(s):] * (E_xx * E_yy / (E_xy * E_yx)).prod())
+        num = float(np.abs(lhs - rhs).max())
+        yield num, num / float(np.abs(rhs).max())
 
 
 # ---------------------------------------------------------------------------
@@ -345,6 +399,9 @@ def homological_residual(env, rng):
 class IdentitySpec:
     """One identity and the (trials, tol) it runs at, per key.
 
+    `runner(env, rng)` makes one trial's draws and `evaluate(env, draws)`
+    gives one (abs_res, rel_res) per draw, as an iterable; the default
+    passes the draws through, for runners that return (abs_res, rel_res).
     `kind` is a registry curve type ("hyperelliptic" or "plane_quartic"),
     or "carrier" for checks that need no curve.  `table` maps a curve id
     or a genus to (trials, tol); a curve takes the row of its id if there
@@ -353,47 +410,49 @@ class IdentitySpec:
     """
     name: str
     kind: str
-    runner: object                 # fn(env, rng) -> (abs_res, rel_res)
+    runner: object
     table: dict
+    evaluate: object = lambda env, draws: draws
 
 
 IDENTITIES = {}
 
 for kind, rows in [
     ("hyperelliptic", [
-        ("skewsym_n2", lambda ctx, rng: residue_identity_residual(ctx, 2, rng),
-         {1: (100, 1e-9), 2: (50, 1e-9), 3: (50, 1e-9)}),
-        ("residue_n3", lambda ctx, rng: residue_identity_residual(ctx, 3, rng),
-         {1: (100, 1e-8)}),
-        ("maincor_kernel", maincor_kernel_residual, {1: (100, 1e-8)}),
-        ("trisecant_general_n1", lambda ctx, rng: trisecant_general_residual(ctx, 1, rng),
-         {1: (200, 1e-9), 2: (100, 1e-8), 3: (50, 1e-8)}),
-        ("trisecant_general_n2", lambda ctx, rng: trisecant_general_residual(ctx, 2, rng),
-         {1: (50, 1e-9), 2: (50, 1e-7), 3: (50, 1e-8)}),
-        ("trisecant_general_n3", lambda ctx, rng: trisecant_general_residual(ctx, 3, rng),
-         {1: (50, 1e-9), 2: (50, 1e-7), 3: (50, 1e-8)}),
-        ("trisecant_classical", trisecant_classical_residual,
-         {1: (200, 1e-9), 2: (100, 1e-8), 3: (50, 1e-8)}),
-        ("divisor_symmetric_n1", lambda ctx, rng: divisor_symmetric_residual(ctx, 1, rng),
-         {1: (100, 1e-9), 2: (50, 1e-8), 3: (50, 1e-8)}),
-        ("divisor_symmetric_n2", lambda ctx, rng: divisor_symmetric_residual(ctx, 2, rng),
-         {1: (50, 1e-9), 2: (50, 1e-8), 3: (50, 1e-8)}),
-        ("prime_form_n1", lambda ctx, rng: prime_form_identity_residual(ctx, 1, rng),
-         {1: (200, 1e-8), 2: (100, 1e-8), 3: (50, 1e-8)}),
-        ("prime_form_n2", lambda ctx, rng: prime_form_identity_residual(ctx, 2, rng),
-         {2: (50, 1e-7), 3: (50, 1e-8)}),
-        ("theta_derivative_divisor", theta_derivative_divisor_residual,
-         {1: (3, 1e-6), 2: (3, 1e-6)}),
-        ("cross_formula_m3", cross_formula_residual,
+        ("skewsym_n2", lambda ctx, rng: residue_identity_draw(ctx, 2, rng),
+         residue_identity_evaluate, {1: (100, 1e-9), 2: (50, 1e-9), 3: (50, 1e-9)}),
+        ("residue_n3", lambda ctx, rng: residue_identity_draw(ctx, 3, rng),
+         residue_identity_evaluate, {1: (100, 1e-8)}),
+        ("maincor_kernel", maincor_kernel_draw, maincor_kernel_evaluate, {1: (100, 1e-8)}),
+        ("trisecant_general_n1", lambda ctx, rng: _points_and_xi(ctx, rng, 4),
+         trisecant_general_evaluate, {1: (200, 1e-9), 2: (100, 1e-8), 3: (50, 1e-8)}),
+        ("trisecant_general_n2", lambda ctx, rng: _points_and_xi(ctx, rng, 6),
+         trisecant_general_evaluate, {1: (50, 1e-9), 2: (50, 1e-7), 3: (50, 1e-8)}),
+        ("trisecant_general_n3", lambda ctx, rng: _points_and_xi(ctx, rng, 8),
+         trisecant_general_evaluate, {1: (50, 1e-9), 2: (50, 1e-7), 3: (50, 1e-8)}),
+        ("trisecant_classical", lambda ctx, rng: _points_and_xi(ctx, rng, 4),
+         trisecant_classical_evaluate, {1: (200, 1e-9), 2: (100, 1e-8), 3: (50, 1e-8)}),
+        ("divisor_symmetric_n1", lambda ctx, rng: (_distinct_points(ctx, rng, 5),),
+         divisor_symmetric_evaluate, {1: (100, 1e-9), 2: (50, 1e-8), 3: (50, 1e-8)}),
+        ("divisor_symmetric_n2", lambda ctx, rng: (_distinct_points(ctx, rng, 7),),
+         divisor_symmetric_evaluate, {1: (50, 1e-9), 2: (50, 1e-8), 3: (50, 1e-8)}),
+        ("prime_form_n1", lambda ctx, rng: prime_form_identity_draw(ctx, 1, rng),
+         prime_form_identity_evaluate, {1: (200, 1e-8), 2: (100, 1e-8), 3: (50, 1e-8)}),
+        ("prime_form_n2", lambda ctx, rng: prime_form_identity_draw(ctx, 2, rng),
+         prime_form_identity_evaluate, {2: (50, 1e-7), 3: (50, 1e-8)}),
+        ("theta_derivative_divisor", theta_derivative_divisor_draw,
+         theta_derivative_divisor_evaluate, {1: (3, 1e-6), 2: (3, 1e-6)}),
+        ("cross_formula_m3", cross_formula_draw, cross_formula_evaluate,
          {1: (200, 1e-8), 2: (200, 1e-8), 3: (50, 1e-8)}),
-        ("idcor", idcor_residual, {1: (100, 1e-9), 2: (50, 1e-8), 3: (50, 1e-8)}),
-        ("quasidet_geometric_n1", lambda ctx, rng: quasidet_geometric_residual(ctx, 1, rng),
+        ("idcor", lambda ctx, rng: _points_and_xi(ctx, rng, 3), idcor_evaluate,
          {1: (100, 1e-9), 2: (50, 1e-8), 3: (50, 1e-8)}),
-        ("quasidet_geometric_n2", lambda ctx, rng: quasidet_geometric_residual(ctx, 2, rng),
-         {1: (50, 1e-9), 2: (50, 1e-8), 3: (50, 1e-8)}),
+        ("quasidet_geometric_n1", lambda ctx, rng: quasidet_geometric_draw(ctx, 1, rng),
+         quasidet_geometric_evaluate, {1: (100, 1e-9), 2: (50, 1e-8), 3: (50, 1e-8)}),
+        ("quasidet_geometric_n2", lambda ctx, rng: quasidet_geometric_draw(ctx, 2, rng),
+         quasidet_geometric_evaluate, {1: (50, 1e-9), 2: (50, 1e-8), 3: (50, 1e-8)}),
         ("quasidet_geometric_diag",
-         lambda ctx, rng: quasidet_geometric_residual(ctx, 1, rng, block=2),
-         {1: (50, 1e-9)}),
+         lambda ctx, rng: quasidet_geometric_draw(ctx, 1, rng, block=2),
+         quasidet_geometric_evaluate, {1: (50, 1e-9)}),
     ]),
     ("plane_quartic", [
         ("canprop", canprop_residual,
@@ -414,50 +473,68 @@ for kind, rows in [
         ("quasidet_homological", homological_residual, {"-": (100, 1e-9)}),
     ]),
 ]:
-    for name, runner, table in rows:
-        IDENTITIES[name] = IdentitySpec(name, kind, runner, table)
+    for name, runner, *evaluate, table in rows:
+        IDENTITIES[name] = IdentitySpec(name, kind, runner, table, *evaluate)
+
+
+def _trials(spec, env, seed, label, trials, batch):
+    """Draw each trial from its own stream, resampling rejected draws
+    (_RETRY) from the same stream, up to 20 attempts per trial.  With
+    batch, evaluate every trial's last draw in one call, and let any other
+    exception through.  Without, evaluate each draw as it is made (a
+    rejection there resamples too); a hard failure, or an infinite relative
+    residual, ends the run.  Returns (one (abs, rel) per completed trial,
+    the failure "" or "<exception class>: <message>")."""
+    hard = () if batch else (KernelError, CurveError, SuiteError, QuarticError)
+    out = []
+    for trial in range(trials):
+        rng = trial_rng(seed, label, trial)
+        for _ in range(20):
+            try:
+                draw = spec.runner(env, rng)
+                out += [draw] if batch else spec.evaluate(env, [draw])
+            except _RETRY:
+                continue
+            except hard as ex:
+                return out, f"{type(ex).__name__}: {ex}"
+            break
+        if not batch and out and math.isinf(out[-1][1]):
+            break
+    return (list(spec.evaluate(env, out)) if batch and out else out), ""
 
 
 def run_identity(spec: IdentitySpec, env, curve_id, trials, tol, seed):
     """Run one identity for `trials` trials; resample (fresh draws from the
     same stream) on rejected draws (_RETRY), up to 20 attempts per trial.
 
-    On a CurveContext, CurveContext.look_ahead first maps the Abel-Jacobi
-    points of every trial's first attempt, on a fresh copy of its stream,
-    in one batch; the trials then draw the same points and find them cached.
+    Every trial is drawn first and all are evaluated in one call.  If that
+    raises anything but a rejected draw, the trials run again from fresh
+    streams, one evaluation per draw, where a rejection in the evaluation
+    resamples its trial and a hard failure fails the report at its trial.
 
     Reports carry requested vs completed counts: completion below 90%
     fails the report regardless of residuals.  An environment that failed
     to build (an exception in place of env) runs no trial and fails.
     """
     t0 = time.perf_counter()
-    completed = 0
     failure = f"{type(env).__name__}: {env}" if isinstance(env, Exception) else ""
-    max_abs = 0.0
-    max_rel = 0.0
-    label = f"{spec.name}|{curve_id}"
-    if isinstance(env, CurveContext):
-        env.look_ahead(spec.runner, (trial_rng(seed, label, t) for t in range(trials)))
-    for trial in range(0 if failure else trials):
-        rng = trial_rng(seed, label, trial)
-        for _ in range(20):
-            try:
-                abs_r, rel_r = spec.runner(env, rng)
-            except _RETRY:
-                continue
-            except (KernelError, CurveError, SuiteError, QuarticError) as ex:
-                # hard per-check failure: fail this report, keep the suite going
-                max_abs = max_rel = math.inf
-                failure = f"{type(ex).__name__}: {ex}"
-                break
-            completed += 1
-            max_abs = max(max_abs, abs_r)
-            max_rel = max(max_rel, rel_r)
-            break
+    results = []
+    if not failure:
+        label = f"{spec.name}|{curve_id}"
+        try:
+            results, failure = _trials(spec, env, seed, label, trials, batch=True)
+        except Exception:
+            results, failure = _trials(spec, env, seed, label, trials, batch=False)
+    completed = 0
+    max_abs = max_rel = 0.0
+    for abs_r, rel_r in results:
+        completed += 1
+        max_abs = max(max_abs, abs_r)
+        max_rel = max(max_rel, rel_r)
         if math.isinf(max_rel):
             break
-    if completed == 0:
-        # no residual was measured: report none, never a perfect 0.0
+    if failure or completed == 0:
+        # a hard failure, or no residual measured: report none, never a 0.0
         max_abs = max_rel = math.inf
     elapsed = int(1000 * (time.perf_counter() - t0))
     passed = (completed >= math.ceil(0.9 * trials)) and (max_rel < tol)

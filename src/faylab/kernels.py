@@ -22,7 +22,6 @@ would otherwise surface in cross-formula comparisons).
 
 from __future__ import annotations
 
-from contextlib import suppress
 from itertools import product
 
 import numpy as np
@@ -47,10 +46,6 @@ class CoincidentPoints(KernelError):
 
 class RootSearchFailed(KernelError):
     pass
-
-
-class _Recorded(Exception):
-    """Ends a look-ahead attempt at its first aj call (not a rejection)."""
 
 
 #: |theta| below NEAR_DIVISOR * ctx.scale counts as on the theta divisor
@@ -81,36 +76,15 @@ class CurveContext:
         self._aj_cache = {}
         self._h_cache = {}
         self._kappa = None
-        self._recording = None
 
     # -- point bookkeeping -------------------------------------------------
 
     def aj(self, ps):
         """Abel-Jacobi vectors of the points ps from the context base point,
         as an (N, g) array (cached per point, so every identity reuses the
-        exact same representative), the misses in one abel_jacobi batch.
-        During look_ahead it records ps and ends the attempt instead."""
-        if self._recording is not None:
-            self._recording += ps
-            raise _Recorded
+        exact same representative), the misses in one abel_jacobi batch."""
         return _cached_rows(self._aj_cache, ps, lambda miss: abel_jacobi(
             self.periods, miss, self.base)).reshape(len(ps), self.g)
-
-    def look_ahead(self, runner, rngs):
-        """Run runner(self, rng) for each rng up to its first aj call, then
-        map the points of all those calls in one aj call, so that the same
-        attempts, run again on fresh copies of the streams, find them cached.
-        An exception of an attempt, or of the batch, is swallowed and caches
-        nothing for the points it concerns: run again, the attempt raises it."""
-        self._recording = recorded = []
-        try:
-            for rng in rngs:
-                with suppress(Exception):
-                    runner(self, rng)
-        finally:
-            self._recording = None
-        with suppress(Exception):
-            self.aj(recorded)
 
     # -- theta shorthands --------------------------------------------------
 

@@ -40,6 +40,10 @@ class ToleranceUnachievable(ThetaError):
 #: default cap on the number of lattice terms a single evaluation may use
 MAX_LATTICE_TERMS = 10**8
 
+#: most rows x lattice terms theta_batch sums at once (256 KB per complex
+#: array), so that a whole report's batch does not raise the peak memory
+THETA_BLOCK = 2**14
+
 TWO_PI_I = 2j * math.pi
 PI_I = 1j * math.pi
 
@@ -260,14 +264,26 @@ def theta_batch(Z, rm: RiemannMatrix, char: ThetaChar = None, tol=1e-10,
         e_quad = PI_I * np.einsum("ij,ij->i", na @ rm.omega, na)
         rm._lattice_cache[key] = (na, e_quad)
     na, e_quad = rm._lattice_cache[key]
-    e_lin = TWO_PI_I * (na @ (Zr + b).T)
-    terms = np.exp(e_quad[:, None] + e_lin)
-    vals_red = terms.sum(axis=0)
+    # rows in blocks of at most THETA_BLOCK rows x terms, a lone last row
+    # joined to the block before: a one-row sum takes another numpy loop
+    bounds = list(range(0, len(Z), max(2, THETA_BLOCK // len(na)))) + [len(Z)]
+    if len(bounds) > 2 and bounds[-1] - bounds[-2] == 1:
+        del bounds[-2]
+    vals_red = np.empty(len(Z), dtype=complex)
+    grads_red = np.empty((len(Z), rm.g), dtype=complex) if gradient else None
+    for s, u in zip(bounds[:-1], bounds[1:]):
+        # one (terms, rows) buffer: exp(e_quad + 2 pi i n.(z + b)) in place
+        terms = na @ (Zr[s:u] + b).T
+        np.exp(np.add(e_quad[:, None], np.multiply(TWO_PI_I, terms, out=terms),
+                      out=terms), out=terms)
+        vals_red[s:u] = terms.sum(axis=0)
+        if gradient:
+            grads_red[s:u] = TWO_PI_I * np.einsum("nm,ng->mg", terms, na)
+        del terms           # before the next block's buffer is made
     pref = np.exp(lp)
     values = pref * vals_red
     grads = None
     if gradient:
-        grads_red = TWO_PI_I * np.einsum("nm,ng->mg", terms, na)
         # d/dz of the prefactor contributes -2 pi i m0 times the value
         grads = pref[:, None] * (grads_red - TWO_PI_I * m0 * vals_red[:, None])
     tail = _tail_bound(rm, R, gradient=gradient, center_offset=c_off)

@@ -7,6 +7,7 @@ import pytest
 sys.path.insert(0, str(Path(__file__).parent))
 
 from faylab.curves import HyperellipticCurve, integrate_path, period_matrix
+from faylab.identities import IDENTITIES
 from faylab.kernels import CurveContext
 from faylab.quartic import PlaneQuartic
 from faylab.registry import registry_entries
@@ -21,6 +22,14 @@ def build_context(curve_id):
         _, _, pd = period_matrix(curve)
         _CTX_CACHE[curve_id] = CurveContext(curve, pd)
     return _CTX_CACHE[curve_id]
+
+
+def one_trial(name, ctx, rng):
+    """(abs, rel) of one trial of the identity `name`: one draw from rng,
+    evaluated on its own."""
+    spec = IDENTITIES[name]
+    result, = spec.evaluate(ctx, [spec.runner(ctx, rng)])
+    return result
 
 
 @pytest.fixture(scope="session")

@@ -4,6 +4,7 @@ to see the lines as they complete."""
 
 import json
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -14,13 +15,7 @@ from faylab.curves import (HyperellipticCurve, period_matrix, abel_jacobi,
 from faylab.kernels import (prime_form, massey_m3_prime, massey_m3_theta,
                             sample_point, NearDivisor, CoincidentPoints)
 from faylab.curves import random_line_bundle
-from faylab.identities import (run_suite, SuiteConfig,
-                               trisecant_general_residual,
-                               trisecant_classical_residual,
-                               divisor_symmetric_residual,
-                               prime_form_identity_residual,
-                               theta_derivative_divisor_residual,
-                               quasidet_geometric_residual, _distinct_points)
+from faylab.identities import run_suite, SuiteConfig, _distinct_points
 from faylab.quasidet import (random_quasimatrix, check_sylvester,
                              check_column_expansion, check_homological,
                              SingularMinor)
@@ -30,7 +25,7 @@ from faylab.quartic import (canprop_residual, cor2_residual, ratio_dual_residual
 from faylab.rng import trial_rng
 from faylab.report import report_record
 
-from conftest import build_context, far_path_aj
+from conftest import build_context, far_path_aj, one_trial
 from oracles import qseries_theta3, agm_tau
 
 RMS = {1: RiemannMatrix([[1j]]),
@@ -173,25 +168,25 @@ def test_criterion_4_trisecant_suite():
     ctx1 = build_context("lemniscatic")
     ctx2 = build_context("g2-real")
     checks = []
-    r = run_trials(lambda rng: trisecant_general_residual(ctx1, 1, rng)[1],
+    r = run_trials(lambda rng: one_trial("trisecant_general_n1", ctx1, rng)[1],
                    200, "acc4|aybe")
     checks.append(("AYBE g1 n1", r, 1e-9))
-    r = run_trials(lambda rng: trisecant_general_residual(ctx2, 1, rng)[1],
+    r = run_trials(lambda rng: one_trial("trisecant_general_n1", ctx2, rng)[1],
                    100, "acc4|g2n1")
     checks.append(("mainid g2 n1", r, 1e-8))
-    r = run_trials(lambda rng: trisecant_general_residual(ctx2, 3, rng)[1],
+    r = run_trials(lambda rng: one_trial("trisecant_general_n3", ctx2, rng)[1],
                    50, "acc4|g2n3")
     checks.append(("mainid g2 n3", r, 1e-7))
-    r = run_trials(lambda rng: trisecant_classical_residual(ctx1, rng)[1],
+    r = run_trials(lambda rng: one_trial("trisecant_classical", ctx1, rng)[1],
                    200, "acc4|cl1")
     checks.append(("classical g1", r, 1e-9))
-    r = run_trials(lambda rng: trisecant_classical_residual(ctx2, rng)[1],
+    r = run_trials(lambda rng: one_trial("trisecant_classical", ctx2, rng)[1],
                    100, "acc4|cl2")
     checks.append(("classical g2", r, 1e-8))
-    r = run_trials(lambda rng: divisor_symmetric_residual(ctx1, 1, rng)[1],
+    r = run_trials(lambda rng: one_trial("divisor_symmetric_n1", ctx1, rng)[1],
                    100, "acc4|div1")
     checks.append(("divisorid g1", r, 1e-9))
-    r = run_trials(lambda rng: divisor_symmetric_residual(ctx2, 2, rng)[1],
+    r = run_trials(lambda rng: one_trial("divisor_symmetric_n2", ctx2, rng)[1],
                    50, "acc4|div2")
     checks.append(("divisorid g2", r, 1e-8))
     # specialization x=z0, xi=z0-t0 reproduces the symmetric form
@@ -223,13 +218,13 @@ def test_criterion_5_prime_form_suite():
     ctx1 = build_context("lemniscatic")
     ctx2 = build_context("g2-real")
     checks = []
-    r = run_trials(lambda rng: prime_form_identity_residual(ctx1, 1, rng)[1],
+    r = run_trials(lambda rng: one_trial("prime_form_n1", ctx1, rng)[1],
                    100, "acc5|n1g1")
     checks.append(("Eq(another) n1 g1", r, 1e-8))
-    r = run_trials(lambda rng: prime_form_identity_residual(ctx2, 1, rng)[1],
+    r = run_trials(lambda rng: one_trial("prime_form_n1", ctx2, rng)[1],
                    100, "acc5|n1g2")
     checks.append(("Eq(another) n1 g2", r, 1e-8))
-    r = run_trials(lambda rng: prime_form_identity_residual(ctx2, 2, rng)[1],
+    r = run_trials(lambda rng: one_trial("prime_form_n2", ctx2, rng)[1],
                    50, "acc5|n2g2")
     checks.append(("Eq(another) n2 g2", r, 1e-7))
 
@@ -259,8 +254,8 @@ def test_criterion_5_prime_form_suite():
         worst = max(worst, run_trials(one, 25, f"acc5|ind{cid}"))
     checks.append(("E independent of delta", worst, 1e-8))
 
-    r = max(theta_derivative_divisor_residual(ctx1, trial_rng(42, "acc5|td1", 0))[1],
-            theta_derivative_divisor_residual(ctx2, trial_rng(42, "acc5|td2", 0))[1])
+    r = max(one_trial("theta_derivative_divisor", ctx1, trial_rng(42, "acc5|td1", 0))[1],
+            one_trial("theta_derivative_divisor", ctx2, trial_rng(42, "acc5|td2", 0))[1])
     checks.append(("theta'(0) vanishes on D", r, 1e-6))
     ok = all(v < tol for _, v, tol in checks)
     announce(5, "prime-form suite", ok,
@@ -303,13 +298,13 @@ def test_criterion_6_quasidet_suite():
 
     ctx1 = build_context("lemniscatic")
     ctx2 = build_context("g2-real")
-    r = run_trials(lambda rng: quasidet_geometric_residual(ctx1, 1, rng)[1],
+    r = run_trials(lambda rng: one_trial("quasidet_geometric_n1", ctx1, rng)[1],
                    100, "acc6|geo1")
     checks.append(("geometric n1 scalar g1", r, 1e-8))
-    r = run_trials(lambda rng: quasidet_geometric_residual(ctx2, 2, rng)[1],
+    r = run_trials(lambda rng: one_trial("quasidet_geometric_n2", ctx2, rng)[1],
                    50, "acc6|geo2")
     checks.append(("geometric n2 scalar g2", r, 1e-8))
-    r = run_trials(lambda rng: quasidet_geometric_residual(ctx1, 1, rng, block=2)[1],
+    r = run_trials(lambda rng: one_trial("quasidet_geometric_diag", ctx1, rng)[1],
                    50, "acc6|geod")
     checks.append(("geometric n1 diag k2 g1", r, 1e-8))
     elapsed = time.time() - t0
@@ -347,6 +342,11 @@ def test_criterion_7_canonical_tangent(fermat, quartic_generic):
              + f" in {elapsed:.1f}s")
 
 
+#: the seed-42 records of verify --identity all --curve all, without
+#: elapsed_ms; a change that moves any bit of a report shows here
+GOLDEN = Path(__file__).parent / "golden" / "verify_seed42.ndjson"
+
+
 def test_criterion_8_determinism():
     payloads = []
     for _ in range(2):
@@ -358,6 +358,7 @@ def test_criterion_8_determinism():
             rec.pop("elapsed_ms")
             lines.append(json.dumps(rec))
         payloads.append("\n".join(lines))
-    ok = payloads[0] == payloads[1] and len(payloads[0]) > 0
+    ok = (payloads[0] == payloads[1] == GOLDEN.read_text().rstrip("\n")
+          and len(payloads[0]) > 0)
     announce(8, "determinism of verify --identity all --curve all --seed 42",
              ok, f"{payloads[0].count(chr(10)) + 1} reports")

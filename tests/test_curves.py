@@ -399,22 +399,22 @@ class TestAbelJacobi:
 
     @pytest.mark.parametrize("cid", ["lemniscatic", "g2-real"])
     def test_long_lists_integrate_in_chunks(self, cid, monkeypatch):
-        # 150 points take ceil(150 / AJ_CHUNK) = 3 integrate_path calls of at
-        # most AJ_CHUNK paths, and every row is the point's own, bitwise
+        # 150 points take one integrate_path call, which lays the nodes of
+        # PATH_BLOCK = 32 paths at a time, and every row is the point's own,
+        # bitwise
         ctx = build_context(cid)
         pd = ctx.periods
         rng = np.random.default_rng(23)
         ps = [sample_point(ctx, rng) for _ in range(150)]
         one = np.array([abel_jacobi(pd, p, ctx.base) for p in ps])
-        sizes = []
-        real = curves.integrate_path
-
-        def counted(curve, paths, y0s, order):
-            sizes.append(len(paths))
-            return real(curve, paths, y0s, order)
-        monkeypatch.setattr(curves, "integrate_path", counted)
+        calls, blocks = [], []
+        for name, sizes in (("integrate_path", calls), ("_integrate_paths", blocks)):
+            def counted(curve, paths, y0s, order, _fn=getattr(curves, name), _sizes=sizes):
+                _sizes.append(len(paths))
+                return _fn(curve, paths, y0s, order)
+            monkeypatch.setattr(curves, name, counted)
         rows = abel_jacobi(pd, ps, ctx.base)
-        assert curves.AJ_CHUNK == 64 and sizes == [64, 64, 22]
+        assert (calls, blocks) == ([150], [32] * 4 + [22])
         assert np.array_equal(rows, one)
 
 

@@ -5,24 +5,17 @@ import numpy as np
 import pytest
 
 from faylab.identities import (IDENTITIES, SuiteConfig, run_suite, run_identity,
-                               trisecant_general_residual,
-                               trisecant_classical_residual,
-                               divisor_symmetric_residual,
-                               prime_form_identity_residual,
-                               residue_identity_residual, maincor_kernel_residual,
-                               idcor_residual,
-                               quasidet_geometric_residual,
-                               theta_derivative_divisor_residual,
+                               trisecant_classical_evaluate,
                                UnknownIdentity, SuiteError, _distinct_points)
 from faylab.kernels import CurveContext, fay_F, sample_xi, NearDivisor
 from faylab.registry import registry_entries
 from faylab.report import report_record
 from faylab.rng import trial_rng
 
-from conftest import build_context
+from conftest import build_context, one_trial
 
 
-def run_many(fn, ctx, n, seed_label, trials=25):
+def run_many(name, ctx, seed_label, trials=25):
     worst = 0.0
     done = 0
     trial = 0
@@ -30,8 +23,7 @@ def run_many(fn, ctx, n, seed_label, trials=25):
         rng = trial_rng(7, seed_label, trial)
         trial += 1
         try:
-            worst = max(worst, fn(ctx, rng)[1] if n is None
-                        else fn(ctx, n, rng)[1])
+            worst = max(worst, one_trial(name, ctx, rng)[1])
         except NearDivisor:
             continue
         done += 1
@@ -41,28 +33,28 @@ def run_many(fn, ctx, n, seed_label, trials=25):
 
 class TestTrisecant:
     def test_aybe_g1(self, ctx_g1):
-        assert run_many(trisecant_general_residual, ctx_g1, 1, "aybe") < 1e-9
+        assert run_many("trisecant_general_n1", ctx_g1, "aybe") < 1e-9
 
     @pytest.mark.parametrize("n,tol", [(1, 1e-8), (3, 1e-7)])
     def test_general_g2(self, ctx_g2, n, tol):
-        assert run_many(trisecant_general_residual, ctx_g2, n, f"gen{n}") < tol
+        assert run_many(f"trisecant_general_n{n}", ctx_g2, f"gen{n}") < tol
 
     def test_classical(self, ctx_g1, ctx_g2):
-        assert run_many(trisecant_classical_residual, ctx_g1, None, "cl1") < 1e-9
-        assert run_many(trisecant_classical_residual, ctx_g2, None, "cl2") < 1e-8
+        assert run_many("trisecant_classical", ctx_g1, "cl1") < 1e-9
+        assert run_many("trisecant_classical", ctx_g2, "cl2") < 1e-8
 
     def test_classical_degenerate_t_equals_z(self, ctx_g1):
         # with t = z both sides collapse to the same product
         rng = trial_rng(7, "degen", 0)
         pts = _distinct_points(ctx_g1, rng, 3)
         x, y, z = pts
-        abs_r, rel_r = trisecant_classical_residual(
-            ctx_g1, rng, pts=[x, y, z, z], xi=sample_xi(ctx_g1, rng))
+        (abs_r, rel_r), = trisecant_classical_evaluate(
+            ctx_g1, [([x, y, z, z], sample_xi(ctx_g1, rng))])
         assert rel_r < 1e-10
 
     def test_divisor_symmetric(self, ctx_g1, ctx_g2):
-        assert run_many(divisor_symmetric_residual, ctx_g1, 1, "div1") < 1e-9
-        assert run_many(divisor_symmetric_residual, ctx_g2, 2, "div2") < 1e-8
+        assert run_many("divisor_symmetric_n1", ctx_g1, "div1") < 1e-9
+        assert run_many("divisor_symmetric_n2", ctx_g2, "div2") < 1e-8
 
     def test_specialization_reproduces_divisorid(self, ctx_g1):
         # x = z_0, xi = z_0 - t_0 in the general identity reproduces the
@@ -120,16 +112,16 @@ class TestTrisecant:
 
 class TestResidueIdentities:
     def test_skewsym_n2(self, ctx_g1, ctx_g2):
-        assert run_many(residue_identity_residual, ctx_g1, 2, "sk1") < 1e-9
-        assert run_many(residue_identity_residual, ctx_g2, 2, "sk2") < 1e-9
+        assert run_many("skewsym_n2", ctx_g1, "sk1") < 1e-9
+        assert run_many("skewsym_n2", ctx_g2, "sk2") < 1e-9
 
     def test_n3_needs_genus_one(self, ctx_g2):
         rng = trial_rng(7, "n3", 0)
         with pytest.raises(SuiteError):
-            residue_identity_residual(ctx_g2, 3, rng)
+            IDENTITIES["residue_n3"].runner(ctx_g2, rng)
 
     def test_n3_g1(self, ctx_g1):
-        assert run_many(residue_identity_residual, ctx_g1, 3, "n3") < 1e-8
+        assert run_many("residue_n3", ctx_g1, "n3") < 1e-8
 
     def test_degenerate_coincident_points(self, ctx_g1):
         from faylab.identities import BadTriple
@@ -177,47 +169,46 @@ class TestResidueIdentities:
         assert got[0] == [real(ctx_g1, rng) for _ in range(6)][3:]
 
     def test_maincor_kernel(self, ctx_g1):
-        assert run_many(maincor_kernel_residual, ctx_g1, None, "mk") < 1e-8
+        assert run_many("maincor_kernel", ctx_g1, "mk") < 1e-8
 
     def test_idcor(self, ctx_g1, ctx_g2):
-        assert run_many(idcor_residual, ctx_g1, None, "id1") < 1e-9
-        assert run_many(idcor_residual, ctx_g2, None, "id2") < 1e-8
+        assert run_many("idcor", ctx_g1, "id1") < 1e-9
+        assert run_many("idcor", ctx_g2, "id2") < 1e-8
 
 
 class TestPrimeFormIdentity:
     @pytest.mark.parametrize("n,tol", [(1, 1e-8), (2, 1e-7)])
     def test_g2(self, ctx_g2, n, tol):
-        assert run_many(prime_form_identity_residual, ctx_g2, n, f"pf{n}") < tol
+        assert run_many(f"prime_form_n{n}", ctx_g2, f"pf{n}") < tol
 
     def test_g1(self, ctx_g1):
-        assert run_many(prime_form_identity_residual, ctx_g1, 1, "pf1") < 1e-8
+        assert run_many("prime_form_n1", ctx_g1, "pf1") < 1e-8
 
 
 class TestThetaDerivative:
     def test_g1(self, ctx_g1):
         rng = trial_rng(7, "td", 0)
-        abs_r, rel_r = theta_derivative_divisor_residual(ctx_g1, rng)
+        abs_r, rel_r = one_trial("theta_derivative_divisor", ctx_g1, rng)
         assert rel_r < 1e-10
 
     def test_g2(self, ctx_g2):
         rng = trial_rng(7, "td", 0)
-        abs_r, rel_r = theta_derivative_divisor_residual(ctx_g2, rng)
+        abs_r, rel_r = one_trial("theta_derivative_divisor", ctx_g2, rng)
         assert rel_r < 1e-6
 
 
 class TestQuasidetGeometric:
     def test_scalar_n1_g1(self, ctx_g1):
-        assert run_many(quasidet_geometric_residual, ctx_g1, 1, "qg1") < 1e-9
+        assert run_many("quasidet_geometric_n1", ctx_g1, "qg1") < 1e-9
 
     def test_scalar_n2_g2(self, ctx_g2):
-        assert run_many(quasidet_geometric_residual, ctx_g2, 2, "qg2") < 1e-8
+        assert run_many("quasidet_geometric_n2", ctx_g2, "qg2") < 1e-8
 
     def test_diag_block_g1(self, ctx_g1):
         worst = 0.0
         for trial in range(10):
             rng = trial_rng(7, "qgd", trial)
-            worst = max(worst, quasidet_geometric_residual(ctx_g1, 1, rng,
-                                                           block=2)[1])
+            worst = max(worst, one_trial("quasidet_geometric_diag", ctx_g1, rng)[1])
         assert worst < 1e-9
 
 
@@ -247,16 +238,10 @@ class TestSuiteRunner:
         entry_ctx = build_context("lemniscatic")
         scaled = CurveContext(entry_ctx.curve, entry_ctx.periods,
                               theta_multiplier=1.7 - 0.4j)
-        for name, n in [("trisecant_general", 1), ("prime_form", 1)]:
+        for name in ("trisecant_general_n1", "prime_form_n1"):
             for trial in range(5):
-                rng1 = trial_rng(5, name, trial)
-                rng2 = trial_rng(5, name, trial)
-                if name == "trisecant_general":
-                    r1 = trisecant_general_residual(entry_ctx, n, rng1)[1]
-                    r2 = trisecant_general_residual(scaled, n, rng2)[1]
-                else:
-                    r1 = prime_form_identity_residual(entry_ctx, n, rng1)[1]
-                    r2 = prime_form_identity_residual(scaled, n, rng2)[1]
+                r1 = one_trial(name, entry_ctx, trial_rng(5, name, trial))[1]
+                r2 = one_trial(name, scaled, trial_rng(5, name, trial))[1]
                 assert abs(r1 - r2) < 1e-12
 
     def test_completion_tracking(self, ctx_g1):
@@ -305,29 +290,44 @@ class TestSuiteRunner:
             assert (rep.completed, rep.passed, rep.failure) == (0, False, "")
             assert math.isinf(rep.max_rel_residual)
 
-    def test_one_call_per_kernel_per_trial(self, monkeypatch):
+    def test_one_call_per_kernel_per_evaluate(self, monkeypatch):
+        # an evaluation of several draws calls ctx.aj and each kernel at
+        # most once; calls the kernels make themselves are not counted
         import faylab.identities as ids
-        calls, total = Counter(), Counter()
-        kernels = ("fay_F", "prime_form", "massey_m3_prime", "massey_m3_theta")
-        for name in kernels:
-            def counted(*args, _fn=getattr(ids, name), _name=name):
-                calls[_name] += 1
-                return _fn(*args)
-            monkeypatch.setattr(ids, name, counted)
+        calls, total, depth = Counter(), Counter(), [0]
+
+        def counter(fn, name):
+            def counted(*args, **kwargs):
+                calls[name] += depth[0] == 0
+                depth[0] += 1
+                try:
+                    return fn(*args, **kwargs)
+                finally:
+                    depth[0] -= 1
+            return counted
+        names = ("fay_F", "prime_form", "massey_m3_prime", "massey_m3_theta",
+                 "theta_batch", "h_values", "theta_form")
+        for name in names:
+            monkeypatch.setattr(ids, name, counter(getattr(ids, name), name))
+        for name in ("aj", "theta_delta"):
+            monkeypatch.setattr(CurveContext, name,
+                                counter(getattr(CurveContext, name), name))
         for cid in ("lemniscatic", "g2-real"):
             ctx = build_context(cid)
             for spec in IDENTITIES.values():
                 if spec.kind != "hyperelliptic" or ctx.g not in spec.table:
                     continue
-                for trial in range(3):
-                    calls.clear()
+                draws = []
+                for trial in range(4):
                     try:
-                        spec.runner(ctx, trial_rng(7, spec.name, trial))
+                        draws.append(spec.runner(ctx, trial_rng(7, spec.name, trial)))
                     except ids._RETRY:
                         pass
-                    assert max(calls.values(), default=0) <= 1, (spec.name, calls)
-                    total += calls
-        assert set(total) == set(kernels)
+                calls.clear()
+                list(spec.evaluate(ctx, draws))
+                assert max(calls.values()) == 1, (spec.name, calls)
+                total += calls
+        assert set(total) == set(names) | {"aj", "theta_delta"}
 
     def test_every_identity_reachable(self):
         # one trial of every spec on every builtin curve of its kind
@@ -338,8 +338,9 @@ class TestSuiteRunner:
 
 
 class TestLookAhead:
-    """run_identity maps the points of every trial's first draw in one
-    batch before the trial loop; the reports must not notice."""
+    """run_identity draws every trial ahead and evaluates them all in one
+    call; the records must equal those of the per-trial loop it falls back
+    to, where each draw is evaluated on its own."""
 
     @staticmethod
     def fresh(cid):
@@ -347,10 +348,14 @@ class TestLookAhead:
         return CurveContext(base.curve, base.periods)
 
     @staticmethod
-    def run(spec, cid, trials, look_ahead, monkeypatch):
+    def run(spec, cid, trials, batch, monkeypatch):
         with monkeypatch.context() as m:
-            if not look_ahead:
-                m.setattr(CurveContext, "look_ahead", lambda self, runner, rngs: None)
+            if not batch:
+                def one_at_a_time(env, draws, _fn=spec.evaluate):
+                    if len(draws) > 1:
+                        raise RuntimeError("batch refused")
+                    return _fn(env, draws)
+                m.setattr(spec, "evaluate", one_at_a_time)
             ctx = TestLookAhead.fresh(cid)
             rep = run_identity(spec, ctx, cid, trials, 1.0, 11)
         rec = report_record(rep)
@@ -366,8 +371,8 @@ class TestLookAhead:
                         == self.run(spec, cid, 4, False, monkeypatch)), spec.name
 
     def test_failed_batch_fails_the_same_trial(self, monkeypatch):
-        # integrate_path refuses trial 3's first point: the look-ahead batch
-        # fails and is dropped, and the loop fails at trial 3 as without it
+        # integrate_path refuses trial 3's first point: the batch fails, and
+        # the per-trial loop fails at trial 3
         import faylab.curves as curves
         from faylab.kernels import sample_point
         ctx = self.fresh("lemniscatic")
@@ -379,32 +384,82 @@ class TestLookAhead:
                 raise curves.PathTooLong("synthetic refusal")
             return real(curve, paths, y0s, order)
         monkeypatch.setattr(curves, "integrate_path", refuse)
-        got = [self.run(IDENTITIES["idcor"], "lemniscatic", 6, look, monkeypatch)
-               for look in (True, False)]
+        got = [self.run(IDENTITIES["idcor"], "lemniscatic", 6, batch, monkeypatch)
+               for batch in (True, False)]
         assert got[0] == got[1]
         assert (got[0]["completed"], got[0]["failure"]) == (3, "PathTooLong: synthetic refusal")
         assert math.isinf(got[0]["max_rel_residual"])
 
     def test_one_batch_for_first_draws(self, monkeypatch):
-        # after set-up a 20-trial report integrates its first draws' 60
-        # points in ceil(60 / 64) = 1 call, plus one per retried attempt
+        # after set-up a 20-trial report draws each trial once and
+        # integrates its 60 points in one integrate_path call
         import faylab.curves as curves
-        from faylab.identities import IdentitySpec
+        from faylab.identities import IdentitySpec, idcor_evaluate
         ctx = self.fresh("lemniscatic")
         ctx.aj([ctx.base])                 # hub, branch and base constants
         attempts, calls = [], []
 
         def runner(env, rng):
             attempts.append(rng)
-            return idcor_residual(env, rng)
+            return IDENTITIES["idcor"].runner(env, rng)
         real = curves.integrate_path
 
         def counted(*args):
             calls.append(args)
             return real(*args)
         monkeypatch.setattr(curves, "integrate_path", counted)
-        spec = IdentitySpec("idcor", "hyperelliptic", runner, {1: (20, 1e-9)})
+        spec = IdentitySpec("idcor", "hyperelliptic", runner, {1: (20, 1e-9)},
+                            idcor_evaluate)
         rep = run_identity(spec, ctx, "lemniscatic", 20, 1e-9, 42)
-        retried = len(attempts) - 2 * 20
         assert rep.completed == 20 and rep.passed
-        assert 1 <= len(calls) <= math.ceil(3 * 20 / 64) + retried
+        assert (len(attempts), len(calls)) == (20, 1)
+
+
+@pytest.mark.parametrize("cid", ["lemniscatic", "g2-real", "g3-real"])
+def test_evaluate_equals_one_draw_evaluations(cid):
+    # every trial's residual has the bits it has when evaluated alone
+    import faylab.identities as ids
+    ctx = build_context(cid)
+    for spec in IDENTITIES.values():
+        if spec.kind != "hyperelliptic" or ctx.g not in spec.table:
+            continue
+        draws = []
+        for trial in range(30):
+            try:
+                draws.append(spec.runner(ctx, trial_rng(3, spec.name, trial)))
+            except ids._RETRY:
+                pass
+            if len(draws) == 10:
+                break
+        batch = np.array(list(spec.evaluate(ctx, draws)))
+        alone = np.array([r for d in draws for r in spec.evaluate(ctx, [d])])
+        assert batch.shape == (10, 2) and batch.tobytes() == alone.tobytes(), spec.name
+
+
+def test_near_divisor_in_one_trial_gives_the_per_trial_record(monkeypatch):
+    # trial 2's first draw is rejected in its evaluation: the batch fails,
+    # and the per-trial loop evaluates each draw alone, redrawing trial 2
+    spec = IDENTITIES["trisecant_general_n1"]
+    ctx = TestLookAhead.fresh("lemniscatic")
+    label = "trisecant_general_n1|lemniscatic"
+    marked = spec.runner(ctx, trial_rng(11, label, 2))[0][0]
+    real, sizes = spec.evaluate, []
+
+    def near(env, draws):
+        sizes.append(len(draws))
+        if any(pts[0] == marked for pts, _ in draws):
+            raise NearDivisor("synthetic rejection")
+        return real(env, draws)
+    monkeypatch.setattr(spec, "evaluate", near)
+    rep = run_identity(spec, ctx, "lemniscatic", 6, 1e-9, 11)
+    want = []
+    for trial in range(6):
+        rng = trial_rng(11, label, trial)
+        draw = spec.runner(ctx, rng)
+        if trial == 2:
+            draw = spec.runner(ctx, rng)
+        want += real(ctx, [draw])
+    assert sizes == [6] + [1] * 7
+    assert (rep.completed, rep.passed, rep.failure) == (6, True, "")
+    assert rep.max_abs_residual == max(a for a, _ in want)
+    assert rep.max_rel_residual == max(r for _, r in want)

@@ -8,7 +8,7 @@ from faylab.kernels import (CurveContext, fay_F, prime_form,
                             delta_divisor_root, NearDivisor, CoincidentPoints)
 from faylab.theta import theta_gradient, odd_theta_chars
 
-from conftest import build_context
+from conftest import build_context, one_trial
 from oracles import qseries_theta_char, qseries_theta_char_deriv
 
 
@@ -339,8 +339,8 @@ class TestBatches:
 
     def test_one_integration_per_attempt(self, monkeypatch):
         # once the hub and branch constants are built, every idcor attempt
-        # that gets past _distinct_points maps all its points in one
-        # integrate_path call, and no kernel integrates again
+        # that gets past _distinct_points, evaluated alone, maps all its
+        # points in one integrate_path call, and no kernel integrates again
         import faylab.curves as curves
         import faylab.identities as identities
         from faylab.rng import trial_rng
@@ -356,7 +356,7 @@ class TestBatches:
             monkeypatch.setattr(mod, name, counted)
         for k in range(20):
             try:
-                identities.idcor_residual(ctx, trial_rng(42, "idcor", k))
+                one_trial("idcor", ctx, trial_rng(42, "idcor", k))
             except identities.KernelError:
                 pass
         assert calls["_distinct_points"] >= 15
@@ -366,16 +366,15 @@ class TestBatches:
 class TestSignFlips:
     def test_identity_residuals_invariant(self, ctx_g2):
         # flipping the h-branch at one point must not change any residual
-        from faylab.identities import prime_form_identity_residual
         from faylab.rng import trial_rng
         rng = trial_rng(7, "signflip", 0)
-        base = prime_form_identity_residual(ctx_g2, 1, rng)[1]
+        base = one_trial("prime_form_n1", ctx_g2, rng)[1]
         # flip one cached point and recompute with the same draws
         key = next(iter(ctx_g2._h_cache))
         ctx_g2._h_cache[key] = -ctx_g2._h_cache[key]
         try:
             rng = trial_rng(7, "signflip", 0)
-            flipped = prime_form_identity_residual(ctx_g2, 1, rng)[1]
+            flipped = one_trial("prime_form_n1", ctx_g2, rng)[1]
         finally:
             ctx_g2._h_cache[key] = -ctx_g2._h_cache[key]
         assert abs(base - flipped) < 1e-12 + 1e-6 * base

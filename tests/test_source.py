@@ -114,8 +114,10 @@ def test_no_unreferenced_definitions_in_package():
         f"{mod}:{line} {name}" for mod, name, line in hits)
 
 
-#: entries that take a whole list of points in one call
-BATCH_ENTRIES = {"aj", "h_values", "theta_form"}
+#: entries that take a whole list of points, or a whole report's
+#: arguments, in one call
+BATCH_ENTRIES = {"aj", "h_values", "theta_form", "fay_F", "prime_form",
+                 "massey_m3_prime", "massey_m3_theta", "theta_delta"}
 
 
 def _per_iteration(node):
@@ -150,13 +152,16 @@ def test_batch_calls_in_loops_detected():
                      "    b = [ctx.aj([p]) for p in ps]\n"
                      "    c = sum(theta_form(ctx, [p]) for p in ps)\n"
                      "    d = {p: k.h_values(ctx, [p]) for p in ps}\n"
-                     "    return [x for x in theta_form(ctx, ps)], a, b, c, d\n")
+                     "    e = [fay_F(ctx, v, v) for v in a]\n"
+                     "    return [x for x in theta_form(ctx, ps)], a, b, c, d, e\n")
     assert _batch_calls_in_loops(tree) == [(4, "h_values"), (5, "aj"),
-                                           (6, "theta_form"), (7, "h_values")]
+                                           (6, "theta_form"), (7, "h_values"),
+                                           (8, "fay_F")]
 
 
 def test_no_batch_calls_in_loops_in_package():
-    # a point list goes to ctx.aj, h_values and theta_form in one call
+    # a point list goes to ctx.aj, h_values and theta_form in one call, and
+    # an evaluation's arguments to each kernel in one call
     hits = [f"{p.name}:{line} {name}" for p in sorted(SRC.glob("*.py"))
             for line, name in _batch_calls_in_loops(ast.parse(p.read_text()))]
     assert hits == [], "batch entry called per point: " + ", ".join(hits)
@@ -232,10 +237,6 @@ def test_unset_options_detected():
 TEST_HOOKS = {
     "main.argv": "test_cli.py::run_cli",
     "random_line_bundle.budget": "test_curves.py::test_budget_exceeded",
-    "trisecant_classical_residual.pts":
-        "test_identities.py::test_classical_degenerate_t_equals_z",
-    "trisecant_classical_residual.xi":
-        "test_identities.py::test_classical_degenerate_t_equals_z",
     "delta_divisor_root.char": "test_kernels.py::test_other_odd_chars_also_root_on_branch",
     "truncation_radius.max_terms": "test_theta.py::test_terms_cap",
     "CurveContext.__init__.theta_multiplier":

@@ -5,7 +5,7 @@ from hypothesis import given, settings, strategies as st
 from faylab.theta import (RiemannMatrix, ThetaChar, theta, theta_batch,
                           theta_gradient, truncation_radius, theta_chars,
                           odd_theta_chars, NonPositiveDefinite,
-                          ToleranceUnachievable)
+                          ToleranceUnachievable, THETA_BLOCK)
 
 from oracles import qseries_theta3, qseries_theta_char, qseries_theta_char_deriv
 
@@ -259,3 +259,20 @@ def test_radius_memo_matches_fresh_matrix():
             assert (grads is None) == (f_grads is None)
             if grad:
                 assert np.array_equal(grads, f_grads)
+
+
+def test_blocks_equal_calls_of_two_or_three_rows():
+    # at genus 3 a block holds THETA_BLOCK // terms rows; a call of two
+    # blocks and one row more sums the lone row with the block before it,
+    # and every row has the bits it has in calls of two or three rows
+    rng = np.random.default_rng(31)
+    rm, char = RiemannMatrix(RM3.omega), odd_theta_chars(3)[0]
+    theta_batch(np.zeros((2, 3)), rm, char)
+    (na, _), = rm._lattice_cache.values()
+    n = 2 * (THETA_BLOCK // len(na)) + 1
+    Z = rng.uniform(-1, 1, (n, 3)) + rng.uniform(-1, 1, (n, 3)) @ rm.omega.T
+    whole = theta_batch(Z, rm, char)[0]
+    cuts = list(range(0, n - 3, 3)) + [n]
+    parts = np.concatenate([theta_batch(Z[a:b], rm, char)[0]
+                            for a, b in zip(cuts[:-1], cuts[1:])])
+    assert whole.tobytes() == parts.tobytes()
