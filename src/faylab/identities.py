@@ -13,6 +13,7 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import dataclass
+from itertools import accumulate
 
 import numpy as np
 
@@ -68,129 +69,112 @@ def _distinct_points(ctx, rng, count):
     return pts
 
 
-def _points_and_xi(ctx, rng, count):
-    return _distinct_points(ctx, rng, count), sample_xi(ctx, rng)
-
-
-def _points(draws, idx):
-    """Points idx of every trial's point list (the first entry of its
-    draw), trial after trial."""
-    return [pts[k] for pts, *_ in draws for k in idx]
-
-
-def _aj_rows(ctx, draws):
-    """The Abel-Jacobi vectors of every trial's points in one ctx.aj call,
-    as a (trials, points, g) array."""
-    return ctx.aj(_points(draws, range(len(draws[0][0])))).reshape(len(draws), -1, ctx.g)
+def _theta(ctx, Z):
+    """The plain theta (times the context multiplier) at the rows of Z."""
+    return ctx.mult * theta_batch(Z, ctx.rm, tol=ctx.tol)[0]
 
 
 # ---------------------------------------------------------------------------
 # theta-kernel identities
 #
-# Each identity is a draw, a function (ctx, rng) in the table below that
-# makes one trial's random choices and rejects bad ones, and an evaluation,
-# `<name>_evaluate(ctx, draws)`, which yields every trial's (abs, rel) from
-# one ctx.aj call and one call per kernel.  The arithmetic around the
-# kernels runs trial by trial, so a trial's residual does not depend on
-# the trials evaluated with it.
+# Each identity is a generator body(ctx, rng, **params).  It makes one
+# trial's random choices and rejects bad ones, then yields each kernel
+# request (kernel, *args), is sent the kernel's rows for its own args and
+# returns the trial's (abs, rel).  The bodies never call a kernel: _drive
+# makes each request of a report in one call for all its trials, so a
+# trial's residual does not depend on the trials evaluated with it.
 
 
-def _mainid_residuals(ctx, cases):
-    """The residual of eq. (mainid), the three-block sum of F-products, of
-    each case (X, Y, Z, T, xi): AJ vectors of x, y, z_i, t_i (Z and T of
-    shape (n, g)) and xi, from one fay_F call.  Its arguments per case:
-    F(z_i - z_j, z_j - t_j) for i != j; for each i F(z_i - x, xi),
-    F(y - z_i, S + xi), F(x - z_i, z_i - t_i) and F(y - z_i, z_i - t_i);
-    then F(y - x, S + xi) and F(y - x, xi)."""
-    n = len(cases[0][2])
+def _mainid(X, Y, Z, T, xi):
+    """The residual of eq. (mainid), the three-block sum of F-products,
+    over the AJ vectors of x, y, z_i, t_i (Z and T of shape (n, g)) and xi,
+    from one fay_F request: F(z_i - z_j, z_j - t_j) for i != j; for each i
+    F(z_i - x, xi), F(y - z_i, S + xi), F(x - z_i, z_i - t_i) and
+    F(y - z_i, z_i - t_i); then F(y - x, S + xi) and F(y - x, xi)."""
+    n = len(Z)
     i, j = np.nonzero(~np.eye(n, dtype=bool))
-    A, B = [], []
-    for X, Y, Z, T, xi in cases:
-        D = Z - T
-        S = D.sum(axis=0)
-        xis = np.broadcast_to(xi, Z.shape)
-        A.append(np.concatenate([Z[i] - Z[j], Z - X, Y - Z, X - Z, Y - Z, [Y - X] * 2]))
-        B.append(np.concatenate([D[j], xis, S + xis, D, D, [S + xi, xi]]))
-    for F in fay_F(ctx, np.array(A), np.array(B)):
-        Fzz = np.ones((n, n), dtype=complex)
-        Fzz[i, j] = F[:len(i)]
-        a, b, c, e = F[len(i):-2].reshape(4, n)
-        blocks = list(Fzz.prod(axis=1) * (a * b))
-        blocks.append(c.prod() * F[-2])
-        blocks.append(-(e.prod() * F[-1]))
-        yield _rel(sum(blocks), blocks)
+    D = Z - T
+    S = D.sum(axis=0)
+    xis = np.broadcast_to(xi, Z.shape)
+    F = yield (fay_F, np.concatenate([Z[i] - Z[j], Z - X, Y - Z, X - Z, Y - Z, [Y - X] * 2]),
+               np.concatenate([D[j], xis, S + xis, D, D, [S + xi, xi]]))
+    Fzz = np.ones((n, n), dtype=complex)
+    Fzz[i, j] = F[:len(i)]
+    a, b, c, e = F[len(i):-2].reshape(4, n)
+    blocks = list(Fzz.prod(axis=1) * (a * b))
+    blocks.append(c.prod() * F[-2])
+    blocks.append(-(e.prod() * F[-1]))
+    return _rel(sum(blocks), blocks)
 
 
-def trisecant_general_evaluate(ctx, draws):
+def trisecant_general(ctx, rng, n):
     """Eq. (mainid): the three-block sum of F-products over x, y, z_i, t_i
     (2 + 2n points) and a free Jacobian point xi."""
-    n = len(draws[0][0]) // 2 - 1
-    return _mainid_residuals(ctx, [(V[0], V[1], V[2:2 + n], V[2 + n:], xi)
-                                   for V, (_, xi) in zip(_aj_rows(ctx, draws), draws)])
+    pts, xi = _distinct_points(ctx, rng, 2 + 2 * n), sample_xi(ctx, rng)
+    V = yield CurveContext.aj, pts
+    return (yield from _mainid(V[0], V[1], V[2:2 + n], V[2 + n:], xi))
 
 
-def trisecant_classical_evaluate(ctx, draws):
+def trisecant_classical(ctx, rng):
     """The two-fraction n=1 form of the trisecant identity over x, y, z, t
     and xi."""
-    th = ctx.theta_delta([[X - T, Y - Z, X - Z, Y - T, xi, xi + Y - X + Z - T,
-                           Z - T, Y - X, Z - X, xi + Z - X, xi + Y - T,
-                           xi + Z - T, xi + Y - X]
-                          for (X, Y, Z, T), (_, xi) in zip(_aj_rows(ctx, draws), draws)])
-    for (xt, yz, xz, yt, t_xi, t_long, zt, yx, zx, t_zx, t_yt, r1, r2) in th:
-        if min(abs(xz), abs(yt), abs(zx)) < NEAR_DIVISOR * ctx.scale:
-            raise NearDivisor("trisecant denominator too small")
-        L1 = (xt * yz / (xz * yt)) * t_xi * t_long
-        L2 = (zt * yx / (zx * yt)) * t_zx * t_yt
-        R = r1 * r2
-        yield _rel(L1 + L2 - R, [L1, L2, R] if abs(R) > 0 else [L1, L2, 1.0])
+    pts, xi = _distinct_points(ctx, rng, 4), sample_xi(ctx, rng)
+    X, Y, Z, T = yield CurveContext.aj, pts
+    (xt, yz, xz, yt, t_xi, t_long, zt, yx, zx, t_zx, t_yt, r1, r2) = yield (
+        CurveContext.theta_delta, [X - T, Y - Z, X - Z, Y - T, xi, xi + Y - X + Z - T,
+                                   Z - T, Y - X, Z - X, xi + Z - X, xi + Y - T,
+                                   xi + Z - T, xi + Y - X])
+    if min(abs(xz), abs(yt), abs(zx)) < NEAR_DIVISOR * ctx.scale:
+        raise NearDivisor("trisecant denominator too small")
+    L1 = (xt * yz / (xz * yt)) * t_xi * t_long
+    L2 = (zt * yx / (zx * yt)) * t_zx * t_yt
+    R = r1 * r2
+    return _rel(L1 + L2 - R, [L1, L2, R] if abs(R) > 0 else [L1, L2, 1.0])
 
 
-def divisor_symmetric_evaluate(ctx, draws):
+def divisor_symmetric(ctx, rng, n):
     """Cor. (divisorid): the symmetric F-product identity over y and n+1
     pairs z_i, t_i, which is eq. (mainid) over the last n pairs at x = z_0,
     xi = z_0 - t_0."""
-    n = (len(draws[0][0]) - 3) // 2
-    return _mainid_residuals(ctx, [(V[1], V[0], V[2:n + 2], V[n + 3:], V[1] - V[n + 2])
-                                   for V in _aj_rows(ctx, draws)])
+    V = yield CurveContext.aj, _distinct_points(ctx, rng, 2 * n + 3)
+    return (yield from _mainid(V[1], V[0], V[2:n + 2], V[n + 3:], V[1] - V[n + 2]))
 
 
-def prime_form_identity_draw(ctx, n, rng):
-    """A theta point e, then x, y, z_i, t_i (2 + 2n points)."""
-    e = random_line_bundle(ctx.rm, rng, ctx.scale_raw)
-    return _distinct_points(ctx, rng, 2 + 2 * n), e
-
-
-def prime_form_identity_evaluate(ctx, draws):
+def prime_form_identity(ctx, rng, n):
     """The three-block E/theta identity for an arbitrary degree-1 theta,
-    realized with a random translate of the plain theta."""
-    m = len(draws[0][0])
-    n = m // 2 - 1
-    args = []
-    for V, (_, e) in zip(_aj_rows(ctx, draws), draws):
-        X, Y, Z, T = V[0], V[1], V[2:2 + n], V[2 + n:]
-        S = (Z - T).sum(axis=0)
-        args.append(np.concatenate([Z - X + e, Y - Z + S + e,
-                                    [Y - X + e, S + e, Y - X + S + e, e]]))
-    vals, _, _, _ = theta_batch(np.concatenate(args), ctx.rm, tol=ctx.tol)
-    vals = (ctx.mult * vals).reshape(len(draws), -1)
+    realized with a random translate e of the plain theta, over x, y, z_i,
+    t_i (2 + 2n points)."""
+    e = random_line_bundle(ctx.rm, rng, ctx.scale_raw)
+    pts = _distinct_points(ctx, rng, 2 + 2 * n)
+    V = yield CurveContext.aj, pts
+    X, Y, Z, T = V[0], V[1], V[2:2 + n], V[2 + n:]
+    S = (Z - T).sum(axis=0)
+    v = yield _theta, np.concatenate([Z - X + e, Y - Z + S + e,
+                                      [Y - X + e, S + e, Y - X + S + e, e]])
     # E[a, b] = E(pts[a], pts[b]), 1 on the diagonal, with the point
     # indices x = 0, y = 1, z_i = 2 + i, t_i = 2 + n + i
-    a, b = np.nonzero(~np.eye(m, dtype=bool))
-    Es = prime_form(ctx, _points(draws, a), _points(draws, b)).reshape(len(draws), -1)
+    a, b = np.nonzero(~np.eye(len(pts), dtype=bool))
+    E = np.ones((len(pts), len(pts)), dtype=complex)
+    E[a, b] = yield prime_form, [pts[k] for k in a], [pts[k] for k in b]
     z = 2 + np.arange(n)
     t = z + n
-    for row, v in zip(Es, vals):
-        E = np.ones((m, m), dtype=complex)
-        E[a, b] = row
-        blocks = list(E[np.ix_(t, z)].prod(axis=0) / E[np.ix_(z, z)].prod(axis=0)
-                      * E[0, 1] / (E[0, z] * E[1, z]) * v[:n] * v[n:2 * n])
-        blocks.append((E[t, 1] / E[z, 1]).prod() * v[2 * n] * v[2 * n + 1])
-        blocks.append(-(E[t, 0] / E[z, 0]).prod() * v[2 * n + 2] * v[2 * n + 3])
-        yield _rel(sum(blocks), blocks)
+    blocks = list(E[np.ix_(t, z)].prod(axis=0) / E[np.ix_(z, z)].prod(axis=0)
+                  * E[0, 1] / (E[0, z] * E[1, z]) * v[:n] * v[n:2 * n])
+    blocks.append((E[t, 1] / E[z, 1]).prod() * v[2 * n] * v[2 * n + 1])
+    blocks.append(-(E[t, 0] / E[z, 0]).prod() * v[2 * n + 2] * v[2 * n + 3])
+    return _rel(sum(blocks), blocks)
 
 
-def residue_identity_draw(ctx, n, rng):
-    """n points x_i and n theta points, the last the lattice-closing one."""
+def residue_identity(ctx, rng, n):
+    """Good-triple residue identity: sum_i alpha(x_i) prod_{j != i}
+    m3(L_j, x_j, x_i) = 0 over n points x_i and n theta points, the last
+    the lattice-closing one, so that the bundles close up to the canonical
+    class.
+
+    n = 2 works at any genus with L_2 = omega L_1^{-1} (alpha constant in
+    the odd-translate frames); n = 3 needs genus 1, where all bundles have
+    degree 0 and alpha(x_i) = 1/h(x_i) realizes the trivialization.
+    """
     if n not in (2, 3):
         raise SuiteError(f"residue identity implemented for n in (2, 3), not {n}")
     if n == 3 and ctx.g != 1:
@@ -198,93 +182,64 @@ def residue_identity_draw(ctx, n, rng):
                          "(degree count: n(g-1) = 2g-2 forces n = 2 otherwise)")
     xs = _distinct_points(ctx, rng, n)
     xis = [sample_xi(ctx, rng) for _ in range(n - 1)]
-    return xs, np.array(xis + [-sum(xis)])
-
-
-def residue_identity_evaluate(ctx, draws):
-    """Good-triple residue identity: sum_i alpha(x_i) prod_{j != i}
-    m3(L_j, x_j, x_i) = 0 with the bundles closing up to the canonical
-    class (the last theta point is the lattice-closing value).
-
-    n = 2 works at any genus with L_2 = omega L_1^{-1} (alpha constant in
-    the odd-translate frames); n = 3 needs genus 1, where all bundles have
-    degree 0 and alpha(x_i) = 1/h(x_i) realizes the trivialization.
-    """
-    n = len(draws[0][0])
+    xis = np.array(xis + [-sum(xis)])
     i, j = np.nonzero(~np.eye(n, dtype=bool))
-    m3 = massey_m3_prime(ctx, np.concatenate([xis[j] for _, xis in draws]),
-                         _points(draws, j), _points(draws, i)).reshape(len(draws), -1)
-    h = h_values(ctx, _points(draws, range(n))).reshape(len(draws), n)
-    for row, h_x in zip(m3, h):
-        m = np.ones((n, n), dtype=complex)
-        m[i, j] = row
-        blocks = m.prod(axis=1)
-        if n == 3:
-            blocks = blocks / h_x
-        yield _rel(blocks.sum(), blocks)
+    m = np.ones((n, n), dtype=complex)
+    m[i, j] = yield massey_m3_prime, xis[j], [xs[k] for k in j], [xs[k] for k in i]
+    blocks = m.prod(axis=1)
+    if n == 3:
+        blocks = blocks / (yield h_values, xs)
+    return _rel(blocks.sum(), blocks)
 
 
-def maincor_kernel_draw(ctx, rng):
-    if ctx.g != 1:
-        raise SuiteError("kernel-form corollary check runs at genus 1")
-    return _points_and_xi(ctx, rng, 4)
-
-
-def maincor_kernel_evaluate(ctx, draws):
+def maincor_kernel(ctx, rng):
     """Kernel-level n=1 instance of the two-bundle residue corollary over
     x, y, z, t and xi: alpha = phi * eta with phi the theta-ratio section
     and eta realized by the squared half-differential (folded into the m3
     frames)."""
-    V = _aj_rows(ctx, draws)
+    if ctx.g != 1:
+        raise SuiteError("kernel-form corollary check runs at genus 1")
+    x, y, z, _ = pts = _distinct_points(ctx, rng, 4)
+    xi = sample_xi(ctx, rng)
+    X, Y, Z, T = yield CurveContext.aj, pts
     # phi(p) = theta[delta](p - t) / theta[delta](p - z)
-    th = ctx.theta_delta([[Z - T, X - T, X - Z, Y - T, Y - Z] for X, Y, Z, T in V])
-    xis = [[xi, Z - T - xi, Z - T - xi, xi] for (_, xi), (_, _, Z, T) in zip(draws, V)]
-    m3 = massey_m3_prime(ctx, np.concatenate(xis), _points(draws, (0, 1, 1, 0)),
-                         _points(draws, (2, 2, 0, 1)))
-    h_z = h_values(ctx, _points(draws, [2]))
-    for (zt, xt, xz, yt, yz), (m_xz, m_yz, m_yx, m_xy), h in zip(th, m3.reshape(-1, 4), h_z):
-        t0 = zt / h**2 * m_xz * m_yz
-        t1 = xt / xz * m_yx
-        t2 = yt / yz * m_xy
-        yield _rel(t0 + t1 + t2, [t0, t1, t2])
+    zt, xt, xz, yt, yz = yield CurveContext.theta_delta, [Z - T, X - T, X - Z, Y - T, Y - Z]
+    m_xz, m_yz, m_yx, m_xy = yield (massey_m3_prime,
+                                    np.array([xi, Z - T - xi, Z - T - xi, xi]),
+                                    [x, y, y, x], [z, z, x, y])
+    h, = yield h_values, [z]
+    t0 = zt / h**2 * m_xz * m_yz
+    t1 = xt / xz * m_yx
+    t2 = yt / yz * m_xy
+    return _rel(t0 + t1 + t2, [t0, t1, t2])
 
 
-def cross_formula_draw(ctx, rng):
-    """Points x, y, then the xi of a random bundle."""
-    pts = _distinct_points(ctx, rng, 2)
-    return pts, ctx.xi_of_bundle(random_line_bundle(ctx.rm, rng, ctx.scale_raw))
+def cross_formula(ctx, rng):
+    """massey_m3_prime against massey_m3_theta on a random triple: points
+    x, y, then the xi of a random bundle."""
+    x, y = _distinct_points(ctx, rng, 2)
+    args = np.array([ctx.xi_of_bundle(random_line_bundle(ctx.rm, rng, ctx.scale_raw))]), [x], [y]
+    m1, = yield (massey_m3_prime, *args)
+    m2, = yield (massey_m3_theta, *args)
+    return abs(m1 - m2), abs(m1 - m2) / abs(m1)
 
 
-def cross_formula_evaluate(ctx, draws):
-    """massey_m3_prime against massey_m3_theta on a random triple."""
-    args = np.array([xi for _, xi in draws]), _points(draws, [0]), _points(draws, [1])
-    m1 = massey_m3_prime(ctx, *args)
-    m2 = massey_m3_theta(ctx, *args)
-    return [(abs(a - b), abs(a - b) / abs(a)) for a, b in zip(m1, m2)]
-
-
-def idcor_evaluate(ctx, draws):
+def idcor(ctx, rng):
     """Degenerate n=1 corollary m3(V(x-z), z, y) = m3(V,x,y) m3(V,x,z)^-1
     over x, y, z and xi, with the O(x-z) trivialization factor
     E(x,y)/(E(z,y)E(x,z)) that turns the abstract bundle equality into
     numbers in the affine frames."""
-    xis = [[xi, xi, xi + X - Z] for (X, _, Z), (_, xi) in zip(_aj_rows(ctx, draws), draws)]
-    m3 = massey_m3_prime(ctx, np.concatenate(xis), _points(draws, (0, 0, 2)),
-                         _points(draws, (2, 1, 1)))
-    E = prime_form(ctx, _points(draws, (2, 0, 0)), _points(draws, (1, 2, 1)))
-    for (m_xz, m_xy, m_zy), (E_zy, E_xz, E_xy) in zip(m3.reshape(-1, 3), E.reshape(-1, 3)):
-        lhs = m_zy * E_zy * E_xz / E_xy
-        rhs = m_xy / m_xz
-        yield abs(lhs - rhs), abs(lhs - rhs) / abs(rhs)
+    x, y, z = pts = _distinct_points(ctx, rng, 3)
+    xi = sample_xi(ctx, rng)
+    X, _, Z = yield CurveContext.aj, pts
+    m_xz, m_xy, m_zy = yield massey_m3_prime, np.array([xi, xi, xi + X - Z]), [x, x, z], [z, y, y]
+    E_zy, E_xz, E_xy = yield prime_form, [z, x, x], [y, z, y]
+    lhs = m_zy * E_zy * E_xz / E_xy
+    rhs = m_xy / m_xz
+    return abs(lhs - rhs), abs(lhs - rhs) / abs(rhs)
 
 
-def theta_derivative_divisor_draw(ctx, rng):
-    if ctx.g not in (1, 2):
-        raise SuiteError("divisor-vanishing check runs at genus 1 or 2")
-    return ([sample_point(ctx, rng) for _ in range(20)],)
-
-
-def theta_derivative_divisor_evaluate(ctx, draws):
+def theta_derivative_divisor(ctx, rng):
     """The derivative 1-form vanishes on the odd-characteristic divisor.
 
     The form is N(x) dx / y with N the adjoint numerator; its divisor is
@@ -293,57 +248,83 @@ def theta_derivative_divisor_evaluate(ctx, draws):
     evaluated on it directly, so the root distance is the residual).
     Genus 1: the divisor is empty, N is the nonzero constant making the
     form proportional to the invariant differential; the residual is the
-    spread of theta_form * y over the controls.
+    spread of theta_form * y over 20 control points.
     """
-    vals = theta_form(ctx, _points(draws, range(20)))
+    if ctx.g not in (1, 2):
+        raise SuiteError("divisor-vanishing check runs at genus 1 or 2")
+    controls = [sample_point(ctx, rng) for _ in range(20)]
+    vals = yield theta_form, controls
     if ctx.g == 2:
         roots, dists = delta_divisor_root(ctx)
         # no root: the divisor sits at the branch point at infinity
         zero_val = float(dists.max()) / ctx.curve.min_gap if len(roots) else 0.0
-    for (controls,), ctrl_vals in zip(draws, vals.reshape(len(draws), -1)):
-        scale = float(np.median(np.abs(ctrl_vals)))
-        if ctx.g == 1:
-            ratios = np.array([v * p.y(ctx.curve) for v, p in zip(ctrl_vals, controls)])
-            zero_val = float(np.abs(ratios - ratios.mean()).max() / abs(ratios.mean()))
-        if float(np.abs(ctrl_vals).min()) / scale < 1e-3:
-            raise NearDivisor("control point accidentally near the divisor")
-        yield zero_val * scale, zero_val
+    else:
+        ratios = np.array([v * p.y(ctx.curve) for v, p in zip(vals, controls)])
+        zero_val = float(np.abs(ratios - ratios.mean()).max() / abs(ratios.mean()))
+    scale = float(np.median(np.abs(vals)))
+    if float(np.abs(vals).min()) / scale < 1e-3:
+        raise NearDivisor("control point accidentally near the divisor")
+    return zero_val * scale, zero_val
 
 
-def quasidet_geometric_draw(ctx, n, rng, block=1):
-    """Points x_0..x_n, y_0..y_n, then one theta point per block slot."""
+def quasidet_geometric(ctx, rng, n, block):
+    """Theta-kernel quasideterminant identity over x_0..x_n, y_0..y_n:
+    |(m3(V,x_j,y_i))|_00 equals the twisted kernel times the prime-form
+    cross-ratio product.
+
+    One theta point is the scalar case; block of them make a diagonal flat
+    bundle on a genus-1 curve (one per slot, same E-factor)."""
     pts = _distinct_points(ctx, rng, 2 * (n + 1))
     if block > 1 and ctx.g != 1:
         raise SuiteError("diagonal flat bundles are exercised at genus 1")
-    return pts, np.array([sample_xi(ctx, rng) for _ in range(block)])
-
-
-def quasidet_geometric_evaluate(ctx, draws):
-    """Theta-kernel quasideterminant identity: |(m3(V,x_j,y_i))|_00 equals
-    the twisted kernel times the prime-form cross-ratio product.
-
-    One theta point is the scalar case; k of them make a diagonal flat
-    bundle on a genus-1 curve (one per slot, same E-factor)."""
-    n = len(draws[0][0]) // 2 - 1
-    block = len(draws[0][1])
+    xi = np.array([sample_xi(ctx, rng) for _ in range(block)])
+    V = yield CurveContext.aj, pts
     # entries m3(xi_s, x_j, y_i) for every (s, i, j), then m3(xi_s + shift, x_0, y_0),
     # with x_k point k and y_k point n + 1 + k; EF = prod_k E(x_0, x_k) E(y_0, y_k)
     # / (E(x_0, y_k) E(y_0, x_k))
     s, i, j = np.indices((block, n + 1, n + 1)).reshape(3, -1)
-    xis = [np.concatenate([xi[s], xi + sum(V[1:n + 1] - V[n + 2:])])
-           for V, (_, xi) in zip(_aj_rows(ctx, draws), draws)]
-    m3 = massey_m3_prime(ctx, np.concatenate(xis), _points(draws, [*j] + [0] * block),
-                         _points(draws, [*(n + 1 + i)] + [n + 1] * block))
-    x, y = list(range(1, n + 1)), list(range(n + 2, 2 * n + 2))
-    E = prime_form(ctx, _points(draws, ([0] * n + [n + 1] * n) * 2),
-                   _points(draws, x + y + y + x)).reshape(len(draws), 4, n)
-    for m, (E_xx, E_yy, E_xy, E_yx) in zip(m3.reshape(len(draws), -1), E):
-        ent = np.zeros((n + 1, n + 1, block, block), dtype=complex)
-        ent[i, j, s, s] = m[:len(s)]
-        lhs = QuasiMatrix(ent).qdet(0, 0)
-        rhs = np.diag(m[len(s):] * (E_xx * E_yy / (E_xy * E_yx)).prod())
-        num = float(np.abs(lhs - rhs).max())
-        yield num, num / float(np.abs(rhs).max())
+    m = yield (massey_m3_prime, np.concatenate([xi[s], xi + sum(V[1:n + 1] - V[n + 2:])]),
+               [pts[k] for k in [*j] + [0] * block],
+               [pts[k] for k in [*(n + 1 + i)] + [n + 1] * block])
+    x, y = pts[1:n + 1], pts[n + 2:]
+    E_xx, E_yy, E_xy, E_yx = (yield prime_form, ([pts[0]] * n + [pts[n + 1]] * n) * 2,
+                              x + y + y + x).reshape(4, n)
+    ent = np.zeros((n + 1, n + 1, block, block), dtype=complex)
+    ent[i, j, s, s] = m[:len(s)]
+    lhs = QuasiMatrix(ent).qdet(0, 0)
+    rhs = np.diag(m[len(s):] * (E_xx * E_yy / (E_xy * E_yx)).prod())
+    num = float(np.abs(lhs - rhs).max())
+    return num, num / float(np.abs(rhs).max())
+
+
+def _runner(body, **params):
+    """The table's runner of a body: one trial's draw, run up to its first
+    kernel request, as (generator, request).  The generator yields the
+    body's result last, as the request (None, (abs, rel))."""
+    def runner(ctx, rng):
+        def trial():
+            yield None, (yield from body(ctx, rng, **params))
+        gen = trial()
+        return gen, next(gen)
+    return runner
+
+
+def _drive(ctx, draws):
+    """The evaluate of every hyperelliptic spec: runs the bodies of draws
+    (each a runner's (generator, request)) to their ends.  Every body of a
+    report makes the same requests, so each round is one call of the
+    requested kernel on all bodies' arguments, joined trial after trial
+    (arrays along their first axis, point lists as one list), and each
+    body is sent its own rows.  Returns each body's (abs, rel)."""
+    gens, requests = zip(*draws)
+    while (kernel := requests[0][0]) is not None:
+        args = [np.concatenate(col) if isinstance(col[0], np.ndarray)
+                else [p for part in col for p in part]
+                for col in zip(*(request[1:] for request in requests))]
+        rows, ends = kernel(ctx, *args), accumulate(len(request[1]) for request in requests)
+        requests = [gen.send(rows[end - len(request[1]):end])
+                    for gen, request, end in zip(gens, requests, ends)]
+    return [result for _, result in requests]
 
 
 # ---------------------------------------------------------------------------
@@ -399,9 +380,12 @@ def homological_residual(env, rng):
 class IdentitySpec:
     """One identity and the (trials, tol) it runs at, per key.
 
-    `runner(env, rng)` makes one trial's draws and `evaluate(env, draws)`
-    gives one (abs_res, rel_res) per draw, as an iterable; the default
-    passes the draws through, for runners that return (abs_res, rel_res).
+    `runner(env, rng)` makes one trial's draw and `evaluate(env, draws)`
+    gives one (abs_res, rel_res) per draw, as an iterable.  A hyperelliptic
+    spec's runner is _runner(body, **params), whose draw is the started
+    body with its first kernel request, and its evaluate is _drive, which
+    runs the bodies of all draws together; the default evaluate passes the
+    draws through, for runners that return (abs_res, rel_res).
     `kind` is a registry curve type ("hyperelliptic" or "plane_quartic"),
     or "carrier" for checks that need no curve.  `table` maps a curve id
     or a genus to (trials, tol); a curve takes the row of its id if there
@@ -419,40 +403,36 @@ IDENTITIES = {}
 
 for kind, rows in [
     ("hyperelliptic", [
-        ("skewsym_n2", lambda ctx, rng: residue_identity_draw(ctx, 2, rng),
-         residue_identity_evaluate, {1: (100, 1e-9), 2: (50, 1e-9), 3: (50, 1e-9)}),
-        ("residue_n3", lambda ctx, rng: residue_identity_draw(ctx, 3, rng),
-         residue_identity_evaluate, {1: (100, 1e-8)}),
-        ("maincor_kernel", maincor_kernel_draw, maincor_kernel_evaluate, {1: (100, 1e-8)}),
-        ("trisecant_general_n1", lambda ctx, rng: _points_and_xi(ctx, rng, 4),
-         trisecant_general_evaluate, {1: (200, 1e-9), 2: (100, 1e-8), 3: (50, 1e-8)}),
-        ("trisecant_general_n2", lambda ctx, rng: _points_and_xi(ctx, rng, 6),
-         trisecant_general_evaluate, {1: (50, 1e-9), 2: (50, 1e-7), 3: (50, 1e-8)}),
-        ("trisecant_general_n3", lambda ctx, rng: _points_and_xi(ctx, rng, 8),
-         trisecant_general_evaluate, {1: (50, 1e-9), 2: (50, 1e-7), 3: (50, 1e-8)}),
-        ("trisecant_classical", lambda ctx, rng: _points_and_xi(ctx, rng, 4),
-         trisecant_classical_evaluate, {1: (200, 1e-9), 2: (100, 1e-8), 3: (50, 1e-8)}),
-        ("divisor_symmetric_n1", lambda ctx, rng: (_distinct_points(ctx, rng, 5),),
-         divisor_symmetric_evaluate, {1: (100, 1e-9), 2: (50, 1e-8), 3: (50, 1e-8)}),
-        ("divisor_symmetric_n2", lambda ctx, rng: (_distinct_points(ctx, rng, 7),),
-         divisor_symmetric_evaluate, {1: (50, 1e-9), 2: (50, 1e-8), 3: (50, 1e-8)}),
-        ("prime_form_n1", lambda ctx, rng: prime_form_identity_draw(ctx, 1, rng),
-         prime_form_identity_evaluate, {1: (200, 1e-8), 2: (100, 1e-8), 3: (50, 1e-8)}),
-        ("prime_form_n2", lambda ctx, rng: prime_form_identity_draw(ctx, 2, rng),
-         prime_form_identity_evaluate, {2: (50, 1e-7), 3: (50, 1e-8)}),
-        ("theta_derivative_divisor", theta_derivative_divisor_draw,
-         theta_derivative_divisor_evaluate, {1: (3, 1e-6), 2: (3, 1e-6)}),
-        ("cross_formula_m3", cross_formula_draw, cross_formula_evaluate,
-         {1: (200, 1e-8), 2: (200, 1e-8), 3: (50, 1e-8)}),
-        ("idcor", lambda ctx, rng: _points_and_xi(ctx, rng, 3), idcor_evaluate,
+        ("skewsym_n2", _runner(residue_identity, n=2),
+         {1: (100, 1e-9), 2: (50, 1e-9), 3: (50, 1e-9)}),
+        ("residue_n3", _runner(residue_identity, n=3), {1: (100, 1e-8)}),
+        ("maincor_kernel", _runner(maincor_kernel), {1: (100, 1e-8)}),
+        ("trisecant_general_n1", _runner(trisecant_general, n=1),
+         {1: (200, 1e-9), 2: (100, 1e-8), 3: (50, 1e-8)}),
+        ("trisecant_general_n2", _runner(trisecant_general, n=2),
+         {1: (50, 1e-9), 2: (50, 1e-7), 3: (50, 1e-8)}),
+        ("trisecant_general_n3", _runner(trisecant_general, n=3),
+         {1: (50, 1e-9), 2: (50, 1e-7), 3: (50, 1e-8)}),
+        ("trisecant_classical", _runner(trisecant_classical),
+         {1: (200, 1e-9), 2: (100, 1e-8), 3: (50, 1e-8)}),
+        ("divisor_symmetric_n1", _runner(divisor_symmetric, n=1),
          {1: (100, 1e-9), 2: (50, 1e-8), 3: (50, 1e-8)}),
-        ("quasidet_geometric_n1", lambda ctx, rng: quasidet_geometric_draw(ctx, 1, rng),
-         quasidet_geometric_evaluate, {1: (100, 1e-9), 2: (50, 1e-8), 3: (50, 1e-8)}),
-        ("quasidet_geometric_n2", lambda ctx, rng: quasidet_geometric_draw(ctx, 2, rng),
-         quasidet_geometric_evaluate, {1: (50, 1e-9), 2: (50, 1e-8), 3: (50, 1e-8)}),
-        ("quasidet_geometric_diag",
-         lambda ctx, rng: quasidet_geometric_draw(ctx, 1, rng, block=2),
-         quasidet_geometric_evaluate, {1: (50, 1e-9)}),
+        ("divisor_symmetric_n2", _runner(divisor_symmetric, n=2),
+         {1: (50, 1e-9), 2: (50, 1e-8), 3: (50, 1e-8)}),
+        ("prime_form_n1", _runner(prime_form_identity, n=1),
+         {1: (200, 1e-8), 2: (100, 1e-8), 3: (50, 1e-8)}),
+        ("prime_form_n2", _runner(prime_form_identity, n=2), {2: (50, 1e-7), 3: (50, 1e-8)}),
+        ("theta_derivative_divisor", _runner(theta_derivative_divisor),
+         {1: (3, 1e-6), 2: (3, 1e-6)}),
+        ("cross_formula_m3", _runner(cross_formula),
+         {1: (200, 1e-8), 2: (200, 1e-8), 3: (50, 1e-8)}),
+        ("idcor", _runner(idcor), {1: (100, 1e-9), 2: (50, 1e-8), 3: (50, 1e-8)}),
+        ("quasidet_geometric_n1", _runner(quasidet_geometric, n=1, block=1),
+         {1: (100, 1e-9), 2: (50, 1e-8), 3: (50, 1e-8)}),
+        ("quasidet_geometric_n2", _runner(quasidet_geometric, n=2, block=1),
+         {1: (50, 1e-9), 2: (50, 1e-8), 3: (50, 1e-8)}),
+        ("quasidet_geometric_diag", _runner(quasidet_geometric, n=1, block=2),
+         {1: (50, 1e-9)}),
     ]),
     ("plane_quartic", [
         ("canprop", canprop_residual,
@@ -473,8 +453,9 @@ for kind, rows in [
         ("quasidet_homological", homological_residual, {"-": (100, 1e-9)}),
     ]),
 ]:
-    for name, runner, *evaluate, table in rows:
-        IDENTITIES[name] = IdentitySpec(name, kind, runner, table, *evaluate)
+    for name, runner, table in rows:
+        IDENTITIES[name] = IdentitySpec(name, kind, runner, table,
+                                        *([_drive] if kind == "hyperelliptic" else []))
 
 
 def _trials(spec, env, seed, label, trials, batch):
@@ -482,7 +463,7 @@ def _trials(spec, env, seed, label, trials, batch):
     (_RETRY) from the same stream, up to 20 attempts per trial.  With
     batch, evaluate every trial's last draw in one call, and let any other
     exception through.  Without, evaluate each draw as it is made (a
-    rejection there resamples too); a hard failure, or an infinite relative
+    rejection there resamples too); a hard failure, or a non-finite
     residual, ends the run.  Returns (one (abs, rel) per completed trial,
     the failure "" or "<exception class>: <message>")."""
     hard = () if batch else (KernelError, CurveError, SuiteError, QuarticError)
@@ -498,7 +479,7 @@ def _trials(spec, env, seed, label, trials, batch):
             except hard as ex:
                 return out, f"{type(ex).__name__}: {ex}"
             break
-        if not batch and out and math.isinf(out[-1][1]):
+        if not batch and out and not all(map(math.isfinite, out[-1])):
             break
     return (list(spec.evaluate(env, out)) if batch and out else out), ""
 
@@ -507,14 +488,18 @@ def run_identity(spec: IdentitySpec, env, curve_id, trials, tol, seed):
     """Run one identity for `trials` trials; resample (fresh draws from the
     same stream) on rejected draws (_RETRY), up to 20 attempts per trial.
 
-    Every trial is drawn first and all are evaluated in one call.  If that
-    raises anything but a rejected draw, the trials run again from fresh
-    streams, one evaluation per draw, where a rejection in the evaluation
-    resamples its trial and a hard failure fails the report at its trial.
+    Every trial is drawn first and all are evaluated in one call, which for
+    a hyperelliptic spec makes each kernel request once for the whole
+    report.  If that raises anything but a rejected draw, the trials run
+    again from fresh streams, one evaluation per draw, where a rejection in
+    the evaluation resamples its trial and a hard failure fails the report
+    at its trial.
 
     Reports carry requested vs completed counts: completion below 90%
-    fails the report regardless of residuals.  An environment that failed
-    to build (an exception in place of env) runs no trial and fails.
+    fails the report regardless of residuals.  A non-finite residual (inf
+    or NaN) ends the report at its trial with both maxima inf.  An
+    environment that failed to build (an exception in place of env) runs
+    no trial and fails.
     """
     t0 = time.perf_counter()
     failure = f"{type(env).__name__}: {env}" if isinstance(env, Exception) else ""
@@ -529,10 +514,12 @@ def run_identity(spec: IdentitySpec, env, curve_id, trials, tol, seed):
     max_abs = max_rel = 0.0
     for abs_r, rel_r in results:
         completed += 1
+        if not (math.isfinite(abs_r) and math.isfinite(rel_r)):
+            # max() below would drop a NaN
+            max_abs = max_rel = math.inf
+            break
         max_abs = max(max_abs, abs_r)
         max_rel = max(max_rel, rel_r)
-        if math.isinf(max_rel):
-            break
     if failure or completed == 0:
         # a hard failure, or no residual measured: report none, never a 0.0
         max_abs = max_rel = math.inf

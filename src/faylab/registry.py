@@ -47,20 +47,24 @@ def _load_entry(path):
     """Parse and check one JSON entry; every defect is a RegistryError."""
     try:
         raw = json.loads(Path(path).read_text())
-        kind = raw["type"]
+        kind, cid = raw["type"], raw["id"]
+        # "-" is the curve id of the carrier checks, which need no curve
+        if not isinstance(cid, str) or cid in ("", "-"):
+            raise RegistryError(f"{path}: id must be a non-empty string other "
+                                f"than '-', not {cid!r}")
         if kind == "hyperelliptic":
             pts = [complex(re_, im_) for re_, im_ in raw["branch_points"]]
             _check_finite(path, pts, "branch point")
             if not 3 <= len(pts) <= 8:
                 raise RegistryError(f"{path}: {len(pts)} branch points, "
                                     "need 3 to 8 (genus 1 to 3)")
-            return {"id": raw["id"], "type": kind, "branch_points": pts,
+            return {"id": cid, "type": kind, "branch_points": pts,
                     "genus": (len(pts) - 1) // 2}
         if kind == "plane_quartic":
             coeffs = {_parse_monomial(k): complex(v[0], v[1])
                       for k, v in raw["coefficients"].items()}
             _check_finite(path, coeffs.values(), "coefficient")
-            return {"id": raw["id"], "type": kind, "coefficients": coeffs, "genus": 3}
+            return {"id": cid, "type": kind, "coefficients": coeffs, "genus": 3}
     except KeyError as ex:
         raise RegistryError(f"{path}: entry lacks the key {ex}") from None
     except (OSError, TypeError, ValueError, AttributeError) as ex:

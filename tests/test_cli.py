@@ -199,6 +199,15 @@ class TestBadCurves:
                      "coefficients": {"X0^4": [1.0, 0.0], "X1^4": [float("inf"), 0.0],
                                       "X2^4": [1.0, 0.0]}}),
          "non-finite coefficient"),
+        (json.dumps({"id": 5, "type": "hyperelliptic",
+                     "branch_points": [[0.0, 0.0], [1.0, 0.0], [-1.0, 0.0]]}),
+         "id must be a non-empty string"),
+        (json.dumps({"id": "", "type": "hyperelliptic",
+                     "branch_points": [[0.0, 0.0], [1.0, 0.0], [-1.0, 0.0]]}),
+         "id must be a non-empty string"),
+        (json.dumps({"id": "-", "type": "hyperelliptic",
+                     "branch_points": [[0.0, 0.0], [1.0, 0.0], [-1.0, 0.0]]}),
+         "other than '-'"),
     ])
     def test_unreadable_entry_is_a_usage_error(self, tmp_path, monkeypatch, capsys,
                                                text, reason):
@@ -208,6 +217,17 @@ class TestBadCurves:
         assert run_cli(["verify", "--identity", "skewsym_n2", "--curve",
                         "lemniscatic", "--trials", "1"]) == 2
         assert reason in capsys.readouterr().err
+
+    def test_carrier_id_is_not_a_curve_id(self, tmp_path, monkeypatch, capsys):
+        # "-" names the carrier checks' slot in the suite, so no entry may
+        # take it, nor be selected by it
+        (tmp_path / "dash.json").write_text(json.dumps(
+            {"id": "-", "type": "hyperelliptic",
+             "branch_points": [[0.0, 0.0], [1.0, 0.0], [-1.0, 0.0]]}))
+        monkeypatch.setenv("FAYLAB_REGISTRY", str(tmp_path))
+        assert run_cli(["verify", "--curve", "-", "--trials", "1"]) == 2
+        assert run_cli(["periods", "--curve", str(tmp_path / "dash.json")]) == 2
+        assert capsys.readouterr().err.count("other than '-'") == 2
 
 
 class TestBadInput:

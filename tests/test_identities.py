@@ -5,9 +5,8 @@ import numpy as np
 import pytest
 
 from faylab.identities import (IDENTITIES, SuiteConfig, run_suite, run_identity,
-                               trisecant_classical_evaluate,
                                UnknownIdentity, SuiteError, _distinct_points)
-from faylab.kernels import CurveContext, fay_F, sample_xi, NearDivisor
+from faylab.kernels import CurveContext, fay_F, NearDivisor
 from faylab.registry import registry_entries
 from faylab.report import report_record
 from faylab.rng import trial_rng
@@ -43,13 +42,15 @@ class TestTrisecant:
         assert run_many("trisecant_classical", ctx_g1, "cl1") < 1e-9
         assert run_many("trisecant_classical", ctx_g2, "cl2") < 1e-8
 
-    def test_classical_degenerate_t_equals_z(self, ctx_g1):
+    def test_classical_degenerate_t_equals_z(self, ctx_g1, monkeypatch):
         # with t = z both sides collapse to the same product
-        rng = trial_rng(7, "degen", 0)
-        pts = _distinct_points(ctx_g1, rng, 3)
-        x, y, z = pts
-        (abs_r, rel_r), = trisecant_classical_evaluate(
-            ctx_g1, [([x, y, z, z], sample_xi(ctx_g1, rng))])
+        import faylab.identities as ids
+
+        def t_is_z(ctx, rng, count):
+            x, y, z = _distinct_points(ctx, rng, 3)
+            return [x, y, z, z]
+        monkeypatch.setattr(ids, "_distinct_points", t_is_z)
+        abs_r, rel_r = one_trial("trisecant_classical", ctx_g1, trial_rng(7, "degen", 0))
         assert rel_r < 1e-10
 
     def test_divisor_symmetric(self, ctx_g1, ctx_g2):
@@ -256,6 +257,22 @@ class TestSuiteRunner:
         assert not rep.passed
         assert math.isinf(rep.max_abs_residual) and math.isinf(rep.max_rel_residual)
 
+    @pytest.mark.parametrize("bad", [(math.nan, math.nan), (math.nan, 0.0),
+                                     (0.0, math.nan)])
+    def test_non_finite_residual_fails_the_report(self, bad):
+        # max() drops a NaN: trial 3's NaN residual must end the report as
+        # an infinite one does, with both maxima inf
+        from faylab.identities import IdentitySpec
+        calls = []
+
+        def runner(env, rng):
+            calls.append(rng)
+            return bad if len(calls) == 3 else (1e-12, 1e-12)
+        spec = IdentitySpec("nan", "carrier", runner, {"-": (10, 1e-9)})
+        rep = run_identity(spec, None, "-", 10, 1e-9, 42)
+        assert (rep.completed, rep.passed, rep.failure) == (3, False, "")
+        assert math.isinf(rep.max_abs_residual) and math.isinf(rep.max_rel_residual)
+
     def test_unbuilt_environment_fails_its_reports(self, monkeypatch):
         import faylab.identities as ids
         from faylab.curves import BranchPointCollision
@@ -394,7 +411,7 @@ class TestLookAhead:
         # after set-up a 20-trial report draws each trial once and
         # integrates its 60 points in one integrate_path call
         import faylab.curves as curves
-        from faylab.identities import IdentitySpec, idcor_evaluate
+        from faylab.identities import IdentitySpec
         ctx = self.fresh("lemniscatic")
         ctx.aj([ctx.base])                 # hub, branch and base constants
         attempts, calls = [], []
@@ -409,7 +426,7 @@ class TestLookAhead:
             return real(*args)
         monkeypatch.setattr(curves, "integrate_path", counted)
         spec = IdentitySpec("idcor", "hyperelliptic", runner, {1: (20, 1e-9)},
-                            idcor_evaluate)
+                            IDENTITIES["idcor"].evaluate)
         rep = run_identity(spec, ctx, "lemniscatic", 20, 1e-9, 42)
         assert rep.completed == 20 and rep.passed
         assert (len(attempts), len(calls)) == (20, 1)
@@ -417,22 +434,24 @@ class TestLookAhead:
 
 @pytest.mark.parametrize("cid", ["lemniscatic", "g2-real", "g3-real"])
 def test_evaluate_equals_one_draw_evaluations(cid):
-    # every trial's residual has the bits it has when evaluated alone
+    # every trial's residual has the bits it has when evaluated alone; a
+    # draw is a started body, which runs once, so each trial is drawn twice
     import faylab.identities as ids
     ctx = build_context(cid)
     for spec in IDENTITIES.values():
         if spec.kind != "hyperelliptic" or ctx.g not in spec.table:
             continue
-        draws = []
+        draws, again = [], []
         for trial in range(30):
             try:
                 draws.append(spec.runner(ctx, trial_rng(3, spec.name, trial)))
             except ids._RETRY:
-                pass
+                continue
+            again.append(spec.runner(ctx, trial_rng(3, spec.name, trial)))
             if len(draws) == 10:
                 break
         batch = np.array(list(spec.evaluate(ctx, draws)))
-        alone = np.array([r for d in draws for r in spec.evaluate(ctx, [d])])
+        alone = np.array([r for d in again for r in spec.evaluate(ctx, [d])])
         assert batch.shape == (10, 2) and batch.tobytes() == alone.tobytes(), spec.name
 
 
@@ -442,12 +461,14 @@ def test_near_divisor_in_one_trial_gives_the_per_trial_record(monkeypatch):
     spec = IDENTITIES["trisecant_general_n1"]
     ctx = TestLookAhead.fresh("lemniscatic")
     label = "trisecant_general_n1|lemniscatic"
-    marked = spec.runner(ctx, trial_rng(11, label, 2))[0][0]
+    # a draw is (body, first request), and the first request is
+    # (CurveContext.aj, the trial's points)
+    marked = spec.runner(ctx, trial_rng(11, label, 2))[1][1][0]
     real, sizes = spec.evaluate, []
 
     def near(env, draws):
         sizes.append(len(draws))
-        if any(pts[0] == marked for pts, _ in draws):
+        if any(request[1][0] == marked for _, request in draws):
             raise NearDivisor("synthetic rejection")
         return real(env, draws)
     monkeypatch.setattr(spec, "evaluate", near)

@@ -167,6 +167,64 @@ def test_no_batch_calls_in_loops_in_package():
     assert hits == [], "batch entry called per point: " + ", ".join(hits)
 
 
+def _generator_functions(tree):
+    """(function, its own nodes) for every function of the tree that
+    yields; the nodes of functions and lambdas nested in it are not its
+    own."""
+    found = []
+    for fn in ast.walk(tree):
+        if not isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            continue
+        own, todo = [], list(fn.body)
+        while todo:
+            node = todo.pop()
+            own.append(node)
+            if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda,
+                                     ast.ClassDef)):
+                todo.extend(ast.iter_child_nodes(node))
+        if any(isinstance(n, (ast.Yield, ast.YieldFrom)) for n in own):
+            found.append((fn, own))
+    return found
+
+
+def _kernel_calls_in_generators(tree):
+    """(function, line, name) for every call of a BATCH_ENTRIES name, or of
+    theta_batch, that a generator function makes itself."""
+    hits = []
+    for fn, own in _generator_functions(tree):
+        for node in own:
+            if isinstance(node, ast.Call):
+                name = getattr(node.func, "attr", getattr(node.func, "id", None))
+                if name in BATCH_ENTRIES | {"theta_batch"}:
+                    hits.append((fn.name, node.lineno, name))
+    return sorted(hits)
+
+
+def test_kernel_calls_in_generators_detected():
+    tree = ast.parse("def body(ctx, pts):\n    V = ctx.aj(pts)\n"
+                     "    F = yield fay_F, V, V\n    th = theta_batch(F, ctx.rm)\n"
+                     "    def inner():\n        return prime_form(ctx, pts, pts)\n"
+                     "    return th, inner, [lambda: h_values(ctx, pts)]\n"
+                     "def plain(ctx, pts):\n    return h_values(ctx, pts)\n"
+                     "def sub(ctx):\n    x = yield from body(ctx, [])\n"
+                     "    return CurveContext.theta_delta(ctx, x)\n"
+                     "def outer(ctx):\n    def gen():\n        yield theta_form\n"
+                     "    return massey_m3_prime(ctx, 1, 2, 3), gen\n")
+    assert _kernel_calls_in_generators(tree) == [("body", 2, "aj"),
+                                                 ("body", 4, "theta_batch"),
+                                                 ("sub", 12, "theta_delta")]
+
+
+def test_no_kernel_calls_in_identity_bodies():
+    # an identity body yields its kernel requests, which _drive makes in one
+    # call per report; a body calling a kernel would make one per trial
+    tree = ast.parse((SRC / "identities.py").read_text())
+    assert len(_generator_functions(tree)) >= 11
+    hits = [f"identities.py:{line} {fn}: {name}"
+            for fn, line, name in _kernel_calls_in_generators(tree)]
+    assert hits == [], "kernel called in a generator body: " + ", ".join(hits)
+
+
 def _defaults(tree):
     """{name: [(qualname, [params with defaults, as (name, position)])]}
     for every function of the tree, with a method's first parameter dropped
