@@ -104,10 +104,13 @@ class HyperellipticCurve:
 
     def f(self, x):
         x = np.asarray(x, dtype=complex)
+        if x.size == 1:
+            # alone, a point (0-d or length 1) takes another numpy loop and
+            # other last bits; as the first of a pair it takes a batch's
+            return self.f(np.repeat(x.ravel(), 2))[:1].reshape(x.shape)
         out = np.full(x.shape, self.lead, dtype=complex)
         for e in self.branch_points:
-            # in place: from two points up a point's last bits do not depend
-            # on len(x); a lone point (0-d or length 1) takes another loop
+            # in place: an out-of-place product moves a batch's last bits
             out *= x - e
         return out
 
@@ -187,12 +190,14 @@ def _gl_nodes(order):
 
 def integrate_path(curve, paths, y0s, order):
     """Integrate (1, x, .., x^(g-1)) dx / y along each polygonal path, with
-    y = y0s[i] at paths[i][0]; returns the (N, g) integrals and, per path,
-    y at every vertex.  The paths are integrated PATH_BLOCK at a time, each
-    row as if alone (see _integrate_paths)."""
+    y = y0s[i] at paths[i][0]; returns the (N, g) integrals and y at every
+    vertex as one array, path after path (both empty for no path).  The
+    paths are integrated PATH_BLOCK at a time, each row as if alone (see
+    _integrate_paths)."""
     parts = [_integrate_paths(curve, paths[k:k + PATH_BLOCK], y0s[k:k + PATH_BLOCK], order)
              for k in range(0, len(paths), PATH_BLOCK)]
-    return np.concatenate([v for v, _ in parts]), [y for _, ys in parts for y in ys]
+    parts.append((np.empty((0, curve.genus), dtype=complex), np.empty(0, dtype=complex)))
+    return tuple(np.concatenate(arrays) for arrays in zip(*parts))
 
 
 def _integrate_paths(curve, paths, y0s, order):
@@ -266,7 +271,7 @@ def _integrate_paths(curve, paths, y0s, order):
     integrand = x ** np.arange(curve.genus, dtype=complex)[:, None]
     integrand /= y
     vecs = np.array([integrand[:, s:u] @ w[s:u] for s, u in bounds])
-    return vecs.reshape(len(paths), curve.genus), np.split(y[ends], np.cumsum(lens)[:-1])
+    return vecs.reshape(len(paths), curve.genus), y[ends]
 
 
 # ---------------------------------------------------------------------------
@@ -332,7 +337,7 @@ def _intersection_matrix(curve, cycles, ys, order):
                     y0s += [ys[i][m], ys[j][n]]
                     hits.append((i, j, hit[1]))
     M = np.zeros((len(cycles), len(cycles)), dtype=int)
-    ends = [y[-1] for y in integrate_path(curve, legs, y0s, order)[1]]
+    ends = integrate_path(curve, legs, y0s, order)[1][1::2]
     for (i, j, sign), y1, y2 in zip(hits, ends[::2], ends[1::2]):
         if abs(y1 - y2) < abs(y1 + y2):
             M[i, j] += sign
@@ -371,6 +376,7 @@ def period_matrix(curve: HyperellipticCurve, quadrature_order=32):
     # y continued around every cycle from its principal value at vertex 0
     integrals, ys = integrate_path(curve, cycles, curve.y_principal([c[0] for c in cycles]),
                                    quadrature_order)
+    ys = np.split(ys, np.cumsum([len(c) for c in cycles])[:-1])
     # closed on the surface: y returns to its start
     if any(abs(y[-1] - y[0]) > 1e-8 * abs(y[0]) for y in ys):
         raise NotSymplectic("cycle does not close on the surface")
@@ -426,10 +432,10 @@ def _from_hubs(periods, pts, ks):
     iota P gives -AJ(P)."""
     curve, (rho, y_h, c) = periods.curve, periods._hubs
     x = np.array([p.x for p in pts])
-    vecs, ys = integrate_path(curve, _hub_paths(curve.branch_points[ks], rho[ks], x),
-                              y_h[ks], AJ_ORDER)
+    paths = _hub_paths(curve.branch_points[ks], rho[ks], x)
+    vecs, ys = integrate_path(curve, paths, y_h[ks], AJ_ORDER)
     y = np.array([p.sheet for p in pts]) * curve.y_principal(x)
-    end = np.array([v[-1] for v in ys]) / y     # +-1 where a path lands on +-y
+    end = ys[np.cumsum([len(z) for z in paths]) - 1] / y     # +-1 where a path lands on +-y
     sign = np.sign(end.real)
     if (abs(end - sign) > 1e-6).any():
         raise CurveError("sheet tracking did not land on the requested point")
@@ -449,8 +455,7 @@ def _branch_constants(periods):
     if periods._branch is None:
         curve, e, rm = periods.curve, periods.curve.branch_points, periods.rm
         rho = 0.5 * np.sort(np.abs(e - e[:, None]), axis=1)[:, 1]
-        # one at a time: f of a lone point can differ in the last bit
-        y_h = np.array([complex(curve.y_principal(h)) for h in e + rho])
+        y_h = curve.y_principal(e + rho)
         loops, _ = integrate_path(curve, _hub_paths(e, rho, e + rho, turns=1), -y_h,
                                   AJ_ORDER)
         periods._hubs = rho, y_h, np.array([0.5 * (periods.A_inv @ v) for v in loops])

@@ -259,7 +259,8 @@ def theta_derivative_divisor(ctx, rng):
         # no root: the divisor sits at the branch point at infinity
         zero_val = float(dists.max()) / ctx.curve.min_gap if len(roots) else 0.0
     else:
-        ratios = np.array([v * p.y(ctx.curve) for v, p in zip(vals, controls)])
+        x = np.array([p.x for p in controls])
+        ratios = vals * np.array([p.sheet for p in controls]) * ctx.curve.y_principal(x)
         zero_val = float(np.abs(ratios - ratios.mean()).max() / abs(ratios.mean()))
     scale = float(np.median(np.abs(vals)))
     if float(np.abs(vals).min()) / scale < 1e-3:

@@ -3,8 +3,9 @@ half-differential h, the pulled-back derivative 1-form, and the triple
 Massey product m3 computed by two formulas.
 
 Every kernel takes a batch of points first.  CurveContext.aj, theta_form
-and h_values map a point list to one row per point; F, E and m3 make one
-theta_batch call for their whole batch, and raise if any pair in it would.
+and h_values map a point list to one row per point, each row as if the
+point were alone; F, E and m3 make one theta_batch call for their whole
+batch, and raise if any pair in it would.
 
 Conventions.  All section-valued quantities are numbers in the affine
 x-coordinate frame at each curve point (dx trivializes the canonical
@@ -53,8 +54,8 @@ NEAR_DIVISOR = 1e-8
 
 
 class CurveContext:
-    """Curve + periods + a fixed non-singular odd characteristic, with
-    caches for Abel-Jacobi values and square-root branches of h."""
+    """Curve + periods + a fixed non-singular odd characteristic, with a
+    cache of Abel-Jacobi values."""
 
     def __init__(self, curve: HyperellipticCurve, periods: PeriodData,
                  theta_multiplier=1.0):
@@ -73,8 +74,9 @@ class CurveContext:
         self.scale = abs(self.mult) * self.scale_raw
         self.grad0 = self.mult * theta_gradient(np.zeros(self.g), self.rm,
                                                 self.delta, tol=self.tol)
+        # w = A^-T grad0: the derivative 1-form is N(x) dx / y, N(x) = sum_i w_i x^(i-1)
+        self.form_coeffs = periods.A_inv.T @ self.grad0
         self._aj_cache = {}
-        self._h_cache = {}
         self._kappa = None
 
     # -- point bookkeeping -------------------------------------------------
@@ -83,8 +85,14 @@ class CurveContext:
         """Abel-Jacobi vectors of the points ps from the context base point,
         as an (N, g) array (cached per point, so every identity reuses the
         exact same representative), the misses in one abel_jacobi batch."""
-        return _cached_rows(self._aj_cache, ps, lambda miss: abel_jacobi(
-            self.periods, miss, self.base)).reshape(len(ps), self.g)
+        miss = {}
+        for p in ps:
+            if p.key() not in self._aj_cache:
+                miss.setdefault(p.key(), p)
+        if miss:
+            rows = abel_jacobi(self.periods, list(miss.values()), self.base)
+            self._aj_cache.update(zip(miss, rows))
+        return np.array([self._aj_cache[p.key()] for p in ps]).reshape(len(ps), self.g)
 
     # -- theta shorthands --------------------------------------------------
 
@@ -104,35 +112,20 @@ class CurveContext:
 def theta_form(ctx: CurveContext, ps):
     """The 1-form sum_i (d theta[delta]/d z_i)(0) omega_i at each point of
     ps, as the coefficient of dx, for the context's odd characteristic:
-    grad0 . A^{-1} (x^{i-1} / y)."""
-    out = np.empty(len(ps), dtype=complex)
-    for k, p in enumerate(ps):
-        v = np.array([p.x**i for i in range(ctx.g)], dtype=complex) / p.y(ctx.curve)
-        out[k] = ctx.grad0 @ (ctx.periods.A_inv @ v)
-    return out
+    N(x) / y, elementwise over the points."""
+    x = np.array([p.x for p in ps], dtype=complex)
+    y = np.array([p.sheet for p in ps]) * ctx.curve.y_principal(x)
+    return np.polynomial.polynomial.polyval(x, ctx.form_coeffs) / y
 
 
 def h_values(ctx: CurveContext, ps):
-    """Principal square roots of theta_form at the points ps, cached per
-    point; the cache misses of a batch take one theta_form call.
+    """Principal square roots of theta_form at the points ps.
 
     h(p)^2 equals the derivative 1-form at p; identities use each point's
     h with uniform parity, so the branch choice cancels (asserted by the
     sign-flip tests, not assumed).
     """
-    return _cached_rows(ctx._h_cache, ps, lambda miss: np.sqrt(theta_form(ctx, miss)))
-
-
-def _cached_rows(cache, ps, compute):
-    """Cached rows for the points ps; the misses take one compute call."""
-    keys = [p.key() for p in ps]
-    miss = {}
-    for k, p in zip(keys, ps):
-        if k not in cache:
-            miss.setdefault(k, p)
-    if miss:
-        cache.update(zip(miss, compute(list(miss.values()))))
-    return np.array([cache[k] for k in keys])
+    return np.sqrt(theta_form(ctx, ps))
 
 
 def _check_off_divisor(ctx, *denominators):
@@ -280,10 +273,9 @@ def delta_divisor_root(ctx: CurveContext, char=None):
     Returns (roots, min distance of each root to the branch locus).
     """
     if char is None:
-        grad = ctx.grad0
+        w = ctx.form_coeffs
     else:
-        grad = theta_gradient(np.zeros(ctx.g), ctx.rm, char, tol=ctx.tol)
-    w = ctx.periods.A_inv.T @ grad
+        w = ctx.periods.A_inv.T @ theta_gradient(np.zeros(ctx.g), ctx.rm, char, tol=ctx.tol)
     coeffs = w[::-1]                      # highest degree first
     lead = np.abs(coeffs[0])
     rest = np.abs(coeffs[1:]).max() if ctx.g > 1 else 0.0

@@ -15,6 +15,10 @@ from faylab.registry import registry_entries
 _CTX_CACHE = {}
 
 
+#: the registry's hyperelliptic curves
+HYPERELLIPTIC = ["lemniscatic", "equianharmonic", "g2-real", "g3-real"]
+
+
 def build_context(curve_id):
     if curve_id not in _CTX_CACHE:
         entry = registry_entries()[curve_id]
@@ -79,7 +83,7 @@ def far_path_aj(periods, Q, P):
     for far in _FAR:
         F = centre + extent * far
         if polygon_clearance([Q.x, F, P.x], e) >= 0.1 * c.min_gap:
-            (vec,), (ys,) = integrate_path(c, [[Q.x, F, P.x]], [Q.y(c)], 32)
+            (vec,), ys = integrate_path(c, [[Q.x, F, P.x]], [Q.y(c)], 32)
             landed = P if abs(ys[-1] - P.y(c)) < abs(ys[-1] + P.y(c)) else P.involution()
             return periods.A_inv @ vec, landed
     return None

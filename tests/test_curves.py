@@ -13,17 +13,15 @@ from faylab.curves import (HyperellipticCurve, CurvePoint, period_matrix,
                            lattice_coords, find_odd_char,
                            random_line_bundle, vanishing_locus_check,
                            integrate_path, BranchPointCollision, CurveError,
-                           PathTooCloseToBranchPoint, PathTooLong,
+                           NotSymplectic, PathTooCloseToBranchPoint, PathTooLong,
                            RejectionBudgetExceeded)
 from faylab.theta import theta, ThetaChar
 from faylab.kernels import riemann_constant, sample_point
 from faylab.registry import registry_entries
 
-from conftest import build_context, far_path_aj, polygon_clearance
+from conftest import HYPERELLIPTIC, build_context, far_path_aj, polygon_clearance
 from oracles import (agm_tau, branch_expansion, brute_force_continuation, hub_path_one,
                      qseries_theta_char)
-
-HYPERELLIPTIC = ["lemniscatic", "equianharmonic", "g2-real", "g3-real"]
 
 
 def frac_dist(z, rm):
@@ -53,6 +51,20 @@ class TestConstruction:
         p = make_point(c, 0.5 + 0.5j, -1)
         assert abs(p.y(c) ** 2 - c.f(np.array([p.x]))[0]) < 1e-10
 
+
+    @pytest.mark.parametrize("cid", HYPERELLIPTIC)
+    def test_f_of_a_lone_point(self, cid):
+        # f of a point given as 0-d, as length 1 and inside a batch is
+        # bitwise the same
+        c = registry_curve(cid)
+        rng = np.random.default_rng(31)
+        x = c.box[0] + 1j * c.box[1] + 2 * (c.box[2] * (rng.random(400) - 0.5)
+                                            + 1j * c.box[3] * (rng.random(400) - 0.5))
+        batch = c.f(x)
+        assert c.f(x[0]).shape == () and c.f(x[:1]).shape == (1,)
+        assert np.array_equal(batch, [c.f(v) for v in x])
+        assert np.array_equal(batch, [c.f(x[k:k + 1])[0] for k in range(len(x))])
+        assert np.array_equal(batch[:2], c.f(x[:2]))
 
     def test_key_rounded_once(self, monkeypatch):
         # the cache key is rounded when the point is made, not per lookup;
@@ -107,7 +119,7 @@ class TestTracker:
         c = registry_curve(cid)
         path = near_branch_path(c)
         y0 = c.y_principal(np.array([path[0]]))[0]
-        _, (ys,) = integrate_path(c, [path], [y0], order)
+        _, ys = integrate_path(c, [path], [y0], order)
         ref = brute_force_continuation(c.branch_points, c.lead, path, y0)
         assert np.all(np.abs(ys - ref) <= 1e-12 * np.abs(ref))
 
@@ -115,7 +127,7 @@ class TestTracker:
     def test_y_squared_is_f(self, cid):
         c = registry_curve(cid)
         path = near_branch_path(c)
-        _, (ys,) = integrate_path(c, [path], [c.y_principal(np.array([path[0]]))[0]], 32)
+        _, ys = integrate_path(c, [path], [c.y_principal(np.array([path[0]]))[0]], 32)
         fx = c.f(np.array(path))
         assert np.all(np.abs(ys**2 - fx) <= 1e-12 * np.abs(fx))
 
@@ -124,10 +136,10 @@ class TestTracker:
         c = registry_curve(cid)
         path = near_branch_path(c)
         y0 = c.y_principal(np.array([path[0]]))[0]
-        (vec,), (ys,) = integrate_path(c, [path], [y0], 16)
+        (vec,), ys = integrate_path(c, [path], [y0], 16)
         for k in (0, 3, 6):
             zm = path[k] + 0.37 * (path[k + 1] - path[k])
-            (vec_split,), (ys_split,) = integrate_path(
+            (vec_split,), ys_split = integrate_path(
                 c, [path[:k + 1] + [zm] + path[k + 1:]], [y0], 16)
             assert np.abs(vec_split - vec).max() <= 1e-12 * np.abs(vec).max()
             assert abs(ys_split[-1] - ys[-1]) <= 1e-13 * abs(ys[-1])
@@ -156,8 +168,9 @@ class TestTracker:
         y0s = [c.y_principal(np.array([paths[i][0]]))[0] for i in order]
         vecs, ys = integrate_path(c, [paths[i] for i in order], y0s, 16)
         assert vecs.shape == (len(order), c.genus)
+        ys = np.split(ys, np.cumsum([len(paths[i]) for i in order])[:-1])
         for i, y0, vec, y in zip(order, y0s, vecs, ys):
-            (one,), (one_ys,) = integrate_path(c, [paths[i]], [y0], 16)
+            (one,), one_ys = integrate_path(c, [paths[i]], [y0], 16)
             assert np.array_equal(vec, one) and np.array_equal(y, one_ys)
             assert len(y) == len(paths[i])
 
@@ -213,6 +226,18 @@ class TestPeriods:
         with pytest.raises(PathTooLong, match="quadrature nodes"):
             period_matrix(c)
         assert time.perf_counter() - t0 < 1.0
+
+    def test_cycles_that_never_cross(self, monkeypatch):
+        # no crossing legs: the empty integrate_path batch gives empty
+        # arrays, the pairing is zero, and period_matrix refuses it
+        c = HyperellipticCurve([0.0, 1.0, -1.0])
+        vecs, ys = integrate_path(c, [], [], 32)
+        assert vecs.shape == (0, 1) and ys.shape == (0,)
+        square = [3 + 1j, 2 + 1j, 2 - 1j, 3 - 1j, 3 + 1j]
+        monkeypatch.setattr(curves, "_build_cycles",
+                            lambda curve: ([square], [[z - 6 for z in square]]))
+        with pytest.raises(NotSymplectic, match="a_k.b_k"):
+            period_matrix(c)
 
     def test_order_floor(self):
         c = HyperellipticCurve([0.0, 1.0, -1.0])
@@ -390,7 +415,7 @@ class TestAbelJacobi:
 
         def off_sheet(curve, paths, y0s, order):
             vecs, ys = integrate_path(curve, paths, y0s, order)
-            ys[1] = np.array([1j * ps[1].y(curve)])
+            ys[len(paths[0]) + len(paths[1]) - 1] = 1j * ps[1].y(curve)
             return vecs, ys
 
         monkeypatch.setattr(curves, "integrate_path", off_sheet)

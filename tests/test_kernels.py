@@ -8,7 +8,7 @@ from faylab.kernels import (CurveContext, fay_F, prime_form,
                             delta_divisor_root, NearDivisor, CoincidentPoints)
 from faylab.theta import theta_gradient, odd_theta_chars
 
-from conftest import build_context, one_trial
+from conftest import HYPERELLIPTIC, build_context, one_trial
 from oracles import qseries_theta_char, qseries_theta_char_deriv
 
 
@@ -23,7 +23,7 @@ def second_odd_context(cid):
                 ctx.delta = ch
                 ctx.w = ch.shift_vector(ctx.rm)
                 ctx.grad0 = g0
-                ctx._h_cache = {}
+                ctx.form_coeffs = ctx.periods.A_inv.T @ g0
                 return ctx
     raise RuntimeError("no second odd characteristic found")
 
@@ -303,10 +303,10 @@ class TestBatches:
                              for k in range(len(ps))])
             assert np.all(np.abs(stacked - rows) <= 1e-14 * np.abs(rows)), kernel
 
-    @pytest.mark.parametrize("cid", ["lemniscatic", "g2-real", "g3-real"])
+    @pytest.mark.parametrize("cid", HYPERELLIPTIC)
     def test_point_batches_equal_single_calls(self, cid):
         # rows of ctx.aj and h_values equal one-point calls bitwise, in any
-        # order and with repeated points; fresh contexts keep caches apart
+        # order and with repeated points; fresh contexts keep AJ caches apart
         base = build_context(cid)
         ps, qs, _ = self.draws(base, 4)
         batch = [(ps + qs)[k] for k in (5, 2, 2, 7, 0, 5, 1, 6, 3, 4, 0)]
@@ -317,6 +317,21 @@ class TestBatches:
         assert np.array_equal(aj, np.array([one.aj([p])[0] for p in batch]))
         assert np.array_equal(h, np.array([h_values(one, [p])[0] for p in batch]))
         assert ctx.aj([]).shape == (0, ctx.g) and h_values(ctx, []).shape == (0,)
+
+    @pytest.mark.parametrize("cid", HYPERELLIPTIC)
+    def test_form_rows_as_if_alone(self, cid):
+        # theta_form and h_values of 200 points equal each point alone,
+        # bitwise, and theta_form the per-point grad0 . A^-1 (x^(i-1) / y)
+        # to rounding
+        ctx = build_context(cid)
+        rng = np.random.default_rng(29)
+        ps = [sample_point(ctx, rng) for _ in range(200)]
+        form = theta_form(ctx, ps)
+        assert np.array_equal(form, [theta_form(ctx, [p])[0] for p in ps])
+        assert np.array_equal(h_values(ctx, ps), [h_values(ctx, [p])[0] for p in ps])
+        ref = np.array([ctx.grad0 @ ctx.periods.A_inv @ (p.x ** np.arange(ctx.g) / p.y(ctx.curve))
+                        for p in ps])
+        assert np.all(np.abs(form - ref) <= 1e-13 * np.abs(ref))
 
     def test_one_near_divisor_row_raises(self, ctx_g2):
         ps, qs, xis = self.draws(ctx_g2)
@@ -363,35 +378,44 @@ class TestBatches:
         assert calls["integrate_path"] == calls["_distinct_points"]
 
 
+def flip_h(monkeypatch, key, seen):
+    """Make h_values negate the rows of the point with key `key`, and record
+    the keys of every point it is asked for in `seen`."""
+    import faylab.kernels as kernels
+
+    def flipped(ctx, ps, _real=h_values):
+        seen.extend(p.key() for p in ps)
+        h = _real(ctx, ps)
+        return np.where([p.key() == key for p in ps], -h, h)
+    monkeypatch.setattr(kernels, "h_values", flipped)
+
+
 class TestSignFlips:
-    def test_identity_residuals_invariant(self, ctx_g2):
+    def test_identity_residuals_invariant(self, ctx_g2, monkeypatch):
         # flipping the h-branch at one point must not change any residual
         from faylab.rng import trial_rng
         rng = trial_rng(7, "signflip", 0)
+        seen = []
+        flip_h(monkeypatch, None, seen)
         base = one_trial("prime_form_n1", ctx_g2, rng)[1]
-        # flip one cached point and recompute with the same draws
-        key = next(iter(ctx_g2._h_cache))
-        ctx_g2._h_cache[key] = -ctx_g2._h_cache[key]
-        try:
-            rng = trial_rng(7, "signflip", 0)
-            flipped = one_trial("prime_form_n1", ctx_g2, rng)[1]
-        finally:
-            ctx_g2._h_cache[key] = -ctx_g2._h_cache[key]
+        # flip h at the first point the trial used, with the same draws
+        again = []
+        flip_h(monkeypatch, seen[0], again)
+        rng = trial_rng(7, "signflip", 0)
+        flipped = one_trial("prime_form_n1", ctx_g2, rng)[1]
+        assert seen[0] in again
         assert abs(base - flipped) < 1e-12 + 1e-6 * base
 
-    def test_cross_formula_invariant_under_flip(self, ctx_g1):
+    def test_cross_formula_invariant_under_flip(self, ctx_g1, monkeypatch):
         rng = np.random.default_rng(16)
         e = random_line_bundle(ctx_g1.rm, rng, ctx_g1.scale)
         P = sample_point(ctx_g1, rng)
         Q = sample_point(ctx_g1, rng)
         m1 = massey_m3_prime(ctx_g1, [ctx_g1.xi_of_bundle(e)], [P], [Q])[0]
         t1 = massey_m3_theta(ctx_g1, [ctx_g1.xi_of_bundle(e)], [P], [Q])[0]
-        ctx_g1._h_cache[P.key()] = -ctx_g1._h_cache[P.key()]
-        try:
-            m2 = massey_m3_prime(ctx_g1, [ctx_g1.xi_of_bundle(e)], [P], [Q])[0]
-            t2 = massey_m3_theta(ctx_g1, [ctx_g1.xi_of_bundle(e)], [P], [Q])[0]
-        finally:
-            ctx_g1._h_cache[P.key()] = -ctx_g1._h_cache[P.key()]
+        flip_h(monkeypatch, P.key(), [])
+        m2 = massey_m3_prime(ctx_g1, [ctx_g1.xi_of_bundle(e)], [P], [Q])[0]
+        t2 = massey_m3_theta(ctx_g1, [ctx_g1.xi_of_bundle(e)], [P], [Q])[0]
         # both routes flip together; their agreement is branch-insensitive
         assert abs(m2 - t2) < 1e-10 * abs(m2)
         assert abs(abs(m2) - abs(m1)) < 1e-10 * abs(m1)

@@ -119,6 +119,10 @@ def test_no_unreferenced_definitions_in_package():
 BATCH_ENTRIES = {"aj", "h_values", "theta_form", "fay_F", "prime_form",
                  "massey_m3_prime", "massey_m3_theta", "theta_delta"}
 
+#: y at a point, one call per point unless given an array of x; "y" is
+#: CurvePoint.y (test_only_curve_points_have_y)
+Y_ENTRIES = {"y_principal", "y"}
+
 
 def _per_iteration(node):
     """The subtrees of a for loop or comprehension that run once per
@@ -133,15 +137,16 @@ def _per_iteration(node):
 
 
 def _batch_calls_in_loops(tree):
-    """(line, name) for every call of a BATCH_ENTRIES name, as a function or
-    a method, that runs once per iteration of a loop or comprehension."""
+    """(line, name) for every call of a BATCH_ENTRIES or Y_ENTRIES name, as
+    a function or a method, that runs once per iteration of a loop or
+    comprehension."""
     hits = set()
     for loop in ast.walk(tree):
         for part in _per_iteration(loop):
             for node in ast.walk(part):
                 if isinstance(node, ast.Call):
                     name = getattr(node.func, "attr", getattr(node.func, "id", None))
-                    if name in BATCH_ENTRIES:
+                    if name in BATCH_ENTRIES | Y_ENTRIES:
                         hits.add((node.lineno, name))
     return sorted(hits)
 
@@ -153,18 +158,37 @@ def test_batch_calls_in_loops_detected():
                      "    c = sum(theta_form(ctx, [p]) for p in ps)\n"
                      "    d = {p: k.h_values(ctx, [p]) for p in ps}\n"
                      "    e = [fay_F(ctx, v, v) for v in a]\n"
-                     "    return [x for x in theta_form(ctx, ps)], a, b, c, d, e\n")
+                     "    for h in ps:\n        y = c.y_principal(h)\n"
+                     "    u = np.array([p.y(c) for p in ps])\n"
+                     "    w = c.y_principal([p.x for p in ps]) * [p.sheet for p in ps]\n"
+                     "    return [x for x in theta_form(ctx, ps)], a, b, c, d, e, y, u, w\n")
     assert _batch_calls_in_loops(tree) == [(4, "h_values"), (5, "aj"),
                                            (6, "theta_form"), (7, "h_values"),
-                                           (8, "fay_F")]
+                                           (8, "fay_F"), (10, "y_principal"),
+                                           (11, "y")]
 
 
 def test_no_batch_calls_in_loops_in_package():
-    # a point list goes to ctx.aj, h_values and theta_form in one call, and
-    # an evaluation's arguments to each kernel in one call
+    # a point list goes to ctx.aj, h_values and theta_form in one call, an
+    # evaluation's arguments to each kernel in one call, and an array of x
+    # to y_principal in one call
     hits = [f"{p.name}:{line} {name}" for p in sorted(SRC.glob("*.py"))
             for line, name in _batch_calls_in_loops(ast.parse(p.read_text()))]
     assert hits == [], "batch entry called per point: " + ", ".join(hits)
+
+
+def test_only_curve_points_have_y():
+    # the loop scan's "y" means CurvePoint.y: no other function or method of
+    # the package is named y, and no call reaches a y but as a method
+    defs, bare = [], []
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        for cls in [tree] + [n for n in ast.walk(tree) if isinstance(n, ast.ClassDef)]:
+            defs += [(path.name, getattr(cls, "name", None)) for n in cls.body
+                     if isinstance(n, ast.FunctionDef) and n.name == "y"]
+        bare += [f"{path.name}:{n.lineno}" for n in ast.walk(tree)
+                 if isinstance(n, ast.Call) and getattr(n.func, "id", None) == "y"]
+    assert defs == [("curves.py", "CurvePoint")] and bare == []
 
 
 def _generator_functions(tree):
