@@ -17,6 +17,7 @@ from .quasidet import (random_quasimatrix, check_sylvester, check_column_expansi
                        check_homological)
 from .registry import registry_entries, load_curve_entry, RegistryError
 from .report import write_report, format_report_line
+from .rng import SEED_LIMIT
 
 
 def _cmd_list_curves(args):
@@ -102,9 +103,9 @@ def _cmd_verify(args):
 
 def _cmd_quasidet_selftest(args):
     n, k = args.size, args.block
-    if not (2 <= n <= 16 and 1 <= k <= 8) or args.trials < 1:
-        print("error: need --size >= 2 and <= 16, --block >= 1 and <= 8, "
-              "and --trials >= 1", file=sys.stderr)
+    if not (2 <= n <= 16 and 1 <= k <= 8 and 0 <= args.seed < SEED_LIMIT) or args.trials < 1:
+        print("error: need --size >= 2 and <= 16, --block >= 1 and <= 8, --trials >= 1 "
+              f"and --seed >= 0 and < {SEED_LIMIT}", file=sys.stderr)
         return 2
 
     def runner(env, rng):

@@ -26,8 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .theta import (RiemannMatrix, theta, theta_batch, theta_gradient,
-                    odd_theta_chars)
+from .theta import RiemannMatrix, theta_batch, theta_gradient, odd_theta_chars
 
 
 class CurveError(Exception):
@@ -51,10 +50,6 @@ class NotSymplectic(CurveError):
 
 
 class NoNonsingularOddChar(CurveError):
-    pass
-
-
-class RejectionBudgetExceeded(CurveError):
     pass
 
 
@@ -535,18 +530,11 @@ def find_odd_char(rm: RiemannMatrix):
     return best
 
 
-def random_line_bundle(rm: RiemannMatrix, rng, scale, budget=1000):
-    """A degree-(g-1) line bundle off the theta divisor (h^0 = 0), as its
-    theta point e: sampled uniformly in the fundamental parallelotope until
-    |theta(e)| clears 1e-4 * scale."""
-    for _ in range(budget):
-        u = rng.random(rm.g)
-        v = rng.random(rm.g)
-        e = u + rm.omega @ v
-        val = theta(e, rm, tol=1e-10).value
-        if abs(val) > 1e-4 * scale:
-            return e
-    raise RejectionBudgetExceeded("no bundle off the theta divisor in budget")
+def random_line_bundle(rm: RiemannMatrix, rng):
+    """The theta point e = u + Omega v of a degree-(g-1) line bundle, u and
+    v uniform in [0, 1)^g.  The identity bodies that draw e reject it when
+    |theta(e)| <= 1e-4 theta_scale, near the theta divisor (h^0 > 0)."""
+    return rng.random(rm.g) + rm.omega @ rng.random(rm.g)
 
 
 def vanishing_locus_check(periods: PeriodData, e, x: CurvePoint, divisor,

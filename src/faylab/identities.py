@@ -32,7 +32,7 @@ from .quartic import (PlaneQuartic, QuarticError, TangentOrSingularLine,
                       tangent_reconstruction_residual, reconstruct_synthetic_residual)
 from .registry import registry_entries
 from .report import IdentityReport
-from .rng import trial_rng
+from .rng import SEED_LIMIT, trial_rng
 
 
 class SuiteError(Exception):
@@ -142,15 +142,17 @@ def divisor_symmetric(ctx, rng, n):
 
 def prime_form_identity(ctx, rng, n):
     """The three-block E/theta identity for an arbitrary degree-1 theta,
-    realized with a random translate e of the plain theta, over x, y, z_i,
-    t_i (2 + 2n points)."""
-    e = random_line_bundle(ctx.rm, rng, ctx.scale_raw)
+    realized with a random translate e of the plain theta, e off the theta
+    divisor, over x, y, z_i, t_i (2 + 2n points)."""
+    e = random_line_bundle(ctx.rm, rng)
     pts = _distinct_points(ctx, rng, 2 + 2 * n)
     V = yield CurveContext.aj, pts
     X, Y, Z, T = V[0], V[1], V[2:2 + n], V[2 + n:]
     S = (Z - T).sum(axis=0)
     v = yield _theta, np.concatenate([Z - X + e, Y - Z + S + e,
                                       [Y - X + e, S + e, Y - X + S + e, e]])
+    if abs(v[-1]) <= 1e-4 * ctx.scale:
+        raise NearDivisor("line bundle near the theta divisor")
     # E[a, b] = E(pts[a], pts[b]), 1 on the diagonal, with the point
     # indices x = 0, y = 1, z_i = 2 + i, t_i = 2 + n + i
     a, b = np.nonzero(~np.eye(len(pts), dtype=bool))
@@ -216,9 +218,13 @@ def maincor_kernel(ctx, rng):
 
 def cross_formula(ctx, rng):
     """massey_m3_prime against massey_m3_theta on a random triple: points
-    x, y, then the xi of a random bundle."""
+    x, y, then the xi of a random bundle off the theta divisor."""
     x, y = _distinct_points(ctx, rng, 2)
-    args = np.array([ctx.xi_of_bundle(random_line_bundle(ctx.rm, rng, ctx.scale_raw))]), [x], [y]
+    e = random_line_bundle(ctx.rm, rng)
+    th, = yield _theta, e[None]
+    if abs(th) <= 1e-4 * ctx.scale:
+        raise NearDivisor("line bundle near the theta divisor")
+    args = np.array([ctx.xi_of_bundle(e)]), [x], [y]
     m1, = yield (massey_m3_prime, *args)
     m2, = yield (massey_m3_theta, *args)
     return abs(m1 - m2), abs(m1 - m2) / abs(m1)
@@ -548,8 +554,10 @@ class SuiteConfig:
                     raise UnknownIdentity(f"unknown identity {name!r}")
         if self.trials is not None and self.trials < 1:
             raise SuiteError("trials must be >= 1")
-        if self.tol is not None and not self.tol > 0:
-            raise SuiteError("tol must be positive")
+        if self.tol is not None and not 0 < self.tol < math.inf:
+            raise SuiteError("tol must be positive and finite")
+        if not 0 <= self.master_seed < SEED_LIMIT:
+            raise SuiteError(f"seed must be >= 0 and < {SEED_LIMIT}")
 
 
 _CARRIER = {"id": "-", "type": "carrier"}

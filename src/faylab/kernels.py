@@ -10,8 +10,9 @@ batch, and raise if any pair in it would.
 Conventions.  All section-valued quantities are numbers in the affine
 x-coordinate frame at each curve point (dx trivializes the canonical
 bundle).  A degree-(g-1) bundle L off the theta divisor is stored by its
-theta point e (|theta(e)| bounded below); inside the kernels its theta
-function is realized as the odd-characteristic translate
+theta point e (|theta(e)| bounded below, as the identity bodies that draw
+e enforce); inside the kernels its theta function is realized as the
+odd-characteristic translate
 
     theta_L(z) = theta[delta](z - xi),   xi = w_delta - e,
 

@@ -71,9 +71,8 @@ class RiemannMatrix:
         except np.linalg.LinAlgError:
             raise NonPositiveDefinite("Im(Omega) is not positive definite")
         self.imag_inv = np.linalg.inv(self.imag)
-        # row map M with |M v|^2 = v' Im(Omega) v
-        self._M = self._chol.T.copy()
-        self._S = math.sqrt(math.pi) * self._M
+        # S = sqrt(pi) M, with the row map M = L' (|M v|^2 = v' Im(Omega) v)
+        self._S = math.sqrt(math.pi) * self._chol.T.copy()
         self._StS_inv = np.linalg.inv(self._S.T @ self._S)
         self._S_norm = np.linalg.norm(self._S, 2)
         self._Sinv_norm = np.linalg.norm(np.linalg.inv(self._S), 2)

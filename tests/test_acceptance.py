@@ -151,7 +151,7 @@ def test_criterion_3_kernel_cross_oracle():
         ctx = build_context(cid)
 
         def one(rng):
-            e = random_line_bundle(ctx.rm, rng, ctx.scale_raw)
+            e = random_line_bundle(ctx.rm, rng)
             P = sample_point(ctx, rng)
             Q = sample_point(ctx, rng)
             m1 = massey_m3_prime(ctx, [ctx.xi_of_bundle(e)], [P], [Q])[0]

@@ -248,6 +248,14 @@ class TestBadInput:
           "--trials", "1", "--out", "DIR"], "cannot write --out"),
         (["verify", "--identity", "skewsym_n2", "--curve", "lemniscatic",
           "--trials", "1", "--out", "MISSING"], "cannot write --out"),
+        (["verify", "--identity", "skewsym_n2", "--curve", "lemniscatic",
+          "--trials", "1", "--seed", str(2**64 + 1)], "seed must be >= 0"),
+        (["verify", "--identity", "skewsym_n2", "--curve", "lemniscatic",
+          "--trials", "1", "--seed", "-1"], "seed must be >= 0"),
+        (["verify", "--identity", "skewsym_n2", "--curve", "lemniscatic",
+          "--trials", "1", "--tol", "1e400"], "tol must be positive and finite"),
+        (["quasidet-selftest", "--trials", "1", "--seed", "-1"], "--seed >= 0"),
+        (["quasidet-selftest", "--trials", "1", "--seed", str(2**64)], "--seed >= 0"),
     ])
     def test_exit_2_with_message(self, tmp_path, capsys, args, reason):
         collide = tmp_path / "collide.json"

@@ -220,10 +220,19 @@ class TestSuiteRunner:
             run_suite(cfg)
 
     def test_bad_tolerance_rejected(self):
-        for tol in (0.0, -1e-9, float("nan")):
+        for tol in (0.0, -1e-9, float("nan"), float("inf")):
             cfg = SuiteConfig(identities=["skewsym_n2"], tol=tol)
             with pytest.raises(SuiteError, match="tol must be positive"):
                 cfg.validate()
+
+    def test_seed_outside_the_key_range_rejected(self):
+        # trial_rng keys Philox with the seed as one uint64: 2**64 + 1 would
+        # give seed 1's streams, and -1 seed 2**64 - 1's
+        for seed in (0, 2**64 - 1):
+            SuiteConfig(identities=["skewsym_n2"], master_seed=seed).validate()
+        for seed in (-1, 2**64, 2**64 + 1):
+            with pytest.raises(SuiteError, match="seed must be >= 0"):
+                SuiteConfig(identities=["skewsym_n2"], master_seed=seed).validate()
 
     def test_reports_deterministic(self):
         cfg = SuiteConfig(curves=["lemniscatic"], identities=["skewsym_n2"],
@@ -484,3 +493,76 @@ def test_near_divisor_in_one_trial_gives_the_per_trial_record(monkeypatch):
     assert (rep.completed, rep.passed, rep.failure) == (6, True, "")
     assert rep.max_abs_residual == max(a for a, _ in want)
     assert rep.max_rel_residual == max(r for _, r in want)
+
+
+@pytest.mark.parametrize("name", ["prime_form_n1", "cross_formula_m3"])
+def test_bundle_near_the_theta_divisor_redraws_its_trial(name, monkeypatch):
+    # trial 2's first bundle is moved next to the theta divisor, inside the
+    # bodies' 1e-4 band and outside the kernels' 1e-8 one: its body rejects
+    # it, the batch fails, and the per-trial loop redraws trial 2 from its
+    # own stream
+    import faylab.identities as ids
+    from faylab.curves import lattice_coords
+    from faylab.kernels import riemann_constant
+    from faylab.theta import theta
+    spec, label = IDENTITIES[name], f"{name}|lemniscatic"
+    ctx = TestLookAhead.fresh("lemniscatic")
+    al, be = lattice_coords(riemann_constant(build_context("lemniscatic")), ctx.rm)
+    near = al % 1.0 + 1e-6 + ctx.rm.omega @ (be % 1.0)
+    assert 1e-8 < abs(theta(near, ctx.rm).value) / ctx.scale < 1e-4
+    real, drawn = ids.random_line_bundle, []
+
+    def recorded(rm, rng):
+        drawn.append(real(rm, rng))
+        return drawn[-1]
+    monkeypatch.setattr(ids, "random_line_bundle", recorded)
+    spec.runner(ctx, trial_rng(11, label, 2))
+    marked = drawn[0]
+
+    def moved(rm, rng):
+        e = real(rm, rng)
+        return near if np.array_equal(e, marked) else e
+    monkeypatch.setattr(ids, "random_line_bundle", moved)
+    evaluate, sizes = spec.evaluate, []
+
+    def counted(env, draws):
+        sizes.append(len(draws))
+        return evaluate(env, draws)
+    monkeypatch.setattr(spec, "evaluate", counted)
+    rep = run_identity(spec, ctx, "lemniscatic", 6, 1e-8, 11)
+    want = []
+    for trial in range(6):
+        rng = trial_rng(11, label, trial)
+        draw = spec.runner(ctx, rng)
+        if trial == 2:
+            with pytest.raises(NearDivisor):
+                evaluate(ctx, [draw])
+            draw = spec.runner(ctx, rng)
+        want += evaluate(ctx, [draw])
+    assert sizes == [6] + [1] * 7
+    assert (rep.completed, rep.passed, rep.failure) == (6, True, "")
+    assert rep.max_abs_residual == max(a for a, _ in want)
+    assert rep.max_rel_residual == max(r for _, r in want)
+
+
+@pytest.mark.parametrize("cid", ["lemniscatic", "g2-real", "g3-real"])
+def test_draws_are_pure_sampling(cid, monkeypatch):
+    # a draw runs its body up to the first kernel request: it samples, and
+    # evaluates no theta row and integrates no path
+    import sys
+    import faylab.identities as ids
+    ctx = build_context(cid)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("theta or a path evaluated in a draw")
+    for mod in [m for n, m in sys.modules.items() if n.split(".")[0] == "faylab"]:
+        for name in ("theta_batch", "integrate_path"):
+            if hasattr(mod, name):
+                monkeypatch.setattr(mod, name, refuse)
+    for spec in IDENTITIES.values():
+        if spec.kind == "hyperelliptic" and ctx.g in spec.table:
+            for trial in range(10):
+                try:
+                    spec.runner(ctx, trial_rng(3, spec.name, trial))
+                except ids._RETRY:
+                    pass

@@ -214,7 +214,7 @@ class TestMassey:
         rng = np.random.default_rng(12)
         done = 0
         while done < 200:
-            e = random_line_bundle(ctx.rm, rng, ctx.scale)
+            e = random_line_bundle(ctx.rm, rng)
             P = sample_point(ctx, rng)
             Q = sample_point(ctx, rng)
             try:
@@ -232,7 +232,7 @@ class TestMassey:
         rng = np.random.default_rng(13)
         pairs = []
         for _ in range(60):
-            e = random_line_bundle(ctx_g1.rm, rng, ctx_g1.scale)
+            e = random_line_bundle(ctx_g1.rm, rng)
             P = sample_point(ctx_g1, rng)
             Q = sample_point(ctx_g1, rng)
             try:
@@ -408,7 +408,7 @@ class TestSignFlips:
 
     def test_cross_formula_invariant_under_flip(self, ctx_g1, monkeypatch):
         rng = np.random.default_rng(16)
-        e = random_line_bundle(ctx_g1.rm, rng, ctx_g1.scale)
+        e = random_line_bundle(ctx_g1.rm, rng)
         P = sample_point(ctx_g1, rng)
         Q = sample_point(ctx_g1, rng)
         m1 = massey_m3_prime(ctx_g1, [ctx_g1.xi_of_bundle(e)], [P], [Q])[0]

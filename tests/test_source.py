@@ -318,7 +318,6 @@ def test_unset_options_detected():
 #: sets it
 TEST_HOOKS = {
     "main.argv": "test_cli.py::run_cli",
-    "random_line_bundle.budget": "test_curves.py::test_budget_exceeded",
     "delta_divisor_root.char": "test_kernels.py::test_other_odd_chars_also_root_on_branch",
     "truncation_radius.max_terms": "test_theta.py::test_terms_cap",
     "CurveContext.__init__.theta_multiplier":
