@@ -91,6 +91,8 @@ class HyperellipticCurve:
         # one with leading coefficient prod(e* - e_k).
         d = np.abs(pts[:, None] - pts[None, :])
         np.fill_diagonal(d, np.inf)
+        if d.min(axis=1).max() == 0:
+            raise BranchPointCollision("branch points closer than 1e-8 (every one repeats)")
         star = int(np.argmax(d.min(axis=1)))
         e_star = pts[star]
         rest = np.delete(pts, star)

@@ -13,7 +13,6 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import dataclass
-from itertools import accumulate
 
 import numpy as np
 
@@ -50,6 +49,8 @@ class BadTriple(KernelError):
 #: rejections of a trial's draw: run_identity resamples from the same stream
 _RETRY = (NearDivisor, CoincidentPoints, SingularMinor, BadTriple,
           TangentOrSingularLine, HigherOrderZero, NotAZero, DegenerateRatios)
+#: hard failures of a trial: they fail its report at that trial
+_HARD = (KernelError, CurveError, SuiteError, QuarticError)
 
 
 def _rel(total, blocks):
@@ -81,7 +82,7 @@ def _theta(ctx, Z):
 # trial's random choices and rejects bad ones, then yields each kernel
 # request (kernel, *args), is sent the kernel's rows for its own args and
 # returns the trial's (abs, rel).  The bodies never call a kernel: _drive
-# makes each request of a report in one call for all its trials, so a
+# makes each request in one call for all the trials of a round, so a
 # trial's residual does not depend on the trials evaluated with it.
 
 
@@ -316,21 +317,34 @@ def _runner(body, **params):
     return runner
 
 
+def _rows(ctx, kernel, parts):
+    """kernel's rows for each part (one body's request arguments) from one
+    call on all parts, joined trial after trial (arrays along their first
+    axis, point lists as one list); if that raises a rejection or a hard
+    failure, from one call per part, with a failing part's exception."""
+    try:
+        rows = kernel(ctx, *[np.concatenate(col) if isinstance(col[0], np.ndarray)
+                             else [p for part in col for p in part] for col in zip(*parts)])
+    except _RETRY + _HARD as ex:
+        return [ex] if len(parts) == 1 else [_rows(ctx, kernel, [part])[0] for part in parts]
+    return np.split(rows, np.cumsum([len(part[0]) for part in parts])[:-1])
+
+
 def _drive(ctx, draws):
     """The evaluate of every hyperelliptic spec: runs the bodies of draws
-    (each a runner's (generator, request)) to their ends.  Every body of a
-    report makes the same requests, so each round is one call of the
-    requested kernel on all bodies' arguments, joined trial after trial
-    (arrays along their first axis, point lists as one list), and each
-    body is sent its own rows.  Returns each body's (abs, rel)."""
-    gens, requests = zip(*draws)
-    while (kernel := requests[0][0]) is not None:
-        args = [np.concatenate(col) if isinstance(col[0], np.ndarray)
-                else [p for part in col for p in part]
-                for col in zip(*(request[1:] for request in requests))]
-        rows, ends = kernel(ctx, *args), accumulate(len(request[1]) for request in requests)
-        requests = [gen.send(rows[end - len(request[1]):end])
-                    for gen, request, end in zip(gens, requests, ends)]
+    (each a runner's (generator, request)) to their ends.  The bodies make
+    the same requests, so each step is one _rows call for the bodies still
+    running, and each is sent its rows or has its exception raised at its
+    request.  Returns, per draw, (abs, rel) or the exception that stopped it."""
+    gens, requests = [gen for gen, _ in draws], [request for _, request in draws]
+    while live := [k for k, request in enumerate(requests) if request[0] is not None]:
+        parts = [requests[k][1:] for k in live]
+        for k, rows in zip(live, _rows(ctx, requests[live[0]][0], parts)):
+            try:
+                requests[k] = (gens[k].throw(rows) if isinstance(rows, Exception)
+                               else gens[k].send(rows))
+            except _RETRY + _HARD as ex:
+                requests[k] = None, ex
     return [result for _, result in requests]
 
 
@@ -387,12 +401,12 @@ def homological_residual(env, rng):
 class IdentitySpec:
     """One identity and the (trials, tol) it runs at, per key.
 
-    `runner(env, rng)` makes one trial's draw and `evaluate(env, draws)`
-    gives one (abs_res, rel_res) per draw, as an iterable.  A hyperelliptic
-    spec's runner is _runner(body, **params), whose draw is the started
-    body with its first kernel request, and its evaluate is _drive, which
-    runs the bodies of all draws together; the default evaluate passes the
-    draws through, for runners that return (abs_res, rel_res).
+    `runner(env, rng)` makes one trial's draw, and `evaluate(env, draws)`
+    gives, per draw, (abs_res, rel_res) or the rejection or hard failure
+    that stopped it.  A hyperelliptic spec's runner is _runner(body,
+    **params), whose draw is the started body with its first kernel
+    request, and its evaluate is _drive; the default evaluate passes
+    through the draws of runners that return (abs_res, rel_res).
     `kind` is a registry curve type ("hyperelliptic" or "plane_quartic"),
     or "carrier" for checks that need no curve.  `table` maps a curve id
     or a genus to (trials, tol); a curve takes the row of its id if there
@@ -465,62 +479,48 @@ for kind, rows in [
                                         *([_drive] if kind == "hyperelliptic" else []))
 
 
-def _trials(spec, env, seed, label, trials, batch):
-    """Draw each trial from its own stream, resampling rejected draws
-    (_RETRY) from the same stream, up to 20 attempts per trial.  With
-    batch, evaluate every trial's last draw in one call, and let any other
-    exception through.  Without, evaluate each draw as it is made (a
-    rejection there resamples too); a hard failure, or a non-finite
-    residual, ends the run.  Returns (one (abs, rel) per completed trial,
-    the failure "" or "<exception class>: <message>")."""
-    hard = () if batch else (KernelError, CurveError, SuiteError, QuarticError)
-    out = []
-    for trial in range(trials):
-        rng = trial_rng(seed, label, trial)
-        for _ in range(20):
-            try:
-                draw = spec.runner(env, rng)
-                out += [draw] if batch else spec.evaluate(env, [draw])
-            except _RETRY:
-                continue
-            except hard as ex:
-                return out, f"{type(ex).__name__}: {ex}"
-            break
-        if not batch and out and not all(map(math.isfinite, out[-1])):
-            break
-    return (list(spec.evaluate(env, out)) if batch and out else out), ""
-
-
 def run_identity(spec: IdentitySpec, env, curve_id, trials, tol, seed):
-    """Run one identity for `trials` trials; resample (fresh draws from the
-    same stream) on rejected draws (_RETRY), up to 20 attempts per trial.
-
-    Every trial is drawn first and all are evaluated in one call, which for
-    a hyperelliptic spec makes each kernel request once for the whole
-    report.  If that raises anything but a rejected draw, the trials run
-    again from fresh streams, one evaluation per draw, where a rejection in
-    the evaluation resamples its trial and a hard failure fails the report
-    at its trial.
-
-    Reports carry requested vs completed counts: completion below 90%
-    fails the report regardless of residuals.  A non-finite residual (inf
-    or NaN) ends the report at its trial with both maxima inf.  An
+    """Run one identity for `trials` trials, each with its own stream and
+    20 attempts, in rounds.  A round draws every pending trial (a rejected
+    draw, _RETRY, is drawn again at once) and evaluates all its draws in
+    one call; a trial rejected there is pending in the next round.  Rows do
+    not depend on the draws evaluated with them, so the record is that of
+    evaluating each draw alone, in trial order: a hard failure fails the
+    report at its trial, a non-finite residual (inf or NaN) ends it with
+    both maxima inf, and a trial out of attempts is not completed.
+    Completion below 90% fails the report regardless of residuals.  An
     environment that failed to build (an exception in place of env) runs
     no trial and fails.
     """
     t0 = time.perf_counter()
     failure = f"{type(env).__name__}: {env}" if isinstance(env, Exception) else ""
-    results = []
-    if not failure:
-        label = f"{spec.name}|{curve_id}"
-        try:
-            results, failure = _trials(spec, env, seed, label, trials, batch=True)
-        except Exception:
-            results, failure = _trials(spec, env, seed, label, trials, batch=False)
+    rngs = [trial_rng(seed, f"{spec.name}|{curve_id}", trial)
+            for trial in range(0 if failure else trials)]
+    left, outcomes = [20] * len(rngs), [None] * len(rngs)
+    pending = range(len(rngs))
+    while pending:
+        draws = {}
+        for k in pending:
+            while left[k]:
+                left[k] -= 1
+                try:
+                    draws[k] = spec.runner(env, rngs[k])
+                except _RETRY:
+                    continue
+                except _HARD as ex:
+                    outcomes[k] = ex
+                break
+        for k, outcome in zip(draws, spec.evaluate(env, list(draws.values()))):
+            outcomes[k] = None if isinstance(outcome, _RETRY) else outcome
+        pending = [k for k in draws if outcomes[k] is None and left[k]]
     completed = 0
     max_abs = max_rel = 0.0
-    for abs_r, rel_r in results:
+    for outcome in [outcome for outcome in outcomes if outcome is not None]:
+        if isinstance(outcome, Exception):
+            failure = f"{type(outcome).__name__}: {outcome}"
+            break
         completed += 1
+        abs_r, rel_r = outcome
         if not (math.isfinite(abs_r) and math.isfinite(rel_r)):
             # max() below would drop a NaN
             max_abs = max_rel = math.inf

@@ -1,11 +1,18 @@
 """Independent oracles for the test suite: direct 1-D q-series for genus-1
-theta functions, AGM period computation, finite differences.
+theta functions, AGM period computation, finite differences, and the
+record of a report run one trial at a time.
 
 These deliberately avoid the package's lattice-ellipsoid evaluator and
-period integrator code paths.
+period integrator code paths, and its rounds of trials.
 """
 
+import math
+
 import numpy as np
+
+from faylab.identities import _HARD, _RETRY
+from faylab.report import IdentityReport, report_record
+from faylab.rng import trial_rng
 
 
 def qseries_theta3(z, tau, n_terms=40):
@@ -75,3 +82,37 @@ def hub_path_one(e_k, rho, x, turns=0):
     angle = np.angle(x - e_k) + 2.0 * np.pi * turns
     n = max(1, int(np.ceil(abs(angle) / (0.5 * np.pi))))
     return list(e_k + rho * np.exp(1j * angle * np.arange(n + 1) / n)) + [x]
+
+
+def per_trial_record(spec, env, curve_id, trials, tol, seed):
+    """The record of run_identity (without elapsed_ms, with the failure)
+    from a loop over the trials in order: each draw is evaluated alone as
+    it is made, a rejection at the draw or in the evaluation draws again
+    from the trial's stream (20 attempts a trial), a hard failure ends the
+    report at its trial, and a non-finite residual ends it after its trial."""
+    out, failure = [], ""
+    for trial in range(trials):
+        rng = trial_rng(seed, f"{spec.name}|{curve_id}", trial)
+        for _ in range(20):
+            try:
+                result, = spec.evaluate(env, [spec.runner(env, rng)])
+                if isinstance(result, Exception):
+                    raise result
+            except _RETRY:
+                continue
+            except _HARD as ex:
+                failure = f"{type(ex).__name__}: {ex}"
+            else:
+                out.append(result)
+            break
+        if failure or (out and not all(map(math.isfinite, out[-1]))):
+            break
+    if failure or not out or not all(map(math.isfinite, out[-1])):
+        max_abs = max_rel = math.inf
+    else:
+        max_abs, max_rel = map(max, zip(*out))
+    passed = len(out) >= math.ceil(0.9 * trials) and max_rel < tol
+    rec = report_record(IdentityReport(spec.name, curve_id, trials, len(out), max_abs,
+                                       max_rel, seed, tol, passed, 0, failure))
+    del rec["elapsed_ms"]
+    return dict(rec, failure=failure)

@@ -30,8 +30,11 @@ def frac_dist(z, rm):
 
 class TestConstruction:
     def test_collision_rejected(self):
-        with pytest.raises(BranchPointCollision):
-            HyperellipticCurve([0.0, 1e-10, 1.0])
+        # an even model whose branch points all repeat has none to send to
+        # infinity: it is refused before the Moebius change divides by zero
+        for pts in ([0.0, 1e-10, 1.0], [0, 0, 1, 1], [0, 0, 0, 0]):
+            with pytest.raises(BranchPointCollision):
+                HyperellipticCurve(pts)
 
     def test_even_model_converted(self):
         # y^2 = (x^2-1)(x^2-4): Moebius conversion to an odd model

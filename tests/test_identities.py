@@ -12,6 +12,7 @@ from faylab.report import report_record
 from faylab.rng import trial_rng
 
 from conftest import build_context, one_trial
+from oracles import per_trial_record
 
 
 def run_many(name, ctx, seed_label, trials=25):
@@ -363,10 +364,28 @@ class TestSuiteRunner:
         assert all(r.passed for r in reports)
 
 
+def record(rep):
+    """A report's ndjson record without elapsed_ms, with its failure."""
+    rec = report_record(rep)
+    del rec["elapsed_ms"]
+    return dict(rec, failure=rep.failure)
+
+
+def counted_evaluate(spec, monkeypatch):
+    """Patch spec.evaluate to record the number of draws of each call."""
+    evaluate, sizes = spec.evaluate, []
+
+    def counted(env, draws):
+        sizes.append(len(draws))
+        return evaluate(env, draws)
+    monkeypatch.setattr(spec, "evaluate", counted)
+    return sizes
+
+
 class TestLookAhead:
-    """run_identity draws every trial ahead and evaluates them all in one
-    call; the records must equal those of the per-trial loop it falls back
-    to, where each draw is evaluated on its own."""
+    """run_identity draws every pending trial ahead of one evaluation per
+    round; its records must equal per_trial_record's, where each draw is
+    evaluated alone as it is made."""
 
     @staticmethod
     def fresh(cid):
@@ -374,35 +393,51 @@ class TestLookAhead:
         return CurveContext(base.curve, base.periods)
 
     @staticmethod
-    def run(spec, cid, trials, batch, monkeypatch):
-        with monkeypatch.context() as m:
-            if not batch:
-                def one_at_a_time(env, draws, _fn=spec.evaluate):
-                    if len(draws) > 1:
-                        raise RuntimeError("batch refused")
-                    return _fn(env, draws)
-                m.setattr(spec, "evaluate", one_at_a_time)
-            ctx = TestLookAhead.fresh(cid)
-            rep = run_identity(spec, ctx, cid, trials, 1.0, 11)
-        rec = report_record(rep)
-        del rec["elapsed_ms"]
-        return dict(rec, failure=rep.failure)
+    def both(spec, cid, trials, tol=1.0, seed=11):
+        """The records of run_identity and of per_trial_record, each on a
+        fresh context."""
+        rep = run_identity(spec, TestLookAhead.fresh(cid), cid, trials, tol, seed)
+        return record(rep), per_trial_record(spec, TestLookAhead.fresh(cid), cid,
+                                             trials, tol, seed)
 
     @pytest.mark.parametrize("cid", ["lemniscatic", "g2-real"])
     def test_same_records_as_without(self, cid, monkeypatch):
+        # every spec's record equals per_trial_record's, with the kernels as
+        # they are and with fay_F and massey_m3_theta refusing (NearDivisor)
+        # any call on more rows than one body requests, so that each joined
+        # call is made again body by body
+        import faylab.identities as ids
         g = build_context(cid).g
-        for spec in IDENTITIES.values():
-            if spec.kind == "hyperelliptic" and g in spec.table:
-                assert (self.run(spec, cid, 4, True, monkeypatch)
-                        == self.run(spec, cid, 4, False, monkeypatch)), spec.name
+        specs = [s for s in IDENTITIES.values() if s.kind == "hyperelliptic" and g in s.table]
+        for spec in specs:
+            got, want = self.both(spec, cid, 4)
+            assert got == want and got["completed"] == 4, spec.name
+        refused = Counter()
+
+        def refusing(name, most):
+            kernel = getattr(ids, name)
+
+            def refuse(ctx, A, *args):
+                if len(A) > most:
+                    refused[name] += 1
+                    raise NearDivisor("batch refused")
+                return kernel(ctx, A, *args)
+            monkeypatch.setattr(ids, name, refuse)
+        # a trisecant body asks fay_F for (n + 1)(n + 2) <= 20 rows
+        refusing("fay_F", 20)
+        refusing("massey_m3_theta", 1)
+        for spec in specs:
+            got, want = self.both(spec, cid, 4)
+            assert got == want and got["completed"] == 4, spec.name
+        assert refused["fay_F"] >= 5 and refused["massey_m3_theta"] == 1
 
     def test_failed_batch_fails_the_same_trial(self, monkeypatch):
-        # integrate_path refuses trial 3's first point: the batch fails, and
-        # the per-trial loop fails at trial 3
+        # integrate_path refuses trial 3's first point: the joined ctx.aj
+        # call fails, each body's points are mapped on their own, and the
+        # report fails at trial 3
         import faylab.curves as curves
         from faylab.kernels import sample_point
-        ctx = self.fresh("lemniscatic")
-        bad = sample_point(ctx, trial_rng(11, "idcor|lemniscatic", 3)).x
+        bad = sample_point(self.fresh("lemniscatic"), trial_rng(11, "idcor|lemniscatic", 3)).x
         real = curves.integrate_path
 
         def refuse(curve, paths, y0s, order):
@@ -410,11 +445,13 @@ class TestLookAhead:
                 raise curves.PathTooLong("synthetic refusal")
             return real(curve, paths, y0s, order)
         monkeypatch.setattr(curves, "integrate_path", refuse)
-        got = [self.run(IDENTITIES["idcor"], "lemniscatic", 6, batch, monkeypatch)
-               for batch in (True, False)]
-        assert got[0] == got[1]
-        assert (got[0]["completed"], got[0]["failure"]) == (3, "PathTooLong: synthetic refusal")
-        assert math.isinf(got[0]["max_rel_residual"])
+        spec = IDENTITIES["idcor"]
+        sizes = counted_evaluate(spec, monkeypatch)
+        got = record(run_identity(spec, self.fresh("lemniscatic"), "lemniscatic", 6, 1.0, 11))
+        assert sizes == [6]
+        assert got == per_trial_record(spec, self.fresh("lemniscatic"), "lemniscatic", 6, 1.0, 11)
+        assert (got["completed"], got["failure"]) == (3, "PathTooLong: synthetic refusal")
+        assert math.isinf(got["max_rel_residual"])
 
     def test_one_batch_for_first_draws(self, monkeypatch):
         # after set-up a 20-trial report draws each trial once and
@@ -465,42 +502,37 @@ def test_evaluate_equals_one_draw_evaluations(cid):
 
 
 def test_near_divisor_in_one_trial_gives_the_per_trial_record(monkeypatch):
-    # trial 2's first draw is rejected in its evaluation: the batch fails,
-    # and the per-trial loop evaluates each draw alone, redrawing trial 2
+    # fay_F rejects trial 2's first draw: the round's joined call is made
+    # again body by body, and trial 2 alone is drawn again in a second round
+    import faylab.identities as ids
     spec = IDENTITIES["trisecant_general_n1"]
     ctx = TestLookAhead.fresh("lemniscatic")
-    label = "trisecant_general_n1|lemniscatic"
     # a draw is (body, first request), and the first request is
-    # (CurveContext.aj, the trial's points)
-    marked = spec.runner(ctx, trial_rng(11, label, 2))[1][1][0]
-    real, sizes = spec.evaluate, []
+    # (CurveContext.aj, the trial's points); the body's next is fay_F's
+    gen, (_, pts) = spec.runner(ctx, trial_rng(11, "trisecant_general_n1|lemniscatic", 2))
+    _, marked, _ = gen.send(ctx.aj(pts))
+    real, rejected = ids.fay_F, []
 
-    def near(env, draws):
-        sizes.append(len(draws))
-        if any(request[1][0] == marked for _, request in draws):
+    def near(ctx, A, B):
+        if (A == marked[0]).all(axis=1).any():
+            rejected.append(len(A))
             raise NearDivisor("synthetic rejection")
-        return real(env, draws)
-    monkeypatch.setattr(spec, "evaluate", near)
-    rep = run_identity(spec, ctx, "lemniscatic", 6, 1e-9, 11)
-    want = []
-    for trial in range(6):
-        rng = trial_rng(11, label, trial)
-        draw = spec.runner(ctx, rng)
-        if trial == 2:
-            draw = spec.runner(ctx, rng)
-        want += real(ctx, [draw])
-    assert sizes == [6] + [1] * 7
+        return real(ctx, A, B)
+    monkeypatch.setattr(ids, "fay_F", near)
+    sizes = counted_evaluate(spec, monkeypatch)
+    rep = run_identity(spec, TestLookAhead.fresh("lemniscatic"), "lemniscatic", 6, 1e-9, 11)
+    assert sizes == [6, 1] and rejected == [36, 6]
     assert (rep.completed, rep.passed, rep.failure) == (6, True, "")
-    assert rep.max_abs_residual == max(a for a, _ in want)
-    assert rep.max_rel_residual == max(r for _, r in want)
+    assert record(rep) == per_trial_record(spec, TestLookAhead.fresh("lemniscatic"),
+                                           "lemniscatic", 6, 1e-9, 11)
 
 
 @pytest.mark.parametrize("name", ["prime_form_n1", "cross_formula_m3"])
 def test_bundle_near_the_theta_divisor_redraws_its_trial(name, monkeypatch):
     # trial 2's first bundle is moved next to the theta divisor, inside the
     # bodies' 1e-4 band and outside the kernels' 1e-8 one: its body rejects
-    # it, the batch fails, and the per-trial loop redraws trial 2 from its
-    # own stream
+    # it, and trial 2 alone is drawn again, from its own stream, in a second
+    # round
     import faylab.identities as ids
     from faylab.curves import lattice_coords
     from faylab.kernels import riemann_constant
@@ -523,26 +555,58 @@ def test_bundle_near_the_theta_divisor_redraws_its_trial(name, monkeypatch):
         e = real(rm, rng)
         return near if np.array_equal(e, marked) else e
     monkeypatch.setattr(ids, "random_line_bundle", moved)
-    evaluate, sizes = spec.evaluate, []
-
-    def counted(env, draws):
-        sizes.append(len(draws))
-        return evaluate(env, draws)
-    monkeypatch.setattr(spec, "evaluate", counted)
+    result, = spec.evaluate(ctx, [spec.runner(ctx, trial_rng(11, label, 2))])
+    assert isinstance(result, NearDivisor)
+    sizes = counted_evaluate(spec, monkeypatch)
     rep = run_identity(spec, ctx, "lemniscatic", 6, 1e-8, 11)
-    want = []
-    for trial in range(6):
-        rng = trial_rng(11, label, trial)
-        draw = spec.runner(ctx, rng)
-        if trial == 2:
-            with pytest.raises(NearDivisor):
-                evaluate(ctx, [draw])
-            draw = spec.runner(ctx, rng)
-        want += evaluate(ctx, [draw])
-    assert sizes == [6] + [1] * 7
+    assert sizes == [6, 1]
     assert (rep.completed, rep.passed, rep.failure) == (6, True, "")
-    assert rep.max_abs_residual == max(a for a, _ in want)
-    assert rep.max_rel_residual == max(r for _, r in want)
+    assert record(rep) == per_trial_record(spec, TestLookAhead.fresh("lemniscatic"),
+                                           "lemniscatic", 6, 1e-8, 11)
+
+
+@pytest.mark.parametrize("nan_at,fail_at,completed,failure", [
+    (1, 3, 2, ""), (3, 1, 1, "KernelError: synthetic failure")])
+def test_outcomes_are_read_in_trial_order(nan_at, fail_at, completed, failure):
+    # one trial's residual is NaN and another's kernel call fails hard, in
+    # one round: whichever comes first in trial order ends the report
+    from faylab.identities import IdentitySpec, _drive, _runner
+    from faylab.kernels import KernelError
+    first = [trial_rng(11, "ordered|-", k).random() for k in range(6)]
+
+    def kernel(ctx, X):
+        if first[fail_at] in X:
+            raise KernelError("synthetic failure")
+        return np.where(X == first[nan_at], np.nan, X)
+
+    def body(ctx, rng):
+        x, = yield kernel, np.array([rng.random()])
+        return x, x
+    spec = IdentitySpec("ordered", "carrier", _runner(body), {"-": (6, 1.0)}, _drive)
+    rep = run_identity(spec, None, "-", 6, 1.0, 11)
+    assert (rep.completed, rep.failure, rep.passed) == (completed, failure, False)
+    assert math.isinf(rep.max_rel_residual)
+    assert record(rep) == per_trial_record(spec, None, "-", 6, 1.0, 11)
+
+
+def test_round_without_draws(monkeypatch):
+    # every trial's draw fails hard: the round gives _drive no draws, and
+    # the report fails at trial 0
+    import faylab.identities as ids
+    from faylab.curves import CurveError
+
+    def fail(ctx, rng):
+        raise CurveError("synthetic failure")
+    monkeypatch.setattr(ids, "sample_point", fail)
+    spec = IDENTITIES["idcor"]
+    assert ids._drive(None, []) == []
+    sizes = counted_evaluate(spec, monkeypatch)
+    rep = run_identity(spec, build_context("lemniscatic"), "lemniscatic", 4, 1e-9, 11)
+    assert sizes == [0]
+    assert (rep.completed, rep.failure) == (0, "CurveError: synthetic failure")
+    assert math.isinf(rep.max_rel_residual)
+    assert record(rep) == per_trial_record(spec, build_context("lemniscatic"),
+                                           "lemniscatic", 4, 1e-9, 11)
 
 
 @pytest.mark.parametrize("cid", ["lemniscatic", "g2-real", "g3-real"])

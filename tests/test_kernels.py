@@ -84,21 +84,28 @@ class TestFayKernel:
 
 
 class TestThetaForm:
-    def test_fd_along_curve(self, ctx_g2):
-        # theta_form = d/dx theta[delta](AJ(t)) in the x-chart
+    @pytest.mark.parametrize("cid", HYPERELLIPTIC)
+    def test_fd_along_curve(self, cid):
+        # theta_form = d/dx theta[delta](AJ(t)) in the x-chart, at every
+        # genus; at genus 1 this is the check that reaches theta, since
+        # theta_form * y is a constant there whatever the gradient
         from faylab.curves import abel_jacobi
         from faylab.theta import theta
+        ctx = build_context(cid)
         rng = np.random.default_rng(4)
-        for _ in range(4):
-            P = sample_point(ctx_g2, rng)
-            form = theta_form(ctx_g2, [P])[0]
+        for _ in range(8):
+            P = sample_point(ctx, rng)
+            form = theta_form(ctx, [P])[0]
             h = 1e-5
             vals = []
             for dx in (h, -h):
-                Q = make_point(ctx_g2.curve, P.x + dx, P.sheet)
-                arg = abel_jacobi(ctx_g2.periods, Q, ctx_g2.base)
-                vals.append(theta(arg - ctx_g2.aj([P])[0] + 0j, ctx_g2.rm,
-                                  ctx_g2.delta, tol=1e-12).value)
+                # the sheet whose y continues P's, across a cut of sqrt(f) too
+                y = ctx.curve.y_principal(np.array([P.x, P.x + dx]))
+                sheet = P.sheet if (y[1] * y[0].conjugate()).real > 0 else -P.sheet
+                Q = make_point(ctx.curve, P.x + dx, sheet)
+                arg = abel_jacobi(ctx.periods, Q, ctx.base)
+                vals.append(theta(arg - ctx.aj([P])[0] + 0j, ctx.rm,
+                                  ctx.delta, tol=1e-12).value)
             fd = (vals[0] - vals[1]) / (2 * h)
             assert abs(form - fd) < 1e-6 * abs(form)
 

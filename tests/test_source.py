@@ -387,3 +387,39 @@ def test_import_layers():
         if extra:
             hits.append(f"{name} imports {sorted(extra)}")
     assert hits == [], "; ".join(hits)
+
+
+#: exception classes too broad to catch: they hide faults of the program
+BROAD_EXCEPTIONS = {"Exception", "BaseException"}
+
+
+def _broad_excepts(tree):
+    """Lines of every bare except, and of every except clause that names
+    Exception or BaseException, alone or in a tuple."""
+    hits = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ExceptHandler):
+            caught = node.type.elts if isinstance(node.type, ast.Tuple) else [node.type]
+            names = {getattr(c, "attr", getattr(c, "id", None)) for c in caught if c}
+            if node.type is None or names & BROAD_EXCEPTIONS:
+                hits.append(node.lineno)
+    return hits
+
+
+def test_broad_excepts_detected():
+    tree = ast.parse("try:\n    f()\nexcept Exception:\n    pass\n"
+                     "try:\n    f()\nexcept:\n    pass\n"
+                     "try:\n    f()\nexcept (ValueError, builtins.BaseException) as ex:\n"
+                     "    pass\nexcept ValueError:\n    pass\n"
+                     "try:\n    f()\nexcept (KeyError, TypeError):\n    pass\n"
+                     "def g():\n    try:\n        f()\n    except BaseException:\n"
+                     "        raise\n")
+    assert _broad_excepts(tree) == [3, 7, 11, 22]
+
+
+def test_no_broad_excepts_in_package():
+    # a trial's failure is one of the classes the package raises; catching
+    # every exception would turn a fault of the program into a record
+    hits = [f"{p.name}:{line}" for p in sorted(SRC.glob("*.py"))
+            for line in _broad_excepts(ast.parse(p.read_text()))]
+    assert hits == [], "broad except: " + ", ".join(hits)
