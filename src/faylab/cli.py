@@ -12,7 +12,7 @@ import numpy as np
 from .curves import (HyperellipticCurve, period_matrix, BranchPointCollision,
                      CurveError)
 from .identities import (IdentitySpec, SuiteConfig, run_identity, run_suite,
-                         SuiteError, UnknownIdentity)
+                         SuiteError, UnknownIdentity, _runner)
 from .quasidet import (random_quasimatrix, check_sylvester, check_column_expansion,
                        check_homological)
 from .registry import registry_entries, load_curve_entry, RegistryError
@@ -108,7 +108,7 @@ def _cmd_quasidet_selftest(args):
               f"and --seed >= 0 and < {SEED_LIMIT}", file=sys.stderr)
         return 2
 
-    def runner(env, rng):
+    def body(env, rng):
         A = random_quasimatrix(rng, n, k)
         r1 = check_sylvester(A, max(1, n - 2))
         r2 = check_column_expansion(A)
@@ -117,9 +117,10 @@ def _cmd_quasidet_selftest(args):
         r3 = check_homological(A, int(idx[0]), int(jdx[0]), int(idx[1]), int(jdx[1]))
         worst = max(r1, r2, r3)
         return worst, worst
+        yield                           # no kernel request
 
     tol = 1e-9
-    spec = IdentitySpec(f"quasidet_selftest_n{n}_k{k}", "carrier", runner,
+    spec = IdentitySpec(f"quasidet_selftest_n{n}_k{k}", "carrier", _runner(body),
                         {"-": (args.trials, tol)})
     rep = run_identity(spec, None, "-", args.trials, tol, args.seed)
     print(format_report_line(rep))

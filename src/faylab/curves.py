@@ -75,7 +75,7 @@ class HyperellipticCurve:
         d = np.abs(self.branch_points[:, None] - self.branch_points[None, :])
         np.fill_diagonal(d, np.inf)
         self.min_gap = float(d.min())
-        if self.min_gap <= 1e-8:
+        if not self.min_gap > 1e-8:         # a NaN gap (overflow) too
             raise BranchPointCollision(
                 f"branch points closer than 1e-8 (min gap {self.min_gap:.2e})")
         self.genus = (len(self.branch_points) - 1) // 2

@@ -10,6 +10,7 @@ prefactors and are therefore representative-free as values.
 
 from __future__ import annotations
 
+import functools
 import math
 import time
 from dataclasses import dataclass
@@ -78,12 +79,13 @@ def _theta(ctx, Z):
 # ---------------------------------------------------------------------------
 # theta-kernel identities
 #
-# Each identity is a generator body(ctx, rng, **params).  It makes one
-# trial's random choices and rejects bad ones, then yields each kernel
-# request (kernel, *args), is sent the kernel's rows for its own args and
-# returns the trial's (abs, rel).  The bodies never call a kernel: _drive
-# makes each request in one call for all the trials of a round, so a
-# trial's residual does not depend on the trials evaluated with it.
+# Each identity (here, in faylab.quartic, or a carrier check) is a generator
+# body(env, rng, **params).  It makes one trial's random choices and rejects
+# bad ones, then yields each kernel request (kernel, *args), is sent the
+# kernel's rows for its own args and returns the trial's (abs, rel).  The
+# bodies never call a kernel: _drive makes each request in one call for all
+# the trials of a round, so a trial's residual does not depend on the
+# trials evaluated with it.
 
 
 def _mainid(X, Y, Z, T, xi):
@@ -309,37 +311,40 @@ def _runner(body, **params):
     """The table's runner of a body: one trial's draw, run up to its first
     kernel request, as (generator, request).  The generator yields the
     body's result last, as the request (None, (abs, rel))."""
-    def runner(ctx, rng):
+    @functools.wraps(body)
+    def runner(env, rng):
         def trial():
-            yield None, (yield from body(ctx, rng, **params))
+            yield None, (yield from body(env, rng, **params))
         gen = trial()
         return gen, next(gen)
     return runner
 
 
-def _rows(ctx, kernel, parts):
+def _rows(env, kernel, parts):
     """kernel's rows for each part (one body's request arguments) from one
     call on all parts, joined trial after trial (arrays along their first
-    axis, point lists as one list); if that raises a rejection or a hard
-    failure, from one call per part, with a failing part's exception."""
+    axis, point lists as one list).  If that raises a rejection or a hard
+    failure, each half of the parts is called again, down to the failing
+    parts alone, which get their exception."""
     try:
-        rows = kernel(ctx, *[np.concatenate(col) if isinstance(col[0], np.ndarray)
+        rows = kernel(env, *[np.concatenate(col) if isinstance(col[0], np.ndarray)
                              else [p for part in col for p in part] for col in zip(*parts)])
     except _RETRY + _HARD as ex:
-        return [ex] if len(parts) == 1 else [_rows(ctx, kernel, [part])[0] for part in parts]
+        h = len(parts) // 2
+        return _rows(env, kernel, parts[:h]) + _rows(env, kernel, parts[h:]) if h else [ex]
     return np.split(rows, np.cumsum([len(part[0]) for part in parts])[:-1])
 
 
-def _drive(ctx, draws):
-    """The evaluate of every hyperelliptic spec: runs the bodies of draws
-    (each a runner's (generator, request)) to their ends.  The bodies make
-    the same requests, so each step is one _rows call for the bodies still
-    running, and each is sent its rows or has its exception raised at its
-    request.  Returns, per draw, (abs, rel) or the exception that stopped it."""
+def _drive(env, draws):
+    """Runs the bodies of draws (each a runner's (generator, request)) to
+    their ends.  The bodies make the same requests, so each step is one
+    _rows call for the bodies still running, and each is sent its rows or
+    has its exception raised at its request.  Returns, per draw, (abs, rel)
+    or the exception that stopped it."""
     gens, requests = [gen for gen, _ in draws], [request for _, request in draws]
     while live := [k for k, request in enumerate(requests) if request[0] is not None]:
         parts = [requests[k][1:] for k in live]
-        for k, rows in zip(live, _rows(ctx, requests[live[0]][0], parts)):
+        for k, rows in zip(live, _rows(env, requests[live[0]][0], parts)):
             try:
                 requests[k] = (gens[k].throw(rows) if isinstance(rows, Exception)
                                else gens[k].send(rows))
@@ -349,15 +354,14 @@ def _drive(ctx, draws):
 
 
 # ---------------------------------------------------------------------------
-# carrier-level checks (no curve)
+# carrier-level checks (no curve): bodies that return before any request
 
 
 def quasidet_det_ratio_residual(env, rng):
     n = int(rng.integers(2, 6))
     A = random_quasimatrix(rng, n, 1)
     M = A.entries[:, :, 0, 0]
-    i = int(rng.integers(0, n))
-    j = int(rng.integers(0, n))
+    i, j = (int(rng.integers(0, n)) for _ in range(2))
     minor = np.delete(np.delete(M, i, 0), j, 1)
     dm = np.linalg.det(minor)
     if abs(dm) < 1e-8:
@@ -365,6 +369,7 @@ def quasidet_det_ratio_residual(env, rng):
     oracle = (-1) ** (i + j) * np.linalg.det(M) / dm
     q = A.qdet(i, j)[0, 0]
     return abs(q - oracle), abs(q - oracle) / abs(oracle)
+    yield
 
 
 #: n x n carriers of k x k blocks; the column expansion draws n in 2..COLUMN_N
@@ -375,22 +380,23 @@ def sylvester_residual(env, rng):
     A = random_quasimatrix(rng, CARRIER_N, CARRIER_K)
     r = check_sylvester(A, int(rng.integers(1, CARRIER_N)))
     return r, r
+    yield
 
 
 def column_expansion_residual(env, rng):
     A = random_quasimatrix(rng, int(rng.integers(2, COLUMN_N + 1)), CARRIER_K)
     r = check_column_expansion(A)
     return r, r
+    yield
 
 
 def homological_residual(env, rng):
     A = random_quasimatrix(rng, CARRIER_N, CARRIER_K)
-    idx = rng.permutation(CARRIER_N)
-    i, krow = int(idx[0]), int(idx[1])
-    idx = rng.permutation(CARRIER_N)
-    j, lcol = int(idx[0]), int(idx[1])
+    i, krow = map(int, rng.permutation(CARRIER_N)[:2])
+    j, lcol = map(int, rng.permutation(CARRIER_N)[:2])
     r = check_homological(A, i, j, krow, lcol)
     return r, r
+    yield
 
 
 # ---------------------------------------------------------------------------
@@ -401,12 +407,8 @@ def homological_residual(env, rng):
 class IdentitySpec:
     """One identity and the (trials, tol) it runs at, per key.
 
-    `runner(env, rng)` makes one trial's draw, and `evaluate(env, draws)`
-    gives, per draw, (abs_res, rel_res) or the rejection or hard failure
-    that stopped it.  A hyperelliptic spec's runner is _runner(body,
-    **params), whose draw is the started body with its first kernel
-    request, and its evaluate is _drive; the default evaluate passes
-    through the draws of runners that return (abs_res, rel_res).
+    `runner(env, rng)` is _runner(body, **params): one trial's draw, the
+    started body with its first kernel request, which _drive evaluates.
     `kind` is a registry curve type ("hyperelliptic" or "plane_quartic"),
     or "carrier" for checks that need no curve.  `table` maps a curve id
     or a genus to (trials, tol); a curve takes the row of its id if there
@@ -417,12 +419,9 @@ class IdentitySpec:
     kind: str
     runner: object
     table: dict
-    evaluate: object = lambda env, draws: draws
 
 
-IDENTITIES = {}
-
-for kind, rows in [
+IDENTITIES = {name: IdentitySpec(name, kind, runner, table) for kind, rows in [
     ("hyperelliptic", [
         ("skewsym_n2", _runner(residue_identity, n=2),
          {1: (100, 1e-9), 2: (50, 1e-9), 3: (50, 1e-9)}),
@@ -456,27 +455,24 @@ for kind, rows in [
          {1: (50, 1e-9)}),
     ]),
     ("plane_quartic", [
-        ("canprop", canprop_residual,
+        ("canprop", _runner(canprop_residual),
          {"fermat": (200, 1e-9), 3: (100, 1e-8)}),
-        ("cor2_three_term", cor2_residual,
+        ("cor2_three_term", _runner(cor2_residual),
          {"fermat": (100, 1e-9), 3: (50, 1e-8)}),
-        ("ratio_dual", ratio_dual_residual,
+        ("ratio_dual", _runner(ratio_dual_residual),
          {"fermat": (200, 1e-9), 3: (100, 1e-8)}),
-        ("tangent_reconstruction", tangent_reconstruction_residual,
+        ("tangent_reconstruction", _runner(tangent_reconstruction_residual),
          {"fermat": (100, 1e-8), 3: (100, 1e-8)}),
-        ("reconstruct_synthetic", lambda env, rng: reconstruct_synthetic_residual(rng),
+        ("reconstruct_synthetic", _runner(reconstruct_synthetic_residual),
          {"fermat": (100, 1e-10), 3: (100, 1e-10)}),
     ]),
     ("carrier", [
-        ("quasidet_det_ratio", quasidet_det_ratio_residual, {"-": (100, 1e-9)}),
-        ("quasidet_sylvester", sylvester_residual, {"-": (100, 1e-9)}),
-        ("quasidet_column_expansion", column_expansion_residual, {"-": (100, 1e-9)}),
-        ("quasidet_homological", homological_residual, {"-": (100, 1e-9)}),
+        ("quasidet_det_ratio", _runner(quasidet_det_ratio_residual), {"-": (100, 1e-9)}),
+        ("quasidet_sylvester", _runner(sylvester_residual), {"-": (100, 1e-9)}),
+        ("quasidet_column_expansion", _runner(column_expansion_residual), {"-": (100, 1e-9)}),
+        ("quasidet_homological", _runner(homological_residual), {"-": (100, 1e-9)}),
     ]),
-]:
-    for name, runner, table in rows:
-        IDENTITIES[name] = IdentitySpec(name, kind, runner, table,
-                                        *([_drive] if kind == "hyperelliptic" else []))
+] for name, runner, table in rows}
 
 
 def run_identity(spec: IdentitySpec, env, curve_id, trials, tol, seed):
@@ -510,7 +506,7 @@ def run_identity(spec: IdentitySpec, env, curve_id, trials, tol, seed):
                 except _HARD as ex:
                     outcomes[k] = ex
                 break
-        for k, outcome in zip(draws, spec.evaluate(env, list(draws.values()))):
+        for k, outcome in zip(draws, _drive(env, list(draws.values()))):
             outcomes[k] = None if isinstance(outcome, _RETRY) else outcome
         pending = [k for k in draws if outcomes[k] is None and left[k]]
     completed = 0

@@ -62,7 +62,7 @@ class PlaneQuartic:
     """Homogeneous quartic F(X0, X1, X2) given by monomial coefficients,
     stored as the symmetric tensor T with F(X) = T(X, X, X, X)."""
 
-    def __init__(self, coefficients, curve_id="quartic", probes=200):
+    def __init__(self, coefficients, curve_id="quartic"):
         self.curve_id = curve_id
         self.coeffs = np.zeros(len(MONOMIALS), dtype=complex)
         index = {m: k for k, m in enumerate(MONOMIALS)}
@@ -78,7 +78,7 @@ class PlaneQuartic:
             m = tuple(np.bincount(idx, minlength=3))
             orderings = 24 // math.prod(math.factorial(e) for e in m)
             self.T[idx] = self.coeffs[index[m]] / orderings
-        self.assert_smooth(probes)
+        self.assert_smooth()
 
     def value(self, X):
         X = np.asarray(X, dtype=complex)
@@ -89,111 +89,95 @@ class PlaneQuartic:
         X = np.asarray(X, dtype=complex)
         return 4 * np.einsum("abcd,...b,...c,...d->...a", self.T, X, X, X)
 
-    def assert_smooth(self, probes=200):
-        """Random-line smoothness probe: every probe line must meet the
-        quartic in 4 distinct points with nonvanishing gradient."""
-        rng = np.random.default_rng(20240720)
-        for _ in range(probes):
-            l = rng.standard_normal(3) + 1j * rng.standard_normal(3)
-            try:
-                pts = line_section(self, l)
-            except TangentOrSingularLine as ex:
-                raise NotSmooth(f"probe line degenerate: {ex}")
-            gn = np.linalg.norm(self.grad(pts), axis=1)
-            if np.any(gn < 1e-8 * np.linalg.norm(self.coeffs)
-                      * np.linalg.norm(pts, axis=1)**3):
-                raise NotSmooth("vanishing gradient on a probe line")
+    def assert_smooth(self):
+        """Random-line smoothness probe: each of 200 probe lines must meet
+        the quartic in 4 distinct points with nonvanishing gradient."""
+        z = np.random.default_rng(20240720).standard_normal((200, 2, 3))
+        try:
+            pts = line_section(self, z[:, 0] + 1j * z[:, 1])
+        except TangentOrSingularLine as ex:
+            raise NotSmooth(f"probe line degenerate: {ex}")
+        gn = np.linalg.norm(self.grad(pts), axis=-1) / np.linalg.norm(pts, axis=-1)**3
+        if np.any(gn < 1e-8 * np.linalg.norm(self.coeffs)):
+            raise NotSmooth("vanishing gradient on a probe line")
 
     def __repr__(self):
         return f"PlaneQuartic({self.curve_id!r})"
 
 
-def _line_basis(l):
-    l = np.asarray(l, dtype=complex)
-    if np.linalg.norm(l) == 0:
+def _horner(c, x):
+    """Each row's polynomial c (highest power first) at its row of x."""
+    y = np.zeros_like(x)
+    for ck in c.T:
+        y = y * x + ck[:, None]
+    return y
+
+
+def line_section(C4: PlaneQuartic, L):
+    """The 4 points on the quartic of each line {l = 0}, l a row of the
+    (N, 3) forms L, as an (N, 4, 3) array of lifts.  With u, v the unit
+    vectors off l's largest coordinate, moved into the line along it, the
+    points are lam u + v for the roots lam of the binary form F(s u + v)
+    (companion-matrix eigenvalues, one Newton step) and u itself where its
+    leading coefficients vanish.  Row k is L[k]'s section alone, bit for
+    bit; raises if any line is degenerate or meets the quartic in a
+    multiple point."""
+    L = np.asarray(L, dtype=complex)
+    n = np.arange(len(L))[:, None]
+    a = np.abs(L).argmax(axis=1)[:, None]
+    if not L[n, a].all():
         raise DegenerateForm("zero linear form")
-    a = int(np.argmax(np.abs(l)))
-    others = [i for i in range(3) if i != a]
-    basis = []
-    for o in others:
-        v = np.zeros(3, dtype=complex)
-        v[o] = 1.0
-        v[a] = -l[o] / l[a]
-        basis.append(v)
-    return basis[0], basis[1]
-
-
-def _restrict_quartic(C4: PlaneQuartic, u, v):
-    """Coefficients c_m = C(4, m) T(u^(4-m), v^m) of
-    F(s u + t v) = sum_m c_m s^(4-m) t^m."""
-    W = np.array([u, v], dtype=complex)
-    S = np.einsum("abcd,ia,jb,kc,ld->ijkl", C4.T, W, W, W, W)
-    return np.array([math.comb(4, m) * S[(0,) * (4 - m) + (1,) * m]
-                     for m in range(5)])
-
-
-def _newton_polish(coeffs, lam):
-    p = np.polyval(coeffs, lam)
-    dp = np.polyval(np.polyder(coeffs), lam)
-    if dp != 0:
-        lam = lam - p / dp
-    return lam
-
-
-def line_section(C4: PlaneQuartic, l):
-    """The 4 points of {l = 0} on the quartic as a (4, 3) array of lifts,
-    via companion-matrix roots of the restricted binary form plus one
-    Newton polish step."""
-    u, v = _line_basis(l)
-    c = _restrict_quartic(C4, u, v)
-    scale = np.abs(c).max()
-    if scale == 0:
+    o = np.array([[1, 2], [0, 2], [0, 1]])[a[:, 0]]     # the coordinates other than a
+    W = np.eye(3, dtype=complex)[o]                     # rows u, v
+    W[n, [0, 1], a] = -L[n, o] / L[n, a]
+    # c_m = C(4, m) T(u^(4-m), v^m) at flat index 2^m - 1: F(su + tv) = sum c_m s^(4-m) t^m
+    S = np.einsum("abcd,nia,njb,nkc,nld->nijkl", C4.T, W, W, W, W).reshape(-1, 16)
+    c = S[:, [0, 1, 3, 7, 15]] * [1, 4, 6, 4, 1]
+    if not np.abs(c).max(axis=1).all():
         raise DegenerateForm("line lies on the quartic")
-    if abs(c[0]) > 1e-12 * scale:
-        roots = np.roots(c)
-    else:
-        # root(s) at t = 0, i.e. the point u: drop the vanishing leading
-        # coefficients and pad with u
-        nz = np.trim_zeros(c, "f")
-        roots = np.roots(nz) if len(nz) > 1 else []
-    lams = [_newton_polish(c, r) for r in roots]
-    pts = [lam * u + v for lam in lams] + [u] * (4 - len(lams))
-    lams += [np.inf] * (4 - len(lams))
-    # projective chordal distances between roots
-    def chord(l1, l2):
-        if np.isinf(l1) and np.isinf(l2):
-            return 0.0
-        if np.isinf(l1) or np.isinf(l2):
-            return 1.0 / np.sqrt(1.0 + min(abs(l1), abs(l2))**2)
-        return abs(l1 - l2) / np.sqrt((1 + abs(l1)**2) * (1 + abs(l2)**2))
-    for i in range(4):
-        for j in range(i + 1, 4):
-            if chord(lams[i], lams[j]) < 1e-7:
-                raise TangentOrSingularLine("multiple intersection point")
-    return np.array(pts)
+    # the roots as np.roots finds them; k leading zeros are k roots lam =
+    # inf, the point u (two or more are a multiple point)
+    first = (c != 0).argmax(axis=1)
+    fin = np.arange(4) < 4 - first[:, None]
+    lam = np.zeros((len(L), 4), dtype=complex)
+    for k in (0, 1):
+        rows = first == k
+        A = np.tile(np.eye(4 - k, k=-1, dtype=complex), (rows.sum(), 1, 1))
+        A[:, 0] = -c[rows, k + 1:] / c[rows, k:k + 1]
+        lam[rows, :4 - k] = np.linalg.eigvals(A)
+    dp = _horner(c[:, :4] * np.arange(4, 0, -1), lam)       # as np.polyder
+    lam = lam - np.divide(_horner(c, lam), dp, out=np.zeros_like(dp), where=fin & (dp != 0))
+    # projective chordal distances between the roots, (lam : 1) or (1 : 0)
+    h = np.stack([np.where(fin, lam, 1), fin], axis=-1)
+    h /= np.linalg.norm(h, axis=-1, keepdims=True)
+    i, j = np.triu_indices(4, 1)
+    if (np.abs(h[:, i, 0] * h[:, j, 1] - h[:, i, 1] * h[:, j, 0]) < 1e-7).any():
+        raise TangentOrSingularLine("multiple intersection point")
+    return np.where(fin[..., None], lam[..., None] * W[:, None, 0] + W[:, None, 1],
+                    W[:, None, 0])
 
 
-def l_of_v(C4: PlaneQuartic, l, lifts):
-    """The lift-quadratic quantity l(v_P) for a form l vanishing at every
-    row P of `lifts` (an (m, 3) array, or one lift): the scalar mu with
-    l x grad F(P) = mu P, fitted over all three coordinates.  Chart-free:
-    Q(P)/mu is the residue of Q du / (F_v l) at P, and mu(c P) = c^2 mu(P).
-    Raises if any row is not a zero of l, or not a simple one."""
-    l = np.asarray(l, dtype=complex)
-    P = np.asarray(lifts, dtype=complex)
-    nl, nP = np.linalg.norm(l), np.linalg.norm(P, axis=-1)
-    if np.any(np.abs(P @ l) > 1e-9 * nl * nP):
+def l_of_v(C4: PlaneQuartic, L, lifts):
+    """The lift-quadratic quantity l(v_P) for each row P of `lifts` (an
+    (m, 3) array, or one lift) and the form l of the same row of L (or the
+    one form L) vanishing at P: the scalar mu with l x grad F(P) = mu P,
+    fitted over all three coordinates.  Chart-free: Q(P)/mu is the residue
+    of Q du / (F_v l) at P, and mu(c P) = c^2 mu(P).  Raises if any row is
+    not a zero of its l, or not a simple one."""
+    L, P = np.asarray(L, dtype=complex), np.asarray(lifts, dtype=complex)
+    nl, nP = np.linalg.norm(L, axis=-1), np.linalg.norm(P, axis=-1)
+    if np.any(np.abs((P * L).sum(axis=-1)) > 1e-9 * nl * nP):
         raise NotAZero("the form does not vanish at the point")
     g = C4.grad(P)
-    mu = np.einsum("...a,...a->...", np.cross(l, g), P.conj()) / nP**2
+    mu = np.einsum("...a,...a->...", np.cross(L, g), P.conj()) / nP**2
     if np.any(np.abs(mu) <= 1e-9 * nl * np.linalg.norm(g, axis=-1) / nP):
         raise HigherOrderZero("zero of the section is not simple")
     return mu
 
 
-def residue_sum(C4: PlaneQuartic, l, points, numerators):
-    """Sum over the rows P of `points`, zeros of l on the quartic, of
-    numerators[i] / l(v_P), as (|sum|, |sum| / largest |term|).
+def residue_sum(numerators, mu):
+    """Sum over zeros P_i of a form l on the quartic of numerators[i] /
+    mu[i], mu[i] = l(v_P_i), as (|sum|, |sum| / largest |term|).
 
     Each term is the residue of a twisted adjoint form at P.  With the
     whole section {l = 0} and numerators Q(P) for a quadric Q this is the
@@ -201,7 +185,7 @@ def residue_sum(C4: PlaneQuartic, l, points, numerators):
     {x, y, z, t} and numerators m1(P) m2(P) for forms m1, m2 vanishing at
     t it is the three-term identity sum eta_1 eta_2 / eta' = 0 (cor2).
     """
-    terms = np.asarray(numerators) / l_of_v(C4, l, points)
+    terms = np.asarray(numerators) / mu
     total = abs(terms.sum())
     scale = np.abs(terms).max()
     if scale == 0.0:
@@ -266,7 +250,8 @@ def projective_distance(p, q):
 
 
 # ---------------------------------------------------------------------------
-# samplers and identity runners
+# samplers and identity bodies, driven as those of faylab.identities; their
+# kernel requests are (line_section, L) and (l_of_v, L, lifts)
 
 
 def _random_form(rng):
@@ -286,27 +271,29 @@ def _form_through(rng, x):
 
 def canprop_residual(C4: PlaneQuartic, rng):
     l, Q = _random_form(rng), _random_quadric(rng)
-    pts = line_section(C4, l)
-    return residue_sum(C4, l, pts, np.einsum("ia,ab,ib->i", pts, Q, pts))
+    pts, = yield line_section, l[None]
+    mu = yield l_of_v, np.array([l] * 4), pts
+    return residue_sum(np.einsum("ia,ab,ib->i", pts, Q, pts), mu)
 
 
 def cor2_residual(C4: PlaneQuartic, rng):
     l = _random_form(rng)
-    pts = line_section(C4, l)
+    pts, = yield line_section, l[None]
     t = pts[3]
     j = int(np.argmax(np.abs(t)))
     # two random forms, each moved along X_j to vanish at t
     m = np.array([_random_form(rng) for _ in range(2)])
     m[:, j] -= m @ t / t[j]
-    return residue_sum(C4, l, pts[:3], (pts[:3] @ m.T).prod(axis=1))
+    mu = yield l_of_v, np.array([l] * 3), pts[:3]
+    return residue_sum((pts[:3] @ m.T).prod(axis=1), mu)
 
 
 def ratio_dual_residual(C4: PlaneQuartic, rng):
     l = _random_form(rng)
-    pts = line_section(C4, l)
+    pts, = yield line_section, l[None]
     scales = rng.standard_normal(2) + 1j * rng.standard_normal(2)
     x, y = pts[0] * scales[0], pts[1] * scales[1]
-    mu_x, mu_y = l_of_v(C4, l, [x, y])
+    mu_x, mu_y = yield l_of_v, np.array([l, l]), np.array([x, y])
     r_div = ratio_r(l, pts[2:], x, y)
     err = abs(r_div + mu_y / mu_x)          # r_tan = -mu_y / mu_x
     return err, err / abs(r_div)
@@ -327,10 +314,10 @@ def tangent_reconstruction_residual(C4: PlaneQuartic, rng):
     The result must match the direct tangent-machinery values.
     """
     l0 = _random_form(rng)
-    pts0 = line_section(C4, l0)
+    pts0, = yield line_section, l0[None]
     x, y0 = pts0[:2]
     l1 = _form_through(rng, x)
-    pts1 = line_section(C4, l1)
+    pts1, = yield line_section, l1[None]
     # x must be one simple point of the second section; y1 is the first other
     d = projective_distance(pts1, x)
     near = np.argsort(d)
@@ -340,15 +327,15 @@ def tangent_reconstruction_residual(C4: PlaneQuartic, rng):
         raise TangentOrSingularLine("x is not a simple point of the second section")
     rest = np.delete(pts1, near[0], axis=0)
     y1 = rest[0]
-    mu0 = l_of_v(C4, l0, [y0, x])
-    mu1 = l_of_v(C4, l1, [y1, x])
+    mu0, mu1 = (yield l_of_v, np.array([l0, l0, l1, l1]),
+                np.array([y0, x, y1, x])).reshape(2, 2)
     recon = -np.array([mu0[0] / ratio_r(l0, pts0[2:], x, y0),
                        mu1[0] / ratio_r(l1, rest[1:], x, y1)])
     dist = projective_distance(recon, [mu0[1], mu1[1]])
     return dist, dist
 
 
-def reconstruct_synthetic_residual(rng):
+def reconstruct_synthetic_residual(C4: PlaneQuartic, rng):
     """Oracle for the continued-product formula: choose u, v, feed the
     ratios a_i = -v_i/u_i, b_i = -(sum v)/(sum u); output must be
     proportional to u (sequences of length 5)."""
@@ -358,3 +345,4 @@ def reconstruct_synthetic_residual(rng):
     b = [-v[:i + 1].sum() / u[:i + 1].sum() for i in range(5)]
     dist = projective_distance(reconstruct_tangent_coords(a, b), u / u[0])
     return dist, dist
+    yield

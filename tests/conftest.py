@@ -7,7 +7,7 @@ import pytest
 sys.path.insert(0, str(Path(__file__).parent))
 
 from faylab.curves import HyperellipticCurve, integrate_path, period_matrix
-from faylab.identities import IDENTITIES
+from faylab.identities import IDENTITIES, _drive
 from faylab.kernels import CurveContext
 from faylab.quartic import PlaneQuartic
 from faylab.registry import registry_entries
@@ -28,11 +28,13 @@ def build_context(curve_id):
     return _CTX_CACHE[curve_id]
 
 
-def one_trial(name, ctx, rng):
+def one_trial(name, env, rng):
     """(abs, rel) of one trial of the identity `name`: one draw from rng,
-    evaluated on its own."""
+    evaluated on its own by _drive; its rejection or failure is raised."""
     spec = IDENTITIES[name]
-    result, = spec.evaluate(ctx, [spec.runner(ctx, rng)])
+    result, = _drive(env, [spec.runner(env, rng)])
+    if isinstance(result, Exception):
+        raise result
     return result
 
 

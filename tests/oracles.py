@@ -10,7 +10,7 @@ import math
 
 import numpy as np
 
-from faylab.identities import _HARD, _RETRY
+from faylab.identities import _HARD, _RETRY, _drive
 from faylab.report import IdentityReport, report_record
 from faylab.rng import trial_rng
 
@@ -95,7 +95,7 @@ def per_trial_record(spec, env, curve_id, trials, tol, seed):
         rng = trial_rng(seed, f"{spec.name}|{curve_id}", trial)
         for _ in range(20):
             try:
-                result, = spec.evaluate(env, [spec.runner(env, rng)])
+                result, = _drive(env, [spec.runner(env, rng)])
                 if isinstance(result, Exception):
                     raise result
             except _RETRY:

@@ -19,9 +19,6 @@ from faylab.identities import run_suite, SuiteConfig, _distinct_points
 from faylab.quasidet import (random_quasimatrix, check_sylvester,
                              check_column_expansion, check_homological,
                              SingularMinor)
-from faylab.quartic import (canprop_residual, cor2_residual, ratio_dual_residual,
-                            tangent_reconstruction_residual,
-                            reconstruct_synthetic_residual)
 from faylab.rng import trial_rng
 from faylab.report import report_record
 
@@ -317,22 +314,22 @@ def test_criterion_6_quasidet_suite():
 def test_criterion_7_canonical_tangent(fermat, quartic_generic):
     t0 = time.time()
     checks = []
-    r = run_trials(lambda rng: canprop_residual(fermat, rng)[1], 200, "acc7|cpf")
+    r = run_trials(lambda rng: one_trial("canprop", fermat, rng)[1], 200, "acc7|cpf")
     checks.append(("canprop fermat", r, 1e-9))
-    r = run_trials(lambda rng: canprop_residual(quartic_generic, rng)[1],
+    r = run_trials(lambda rng: one_trial("canprop", quartic_generic, rng)[1],
                    100, "acc7|cpg")
     checks.append(("canprop generic", r, 1e-8))
-    r = run_trials(lambda rng: cor2_residual(fermat, rng)[1], 100, "acc7|c2")
+    r = run_trials(lambda rng: one_trial("cor2_three_term", fermat, rng)[1], 100, "acc7|c2")
     checks.append(("cor2 three-term", r, 1e-9))
-    r = run_trials(lambda rng: ratio_dual_residual(fermat, rng)[1], 200, "acc7|rd")
+    r = run_trials(lambda rng: one_trial("ratio_dual", fermat, rng)[1], 200, "acc7|rd")
     checks.append(("ratio dual", r, 1e-9))
     worst = 0.0
     for C4, label in ((fermat, "f"), (quartic_generic, "g")):
         worst = max(worst, run_trials(
-            lambda rng: tangent_reconstruction_residual(C4, rng)[1],
+            lambda rng: one_trial("tangent_reconstruction", C4, rng)[1],
             100, f"acc7|tr{label}"))
     checks.append(("tangent reconstruction", worst, 1e-8))
-    r = run_trials(lambda rng: reconstruct_synthetic_residual(rng)[1],
+    r = run_trials(lambda rng: one_trial("reconstruct_synthetic", None, rng)[1],
                    100, "acc7|syn")
     checks.append(("synthetic oracle len 5", r, 1e-10))
     elapsed = time.time() - t0

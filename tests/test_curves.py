@@ -36,6 +36,13 @@ class TestConstruction:
             with pytest.raises(BranchPointCollision):
                 HyperellipticCurve(pts)
 
+    def test_overflowing_even_model_rejected(self):
+        # clearances of ~1e-320 overflow the Moebius change: the converted
+        # branch points are -inf+nanj and min_gap is NaN, which must be
+        # refused like a small gap (numpy's overflow warnings are its own)
+        with np.errstate(all="ignore"), pytest.raises(BranchPointCollision):
+            HyperellipticCurve([0, 1e-320, 5e-321, 1e-319])
+
     def test_even_model_converted(self):
         # y^2 = (x^2-1)(x^2-4): Moebius conversion to an odd model
         c = HyperellipticCurve([1.0, -1.0, 2.0, -2.0], "even-test")

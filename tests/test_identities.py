@@ -145,7 +145,7 @@ class TestResidueIdentities:
         # one coincident draw raises BadTriple at once; run_identity then
         # completes the trial with the next draws of the same stream
         import faylab.identities as ids
-        from faylab.identities import BadTriple, IdentitySpec
+        from faylab.identities import BadTriple, IdentitySpec, _runner
         real = ids.sample_point
         drawn = {}
 
@@ -161,10 +161,11 @@ class TestResidueIdentities:
         drawn.clear()
         got = []
 
-        def runner(ctx, rng):
+        def body(ctx, rng):
             got.append(_distinct_points(ctx, rng, 3))
             return 0.0, 0.0
-        spec = IdentitySpec("redraw", "hyperelliptic", runner, {1: (1, 1.0)})
+            yield
+        spec = IdentitySpec("redraw", "hyperelliptic", _runner(body), {1: (1, 1.0)})
         rep = run_identity(spec, ctx_g1, "lemniscatic", 1, 1.0, 7)
         assert (rep.completed, rep.passed, len(got)) == (1, True, 1)
         rng = trial_rng(7, "redraw|lemniscatic", 0)
@@ -272,13 +273,14 @@ class TestSuiteRunner:
     def test_non_finite_residual_fails_the_report(self, bad):
         # max() drops a NaN: trial 3's NaN residual must end the report as
         # an infinite one does, with both maxima inf
-        from faylab.identities import IdentitySpec
+        from faylab.identities import IdentitySpec, _runner
         calls = []
 
-        def runner(env, rng):
+        def body(env, rng):
             calls.append(rng)
             return bad if len(calls) == 3 else (1e-12, 1e-12)
-        spec = IdentitySpec("nan", "carrier", runner, {"-": (10, 1e-9)})
+            yield
+        spec = IdentitySpec("nan", "carrier", _runner(body), {"-": (10, 1e-9)})
         rep = run_identity(spec, None, "-", 10, 1e-9, 42)
         assert (rep.completed, rep.passed, rep.failure) == (3, False, "")
         assert math.isinf(rep.max_abs_residual) and math.isinf(rep.max_rel_residual)
@@ -300,15 +302,16 @@ class TestSuiteRunner:
     def test_run_identity_resamples_quartic_draws(self, monkeypatch, fermat, failures):
         # a tangent line is a rejected draw, resampled by run_identity alone:
         # one rejection costs one attempt, endless ones leave every trial
-        # incomplete instead of failing the report
+        # incomplete instead of failing the report.  The first `failures`
+        # lines requested (every line if None) are tangent.
         import faylab.quartic as quartic
         real = quartic.line_section
-        raised = []
-        def tangent_first(C4, l):
-            if failures is None or len(raised) < failures:
-                raised.append(l)
+        seen = []
+        def tangent_first(C4, L):
+            seen.extend(l.tobytes() for l in L if l.tobytes() not in seen)
+            if failures is None or any(l.tobytes() in seen[:failures] for l in L):
                 raise quartic.TangentOrSingularLine("synthetic tangent line")
-            return real(C4, l)
+            return real(C4, L)
         monkeypatch.setattr(quartic, "line_section", tangent_first)
         rep = run_identity(IDENTITIES["canprop"], fermat, "fermat", 5, 1e-9, 42)
         if failures:
@@ -351,7 +354,7 @@ class TestSuiteRunner:
                     except ids._RETRY:
                         pass
                 calls.clear()
-                list(spec.evaluate(ctx, draws))
+                ids._drive(ctx, draws)
                 assert max(calls.values()) == 1, (spec.name, calls)
                 total += calls
         assert set(total) == set(names) | {"aj", "theta_delta"}
@@ -371,14 +374,15 @@ def record(rep):
     return dict(rec, failure=rep.failure)
 
 
-def counted_evaluate(spec, monkeypatch):
-    """Patch spec.evaluate to record the number of draws of each call."""
-    evaluate, sizes = spec.evaluate, []
+def counted_drive(monkeypatch):
+    """Patch _drive to record the number of draws of each call."""
+    import faylab.identities as ids
+    drive, sizes = ids._drive, []
 
     def counted(env, draws):
         sizes.append(len(draws))
-        return evaluate(env, draws)
-    monkeypatch.setattr(spec, "evaluate", counted)
+        return drive(env, draws)
+    monkeypatch.setattr(ids, "_drive", counted)
     return sizes
 
 
@@ -405,7 +409,7 @@ class TestLookAhead:
         # every spec's record equals per_trial_record's, with the kernels as
         # they are and with fay_F and massey_m3_theta refusing (NearDivisor)
         # any call on more rows than one body requests, so that each joined
-        # call is made again body by body
+        # call is split in halves down to the bodies alone
         import faylab.identities as ids
         g = build_context(cid).g
         specs = [s for s in IDENTITIES.values() if s.kind == "hyperelliptic" and g in s.table]
@@ -429,7 +433,8 @@ class TestLookAhead:
         for spec in specs:
             got, want = self.both(spec, cid, 4)
             assert got == want and got["completed"] == 4, spec.name
-        assert refused["fay_F"] >= 5 and refused["massey_m3_theta"] == 1
+        # cross_formula_m3's 4 one-row bodies: refused as 4, then as 2 and 2
+        assert refused["fay_F"] >= 5 and refused["massey_m3_theta"] == 3
 
     def test_failed_batch_fails_the_same_trial(self, monkeypatch):
         # integrate_path refuses trial 3's first point: the joined ctx.aj
@@ -446,7 +451,7 @@ class TestLookAhead:
             return real(curve, paths, y0s, order)
         monkeypatch.setattr(curves, "integrate_path", refuse)
         spec = IDENTITIES["idcor"]
-        sizes = counted_evaluate(spec, monkeypatch)
+        sizes = counted_drive(monkeypatch)
         got = record(run_identity(spec, self.fresh("lemniscatic"), "lemniscatic", 6, 1.0, 11))
         assert sizes == [6]
         assert got == per_trial_record(spec, self.fresh("lemniscatic"), "lemniscatic", 6, 1.0, 11)
@@ -471,8 +476,7 @@ class TestLookAhead:
             calls.append(args)
             return real(*args)
         monkeypatch.setattr(curves, "integrate_path", counted)
-        spec = IdentitySpec("idcor", "hyperelliptic", runner, {1: (20, 1e-9)},
-                            IDENTITIES["idcor"].evaluate)
+        spec = IdentitySpec("idcor", "hyperelliptic", runner, {1: (20, 1e-9)})
         rep = run_identity(spec, ctx, "lemniscatic", 20, 1e-9, 42)
         assert rep.completed == 20 and rep.passed
         assert (len(attempts), len(calls)) == (20, 1)
@@ -496,14 +500,15 @@ def test_evaluate_equals_one_draw_evaluations(cid):
             again.append(spec.runner(ctx, trial_rng(3, spec.name, trial)))
             if len(draws) == 10:
                 break
-        batch = np.array(list(spec.evaluate(ctx, draws)))
-        alone = np.array([r for d in again for r in spec.evaluate(ctx, [d])])
+        batch = np.array(ids._drive(ctx, draws))
+        alone = np.array([r for d in again for r in ids._drive(ctx, [d])])
         assert batch.shape == (10, 2) and batch.tobytes() == alone.tobytes(), spec.name
 
 
 def test_near_divisor_in_one_trial_gives_the_per_trial_record(monkeypatch):
-    # fay_F rejects trial 2's first draw: the round's joined call is made
-    # again body by body, and trial 2 alone is drawn again in a second round
+    # fay_F rejects trial 2's first draw: the round's joined call of 6
+    # bodies (6 rows each) is split in halves down to trial 2 alone (trials
+    # 0-5, 0-2, 1-2, 2), and trial 2 alone is drawn again in a second round
     import faylab.identities as ids
     spec = IDENTITIES["trisecant_general_n1"]
     ctx = TestLookAhead.fresh("lemniscatic")
@@ -519,9 +524,9 @@ def test_near_divisor_in_one_trial_gives_the_per_trial_record(monkeypatch):
             raise NearDivisor("synthetic rejection")
         return real(ctx, A, B)
     monkeypatch.setattr(ids, "fay_F", near)
-    sizes = counted_evaluate(spec, monkeypatch)
+    sizes = counted_drive(monkeypatch)
     rep = run_identity(spec, TestLookAhead.fresh("lemniscatic"), "lemniscatic", 6, 1e-9, 11)
-    assert sizes == [6, 1] and rejected == [36, 6]
+    assert sizes == [6, 1] and rejected == [36, 18, 12, 6]
     assert (rep.completed, rep.passed, rep.failure) == (6, True, "")
     assert record(rep) == per_trial_record(spec, TestLookAhead.fresh("lemniscatic"),
                                            "lemniscatic", 6, 1e-9, 11)
@@ -555,9 +560,9 @@ def test_bundle_near_the_theta_divisor_redraws_its_trial(name, monkeypatch):
         e = real(rm, rng)
         return near if np.array_equal(e, marked) else e
     monkeypatch.setattr(ids, "random_line_bundle", moved)
-    result, = spec.evaluate(ctx, [spec.runner(ctx, trial_rng(11, label, 2))])
+    result, = ids._drive(ctx, [spec.runner(ctx, trial_rng(11, label, 2))])
     assert isinstance(result, NearDivisor)
-    sizes = counted_evaluate(spec, monkeypatch)
+    sizes = counted_drive(monkeypatch)
     rep = run_identity(spec, ctx, "lemniscatic", 6, 1e-8, 11)
     assert sizes == [6, 1]
     assert (rep.completed, rep.passed, rep.failure) == (6, True, "")
@@ -570,7 +575,7 @@ def test_bundle_near_the_theta_divisor_redraws_its_trial(name, monkeypatch):
 def test_outcomes_are_read_in_trial_order(nan_at, fail_at, completed, failure):
     # one trial's residual is NaN and another's kernel call fails hard, in
     # one round: whichever comes first in trial order ends the report
-    from faylab.identities import IdentitySpec, _drive, _runner
+    from faylab.identities import IdentitySpec, _runner
     from faylab.kernels import KernelError
     first = [trial_rng(11, "ordered|-", k).random() for k in range(6)]
 
@@ -582,7 +587,7 @@ def test_outcomes_are_read_in_trial_order(nan_at, fail_at, completed, failure):
     def body(ctx, rng):
         x, = yield kernel, np.array([rng.random()])
         return x, x
-    spec = IdentitySpec("ordered", "carrier", _runner(body), {"-": (6, 1.0)}, _drive)
+    spec = IdentitySpec("ordered", "carrier", _runner(body), {"-": (6, 1.0)})
     rep = run_identity(spec, None, "-", 6, 1.0, 11)
     assert (rep.completed, rep.failure, rep.passed) == (completed, failure, False)
     assert math.isinf(rep.max_rel_residual)
@@ -600,7 +605,7 @@ def test_round_without_draws(monkeypatch):
     monkeypatch.setattr(ids, "sample_point", fail)
     spec = IDENTITIES["idcor"]
     assert ids._drive(None, []) == []
-    sizes = counted_evaluate(spec, monkeypatch)
+    sizes = counted_drive(monkeypatch)
     rep = run_identity(spec, build_context("lemniscatic"), "lemniscatic", 4, 1e-9, 11)
     assert sizes == [0]
     assert (rep.completed, rep.failure) == (0, "CurveError: synthetic failure")
@@ -630,3 +635,47 @@ def test_draws_are_pure_sampling(cid, monkeypatch):
                     spec.runner(ctx, trial_rng(3, spec.name, trial))
                 except ids._RETRY:
                     pass
+
+
+def test_failed_call_is_split_in_halves():
+    # a kernel that refuses one of 16 parts is called at most 2 log2(16) + 1
+    # times, and every part gets the rows or the exception it gets alone
+    from faylab.identities import _rows
+    calls = []
+
+    def kernel(env, X):
+        calls.append(len(X))
+        if 11.0 in X:
+            raise NearDivisor("part 11 refused")
+        return 2 * X
+    parts = [(np.array([float(k), k + 0.5]),) for k in range(16)]
+    got = _rows(None, kernel, parts)
+    assert len(calls) <= 9
+    for part, rows in zip(parts, got):
+        alone, = _rows(None, kernel, [part])
+        if isinstance(alone, Exception):
+            assert (type(rows), rows.args) == (type(alone), alone.args)
+        else:
+            assert rows.tobytes() == alone.tobytes()
+    assert sum(isinstance(rows, NearDivisor) for rows in got) == 1
+
+
+def test_one_trial_model(fermat, monkeypatch):
+    # every runner is _runner(body) of a generator body, and a quartic draw
+    # is pure sampling: it sections no line and reads no l(v_P)
+    import inspect
+    import faylab.identities as ids
+    import faylab.quartic as quartic
+    code = ids._runner(test_one_trial_model).__code__
+    for spec in IDENTITIES.values():
+        assert spec.runner.__code__ is code, spec.name
+        assert inspect.isgeneratorfunction(spec.runner.__wrapped__), spec.name
+
+    def refuse(*args):
+        raise AssertionError("a quartic kernel called in a draw")
+    for name in ("line_section", "l_of_v"):
+        monkeypatch.setattr(quartic, name, refuse)
+    for spec in IDENTITIES.values():
+        if spec.kind == "plane_quartic":
+            for trial in range(10):
+                spec.runner(fermat, trial_rng(3, spec.name, trial))

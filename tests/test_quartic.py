@@ -3,15 +3,14 @@ import pytest
 
 from faylab.quartic import (PlaneQuartic, line_section, l_of_v, residue_sum,
                             ratio_r, reconstruct_tangent_coords,
-                            projective_distance, canprop_residual, cor2_residual,
-                            ratio_dual_residual, tangent_reconstruction_residual,
-                            reconstruct_synthetic_residual, _random_form,
+                            projective_distance, _random_form,
                             _random_quadric, TangentOrSingularLine,
                             DegenerateForm, NotSmooth, NotAZero, HigherOrderZero,
-                            DegenerateRatios, QuarticError, _line_basis,
-                            _restrict_quartic)
+                            DegenerateRatios, QuarticError)
 from faylab.registry import registry_entries
 from faylab.rng import trial_rng
+
+from conftest import one_trial
 
 
 def _monomial_sum(coefficients, X):
@@ -35,24 +34,26 @@ def test_tensor_matches_monomial_sum(cid):
     coefficients = registry_entries()[cid]["coefficients"]
     C4 = PlaneQuartic(coefficients, cid)
     rng = np.random.default_rng(21)
-    lams = np.exp(2j * np.pi * np.arange(5) / 5)
     for _ in range(10):
-        X, u, v = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
+        X, l = rng.standard_normal((2, 3)) + 1j * rng.standard_normal((2, 3))
         F = _monomial_sum(coefficients, X)
         assert abs(C4.value(X) - F) < 1e-13 * np.linalg.norm(X)**4
         g = _monomial_grad(coefficients, X)
         assert np.abs(C4.grad(X) - g).max() < 1e-13 * np.linalg.norm(X)**3
-        # F(lam u + v) = sum_m c_m lam^(4-m), sampled at the 5th roots of unity
-        vals = [_monomial_sum(coefficients, lam * u + v) for lam in lams]
-        c = np.linalg.solve(np.vander(lams, 5), vals)
-        scale = (np.linalg.norm(u) + np.linalg.norm(v))**4
-        assert np.abs(_restrict_quartic(C4, u, v) - c).max() < 1e-13 * scale
+        # the line restriction of T: its section points are zeros of the
+        # monomial sum
+        for p in line_section(C4, [l])[0]:
+            assert abs(_monomial_sum(coefficients, p)) < 1e-12 * np.linalg.norm(p)**4
+
+
+#: the Klein quartic X0^3 X1 + X1^3 X2 + X2^3 X0, smooth
+KLEIN = {(3, 1, 0): 1.0, (0, 3, 1): 1.0, (1, 0, 3): 1.0}
 
 
 class TestLineSection:
     def test_fermat_coordinate_line(self, fermat):
         # X2 = 0 meets the Fermat quartic where u^4 = -1
-        pts = line_section(fermat, [0.0, 0.0, 1.0])
+        pts, = line_section(fermat, [[0.0, 0.0, 1.0]])
         assert len(pts) == 4
         for p in pts:
             assert abs(p[2]) < 1e-12 * np.abs(p).max()
@@ -64,7 +65,7 @@ class TestLineSection:
         rng = np.random.default_rng(0)
         for _ in range(10):
             l = _random_form(rng)
-            pts = line_section(quartic_generic, l)
+            pts, = line_section(quartic_generic, [l])
             for p in pts:
                 nrm = np.linalg.norm(p)
                 assert abs(quartic_generic.value(p)) < 1e-10 * nrm**4
@@ -72,21 +73,46 @@ class TestLineSection:
 
     def test_tangent_line_rejected(self, fermat):
         rng = np.random.default_rng(1)
-        pts = line_section(fermat, _random_form(rng))
-        P = pts[0]
+        P = line_section(fermat, [_random_form(rng)])[0, 0]
         tangent = fermat.grad(P)          # the tangent line at P
         with pytest.raises(TangentOrSingularLine):
-            line_section(fermat, tangent)
+            line_section(fermat, [tangent])
 
     def test_zero_form_rejected(self, fermat):
         with pytest.raises(DegenerateForm):
-            line_section(fermat, [0.0, 0.0, 0.0])
+            line_section(fermat, [[0.0, 0.0, 0.0]])
+
+    @pytest.mark.parametrize("cid", ["fermat", "quartic-generic", "klein"])
+    def test_rows_do_not_depend_on_their_batch(self, cid):
+        # row k of a batch of lines, and of their l(v_P), has the bits of
+        # line k alone.  The Klein quartic X0^3 X1 + X1^3 X2 + X2^3 X0 and
+        # l = (1, 0, 0.5) have basis point u = (0, 1, 0) on the curve: the
+        # leading coefficient is exactly 0, and u is the 4th point
+        coefficients = KLEIN if cid == "klein" else registry_entries()[cid]["coefficients"]
+        C4 = PlaneQuartic(coefficients, cid)
+        rng = np.random.default_rng(31)
+        L = rng.standard_normal((40, 3)) + 1j * rng.standard_normal((40, 3))
+        if cid == "klein":
+            L[17] = [1.0, 0.0, 0.5]
+        pts = line_section(C4, L)
+        mu = l_of_v(C4, np.repeat(L, 4, axis=0), pts.reshape(-1, 3)).reshape(-1, 4)
+        for k, l in enumerate(L):
+            alone = line_section(C4, [l])
+            assert alone.tobytes() == pts[k:k + 1].tobytes()
+            assert l_of_v(C4, [l] * 4, alone[0]).tobytes() == mu[k].tobytes()
+        assert (np.abs(C4.value(pts)) < 1e-10 * np.linalg.norm(pts, axis=-1)**4).all()
+        if cid == "klein":
+            assert np.array_equal(pts[17, 3], [0, 1, 0])
+        # a tangent line anywhere in a batch fails the batch
+        L[5] = C4.grad(pts[9, 2])
+        with pytest.raises(TangentOrSingularLine):
+            line_section(C4, L)
 
     def test_smoothness_probe_rejects_singular(self):
         # X0^2 X1^2 is a repeated pair of lines: every probe line meets it
         # in double points
         with pytest.raises(NotSmooth):
-            PlaneQuartic({(2, 2, 0): 1.0}, probes=50)
+            PlaneQuartic({(2, 2, 0): 1.0})
 
 
 class TestForms:
@@ -102,7 +128,7 @@ class TestForms:
         l = _random_form(rng)
         h = 1e-6
         charts = 0
-        for P in line_section(C4, l):
+        for P in line_section(C4, [l])[0]:
             alpha = int(np.argmax(np.abs(P)))
             lift = P / P[alpha]
             g = C4.grad(lift)
@@ -128,14 +154,14 @@ class TestForms:
 
     def test_l_of_v_requires_zero(self, fermat):
         rng = np.random.default_rng(5)
-        pts = line_section(fermat, _random_form(rng))
+        pts, = line_section(fermat, [_random_form(rng)])
         with pytest.raises(NotAZero):
             l_of_v(fermat, _random_form(rng), pts[0])
 
     def test_l_of_v_scaling(self, fermat):
         rng = np.random.default_rng(6)
         l = _random_form(rng)
-        P = line_section(fermat, l)[0]
+        P = line_section(fermat, [l])[0, 0]
         v1 = l_of_v(fermat, l, P)
         v2 = l_of_v(fermat, 3.5j * l, P)
         assert abs(v2 - 3.5j * v1) < 1e-12 * abs(v1)
@@ -144,7 +170,7 @@ class TestForms:
         rng = np.random.default_rng(19)
         l = _random_form(rng)
         c = 1.7 - 0.3j
-        for P in line_section(quartic_generic, l):
+        for P in line_section(quartic_generic, [l])[0]:
             v1 = l_of_v(quartic_generic, l, P)
             v2 = l_of_v(quartic_generic, l, c * P)
             assert abs(v2 - c**2 * v1) < 1e-12 * abs(v2)
@@ -152,13 +178,13 @@ class TestForms:
     def test_tangent_form_is_higher_order_zero(self, fermat):
         # the tangent line grad F(P) meets the curve at P to second order
         rng = np.random.default_rng(20)
-        P = line_section(fermat, _random_form(rng))[0]
+        P = line_section(fermat, [_random_form(rng)])[0, 0]
         with pytest.raises(HigherOrderZero):
             l_of_v(fermat, fermat.grad(P), P)
 
     def test_batch_matches_rows(self, quartic_generic):
         l = _random_form(np.random.default_rng(22))
-        pts = line_section(quartic_generic, l)
+        pts, = line_section(quartic_generic, [l])
         batch = l_of_v(quartic_generic, l, pts)
         assert batch.shape == (4,)
         for P, mu in zip(pts, batch):
@@ -168,28 +194,30 @@ class TestForms:
         # a batch raises if any one of its rows would
         rng = np.random.default_rng(23)
         l = _random_form(rng)
-        pts = line_section(fermat, l)
+        pts, = line_section(fermat, [l])
         l_of_v(fermat, l, pts)
         off = pts.copy()
-        off[2] = line_section(fermat, _random_form(rng))[0]
+        off[2] = line_section(fermat, [_random_form(rng)])[0, 0]
         with pytest.raises(NotAZero):
             l_of_v(fermat, l, off)
         # the tangent line at P meets the curve doubly at P and simply at
-        # two other points
+        # two other points P + s Q, Q = t x P, for the roots s of
+        # F(P + s Q) / s^2
         P = pts[1]
         t = fermat.grad(P)
-        u, v = _line_basis(t)
-        simple = [lam * u + v for lam in np.roots(_restrict_quartic(fermat, u, v))
-                  if projective_distance(lam * u + v, P) > 1e-3]
-        assert len(simple) == 2
+        Q = np.cross(t, P)
+        s = np.exp(2j * np.pi * np.arange(5) / 5)
+        c = np.linalg.solve(np.vander(s, 5), fermat.value(P + s[:, None] * Q))
+        simple = [P + r * Q for r in np.roots(c[:3])]
+        assert min(projective_distance(simple, P)) > 1e-3
         l_of_v(fermat, t, simple)
         with pytest.raises(HigherOrderZero):
             l_of_v(fermat, t, [simple[0], P, simple[1]])
 
 
 def _canprop(C4, l, Q):
-    pts = line_section(C4, l)
-    return residue_sum(C4, l, pts, np.einsum("ia,ab,ib->i", pts, Q, pts))
+    pts, = line_section(C4, [l])
+    return residue_sum(np.einsum("ia,ab,ib->i", pts, Q, pts), l_of_v(C4, l, pts))
 
 
 class TestCanprop:
@@ -205,14 +233,14 @@ class TestCanprop:
         worst = 0.0
         for trial in range(50):
             rng = trial_rng(11, "canprop", trial)
-            worst = max(worst, canprop_residual(fermat, rng)[1])
+            worst = max(worst, one_trial("canprop", fermat, rng)[1])
         assert worst < 1e-9
 
     def test_generic(self, quartic_generic):
         worst = 0.0
         for trial in range(25):
             rng = trial_rng(11, "canprop-g", trial)
-            worst = max(worst, canprop_residual(quartic_generic, rng)[1])
+            worst = max(worst, one_trial("canprop", quartic_generic, rng)[1])
         assert worst < 1e-8
 
     def test_invariant_under_adding_l_multiple(self, fermat):
@@ -231,22 +259,22 @@ class TestCor2:
         worst = 0.0
         for trial in range(30):
             rng = trial_rng(12, "cor2", trial)
-            worst = max(worst, cor2_residual(fermat, rng)[1])
+            worst = max(worst, one_trial("cor2_three_term", fermat, rng)[1])
         assert worst < 1e-9
 
     def test_generic(self, quartic_generic):
         worst = 0.0
         for trial in range(15):
             rng = trial_rng(12, "cor2-g", trial)
-            worst = max(worst, cor2_residual(quartic_generic, rng)[1])
+            worst = max(worst, one_trial("cor2_three_term", quartic_generic, rng)[1])
         assert worst < 1e-8
 
     def test_m_equal_l_collapses(self, fermat):
         # every term carries l(P)^2 ~ roundoff^2
         rng = np.random.default_rng(10)
         l = _random_form(rng)
-        pts = line_section(fermat, l)[:3]
-        abs_r, rel_r = residue_sum(fermat, l, pts, (pts @ l)**2)
+        pts = line_section(fermat, [l])[0, :3]
+        abs_r, rel_r = residue_sum((pts @ l)**2, l_of_v(fermat, l, pts))
         assert abs_r < 1e-20
 
 
@@ -255,14 +283,14 @@ class TestRatio:
         worst = 0.0
         for trial in range(50):
             rng = trial_rng(13, "ratio", trial)
-            worst = max(worst, ratio_dual_residual(fermat, rng)[1])
+            worst = max(worst, one_trial("ratio_dual", fermat, rng)[1])
         assert worst < 1e-9
 
     def test_swap_divisor_labels(self, fermat):
         # r is a symmetric product over D1, D2: label order cannot matter
         rng = np.random.default_rng(14)
         l = _random_form(rng)
-        pts = line_section(fermat, l)
+        pts, = line_section(fermat, [l])
         r1 = ratio_r(l, pts[[2, 3]], pts[0], pts[1])
         r2 = ratio_r(l, pts[[3, 2]], pts[0], pts[1])
         assert r1 == r2
@@ -273,10 +301,10 @@ class TestRatio:
         rng = np.random.default_rng(24)
         for _ in range(10):
             l = _random_form(rng)
-            pts = line_section(quartic_generic, l)
+            pts, = line_section(quartic_generic, [l])
             c = [2.0 - 1j, 0.3 + 0.8j]
             x, y = c[0] * pts[0], c[1] * pts[1]
-            uv = np.stack(_line_basis(l), axis=1)
+            uv = np.linalg.svd(l[None])[2][1:].conj().T     # a basis of {l = 0}
             sx, sy, *sD = [np.linalg.lstsq(uv, p, rcond=None)[0]
                            for p in (x, y, *pts[2:])]
             def forms(s):
@@ -287,7 +315,7 @@ class TestRatio:
     def test_lift_rescaling_law(self, fermat):
         rng = np.random.default_rng(15)
         l = _random_form(rng)
-        pts = line_section(fermat, l)
+        pts, = line_section(fermat, [l])
         x, y = pts[0], pts[1]
         c, cp = 1.7 - 0.3j, -0.6 + 1.1j
         law = (cp**2 / c**2)
@@ -307,7 +335,7 @@ class TestReconstruction:
         worst = 0.0
         for trial in range(40):
             rng = trial_rng(16, "synth", trial)
-            worst = max(worst, reconstruct_synthetic_residual(rng)[1])
+            worst = max(worst, one_trial("reconstruct_synthetic", None, rng)[1])
         assert worst < 1e-10
 
     def test_two_point_formula_algebra(self):
@@ -342,7 +370,7 @@ class TestReconstruction:
         worst = 0.0
         for trial in range(30):
             rng = trial_rng(19, f"recon|{which}", trial)
-            worst = max(worst, tangent_reconstruction_residual(C4, rng)[1])
+            worst = max(worst, one_trial("tangent_reconstruction", C4, rng)[1])
         assert worst < 1e-8
 
     def test_second_line_missing_x_is_hard_failure(self, monkeypatch, fermat):
@@ -351,38 +379,38 @@ class TestReconstruction:
         import faylab.quartic as quartic
         monkeypatch.setattr(quartic, "_form_through", lambda rng, x: _random_form(rng))
         with pytest.raises(QuarticError, match="does not lie") as info:
-            tangent_reconstruction_residual(fermat, trial_rng(25, "recon", 0))
+            one_trial("tangent_reconstruction", fermat, trial_rng(25, "recon", 0))
         assert not isinstance(info.value, TangentOrSingularLine)
 
     def test_x_repeated_on_second_line_is_redrawn(self, monkeypatch, fermat):
         # x found twice among the second section is not one simple point
         import faylab.quartic as quartic
         sections = []
-        def doubled_x(C4, l):
-            pts = line_section(C4, l)
+        def doubled_x(C4, L):
+            pts, = line_section(C4, L)
             sections.append(pts)
             if len(sections) == 2:
                 x = sections[0][0]
                 pts[np.argmax(projective_distance(pts, x))] = (0.5 + 2j) * x
-            return pts
+            return pts[None]
         monkeypatch.setattr(quartic, "line_section", doubled_x)
         with pytest.raises(TangentOrSingularLine, match="not a simple point"):
-            tangent_reconstruction_residual(fermat, trial_rng(25, "recon", 1))
+            one_trial("tangent_reconstruction", fermat, trial_rng(25, "recon", 1))
 
 
-@pytest.mark.parametrize("runner,sections,tangents", [
-    (canprop_residual, 1, 1), (cor2_residual, 1, 1),
-    (ratio_dual_residual, 1, 1), (tangent_reconstruction_residual, 2, 2)],
+@pytest.mark.parametrize("name,sections", [
+    ("canprop", 1), ("cor2_three_term", 1), ("ratio_dual", 1), ("tangent_reconstruction", 2)],
     ids=["canprop", "cor2", "ratio_dual", "tangent_reconstruction"])
-def test_each_line_sectioned_once(monkeypatch, fermat, runner, sections, tangents):
+def test_each_line_sectioned_once(monkeypatch, fermat, name, sections):
     # one trial sections each random line once and reads the tangent
-    # quantities l(v_P) of each line from one batched call
+    # quantities l(v_P) of all its lines from one batched call
     import faylab.quartic as quartic
+    from faylab.identities import IDENTITIES
     calls = {"line_section": 0, "l_of_v": 0}
-    for name in calls:
-        def counted(*args, _fn=getattr(quartic, name), _name=name):
+    for kernel in calls:
+        def counted(*args, _fn=getattr(quartic, kernel), _name=kernel):
             calls[_name] += 1
             return _fn(*args)
-        monkeypatch.setattr(quartic, name, counted)
-    runner(fermat, trial_rng(42, runner.__name__, 0))
-    assert calls == {"line_section": sections, "l_of_v": tangents}
+        monkeypatch.setattr(quartic, kernel, counted)
+    one_trial(name, fermat, trial_rng(42, IDENTITIES[name].runner.__name__, 0))
+    assert calls == {"line_section": sections, "l_of_v": 1}
