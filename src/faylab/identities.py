@@ -361,7 +361,8 @@ def quasidet_det_ratio_residual(env, rng):
     n = int(rng.integers(2, 6))
     A = random_quasimatrix(rng, n, 1)
     M = A.entries[:, :, 0, 0]
-    i, j = (int(rng.integers(0, n)) for _ in range(2))
+    i = int(rng.integers(0, n))
+    j = int(rng.integers(0, n))
     minor = np.delete(np.delete(M, i, 0), j, 1)
     dm = np.linalg.det(minor)
     if abs(dm) < 1e-8:
@@ -392,8 +393,10 @@ def column_expansion_residual(env, rng):
 
 def homological_residual(env, rng):
     A = random_quasimatrix(rng, CARRIER_N, CARRIER_K)
-    i, krow = map(int, rng.permutation(CARRIER_N)[:2])
-    j, lcol = map(int, rng.permutation(CARRIER_N)[:2])
+    idx = rng.permutation(CARRIER_N)
+    i, krow = int(idx[0]), int(idx[1])
+    idx = rng.permutation(CARRIER_N)
+    j, lcol = int(idx[0]), int(idx[1])
     r = check_homological(A, i, j, krow, lcol)
     return r, r
     yield

@@ -135,16 +135,18 @@ def line_section(C4: PlaneQuartic, L):
     c = S[:, [0, 1, 3, 7, 15]] * [1, 4, 6, 4, 1]
     if not np.abs(c).max(axis=1).all():
         raise DegenerateForm("line lies on the quartic")
-    # the roots as np.roots finds them; k leading zeros are k roots lam =
-    # inf, the point u (two or more are a multiple point)
-    first = (c != 0).argmax(axis=1)
+    # as np.roots: eigenvalues of the companion matrix of c without its
+    # leading and trailing zeros, then a root 0 per trailing zero.  A leading
+    # zero is a root lam = inf, the point u; two of either are a multiple point
+    nz = c != 0
+    first, last = nz.argmax(axis=1), 4 - nz[:, ::-1].argmax(axis=1)
     fin = np.arange(4) < 4 - first[:, None]
     lam = np.zeros((len(L), 4), dtype=complex)
-    for k in (0, 1):
-        rows = first == k
-        A = np.tile(np.eye(4 - k, k=-1, dtype=complex), (rows.sum(), 1, 1))
-        A[:, 0] = -c[rows, k + 1:] / c[rows, k:k + 1]
-        lam[rows, :4 - k] = np.linalg.eigvals(A)
+    for k, m in [(0, 4), (0, 3), (1, 4), (1, 3)]:
+        rows = (first == k) & (last == m)
+        A = np.tile(np.eye(m - k, k=-1, dtype=complex), (rows.sum(), 1, 1))
+        A[:, 0] = -c[rows, k + 1:m + 1] / c[rows, k:k + 1]
+        lam[rows, :m - k] = np.linalg.eigvals(A)
     dp = _horner(c[:, :4] * np.arange(4, 0, -1), lam)       # as np.polyder
     lam = lam - np.divide(_horner(c, lam), dp, out=np.zeros_like(dp), where=fin & (dp != 0))
     # projective chordal distances between the roots, (lam : 1) or (1 : 0)

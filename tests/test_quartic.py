@@ -87,13 +87,15 @@ class TestLineSection:
         # row k of a batch of lines, and of their l(v_P), has the bits of
         # line k alone.  The Klein quartic X0^3 X1 + X1^3 X2 + X2^3 X0 and
         # l = (1, 0, 0.5) have basis point u = (0, 1, 0) on the curve: the
-        # leading coefficient is exactly 0, and u is the 4th point
+        # leading coefficient is exactly 0, and u is the 4th point.  With
+        # l = (1, 0.5, 0) the other basis point v = (0, 0, 1) is on it: the
+        # trailing coefficient is exactly 0, and the roots are np.roots'
         coefficients = KLEIN if cid == "klein" else registry_entries()[cid]["coefficients"]
         C4 = PlaneQuartic(coefficients, cid)
         rng = np.random.default_rng(31)
         L = rng.standard_normal((40, 3)) + 1j * rng.standard_normal((40, 3))
         if cid == "klein":
-            L[17] = [1.0, 0.0, 0.5]
+            L[17], L[23] = [1.0, 0.0, 0.5], [1.0, 0.5, 0.0]
         pts = line_section(C4, L)
         mu = l_of_v(C4, np.repeat(L, 4, axis=0), pts.reshape(-1, 3)).reshape(-1, 4)
         for k, l in enumerate(L):
@@ -103,6 +105,13 @@ class TestLineSection:
         assert (np.abs(C4.value(pts)) < 1e-10 * np.linalg.norm(pts, axis=-1)**4).all()
         if cid == "klein":
             assert np.array_equal(pts[17, 3], [0, 1, 0])
+            # u = (-0.5, 1, 0) and F(s u + t v) = -s^4 / 8 + s^3 t - s t^3 / 2,
+            # so X1 is lam: np.roots' order, root 0 (the point v) last
+            c = np.array([-0.125, 1, 0, -0.5, 0], dtype=complex)
+            lam = np.roots(c)
+            lam = lam - np.polyval(c, lam) / np.polyval(np.polyder(c), lam)
+            assert pts[23, :, 1].tobytes() == lam.tobytes()
+            assert np.array_equal(pts[23, 3], [0, 0, 1])
         # a tangent line anywhere in a batch fails the batch
         L[5] = C4.grad(pts[9, 2])
         with pytest.raises(TangentOrSingularLine):
