@@ -75,7 +75,7 @@ class HyperellipticCurve:
         d = np.abs(self.branch_points[:, None] - self.branch_points[None, :])
         np.fill_diagonal(d, np.inf)
         self.min_gap = float(d.min())
-        if not self.min_gap > 1e-8:         # a NaN gap (overflow) too
+        if not self.min_gap > 1e-8:         # a NaN gap too
             raise BranchPointCollision(
                 f"branch points closer than 1e-8 (min gap {self.min_gap:.2e})")
         self.genus = (len(self.branch_points) - 1) // 2
@@ -97,7 +97,11 @@ class HyperellipticCurve:
         e_star = pts[star]
         rest = np.delete(pts, star)
         self.lead = complex(np.prod(e_star - rest))
-        return 1.0 / (rest - e_star)
+        with np.errstate(over="ignore", invalid="ignore"):
+            odd = 1.0 / (rest - e_star)
+        if not np.isfinite(odd).all():
+            raise BranchPointCollision("branch points closer than 1e-8 (Moebius overflow)")
+        return odd
 
     def f(self, x):
         x = np.asarray(x, dtype=complex)
@@ -132,18 +136,12 @@ class CurvePoint:
     def __post_init__(self):
         if self.sheet not in (1, -1):
             raise ValueError("sheet must be +1 or -1")
-        # rounded once; not a field, so equality and hashing stay on x, sheet
-        key = (round(self.x.real, 12), round(self.x.imag, 12), self.sheet)
-        object.__setattr__(self, "_key", key)
 
     def y(self, curve):
         return self.sheet * curve.y_principal(self.x)
 
     def involution(self):
         return CurvePoint(self.x, -self.sheet)
-
-    def key(self):
-        return self._key
 
 
 def make_point(curve, x, sheet):
@@ -355,7 +353,7 @@ class PeriodData:
         self.rm = rm
         self._hubs = None       # arrays over k: rho_k, y at h_k, A^-1 int_{e_k}^{h_k}
         self._branch = None     # row k: A^-1 int_{e_0}^{e_k}
-        self._base_aj = {}      # base.key() -> A^-1 int_{e_0}^base
+        self._base_aj = {}      # base -> A^-1 int_{e_0}^base
 
 
 def period_matrix(curve: HyperellipticCurve, quadrature_order=32):
@@ -479,9 +477,9 @@ def abel_jacobi(periods: PeriodData, P, base: CurvePoint):
     a (g,) vector for one point P, an (N, g) array for a list of points,
     whose hub paths are integrated at order AJ_ORDER in one integrate_path
     call (a point that does not land fails the list)."""
-    if base.key() not in periods._base_aj:
-        periods._base_aj[base.key()] = abel_jacobi_from_branch(periods, base)
-    return abel_jacobi_from_branch(periods, P) - periods._base_aj[base.key()]
+    if base not in periods._base_aj:
+        periods._base_aj[base] = abel_jacobi_from_branch(periods, base)
+    return abel_jacobi_from_branch(periods, P) - periods._base_aj[base]
 
 
 def abel_jacobi_from_branch(periods: PeriodData, P, branch_index=0):
@@ -519,17 +517,13 @@ def find_odd_char(rm: RiemannMatrix):
     """First odd half-characteristic with a non-singular gradient at 0 (norm
     above 1e-6 of the largest gradient seen so far, or of 1)."""
     zero = np.zeros(rm.g)
-    best = None
     max_grad = 0.0
     for ch in odd_theta_chars(rm.g):
-        grad = theta_gradient(zero, rm, ch, tol=1e-10)
-        norm = float(np.linalg.norm(grad))
+        norm = float(np.linalg.norm(theta_gradient(zero, rm, ch, tol=1e-10)))
         max_grad = max(max_grad, norm)
-        if best is None and norm > 1e-6 * max(1.0, max_grad):
-            best = ch
-    if best is None:
-        raise NoNonsingularOddChar("all odd characteristics have tiny gradients")
-    return best
+        if norm > 1e-6 * max(1.0, max_grad):
+            return ch
+    raise NoNonsingularOddChar("all odd characteristics have tiny gradients")
 
 
 def random_line_bundle(rm: RiemannMatrix, rng):

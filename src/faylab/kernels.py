@@ -86,14 +86,10 @@ class CurveContext:
         """Abel-Jacobi vectors of the points ps from the context base point,
         as an (N, g) array (cached per point, so every identity reuses the
         exact same representative), the misses in one abel_jacobi batch."""
-        miss = {}
-        for p in ps:
-            if p.key() not in self._aj_cache:
-                miss.setdefault(p.key(), p)
+        miss = list(dict.fromkeys(p for p in ps if p not in self._aj_cache))
         if miss:
-            rows = abel_jacobi(self.periods, list(miss.values()), self.base)
-            self._aj_cache.update(zip(miss, rows))
-        return np.array([self._aj_cache[p.key()] for p in ps]).reshape(len(ps), self.g)
+            self._aj_cache.update(zip(miss, abel_jacobi(self.periods, miss, self.base)))
+        return np.array([self._aj_cache[p] for p in ps]).reshape(len(ps), self.g)
 
     # -- theta shorthands --------------------------------------------------
 
@@ -139,7 +135,7 @@ def _check_off_divisor(ctx, *denominators):
 def _pair_diffs(ctx, ps, qs):
     """The Jacobian points q - p of equal-length point lists, as an (N, g)
     array; raises CoincidentPoints if any pair repeats a point."""
-    if any(p.key() == q.key() for p, q in zip(ps, qs, strict=True)):
+    if any(p == q for p, q in zip(ps, qs, strict=True)):
         raise CoincidentPoints("kernel needs distinct points in every pair")
     V = ctx.aj(list(ps) + list(qs))
     return V[len(ps):] - V[:len(ps)]
@@ -283,5 +279,4 @@ def delta_divisor_root(ctx: CurveContext, char=None):
     if ctx.g == 1 or lead < 1e-10 * max(rest, 1e-300):
         return np.array([]), np.array([])  # divisor at the infinite branch point
     roots = np.roots(coeffs)
-    dists = np.array([np.abs(r - ctx.curve.branch_points).min() for r in roots])
-    return roots, dists
+    return roots, ctx.curve.dist_to_branch(roots)

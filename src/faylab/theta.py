@@ -254,9 +254,10 @@ def theta_batch(Z, rm: RiemannMatrix, char: ThetaChar = None, tol=1e-10,
     R = rm._radius_cache[r_key]
     # reduced arguments keep their centers within D/2 of the characteristic,
     # so one cached enumeration around `a` covers every batch at this radius
+    # (b enters only the linear term, summed per batch)
     D = rm._S_norm * math.sqrt(rm.g)
     R_cache = 0.25 * math.ceil((R + 0.5 * D + 0.05) / 0.25)
-    key = (char.a, char.b, R_cache)
+    key = (char.a, R_cache)
     if key not in rm._lattice_cache:
         pts = _ellipsoid_points(rm, a, R_cache)
         na = pts + a

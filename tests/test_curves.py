@@ -37,10 +37,9 @@ class TestConstruction:
                 HyperellipticCurve(pts)
 
     def test_overflowing_even_model_rejected(self):
-        # clearances of ~1e-320 overflow the Moebius change: the converted
-        # branch points are -inf+nanj and min_gap is NaN, which must be
-        # refused like a small gap (numpy's overflow warnings are its own)
-        with np.errstate(all="ignore"), pytest.raises(BranchPointCollision):
+        # clearances of ~1e-320 overflow the Moebius change to -inf+nanj:
+        # refused like a small gap, with no numpy warning (an error here)
+        with pytest.raises(BranchPointCollision):
             HyperellipticCurve([0, 1e-320, 5e-321, 1e-319])
 
     def test_even_model_converted(self):
@@ -75,17 +74,13 @@ class TestConstruction:
         assert np.array_equal(batch, [c.f(x[k:k + 1])[0] for k in range(len(x))])
         assert np.array_equal(batch[:2], c.f(x[:2]))
 
-    def test_key_rounded_once(self, monkeypatch):
-        # the cache key is rounded when the point is made, not per lookup;
-        # equality and hashing stay on the fields
-        calls = []
-        monkeypatch.setattr(curves, "round", lambda v, n: calls.append(v) or round(v, n),
-                            raising=False)
+    def test_points_equal_by_value(self):
+        # a point is its fields, x and sheet: equal and hashed by value,
+        # which is how the Abel-Jacobi caches and the coincidence test key it
         p = CurvePoint(0.3 + 0.7j, -1)
-        assert [p.key() for _ in range(5)] == [(0.3, 0.7, -1)] * 5
-        assert len(calls) == 2
         q = CurvePoint(0.3 + 0.7j, -1)
         assert p == q and hash(p) == hash(q) and p != p.involution()
+        assert p != CurvePoint(0.3 + 0.7j + 1e-13, -1)
 
 
 class TestHomology:
@@ -496,6 +491,21 @@ class TestCharacteristics:
 
     def test_g1_odd_char_is_half_half(self, ctx_g1):
         assert find_odd_char(ctx_g1.rm) == ThetaChar((0.5,), (0.5,))
+
+    @pytest.mark.parametrize("singular", [0, 2])
+    def test_first_hit_ends_the_search(self, ctx_g3, monkeypatch, singular):
+        # the first `singular` odd characteristics get a zero gradient; the
+        # next one is the answer, and no gradient is evaluated after it
+        from faylab.theta import odd_theta_chars
+        chars = odd_theta_chars(3)
+        asked = []
+
+        def gradient(z, rm, ch, tol, _real=curves.theta_gradient):
+            asked.append(ch)
+            return 0 * z if len(asked) <= singular else _real(z, rm, ch, tol=tol)
+        monkeypatch.setattr(curves, "theta_gradient", gradient)
+        assert find_odd_char(ctx_g3.rm) == chars[singular]
+        assert asked == chars[:singular + 1]
 
 
 class TestLineBundles:

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from faylab.curves import make_point, random_line_bundle
+from faylab.curves import abel_jacobi, make_point, random_line_bundle
 from faylab.kernels import (CurveContext, fay_F, prime_form,
                             massey_m3_prime, massey_m3_theta, theta_form,
                             h_values, sample_point, sample_xi,
@@ -325,6 +325,16 @@ class TestBatches:
         assert np.array_equal(h, np.array([h_values(one, [p])[0] for p in batch]))
         assert ctx.aj([]).shape == (0, ctx.g) and h_values(ctx, []).shape == (0,)
 
+    def test_near_points_keep_their_rows(self, ctx_g2):
+        # points 1e-13 apart are two points: one ctx.aj call gives each the
+        # row abel_jacobi gives it alone
+        ctx = CurveContext(ctx_g2.curve, ctx_g2.periods)
+        ps = [make_point(ctx.curve, 0.3 + 0.7j + d, 1) for d in (0.0, 1e-13)]
+        rows = ctx.aj(ps)
+        assert not np.array_equal(rows[0], rows[1])
+        for p, row in zip(ps, rows):
+            assert np.array_equal(row, abel_jacobi(ctx.periods, p, ctx.base))
+
     @pytest.mark.parametrize("cid", HYPERELLIPTIC)
     def test_form_rows_as_if_alone(self, cid):
         # theta_form and h_values of 200 points equal each point alone,
@@ -385,15 +395,15 @@ class TestBatches:
         assert calls["integrate_path"] == calls["_distinct_points"]
 
 
-def flip_h(monkeypatch, key, seen):
-    """Make h_values negate the rows of the point with key `key`, and record
-    the keys of every point it is asked for in `seen`."""
+def flip_h(monkeypatch, point, seen):
+    """Make h_values negate the rows of the point `point`, and record every
+    point it is asked for in `seen`."""
     import faylab.kernels as kernels
 
     def flipped(ctx, ps, _real=h_values):
-        seen.extend(p.key() for p in ps)
+        seen.extend(ps)
         h = _real(ctx, ps)
-        return np.where([p.key() == key for p in ps], -h, h)
+        return np.where([p == point for p in ps], -h, h)
     monkeypatch.setattr(kernels, "h_values", flipped)
 
 
@@ -420,7 +430,7 @@ class TestSignFlips:
         Q = sample_point(ctx_g1, rng)
         m1 = massey_m3_prime(ctx_g1, [ctx_g1.xi_of_bundle(e)], [P], [Q])[0]
         t1 = massey_m3_theta(ctx_g1, [ctx_g1.xi_of_bundle(e)], [P], [Q])[0]
-        flip_h(monkeypatch, P.key(), [])
+        flip_h(monkeypatch, P, [])
         m2 = massey_m3_prime(ctx_g1, [ctx_g1.xi_of_bundle(e)], [P], [Q])[0]
         t2 = massey_m3_theta(ctx_g1, [ctx_g1.xi_of_bundle(e)], [P], [Q])[0]
         # both routes flip together; their agreement is branch-insensitive

@@ -261,6 +261,19 @@ def test_radius_memo_matches_fresh_matrix():
                 assert np.array_equal(grads, f_grads)
 
 
+def test_lattice_shared_across_b():
+    # the lattice points and their quadratic exponent depend on a and the
+    # radius only: two odd characteristics with one a hold one lattice, and
+    # the second one's values are those of a fresh matrix
+    c1, c2 = [c for c in odd_theta_chars(3) if c.a == (0.0, 0.0, 0.5)][:2]
+    rm = RiemannMatrix(RM3.omega)
+    Z = np.array([[0.1, -0.2, 0.3j], [0.2j, 0.1, -0.1]])
+    theta_batch(Z, rm, c1)
+    vals = theta_batch(Z, rm, c2)[0]
+    assert len(rm._lattice_cache) == 1
+    assert vals.tobytes() == theta_batch(Z, RiemannMatrix(RM3.omega), c2)[0].tobytes()
+
+
 def test_blocks_equal_calls_of_two_or_three_rows():
     # at genus 3 a block holds THETA_BLOCK // terms rows; a call of two
     # blocks and one row more sums the lone row with the block before it,
