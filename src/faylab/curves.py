@@ -487,6 +487,8 @@ def abel_jacobi_from_branch(periods: PeriodData, P, branch_index=0):
     P; a (g,) vector for one point P, an (N, g) array for a list, whose
     points take one integrate_path call."""
     pts = [P] if isinstance(P, CurvePoint) else list(P)
+    if not pts:
+        return np.empty((0, periods.curve.genus), dtype=complex)
     n = np.argmin(np.abs(periods.curve.branch_points - [[p.x] for p in pts]), axis=1)
     consts = _branch_constants(periods)
     v = consts[n] - consts[branch_index] + _from_hubs(periods, pts, n)

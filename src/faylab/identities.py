@@ -160,7 +160,7 @@ def prime_form_identity(ctx, rng, n):
     # indices x = 0, y = 1, z_i = 2 + i, t_i = 2 + n + i
     a, b = np.nonzero(~np.eye(len(pts), dtype=bool))
     E = np.ones((len(pts), len(pts)), dtype=complex)
-    E[a, b] = yield prime_form, [pts[k] for k in a], [pts[k] for k in b]
+    E[a, b] = yield prime_form, V[b] - V[a], [pts[k] for k in a], [pts[k] for k in b]
     z = 2 + np.arange(n)
     t = z + n
     blocks = list(E[np.ix_(t, z)].prod(axis=0) / E[np.ix_(z, z)].prod(axis=0)
@@ -188,9 +188,10 @@ def residue_identity(ctx, rng, n):
     xs = _distinct_points(ctx, rng, n)
     xis = [sample_xi(ctx, rng) for _ in range(n - 1)]
     xis = np.array(xis + [-sum(xis)])
+    V = yield CurveContext.aj, xs
     i, j = np.nonzero(~np.eye(n, dtype=bool))
     m = np.ones((n, n), dtype=complex)
-    m[i, j] = yield massey_m3_prime, xis[j], [xs[k] for k in j], [xs[k] for k in i]
+    m[i, j] = yield massey_m3_prime, xis[j], V[i] - V[j], [xs[k] for k in j], [xs[k] for k in i]
     blocks = m.prod(axis=1)
     if n == 3:
         blocks = blocks / (yield h_values, xs)
@@ -211,6 +212,7 @@ def maincor_kernel(ctx, rng):
     zt, xt, xz, yt, yz = yield CurveContext.theta_delta, [Z - T, X - T, X - Z, Y - T, Y - Z]
     m_xz, m_yz, m_yx, m_xy = yield (massey_m3_prime,
                                     np.array([xi, Z - T - xi, Z - T - xi, xi]),
+                                    np.array([Z - X, Z - Y, X - Y, Y - X]),
                                     [x, y, y, x], [z, z, x, y])
     h, = yield h_values, [z]
     t0 = zt / h**2 * m_xz * m_yz
@@ -227,7 +229,8 @@ def cross_formula(ctx, rng):
     th, = yield _theta, e[None]
     if abs(th) <= 1e-4 * ctx.scale:
         raise NearDivisor("line bundle near the theta divisor")
-    args = np.array([ctx.xi_of_bundle(e)]), [x], [y]
+    V = yield CurveContext.aj, [x, y]
+    args = np.array([ctx.xi_of_bundle(e)]), V[1:] - V[:1], [x], [y]
     m1, = yield (massey_m3_prime, *args)
     m2, = yield (massey_m3_theta, *args)
     return abs(m1 - m2), abs(m1 - m2) / abs(m1)
@@ -240,9 +243,10 @@ def idcor(ctx, rng):
     numbers in the affine frames."""
     x, y, z = pts = _distinct_points(ctx, rng, 3)
     xi = sample_xi(ctx, rng)
-    X, _, Z = yield CurveContext.aj, pts
-    m_xz, m_xy, m_zy = yield massey_m3_prime, np.array([xi, xi, xi + X - Z]), [x, x, z], [z, y, y]
-    E_zy, E_xz, E_xy = yield prime_form, [z, x, x], [y, z, y]
+    X, Y, Z = yield CurveContext.aj, pts
+    m_xz, m_xy, m_zy = yield (massey_m3_prime, np.array([xi, xi, xi + X - Z]),
+                              np.array([Z - X, Y - X, Y - Z]), [x, x, z], [z, y, y])
+    E_zy, E_xz, E_xy = yield prime_form, np.array([Y - Z, Z - X, Y - X]), [z, x, x], [y, z, y]
     lhs = m_zy * E_zy * E_xz / E_xy
     rhs = m_xy / m_xz
     return abs(lhs - rhs), abs(lhs - rhs) / abs(rhs)
@@ -289,16 +293,17 @@ def quasidet_geometric(ctx, rng, n, block):
         raise SuiteError("diagonal flat bundles are exercised at genus 1")
     xi = np.array([sample_xi(ctx, rng) for _ in range(block)])
     V = yield CurveContext.aj, pts
+    X, Y, x0, y0 = V[1:n + 1], V[n + 2:], V[0], V[n + 1]
     # entries m3(xi_s, x_j, y_i) for every (s, i, j), then m3(xi_s + shift, x_0, y_0),
     # with x_k point k and y_k point n + 1 + k; EF = prod_k E(x_0, x_k) E(y_0, y_k)
     # / (E(x_0, y_k) E(y_0, x_k))
     s, i, j = np.indices((block, n + 1, n + 1)).reshape(3, -1)
-    m = yield (massey_m3_prime, np.concatenate([xi[s], xi + sum(V[1:n + 1] - V[n + 2:])]),
-               [pts[k] for k in [*j] + [0] * block],
-               [pts[k] for k in [*(n + 1 + i)] + [n + 1] * block])
+    p, q = [*j] + [0] * block, [*(n + 1 + i)] + [n + 1] * block
+    m = yield (massey_m3_prime, np.concatenate([xi[s], xi + sum(X - Y)]),
+               V[q] - V[p], [pts[k] for k in p], [pts[k] for k in q])
     x, y = pts[1:n + 1], pts[n + 2:]
-    E_xx, E_yy, E_xy, E_yx = (yield prime_form, ([pts[0]] * n + [pts[n + 1]] * n) * 2,
-                              x + y + y + x).reshape(4, n)
+    E_xx, E_yy, E_xy, E_yx = (yield prime_form, np.concatenate([X - x0, Y - y0, Y - x0, X - y0]),
+                              ([pts[0]] * n + [pts[n + 1]] * n) * 2, x + y + y + x).reshape(4, n)
     ent = np.zeros((n + 1, n + 1, block, block), dtype=complex)
     ent[i, j, s, s] = m[:len(s)]
     lhs = QuasiMatrix(ent).qdet(0, 0)

@@ -2,10 +2,11 @@
 half-differential h, the pulled-back derivative 1-form, and the triple
 Massey product m3 computed by two formulas.
 
-Every kernel takes a batch of points first.  CurveContext.aj, theta_form
-and h_values map a point list to one row per point, each row as if the
-point were alone; F, E and m3 make one theta_batch call for their whole
-batch, and raise if any pair in it would.
+Every kernel takes a batch first.  CurveContext.aj, theta_form and
+h_values map a point list to one row per point, each row as if the point
+were alone.  E and m3 take their pairs (ps[k], qs[k]) with the Jacobian
+points V[k] = AJ(qs[k]) - AJ(ps[k]); F, E and m3 make one theta_batch call
+for their whole batch, and raise if any pair in it would.
 
 Conventions.  All section-valued quantities are numbers in the affine
 x-coordinate frame at each curve point (dx trivializes the canonical
@@ -55,8 +56,8 @@ NEAR_DIVISOR = 1e-8
 
 
 class CurveContext:
-    """Curve + periods + a fixed non-singular odd characteristic, with a
-    cache of Abel-Jacobi values."""
+    """Curve + periods + a fixed non-singular odd characteristic, and the
+    values derived from them; nothing in it changes once it is built."""
 
     def __init__(self, curve: HyperellipticCurve, periods: PeriodData,
                  theta_multiplier=1.0):
@@ -77,19 +78,13 @@ class CurveContext:
                                                 self.delta, tol=self.tol)
         # w = A^-T grad0: the derivative 1-form is N(x) dx / y, N(x) = sum_i w_i x^(i-1)
         self.form_coeffs = periods.A_inv.T @ self.grad0
-        self._aj_cache = {}
-        self._kappa = None
 
     # -- point bookkeeping -------------------------------------------------
 
     def aj(self, ps):
         """Abel-Jacobi vectors of the points ps from the context base point,
-        as an (N, g) array (cached per point, so every identity reuses the
-        exact same representative), the misses in one abel_jacobi batch."""
-        miss = list(dict.fromkeys(p for p in ps if p not in self._aj_cache))
-        if miss:
-            self._aj_cache.update(zip(miss, abel_jacobi(self.periods, miss, self.base)))
-        return np.array([self._aj_cache[p] for p in ps]).reshape(len(ps), self.g)
+        as an (N, g) array, in one abel_jacobi batch."""
+        return abel_jacobi(self.periods, ps, self.base)
 
     # -- theta shorthands --------------------------------------------------
 
@@ -128,17 +123,15 @@ def h_values(ctx: CurveContext, ps):
 def _check_off_divisor(ctx, *denominators):
     """Raise NearDivisor if any theta denominator of a batch is below
     NEAR_DIVISOR * ctx.scale."""
-    if min(np.abs(d).min() for d in denominators) < NEAR_DIVISOR * ctx.scale:
+    if min(np.abs(d).min(initial=np.inf) for d in denominators) < NEAR_DIVISOR * ctx.scale:
         raise NearDivisor("theta denominator below threshold")
 
 
-def _pair_diffs(ctx, ps, qs):
-    """The Jacobian points q - p of equal-length point lists, as an (N, g)
-    array; raises CoincidentPoints if any pair repeats a point."""
+def _check_pairs(ps, qs):
+    """Raise CoincidentPoints if any pair of equal-length point lists
+    repeats a point."""
     if any(p == q for p, q in zip(ps, qs, strict=True)):
         raise CoincidentPoints("kernel needs distinct points in every pair")
-    V = ctx.aj(list(ps) + list(qs))
-    return V[len(ps):] - V[:len(ps)]
 
 
 def fay_F(ctx: CurveContext, xi1, xi2):
@@ -155,47 +148,47 @@ def fay_F(ctx: CurveContext, xi1, xi2):
     return num / (d1 * d2)
 
 
-def prime_form(ctx: CurveContext, ps, qs):
+def prime_form(ctx: CurveContext, V, ps, qs):
     """E(p, q) = theta[delta](q - p) / (h(p) h(q)), in the x-frames, for
-    each pair (ps[k], qs[k]).
+    each pair (ps[k], qs[k]), with V[k] = AJ(qs[k]) - AJ(ps[k]).
 
     Antisymmetric; simple zero on the diagonal with residue-1
     normalization: E(p, t) ~ (x_t - x_p) as t -> p.
     """
-    th = ctx.theta_delta(_pair_diffs(ctx, ps, qs))
-    return th / (h_values(ctx, ps) * h_values(ctx, qs))
+    _check_pairs(ps, qs)
+    return ctx.theta_delta(V) / (h_values(ctx, ps) * h_values(ctx, qs))
 
 
-def _m3_thetas(ctx, xis, ps, qs):
-    """theta[delta] at v - xi, -xi and v (v = q - p) for each pair, in one
-    theta_batch call; raises NearDivisor if any theta_L(0) = theta[delta](-xi)."""
-    V = _pair_diffs(ctx, ps, qs)
+def _m3_thetas(ctx, xis, V, ps, qs):
+    """theta[delta] at V - xi, -xi and V for each pair, in one theta_batch
+    call; raises NearDivisor if any theta_L(0) = theta[delta](-xi)."""
+    _check_pairs(ps, qs)
     xis = np.asarray(xis, dtype=complex)
     num, den, th_v = ctx.theta_delta(np.stack([V - xis, -xis, V]))
     _check_off_divisor(ctx, den)
     return num, den, th_v
 
 
-def massey_m3_prime(ctx: CurveContext, xis, ps, qs):
+def massey_m3_prime(ctx: CurveContext, xis, V, ps, qs):
     """m3(xi, p, q) = theta_L(q - p) / (E(p, q) theta_L(0)) for each pair,
     the prime-form route, with theta_L(z) = theta[delta](z - xi) the
-    odd-characteristic translate of the bundle (one xi per pair, (N, g))."""
-    num, den, th_v = _m3_thetas(ctx, xis, ps, qs)
+    odd-characteristic translate of the bundle (one xi and one V row per pair)."""
+    num, den, th_v = _m3_thetas(ctx, xis, V, ps, qs)
     E = th_v / (h_values(ctx, ps) * h_values(ctx, qs))
     return num / (E * den)
 
 
-def massey_m3_theta(ctx: CurveContext, xis, ps, qs):
+def massey_m3_theta(ctx: CurveContext, xis, V, ps, qs):
     """The derivative-formula route, for each pair:
 
         m3(xi(D), p, q) = theta[d](v - xi) theta'[d](0)(p)
                           / (theta[d](v) theta[d](-xi)) * h(q)/h(p),
 
-    v = q - p; the trailing ratio is the canonical-identification frame
-    factor that lands the value in the same affine frames as the
+    v = q - p, a row of V; the trailing ratio is the canonical-identification
+    frame factor that lands the value in the same affine frames as the
     prime-form route.
     """
-    num, den, mid = _m3_thetas(ctx, xis, ps, qs)
+    num, den, mid = _m3_thetas(ctx, xis, V, ps, qs)
     _check_off_divisor(ctx, mid)
     return num * theta_form(ctx, ps) * h_values(ctx, qs) / (mid * den * h_values(ctx, ps))
 
@@ -230,11 +223,8 @@ def riemann_constant(ctx: CurveContext):
 
     Calibration solve: kappa is a half-period shifted by (g-1) times the
     base-to-branch-point vector; candidates, each reduced into the
-    fundamental cell, are scanned and verified on g + 2 sampled divisors,
-    then cached.
+    fundamental cell, are scanned and verified on g + 2 sampled divisors.
     """
-    if ctx._kappa is not None:
-        return ctx._kappa
     g = ctx.g
     V1 = abel_jacobi_from_branch(ctx.periods, ctx.base, 0)
     rng = np.random.default_rng(20240719)
@@ -255,8 +245,7 @@ def riemann_constant(ctx: CurveContext):
                 best = (score, kap)
     if best[0] > 1e-6:
         raise RootSearchFailed(f"Riemann constant calibration failed ({best[0]:.2e})")
-    ctx._kappa = best[1]
-    return ctx._kappa
+    return best[1]
 
 
 def delta_divisor_root(ctx: CurveContext, char=None):

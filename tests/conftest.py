@@ -28,6 +28,12 @@ def build_context(curve_id):
     return _CTX_CACHE[curve_id]
 
 
+def pair_args(ctx, ps, qs):
+    """A pair kernel's (V, ps, qs) for the pairs (ps[k], qs[k]):
+    V = ctx.aj(qs) - ctx.aj(ps)."""
+    return ctx.aj(qs) - ctx.aj(ps), ps, qs
+
+
 def one_trial(name, env, rng):
     """(abs, rel) of one trial of the identity `name`: one draw from rng,
     evaluated on its own by _drive; its rejection or failure is raised."""

@@ -22,7 +22,7 @@ from faylab.quasidet import (random_quasimatrix, check_sylvester,
 from faylab.rng import trial_rng
 from faylab.report import report_record
 
-from conftest import build_context, far_path_aj, one_trial
+from conftest import build_context, far_path_aj, one_trial, pair_args
 from oracles import qseries_theta3, agm_tau
 
 RMS = {1: RiemannMatrix([[1j]]),
@@ -151,8 +151,8 @@ def test_criterion_3_kernel_cross_oracle():
             e = random_line_bundle(ctx.rm, rng)
             P = sample_point(ctx, rng)
             Q = sample_point(ctx, rng)
-            m1 = massey_m3_prime(ctx, [ctx.xi_of_bundle(e)], [P], [Q])[0]
-            m2 = massey_m3_theta(ctx, [ctx.xi_of_bundle(e)], [P], [Q])[0]
+            m1 = massey_m3_prime(ctx, [ctx.xi_of_bundle(e)], *pair_args(ctx, [P], [Q]))[0]
+            m2 = massey_m3_theta(ctx, [ctx.xi_of_bundle(e)], *pair_args(ctx, [P], [Q]))[0]
             return abs(m1 - m2) / abs(m1)
 
         worst = max(worst, run_trials(one, 200, f"acc3|{cid}"))
@@ -229,8 +229,8 @@ def test_criterion_5_prime_form_suite():
         def one(rng):
             P = sample_point(ctx, rng)
             Q = sample_point(ctx, rng)
-            E1 = prime_form(ctx, [P], [Q])[0]
-            return abs(E1 + prime_form(ctx, [Q], [P])[0]) / abs(E1)
+            E1 = prime_form(ctx, *pair_args(ctx, [P], [Q]))[0]
+            return abs(E1 + prime_form(ctx, *pair_args(ctx, [Q], [P]))[0]) / abs(E1)
         return one
     r = max(run_trials(antisym(ctx1), 50, "acc5|anti1"),
             run_trials(antisym(ctx2), 50, "acc5|anti2"))
@@ -245,8 +245,8 @@ def test_criterion_5_prime_form_suite():
         def one(rng, ca=ca, cb=cb):
             P = sample_point(ca, rng)
             Q = sample_point(ca, rng)
-            E1 = prime_form(ca, [P], [Q])[0]
-            E2 = prime_form(cb, [P], [Q])[0]
+            E1 = prime_form(ca, *pair_args(ca, [P], [Q]))[0]
+            E2 = prime_form(cb, *pair_args(cb, [P], [Q]))[0]
             return abs(E1**2 - E2**2) / abs(E1**2)
         worst = max(worst, run_trials(one, 25, f"acc5|ind{cid}"))
     checks.append(("E independent of delta", worst, 1e-8))

@@ -18,7 +18,7 @@ from faylab.theta import theta, ThetaChar
 from faylab.kernels import riemann_constant, sample_point
 from faylab.registry import registry_entries
 
-from conftest import HYPERELLIPTIC, build_context, far_path_aj, polygon_clearance
+from conftest import HYPERELLIPTIC, build_context, far_path_aj, pair_args, polygon_clearance
 from oracles import (agm_tau, branch_expansion, brute_force_continuation, hub_path_one,
                      qseries_theta_char)
 
@@ -76,7 +76,8 @@ class TestConstruction:
 
     def test_points_equal_by_value(self):
         # a point is its fields, x and sheet: equal and hashed by value,
-        # which is how the Abel-Jacobi caches and the coincidence test key it
+        # which is how the base-point Abel-Jacobi cache and the coincidence
+        # test key it
         p = CurvePoint(0.3 + 0.7j, -1)
         q = CurvePoint(0.3 + 0.7j, -1)
         assert p == q and hash(p) == hash(q) and p != p.involution()
@@ -529,8 +530,8 @@ class TestLineBundles:
         m = np.array([1.0])
         n = np.array([-2.0])
         e2 = e + n + ctx_g1.rm.omega @ m
-        m1 = massey_m3_prime(ctx_g1, [ctx_g1.xi_of_bundle(e)], [P], [Q])[0]
-        m2 = massey_m3_prime(ctx_g1, [ctx_g1.xi_of_bundle(e2)], [P], [Q])[0]
+        m1 = massey_m3_prime(ctx_g1, [ctx_g1.xi_of_bundle(e)], *pair_args(ctx_g1, [P], [Q]))[0]
+        m2 = massey_m3_prime(ctx_g1, [ctx_g1.xi_of_bundle(e2)], *pair_args(ctx_g1, [P], [Q]))[0]
         v = (ctx_g1.aj([Q]) - ctx_g1.aj([P]))[0]
         # e -> e + lattice shifts xi by -lattice; the m3 ratio picks up
         # exp(-2 pi i m . v)

@@ -8,7 +8,7 @@ from faylab.kernels import (CurveContext, fay_F, prime_form,
                             delta_divisor_root, NearDivisor, CoincidentPoints)
 from faylab.theta import theta_gradient, odd_theta_chars
 
-from conftest import HYPERELLIPTIC, build_context, one_trial
+from conftest import HYPERELLIPTIC, build_context, one_trial, pair_args
 from oracles import qseries_theta_char, qseries_theta_char_deriv
 
 
@@ -153,15 +153,15 @@ class TestPrimeForm:
         for _ in range(10):
             P = sample_point(ctx, rng)
             Q = sample_point(ctx, rng)
-            E1 = prime_form(ctx, [P], [Q])[0]
-            E2 = prime_form(ctx, [Q], [P])[0]
+            E1 = prime_form(ctx, *pair_args(ctx, [P], [Q]))[0]
+            E2 = prime_form(ctx, *pair_args(ctx, [Q], [P]))[0]
             assert abs(E1 + E2) < 1e-9 * abs(E1)
 
     def test_coincident_points(self, ctx_g1):
         rng = np.random.default_rng(7)
         P = sample_point(ctx_g1, rng)
         with pytest.raises(CoincidentPoints):
-            prime_form(ctx_g1, [P], [P])
+            prime_form(ctx_g1, *pair_args(ctx_g1, [P], [P]))
 
     def test_diagonal_residue(self, ctx_g2):
         # E(P, t)/(x_t - x_P) -> 1 as t -> P in the x-frames
@@ -170,7 +170,7 @@ class TestPrimeForm:
         vals = []
         for eps in (1e-2, 1e-3, 1e-4, 1e-5):
             t = make_point(ctx_g2.curve, P.x + eps, P.sheet)
-            vals.append(prime_form(ctx_g2, [P], [t])[0] / eps)
+            vals.append(prime_form(ctx_g2, *pair_args(ctx_g2, [P], [t]))[0] / eps)
         assert abs(vals[-1] - 1.0) < 1e-6
 
     def test_lemniscatic_sigma_oracle(self, ctx_g1):
@@ -185,7 +185,7 @@ class TestPrimeForm:
             v = complex((ctx_g1.aj([Q]) - ctx_g1.aj([P]))[0, 0])
             h_or = lambda R: np.sqrt(thp0 * Ainv / R.y(ctx_g1.curve))
             oracle = qseries_theta_char(0.5, 0.5, v, tau) / (h_or(P) * h_or(Q))
-            mine = prime_form(ctx_g1, [P], [Q])[0]
+            mine = prime_form(ctx_g1, *pair_args(ctx_g1, [P], [Q]))[0]
             # principal square roots on both sides: equal up to sign per point
             assert min(abs(mine - oracle), abs(mine + oracle)) < 1e-8 * abs(mine)
 
@@ -198,7 +198,7 @@ class TestPrimeForm:
             if abs(P.x - Q.x) < 0.1:
                 continue
             count += 1
-            assert abs(prime_form(ctx_g2, [P], [Q])[0]) > 1e-6
+            assert abs(prime_form(ctx_g2, *pair_args(ctx_g2, [P], [Q]))[0]) > 1e-6
 
     @pytest.mark.parametrize("cid", ["g2-real", "g3-real"])
     def test_independent_of_odd_char(self, cid):
@@ -208,8 +208,8 @@ class TestPrimeForm:
         for _ in range(8):
             P = sample_point(ctx1, rng)
             Q = sample_point(ctx1, rng)
-            E1 = prime_form(ctx1, [P], [Q])[0]
-            E2 = prime_form(ctx2, [P], [Q])[0]
+            E1 = prime_form(ctx1, *pair_args(ctx1, [P], [Q]))[0]
+            E2 = prime_form(ctx2, *pair_args(ctx2, [P], [Q]))[0]
             # E^2 is branch-free; E itself matches up to the h-branch signs
             assert abs(E1**2 - E2**2) < 1e-8 * abs(E1**2)
 
@@ -225,8 +225,8 @@ class TestMassey:
             P = sample_point(ctx, rng)
             Q = sample_point(ctx, rng)
             try:
-                m1 = massey_m3_prime(ctx, [ctx.xi_of_bundle(e)], [P], [Q])[0]
-                m2 = massey_m3_theta(ctx, [ctx.xi_of_bundle(e)], [P], [Q])[0]
+                m1 = massey_m3_prime(ctx, [ctx.xi_of_bundle(e)], *pair_args(ctx, [P], [Q]))[0]
+                m2 = massey_m3_theta(ctx, [ctx.xi_of_bundle(e)], *pair_args(ctx, [P], [Q]))[0]
             except (NearDivisor, CoincidentPoints):
                 continue
             done += 1
@@ -243,7 +243,7 @@ class TestMassey:
             P = sample_point(ctx_g1, rng)
             Q = sample_point(ctx_g1, rng)
             try:
-                m = massey_m3_prime(ctx_g1, [ctx_g1.xi_of_bundle(e)], [P], [Q])[0]
+                m = massey_m3_prime(ctx_g1, [ctx_g1.xi_of_bundle(e)], *pair_args(ctx_g1, [P], [Q]))[0]
             except (NearDivisor, CoincidentPoints):
                 continue
             shifted = abs(theta(e + (ctx_g1.aj([Q]) - ctx_g1.aj([P]))[0],
@@ -262,8 +262,8 @@ class TestMassey:
             xi = sample_xi(ctx_g1, rng)
             P = sample_point(ctx_g1, rng)
             Q = sample_point(ctx_g1, rng)
-            m1 = massey_m3_prime(ctx_g1, [xi], [P], [Q])[0]
-            m2 = massey_m3_prime(ctx_g1, [-xi], [Q], [P])[0]
+            m1 = massey_m3_prime(ctx_g1, [xi], *pair_args(ctx_g1, [P], [Q]))[0]
+            m2 = massey_m3_prime(ctx_g1, [-xi], *pair_args(ctx_g1, [Q], [P]))[0]
             assert abs(m1 + m2) < 1e-9 * abs(m1)
 
     def test_theta_route_lattice_invariance(self, ctx_g2):
@@ -274,8 +274,8 @@ class TestMassey:
         m = np.array([1.0, -1.0])
         n = np.array([0.0, 2.0])
         lam = n + ctx_g2.rm.omega @ m
-        m1 = massey_m3_theta(ctx_g2, [xi], [P], [Q])[0]
-        m2 = massey_m3_theta(ctx_g2, [xi + lam], [P], [Q])[0]
+        m1 = massey_m3_theta(ctx_g2, [xi], *pair_args(ctx_g2, [P], [Q]))[0]
+        m2 = massey_m3_theta(ctx_g2, [xi + lam], *pair_args(ctx_g2, [P], [Q]))[0]
         v = (ctx_g2.aj([Q]) - ctx_g2.aj([P]))[0]
         fac = np.exp(2j * np.pi * m @ v)
         assert abs(m2 - fac * m1) < 1e-9 * abs(m1)
@@ -302,28 +302,32 @@ class TestBatches:
         rows = [[fay_F(ctx, a, b + 0.1) for b in xis[::-1]] for a in xis]
         assert F.shape == (6, 6)
         assert np.all(np.abs(F - np.array(rows)) <= 1e-14 * np.abs(F))
-        for kernel, args in [(prime_form, (ps, qs)),
-                             (massey_m3_prime, (xis, ps, qs)),
-                             (massey_m3_theta, (xis, ps, qs))]:
+        for kernel, args in [(prime_form, pair_args(ctx, ps, qs)),
+                             (massey_m3_prime, (xis, *pair_args(ctx, ps, qs))),
+                             (massey_m3_theta, (xis, *pair_args(ctx, ps, qs)))]:
             stacked = kernel(ctx, *args)
-            rows = np.array([kernel(ctx, *([a[k]] for a in args))[0]
+            rows = np.array([kernel(ctx, *(a[k:k + 1] for a in args))[0]
                              for k in range(len(ps))])
             assert np.all(np.abs(stacked - rows) <= 1e-14 * np.abs(rows)), kernel
 
     @pytest.mark.parametrize("cid", HYPERELLIPTIC)
     def test_point_batches_equal_single_calls(self, cid):
         # rows of ctx.aj and h_values equal one-point calls bitwise, in any
-        # order and with repeated points; fresh contexts keep AJ caches apart
-        base = build_context(cid)
-        ps, qs, _ = self.draws(base, 4)
+        # order and with repeated points; every kernel takes an empty batch
+        ctx = build_context(cid)
+        ps, qs, _ = self.draws(ctx, 4)
         batch = [(ps + qs)[k] for k in (5, 2, 2, 7, 0, 5, 1, 6, 3, 4, 0)]
-        ctx = CurveContext(base.curve, base.periods)
         aj, h = ctx.aj(batch), h_values(ctx, batch)
-        one = CurveContext(base.curve, base.periods)
         assert aj.shape == (len(batch), ctx.g)
-        assert np.array_equal(aj, np.array([one.aj([p])[0] for p in batch]))
-        assert np.array_equal(h, np.array([h_values(one, [p])[0] for p in batch]))
-        assert ctx.aj([]).shape == (0, ctx.g) and h_values(ctx, []).shape == (0,)
+        assert np.array_equal(aj, np.array([ctx.aj([p])[0] for p in batch]))
+        assert np.array_equal(h, np.array([h_values(ctx, [p])[0] for p in batch]))
+        none = np.empty((0, ctx.g))
+        assert ctx.aj([]).shape == abel_jacobi(ctx.periods, [], ctx.base).shape == (0, ctx.g)
+        assert h_values(ctx, []).shape == theta_form(ctx, []).shape == (0,)
+        for kernel, args in [(fay_F, (none, none)), (prime_form, pair_args(ctx, [], [])),
+                             (massey_m3_prime, (none, *pair_args(ctx, [], []))),
+                             (massey_m3_theta, (none, *pair_args(ctx, [], [])))]:
+            assert kernel(ctx, *args).shape == (0,), kernel
 
     def test_near_points_keep_their_rows(self, ctx_g2):
         # points 1e-13 apart are two points: one ctx.aj call gives each the
@@ -356,16 +360,16 @@ class TestBatches:
         with pytest.raises(NearDivisor):
             fay_F(ctx_g2, xis, xis[::-1])
         with pytest.raises(NearDivisor):
-            massey_m3_prime(ctx_g2, xis, ps, qs)
+            massey_m3_prime(ctx_g2, xis, *pair_args(ctx_g2, ps, qs))
         with pytest.raises(NearDivisor):
-            massey_m3_theta(ctx_g2, xis, ps, qs)
+            massey_m3_theta(ctx_g2, xis, *pair_args(ctx_g2, ps, qs))
 
     def test_one_coincident_pair_raises(self, ctx_g2):
         ps, qs, xis = self.draws(ctx_g2)
         qs[3] = ps[3]
-        for kernel, args in [(prime_form, (ps, qs)),
-                             (massey_m3_prime, (xis, ps, qs)),
-                             (massey_m3_theta, (xis, ps, qs))]:
+        for kernel, args in [(prime_form, pair_args(ctx_g2, ps, qs)),
+                             (massey_m3_prime, (xis, *pair_args(ctx_g2, ps, qs))),
+                             (massey_m3_theta, (xis, *pair_args(ctx_g2, ps, qs)))]:
             with pytest.raises(CoincidentPoints):
                 kernel(ctx_g2, *args)
 
@@ -428,11 +432,11 @@ class TestSignFlips:
         e = random_line_bundle(ctx_g1.rm, rng)
         P = sample_point(ctx_g1, rng)
         Q = sample_point(ctx_g1, rng)
-        m1 = massey_m3_prime(ctx_g1, [ctx_g1.xi_of_bundle(e)], [P], [Q])[0]
-        t1 = massey_m3_theta(ctx_g1, [ctx_g1.xi_of_bundle(e)], [P], [Q])[0]
+        m1 = massey_m3_prime(ctx_g1, [ctx_g1.xi_of_bundle(e)], *pair_args(ctx_g1, [P], [Q]))[0]
+        t1 = massey_m3_theta(ctx_g1, [ctx_g1.xi_of_bundle(e)], *pair_args(ctx_g1, [P], [Q]))[0]
         flip_h(monkeypatch, P, [])
-        m2 = massey_m3_prime(ctx_g1, [ctx_g1.xi_of_bundle(e)], [P], [Q])[0]
-        t2 = massey_m3_theta(ctx_g1, [ctx_g1.xi_of_bundle(e)], [P], [Q])[0]
+        m2 = massey_m3_prime(ctx_g1, [ctx_g1.xi_of_bundle(e)], *pair_args(ctx_g1, [P], [Q]))[0]
+        t2 = massey_m3_theta(ctx_g1, [ctx_g1.xi_of_bundle(e)], *pair_args(ctx_g1, [P], [Q]))[0]
         # both routes flip together; their agreement is branch-insensitive
         assert abs(m2 - t2) < 1e-10 * abs(m2)
         assert abs(abs(m2) - abs(m1)) < 1e-10 * abs(m1)
