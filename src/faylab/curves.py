@@ -11,10 +11,10 @@ One routine, `integrate_path`, continues y through the Gauss-Legendre
 nodes of a batch of polygons and integrates each on its own slice: all
 periods are one call, all crossing sheet matches one, each AJ batch one.
 
-Abel-Jacobi integrals run along hub paths, at the certified order AJ_ORDER
-= 12: from a hub on a circle about the branch point nearest P, round it to
-the angle of P, then straight out to P.  AJ from e_0 to each e_k is chained
-once across neighbouring pairs and cached with AJ(base): one path per P.
+Abel-Jacobi integrals, at the certified order AJ_ORDER = 12, take one leg
+per P from a cached table of AJ from e_k to the eighth-turn vertices of a
+circle about each e_k.  AJ from e_0 to each e_k is chained once across
+neighbouring pairs and cached with AJ(base).
 """
 
 from __future__ import annotations
@@ -171,8 +171,8 @@ MAX_PATH_NODES = 2**21
 #: (64/15) M rho^(-2n) / (rho^2 - 1) (Trefethen 2008), 1.3e-21 M at 12 nodes.
 AJ_ORDER = 12
 
-#: most paths integrate_path lays nodes for at once (3,000-6,000 nodes on
-#: genus-3 Abel-Jacobi paths), so that a whole report's batch keeps its
+#: most paths integrate_path lays nodes for at once (1,200-2,300 nodes on
+#: Abel-Jacobi legs at genus 1-3), so that a whole report's batch keeps its
 #: node buffers small: heap memory a call grows by is handed back after it
 #: and faulted in again by the next call
 PATH_BLOCK = 32
@@ -185,9 +185,10 @@ def _gl_nodes(order):
 
 def integrate_path(curve, paths, y0s, order):
     """Integrate (1, x, .., x^(g-1)) dx / y along each polygonal path, with
-    y = y0s[i] at paths[i][0]; returns the (N, g) integrals and y at every
-    vertex as one array, path after path (both empty for no path).  The
-    paths are integrated PATH_BLOCK at a time, each row as if alone (see
+    y = y0s[i], a root of f, at paths[i][0]; returns the (N, g) integrals
+    and y at every vertex, exactly + or - the principal root there, as one
+    array, path after path (both empty for no path).  The paths are
+    integrated PATH_BLOCK at a time, each row as if alone (see
     _integrate_paths)."""
     parts = [_integrate_paths(curve, paths[k:k + PATH_BLOCK], y0s[k:k + PATH_BLOCK], order)
              for k in range(0, len(paths), PATH_BLOCK)]
@@ -201,16 +202,17 @@ def _integrate_paths(curve, paths, y0s, order):
     Each edge is cut into Gauss-Legendre panels no wider than half its
     clearance dmin from the branch points (an edge within 1e-6 of one is
     refused, and a path of more than MAX_PATH_NODES nodes raises
-    PathTooLong before a node of its block is laid).  The nodes of all paths are laid
-    and f evaluated in one pass; y is continued through every vertex and
-    node of a path: y_{j+1} = y_j sqrt(f_{j+1} / f_j), the square root
-    taken as exp(log / 2) of a ratio that must keep |delta arg f| <= pi/2
-    and its modulus in [0.1, 10] (else PathTooCloseToBranchPoint).  That
-    test cannot fail at order >= 12: consecutive points are at most 0.063
-    dmin apart, so each of the at most 7 factors x - e_k of f turns by less
-    than 0.063 rad and changes modulus by less than 6.3 % per step.  The
-    running sum of log ratios and the weighted sum run on each path's own
-    slice, and y and the integrand elementwise over all nodes, so a path's
+    PathTooLong before a node of its block is laid).  The nodes of all paths
+    are laid and f evaluated in one pass; each step along a path must keep
+    |delta arg f| <= pi/2 and |f_{j+1} / f_j| in [0.1, 10] (else
+    PathTooCloseToBranchPoint), which cannot fail at order >= 12: steps are
+    at most 0.063 dmin, so each of the at most 7 factors x - e_k of f turns
+    by less than 0.063 rad and changes modulus by less than 6.3 %.  y is s
+    sqrt(f), the principal root times a sign s, first that of y0s[i], which
+    flips at each step with Re(r_{j+1} conj r_j) < 0, r = sqrt(f): y turns
+    by at most pi/4 a step, leaving cos(pi/4) |r_{j+1} r_j| of margin.  The
+    flips are counted mod 2 by an exact xor-accumulate and the weighted
+    sums taken by one reduceat, each on its path's own slice, so a path's
     row does not depend on the others in its batch.
     """
     e = curve.branch_points
@@ -237,36 +239,35 @@ def _integrate_paths(curve, paths, y0s, order):
     k = np.arange(len(edge)) - np.repeat(np.cumsum(panels) - panels, panels)
     ts = (k[:, None] + 0.5 * (nodes + 1.0)) / np.maximum(panels, 1)[edge, None]
     ends = np.cumsum(panels * order + 1) - 1
-    starts = np.append(ends[first], ends[-1] + 1)
+    starts = ends[first]
     x, w = np.empty(ends[-1] + 1, dtype=complex), np.zeros(ends[-1] + 1, dtype=complex)
     node = np.ones(len(x), dtype=bool)
     node[ends] = False
     x[ends], x[node] = zb, (za[edge, None] + ts * seg[edge]).ravel()
     w[node] = (weights * (0.5 * seg[:, 0] / np.maximum(panels, 1))[edge, None]).ravel()
+    del ts, node
     fx = curve.f(x)
     ratios = fx[1:] / fx[:-1]
     modulus = np.abs(ratios)
     bad = (ratios.real < 0) | (modulus > 10.0) | (modulus < 0.1)
-    bad[starts[1:-1] - 1] = False       # steps from one path to the next
+    bad[starts[1:] - 1] = False         # steps from one path to the next
     if bad.any():
         raise PathTooCloseToBranchPoint("continuation step too coarse for f")
-    # each node-sized buffer is reused or dropped once dead
-    half_log = np.log(ratios, out=ratios)
-    half_log *= 0.5
-    del fx, ratios, modulus, bad, ts
-    log_y = np.zeros(len(x), dtype=complex)
-    bounds = list(zip(starts[:-1], starts[1:]))
-    for s, u in bounds:
-        np.cumsum(half_log[s:u - 1], out=log_y[s + 1:u])
-    # y0 the first factor: complex products are not commutative bitwise
-    y = np.repeat(np.asarray(y0s, dtype=complex), np.diff(starts))
-    y *= np.exp(log_y, out=log_y)
-    del half_log, log_y
+    del ratios, modulus, bad
+    r = np.sqrt(fx, out=fx)
+    # odd: s has flipped an odd number of times since vertex 0, y0 = -r one flip
+    odd = np.zeros(len(x), dtype=bool)
+    np.less(r[1:].real * r[:-1].real + r[1:].imag * r[:-1].imag, 0.0, out=odd[1:])
+    np.logical_xor.accumulate(odd, out=odd)
+    odd ^= np.repeat(odd[starts] ^ ((np.asarray(y0s) * r[starts].conj()).real < 0),
+                     np.diff(starts, append=len(x)))
+    y = np.negative(r, out=r, where=odd)
+    del odd
     # complex exponents, as the power loop takes them, spare a cast buffer
     integrand = x ** np.arange(curve.genus, dtype=complex)[:, None]
     integrand /= y
-    vecs = np.array([integrand[:, s:u] @ w[s:u] for s, u in bounds])
-    return vecs.reshape(len(paths), curve.genus), y[ends]
+    integrand *= w
+    return np.add.reduceat(integrand, starts, axis=1).T, y[ends]
 
 
 # ---------------------------------------------------------------------------
@@ -351,7 +352,7 @@ class PeriodData:
         self.curve = curve
         self.A_inv = np.linalg.inv(A)
         self.rm = rm
-        self._hubs = None       # arrays over k: rho_k, y at h_k, A^-1 int_{e_k}^{h_k}
+        self._arcs = None       # the arc table (see _branch_constants)
         self._branch = None     # row k: A^-1 int_{e_0}^{e_k}
         self._base_aj = {}      # base -> A^-1 int_{e_0}^base
 
@@ -399,61 +400,73 @@ def period_matrix(curve: HyperellipticCurve, quadrature_order=32):
 # Abel-Jacobi
 
 
-def _hub_paths(e_k, rho, x, turns=0):
-    """Polygons, one per entry of the arrays e_k, rho and x, each from its
-    hub h = e_k + rho (rho = rho_k, half the distance from e_k to the next
-    branch point) along |z - e_k| = rho in chords of at most a quarter turn
-    to the angle of x (plus `turns` full turns), then straight to x.  If
-    e_k is a nearest branch point of x, the path keeps min(0.7 rho_k,
-    |x - e_k|) clear of all: within rho_k of e_k the rest are rho_k away,
-    and chords keep rho_k cos(pi/4), the leg |x - e_k| from e_k; beyond,
-    the open disk about a leg point z of radius |z - e_k| lies in the one
-    about x of radius |x - e_k|, which holds no branch point."""
-    angle = np.angle(x - e_k) + 2.0 * math.pi * turns
-    n = np.maximum(1, np.ceil(np.abs(angle) / (0.5 * math.pi))).astype(int)
-    # arc vertices 0..n of each path, then a slot for x
-    end = np.cumsum(n + 2)
-    path = np.repeat(np.arange(len(n)), n + 2)
-    j = np.arange(end[-1]) - np.repeat(end - n - 2, n + 2)
-    z = e_k[path] + rho[path] * np.exp(1j * angle[path] * j / n[path])
-    z[end - 1] = x
-    return np.split(z, end[:-1])
+def _arc_vertices(e, rho):
+    """The arc table's V_kj = e_k + rho_k exp(i j pi/8) in column j + 8, |j| <= 8."""
+    return e[:, None] + rho[:, None] * np.exp(1j * np.pi / 8 * np.arange(-8, 9))
+
+
+def _arc_column(d):
+    """Column j + 8 of the leg to e_k + d: V_kj, j = trunc(arg d / (pi/8))."""
+    return np.trunc(np.angle(d) / (np.pi / 8)).astype(int) + 8
 
 
 def _from_hubs(periods, pts, ks):
-    """Rows A^-1 int_{e_k}^P along the hub paths of the points P = pts[i]
-    from their branch points k = ks[i], in one integrate_path call, the
-    hub constants built (see _branch_constants).  A path landing on
-    iota P gives -AJ(P)."""
-    curve, (rho, y_h, c) = periods.curve, periods._hubs
+    """Rows A^-1 int_{e_k}^P for the points P = pts[i] from their branch
+    points k = ks[i]: R_kj from the arc table (see _branch_constants) plus
+    the leg [V_kj, x] of column _arc_column(x - e_k), all legs in one
+    integrate_path call.  A leg landing on iota P gives -AJ(P).
+
+    If e_k is a nearest branch point of x, r = |x - e_k|, rho = rho_k and
+    phi <= pi/8 the angle at e_k from V_kj to x, the leg keeps min(0.7 rho,
+    r) clear of all.  Of e_k: leg points project onto the bisector of phi
+    at cos(pi/16) min(rho, r) or more, 0.7 rho unless r <= rho cos(phi),
+    when x is nearest.  Of e_m, m != k, 2 rho or more from e_k and r from x:
+    the leg lies within max(rho, r) of e_k, so a leg point z with a =
+    |z - e_k| <= 1.3 rho is 0.7 rho from e_m; for a in (1.3 rho, r],
+    |z - x|^2 <= a^2 + r^2 - 2 a r cos(pi/8) <= (r - 0.7 rho)^2 (convex in
+    a, so checked at a = 1.3 rho and a = r), so |z - e_m| >= r - |z - x|
+    >= 0.7 rho.
+    Sliding V_kj round the circle to the angle of x sweeps legs that keep
+    this clearance, so the leg is homotopic to the hub route (round the
+    circle from h_k to the angle of x, then straight out): same lattice
+    representative."""
+    curve, (V, y_V, R) = periods.curve, periods._arcs
     x = np.array([p.x for p in pts])
-    paths = _hub_paths(curve.branch_points[ks], rho[ks], x)
-    vecs, ys = integrate_path(curve, paths, y_h[ks], AJ_ORDER)
+    col = _arc_column(x - curve.branch_points[ks])
+    vecs, ys = integrate_path(curve, np.stack([V[ks, col], x], axis=1), y_V[ks, col], AJ_ORDER)
     y = np.array([p.sheet for p in pts]) * curve.y_principal(x)
-    end = ys[np.cumsum([len(z) for z in paths]) - 1] / y     # +-1 where a path lands on +-y
+    end = ys[1::2] / y                  # +-1 where a leg lands on +-y
     sign = np.sign(end.real)
     if (abs(end - sign) > 1e-6).any():
         raise CurveError("sheet tracking did not land on the requested point")
     # A^-1 applied row by row (a stacked matrix-vector product), as for one point
-    return sign[:, None] * (c[ks] + (periods.A_inv @ vecs[..., None])[..., 0])
+    return sign[:, None] * (R[ks, col] + (periods.A_inv @ vecs[..., None])[..., 0])
 
 
 def _branch_constants(periods):
-    """Row k: A^-1 int_{e_0}^{e_k}, built on first use by a chain from e_0
-    across each pair (e_j, e_k) whose midpoint m has no nearer branch point
-    (these include the nearest-neighbour tree, so every k is reached):
-    int_{e_0}^{e_k} = int_{e_0}^{e_j} + int_{e_j}^m - int_{e_k}^m, all legs
-    in one batch.  Each is reduced into the cell [-1/4, 3/4)^2g of lattice
-    coordinates.  First the hub constants, all in one batch: the involution
-    negates integrals from e_k, so A^-1 int_{e_k}^{h_k} (principal y) is
-    half a full turn from iota h_k."""
+    """Row k: A^-1 int_{e_0}^{e_k}, built on first use with the arc table.
+
+    The table: about each e_k, rho_k half its nearest gap, the vertices
+    V_kj (see _arc_vertices), y continued to them along the circle's chords
+    from the principal root at the hub h_k = V_k0, and R_kj = A^-1
+    int_{e_k}^{V_kj} = R_k0 + I_kj, the arcs I_kj = A^-1 int_{h_k}^{V_kj}
+    in one integrate_path batch.  The involution negates integrals from e_k,
+    and the half turns end on opposite sheets: R_k0 = -(I_k,8 + I_k,-8)/2.
+    Then the chain from e_0 across each pair (e_j, e_k) whose midpoint m has
+    no nearer branch point (so every k is reached): int_{e_0}^{e_k} =
+    int_{e_0}^{e_j} + int_{e_j}^m - int_{e_k}^m, all legs in one batch,
+    each reduced into the cell [-1/4, 3/4)^2g of lattice coordinates."""
     if periods._branch is None:
         curve, e, rm = periods.curve, periods.curve.branch_points, periods.rm
-        rho = 0.5 * np.sort(np.abs(e - e[:, None]), axis=1)[:, 1]
-        y_h = curve.y_principal(e + rho)
-        loops, _ = integrate_path(curve, _hub_paths(e, rho, e + rho, turns=1), -y_h,
+        V = _arc_vertices(e, 0.5 * np.sort(np.abs(e - e[:, None]), axis=1)[:, 1])
+        # arc (k, j): V_k0, V_k1, .. V_kj (or V_k,-1, .. for j < 0)
+        arcs = [V[k, 8::1 if j >= 0 else -1][:abs(j) + 1]
+                for k in range(len(e)) for j in range(-8, 9)]
+        vecs, ys = integrate_path(curve, arcs, np.repeat(curve.y_principal(V[:, 8]), 17),
                                   AJ_ORDER)
-        periods._hubs = rho, y_h, np.array([0.5 * (periods.A_inv @ v) for v in loops])
+        arc = (periods.A_inv @ vecs[..., None])[..., 0].reshape(len(e), 17, curve.genus)
+        periods._arcs = (V, ys[np.cumsum([len(a) for a in arcs]) - 1].reshape(V.shape),
+                         arc - 0.5 * (arc[:, :1] + arc[:, 16:]))
         chain, reached = [], [0]
         for j in reached:
             for k in range(len(e)):

@@ -1,6 +1,7 @@
 """Independent oracles for the test suite: direct 1-D q-series for genus-1
-theta functions, AGM period computation, finite differences, and the
-record of a report run one trial at a time.
+theta functions, AGM period computation, finite differences, path
+integrals continued by a cumulative sum of half-log ratios, Abel-Jacobi
+along hub paths, and the record of a report run one trial at a time.
 
 These deliberately avoid the package's lattice-ellipsoid evaluator and
 period integrator code paths, and its rounds of trials.
@@ -77,11 +78,64 @@ def branch_expansion(e_k, x, y, genus):
 
 
 def hub_path_one(e_k, rho, x, turns=0):
-    """The hub path of one point on its own, as one array expression over
-    its arc vertices e_k + rho exp(i angle j / n), j = 0..n, then x."""
+    """The hub path of one point: from the hub e_k + rho round the circle
+    |z - e_k| = rho in chords of at most a quarter turn to the angle of x
+    (plus `turns` full turns), then straight to x."""
     angle = np.angle(x - e_k) + 2.0 * np.pi * turns
     n = max(1, int(np.ceil(abs(angle) / (0.5 * np.pi))))
     return list(e_k + rho * np.exp(1j * angle * np.arange(n + 1) / n)) + [x]
+
+
+def log_sum_path(curve, path, y0, order):
+    """(1, x, .., x^(g-1)) dx / y along one polygon, y = y0 at its vertex 0,
+    edge by edge: Gauss-Legendre panels no wider than half the edge's
+    clearance from the branch points, y continued through every node by a
+    cumulative sum of half-log ratios of f, and the integral one matmul.
+    Returns the (g,) integral and y at every vertex."""
+    e = curve.branch_points
+    nodes, weights = np.polynomial.legendre.leggauss(order)
+    xs, ws, at_vertex = [np.array([path[0]])], [np.zeros(1)], [0]
+    for za, zb in zip(path[:-1], path[1:]):
+        if zb != za:
+            t = np.clip(((e - za) / (zb - za)).real, 0.0, 1.0)
+            n = math.ceil(abs(zb - za) / (0.5 * np.abs(za + t * (zb - za) - e).min()))
+            ts = ((np.arange(n)[:, None] + 0.5 * (nodes + 1.0)) / n).ravel()
+            xs.append(za + ts * (zb - za))
+            ws.append(np.tile(weights, n) * 0.5 * (zb - za) / n)
+        xs.append(np.array([zb]))
+        ws.append(np.zeros(1))
+        at_vertex.append(sum(map(len, xs)) - 1)
+    x, w = np.concatenate(xs), np.concatenate(ws)
+    fx = curve.f(x)
+    log_y = np.concatenate([[0.0], np.cumsum(0.5 * np.log(fx[1:] / fx[:-1]))])
+    y = y0 * np.exp(log_y)
+    integral = (x ** np.arange(curve.genus)[:, None] / y) @ w
+    return integral, y[at_vertex]
+
+
+def hub_aj_rows(periods, ks, pts):
+    """A^-1 int_{e_k}^P for k = ks[i], P = pts[i], along the hub path of P.x
+    about e_k (rho_k half the distance from e_k to its nearest neighbour),
+    continued by log_sum_path from the principal root at the hub, with the
+    hub constant A^-1 int_{e_k}^{hub} half a full turn from the hub's other
+    sheet; a row is negated where its path lands on iota P.  Each hub
+    constant and each path is integrated once."""
+    curve, e = periods.curve, periods.curve.branch_points
+    consts, routes, rows = {}, {}, []
+    for k, P in zip(ks, pts):
+        rho = 0.5 * np.sort(np.abs(e - e[k]))[1]
+        y_h = curve.y_principal(np.array([e[k] + rho]))[0]
+        if k not in consts:
+            loop, _ = log_sum_path(curve, hub_path_one(e[k], rho, e[k] + rho, turns=1),
+                                   -y_h, 12)
+            consts[k] = 0.5 * loop
+        if (k, P.x) not in routes:
+            routes[k, P.x] = log_sum_path(curve, hub_path_one(e[k], rho, P.x), y_h, 12)
+        vec, ys = routes[k, P.x]
+        y = P.y(curve)
+        sign = 1 if abs(ys[-1] - y) < abs(ys[-1] + y) else -1
+        rows.append(sign * periods.A_inv @ (consts[k] + vec))
+    return np.array(rows)
 
 
 def per_trial_record(spec, env, curve_id, trials, tol, seed):

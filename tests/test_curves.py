@@ -1,3 +1,4 @@
+import cmath
 import math
 import time
 from itertools import combinations
@@ -19,8 +20,8 @@ from faylab.kernels import riemann_constant, sample_point
 from faylab.registry import registry_entries
 
 from conftest import HYPERELLIPTIC, build_context, far_path_aj, pair_args, polygon_clearance
-from oracles import (agm_tau, branch_expansion, brute_force_continuation, hub_path_one,
-                     qseries_theta_char)
+from oracles import (agm_tau, branch_expansion, brute_force_continuation, hub_aj_rows,
+                     hub_path_one, log_sum_path, qseries_theta_char)
 
 
 def frac_dist(z, rm):
@@ -166,8 +167,7 @@ class TestTracker:
         c = registry_curve(cid)
         e, gap = c.branch_points, c.min_gap
         paths = [near_branch_path(c), [e[0] + gap * (0.3 + 0.4j), e[-1] + 2.0j],
-                 curves._hub_paths(e[1:2], np.array([0.5 * gap]),
-                                   np.array([e[1] + 0.8 * gap * (1 - 1j)]))[0],
+                 hub_path_one(e[1], 0.5 * gap, e[1] + 0.8 * gap * (1 - 1j)),
                  [3.1 + 1.7j, 3.1 + 1.7j, -2.3 - 1.1j]]
         order = [2, 0, 3, 1, 0]
         y0s = [c.y_principal(np.array([paths[i][0]]))[0] for i in order]
@@ -197,6 +197,26 @@ class TestTracker:
         c = HyperellipticCurve([0.0, 1.0, -1.0])
         with pytest.raises(PathTooCloseToBranchPoint):
             integrate_path(c, [[-0.5 + 1e-10j, 0.5 + 1e-10j]], [1.0], 32)
+
+    @pytest.mark.parametrize("cid", HYPERELLIPTIC)
+    def test_continuation_matches_log_sum(self, cid):
+        # y at every vertex of the period cycles (order 32) and of 200 legs
+        # from the arc table (order 12) is the log-sum continuation's
+        ctx = build_context(cid)
+        abel_jacobi_between_branch_points(ctx.periods, 0, 0)  # the arc table built
+        c, (V, y_V, _) = ctx.curve, ctx.periods._arcs
+        cycles = sum(curves._build_cycles(c), [])
+        rng = np.random.default_rng(29)
+        xs = np.array([sample_point(ctx, rng).x for _ in range(200)])
+        ks = np.argmin(np.abs(c.branch_points - xs[:, None]), axis=1)
+        js = curves._arc_column(xs - c.branch_points[ks])
+        legs = [[V[k, j], x] for k, j, x in zip(ks, js, xs)]
+        for paths, y0s, order in ((cycles, c.y_principal([z[0] for z in cycles]), 32),
+                                  (legs, y_V[ks, js], 12)):
+            _, ys = integrate_path(c, paths, y0s, order)
+            ref = np.concatenate([log_sum_path(c, path, y0, order)[1]
+                                  for path, y0 in zip(paths, y0s)])
+            assert np.all(np.abs(ys - ref) <= 1e-12 * np.abs(ref))
 
 
 class TestPeriods:
@@ -411,6 +431,34 @@ class TestAbelJacobi:
                     checked += 1
         assert checked >= 8
 
+    @pytest.mark.parametrize("cid", HYPERELLIPTIC)
+    def test_legs_keep_the_hub_representatives(self, cid):
+        # every row from the arc table and one leg is the hub route's, with
+        # its full-turn hub constant and log-sum continuation, unreduced: on
+        # 1,000 points of the sampling box, 1e-3 rho_k from each e_k, and at
+        # arg(x - e_k) = pi and about +-pi and +-pi/8, all on both sheets
+        ctx = build_context(cid)
+        pd, c = ctx.periods, ctx.curve
+        e = c.branch_points
+        rho = 0.5 * np.sort(np.abs(e - e[:, None]), axis=1)[:, 1]
+        rng = np.random.default_rng(31)
+        c_r, c_i, half_r, half_i = c.box
+        xs = [c_r + 1.6 * half_r * (2 * rng.random(1000) - 1)
+              + 1j * (c_i + 1.6 * half_i * (2 * rng.random(1000) - 1))]
+        for k in range(len(e)):
+            xs.append(e[k] + 1e-3 * rho[k] * np.exp(2j * np.pi * rng.random(4)))
+            xs.append(e[k] + 0.5 * rho[k] * np.append(
+                -1.0, np.exp(1j * np.pi * np.array([1.0, -1.0, 0.125, -0.125]))))
+        xs = np.concatenate(xs)
+        xs = xs[c.dist_to_branch(xs) > 1e-6]
+        ks = np.argmin(np.abs(e - xs[:, None]), axis=1)
+        pts = [CurvePoint(complex(x), s) for x in xs for s in (1, -1)]
+        abel_jacobi_between_branch_points(pd, 0, 0)         # the arc table built
+        rows = curves._from_hubs(pd, pts, np.repeat(ks, 2))
+        old = hub_aj_rows(pd, np.repeat(ks, 2), pts)
+        scale = np.maximum(1.0, np.abs(old).max(axis=1))
+        assert (np.abs(rows - old).max(axis=1) <= 1e-12 * scale).all()
+
     def test_unlanded_sheet_raises(self, ctx_g1, monkeypatch):
         # a continuation that ends on neither sheet over P is an error, not
         # a silent pick of the nearer sheet, and it fails P's whole batch
@@ -455,27 +503,27 @@ unit_square = st.tuples(st.floats(-1.0, 1.0), st.floats(-1.0, 1.0)).map(
 @settings(max_examples=300, deadline=None)
 @given(st.sampled_from([3, 5, 7]).flatmap(
            lambda n: st.lists(unit_square, min_size=n, max_size=n)),
-       st.lists(unit_square.map(lambda x: 1.5 * x), min_size=1, max_size=4),
-       st.sampled_from([0, 1]))
-def test_hub_path_clearance(pts, xs, turns):
-    # the hub path of each x's nearest branch point keeps min(0.7 rho_k,
-    # |x - e_k|) clear of every branch point, and a batch lays each path
-    # bitwise as it lays that path alone
+       st.lists(unit_square.map(lambda x: 1.5 * x), min_size=1, max_size=4))
+def test_hub_path_clearance(pts, xs):
+    # the leg to each x from the arc vertex of its nearest branch point e_k,
+    # trunc(arg(x - e_k) / (pi/8)) eighth turns round the circle of radius
+    # rho_k, keeps min(0.7 rho_k, |x - e_k|) clear of every branch point
     e = np.array(pts)
     gaps = np.abs(e[:, None] - e[None, :]) + np.eye(len(e))
     assume(gaps.min() >= 0.05)
     c = HyperellipticCurve(e)
+    e = c.branch_points
     xs = np.array(xs)
-    ks = np.argmin(np.abs(c.branch_points - xs[:, None]), axis=1)
-    e_k = c.branch_points[ks]
-    assume((np.abs(xs - e_k) > 1e-6).all())
-    rho = 0.5 * np.sort(np.abs(c.branch_points - e_k[:, None]), axis=1)[:, 1]
-    paths = curves._hub_paths(e_k, rho, xs, turns)
-    assert len(paths) == len(xs)
-    for i, path in enumerate(paths):
-        bound = min(0.7 * rho[i], abs(xs[i] - e_k[i]))
-        assert polygon_clearance(path, c.branch_points) >= (1 - 1e-9) * bound
-        assert np.array_equal(path, hub_path_one(e_k[i], rho[i], xs[i], turns))
+    ks = np.argmin(np.abs(e - xs[:, None]), axis=1)
+    assume((np.abs(xs - e[ks]) > 1e-6).all())
+    rho = 0.5 * np.sort(np.abs(e - e[:, None]), axis=1)[:, 1]
+    V = curves._arc_vertices(e, rho)
+    for k, j, x in zip(ks, curves._arc_column(xs - e[ks]), xs):
+        eighths = math.trunc(cmath.phase(x - e[k]) / (math.pi / 8))
+        assert j == eighths + 8
+        assert abs(V[k, j] - (e[k] + rho[k] * cmath.exp(1j * math.pi / 8 * eighths))) <= 1e-15
+        bound = min(0.7 * rho[k], abs(x - e[k]))
+        assert polygon_clearance([V[k, j], x], e) >= (1 - 1e-9) * bound
 
 
 class TestCharacteristics:
