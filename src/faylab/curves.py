@@ -14,7 +14,8 @@ periods are one call, all crossing sheet matches one, each AJ batch one.
 Abel-Jacobi integrals, at the certified order AJ_ORDER = 12, take one leg
 per P from a cached table of AJ from e_k to the eighth-turn vertices of a
 circle about each e_k.  AJ from e_0 to each e_k is chained once across
-neighbouring pairs and cached with AJ(base).
+neighbouring pairs and cached.  A curve point is a row (x, s) of a complex
+array, s = +-1 its sheet: y = s sqrt f(x).
 """
 
 from __future__ import annotations
@@ -22,7 +23,6 @@ from __future__ import annotations
 import functools
 import itertools
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -126,29 +126,14 @@ class HyperellipticCurve:
         return f"HyperellipticCurve({self.curve_id!r}, g={self.genus})"
 
 
-@dataclass(frozen=True)
-class CurvePoint:
-    """Point (x, y) on the curve; sheet picks y = sheet * principal sqrt."""
-
-    x: complex
-    sheet: int
-
-    def __post_init__(self):
-        if self.sheet not in (1, -1):
-            raise ValueError("sheet must be +1 or -1")
-
-    def y(self, curve):
-        return self.sheet * curve.y_principal(self.x)
-
-    def involution(self):
-        return CurvePoint(self.x, -self.sheet)
-
-
 def make_point(curve, x, sheet):
-    p = CurvePoint(complex(x), int(sheet))
-    if curve.dist_to_branch(np.array([p.x]))[0] <= 1e-6:
+    """The curve point (x, sheet) as a row: y = sheet * principal sqrt f(x).
+    A batch of points is an (N, 2) complex array of such rows."""
+    if sheet not in (1, -1):
+        raise ValueError("sheet must be +1 or -1")
+    if curve.dist_to_branch(np.array([complex(x)]))[0] <= 1e-6:
         raise PathTooCloseToBranchPoint(f"point {x} within 1e-6 of a branch point")
-    return p
+    return np.array([x, sheet], dtype=complex)
 
 
 def lattice_coords(z, rm: RiemannMatrix):
@@ -354,7 +339,6 @@ class PeriodData:
         self.rm = rm
         self._arcs = None       # the arc table (see _branch_constants)
         self._branch = None     # row k: A^-1 int_{e_0}^{e_k}
-        self._base_aj = {}      # base -> A^-1 int_{e_0}^base
 
 
 def period_matrix(curve: HyperellipticCurve, quadrature_order=32):
@@ -411,7 +395,7 @@ def _arc_column(d):
 
 
 def _from_hubs(periods, pts, ks):
-    """Rows A^-1 int_{e_k}^P for the points P = pts[i] from their branch
+    """Rows A^-1 int_{e_k}^P for the point rows P = pts[i] from their branch
     points k = ks[i]: R_kj from the arc table (see _branch_constants) plus
     the leg [V_kj, x] of column _arc_column(x - e_k), all legs in one
     integrate_path call.  A leg landing on iota P gives -AJ(P).
@@ -431,10 +415,10 @@ def _from_hubs(periods, pts, ks):
     circle from h_k to the angle of x, then straight out): same lattice
     representative."""
     curve, (V, y_V, R) = periods.curve, periods._arcs
-    x = np.array([p.x for p in pts])
+    x, s = pts.T.copy()
     col = _arc_column(x - curve.branch_points[ks])
     vecs, ys = integrate_path(curve, np.stack([V[ks, col], x], axis=1), y_V[ks, col], AJ_ORDER)
-    y = np.array([p.sheet for p in pts]) * curve.y_principal(x)
+    y = s * curve.y_principal(x)
     end = ys[1::2] / y                  # +-1 where a leg lands on +-y
     sign = np.sign(end.real)
     if (abs(end - sign) > 1e-6).any():
@@ -472,10 +456,10 @@ def _branch_constants(periods):
             for k in range(len(e)):
                 m = 0.5 * (e[j] + e[k])
                 if k not in reached and np.abs(e - m).min() >= (1 - 1e-9) * abs(m - e[j]):
-                    chain.append((j, k, CurvePoint(complex(m), 1)))
+                    chain.append((j, k, np.array([m, 1])))
                     reached.append(k)
         js, ks, ms = zip(*chain)
-        legs = _from_hubs(periods, ms + ms, list(js + ks))
+        legs = _from_hubs(periods, np.array(ms + ms), list(js + ks))
         consts = {0: np.zeros(periods.curve.genus, dtype=complex)}
         for (j, k, _), to_j, to_k in zip(chain, legs, legs[len(chain):]):
             v = consts[j] + to_j - to_k
@@ -485,27 +469,24 @@ def _branch_constants(periods):
     return periods._branch
 
 
-def abel_jacobi(periods: PeriodData, P, base: CurvePoint):
-    """A^-1 int_base^P = AJ_{e_0}(P) - AJ_{e_0}(base), the base term cached:
-    a (g,) vector for one point P, an (N, g) array for a list of points,
-    whose hub paths are integrated at order AJ_ORDER in one integrate_path
-    call (a point that does not land fails the list)."""
-    if base not in periods._base_aj:
-        periods._base_aj[base] = abel_jacobi_from_branch(periods, base)
-    return abel_jacobi_from_branch(periods, P) - periods._base_aj[base]
+def abel_jacobi(periods: PeriodData, P, base):
+    """A^-1 int_base^P = AJ_{e_0}(P) - AJ_{e_0}(base): a (g,) vector for one
+    point row P, an (N, g) array for N rows, with base in the same
+    abel_jacobi_from_branch batch (a point that does not land fails it)."""
+    pts = np.concatenate([np.reshape(P, (-1, 2)), np.reshape(base, (1, 2))])
+    v = abel_jacobi_from_branch(periods, pts)
+    return (v[:-1] - v[-1]).reshape(np.shape(P)[:-1] + v.shape[1:])
 
 
 def abel_jacobi_from_branch(periods: PeriodData, P, branch_index=0):
     """A^-1 int_{e_k}^P, k = branch_index, through the branch point nearest
-    P; a (g,) vector for one point P, an (N, g) array for a list, whose
+    P; a (g,) vector for one point row P, an (N, g) array for N rows, whose
     points take one integrate_path call."""
-    pts = [P] if isinstance(P, CurvePoint) else list(P)
-    if not pts:
-        return np.empty((0, periods.curve.genus), dtype=complex)
-    n = np.argmin(np.abs(periods.curve.branch_points - [[p.x] for p in pts]), axis=1)
+    pts = np.reshape(P, (-1, 2))
+    n = np.argmin(np.abs(periods.curve.branch_points - pts[:, :1]), axis=1)
     consts = _branch_constants(periods)
     v = consts[n] - consts[branch_index] + _from_hubs(periods, pts, n)
-    return v[0] if isinstance(P, CurvePoint) else v
+    return v.reshape(np.shape(P)[:-1] + v.shape[1:])
 
 
 def abel_jacobi_between_branch_points(periods: PeriodData, j, k):
@@ -548,13 +529,13 @@ def random_line_bundle(rm: RiemannMatrix, rng):
     return rng.random(rm.g) + rm.omega @ rng.random(rm.g)
 
 
-def vanishing_locus_check(periods: PeriodData, e, x: CurvePoint, divisor,
-                          controls, base: CurvePoint):
-    """Evaluate t -> theta(AJ(t) - AJ(x) + e) on expected zeros and controls.
+def vanishing_locus_check(periods: PeriodData, e, x, divisor, controls, base):
+    """Evaluate t -> theta(AJ(t) - AJ(x) + e) on expected zeros and controls
+    (point rows, as x and base).
 
     Returns (max |theta| over divisor points, min |theta| over controls).
     """
-    aj = abel_jacobi(periods, [x] + list(divisor) + list(controls), base)
+    aj = abel_jacobi(periods, np.vstack([x, *divisor, *controls]), base)
     vals, _, _, _ = theta_batch(aj[1:] - aj[0] + np.asarray(e, dtype=complex),
                                 periods.rm, tol=1e-10)
     nz = len(divisor)

@@ -60,11 +60,10 @@ def _rel(total, blocks):
 
 
 def _distinct_points(ctx, rng, count):
-    """count sampled points; raises BadTriple (run_identity redraws) if two
-    x-coordinates are within 1e-3 min_gap."""
-    pts = [sample_point(ctx, rng) for _ in range(count)]
-    xs = np.array([p.x for p in pts])
-    d = np.abs(xs[:, None] - xs[None, :])
+    """count sampled points, as rows; raises BadTriple (run_identity
+    redraws) if two x-coordinates are within 1e-3 min_gap."""
+    pts = np.array([sample_point(ctx, rng) for _ in range(count)])
+    d = np.abs(pts[:, None, 0] - pts[None, :, 0])
     np.fill_diagonal(d, np.inf)
     if d.min() <= 1e-3 * ctx.curve.min_gap:
         raise BadTriple("sampled points too close")
@@ -160,7 +159,7 @@ def prime_form_identity(ctx, rng, n):
     # indices x = 0, y = 1, z_i = 2 + i, t_i = 2 + n + i
     a, b = np.nonzero(~np.eye(len(pts), dtype=bool))
     E = np.ones((len(pts), len(pts)), dtype=complex)
-    E[a, b] = yield prime_form, V[b] - V[a], [pts[k] for k in a], [pts[k] for k in b]
+    E[a, b] = yield prime_form, V[b] - V[a], pts[a], pts[b]
     z = 2 + np.arange(n)
     t = z + n
     blocks = list(E[np.ix_(t, z)].prod(axis=0) / E[np.ix_(z, z)].prod(axis=0)
@@ -191,7 +190,7 @@ def residue_identity(ctx, rng, n):
     V = yield CurveContext.aj, xs
     i, j = np.nonzero(~np.eye(n, dtype=bool))
     m = np.ones((n, n), dtype=complex)
-    m[i, j] = yield massey_m3_prime, xis[j], V[i] - V[j], [xs[k] for k in j], [xs[k] for k in i]
+    m[i, j] = yield massey_m3_prime, xis[j], V[i] - V[j], xs[j], xs[i]
     blocks = m.prod(axis=1)
     if n == 3:
         blocks = blocks / (yield h_values, xs)
@@ -205,7 +204,7 @@ def maincor_kernel(ctx, rng):
     frames)."""
     if ctx.g != 1:
         raise SuiteError("kernel-form corollary check runs at genus 1")
-    x, y, z, _ = pts = _distinct_points(ctx, rng, 4)
+    pts = _distinct_points(ctx, rng, 4)
     xi = sample_xi(ctx, rng)
     X, Y, Z, T = yield CurveContext.aj, pts
     # phi(p) = theta[delta](p - t) / theta[delta](p - z)
@@ -213,8 +212,8 @@ def maincor_kernel(ctx, rng):
     m_xz, m_yz, m_yx, m_xy = yield (massey_m3_prime,
                                     np.array([xi, Z - T - xi, Z - T - xi, xi]),
                                     np.array([Z - X, Z - Y, X - Y, Y - X]),
-                                    [x, y, y, x], [z, z, x, y])
-    h, = yield h_values, [z]
+                                    pts[[0, 1, 1, 0]], pts[[2, 2, 0, 1]])
+    h, = yield h_values, pts[2:3]
     t0 = zt / h**2 * m_xz * m_yz
     t1 = xt / xz * m_yx
     t2 = yt / yz * m_xy
@@ -224,13 +223,13 @@ def maincor_kernel(ctx, rng):
 def cross_formula(ctx, rng):
     """massey_m3_prime against massey_m3_theta on a random triple: points
     x, y, then the xi of a random bundle off the theta divisor."""
-    x, y = _distinct_points(ctx, rng, 2)
+    pts = _distinct_points(ctx, rng, 2)
     e = random_line_bundle(ctx.rm, rng)
     th, = yield _theta, e[None]
     if abs(th) <= 1e-4 * ctx.scale:
         raise NearDivisor("line bundle near the theta divisor")
-    V = yield CurveContext.aj, [x, y]
-    args = np.array([ctx.xi_of_bundle(e)]), V[1:] - V[:1], [x], [y]
+    V = yield CurveContext.aj, pts
+    args = np.array([ctx.xi_of_bundle(e)]), V[1:] - V[:1], pts[:1], pts[1:]
     m1, = yield (massey_m3_prime, *args)
     m2, = yield (massey_m3_theta, *args)
     return abs(m1 - m2), abs(m1 - m2) / abs(m1)
@@ -241,12 +240,13 @@ def idcor(ctx, rng):
     over x, y, z and xi, with the O(x-z) trivialization factor
     E(x,y)/(E(z,y)E(x,z)) that turns the abstract bundle equality into
     numbers in the affine frames."""
-    x, y, z = pts = _distinct_points(ctx, rng, 3)
+    pts = _distinct_points(ctx, rng, 3)
     xi = sample_xi(ctx, rng)
     X, Y, Z = yield CurveContext.aj, pts
     m_xz, m_xy, m_zy = yield (massey_m3_prime, np.array([xi, xi, xi + X - Z]),
-                              np.array([Z - X, Y - X, Y - Z]), [x, x, z], [z, y, y])
-    E_zy, E_xz, E_xy = yield prime_form, np.array([Y - Z, Z - X, Y - X]), [z, x, x], [y, z, y]
+                              np.array([Z - X, Y - X, Y - Z]), pts[[0, 0, 2]], pts[[2, 1, 1]])
+    E_zy, E_xz, E_xy = yield (prime_form, np.array([Y - Z, Z - X, Y - X]),
+                              pts[[2, 0, 0]], pts[[1, 2, 1]])
     lhs = m_zy * E_zy * E_xz / E_xy
     rhs = m_xy / m_xz
     return abs(lhs - rhs), abs(lhs - rhs) / abs(rhs)
@@ -265,15 +265,15 @@ def theta_derivative_divisor(ctx, rng):
     """
     if ctx.g not in (1, 2):
         raise SuiteError("divisor-vanishing check runs at genus 1 or 2")
-    controls = [sample_point(ctx, rng) for _ in range(20)]
+    controls = np.array([sample_point(ctx, rng) for _ in range(20)])
     vals = yield theta_form, controls
     if ctx.g == 2:
         roots, dists = delta_divisor_root(ctx)
         # no root: the divisor sits at the branch point at infinity
         zero_val = float(dists.max()) / ctx.curve.min_gap if len(roots) else 0.0
     else:
-        x = np.array([p.x for p in controls])
-        ratios = vals * np.array([p.sheet for p in controls]) * ctx.curve.y_principal(x)
+        x, s = controls.T.copy()
+        ratios = vals * s * ctx.curve.y_principal(x)
         zero_val = float(np.abs(ratios - ratios.mean()).max() / abs(ratios.mean()))
     scale = float(np.median(np.abs(vals)))
     if float(np.abs(vals).min()) / scale < 1e-3:
@@ -293,17 +293,17 @@ def quasidet_geometric(ctx, rng, n, block):
         raise SuiteError("diagonal flat bundles are exercised at genus 1")
     xi = np.array([sample_xi(ctx, rng) for _ in range(block)])
     V = yield CurveContext.aj, pts
-    X, Y, x0, y0 = V[1:n + 1], V[n + 2:], V[0], V[n + 1]
+    X, Y = V[1:n + 1], V[n + 2:]
     # entries m3(xi_s, x_j, y_i) for every (s, i, j), then m3(xi_s + shift, x_0, y_0),
     # with x_k point k and y_k point n + 1 + k; EF = prod_k E(x_0, x_k) E(y_0, y_k)
     # / (E(x_0, y_k) E(y_0, x_k))
     s, i, j = np.indices((block, n + 1, n + 1)).reshape(3, -1)
     p, q = [*j] + [0] * block, [*(n + 1 + i)] + [n + 1] * block
     m = yield (massey_m3_prime, np.concatenate([xi[s], xi + sum(X - Y)]),
-               V[q] - V[p], [pts[k] for k in p], [pts[k] for k in q])
-    x, y = pts[1:n + 1], pts[n + 2:]
-    E_xx, E_yy, E_xy, E_yx = (yield prime_form, np.concatenate([X - x0, Y - y0, Y - x0, X - y0]),
-                              ([pts[0]] * n + [pts[n + 1]] * n) * 2, x + y + y + x).reshape(4, n)
+               V[q] - V[p], pts[p], pts[q])
+    x, y = np.arange(1, n + 1), np.arange(n + 2, 2 * n + 2)
+    a, b = np.repeat([0, n + 1] * 2, n), np.concatenate([x, y, y, x])
+    E_xx, E_yy, E_xy, E_yx = (yield prime_form, V[b] - V[a], pts[a], pts[b]).reshape(4, n)
     ent = np.zeros((n + 1, n + 1, block, block), dtype=complex)
     ent[i, j, s, s] = m[:len(s)]
     lhs = QuasiMatrix(ent).qdet(0, 0)
@@ -327,13 +327,12 @@ def _runner(body, **params):
 
 def _rows(env, kernel, parts):
     """kernel's rows for each part (one body's request arguments) from one
-    call on all parts, joined trial after trial (arrays along their first
-    axis, point lists as one list).  If that raises a rejection or a hard
-    failure, each half of the parts is called again, down to the failing
-    parts alone, which get their exception."""
+    call on all parts, each argument joined trial after trial along its
+    first axis.  If that raises a rejection or a hard failure, each half of
+    the parts is called again, down to the failing parts alone, which get
+    their exception."""
     try:
-        rows = kernel(env, *[np.concatenate(col) if isinstance(col[0], np.ndarray)
-                             else [p for part in col for p in part] for col in zip(*parts)])
+        rows = kernel(env, *[np.concatenate(col) for col in zip(*parts)])
     except _RETRY + _HARD as ex:
         h = len(parts) // 2
         return _rows(env, kernel, parts[:h]) + _rows(env, kernel, parts[h:]) if h else [ex]

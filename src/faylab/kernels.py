@@ -3,10 +3,11 @@ half-differential h, the pulled-back derivative 1-form, and the triple
 Massey product m3 computed by two formulas.
 
 Every kernel takes a batch first.  CurveContext.aj, theta_form and
-h_values map a point list to one row per point, each row as if the point
-were alone.  E and m3 take their pairs (ps[k], qs[k]) with the Jacobian
-points V[k] = AJ(qs[k]) - AJ(ps[k]); F, E and m3 make one theta_batch call
-for their whole batch, and raise if any pair in it would.
+h_values map an (N, 2) array of point rows (x, sheet) to one row per
+point, each row as if the point were alone.  E and m3 take their pairs
+(ps[k], qs[k]) with the Jacobian points V[k] = AJ(qs[k]) - AJ(ps[k]); F, E
+and m3 make one theta_batch call for their whole batch, and raise if any
+pair in it would.
 
 Conventions.  All section-valued quantities are numbers in the affine
 x-coordinate frame at each curve point (dx trivializes the canonical
@@ -30,7 +31,7 @@ from itertools import product
 import numpy as np
 
 from .theta import theta_batch, theta_gradient
-from .curves import (HyperellipticCurve, PeriodData, CurvePoint, make_point,
+from .curves import (HyperellipticCurve, PeriodData, make_point,
                      abel_jacobi, abel_jacobi_from_branch, find_odd_char,
                      lattice_coords, theta_scale, CurveError)
 
@@ -82,8 +83,8 @@ class CurveContext:
     # -- point bookkeeping -------------------------------------------------
 
     def aj(self, ps):
-        """Abel-Jacobi vectors of the points ps from the context base point,
-        as an (N, g) array, in one abel_jacobi batch."""
+        """Abel-Jacobi vectors of the point rows ps from the context base
+        point, as an (N, g) array, in one abel_jacobi batch."""
         return abel_jacobi(self.periods, ps, self.base)
 
     # -- theta shorthands --------------------------------------------------
@@ -105,8 +106,8 @@ def theta_form(ctx: CurveContext, ps):
     """The 1-form sum_i (d theta[delta]/d z_i)(0) omega_i at each point of
     ps, as the coefficient of dx, for the context's odd characteristic:
     N(x) / y, elementwise over the points."""
-    x = np.array([p.x for p in ps], dtype=complex)
-    y = np.array([p.sheet for p in ps]) * ctx.curve.y_principal(x)
+    x, s = np.transpose(ps).copy()
+    y = s * ctx.curve.y_principal(x)
     return np.polynomial.polynomial.polyval(x, ctx.form_coeffs) / y
 
 
@@ -128,9 +129,11 @@ def _check_off_divisor(ctx, *denominators):
 
 
 def _check_pairs(ps, qs):
-    """Raise CoincidentPoints if any pair of equal-length point lists
-    repeats a point."""
-    if any(p == q for p, q in zip(ps, qs, strict=True)):
+    """Raise ValueError unless the point arrays ps and qs are as long, and
+    CoincidentPoints if any pair (ps[k], qs[k]) repeats a point."""
+    if len(ps) != len(qs):
+        raise ValueError(f"{len(ps)} points paired with {len(qs)}")
+    if (np.asarray(ps) == qs).all(axis=-1).any():
         raise CoincidentPoints("kernel needs distinct points in every pair")
 
 
@@ -194,7 +197,7 @@ def massey_m3_theta(ctx: CurveContext, xis, V, ps, qs):
 
 
 def sample_point(ctx: CurveContext, rng):
-    """Random curve point in a box 1.6 times the branch locus's (padded)
+    """Random curve point row in a box 1.6 times the branch locus's (padded)
     extent, at least 0.04 min_gap clear of it."""
     e = ctx.curve.branch_points
     c_r, c_i, half_r, half_i = ctx.curve.box
@@ -205,7 +208,7 @@ def sample_point(ctx: CurveContext, rng):
         if clear > 0.04 * ctx.curve.min_gap:
             sheet = 1 if rng.random() < 0.5 else -1
             if clear > 1e-6:
-                return CurvePoint(complex(x), sheet)
+                return np.array([x, sheet], dtype=complex)
             return make_point(ctx.curve, x, sheet)      # which refuses it
     raise CurveError("could not sample a point clear of the branch locus")
 
@@ -229,7 +232,7 @@ def riemann_constant(ctx: CurveContext):
     V1 = abel_jacobi_from_branch(ctx.periods, ctx.base, 0)
     rng = np.random.default_rng(20240719)
     # g + 2 divisors of g - 1 points each, summed in draw order
-    pts = [sample_point(ctx, rng) for _ in range((g + 2) * (g - 1))]
+    pts = np.array([sample_point(ctx, rng) for _ in range((g + 2) * (g - 1))]).reshape(-1, 2)
     Us = ctx.aj(pts).reshape(g + 2, g - 1, g).sum(axis=1)
     best = None
     for a in product((0.0, 0.5), repeat=g):

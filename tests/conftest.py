@@ -12,6 +12,8 @@ from faylab.kernels import CurveContext
 from faylab.quartic import PlaneQuartic
 from faylab.registry import registry_entries
 
+from oracles import involution, point_y
+
 _CTX_CACHE = {}
 
 
@@ -90,9 +92,10 @@ def far_path_aj(periods, Q, P):
     centre, extent = e.mean(), np.abs(e - e.mean()).max() + c.min_gap
     for far in _FAR:
         F = centre + extent * far
-        if polygon_clearance([Q.x, F, P.x], e) >= 0.1 * c.min_gap:
-            (vec,), ys = integrate_path(c, [[Q.x, F, P.x]], [Q.y(c)], 32)
-            landed = P if abs(ys[-1] - P.y(c)) < abs(ys[-1] + P.y(c)) else P.involution()
+        if polygon_clearance([Q[0], F, P[0]], e) >= 0.1 * c.min_gap:
+            (vec,), ys = integrate_path(c, [[Q[0], F, P[0]]], [point_y(c, Q)], 32)
+            y = point_y(c, P)
+            landed = P if abs(ys[-1] - y) < abs(ys[-1] + y) else involution(P)
             return periods.A_inv @ vec, landed
     return None
 

@@ -16,6 +16,16 @@ from faylab.report import IdentityReport, report_record
 from faylab.rng import trial_rng
 
 
+def point_y(curve, P):
+    """y at the point row P = (x, sheet): the sheet times the principal root."""
+    return P[1] * curve.y_principal(P[0])
+
+
+def involution(P):
+    """The point row over the same x on the other sheet."""
+    return np.array([P[0], -P[1]])
+
+
 def qseries_theta3(z, tau, n_terms=40):
     """theta[0,0](z | tau) as a direct symmetric sum."""
     ns = np.arange(-n_terms, n_terms + 1)
@@ -129,10 +139,10 @@ def hub_aj_rows(periods, ks, pts):
             loop, _ = log_sum_path(curve, hub_path_one(e[k], rho, e[k] + rho, turns=1),
                                    -y_h, 12)
             consts[k] = 0.5 * loop
-        if (k, P.x) not in routes:
-            routes[k, P.x] = log_sum_path(curve, hub_path_one(e[k], rho, P.x), y_h, 12)
-        vec, ys = routes[k, P.x]
-        y = P.y(curve)
+        if (k, P[0]) not in routes:
+            routes[k, P[0]] = log_sum_path(curve, hub_path_one(e[k], rho, P[0]), y_h, 12)
+        vec, ys = routes[k, P[0]]
+        y = point_y(curve, P)
         sign = 1 if abs(ys[-1] - y) < abs(ys[-1] + y) else -1
         rows.append(sign * periods.A_inv @ (consts[k] + vec))
     return np.array(rows)

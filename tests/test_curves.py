@@ -8,7 +8,7 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from faylab import curves
-from faylab.curves import (HyperellipticCurve, CurvePoint, period_matrix,
+from faylab.curves import (HyperellipticCurve, period_matrix,
                            make_point, abel_jacobi, abel_jacobi_from_branch,
                            abel_jacobi_between_branch_points,
                            lattice_coords, find_odd_char,
@@ -21,7 +21,7 @@ from faylab.registry import registry_entries
 
 from conftest import HYPERELLIPTIC, build_context, far_path_aj, pair_args, polygon_clearance
 from oracles import (agm_tau, branch_expansion, brute_force_continuation, hub_aj_rows,
-                     hub_path_one, log_sum_path, qseries_theta_char)
+                     hub_path_one, involution, log_sum_path, point_y, qseries_theta_char)
 
 
 def frac_dist(z, rm):
@@ -58,7 +58,10 @@ class TestConstruction:
         with pytest.raises(PathTooCloseToBranchPoint):
             make_point(c, 1.0 + 1e-9, 1)
         p = make_point(c, 0.5 + 0.5j, -1)
-        assert abs(p.y(c) ** 2 - c.f(np.array([p.x]))[0]) < 1e-10
+        assert p.shape == (2,) and p[1] == -1
+        assert abs(point_y(c, p) ** 2 - c.f(p[:1])[0]) < 1e-10
+        with pytest.raises(ValueError, match="sheet"):
+            make_point(c, 0.5 + 0.5j, 0)
 
 
     @pytest.mark.parametrize("cid", HYPERELLIPTIC)
@@ -76,13 +79,14 @@ class TestConstruction:
         assert np.array_equal(batch[:2], c.f(x[:2]))
 
     def test_points_equal_by_value(self):
-        # a point is its fields, x and sheet: equal and hashed by value,
-        # which is how the base-point Abel-Jacobi cache and the coincidence
-        # test key it
-        p = CurvePoint(0.3 + 0.7j, -1)
-        q = CurvePoint(0.3 + 0.7j, -1)
-        assert p == q and hash(p) == hash(q) and p != p.involution()
-        assert p != CurvePoint(0.3 + 0.7j + 1e-13, -1)
+        # a point is its row (x, sheet): equal by value, which is how the
+        # coincidence test compares it
+        c = HyperellipticCurve([0.0, 1.0, -1.0])
+        p = make_point(c, 0.3 + 0.7j, -1)
+        q = make_point(c, 0.3 + 0.7j, -1)
+        assert np.array_equal(p, q) and not np.array_equal(p, involution(p))
+        assert np.array_equal(involution(p), make_point(c, 0.3 + 0.7j, 1))
+        assert not np.array_equal(p, make_point(c, 0.3 + 0.7j + 1e-13, -1))
 
 
 class TestHomology:
@@ -207,7 +211,7 @@ class TestTracker:
         c, (V, y_V, _) = ctx.curve, ctx.periods._arcs
         cycles = sum(curves._build_cycles(c), [])
         rng = np.random.default_rng(29)
-        xs = np.array([sample_point(ctx, rng).x for _ in range(200)])
+        xs = np.array([sample_point(ctx, rng)[0] for _ in range(200)])
         ks = np.argmin(np.abs(c.branch_points - xs[:, None]), axis=1)
         js = curves._arc_column(xs - c.branch_points[ks])
         legs = [[V[k, j], x] for k, j, x in zip(ks, js, xs)]
@@ -346,7 +350,7 @@ class TestAbelJacobi:
         for _ in range(3):
             P = sample_point(ctx_g1, rng)
             v = abel_jacobi(pd, P, base)
-            w = abel_jacobi(pd, P.involution(), base.involution())
+            w = abel_jacobi(pd, involution(P), involution(base))
             assert frac_dist(v + w, pd.rm) < 1e-9
 
     def test_path_independence(self, ctx_g2):
@@ -402,7 +406,7 @@ class TestAbelJacobi:
             for d in range(8):
                 for sheet in (1, -1):
                     P = make_point(c, e_k + 1e-3 * rho * np.exp(0.25j * np.pi * d), sheet)
-                    ref = pd.A_inv @ branch_expansion(e_k, P.x, P.y(c), c.genus)
+                    ref = pd.A_inv @ branch_expansion(e_k, P[0], point_y(c, P), c.genus)
                     got = abel_jacobi_from_branch(pd, P, k)
                     assert np.abs(got - ref).max() <= 1e-2 * np.abs(ref).max()
 
@@ -425,8 +429,8 @@ class TestAbelJacobi:
                 if c.dist_to_branch(x) < (1 - 1e-9) * abs(x - e[j]):
                     continue                  # e_j and e_k no longer nearest
                 for sheet in (1, -1):
-                    X = CurvePoint(complex(x), sheet)
-                    to_j, to_k = curves._from_hubs(pd, [X, X], [j, k])
+                    X = np.array([x, sheet], dtype=complex)
+                    to_j, to_k = curves._from_hubs(pd, np.array([X, X]), [j, k])
                     assert frac_dist((B[j] + to_j) - (B[k] + to_k), pd.rm) < 1e-12
                     checked += 1
         assert checked >= 8
@@ -452,23 +456,35 @@ class TestAbelJacobi:
         xs = np.concatenate(xs)
         xs = xs[c.dist_to_branch(xs) > 1e-6]
         ks = np.argmin(np.abs(e - xs[:, None]), axis=1)
-        pts = [CurvePoint(complex(x), s) for x in xs for s in (1, -1)]
+        pts = np.array([(x, s) for x in xs for s in (1, -1)], dtype=complex)
         abel_jacobi_between_branch_points(pd, 0, 0)         # the arc table built
         rows = curves._from_hubs(pd, pts, np.repeat(ks, 2))
         old = hub_aj_rows(pd, np.repeat(ks, 2), pts)
         scale = np.maximum(1.0, np.abs(old).max(axis=1))
         assert (np.abs(rows - old).max(axis=1) <= 1e-12 * scale).all()
 
+    @pytest.mark.parametrize("cid", ["lemniscatic", "g2-real", "g3-real"])
+    def test_one_point_call_as_in_a_batch(self, cid):
+        # one point row at a time, as the benchmark's Abel-Jacobi probe maps
+        # sampled points: a (g,) vector, bitwise the row the point gets in a
+        # ctx.aj batch
+        ctx = build_context(cid)
+        rng = np.random.default_rng(41)
+        ps = np.array([sample_point(ctx, rng) for _ in range(5)])
+        for p, row in zip(ps, ctx.aj(ps)):
+            one = abel_jacobi(ctx.periods, p, ctx.base)
+            assert one.shape == (ctx.g,) and np.array_equal(one, row)
+
     def test_unlanded_sheet_raises(self, ctx_g1, monkeypatch):
         # a continuation that ends on neither sheet over P is an error, not
         # a silent pick of the nearer sheet, and it fails P's whole batch
         pd = ctx_g1.periods
         ps = [sample_point(ctx_g1, np.random.default_rng(s)) for s in (17, 18, 19)]
-        abel_jacobi(pd, ps, ctx_g1.base)          # hub and base constants built
+        abel_jacobi(pd, ps, ctx_g1.base)          # the arc table built
 
         def off_sheet(curve, paths, y0s, order):
             vecs, ys = integrate_path(curve, paths, y0s, order)
-            ys[len(paths[0]) + len(paths[1]) - 1] = 1j * ps[1].y(curve)
+            ys[len(paths[0]) + len(paths[1]) - 1] = 1j * point_y(curve, ps[1])
             return vecs, ys
 
         monkeypatch.setattr(curves, "integrate_path", off_sheet)
@@ -477,9 +493,9 @@ class TestAbelJacobi:
 
     @pytest.mark.parametrize("cid", ["lemniscatic", "g2-real"])
     def test_long_lists_integrate_in_chunks(self, cid, monkeypatch):
-        # 150 points take one integrate_path call, which lays the nodes of
-        # PATH_BLOCK = 32 paths at a time, and every row is the point's own,
-        # bitwise
+        # 150 points and the base take one integrate_path call, which lays
+        # the nodes of PATH_BLOCK = 32 paths at a time, and every row is the
+        # point's own, bitwise
         ctx = build_context(cid)
         pd = ctx.periods
         rng = np.random.default_rng(23)
@@ -492,7 +508,7 @@ class TestAbelJacobi:
                 return _fn(curve, paths, y0s, order)
             monkeypatch.setattr(curves, name, counted)
         rows = abel_jacobi(pd, ps, ctx.base)
-        assert (calls, blocks) == ([150], [32] * 4 + [22])
+        assert (calls, blocks) == ([151], [32] * 4 + [23])
         assert np.array_equal(rows, one)
 
 

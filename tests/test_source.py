@@ -120,9 +120,8 @@ BATCH_ENTRIES = {"aj", "h_values", "theta_form", "fay_F", "prime_form",
                  "massey_m3_prime", "massey_m3_theta", "theta_delta",
                  "line_section", "l_of_v"}
 
-#: y at a point, one call per point unless given an array of x; "y" is
-#: CurvePoint.y (test_only_curve_points_have_y)
-Y_ENTRIES = {"y_principal", "y"}
+#: y at a point, one call per point unless given an array of x
+Y_ENTRIES = {"y_principal"}
 
 
 def _per_iteration(node):
@@ -165,8 +164,7 @@ def test_batch_calls_in_loops_detected():
                      "    return [x for x in theta_form(ctx, ps)], a, b, c, d, e, y, u, w\n")
     assert _batch_calls_in_loops(tree) == [(4, "h_values"), (5, "aj"),
                                            (6, "theta_form"), (7, "h_values"),
-                                           (8, "fay_F"), (10, "y_principal"),
-                                           (11, "y")]
+                                           (8, "fay_F"), (10, "y_principal")]
 
 
 def test_no_batch_calls_in_loops_in_package():
@@ -178,18 +176,39 @@ def test_no_batch_calls_in_loops_in_package():
     assert hits == [], "batch entry called per point: " + ", ".join(hits)
 
 
-def test_only_curve_points_have_y():
-    # the loop scan's "y" means CurvePoint.y: no other function or method of
-    # the package is named y, and no call reaches a y but as a method
-    defs, bare = [], []
-    for path in sorted(SRC.glob("*.py")):
-        tree = ast.parse(path.read_text())
-        for cls in [tree] + [n for n in ast.walk(tree) if isinstance(n, ast.ClassDef)]:
-            defs += [(path.name, getattr(cls, "name", None)) for n in cls.body
-                     if isinstance(n, ast.FunctionDef) and n.name == "y"]
-        bare += [f"{path.name}:{n.lineno}" for n in ast.walk(tree)
-                 if isinstance(n, ast.Call) and getattr(n.func, "id", None) == "y"]
-    assert defs == [("curves.py", "CurvePoint")] and bare == []
+def _attribute_gathers(tree):
+    """Lines of every np.array or np.asarray call whose first argument is a
+    list comprehension reading one attribute of its loop variable, as in
+    np.array([p.x for p in ps]): a batch kept as objects, gathered a field
+    at a time."""
+    hits = []
+    for node in ast.walk(tree):
+        name = getattr(node, "func", None)
+        name = getattr(name, "attr", getattr(name, "id", None))
+        if name in {"array", "asarray"} and node.args and isinstance(node.args[0], ast.ListComp):
+            elt, target = node.args[0].elt, node.args[0].generators[0].target
+            if (isinstance(elt, ast.Attribute) and isinstance(elt.value, ast.Name)
+                    and isinstance(target, ast.Name) and elt.value.id == target.id):
+                hits.append(node.lineno)
+    return hits
+
+
+def test_attribute_gathers_detected():
+    tree = ast.parse("xs = np.array([p.x for p in ps])\n"
+                     "ys = np.asarray([q.sheet for q in ps], dtype=complex)\n"
+                     "zs = np.array([p.x for q in ps])\n"
+                     "ws = np.array([p[0] for p in ps]) + np.array([f(p) for p in ps])\n"
+                     "us = array([p.real for p in ps if p])\n"
+                     "ts = [p.x for p in ps]\n")
+    assert _attribute_gathers(tree) == [1, 2, 5]
+
+
+def test_no_attribute_gathers_in_package():
+    # a batch of points is an (N, 2) array of rows (x, sheet), read by
+    # column, not a list of objects read one field at a time
+    hits = [f"{p.name}:{line}" for p in sorted(SRC.glob("*.py"))
+            for line in _attribute_gathers(ast.parse(p.read_text()))]
+    assert hits == [], "attribute gathered per object: " + ", ".join(hits)
 
 
 def _generator_functions(tree):
