@@ -1,12 +1,12 @@
 """fay-lab: theta-function, prime-form and quasideterminant identity checks
 on concrete curves of genus 1-3."""
 
-from .theta import (RiemannMatrix, ThetaChar, ThetaValue, theta, theta_batch,
+from .theta import (RiemannMatrix, ThetaChar, theta, theta_batch,
                     theta_gradient, truncation_radius, theta_chars,
                     odd_theta_chars, NonPositiveDefinite, ToleranceUnachievable)
 
 __all__ = [
-    "RiemannMatrix", "ThetaChar", "ThetaValue", "theta", "theta_batch",
+    "RiemannMatrix", "ThetaChar", "theta", "theta_batch",
     "theta_gradient", "truncation_radius", "theta_chars", "odd_theta_chars",
     "NonPositiveDefinite", "ToleranceUnachievable",
 ]

@@ -478,14 +478,14 @@ def abel_jacobi(periods: PeriodData, P, base):
     return (v[:-1] - v[-1]).reshape(np.shape(P)[:-1] + v.shape[1:])
 
 
-def abel_jacobi_from_branch(periods: PeriodData, P, branch_index=0):
-    """A^-1 int_{e_k}^P, k = branch_index, through the branch point nearest
-    P; a (g,) vector for one point row P, an (N, g) array for N rows, whose
-    points take one integrate_path call."""
+def abel_jacobi_from_branch(periods: PeriodData, P):
+    """A^-1 int_{e_0}^P, through the branch point nearest P; a (g,) vector
+    for one point row P, an (N, g) array for N rows, whose points take one
+    integrate_path call."""
     pts = np.reshape(P, (-1, 2))
     n = np.argmin(np.abs(periods.curve.branch_points - pts[:, :1]), axis=1)
     consts = _branch_constants(periods)
-    v = consts[n] - consts[branch_index] + _from_hubs(periods, pts, n)
+    v = consts[n] + _from_hubs(periods, pts, n)
     return v.reshape(np.shape(P)[:-1] + v.shape[1:])
 
 
@@ -505,7 +505,7 @@ def theta_scale(rm: RiemannMatrix):
     u = rng.random((32, rm.g))
     v = rng.random((32, rm.g))
     Z = u + v @ rm.omega.T
-    vals, _, _, _ = theta_batch(Z, rm, tol=1e-8)
+    vals, _ = theta_batch(Z, rm, tol=1e-8)
     return float(np.median(np.abs(vals)))
 
 
@@ -536,8 +536,8 @@ def vanishing_locus_check(periods: PeriodData, e, x, divisor, controls, base):
     Returns (max |theta| over divisor points, min |theta| over controls).
     """
     aj = abel_jacobi(periods, np.vstack([x, *divisor, *controls]), base)
-    vals, _, _, _ = theta_batch(aj[1:] - aj[0] + np.asarray(e, dtype=complex),
-                                periods.rm, tol=1e-10)
+    vals, _ = theta_batch(aj[1:] - aj[0] + np.asarray(e, dtype=complex),
+                          periods.rm, tol=1e-10)
     nz = len(divisor)
     max_zero = float(np.abs(vals[:nz]).max()) if nz else 0.0
     min_ctrl = float(np.abs(vals[nz:]).min()) if len(controls) else math.inf

@@ -71,8 +71,8 @@ def _distinct_points(ctx, rng, count):
 
 
 def _theta(ctx, Z):
-    """The plain theta (times the context multiplier) at the rows of Z."""
-    return ctx.mult * theta_batch(Z, ctx.rm, tol=ctx.tol)[0]
+    """The plain theta at the rows of Z."""
+    return theta_batch(Z, ctx.rm, tol=ctx.tol)[0]
 
 
 # ---------------------------------------------------------------------------

@@ -60,23 +60,17 @@ class CurveContext:
     """Curve + periods + a fixed non-singular odd characteristic, and the
     values derived from them; nothing in it changes once it is built."""
 
-    def __init__(self, curve: HyperellipticCurve, periods: PeriodData,
-                 theta_multiplier=1.0):
+    def __init__(self, curve: HyperellipticCurve, periods: PeriodData):
         self.curve = curve
         self.periods = periods
         self.rm = periods.rm
         self.g = curve.genus
         self.tol = 1e-10
-        # scales every theta value; identities must be insensitive to it
-        # (sections are defined up to constants), which the suite asserts
-        self.mult = complex(theta_multiplier)
         self.base = make_point(curve, curve.branch_points.real.max() + 0.9 + 0.6j, 1)
         self.delta = find_odd_char(self.rm)
         self.w = self.delta.shift_vector(self.rm)
-        self.scale_raw = theta_scale(self.rm)
-        self.scale = abs(self.mult) * self.scale_raw
-        self.grad0 = self.mult * theta_gradient(np.zeros(self.g), self.rm,
-                                                self.delta, tol=self.tol)
+        self.scale = theta_scale(self.rm)
+        self.grad0 = theta_gradient(np.zeros(self.g), self.rm, self.delta, tol=self.tol)
         # w = A^-T grad0: the derivative 1-form is N(x) dx / y, N(x) = sum_i w_i x^(i-1)
         self.form_coeffs = periods.A_inv.T @ self.grad0
 
@@ -90,12 +84,11 @@ class CurveContext:
     # -- theta shorthands --------------------------------------------------
 
     def theta_delta(self, Z):
-        """theta[delta] (times the context multiplier) over the last axis of
-        Z, in one theta_batch call for all leading indices."""
+        """theta[delta] over the last axis of Z, in one theta_batch call for
+        all leading indices."""
         Z = np.asarray(Z, dtype=complex)
-        vals, _, _, _ = theta_batch(Z.reshape(-1, self.g), self.rm, self.delta,
-                                    tol=self.tol)
-        return self.mult * vals.reshape(Z.shape[:-1])
+        vals, _ = theta_batch(Z.reshape(-1, self.g), self.rm, self.delta, tol=self.tol)
+        return vals.reshape(Z.shape[:-1])
 
     def xi_of_bundle(self, e):
         """xi = w - e for the theta point e of a degree-(g-1) bundle."""
@@ -229,7 +222,7 @@ def riemann_constant(ctx: CurveContext):
     fundamental cell, are scanned and verified on g + 2 sampled divisors.
     """
     g = ctx.g
-    V1 = abel_jacobi_from_branch(ctx.periods, ctx.base, 0)
+    V1 = abel_jacobi_from_branch(ctx.periods, ctx.base)
     rng = np.random.default_rng(20240719)
     # g + 2 divisors of g - 1 points each, summed in draw order
     pts = np.array([sample_point(ctx, rng) for _ in range((g + 2) * (g - 1))]).reshape(-1, 2)
@@ -242,8 +235,8 @@ def riemann_constant(ctx: CurveContext):
             # shifts of kap: score every candidate in one cell
             al, be = lattice_coords(kap, ctx.rm)
             kap = kap - np.floor(al + 0.25) - ctx.rm.omega @ np.floor(be + 0.25)
-            vals, _, _, _ = theta_batch(Us - kap, ctx.rm, tol=ctx.tol)
-            score = float(np.abs(vals).max()) / ctx.scale_raw
+            vals, _ = theta_batch(Us - kap, ctx.rm, tol=ctx.tol)
+            score = float(np.abs(vals).max()) / ctx.scale
             if best is None or score < best[0]:
                 best = (score, kap)
     if best[0] > 1e-6:
@@ -251,9 +244,9 @@ def riemann_constant(ctx: CurveContext):
     return best[1]
 
 
-def delta_divisor_root(ctx: CurveContext, char=None):
+def delta_divisor_root(ctx: CurveContext):
     """Root data of the derivative-form numerator N(x) = sum_i w_i x^(i-1),
-    w = A^-T grad theta[delta](0).
+    w = ctx.form_coeffs = A^-T grad theta[delta](0).
 
     The 1-form (sum_i d theta/d z_i (0) omega_i) equals N(x) dx / y, so its
     divisor (twice the odd-characteristic divisor) is detected by the roots
@@ -261,11 +254,7 @@ def delta_divisor_root(ctx: CurveContext, char=None):
     possibly the one at infinity (N then degenerates to a constant).
     Returns (roots, min distance of each root to the branch locus).
     """
-    if char is None:
-        w = ctx.form_coeffs
-    else:
-        w = ctx.periods.A_inv.T @ theta_gradient(np.zeros(ctx.g), ctx.rm, char, tol=ctx.tol)
-    coeffs = w[::-1]                      # highest degree first
+    coeffs = ctx.form_coeffs[::-1]        # highest degree first
     lead = np.abs(coeffs[0])
     rest = np.abs(coeffs[1:]).max() if ctx.g > 1 else 0.0
     if ctx.g == 1 or lead < 1e-10 * max(rest, 1e-300):

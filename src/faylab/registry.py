@@ -4,8 +4,9 @@ Entry formats:
   {"id": ..., "type": "hyperelliptic", "branch_points": [[re, im], ...]}
   {"id": ..., "type": "plane_quartic", "coefficients": {"X0^4": [re, im], ...}}
 
-The FAYLAB_REGISTRY environment variable may name a directory whose
-*.json files are prepended to (and may shadow) the builtin registry.
+The FAYLAB_REGISTRY environment variable, if set and not empty, must name
+a directory; its *.json files are prepended to (and may shadow) the
+builtin registry.
 """
 
 from __future__ import annotations
@@ -61,8 +62,8 @@ def _load_entry(path):
             return {"id": cid, "type": kind, "branch_points": pts,
                     "genus": (len(pts) - 1) // 2}
         if kind == "plane_quartic":
-            coeffs = {_parse_monomial(k): complex(v[0], v[1])
-                      for k, v in raw["coefficients"].items()}
+            coeffs = {_parse_monomial(k): complex(re_, im_)
+                      for k, (re_, im_) in raw["coefficients"].items()}
             _check_finite(path, coeffs.values(), "coefficient")
             return {"id": cid, "type": kind, "coefficients": coeffs, "genus": 3}
     except KeyError as ex:
@@ -77,11 +78,11 @@ def registry_entries():
     dirs = [_BUILTIN_DIR]
     env = os.environ.get("FAYLAB_REGISTRY")
     if env:
+        if not Path(env).is_dir():
+            raise RegistryError(f"FAYLAB_REGISTRY {env!r} is not a directory")
         dirs.insert(0, Path(env))
     seen = {}
     for d in dirs:
-        if not d.is_dir():
-            continue
         for path in sorted(d.glob("*.json")):
             entry = _load_entry(path)
             if entry["id"] not in seen:

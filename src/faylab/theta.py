@@ -128,20 +128,6 @@ def odd_theta_chars(g):
     return [c for c in theta_chars(g) if c.parity == 1]
 
 
-@dataclass
-class ThetaValue:
-    """Result of a theta evaluation.
-
-    ``tail_bound`` is the certified truncation error of the reduced sum
-    relative to the scale factor exp(pi y' Im(Omega)^-1 y), y = Im of the
-    reduced argument.
-    """
-
-    value: complex
-    gradient: object  # complex g-vector or None
-    tail_bound: float
-
-
 def _tail_bound(rm: RiemannMatrix, R, gradient, center_offset):
     """Certified bound on the lattice tail outside radius R (the splitting
     bound, the only one the radius search uses).
@@ -179,24 +165,21 @@ def _term_estimate(rm: RiemannMatrix, R):
     return ball * R**g / rm._det_S + 3**g
 
 
-def truncation_radius(rm: RiemannMatrix, tol, gradient=False, center_offset=0.0,
-                      max_terms=None):
+def truncation_radius(rm: RiemannMatrix, tol, gradient=False, center_offset=0.0):
     """Smallest grid radius whose certified tail bound is below tol.
 
     Monotone: shrinking tol can only grow the radius.  Raises
     ToleranceUnachievable when the implied number of lattice terms exceeds
-    the cap.
+    MAX_LATTICE_TERMS.
     """
     if not 0.0 < tol:
         raise ValueError("tol must be positive")
-    if max_terms is None:
-        max_terms = MAX_LATTICE_TERMS
     R = 0.5
     while _tail_bound(rm, R, gradient, center_offset) > tol:
         R += 0.25
-        if _term_estimate(rm, R) > max_terms:
-            raise ToleranceUnachievable(
-                f"radius {R:.1f} would need more than {max_terms:.0g} lattice terms")
+        if _term_estimate(rm, R) > MAX_LATTICE_TERMS:
+            raise ToleranceUnachievable(f"radius {R:.1f} would need more than "
+                                        f"{MAX_LATTICE_TERMS:.0g} lattice terms")
     return R
 
 
@@ -232,9 +215,9 @@ def theta_batch(Z, rm: RiemannMatrix, char: ThetaChar = None, tol=1e-10,
                 gradient=False):
     """Evaluate theta[char](z | Omega) for every row z of Z.
 
-    Returns (values, gradients, radius, tail_bounds); gradients is None
-    unless requested.  Values are the true analytic values (reduction
-    prefactors folded back in).
+    Returns (values, gradients), gradients None unless requested: the true
+    analytic values (reduction prefactors folded back in), each reduced sum
+    cut at the radius truncation_radius picks for tol, within _tail_bound.
     """
     Z = np.atleast_2d(np.asarray(Z, dtype=complex))
     if Z.shape[1] != rm.g:
@@ -281,29 +264,24 @@ def theta_batch(Z, rm: RiemannMatrix, char: ThetaChar = None, tol=1e-10,
             grads_red[s:u] = TWO_PI_I * np.einsum("nm,ng->mg", terms, na)
         del terms           # before the next block's buffer is made
     pref = np.exp(lp)
-    values = pref * vals_red
-    grads = None
-    if gradient:
-        # d/dz of the prefactor contributes -2 pi i m0 times the value
-        grads = pref[:, None] * (grads_red - TWO_PI_I * m0 * vals_red[:, None])
-    tail = _tail_bound(rm, R, gradient=gradient, center_offset=c_off)
-    tails = np.full(len(Z), tail)
-    return values, grads, R, tails
+    # d/dz of the prefactor contributes -2 pi i m0 times the value
+    grads = (pref[:, None] * (grads_red - TWO_PI_I * m0 * vals_red[:, None])
+             if gradient else None)
+    return pref * vals_red, grads
 
 
-def theta(z, rm: RiemannMatrix, char: ThetaChar = None, tol=1e-10,
-          gradient=False) -> ThetaValue:
-    """Evaluate a single theta value (optionally with its z-gradient)."""
+def _one_row(z, tol):
+    """z as a one-row batch, once tol passes the single-point check."""
     if not 0.0 < tol <= 1e-3:
         raise ValueError("tol must lie in (0, 1e-3]")
-    z = np.atleast_1d(np.asarray(z, dtype=complex))
-    values, grads, _, tails = theta_batch(z[None, :], rm, char, tol,
-                                          gradient=gradient)
-    return ThetaValue(value=complex(values[0]),
-                      gradient=None if grads is None else grads[0],
-                      tail_bound=float(tails[0]))
+    return np.atleast_1d(np.asarray(z, dtype=complex))[None, :]
+
+
+def theta(z, rm: RiemannMatrix, char: ThetaChar = None, tol=1e-10):
+    """The complex value theta[char](z | Omega) at a single point z."""
+    return complex(theta_batch(_one_row(z, tol), rm, char, tol)[0][0])
 
 
 def theta_gradient(z, rm: RiemannMatrix, char: ThetaChar = None, tol=1e-10):
     """The g-vector of first partials (d theta / d z_i)(z)."""
-    return theta(z, rm, char, tol, gradient=True).gradient
+    return theta_batch(_one_row(z, tol), rm, char, tol, gradient=True)[1][0]

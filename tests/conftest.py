@@ -1,3 +1,4 @@
+import importlib
 import sys
 from pathlib import Path
 
@@ -44,6 +45,22 @@ def one_trial(name, env, rng):
     if isinstance(result, Exception):
         raise result
     return result
+
+
+def scale_theta(monkeypatch, c):
+    """Multiply every theta_batch value and gradient by c, in each module
+    namespace that binds theta_batch, until the test ends: a context built
+    after this sees every theta scaled.  (faylab.theta is also the name of
+    the re-exported function, so the modules are imported by name.)"""
+    mods = [importlib.import_module(f"faylab.{m}")
+            for m in ("theta", "curves", "kernels", "identities")]
+    real = mods[0].theta_batch
+
+    def scaled(*args, **kwargs):
+        vals, grads = real(*args, **kwargs)
+        return c * vals, None if grads is None else c * grads
+    for mod in mods:
+        monkeypatch.setattr(mod, "theta_batch", scaled)
 
 
 @pytest.fixture(scope="session")

@@ -256,8 +256,14 @@ class TestBadInput:
           "--trials", "1", "--tol", "1e400"], "tol must be positive and finite"),
         (["quasidet-selftest", "--trials", "1", "--seed", "-1"], "--seed >= 0"),
         (["quasidet-selftest", "--trials", "1", "--seed", str(2**64)], "--seed >= 0"),
+        # a first argument NAME=KEY sets the variable NAME to the path of KEY
+        (["FAYLAB_REGISTRY=SHORT", "list-curves"], "short/q.json: malformed entry"),
+        (["FAYLAB_REGISTRY=LONG", "list-curves"], "long/q.json: malformed entry"),
+        (["FAYLAB_REGISTRY=MISSING", "list-curves"], "is not a directory"),
+        (["FAYLAB_REGISTRY=NAN", "verify", "--identity", "skewsym_n2", "--curve",
+          "lemniscatic", "--trials", "1"], "is not a directory"),
     ])
-    def test_exit_2_with_message(self, tmp_path, capsys, args, reason):
+    def test_exit_2_with_message(self, tmp_path, monkeypatch, capsys, args, reason):
         collide = tmp_path / "collide.json"
         collide.write_text(json.dumps(
             {"id": "collide", "type": "hyperelliptic",
@@ -266,8 +272,19 @@ class TestBadInput:
         nan.write_text(json.dumps(
             {"id": "nan", "type": "hyperelliptic",
              "branch_points": [[0.0, 0.0], [float("nan"), 0.0], [1.0, 0.0]]}))
+        # plane-quartic coefficients that are not a [re, im] pair
+        for key, bad in (("short", [1.0]), ("long", [1.0, 0.0, 7.0])):
+            (tmp_path / key).mkdir()
+            (tmp_path / key / "q.json").write_text(json.dumps(
+                {"id": "q", "type": "plane_quartic",
+                 "coefficients": {"X0^4": bad, "X1^4": [1.0, 0.0], "X2^4": [1.0, 0.0]}}))
         paths = {"COLLIDE": str(collide), "NAN": str(nan), "DIR": str(tmp_path),
-                 "MISSING": str(tmp_path / "no-such-dir" / "rep.jsonl")}
+                 "MISSING": str(tmp_path / "no-such-dir" / "rep.jsonl"),
+                 "SHORT": str(tmp_path / "short"), "LONG": str(tmp_path / "long")}
+        if "=" in args[0]:
+            name, key = args[0].split("=")
+            monkeypatch.setenv(name, paths[key])
+            args = args[1:]
         assert run_cli([paths.get(a, a) for a in args]) == 2
         captured = capsys.readouterr()
         assert reason in captured.err

@@ -11,7 +11,7 @@ from faylab.registry import registry_entries
 from faylab.report import report_record
 from faylab.rng import trial_rng
 
-from conftest import build_context, one_trial
+from conftest import build_context, one_trial, scale_theta
 from oracles import per_trial_record
 
 
@@ -244,16 +244,20 @@ class TestSuiteRunner:
         assert r1[0].max_rel_residual == r2[0].max_rel_residual
         assert r1[0].max_abs_residual == r2[0].max_abs_residual
 
-    def test_scale_free_residuals(self):
+    @pytest.mark.parametrize("name,cid", [
+        (name, cid) for name, spec in sorted(IDENTITIES.items())
+        if spec.kind == "hyperelliptic"
+        for cid, g in (("lemniscatic", 1), ("g2-real", 2)) if g in spec.table])
+    def test_scale_free_residuals(self, name, cid, monkeypatch):
         # multiplying theta by a constant leaves residuals unchanged
-        entry_ctx = build_context("lemniscatic")
-        scaled = CurveContext(entry_ctx.curve, entry_ctx.periods,
-                              theta_multiplier=1.7 - 0.4j)
-        for name in ("trisecant_general_n1", "prime_form_n1"):
-            for trial in range(5):
-                r1 = one_trial(name, entry_ctx, trial_rng(5, name, trial))[1]
-                r2 = one_trial(name, scaled, trial_rng(5, name, trial))[1]
-                assert abs(r1 - r2) < 1e-12
+        entry_ctx = build_context(cid)
+        r1 = [one_trial(name, entry_ctx, trial_rng(5, name, trial))[1]
+              for trial in range(3)]
+        scale_theta(monkeypatch, 1.7 - 0.4j)
+        scaled = CurveContext(entry_ctx.curve, entry_ctx.periods)
+        for trial in range(3):
+            r2 = one_trial(name, scaled, trial_rng(5, name, trial))[1]
+            assert abs(r1[trial] - r2) < 1e-12
 
     def test_completion_tracking(self, ctx_g1):
         # a runner that always rejects must fail the completion bar
@@ -549,7 +553,7 @@ def test_bundle_near_the_theta_divisor_redraws_its_trial(name, monkeypatch):
     ctx = TestLookAhead.fresh("lemniscatic")
     al, be = lattice_coords(riemann_constant(build_context("lemniscatic")), ctx.rm)
     near = al % 1.0 + 1e-6 + ctx.rm.omega @ (be % 1.0)
-    assert 1e-8 < abs(theta(near, ctx.rm).value) / ctx.scale < 1e-4
+    assert 1e-8 < abs(theta(near, ctx.rm)) / ctx.scale < 1e-4
     real, drawn = ids.random_line_bundle, []
 
     def recorded(rm, rng):

@@ -340,10 +340,7 @@ def test_unset_options_detected():
 #: sets it
 TEST_HOOKS = {
     "main.argv": "test_cli.py::run_cli",
-    "delta_divisor_root.char": "test_kernels.py::test_other_odd_chars_also_root_on_branch",
-    "truncation_radius.max_terms": "test_theta.py::test_terms_cap",
-    "CurveContext.__init__.theta_multiplier":
-        "test_kernels.py::test_scaling_linearity",
+    "theta.char": "test_theta.py::test_g1_char_series_match",
 }
 
 

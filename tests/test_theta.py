@@ -1,3 +1,5 @@
+import importlib
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -5,7 +7,7 @@ from hypothesis import given, settings, strategies as st
 from faylab.theta import (RiemannMatrix, ThetaChar, theta, theta_batch,
                           theta_gradient, truncation_radius, theta_chars,
                           odd_theta_chars, NonPositiveDefinite,
-                          ToleranceUnachievable, THETA_BLOCK)
+                          ToleranceUnachievable, THETA_BLOCK, _tail_bound)
 
 from oracles import qseries_theta3, qseries_theta_char, qseries_theta_char_deriv
 
@@ -44,7 +46,7 @@ class TestConstruction:
 
 class TestValues:
     def test_theta3_at_zero(self):
-        val = theta([0.0], RM1, tol=1e-12).value
+        val = theta([0.0], RM1, tol=1e-12)
         assert abs(val - qseries_theta3(0.0, 1j)) < 1e-10
         assert abs(val - 1.08643481121331) < 1e-11
 
@@ -52,20 +54,20 @@ class TestValues:
         for g in (1, 2, 3):
             z = np.zeros(g)
             for ch in odd_theta_chars(g)[:4]:
-                assert abs(theta(z, RMS[g], ch).value) < 1e-12
+                assert abs(theta(z, RMS[g], ch)) < 1e-12
 
     def test_g1_char_series_match(self):
         rng = np.random.default_rng(0)
         for ch in theta_chars(1):
             for _ in range(5):
                 z = complex(rand_z(rng, 1)[0])
-                mine = theta([z], RM1, ch, tol=1e-12).value
+                mine = theta([z], RM1, ch, tol=1e-12)
                 ref = qseries_theta_char(ch.a[0], ch.b[0], z, 1j)
                 assert abs(mine - ref) < 1e-12 * max(1.0, abs(ref))
 
     def test_tail_bound_below_tol(self):
-        tv = theta(np.array([0.1 + 0.2j, -0.3 + 0.1j]), RM2, tol=1e-10)
-        assert tv.tail_bound < 1e-10
+        # the bound at the radius a value-only call at tol 1e-10 sums to
+        assert _tail_bound(RM2, truncation_radius(RM2, 1e-10), False, 0.0) < 1e-10
 
     def test_tol_validated(self):
         with pytest.raises(ValueError):
@@ -81,8 +83,8 @@ class TestParity:
         for _ in range(100):
             z = rand_z(rng, g)
             ch = chars[rng.integers(0, len(chars))]
-            tp = theta(z, rm, ch, tol=1e-12).value
-            tm = theta(-z, rm, ch, tol=1e-12).value
+            tp = theta(z, rm, ch, tol=1e-12)
+            tm = theta(-z, rm, ch, tol=1e-12)
             sign = -1.0 if ch.parity else 1.0
             assert abs(tm - sign * tp) < 1e-10 * max(abs(tp), 1e-3)
 
@@ -96,9 +98,9 @@ class TestQuasiPeriodicity:
             z = rand_z(rng, g)
             m = rng.integers(-2, 3, g).astype(float)
             n = rng.integers(-2, 3, g).astype(float)
-            lhs = theta(z + rm.omega @ m + n, rm, tol=1e-12).value
+            lhs = theta(z + rm.omega @ m + n, rm, tol=1e-12)
             fac = np.exp(-1j * np.pi * m @ rm.omega @ m - 2j * np.pi * m @ z)
-            rhs = fac * theta(z, rm, tol=1e-12).value
+            rhs = fac * theta(z, rm, tol=1e-12)
             assert abs(lhs - rhs) < 1e-10 * abs(lhs)
 
     def test_char_shift(self):
@@ -110,11 +112,11 @@ class TestQuasiPeriodicity:
             z = rand_z(rng, 2)
             m = rng.integers(-2, 3, 2).astype(float)
             n = rng.integers(-2, 3, 2).astype(float)
-            lhs = theta(z + rm.omega @ m + n, rm, ch, tol=1e-12).value
+            lhs = theta(z + rm.omega @ m + n, rm, ch, tol=1e-12)
             a, b = np.array(ch.a), np.array(ch.b)
             fac = np.exp(2j * np.pi * (a @ n) - 2j * np.pi * m @ (z + b)
                          - 1j * np.pi * m @ rm.omega @ m)
-            rhs = fac * theta(z, rm, ch, tol=1e-12).value
+            rhs = fac * theta(z, rm, ch, tol=1e-12)
             assert abs(lhs - rhs) < 1e-10 * abs(lhs)
 
 
@@ -133,8 +135,8 @@ class TestGradient:
             for i in range(2):
                 e = np.zeros(2)
                 e[i] = h
-                fd = (theta(z + e, RM2, tol=1e-12).value
-                      - theta(z - e, RM2, tol=1e-12).value) / (2 * h)
+                fd = (theta(z + e, RM2, tol=1e-12)
+                      - theta(z - e, RM2, tol=1e-12)) / (2 * h)
                 denom = max(abs(grad[i]), np.abs(grad).max())
                 assert abs(grad[i] - fd) < 1e-6 * denom
 
@@ -149,8 +151,8 @@ class TestGradient:
 class TestTruncation:
     def test_self_refinement(self):
         R = truncation_radius(RM1, 1e-10)
-        v1 = theta([0.3 + 0.1j], RM1, tol=1e-10).value
-        v2 = theta([0.3 + 0.1j], RM1, tol=1e-14).value
+        v1 = theta([0.3 + 0.1j], RM1, tol=1e-10)
+        v2 = theta([0.3 + 0.1j], RM1, tol=1e-14)
         assert abs(v1 - v2) < 1e-12 * abs(v2)
         assert R > 0
 
@@ -164,15 +166,17 @@ class TestTruncation:
 
     def test_refinement_stability(self):
         z = [0.2 + 0.3j]
-        prev = theta(z, RM1, tol=1e-6).value
+        prev = theta(z, RM1, tol=1e-6)
         for tol in (5e-7, 2.5e-7, 1e-8):
-            cur = theta(z, RM1, tol=tol).value
+            cur = theta(z, RM1, tol=tol)
             assert abs(cur - prev) < 2e-6
             prev = cur
 
-    def test_terms_cap(self):
+    def test_terms_cap(self, monkeypatch):
+        monkeypatch.setattr(importlib.import_module("faylab.theta"),
+                            "MAX_LATTICE_TERMS", 100)
         with pytest.raises(ToleranceUnachievable):
-            truncation_radius(RiemannMatrix([[1e-4j]]), 1e-10, max_terms=100)
+            truncation_radius(RiemannMatrix([[1e-4j]]), 1e-10)
 
 
 @settings(max_examples=25, deadline=None, derandomize=True)
@@ -184,8 +188,8 @@ def test_parity_property(seed):
     chars = theta_chars(g)
     ch = chars[rng.integers(0, len(chars))]
     z = rand_z(rng, g)
-    tp = theta(z, rm, ch, tol=1e-12).value
-    tm = theta(-z, rm, ch, tol=1e-12).value
+    tp = theta(z, rm, ch, tol=1e-12)
+    tm = theta(-z, rm, ch, tol=1e-12)
     sign = -1.0 if ch.parity else 1.0
     assert abs(tm - sign * tp) < 1e-10 * max(abs(tp), 1e-3)
 
@@ -217,19 +221,22 @@ def test_tail_bound_certifies_truncation(g, data):
     char = data.draw(st.sampled_from(theta_chars(g)))
     tol = data.draw(st.sampled_from([1e-3, 1e-5, 1e-7, 1e-9]))
     z = alpha + rm.omega @ beta
-    vals, _, R, tails = theta_batch(z[None, :], rm, char, tol=tol)
+    vals, _ = theta_batch(z[None, :], rm, char, tol=tol)
+    # the radius and the certified bound of the sum theta_batch made
+    R = truncation_radius(rm, tol)
+    tail = _tail_bound(rm, R, False, 0.0)
     scale = np.exp(np.pi * z.imag @ rm.imag_inv @ z.imag)
-    assert abs(vals[0] - box_sum(rm, char, z, R + 3)) <= tails[0] * scale
+    assert abs(vals[0] - box_sum(rm, char, z, R + 3)) <= tail * scale
 
 
 def test_batch_matches_single():
     rng = np.random.default_rng(11)
     Z = rng.standard_normal((6, 2)) * 0.4 + 1j * rng.standard_normal((6, 2)) * 0.3
-    vals, grads, _, tails = theta_batch(Z, RM2, tol=1e-12, gradient=True)
+    vals, grads = theta_batch(Z, RM2, tol=1e-12, gradient=True)
     for k in range(6):
-        tv = theta(Z[k], RM2, tol=1e-12, gradient=True)
-        assert abs(vals[k] - tv.value) < 1e-12 * max(1.0, abs(tv.value))
-        assert np.abs(grads[k] - tv.gradient).max() < 1e-10
+        value = theta(Z[k], RM2, tol=1e-12)
+        assert abs(vals[k] - value) < 1e-12 * max(1.0, abs(value))
+        assert np.abs(grads[k] - theta_gradient(Z[k], RM2, tol=1e-12)).max() < 1e-10
 
 
 def test_radius_memo_matches_fresh_matrix():
@@ -242,20 +249,24 @@ def test_radius_memo_matches_fresh_matrix():
     alpha = rng.uniform(-0.4, 0.4, (3, 2))
     near = alpha + 0.01 * rng.uniform(-1.0, 1.0, (3, 2)) @ RM2.omega.T
     far = alpha + np.array([0.45, -0.45]) @ RM2.omega.T
-    radii = [theta_batch(Z, RiemannMatrix(RM2.omega), tol=8e-4, gradient=True)[2]
-             for Z in (near, far)]
+    def fresh(Z, tol, grad):
+        """theta_batch on a fresh matrix, and that matrix's radius cache,
+        which holds the one radius the call used."""
+        rm = RiemannMatrix(RM2.omega)
+        out = theta_batch(Z, rm, tol=tol, gradient=grad)
+        return out, rm._radius_cache
+    radii = [list(fresh(Z, 8e-4, True)[1].values()) for Z in (near, far)]
     assert radii[0] != radii[1]
     warm = RiemannMatrix(RM2.omega)
     calls = [(Z, tol, grad) for tol in (8e-4, 1e-10) for grad in (False, True)
              for Z in (near, far)]
     for _ in range(2):
         for Z, tol, grad in calls:
-            vals, grads, R, tails = theta_batch(Z, warm, tol=tol, gradient=grad)
-            f_vals, f_grads, f_R, f_tails = theta_batch(
-                Z, RiemannMatrix(RM2.omega), tol=tol, gradient=grad)
-            assert R == f_R
+            vals, grads = theta_batch(Z, warm, tol=tol, gradient=grad)
+            (f_vals, f_grads), f_radius = fresh(Z, tol, grad)
+            # the warm matrix summed at the radius the fresh one did
+            assert f_radius.items() <= warm._radius_cache.items()
             assert np.array_equal(vals, f_vals)
-            assert np.array_equal(tails, f_tails)
             assert (grads is None) == (f_grads is None)
             if grad:
                 assert np.array_equal(grads, f_grads)
