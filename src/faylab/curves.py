@@ -156,11 +156,11 @@ MAX_PATH_NODES = 2**21
 #: (64/15) M rho^(-2n) / (rho^2 - 1) (Trefethen 2008), 1.3e-21 M at 12 nodes.
 AJ_ORDER = 12
 
-#: most paths integrate_path lays nodes for at once (1,200-2,300 nodes on
-#: Abel-Jacobi legs at genus 1-3), so that a whole report's batch keeps its
+#: most nodes integrate_path lays at once, unless one path has more (an
+#: Abel-Jacobi leg has about 50), so that a whole report's batch keeps its
 #: node buffers small: heap memory a call grows by is handed back after it
 #: and faulted in again by the next call
-PATH_BLOCK = 32
+PATH_NODES = 2**12
 
 
 @functools.lru_cache(maxsize=None)
@@ -172,23 +172,49 @@ def integrate_path(curve, paths, y0s, order):
     """Integrate (1, x, .., x^(g-1)) dx / y along each polygonal path, with
     y = y0s[i], a root of f, at paths[i][0]; returns the (N, g) integrals
     and y at every vertex, exactly + or - the principal root there, as one
-    array, path after path (both empty for no path).  The paths are
-    integrated PATH_BLOCK at a time, each row as if alone (see
-    _integrate_paths)."""
-    parts = [_integrate_paths(curve, paths[k:k + PATH_BLOCK], y0s[k:k + PATH_BLOCK], order)
-             for k in range(0, len(paths), PATH_BLOCK)]
-    parts.append((np.empty((0, curve.genus), dtype=complex), np.empty(0, dtype=complex)))
-    return tuple(np.concatenate(arrays) for arrays in zip(*parts))
-
-
-def _integrate_paths(curve, paths, y0s, order):
-    """integrate_path on one block of paths.
+    array, path after path (both empty for no path).
 
     Each edge is cut into Gauss-Legendre panels no wider than half its
     clearance dmin from the branch points (an edge within 1e-6 of one is
     refused, and a path of more than MAX_PATH_NODES nodes raises
-    PathTooLong before a node of its block is laid).  The nodes of all paths
-    are laid and f evaluated in one pass; each step along a path must keep
+    PathTooLong) before any node is laid.  The paths are then integrated
+    in blocks of consecutive paths, each of at most PATH_NODES nodes and
+    vertices unless it is one path, each row as if alone (see
+    _integrate_paths)."""
+    e = curve.branch_points
+    lens = np.array([len(z) for z in paths], dtype=int)
+    first = np.cumsum(lens) - lens
+    # edges in path order, each path's vertex 0 a zero-length edge of its own
+    zb = np.concatenate([*paths, []], dtype=complex)
+    za = np.roll(zb, 1)
+    za[first] = zb[first]
+    seg = (zb - za)[:, None]
+    # each branch point's distance to its foot on each edge
+    t = ((e - za[:, None]) / np.where(seg == 0, 1, seg)).real.clip(0.0, 1.0)
+    dmin = np.abs(za[:, None] + t * seg - e).min(axis=1)
+    if (dmin <= 1e-6).any():
+        raise PathTooCloseToBranchPoint("an edge within 1e-6 of a branch point")
+    panels = np.ceil(np.abs(seg[:, 0]) / (0.5 * dmin)).astype(int)
+    size = np.add.reduceat(panels * order + 1, first) if len(paths) else lens
+    if (size - lens).max(initial=0) > MAX_PATH_NODES:
+        raise PathTooLong(f"path needs {(size - lens).max()} quadrature nodes, "
+                          f"more than {MAX_PATH_NODES}")
+    parts, a = [(np.empty((0, curve.genus), dtype=complex), np.empty(0, dtype=complex))], 0
+    while a < len(paths):
+        b = a + max(1, np.searchsorted(np.cumsum(size[a:]), PATH_NODES, "right"))
+        e0, e1 = first[a], first[b - 1] + lens[b - 1]
+        parts.append(_integrate_paths(curve, za[e0:e1], zb[e0:e1], panels[e0:e1],
+                                      first[a:b] - e0, y0s[a:b], order))
+        a = b
+    return tuple(np.concatenate(arrays) for arrays in zip(*parts))
+
+
+def _integrate_paths(curve, za, zb, panels, first, y0s, order):
+    """integrate_path on one block of paths, given as their edges (za to
+    zb, cut into panels), path i's first at first[i].
+
+    The nodes of all paths are laid and f evaluated in one pass; each step
+    along a path must keep
     |delta arg f| <= pi/2 and |f_{j+1} / f_j| in [0.1, 10] (else
     PathTooCloseToBranchPoint), which cannot fail at order >= 12: steps are
     at most 0.063 dmin, so each of the at most 7 factors x - e_k of f turns
@@ -200,25 +226,8 @@ def _integrate_paths(curve, paths, y0s, order):
     sums taken by one reduceat, each on its path's own slice, so a path's
     row does not depend on the others in its batch.
     """
-    e = curve.branch_points
-    lens = np.array([len(z) for z in paths])
-    first = np.cumsum(lens) - lens
-    # edges in path order, each path's vertex 0 a zero-length edge of its own
-    zb = np.concatenate(paths, dtype=complex)
-    za = np.roll(zb, 1)
-    za[first] = zb[first]
-    seg = (zb - za)[:, None]
-    # each branch point's distance to its foot on each edge
-    t = ((e - za[:, None]) / np.where(seg == 0, 1, seg)).real.clip(0.0, 1.0)
-    dmin = np.abs(za[:, None] + t * seg - e).min(axis=1)
-    if (dmin <= 1e-6).any():
-        raise PathTooCloseToBranchPoint("an edge within 1e-6 of a branch point")
-    panels = np.ceil(np.abs(seg[:, 0]) / (0.5 * dmin)).astype(int)
-    need = np.add.reduceat(panels, first) * order
-    if need.max() > MAX_PATH_NODES:
-        raise PathTooLong(f"path needs {need.max()} quadrature nodes, "
-                          f"more than {MAX_PATH_NODES}")
     # each edge's nodes, then its end vertex (weight 0)
+    seg = (zb - za)[:, None]
     nodes, weights = _gl_nodes(order)
     edge = np.repeat(np.arange(len(za)), panels)
     k = np.arange(len(edge)) - np.repeat(np.cumsum(panels) - panels, panels)
@@ -520,13 +529,6 @@ def find_odd_char(rm: RiemannMatrix):
         if norm > 1e-6 * max(1.0, max_grad):
             return ch
     raise NoNonsingularOddChar("all odd characteristics have tiny gradients")
-
-
-def random_line_bundle(rm: RiemannMatrix, rng):
-    """The theta point e = u + Omega v of a degree-(g-1) line bundle, u and
-    v uniform in [0, 1)^g.  The identity bodies that draw e reject it when
-    |theta(e)| <= 1e-4 theta_scale, near the theta divisor (h^0 > 0)."""
-    return rng.random(rm.g) + rm.omega @ rng.random(rm.g)
 
 
 def vanishing_locus_check(periods: PeriodData, e, x, divisor, controls, base):

@@ -18,11 +18,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .theta import theta_batch, ThetaError
-from .curves import (HyperellipticCurve, period_matrix, random_line_bundle,
-                     CurveError)
+from .curves import HyperellipticCurve, period_matrix, CurveError
 from .kernels import (CurveContext, fay_F, prime_form, massey_m3_prime,
-                      massey_m3_theta, h_values, theta_form,
-                      sample_point, sample_xi, delta_divisor_root,
+                      massey_m3_theta, h_values, theta_form, random_line_bundle,
+                      sample_points, sample_xi, delta_divisor_root,
                       NEAR_DIVISOR, NearDivisor, CoincidentPoints, KernelError)
 from .quasidet import (QuasiMatrix, SingularMinor, random_quasimatrix,
                        check_sylvester, check_column_expansion, check_homological)
@@ -32,7 +31,7 @@ from .quartic import (PlaneQuartic, QuarticError, TangentOrSingularLine,
                       tangent_reconstruction_residual, reconstruct_synthetic_residual)
 from .registry import registry_entries
 from .report import IdentityReport
-from .rng import SEED_LIMIT, trial_rng
+from .rng import SEED_LIMIT, Table, trial_rng
 
 
 class SuiteError(Exception):
@@ -47,6 +46,10 @@ class BadTriple(KernelError):
     pass
 
 
+#: a draw with two x-coordinates within CLOSE_POINTS * min_gap is rejected
+CLOSE_POINTS = 1e-3
+
+
 #: rejections of a trial's draw: run_identity resamples from the same stream
 _RETRY = (NearDivisor, CoincidentPoints, SingularMinor, BadTriple,
           TangentOrSingularLine, HigherOrderZero, NotAZero, DegenerateRatios)
@@ -59,15 +62,40 @@ def _rel(total, blocks):
     return abs(total), abs(total) / m
 
 
-def _distinct_points(ctx, rng, count):
-    """count sampled points, as rows; raises BadTriple (run_identity
-    redraws) if two x-coordinates are within 1e-3 min_gap."""
-    pts = np.array([sample_point(ctx, rng) for _ in range(count)])
-    d = np.abs(pts[:, None, 0] - pts[None, :, 0])
-    np.fill_diagonal(d, np.inf)
-    if d.min() <= 1e-3 * ctx.curve.min_gap:
-        raise BadTriple("sampled points too close")
-    return pts
+def _distinct_points(ctx, take, rows, count):
+    """sample_points, and BadTriple (run_identity redraws) for each stream
+    with two x-coordinates within CLOSE_POINTS min_gap."""
+    pts, errors = sample_points(ctx, take, rows, count)
+    d = np.abs(pts[:, :, None, 0] - pts[:, None, :, 0])
+    close = (d <= CLOSE_POINTS * ctx.curve.min_gap) & ~np.eye(count, dtype=bool)
+    for i in np.flatnonzero(close.any(axis=(1, 2))):
+        errors.setdefault(i, BadTriple("sampled points too close"))
+    return pts, errors
+
+
+def _draws(steps):
+    """Marks a body as drawn by _draw: steps(ctx, **params) lists its draw."""
+    def mark(body):
+        body.draws = steps
+        return body
+    return mark
+
+
+def _draw(ctx, steps, take, rows):
+    """Per stream of rows, the arrays of its draw, one per step, or the
+    exception that stopped it; take(rows, n) reads the next n doubles of
+    each stream.  A step is (sampler, count), the sampler giving count
+    draws per stream and {i: exception} for the streams rows[i] it stopped
+    (see sample_points), or an exception, which stops every stream."""
+    out, live = [[] for _ in rows], np.arange(len(rows))
+    for step in steps:
+        if isinstance(step, Exception):
+            return [step if isinstance(drawn, list) else drawn for drawn in out]
+        values, errors = step[0](ctx, take, rows[live], step[1])
+        for i, k in enumerate(live):
+            out[k] = errors[i] if i in errors else out[k] + [values[i]]
+        live = live[[i not in errors for i in range(len(live))]]
+    return out
 
 
 def _theta(ctx, Z):
@@ -79,12 +107,13 @@ def _theta(ctx, Z):
 # theta-kernel identities
 #
 # Each identity (here, in faylab.quartic, or a carrier check) is a generator
-# body(env, rng, **params).  It makes one trial's random choices and rejects
-# bad ones, then yields each kernel request (kernel, *args), is sent the
-# kernel's rows for its own args and returns the trial's (abs, rel).  The
-# bodies never call a kernel: _drive makes each request in one call for all
-# the trials of a round, so a trial's residual does not depend on the
-# trials evaluated with it.
+# body(env, *draw, **params).  A hyperelliptic body states its draw with
+# _draws and is given its arrays; the others take a Generator, make one
+# trial's random choices and reject bad ones.  A body then yields each
+# kernel request (kernel, *args), is sent the kernel's rows for its own
+# args and returns the trial's (abs, rel).  The bodies never call a kernel:
+# _drive makes each request in one call for all the trials of a round, so
+# a trial's residual does not depend on the trials evaluated with it.
 
 
 def _mainid(X, Y, Z, T, xi):
@@ -109,18 +138,19 @@ def _mainid(X, Y, Z, T, xi):
     return _rel(sum(blocks), blocks)
 
 
-def trisecant_general(ctx, rng, n):
+@_draws(lambda ctx, n: [(_distinct_points, 2 + 2 * n), (sample_xi, 1)])
+def trisecant_general(ctx, pts, xis, n):
     """Eq. (mainid): the three-block sum of F-products over x, y, z_i, t_i
     (2 + 2n points) and a free Jacobian point xi."""
-    pts, xi = _distinct_points(ctx, rng, 2 + 2 * n), sample_xi(ctx, rng)
     V = yield CurveContext.aj, pts
-    return (yield from _mainid(V[0], V[1], V[2:2 + n], V[2 + n:], xi))
+    return (yield from _mainid(V[0], V[1], V[2:2 + n], V[2 + n:], xis[0]))
 
 
-def trisecant_classical(ctx, rng):
+@_draws(lambda ctx: [(_distinct_points, 4), (sample_xi, 1)])
+def trisecant_classical(ctx, pts, xis):
     """The two-fraction n=1 form of the trisecant identity over x, y, z, t
     and xi."""
-    pts, xi = _distinct_points(ctx, rng, 4), sample_xi(ctx, rng)
+    xi = xis[0]
     X, Y, Z, T = yield CurveContext.aj, pts
     (xt, yz, xz, yt, t_xi, t_long, zt, yx, zx, t_zx, t_yt, r1, r2) = yield (
         CurveContext.theta_delta, [X - T, Y - Z, X - Z, Y - T, xi, xi + Y - X + Z - T,
@@ -134,20 +164,21 @@ def trisecant_classical(ctx, rng):
     return _rel(L1 + L2 - R, [L1, L2, R] if abs(R) > 0 else [L1, L2, 1.0])
 
 
-def divisor_symmetric(ctx, rng, n):
+@_draws(lambda ctx, n: [(_distinct_points, 2 * n + 3)])
+def divisor_symmetric(ctx, pts, n):
     """Cor. (divisorid): the symmetric F-product identity over y and n+1
     pairs z_i, t_i, which is eq. (mainid) over the last n pairs at x = z_0,
     xi = z_0 - t_0."""
-    V = yield CurveContext.aj, _distinct_points(ctx, rng, 2 * n + 3)
+    V = yield CurveContext.aj, pts
     return (yield from _mainid(V[1], V[0], V[2:n + 2], V[n + 3:], V[1] - V[n + 2]))
 
 
-def prime_form_identity(ctx, rng, n):
+@_draws(lambda ctx, n: [(random_line_bundle, 1), (_distinct_points, 2 + 2 * n)])
+def prime_form_identity(ctx, es, pts, n):
     """The three-block E/theta identity for an arbitrary degree-1 theta,
     realized with a random translate e of the plain theta, e off the theta
     divisor, over x, y, z_i, t_i (2 + 2n points)."""
-    e = random_line_bundle(ctx.rm, rng)
-    pts = _distinct_points(ctx, rng, 2 + 2 * n)
+    e = es[0]
     V = yield CurveContext.aj, pts
     X, Y, Z, T = V[0], V[1], V[2:2 + n], V[2 + n:]
     S = (Z - T).sum(axis=0)
@@ -169,7 +200,11 @@ def prime_form_identity(ctx, rng, n):
     return _rel(sum(blocks), blocks)
 
 
-def residue_identity(ctx, rng, n):
+@_draws(lambda ctx, n: [(_distinct_points, n), (sample_xi, n - 1)]
+        if n == 2 or n == 3 and ctx.g == 1 else [SuiteError(
+            f"residue identity implemented for n = 2, and n = 3 at genus 1 (degree count: "
+            f"n(g-1) = 2g-2 forces n = 2 otherwise), not n = {n} at genus {ctx.g}")])
+def residue_identity(ctx, xs, xis, n):
     """Good-triple residue identity: sum_i alpha(x_i) prod_{j != i}
     m3(L_j, x_j, x_i) = 0 over n points x_i and n theta points, the last
     the lattice-closing one, so that the bundles close up to the canonical
@@ -179,14 +214,7 @@ def residue_identity(ctx, rng, n):
     the odd-translate frames); n = 3 needs genus 1, where all bundles have
     degree 0 and alpha(x_i) = 1/h(x_i) realizes the trivialization.
     """
-    if n not in (2, 3):
-        raise SuiteError(f"residue identity implemented for n in (2, 3), not {n}")
-    if n == 3 and ctx.g != 1:
-        raise SuiteError("n=3 residue identity needs genus 1 "
-                         "(degree count: n(g-1) = 2g-2 forces n = 2 otherwise)")
-    xs = _distinct_points(ctx, rng, n)
-    xis = [sample_xi(ctx, rng) for _ in range(n - 1)]
-    xis = np.array(xis + [-sum(xis)])
+    xis = np.concatenate([xis, [-sum(xis)]])
     V = yield CurveContext.aj, xs
     i, j = np.nonzero(~np.eye(n, dtype=bool))
     m = np.ones((n, n), dtype=complex)
@@ -197,15 +225,14 @@ def residue_identity(ctx, rng, n):
     return _rel(blocks.sum(), blocks)
 
 
-def maincor_kernel(ctx, rng):
+@_draws(lambda ctx: [(_distinct_points, 4), (sample_xi, 1)] if ctx.g == 1 else
+        [SuiteError("kernel-form corollary check runs at genus 1")])
+def maincor_kernel(ctx, pts, xis):
     """Kernel-level n=1 instance of the two-bundle residue corollary over
     x, y, z, t and xi: alpha = phi * eta with phi the theta-ratio section
     and eta realized by the squared half-differential (folded into the m3
     frames)."""
-    if ctx.g != 1:
-        raise SuiteError("kernel-form corollary check runs at genus 1")
-    pts = _distinct_points(ctx, rng, 4)
-    xi = sample_xi(ctx, rng)
+    xi = xis[0]
     X, Y, Z, T = yield CurveContext.aj, pts
     # phi(p) = theta[delta](p - t) / theta[delta](p - z)
     zt, xt, xz, yt, yz = yield CurveContext.theta_delta, [Z - T, X - T, X - Z, Y - T, Y - Z]
@@ -220,28 +247,27 @@ def maincor_kernel(ctx, rng):
     return _rel(t0 + t1 + t2, [t0, t1, t2])
 
 
-def cross_formula(ctx, rng):
+@_draws(lambda ctx: [(_distinct_points, 2), (random_line_bundle, 1)])
+def cross_formula(ctx, pts, es):
     """massey_m3_prime against massey_m3_theta on a random triple: points
     x, y, then the xi of a random bundle off the theta divisor."""
-    pts = _distinct_points(ctx, rng, 2)
-    e = random_line_bundle(ctx.rm, rng)
-    th, = yield _theta, e[None]
+    th, = yield _theta, es
     if abs(th) <= 1e-4 * ctx.scale:
         raise NearDivisor("line bundle near the theta divisor")
     V = yield CurveContext.aj, pts
-    args = np.array([ctx.xi_of_bundle(e)]), V[1:] - V[:1], pts[:1], pts[1:]
+    args = ctx.xi_of_bundle(es), V[1:] - V[:1], pts[:1], pts[1:]
     m1, = yield (massey_m3_prime, *args)
     m2, = yield (massey_m3_theta, *args)
     return abs(m1 - m2), abs(m1 - m2) / abs(m1)
 
 
-def idcor(ctx, rng):
+@_draws(lambda ctx: [(_distinct_points, 3), (sample_xi, 1)])
+def idcor(ctx, pts, xis):
     """Degenerate n=1 corollary m3(V(x-z), z, y) = m3(V,x,y) m3(V,x,z)^-1
     over x, y, z and xi, with the O(x-z) trivialization factor
     E(x,y)/(E(z,y)E(x,z)) that turns the abstract bundle equality into
     numbers in the affine frames."""
-    pts = _distinct_points(ctx, rng, 3)
-    xi = sample_xi(ctx, rng)
+    xi = xis[0]
     X, Y, Z = yield CurveContext.aj, pts
     m_xz, m_xy, m_zy = yield (massey_m3_prime, np.array([xi, xi, xi + X - Z]),
                               np.array([Z - X, Y - X, Y - Z]), pts[[0, 0, 2]], pts[[2, 1, 1]])
@@ -252,7 +278,9 @@ def idcor(ctx, rng):
     return abs(lhs - rhs), abs(lhs - rhs) / abs(rhs)
 
 
-def theta_derivative_divisor(ctx, rng):
+@_draws(lambda ctx: [(sample_points, 20)] if ctx.g in (1, 2) else
+        [SuiteError("divisor-vanishing check runs at genus 1 or 2")])
+def theta_derivative_divisor(ctx, controls):
     """The derivative 1-form vanishes on the odd-characteristic divisor.
 
     The form is N(x) dx / y with N the adjoint numerator; its divisor is
@@ -263,9 +291,6 @@ def theta_derivative_divisor(ctx, rng):
     form proportional to the invariant differential; the residual is the
     spread of theta_form * y over 20 control points.
     """
-    if ctx.g not in (1, 2):
-        raise SuiteError("divisor-vanishing check runs at genus 1 or 2")
-    controls = np.array([sample_point(ctx, rng) for _ in range(20)])
     vals = yield theta_form, controls
     if ctx.g == 2:
         roots, dists = delta_divisor_root(ctx)
@@ -281,17 +306,16 @@ def theta_derivative_divisor(ctx, rng):
     return zero_val * scale, zero_val
 
 
-def quasidet_geometric(ctx, rng, n, block):
+@_draws(lambda ctx, n, block: [
+    (_distinct_points, 2 * (n + 1)), (sample_xi, block) if block == 1 or ctx.g == 1
+    else SuiteError("diagonal flat bundles are exercised at genus 1")])
+def quasidet_geometric(ctx, pts, xi, n, block):
     """Theta-kernel quasideterminant identity over x_0..x_n, y_0..y_n:
     |(m3(V,x_j,y_i))|_00 equals the twisted kernel times the prime-form
     cross-ratio product.
 
     One theta point is the scalar case; block of them make a diagonal flat
     bundle on a genus-1 curve (one per slot, same E-factor)."""
-    pts = _distinct_points(ctx, rng, 2 * (n + 1))
-    if block > 1 and ctx.g != 1:
-        raise SuiteError("diagonal flat bundles are exercised at genus 1")
-    xi = np.array([sample_xi(ctx, rng) for _ in range(block)])
     V = yield CurveContext.aj, pts
     X, Y = V[1:n + 1], V[n + 2:]
     # entries m3(xi_s, x_j, y_i) for every (s, i, j), then m3(xi_s + shift, x_0, y_0),
@@ -313,15 +337,19 @@ def quasidet_geometric(ctx, rng, n, block):
 
 
 def _runner(body, **params):
-    """The table's runner of a body: one trial's draw, run up to its first
-    kernel request, as (generator, request).  The generator yields the
-    body's result last, as the request (None, (abs, rel))."""
+    """The table's runner of a body: one trial, from its draw (a Generator,
+    or the arrays of the body's draws), run up to its first kernel request,
+    as (generator, request).  The generator yields the body's result last,
+    as the request (None, (abs, rel)).  runner.draws(ctx) is the body's
+    draw, if it states one."""
     @functools.wraps(body)
-    def runner(env, rng):
+    def runner(env, *draw):
         def trial():
-            yield None, (yield from body(env, rng, **params))
+            yield None, (yield from body(env, *draw, **params))
         gen = trial()
         return gen, next(gen)
+    if hasattr(body, "draws"):
+        runner.draws = functools.partial(body.draws, **params)
     return runner
 
 
@@ -414,8 +442,10 @@ def homological_residual(env, rng):
 class IdentitySpec:
     """One identity and the (trials, tol) it runs at, per key.
 
-    `runner(env, rng)` is _runner(body, **params): one trial's draw, the
+    `runner(env, *draw)` is _runner(body, **params): one trial's draw, the
     started body with its first kernel request, which _drive evaluates.
+    `draws(ctx)` is the draw of a body that states one (see _draw), made
+    from a Table; None for a body given a Generator.
     `kind` is a registry curve type ("hyperelliptic" or "plane_quartic"),
     or "carrier" for checks that need no curve.  `table` maps a curve id
     or a genus to (trials, tol); a curve takes the row of its id if there
@@ -426,9 +456,11 @@ class IdentitySpec:
     kind: str
     runner: object
     table: dict
+    draws: object = None
 
 
-IDENTITIES = {name: IdentitySpec(name, kind, runner, table) for kind, rows in [
+IDENTITIES = {name: IdentitySpec(name, kind, runner, table, getattr(runner, "draws", None))
+              for kind, rows in [
     ("hyperelliptic", [
         ("skewsym_n2", _runner(residue_identity, n=2),
          {1: (100, 1e-9), 2: (50, 1e-9), 3: (50, 1e-9)}),
@@ -485,34 +517,43 @@ IDENTITIES = {name: IdentitySpec(name, kind, runner, table) for kind, rows in [
 def run_identity(spec: IdentitySpec, env, curve_id, trials, tol, seed):
     """Run one identity for `trials` trials, each with its own stream and
     20 attempts, in rounds.  A round draws every pending trial (a rejected
-    draw, _RETRY, is drawn again at once) and evaluates all its draws in
-    one call; a trial rejected there is pending in the next round.  Rows do
-    not depend on the draws evaluated with them, so the record is that of
-    evaluating each draw alone, in trial order: a hard failure fails the
-    report at its trial, a non-finite residual (inf or NaN) ends it with
-    both maxima inf, and a trial out of attempts is not completed.
-    Completion below 90% fails the report regardless of residuals.  An
-    environment that failed to build (an exception in place of env) runs
-    no trial and fails.
+    draw, _RETRY, is drawn again at once), from its row of one Table if the
+    spec states its draws, else from its Generator, and evaluates all its
+    draws in one call; a trial rejected there is pending in the next round
+    and draws on from where its stream stopped.  Rows do not depend on the
+    draws evaluated with them, so the record is that of evaluating each
+    draw alone, in trial order: a hard failure fails the report at its
+    trial, a non-finite residual (inf or NaN) ends it with both maxima inf,
+    and a trial out of attempts is not completed.  Completion below 90%
+    fails the report regardless of residuals.  An environment that failed
+    to build (an exception in place of env) runs no trial and fails.
     """
     t0 = time.perf_counter()
     failure = f"{type(env).__name__}: {env}" if isinstance(env, Exception) else ""
-    rngs = [trial_rng(seed, f"{spec.name}|{curve_id}", trial)
-            for trial in range(0 if failure else trials)]
-    left, outcomes = [20] * len(rngs), [None] * len(rngs)
-    pending = range(len(rngs))
+    label, n = f"{spec.name}|{curve_id}", 0 if failure else trials
+    if spec.draws is None:
+        rngs = [trial_rng(seed, label, trial) for trial in range(n)]
+        draw = lambda ks: [(rngs[k],) for k in ks]
+    elif n:
+        table, steps = Table(seed, label, range(n)), spec.draws(env)
+        draw = lambda ks: _draw(env, steps, table.take, np.array(ks))
+    left, outcomes = [20] * n, [None] * n
+    pending = range(n)
     while pending:
-        draws = {}
-        for k in pending:
-            while left[k]:
+        draws, need = {}, pending
+        while need:
+            retry = []
+            for k, drawn in zip(need, draw(need)):
                 left[k] -= 1
                 try:
-                    draws[k] = spec.runner(env, rngs[k])
+                    if isinstance(drawn, Exception):
+                        raise drawn
+                    draws[k] = spec.runner(env, *drawn)
                 except _RETRY:
-                    continue
+                    retry += [k] if left[k] else []
                 except _HARD as ex:
                     outcomes[k] = ex
-                break
+            need = retry
         for k, outcome in zip(draws, _drive(env, list(draws.values()))):
             outcomes[k] = None if isinstance(outcome, _RETRY) else outcome
         pending = [k for k in draws if outcomes[k] is None and left[k]]

@@ -189,28 +189,68 @@ def massey_m3_theta(ctx: CurveContext, xis, V, ps, qs):
     return num * theta_form(ctx, ps) * h_values(ctx, qs) / (mid * den * h_values(ctx, ps))
 
 
-def sample_point(ctx: CurveContext, rng):
-    """Random curve point row in a box 1.6 times the branch locus's (padded)
-    extent, at least 0.04 min_gap clear of it."""
-    e = ctx.curve.branch_points
+def sample_points(ctx: CurveContext, take, rows, count):
+    """count random curve point rows per stream of rows, as a (len(rows),
+    count, 2) array, and {i: the CurveError that stopped stream rows[i]};
+    take(rows, n) reads the next n doubles of each stream.  A point takes up
+    to 200 candidates x of 2 doubles each in a box 1.6 times the branch
+    locus's (padded) extent, the first more than 0.04 min_gap clear of the
+    locus 1 more for its sheet."""
     c_r, c_i, half_r, half_i = ctx.curve.box
-    for _ in range(200):
-        x = (c_r + 1.6 * half_r * (2 * rng.random() - 1)
-             + 1j * (c_i + 1.6 * half_i * (2 * rng.random() - 1)))
-        clear = np.abs(x - e).min()
-        if clear > 0.04 * ctx.curve.min_gap:
-            sheet = 1 if rng.random() < 0.5 else -1
-            if clear > 1e-6:
-                return np.array([x, sheet], dtype=complex)
-            return make_point(ctx.curve, x, sheet)      # which refuses it
-    raise CurveError("could not sample a point clear of the branch locus")
+    pts, errors, live = np.zeros((len(rows), count, 2), dtype=complex), {}, np.arange(len(rows))
+    for j in range(count):
+        todo = live
+        for _ in range(200):
+            u = take(rows[todo], 2)
+            x = (c_r + 1.6 * half_r * (2 * u[:, 0] - 1)
+                 + 1j * (c_i + 1.6 * half_i * (2 * u[:, 1] - 1)))
+            clear = ctx.curve.dist_to_branch(x)
+            ok = clear > 0.04 * ctx.curve.min_gap
+            sheet = np.where(take(rows[todo[ok]], 1)[:, 0] < 0.5, 1, -1)
+            pts[todo[ok], j] = np.stack([x[ok], sheet], axis=1)
+            for i in todo[ok & (clear <= 1e-6)]:
+                try:
+                    make_point(ctx.curve, *pts[i, j])       # which refuses it
+                except CurveError as ex:
+                    errors[i] = ex
+            if not len(todo := todo[~ok]):
+                break
+        errors.update({i: CurveError("could not sample a point clear of the branch locus")
+                       for i in todo})
+        live = np.setdiff1d(live, list(errors))
+    return pts, errors
 
 
-def sample_xi(ctx: CurveContext, rng):
-    """Random Jacobian point u + Omega v with u, v uniform in [-0.45, 0.45]^g."""
-    u = 0.9 * (rng.random(ctx.g) - 0.5)
-    v = 0.9 * (rng.random(ctx.g) - 0.5)
-    return u + ctx.rm.omega @ v
+def sample_point(ctx: CurveContext, rng):
+    """One random curve point row, read from the Generator rng by sample_points."""
+    pts, errors = sample_points(ctx, lambda rows, n: rng.random((len(rows), n)), np.arange(1), 1)
+    if errors:
+        raise errors[0]
+    return pts[0, 0]
+
+
+def _lattice_points(ctx, U):
+    """u + Omega v for the pairs (u, v) = U[..., 0, :], U[..., 1, :] of g reals,
+    Omega v as a stacked matrix-vector product, which has the bits of a
+    one-row omega @ v (v @ omega.T has other last bits)."""
+    return U[..., 0, :] + (ctx.rm.omega @ U[..., 1, :, None])[..., 0]
+
+
+def sample_xi(ctx: CurveContext, take, rows, count):
+    """count random Jacobian points u + Omega v per stream, u and v uniform
+    in [-0.45, 0.45]^g (g doubles for u, then g for v), as a (len(rows),
+    count, g) array, and no failures ({})."""
+    U = take(rows, 2 * ctx.g * count).reshape(len(rows), count, 2, ctx.g)
+    return _lattice_points(ctx, 0.9 * (U - 0.5)), {}
+
+
+def random_line_bundle(ctx: CurveContext, take, rows, count):
+    """count theta points e = u + Omega v of degree-(g-1) line bundles per
+    stream, u and v uniform in [0, 1)^g, as sample_xi draws.  The bodies
+    that draw e reject it when |theta(e)| <= 1e-4 ctx.scale, near the
+    theta divisor (h^0 > 0)."""
+    return _lattice_points(ctx, take(rows, 2 * ctx.g * count).reshape(
+        len(rows), count, 2, ctx.g)), {}
 
 
 def riemann_constant(ctx: CurveContext):

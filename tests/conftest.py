@@ -13,7 +13,7 @@ from faylab.kernels import CurveContext
 from faylab.quartic import PlaneQuartic
 from faylab.registry import registry_entries
 
-from oracles import involution, point_y
+from oracles import generator_draw, involution, point_y
 
 _CTX_CACHE = {}
 
@@ -38,10 +38,11 @@ def pair_args(ctx, ps, qs):
 
 
 def one_trial(name, env, rng):
-    """(abs, rel) of one trial of the identity `name`: one draw from rng,
-    evaluated on its own by _drive; its rejection or failure is raised."""
+    """(abs, rel) of one trial of the identity `name`: one draw from the
+    Generator rng, evaluated on its own by _drive; its rejection or failure
+    is raised."""
     spec = IDENTITIES[name]
-    result, = _drive(env, [spec.runner(env, rng)])
+    result, = _drive(env, [spec.runner(env, *generator_draw(spec, env, rng))])
     if isinstance(result, Exception):
         raise result
     return result

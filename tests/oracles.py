@@ -1,7 +1,8 @@
 """Independent oracles for the test suite: direct 1-D q-series for genus-1
 theta functions, AGM period computation, finite differences, path
 integrals continued by a cumulative sum of half-log ratios, Abel-Jacobi
-along hub paths, and the record of a report run one trial at a time.
+along hub paths, and the record of a report run one trial at a time, each
+trial drawn from its own Generator.
 
 These deliberately avoid the package's lattice-ellipsoid evaluator and
 period integrator code paths, and its rounds of trials.
@@ -11,7 +12,8 @@ import math
 
 import numpy as np
 
-from faylab.identities import _HARD, _RETRY, _drive
+from faylab.curves import CurveError, make_point
+from faylab.identities import _HARD, _RETRY, _draw, _drive
 from faylab.report import IdentityReport, report_record
 from faylab.rng import trial_rng
 
@@ -148,18 +150,68 @@ def hub_aj_rows(periods, ks, pts):
     return np.array(rows)
 
 
+def scalar_points(ctx, rng, count):
+    """count curve point rows drawn from the Generator rng one double at a
+    time, by the rule sample_points follows for each stream: up to 200
+    candidates x in the box 1.6 times the branch locus's padded extent, the
+    first more than 0.04 min_gap clear of it followed by a sheet draw, and
+    make_point's refusal within 1e-6; CurveError after 200 candidates."""
+    e, (c_r, c_i, half_r, half_i) = ctx.curve.branch_points, ctx.curve.box
+    pts = []
+    for _ in range(count):
+        for _ in range(200):
+            x = (c_r + 1.6 * half_r * (2 * rng.random() - 1)
+                 + 1j * (c_i + 1.6 * half_i * (2 * rng.random() - 1)))
+            clear = np.abs(x - e).min()
+            if clear > 0.04 * ctx.curve.min_gap:
+                sheet = 1 if rng.random() < 0.5 else -1
+                pts.append(np.array([x, sheet], dtype=complex) if clear > 1e-6
+                           else make_point(ctx.curve, x, sheet))
+                break
+        else:
+            raise CurveError("could not sample a point clear of the branch locus")
+    return np.array(pts)
+
+
+def generator_take(rng):
+    """A sampler's take(rows, n) for one stream read from the Generator rng
+    (rows a one- or zero-element index array)."""
+    return lambda rows, n: rng.random((len(rows), n))
+
+
+def draw_one(sampler, ctx, rng, count=1):
+    """sampler's count draws for one stream read from the Generator rng
+    (the exception that stops it raised)."""
+    values, errors = sampler(ctx, generator_take(rng), np.zeros(1, dtype=int), count)
+    if errors:
+        raise errors[0]
+    return values[0]
+
+
+def generator_draw(spec, env, rng):
+    """spec.runner's arguments for one trial drawn from the Generator rng:
+    rng itself for a body that takes one, else the arrays of the body's
+    stated draw, read from rng by _draw; a rejected or failed draw raises."""
+    if spec.draws is None:
+        return (rng,)
+    drawn, = _draw(env, spec.draws(env), generator_take(rng), np.zeros(1, dtype=int))
+    if isinstance(drawn, Exception):
+        raise drawn
+    return drawn
+
+
 def per_trial_record(spec, env, curve_id, trials, tol, seed):
     """The record of run_identity (without elapsed_ms, with the failure)
     from a loop over the trials in order: each draw is evaluated alone as
     it is made, a rejection at the draw or in the evaluation draws again
-    from the trial's stream (20 attempts a trial), a hard failure ends the
+    from the trial's trial_rng Generator (20 attempts a trial), a hard failure ends the
     report at its trial, and a non-finite residual ends it after its trial."""
     out, failure = [], ""
     for trial in range(trials):
         rng = trial_rng(seed, f"{spec.name}|{curve_id}", trial)
         for _ in range(20):
             try:
-                result, = _drive(env, [spec.runner(env, rng)])
+                result, = _drive(env, [spec.runner(env, *generator_draw(spec, env, rng))])
                 if isinstance(result, Exception):
                     raise result
             except _RETRY:

@@ -12,16 +12,17 @@ from faylab.curves import (HyperellipticCurve, period_matrix,
                            make_point, abel_jacobi, abel_jacobi_from_branch,
                            abel_jacobi_between_branch_points,
                            lattice_coords, find_odd_char,
-                           random_line_bundle, vanishing_locus_check,
+                           vanishing_locus_check,
                            integrate_path, BranchPointCollision, CurveError,
                            NotSymplectic, PathTooCloseToBranchPoint, PathTooLong)
 from faylab.theta import theta, ThetaChar
-from faylab.kernels import riemann_constant, sample_point
+from faylab.kernels import random_line_bundle, riemann_constant, sample_point
 from faylab.registry import registry_entries
 
 from conftest import HYPERELLIPTIC, build_context, far_path_aj, pair_args, polygon_clearance
 from oracles import (agm_tau, branch_expansion, brute_force_continuation, hub_aj_rows,
-                     hub_path_one, involution, log_sum_path, point_y, qseries_theta_char)
+                     draw_one, hub_path_one, involution, log_sum_path, point_y,
+                     qseries_theta_char)
 
 
 def frac_dist(z, rm):
@@ -496,22 +497,33 @@ class TestAbelJacobi:
 
     @pytest.mark.parametrize("cid", ["lemniscatic", "g2-real"])
     def test_long_lists_integrate_in_chunks(self, cid, monkeypatch):
-        # 150 points and the base take one integrate_path call, which lays
-        # the nodes of PATH_BLOCK = 32 paths at a time, and every row is the
-        # point's own, bitwise
+        # 400 points and the base take one integrate_path call, which lays
+        # the nodes of consecutive paths in blocks of at most PATH_NODES
+        # nodes and vertices (more only for a block of one path), and every
+        # row is the point's own, bitwise
         ctx = build_context(cid)
         pd = ctx.periods
         rng = np.random.default_rng(23)
-        ps = [sample_point(ctx, rng) for _ in range(150)]
+        ps = [sample_point(ctx, rng) for _ in range(400)]
         one = np.array([abel_jacobi(pd, p, ctx.base) for p in ps])
-        calls, blocks = [], []
-        for name, sizes in (("integrate_path", calls), ("_integrate_paths", blocks)):
-            def counted(curve, paths, y0s, order, _fn=getattr(curves, name), _sizes=sizes):
-                _sizes.append(len(paths))
-                return _fn(curve, paths, y0s, order)
-            monkeypatch.setattr(curves, name, counted)
+        calls, blocks, real = [], [], curves._integrate_paths
+
+        def counted(curve, za, zb, panels, first, y0s, order):
+            # paths, nodes and vertices, and those of the first path
+            sizes = np.add.reduceat(panels * order + 1, first)
+            blocks.append((len(first), sizes.sum(), sizes[0]))
+            return real(curve, za, zb, panels, first, y0s, order)
+        monkeypatch.setattr(curves, "_integrate_paths", counted)
+        real_call = curves.integrate_path
+        monkeypatch.setattr(curves, "integrate_path",
+                            lambda curve, paths, *args: calls.append(len(paths))
+                            or real_call(curve, paths, *args))
         rows = abel_jacobi(pd, ps, ctx.base)
-        assert (calls, blocks) == ([151], [32] * 4 + [23])
+        assert calls == [401] and sum(n for n, _, _ in blocks) == 401 and len(blocks) > 2
+        assert all(size <= curves.PATH_NODES or n == 1 for n, size, _ in blocks)
+        # a block ends only where its next path would not fit
+        assert all(size + nxt > curves.PATH_NODES
+                   for (_, size, _), (_, _, nxt) in zip(blocks, blocks[1:]))
         assert np.array_equal(rows, one)
 
 
@@ -582,7 +594,7 @@ class TestLineBundles:
         # identity bodies that draw e test it against the theta divisor
         rng, twin = np.random.default_rng(9), np.random.default_rng(9)
         for _ in range(5):
-            e = random_line_bundle(ctx_g2.rm, rng)
+            e, = draw_one(random_line_bundle, ctx_g2, rng)
             u, v = twin.random(ctx_g2.g), twin.random(ctx_g2.g)
             assert np.array_equal(e, u + ctx_g2.rm.omega @ v)
 
@@ -591,7 +603,7 @@ class TestLineBundles:
         # automorphy factor is cancelled
         from faylab.kernels import massey_m3_prime
         rng = np.random.default_rng(10)
-        e = random_line_bundle(ctx_g1.rm, rng)
+        e, = draw_one(random_line_bundle, ctx_g1, rng)
         P = sample_point(ctx_g1, rng)
         Q = sample_point(ctx_g1, rng)
         m = np.array([1.0])

@@ -6,13 +6,13 @@ import pytest
 
 from faylab.identities import (IDENTITIES, SuiteConfig, run_suite, run_identity,
                                UnknownIdentity, SuiteError, _distinct_points)
-from faylab.kernels import CurveContext, fay_F, NearDivisor
+from faylab.kernels import CurveContext, fay_F, NearDivisor, sample_point
 from faylab.registry import registry_entries
 from faylab.report import report_record
 from faylab.rng import trial_rng
 
 from conftest import build_context, one_trial, scale_theta
-from oracles import per_trial_record
+from oracles import draw_one, generator_draw, per_trial_record
 
 
 def run_many(name, ctx, seed_label, trials=25):
@@ -47,8 +47,9 @@ class TestTrisecant:
         # with t = z both sides collapse to the same product
         import faylab.identities as ids
 
-        def t_is_z(ctx, rng, count):
-            return _distinct_points(ctx, rng, 3)[[0, 1, 2, 2]]
+        def t_is_z(ctx, take, rows, count):
+            pts, errors = _distinct_points(ctx, take, rows, 3)
+            return pts[:, [0, 1, 2, 2]], errors
         monkeypatch.setattr(ids, "_distinct_points", t_is_z)
         abs_r, rel_r = one_trial("trisecant_classical", ctx_g1, trial_rng(7, "degen", 0))
         assert rel_r < 1e-10
@@ -62,7 +63,7 @@ class TestTrisecant:
         # symmetric form; evaluate both with matched inputs
         rng = trial_rng(7, "spec", 3)
         n = 1
-        pts = _distinct_points(ctx_g1, rng, 3 + 2 * n)
+        pts = draw_one(_distinct_points, ctx_g1, rng, 3 + 2 * n)
         y = pts[0]
         z0, t0 = pts[1], pts[2]
         zs = pts[3:3 + n]
@@ -119,56 +120,51 @@ class TestResidueIdentities:
     def test_n3_needs_genus_one(self, ctx_g2):
         rng = trial_rng(7, "n3", 0)
         with pytest.raises(SuiteError):
-            IDENTITIES["residue_n3"].runner(ctx_g2, rng)
+            one_trial("residue_n3", ctx_g2, rng)
 
     def test_n3_g1(self, ctx_g1):
         assert run_many("residue_n3", ctx_g1, "n3") < 1e-8
 
     def test_degenerate_coincident_points(self, ctx_g1):
+        # a stream whose doubles repeat draws the same point three times
         from faylab.identities import BadTriple
-        class Collapse:
-            """rng whose point draws always coincide"""
-            def __init__(self):
-                self.r = trial_rng(7, "bad", 0)
-                self.fixed = None
-            def random(self, *a, **k):
-                if self.fixed is None:
-                    self.fixed = self.r.random(*a, **k)
-                return self.fixed
-            def integers(self, *a, **k):
-                return self.r.integers(*a, **k)
-        with pytest.raises(BadTriple):
-            _distinct_points(ctx_g1, Collapse(), 3)
+        fixed = trial_rng(7, "bad", 0).random(3)
+
+        def collapse(rows, n):
+            return np.tile(fixed[:n], (len(rows), 1))
+        pts, errors = _distinct_points(ctx_g1, collapse, np.arange(2), 3)
+        assert (pts == pts[:, :1]).all() and list(errors) == [0, 1]
+        assert all(isinstance(ex, BadTriple) for ex in errors.values())
 
     def test_coincident_draw_redrawn_by_run_identity(self, ctx_g1, monkeypatch):
         # one coincident draw raises BadTriple at once; run_identity then
         # completes the trial with the next draws of the same stream
         import faylab.identities as ids
         from faylab.identities import BadTriple, IdentitySpec, _runner
-        real = ids.sample_point
-        drawn = {}
+        real, calls = ids.sample_points, []
 
-        def first_three_coincide(ctx, rng):
-            # the first three draws of every stream coincide
-            mine = drawn.setdefault(rng, [])
-            mine.append(real(ctx, rng))
-            return mine[0] if len(mine) <= 3 else mine[-1]
-        monkeypatch.setattr(ids, "sample_point", first_three_coincide)
+        def first_draw_coincides(ctx, take, rows, count):
+            # the three points of every stream's first draw coincide
+            pts, errors = real(ctx, take, rows, count)
+            calls.append(pts)
+            return (pts[:, [0, 0, 0]] if len(calls) == 1 else pts), errors
+        monkeypatch.setattr(ids, "sample_points", first_draw_coincides)
         with pytest.raises(BadTriple):
-            _distinct_points(ctx_g1, trial_rng(7, "redraw", 0), 3)
-        assert [len(d) for d in drawn.values()] == [3]
-        drawn.clear()
+            draw_one(_distinct_points, ctx_g1, trial_rng(7, "redraw", 0), 3)
+        calls.clear()
         got = []
 
-        def body(ctx, rng):
-            got.append(_distinct_points(ctx, rng, 3))
+        def body(ctx, pts):
+            got.append(pts)
             return 0.0, 0.0
             yield
-        spec = IdentitySpec("redraw", "hyperelliptic", _runner(body), {1: (1, 1.0)})
+        body.draws = lambda ctx: [(_distinct_points, 3)]
+        runner = _runner(body)
+        spec = IdentitySpec("redraw", "hyperelliptic", runner, {1: (1, 1.0)}, runner.draws)
         rep = run_identity(spec, ctx_g1, "lemniscatic", 1, 1.0, 7)
-        assert (rep.completed, rep.passed, len(got)) == (1, True, 1)
+        assert (rep.completed, rep.passed, len(got), len(calls)) == (1, True, 1, 2)
         rng = trial_rng(7, "redraw|lemniscatic", 0)
-        assert np.array_equal(got[0], [real(ctx_g1, rng) for _ in range(6)][3:])
+        assert np.array_equal(got[0], [sample_point(ctx_g1, rng) for _ in range(6)][3:])
 
     def test_maincor_kernel(self, ctx_g1):
         assert run_many("maincor_kernel", ctx_g1, "mk") < 1e-8
@@ -356,7 +352,8 @@ class TestSuiteRunner:
                 draws = []
                 for trial in range(4):
                     try:
-                        draws.append(spec.runner(ctx, trial_rng(7, spec.name, trial)))
+                        rng = trial_rng(7, spec.name, trial)
+                        draws.append(spec.runner(ctx, *generator_draw(spec, ctx, rng)))
                     except ids._RETRY:
                         pass
                 calls.clear()
@@ -474,16 +471,17 @@ class TestLookAhead:
         ctx.aj([ctx.base])                 # hub, branch and base constants
         attempts, calls = [], []
 
-        def runner(env, rng):
-            attempts.append(rng)
-            return IDENTITIES["idcor"].runner(env, rng)
+        def runner(env, *draw):
+            attempts.append(draw)
+            return IDENTITIES["idcor"].runner(env, *draw)
         real = curves.integrate_path
 
         def counted(*args):
             calls.append(args)
             return real(*args)
         monkeypatch.setattr(curves, "integrate_path", counted)
-        spec = IdentitySpec("idcor", "hyperelliptic", runner, {1: (20, 1e-9)})
+        spec = IdentitySpec("idcor", "hyperelliptic", runner, {1: (20, 1e-9)},
+                            IDENTITIES["idcor"].draws)
         rep = run_identity(spec, ctx, "lemniscatic", 20, 1e-9, 42)
         assert rep.completed == 20 and rep.passed
         assert (len(attempts), len(calls)) == (20, 1)
@@ -501,10 +499,11 @@ def test_evaluate_equals_one_draw_evaluations(cid):
         draws, again = [], []
         for trial in range(30):
             try:
-                draws.append(spec.runner(ctx, trial_rng(3, spec.name, trial)))
+                drawn = generator_draw(spec, ctx, trial_rng(3, spec.name, trial))
             except ids._RETRY:
                 continue
-            again.append(spec.runner(ctx, trial_rng(3, spec.name, trial)))
+            draws.append(spec.runner(ctx, *drawn))
+            again.append(spec.runner(ctx, *drawn))
             if len(draws) == 10:
                 break
         batch = np.array(ids._drive(ctx, draws))
@@ -521,7 +520,8 @@ def test_near_divisor_in_one_trial_gives_the_per_trial_record(monkeypatch):
     ctx = TestLookAhead.fresh("lemniscatic")
     # a draw is (body, first request), and the first request is
     # (CurveContext.aj, the trial's points); the body's next is fay_F's
-    gen, (_, pts) = spec.runner(ctx, trial_rng(11, "trisecant_general_n1|lemniscatic", 2))
+    gen, (_, pts) = spec.runner(ctx, *generator_draw(
+        spec, ctx, trial_rng(11, "trisecant_general_n1|lemniscatic", 2)))
     _, marked, _ = gen.send(ctx.aj(pts))
     real, rejected = ids.fay_F, []
 
@@ -554,20 +554,16 @@ def test_bundle_near_the_theta_divisor_redraws_its_trial(name, monkeypatch):
     al, be = lattice_coords(riemann_constant(build_context("lemniscatic")), ctx.rm)
     near = al % 1.0 + 1e-6 + ctx.rm.omega @ (be % 1.0)
     assert 1e-8 < abs(theta(near, ctx.rm)) / ctx.scale < 1e-4
-    real, drawn = ids.random_line_bundle, []
+    real = ids.random_line_bundle
+    # prime_form draws its bundle first, cross_formula after its two points
+    marked = generator_draw(spec, ctx, trial_rng(11, label, 2))[name == "cross_formula_m3"][0]
 
-    def recorded(rm, rng):
-        drawn.append(real(rm, rng))
-        return drawn[-1]
-    monkeypatch.setattr(ids, "random_line_bundle", recorded)
-    spec.runner(ctx, trial_rng(11, label, 2))
-    marked = drawn[0]
-
-    def moved(rm, rng):
-        e = real(rm, rng)
-        return near if np.array_equal(e, marked) else e
+    def moved(ctx, take, rows, count):
+        es, errors = real(ctx, take, rows, count)
+        es[(es == marked).all(axis=-1)] = near
+        return es, errors
     monkeypatch.setattr(ids, "random_line_bundle", moved)
-    result, = ids._drive(ctx, [spec.runner(ctx, trial_rng(11, label, 2))])
+    result, = ids._drive(ctx, [spec.runner(ctx, *generator_draw(spec, ctx, trial_rng(11, label, 2)))])
     assert isinstance(result, NearDivisor)
     sizes = counted_drive(monkeypatch)
     rep = run_identity(spec, ctx, "lemniscatic", 6, 1e-8, 11)
@@ -607,9 +603,10 @@ def test_round_without_draws(monkeypatch):
     import faylab.identities as ids
     from faylab.curves import CurveError
 
-    def fail(ctx, rng):
-        raise CurveError("synthetic failure")
-    monkeypatch.setattr(ids, "sample_point", fail)
+    def fail(ctx, take, rows, count):
+        errors = dict.fromkeys(range(len(rows)), CurveError("synthetic failure"))
+        return np.zeros((len(rows), count, 2), dtype=complex), errors
+    monkeypatch.setattr(ids, "sample_points", fail)
     spec = IDENTITIES["idcor"]
     assert ids._drive(None, []) == []
     sizes = counted_drive(monkeypatch)
@@ -623,10 +620,12 @@ def test_round_without_draws(monkeypatch):
 
 @pytest.mark.parametrize("cid", ["lemniscatic", "g2-real", "g3-real"])
 def test_draws_are_pure_sampling(cid, monkeypatch):
-    # a draw runs its body up to the first kernel request: it samples, and
-    # evaluates no theta row and integrates no path
+    # a draw, from a Table or a Generator, and its body's run up to the
+    # first kernel request sample, and evaluate no theta row and integrate
+    # no path
     import sys
     import faylab.identities as ids
+    from faylab.rng import Table
     ctx = build_context(cid)
 
     def refuse(*args, **kwargs):
@@ -637,9 +636,13 @@ def test_draws_are_pure_sampling(cid, monkeypatch):
                 monkeypatch.setattr(mod, name, refuse)
     for spec in IDENTITIES.values():
         if spec.kind == "hyperelliptic" and ctx.g in spec.table:
+            table = Table(3, spec.name, range(10))
+            for drawn in ids._draw(ctx, spec.draws(ctx), table.take, np.arange(10)):
+                if not isinstance(drawn, Exception):
+                    spec.runner(ctx, *drawn)
             for trial in range(10):
                 try:
-                    spec.runner(ctx, trial_rng(3, spec.name, trial))
+                    spec.runner(ctx, *generator_draw(spec, ctx, trial_rng(3, spec.name, trial)))
                 except ids._RETRY:
                     pass
 
@@ -686,3 +689,67 @@ def test_one_trial_model(fermat, monkeypatch):
         if spec.kind == "plane_quartic":
             for trial in range(10):
                 spec.runner(fermat, trial_rng(3, spec.name, trial))
+
+
+class TestForcedRedraws:
+    """Rejections forced in-process, since no report of the suite rejects a
+    draw at seed 42: trisecant_classical's record from run_identity, every
+    trial a row of one Table, equals per_trial_record's, every trial drawn
+    from its trial_rng Generator."""
+
+    @staticmethod
+    def records(monkeypatch, trials=12):
+        import faylab.identities as ids
+        rejected, real = Counter(), ids._distinct_points
+
+        def counted(*args):
+            pts, errors = real(*args)
+            rejected.update(type(ex).__name__ for ex in errors.values())
+            return pts, errors
+        monkeypatch.setattr(ids, "_distinct_points", counted)
+        sizes = counted_drive(monkeypatch)
+        spec = IDENTITIES["trisecant_classical"]
+        got = record(run_identity(spec, TestLookAhead.fresh("lemniscatic"),
+                                  "lemniscatic", trials, 1.0, 42))
+        rounds, draws, rejected = len(sizes), sum(sizes), Counter(rejected)
+        want = per_trial_record(spec, TestLookAhead.fresh("lemniscatic"),
+                                "lemniscatic", trials, 1.0, 42)
+        assert got == want
+        return got, rejected, rounds, draws
+
+    def test_redraw_during_the_draw(self, monkeypatch):
+        # half a min_gap between two of 4 points rejects about a third of
+        # the draws as they are made; each is drawn again at once
+        import faylab.identities as ids
+        monkeypatch.setattr(ids, "CLOSE_POINTS", 0.5)
+        got, rejected, rounds, draws = self.records(monkeypatch)
+        assert rejected["BadTriple"] >= 3 and (rounds, draws, got["completed"]) == (1, 12, 12)
+
+    def test_redraw_after_evaluation(self, monkeypatch):
+        # the body's denominators reject many evaluated draws, each drawn
+        # again in a later round from where its cursor stopped
+        import faylab.identities as ids
+        monkeypatch.setattr(ids, "NEAR_DIVISOR", 0.5)
+        got, rejected, rounds, draws = self.records(monkeypatch)
+        assert rounds >= 3 and draws > 12 and got["completed"] == 12 and not rejected
+
+    def test_trial_out_of_attempts(self, monkeypatch):
+        # 2 min_gap between two of 4 points rejects most draws: a trial
+        # with 20 rejected attempts is not completed
+        import faylab.identities as ids
+        monkeypatch.setattr(ids, "CLOSE_POINTS", 2.0)
+        got, rejected, _, _ = self.records(monkeypatch)
+        assert 0 < got["completed"] < 12 and not got["pass"] and got["failure"] == ""
+        assert rejected["BadTriple"] >= 20 * (12 - got["completed"])
+
+    def test_no_candidate_clear_of_the_branch_locus(self, monkeypatch):
+        # a box about e_1 mostly within 0.04 min_gap of it: a point takes
+        # hundreds of doubles (the rows widen), and a trial whose point
+        # has 200 candidates too close fails the report at that trial
+        ctx = TestLookAhead.fresh("lemniscatic")
+        e1 = ctx.curve.branch_points[1]
+        monkeypatch.setattr(ctx.curve, "box", (e1.real, e1.imag, 0.0196, 0.0196))
+        got, rejected, _, _ = self.records(monkeypatch)
+        assert 0 < got["completed"] < 12 and math.isinf(got["max_rel_residual"])
+        assert got["failure"] == "CurveError: could not sample a point clear of the branch locus"
+        assert rejected["CurveError"] >= 1

@@ -1,15 +1,17 @@
 import numpy as np
 import pytest
 
-from faylab.curves import abel_jacobi, make_point, random_line_bundle
+from faylab.curves import abel_jacobi, make_point
 from faylab.kernels import (CurveContext, fay_F, prime_form,
                             massey_m3_prime, massey_m3_theta, theta_form,
-                            h_values, sample_point, sample_xi,
+                            h_values, random_line_bundle, sample_point, sample_xi,
                             delta_divisor_root, NearDivisor, CoincidentPoints)
+from faylab.rng import trial_rng
 from faylab.theta import theta_gradient, odd_theta_chars
 
 from conftest import HYPERELLIPTIC, build_context, one_trial, pair_args, scale_theta
-from oracles import point_y, qseries_theta_char, qseries_theta_char_deriv
+from oracles import (draw_one, point_y, qseries_theta_char, qseries_theta_char_deriv,
+                     scalar_points)
 
 
 def second_odd_context(cid):
@@ -32,8 +34,8 @@ class TestFayKernel:
     def test_symmetry(self, ctx_g2):
         rng = np.random.default_rng(0)
         for _ in range(10):
-            xi1 = sample_xi(ctx_g2, rng)
-            xi2 = sample_xi(ctx_g2, rng)
+            xi1 = draw_one(sample_xi, ctx_g2, rng)[0]
+            xi2 = draw_one(sample_xi, ctx_g2, rng)[0]
             f1 = fay_F(ctx_g2, xi1, xi2)
             f2 = fay_F(ctx_g2, xi2, xi1)
             assert abs(f1 - f2) < 1e-10 * abs(f1)
@@ -42,8 +44,8 @@ class TestFayKernel:
         rng = np.random.default_rng(1)
         rm = ctx_g2.rm
         for _ in range(5):
-            xi1 = sample_xi(ctx_g2, rng)
-            xi2 = sample_xi(ctx_g2, rng)
+            xi1 = draw_one(sample_xi, ctx_g2, rng)[0]
+            xi2 = draw_one(sample_xi, ctx_g2, rng)[0]
             m = rng.integers(-1, 2, 2).astype(float)
             n = rng.integers(-1, 2, 2).astype(float)
             f1 = fay_F(ctx_g2, xi1, xi2 + rm.omega @ m + n)
@@ -57,8 +59,8 @@ class TestFayKernel:
         tau = complex(ctx_g1.rm.omega[0, 0])
         rng = np.random.default_rng(2)
         for _ in range(5):
-            x = complex(sample_xi(ctx_g1, rng)[0])
-            xi = complex(sample_xi(ctx_g1, rng)[0])
+            x = complex(draw_one(sample_xi, ctx_g1, rng)[0][0])
+            xi = complex(draw_one(sample_xi, ctx_g1, rng)[0][0])
             mine = fay_F(ctx_g1, [x], [xi])
             th = lambda z: qseries_theta_char(0.5, 0.5, z, tau)
             thp0 = qseries_theta_char_deriv(0.5, 0.5, 0.0, tau)
@@ -69,7 +71,7 @@ class TestFayKernel:
         # x F(x, xi) -> 1/theta'(0) as x -> 0; error is linear in x, so one
         # Richardson step over the 4 shrinking arguments nails the limit
         rng = np.random.default_rng(3)
-        xi = sample_xi(ctx_g1, rng)
+        xi = draw_one(sample_xi, ctx_g1, rng)[0]
         thp0 = theta_gradient(np.zeros(1), ctx_g1.rm, ctx_g1.delta)[0]
         vals = []
         for eps in (1e-2, 1e-3, 1e-4, 1e-5):
@@ -225,7 +227,7 @@ class TestMassey:
         rng = np.random.default_rng(12)
         done = 0
         while done < 200:
-            e = random_line_bundle(ctx.rm, rng)
+            e = draw_one(random_line_bundle, ctx, rng)[0]
             P = sample_point(ctx, rng)
             Q = sample_point(ctx, rng)
             try:
@@ -243,7 +245,7 @@ class TestMassey:
         rng = np.random.default_rng(13)
         pairs = []
         for _ in range(60):
-            e = random_line_bundle(ctx_g1.rm, rng)
+            e = draw_one(random_line_bundle, ctx_g1, rng)[0]
             P = sample_point(ctx_g1, rng)
             Q = sample_point(ctx_g1, rng)
             try:
@@ -263,7 +265,7 @@ class TestMassey:
     def test_skewsym_composite(self, ctx_g1):
         rng = np.random.default_rng(14)
         for _ in range(10):
-            xi = sample_xi(ctx_g1, rng)
+            xi = draw_one(sample_xi, ctx_g1, rng)[0]
             P = sample_point(ctx_g1, rng)
             Q = sample_point(ctx_g1, rng)
             m1 = massey_m3_prime(ctx_g1, [xi], *pair_args(ctx_g1, [P], [Q]))[0]
@@ -272,7 +274,7 @@ class TestMassey:
 
     def test_theta_route_lattice_invariance(self, ctx_g2):
         rng = np.random.default_rng(15)
-        xi = sample_xi(ctx_g2, rng)
+        xi = draw_one(sample_xi, ctx_g2, rng)[0]
         P = sample_point(ctx_g2, rng)
         Q = sample_point(ctx_g2, rng)
         m = np.array([1.0, -1.0])
@@ -294,7 +296,7 @@ class TestBatches:
         rng = np.random.default_rng(17)
         ps = [sample_point(ctx, rng) for _ in range(count)]
         qs = [sample_point(ctx, rng) for _ in range(count)]
-        xis = np.array([sample_xi(ctx, rng) for _ in range(count)])
+        xis = np.array([draw_one(sample_xi, ctx, rng)[0] for _ in range(count)])
         return ps, qs, xis
 
     @pytest.mark.parametrize("cid", ["lemniscatic", "g2-real", "g3-real"])
@@ -402,7 +404,8 @@ class TestBatches:
         for mod, name in ((curves, "integrate_path"), (identities, "_distinct_points")):
             def counted(*args, _fn=getattr(mod, name), _name=name):
                 out = _fn(*args)
-                calls[_name] += 1
+                # a draw counts if no stream of it was rejected
+                calls[_name] += _name == "integrate_path" or not out[1]
                 return out
             monkeypatch.setattr(mod, name, counted)
         for k in range(20):
@@ -444,7 +447,7 @@ class TestSignFlips:
 
     def test_cross_formula_invariant_under_flip(self, ctx_g1, monkeypatch):
         rng = np.random.default_rng(16)
-        e = random_line_bundle(ctx_g1.rm, rng)
+        e = draw_one(random_line_bundle, ctx_g1, rng)[0]
         P = sample_point(ctx_g1, rng)
         Q = sample_point(ctx_g1, rng)
         m1 = massey_m3_prime(ctx_g1, [ctx_g1.xi_of_bundle(e)], *pair_args(ctx_g1, [P], [Q]))[0]
@@ -457,12 +460,43 @@ class TestSignFlips:
         assert abs(abs(m2) - abs(m1)) < 1e-10 * abs(m1)
 
 
+@pytest.mark.parametrize("cid", ["lemniscatic", "g2-real"])
+@pytest.mark.parametrize("half", [None, 0.0196])
+def test_table_points_follow_the_scalar_rule(cid, half, monkeypatch):
+    # 40 streams of 4 points each from one Table equal the points each
+    # stream's Generator gives one double at a time, and leave every cursor
+    # where the Generator stops; in a box of half-width 0.0196 about e_1
+    # about 1 candidate in 50 is clear, so some points take more than 100
+    # doubles and some streams end with CurveError after 200 candidates
+    from faylab.curves import CurveError
+    from faylab.kernels import sample_points
+    from faylab.rng import Table
+    ctx = build_context(cid)
+    if half is not None:
+        e1 = ctx.curve.branch_points[1]
+        monkeypatch.setattr(ctx.curve, "box", (e1.real, e1.imag, half, half))
+    table = Table(3, "pin|points", range(40))
+    pts, errors = sample_points(ctx, table.take, np.arange(40), 4)
+    failed = 0
+    for k in range(40):
+        rng = trial_rng(3, "pin|points", k)
+        try:
+            want = scalar_points(ctx, rng, 4)
+        except CurveError as ex:
+            failed += 1
+            assert isinstance(errors[k], CurveError) and errors[k].args == ex.args
+            continue
+        assert k not in errors and pts[k].tobytes() == want.tobytes()
+        assert table.take(np.array([k]), 1)[0, 0] == rng.random()
+    assert (failed > 0) == (half is not None) and failed < 40
+
+
 def test_sample_point_clearance():
     # one clearance test per draw: within 0.04 min_gap of a branch point
     # the draw is redrawn, and within 1e-6 (below 0.04 min_gap only when
     # min_gap < 2.5e-5) the sheet is drawn and the point refused
     from types import SimpleNamespace
-    from faylab.curves import HyperellipticCurve, PathTooCloseToBranchPoint
+    from faylab.curves import CurveError, HyperellipticCurve, PathTooCloseToBranchPoint
     c = HyperellipticCurve([0.0, 1e-5, 1.0])
     ctx = SimpleNamespace(curve=c)
     half_r, half_i = 0.5 + c.min_gap, c.min_gap
@@ -474,8 +508,8 @@ def test_sample_point_clearance():
                                                   0.5 * (x.imag / (1.6 * half_i) + 1))]
             self.draws.append(0.25)
 
-        def random(self):
-            return self.draws.pop(0)
+        def random(self, size):
+            return np.reshape([self.draws.pop(0) for _ in range(np.prod(size))], size)
 
     rng = Scripted(1 + 1e-7j, 1 + 2e-6j)
     p = sample_point(ctx, rng)
@@ -484,3 +518,11 @@ def test_sample_point_clearance():
     with pytest.raises(PathTooCloseToBranchPoint):
         sample_point(ctx, rng)
     assert rng.draws == []
+    # a point's 200th candidate is its last: 199 too close and one clear
+    # give the clear one, 200 too close a CurveError
+    rng = Scripted(*[1 + 1e-7j] * 199, 0.5 + 0j)
+    assert sample_point(ctx, rng)[0].real == pytest.approx(0.5) and rng.draws == []
+    rng = Scripted(*[1 + 1e-7j] * 200, 0.5 + 0j)
+    with pytest.raises(CurveError, match="could not sample"):
+        sample_point(ctx, rng)
+    assert len(rng.draws) == 3

@@ -1,0 +1,70 @@
+"""The counter-based table of doubles against numpy's Generator streams,
+and the batched Jacobian-point rows against per-row matrix products.  A
+NumPy or BLAS change that moves one bit of either fails here."""
+
+from types import SimpleNamespace
+
+import numpy as np
+import pytest
+
+from faylab.kernels import random_line_bundle, sample_xi
+from faylab.rng import Table, trial_rng, uniforms
+from faylab.theta import RiemannMatrix
+
+from oracles import generator_take
+
+
+@pytest.mark.parametrize("seed", [0, 42, 2**64 - 1])
+@pytest.mark.parametrize("width", [1, 3, 4, 5, 8, 13])
+def test_uniforms_are_the_generator_doubles(seed, width):
+    # widths inside one 4-word block, at its end and across it
+    label = f"pin|{seed}"
+    ks = [0, 1, 2, 7, 1000, 2**32 + 3, 2**64 - 1]
+    want = np.array([trial_rng(seed, label, k).random(width) for k in ks])
+    got = uniforms(seed, label, ks, width)
+    assert got.shape == (len(ks), width) and got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("seed", [0, 42, 2**64 - 1])
+def test_table_reads_each_stream_in_order_past_its_width(seed):
+    # cursors move on their own; reads of 1, 2, 7 and 40 doubles take the
+    # rows past their first 16 doubles and past every later width
+    label, trials = "pin|table", 9
+    table = Table(seed, label, range(trials))
+    streams = [trial_rng(seed, label, k) for k in range(trials)]
+    rng = np.random.default_rng(seed % 2**32)
+    for n in (1, 2, 7, 40, 3, 40, 5):
+        rows = np.sort(rng.choice(trials, size=rng.integers(1, trials + 1), replace=False))
+        want = np.array([streams[k].random(n) for k in rows])
+        assert table.take(rows, n).tobytes() == want.tobytes()
+    assert table.u.shape[1] >= table.at.max() and table.take(np.arange(0), 3).shape == (0, 3)
+
+
+def _riemann_matrix(g, rng):
+    """A random Riemann matrix with Re Omega != 0."""
+    M = rng.standard_normal((g, g))
+    return RiemannMatrix(0.5 * (M + M.T) + 1j * (M @ M.T + g * np.eye(g)))
+
+
+@pytest.mark.parametrize("g", [1, 2, 3])
+@pytest.mark.parametrize("sampler", [sample_xi, random_line_bundle])
+def test_batched_jacobian_points_are_per_row_products(g, sampler):
+    # every row of a 2,000-row batch equals u + omega @ v taken alone, u
+    # and v the row's two blocks of g doubles as the scalar rule maps them
+    rng = np.random.default_rng(g)
+    ctx = SimpleNamespace(g=g, rm=_riemann_matrix(g, rng))
+    U = rng.random((2000, 2 * g))
+    got, errors = sampler(ctx, lambda rows, n: U[rows, :n], np.arange(2000), 1)
+    if sampler is sample_xi:
+        U = 0.9 * (U - 0.5)
+    want = np.array([u + ctx.rm.omega @ v for u, v in zip(U[:, :g], U[:, g:])])
+    assert errors == {} and got[:, 0].tobytes() == want.tobytes()
+
+
+def test_one_stream_draws_as_a_generator_does():
+    # a draw of 3 Jacobian points reads the stream's next 6g doubles
+    ctx = SimpleNamespace(g=2, rm=_riemann_matrix(2, np.random.default_rng(5)))
+    rng, twin = trial_rng(7, "pin|xi", 0), trial_rng(7, "pin|xi", 0)
+    xis, _ = sample_xi(ctx, generator_take(rng), np.arange(1), 3)
+    U = 0.9 * (twin.random((3, 2, 2)) - 0.5)
+    assert xis[0].tobytes() == np.array([u + ctx.rm.omega @ v for u, v in U]).tobytes()
