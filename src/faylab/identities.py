@@ -73,31 +73,6 @@ def _distinct_points(ctx, take, rows, count):
     return pts, errors
 
 
-def _draws(steps):
-    """Marks a body as drawn by _draw: steps(ctx, **params) lists its draw."""
-    def mark(body):
-        body.draws = steps
-        return body
-    return mark
-
-
-def _draw(ctx, steps, take, rows):
-    """Per stream of rows, the arrays of its draw, one per step, or the
-    exception that stopped it; take(rows, n) reads the next n doubles of
-    each stream.  A step is (sampler, count), the sampler giving count
-    draws per stream and {i: exception} for the streams rows[i] it stopped
-    (see sample_points), or an exception, which stops every stream."""
-    out, live = [[] for _ in rows], np.arange(len(rows))
-    for step in steps:
-        if isinstance(step, Exception):
-            return [step if isinstance(drawn, list) else drawn for drawn in out]
-        values, errors = step[0](ctx, take, rows[live], step[1])
-        for i, k in enumerate(live):
-            out[k] = errors[i] if i in errors else out[k] + [values[i]]
-        live = live[[i not in errors for i in range(len(live))]]
-    return out
-
-
 def _theta(ctx, Z):
     """The plain theta at the rows of Z."""
     return theta_batch(Z, ctx.rm, tol=ctx.tol)[0]
@@ -107,13 +82,13 @@ def _theta(ctx, Z):
 # theta-kernel identities
 #
 # Each identity (here, in faylab.quartic, or a carrier check) is a generator
-# body(env, *draw, **params).  A hyperelliptic body states its draw with
-# _draws and is given its arrays; the others take a Generator, make one
-# trial's random choices and reject bad ones.  A body then yields each
-# kernel request (kernel, *args), is sent the kernel's rows for its own
-# args and returns the trial's (abs, rel).  The bodies never call a kernel:
-# _drive makes each request in one call for all the trials of a round, so
-# a trial's residual does not depend on the trials evaluated with it.
+# body(env, *rng, **params).  A hyperelliptic body yields its draw requests
+# (sampler, count) and is sent its arrays; the others take a Generator, make
+# one trial's random choices and reject bad ones.  A body yields each kernel
+# request (kernel, *args), is sent the kernel's rows for its own args and
+# returns the trial's (abs, rel).  The bodies never call a sampler or a
+# kernel: _drive makes each request in one call for all the trials of a
+# round, so a trial's residual does not depend on the trials run with it.
 
 
 def _mainid(X, Y, Z, T, xi):
@@ -138,19 +113,20 @@ def _mainid(X, Y, Z, T, xi):
     return _rel(sum(blocks), blocks)
 
 
-@_draws(lambda ctx, n: [(_distinct_points, 2 + 2 * n), (sample_xi, 1)])
-def trisecant_general(ctx, pts, xis, n):
+def trisecant_general(ctx, n):
     """Eq. (mainid): the three-block sum of F-products over x, y, z_i, t_i
     (2 + 2n points) and a free Jacobian point xi."""
+    pts = yield _distinct_points, 2 + 2 * n
+    xi, = yield sample_xi, 1
     V = yield CurveContext.aj, pts
-    return (yield from _mainid(V[0], V[1], V[2:2 + n], V[2 + n:], xis[0]))
+    return (yield from _mainid(V[0], V[1], V[2:2 + n], V[2 + n:], xi))
 
 
-@_draws(lambda ctx: [(_distinct_points, 4), (sample_xi, 1)])
-def trisecant_classical(ctx, pts, xis):
+def trisecant_classical(ctx):
     """The two-fraction n=1 form of the trisecant identity over x, y, z, t
     and xi."""
-    xi = xis[0]
+    pts = yield _distinct_points, 4
+    xi, = yield sample_xi, 1
     X, Y, Z, T = yield CurveContext.aj, pts
     (xt, yz, xz, yt, t_xi, t_long, zt, yx, zx, t_zx, t_yt, r1, r2) = yield (
         CurveContext.theta_delta, [X - T, Y - Z, X - Z, Y - T, xi, xi + Y - X + Z - T,
@@ -164,21 +140,21 @@ def trisecant_classical(ctx, pts, xis):
     return _rel(L1 + L2 - R, [L1, L2, R] if abs(R) > 0 else [L1, L2, 1.0])
 
 
-@_draws(lambda ctx, n: [(_distinct_points, 2 * n + 3)])
-def divisor_symmetric(ctx, pts, n):
+def divisor_symmetric(ctx, n):
     """Cor. (divisorid): the symmetric F-product identity over y and n+1
     pairs z_i, t_i, which is eq. (mainid) over the last n pairs at x = z_0,
     xi = z_0 - t_0."""
+    pts = yield _distinct_points, 2 * n + 3
     V = yield CurveContext.aj, pts
     return (yield from _mainid(V[1], V[0], V[2:n + 2], V[n + 3:], V[1] - V[n + 2]))
 
 
-@_draws(lambda ctx, n: [(random_line_bundle, 1), (_distinct_points, 2 + 2 * n)])
-def prime_form_identity(ctx, es, pts, n):
+def prime_form_identity(ctx, n):
     """The three-block E/theta identity for an arbitrary degree-1 theta,
     realized with a random translate e of the plain theta, e off the theta
     divisor, over x, y, z_i, t_i (2 + 2n points)."""
-    e = es[0]
+    e, = yield random_line_bundle, 1
+    pts = yield _distinct_points, 2 + 2 * n
     V = yield CurveContext.aj, pts
     X, Y, Z, T = V[0], V[1], V[2:2 + n], V[2 + n:]
     S = (Z - T).sum(axis=0)
@@ -200,11 +176,7 @@ def prime_form_identity(ctx, es, pts, n):
     return _rel(sum(blocks), blocks)
 
 
-@_draws(lambda ctx, n: [(_distinct_points, n), (sample_xi, n - 1)]
-        if n == 2 or n == 3 and ctx.g == 1 else [SuiteError(
-            f"residue identity implemented for n = 2, and n = 3 at genus 1 (degree count: "
-            f"n(g-1) = 2g-2 forces n = 2 otherwise), not n = {n} at genus {ctx.g}")])
-def residue_identity(ctx, xs, xis, n):
+def residue_identity(ctx, n):
     """Good-triple residue identity: sum_i alpha(x_i) prod_{j != i}
     m3(L_j, x_j, x_i) = 0 over n points x_i and n theta points, the last
     the lattice-closing one, so that the bundles close up to the canonical
@@ -214,6 +186,12 @@ def residue_identity(ctx, xs, xis, n):
     the odd-translate frames); n = 3 needs genus 1, where all bundles have
     degree 0 and alpha(x_i) = 1/h(x_i) realizes the trivialization.
     """
+    if not (n == 2 or n == 3 and ctx.g == 1):
+        raise SuiteError(
+            f"residue identity implemented for n = 2, and n = 3 at genus 1 (degree count: "
+            f"n(g-1) = 2g-2 forces n = 2 otherwise), not n = {n} at genus {ctx.g}")
+    xs = yield _distinct_points, n
+    xis = yield sample_xi, n - 1
     xis = np.concatenate([xis, [-sum(xis)]])
     V = yield CurveContext.aj, xs
     i, j = np.nonzero(~np.eye(n, dtype=bool))
@@ -225,14 +203,15 @@ def residue_identity(ctx, xs, xis, n):
     return _rel(blocks.sum(), blocks)
 
 
-@_draws(lambda ctx: [(_distinct_points, 4), (sample_xi, 1)] if ctx.g == 1 else
-        [SuiteError("kernel-form corollary check runs at genus 1")])
-def maincor_kernel(ctx, pts, xis):
+def maincor_kernel(ctx):
     """Kernel-level n=1 instance of the two-bundle residue corollary over
     x, y, z, t and xi: alpha = phi * eta with phi the theta-ratio section
     and eta realized by the squared half-differential (folded into the m3
     frames)."""
-    xi = xis[0]
+    if ctx.g != 1:
+        raise SuiteError("kernel-form corollary check runs at genus 1")
+    pts = yield _distinct_points, 4
+    xi, = yield sample_xi, 1
     X, Y, Z, T = yield CurveContext.aj, pts
     # phi(p) = theta[delta](p - t) / theta[delta](p - z)
     zt, xt, xz, yt, yz = yield CurveContext.theta_delta, [Z - T, X - T, X - Z, Y - T, Y - Z]
@@ -247,10 +226,11 @@ def maincor_kernel(ctx, pts, xis):
     return _rel(t0 + t1 + t2, [t0, t1, t2])
 
 
-@_draws(lambda ctx: [(_distinct_points, 2), (random_line_bundle, 1)])
-def cross_formula(ctx, pts, es):
+def cross_formula(ctx):
     """massey_m3_prime against massey_m3_theta on a random triple: points
     x, y, then the xi of a random bundle off the theta divisor."""
+    pts = yield _distinct_points, 2
+    es = yield random_line_bundle, 1
     th, = yield _theta, es
     if abs(th) <= 1e-4 * ctx.scale:
         raise NearDivisor("line bundle near the theta divisor")
@@ -261,13 +241,13 @@ def cross_formula(ctx, pts, es):
     return abs(m1 - m2), abs(m1 - m2) / abs(m1)
 
 
-@_draws(lambda ctx: [(_distinct_points, 3), (sample_xi, 1)])
-def idcor(ctx, pts, xis):
+def idcor(ctx):
     """Degenerate n=1 corollary m3(V(x-z), z, y) = m3(V,x,y) m3(V,x,z)^-1
     over x, y, z and xi, with the O(x-z) trivialization factor
     E(x,y)/(E(z,y)E(x,z)) that turns the abstract bundle equality into
     numbers in the affine frames."""
-    xi = xis[0]
+    pts = yield _distinct_points, 3
+    xi, = yield sample_xi, 1
     X, Y, Z = yield CurveContext.aj, pts
     m_xz, m_xy, m_zy = yield (massey_m3_prime, np.array([xi, xi, xi + X - Z]),
                               np.array([Z - X, Y - X, Y - Z]), pts[[0, 0, 2]], pts[[2, 1, 1]])
@@ -278,9 +258,7 @@ def idcor(ctx, pts, xis):
     return abs(lhs - rhs), abs(lhs - rhs) / abs(rhs)
 
 
-@_draws(lambda ctx: [(sample_points, 20)] if ctx.g in (1, 2) else
-        [SuiteError("divisor-vanishing check runs at genus 1 or 2")])
-def theta_derivative_divisor(ctx, controls):
+def theta_derivative_divisor(ctx):
     """The derivative 1-form vanishes on the odd-characteristic divisor.
 
     The form is N(x) dx / y with N the adjoint numerator; its divisor is
@@ -291,6 +269,9 @@ def theta_derivative_divisor(ctx, controls):
     form proportional to the invariant differential; the residual is the
     spread of theta_form * y over 20 control points.
     """
+    if ctx.g not in (1, 2):
+        raise SuiteError("divisor-vanishing check runs at genus 1 or 2")
+    controls = yield sample_points, 20
     vals = yield theta_form, controls
     if ctx.g == 2:
         roots, dists = delta_divisor_root(ctx)
@@ -306,16 +287,17 @@ def theta_derivative_divisor(ctx, controls):
     return zero_val * scale, zero_val
 
 
-@_draws(lambda ctx, n, block: [
-    (_distinct_points, 2 * (n + 1)), (sample_xi, block) if block == 1 or ctx.g == 1
-    else SuiteError("diagonal flat bundles are exercised at genus 1")])
-def quasidet_geometric(ctx, pts, xi, n, block):
+def quasidet_geometric(ctx, n, block):
     """Theta-kernel quasideterminant identity over x_0..x_n, y_0..y_n:
     |(m3(V,x_j,y_i))|_00 equals the twisted kernel times the prime-form
     cross-ratio product.
 
     One theta point is the scalar case; block of them make a diagonal flat
     bundle on a genus-1 curve (one per slot, same E-factor)."""
+    if block > 1 and ctx.g != 1:
+        raise SuiteError("diagonal flat bundles are exercised at genus 1")
+    pts = yield _distinct_points, 2 * (n + 1)
+    xi = yield sample_xi, block
     V = yield CurveContext.aj, pts
     X, Y = V[1:n + 1], V[n + 2:]
     # entries m3(xi_s, x_j, y_i) for every (s, i, j), then m3(xi_s + shift, x_0, y_0),
@@ -337,19 +319,16 @@ def quasidet_geometric(ctx, pts, xi, n, block):
 
 
 def _runner(body, **params):
-    """The table's runner of a body: one trial, from its draw (a Generator,
-    or the arrays of the body's draws), run up to its first kernel request,
-    as (generator, request).  The generator yields the body's result last,
-    as the request (None, (abs, rel)).  runner.draws(ctx) is the body's
-    draw, if it states one."""
+    """The table's runner of a body: one trial (given its Generator, if the
+    body takes one) run up to its first request, as (generator, request).
+    The generator yields the body's result last, as the request (None,
+    (abs, rel))."""
     @functools.wraps(body)
-    def runner(env, *draw):
+    def runner(env, *rng):
         def trial():
-            yield None, (yield from body(env, *draw, **params))
+            yield None, (yield from body(env, *rng, **params))
         gen = trial()
         return gen, next(gen)
-    if hasattr(body, "draws"):
-        runner.draws = functools.partial(body.draws, **params)
     return runner
 
 
@@ -367,19 +346,26 @@ def _rows(env, kernel, parts):
     return np.split(rows, np.cumsum([len(part[0]) for part in parts])[:-1])
 
 
-def _drive(env, draws):
-    """Runs the bodies of draws (each a runner's (generator, request)) to
-    their ends.  The bodies make the same requests, so each step is one
-    _rows call for the bodies still running, and each is sent its rows or
-    has its exception raised at its request.  Returns, per draw, (abs, rel)
-    or the exception that stopped it."""
-    gens, requests = [gen for gen, _ in draws], [request for _, request in draws]
+def _drive(env, started, take, rows):
+    """Runs the started bodies (each a runner's (generator, request)) to
+    their ends, rows[i] the stream of started[i].  The bodies make the same
+    requests, so each step is one call for the bodies still running: for a
+    draw request (sampler, count), count an int, one sampler call reading
+    the streams with take (see sample_points), else one _rows call.  Each
+    body is sent its array or has its exception raised at its request.
+    Returns, per body, (abs, rel) or the exception that stopped it."""
+    gens, requests = [gen for gen, _ in started], [request for _, request in started]
     while live := [k for k, request in enumerate(requests) if request[0] is not None]:
-        parts = [requests[k][1:] for k in live]
-        for k, rows in zip(live, _rows(env, requests[live[0]][0], parts)):
+        fn, *args = requests[live[0]]
+        if isinstance(args[0], int):
+            values, errors = fn(env, take, rows[live], args[0])
+            answers = [errors.get(i, values[i]) for i in range(len(live))]
+        else:
+            answers = _rows(env, fn, [requests[k][1:] for k in live])
+        for k, answer in zip(live, answers):
             try:
-                requests[k] = (gens[k].throw(rows) if isinstance(rows, Exception)
-                               else gens[k].send(rows))
+                requests[k] = (gens[k].throw(answer) if isinstance(answer, Exception)
+                               else gens[k].send(answer))
             except _RETRY + _HARD as ex:
                 requests[k] = None, ex
     return [result for _, result in requests]
@@ -442,10 +428,9 @@ def homological_residual(env, rng):
 class IdentitySpec:
     """One identity and the (trials, tol) it runs at, per key.
 
-    `runner(env, *draw)` is _runner(body, **params): one trial's draw, the
-    started body with its first kernel request, which _drive evaluates.
-    `draws(ctx)` is the draw of a body that states one (see _draw), made
-    from a Table; None for a body given a Generator.
+    `runner(env, *rng)` is _runner(body, **params), which starts one trial
+    for _drive; a hyperelliptic body draws by its requests, the others are
+    given the trial's Generator.
     `kind` is a registry curve type ("hyperelliptic" or "plane_quartic"),
     or "carrier" for checks that need no curve.  `table` maps a curve id
     or a genus to (trials, tol); a curve takes the row of its id if there
@@ -456,10 +441,9 @@ class IdentitySpec:
     kind: str
     runner: object
     table: dict
-    draws: object = None
 
 
-IDENTITIES = {name: IdentitySpec(name, kind, runner, table, getattr(runner, "draws", None))
+IDENTITIES = {name: IdentitySpec(name, kind, runner, table)
               for kind, rows in [
     ("hyperelliptic", [
         ("skewsym_n2", _runner(residue_identity, n=2),
@@ -516,50 +500,40 @@ IDENTITIES = {name: IdentitySpec(name, kind, runner, table, getattr(runner, "dra
 
 def run_identity(spec: IdentitySpec, env, curve_id, trials, tol, seed):
     """Run one identity for `trials` trials, each with its own stream and
-    20 attempts, in rounds.  A round draws every pending trial (a rejected
-    draw, _RETRY, is drawn again at once), from its row of one Table if the
-    spec states its draws, else from its Generator, and evaluates all its
-    draws in one call; a trial rejected there is pending in the next round
-    and draws on from where its stream stopped.  Rows do not depend on the
-    draws evaluated with them, so the record is that of evaluating each
-    draw alone, in trial order: a hard failure fails the report at its
-    trial, a non-finite residual (inf or NaN) ends it with both maxima inf,
-    and a trial out of attempts is not completed.  Completion below 90%
-    fails the report regardless of residuals.  An environment that failed
-    to build (an exception in place of env) runs no trial and fails.
+    20 attempts, in rounds.  A round starts every pending trial's runner, a
+    hyperelliptic body drawing from the trial's row of one Table and the
+    others given the trial's Generator, and _drive runs them together; a
+    trial rejected (_RETRY) at its draw or in its evaluation is pending in
+    the next round and reads on from where its stream stopped.  Rows do not
+    depend on the trials run with them, so the record is that of running
+    each trial alone, in trial order: a hard failure fails the report at
+    its trial, a non-finite residual (inf or NaN) ends it with both maxima
+    inf, and a trial out of attempts is not completed.  Completion below
+    90% fails the report regardless of residuals.  An environment that
+    failed to build (an exception in place of env) runs no trial and fails.
     """
     t0 = time.perf_counter()
     failure = f"{type(env).__name__}: {env}" if isinstance(env, Exception) else ""
     label, n = f"{spec.name}|{curve_id}", 0 if failure else trials
-    if spec.draws is None:
-        rngs = [trial_rng(seed, label, trial) for trial in range(n)]
-        draw = lambda ks: [(rngs[k],) for k in ks]
-    elif n:
-        table, steps = Table(seed, label, range(n)), spec.draws(env)
-        draw = lambda ks: _draw(env, steps, table.take, np.array(ks))
-    left, outcomes = [20] * n, [None] * n
-    pending = range(n)
-    while pending:
-        draws, need = {}, pending
-        while need:
-            retry = []
-            for k, drawn in zip(need, draw(need)):
-                left[k] -= 1
-                try:
-                    if isinstance(drawn, Exception):
-                        raise drawn
-                    draws[k] = spec.runner(env, *drawn)
-                except _RETRY:
-                    retry += [k] if left[k] else []
-                except _HARD as ex:
-                    outcomes[k] = ex
-            need = retry
-        for k, outcome in zip(draws, _drive(env, list(draws.values()))):
-            outcomes[k] = None if isinstance(outcome, _RETRY) else outcome
-        pending = [k for k in draws if outcomes[k] is None and left[k]]
+    if spec.kind == "hyperelliptic":
+        take, rngs = Table(seed, label, range(n)).take, [()] * n
+    else:
+        take, rngs = None, [(trial_rng(seed, label, trial),) for trial in range(n)]
+    outcomes, pending, rounds = [None] * n, range(n), 0
+    while pending and rounds < 20:      # a pending trial's attempts, one a round
+        started, rounds = {}, rounds + 1
+        for k in pending:
+            try:
+                started[k] = spec.runner(env, *rngs[k])
+            except _RETRY + _HARD as ex:
+                outcomes[k] = ex
+        ks = np.array(list(started), dtype=int)
+        for k, outcome in zip(ks, _drive(env, list(started.values()), take, ks)):
+            outcomes[k] = outcome
+        pending = [k for k in pending if isinstance(outcomes[k], _RETRY)]
     completed = 0
     max_abs = max_rel = 0.0
-    for outcome in [outcome for outcome in outcomes if outcome is not None]:
+    for outcome in [outcome for outcome in outcomes if not isinstance(outcome, _RETRY)]:
         if isinstance(outcome, Exception):
             failure = f"{type(outcome).__name__}: {outcome}"
             break

@@ -51,16 +51,16 @@ def _mulhilo(a, m):
 def uniforms(seed, label, ks, width):
     """The first width doubles of the streams ks, as a (len(ks), width)
     array: row i is trial_rng(seed, label, ks[i]).random(width)."""
-    k = np.asarray(ks, dtype=np.uint64)[:, None]
+    k, blocks = np.asarray(ks, dtype=np.uint64)[:, None], -(-width // 4)
     zero = np.zeros_like(k)
     # the counters (b + 1, 0, 0, k) of blocks b = 0, 1, .. of each stream
-    x = [np.arange(1, -(-width // 4) + 1, dtype=np.uint64) + zero, zero, zero, k]
+    x = [np.arange(1, blocks + 1, dtype=np.uint64) + zero, zero, zero, k]
     key = [seed, _label_hash(label)]
     for _ in range(10):
         (h0, l0), (h1, l1) = _mulhilo(x[0], _MULTIPLIERS[0]), _mulhilo(x[2], _MULTIPLIERS[1])
         x = [h1 ^ x[1] ^ np.uint64(key[0]), l1, h0 ^ x[3] ^ np.uint64(key[1]), l0]
         key = [(v + step) % SEED_LIMIT for v, step in zip(key, _KEY_STEPS)]
-    words = np.stack(x, axis=-1).reshape(len(k), -1)[:, :width]
+    words = np.stack(x, axis=-1).reshape(len(k), 4 * blocks)[:, :width]
     return (words >> np.uint64(11)) * 2.0**-53
 
 

@@ -277,9 +277,9 @@ def _one_row(z, tol):
     return np.atleast_1d(np.asarray(z, dtype=complex))[None, :]
 
 
-def theta(z, rm: RiemannMatrix, char: ThetaChar = None, tol=1e-10):
-    """The complex value theta[char](z | Omega) at a single point z."""
-    return complex(theta_batch(_one_row(z, tol), rm, char, tol)[0][0])
+def theta(z, rm: RiemannMatrix, tol=1e-10):
+    """The complex value theta(z | Omega) at a single point z."""
+    return complex(theta_batch(_one_row(z, tol), rm, tol=tol)[0][0])
 
 
 def theta_gradient(z, rm: RiemannMatrix, char: ThetaChar = None, tol=1e-10):

@@ -8,12 +8,12 @@ import pytest
 sys.path.insert(0, str(Path(__file__).parent))
 
 from faylab.curves import HyperellipticCurve, integrate_path, period_matrix
-from faylab.identities import IDENTITIES, _drive
+from faylab.identities import IDENTITIES
 from faylab.kernels import CurveContext
 from faylab.quartic import PlaneQuartic
 from faylab.registry import registry_entries
 
-from oracles import generator_draw, involution, point_y
+from oracles import generator_trial, involution, point_y
 
 _CTX_CACHE = {}
 
@@ -38,11 +38,10 @@ def pair_args(ctx, ps, qs):
 
 
 def one_trial(name, env, rng):
-    """(abs, rel) of one trial of the identity `name`: one draw from the
-    Generator rng, evaluated on its own by _drive; its rejection or failure
-    is raised."""
-    spec = IDENTITIES[name]
-    result, = _drive(env, [spec.runner(env, *generator_draw(spec, env, rng))])
+    """(abs, rel) of one trial of the identity `name`, drawn from the
+    Generator rng and run on its own by _drive; its rejection or failure is
+    raised."""
+    result = generator_trial(IDENTITIES[name], env, rng)
     if isinstance(result, Exception):
         raise result
     return result

@@ -13,7 +13,7 @@ import math
 import numpy as np
 
 from faylab.curves import CurveError, make_point
-from faylab.identities import _HARD, _RETRY, _draw, _drive
+from faylab.identities import _HARD, _RETRY, _drive
 from faylab.report import IdentityReport, report_record
 from faylab.rng import trial_rng
 
@@ -188,30 +188,41 @@ def draw_one(sampler, ctx, rng, count=1):
     return values[0]
 
 
-def generator_draw(spec, env, rng):
-    """spec.runner's arguments for one trial drawn from the Generator rng:
-    rng itself for a body that takes one, else the arrays of the body's
-    stated draw, read from rng by _draw; a rejected or failed draw raises."""
-    if spec.draws is None:
-        return (rng,)
-    drawn, = _draw(env, spec.draws(env), generator_take(rng), np.zeros(1, dtype=int))
-    if isinstance(drawn, Exception):
-        raise drawn
-    return drawn
+def generator_trial(spec, env, rng):
+    """One trial of spec run alone by _drive, reading the Generator rng: a
+    hyperelliptic body draws from it by its requests, the others are given
+    it.  Returns (abs, rel) or the exception that stopped the trial after
+    its start; a runner that refuses to start raises."""
+    args = () if spec.kind == "hyperelliptic" else (rng,)
+    result, = _drive(env, [spec.runner(env, *args)], generator_take(rng), np.zeros(1, dtype=int))
+    return result
+
+
+def trial_steps(spec, env, rng):
+    """(request, answer) for each request of one hyperelliptic trial of spec
+    run alone: a draw read from the Generator rng by draw_one, a kernel
+    request answered by its kernel."""
+    gen, request = spec.runner(env)
+    while request[0] is not None:
+        fn, *args = request
+        answer = draw_one(fn, env, rng, *args) if isinstance(args[0], int) else fn(env, *args)
+        yield request, answer
+        request = gen.send(answer)
 
 
 def per_trial_record(spec, env, curve_id, trials, tol, seed):
     """The record of run_identity (without elapsed_ms, with the failure)
-    from a loop over the trials in order: each draw is evaluated alone as
-    it is made, a rejection at the draw or in the evaluation draws again
-    from the trial's trial_rng Generator (20 attempts a trial), a hard failure ends the
-    report at its trial, and a non-finite residual ends it after its trial."""
+    from a loop over the trials in order: each trial is run alone by
+    generator_trial, a rejection at the draw or in the evaluation runs it
+    again, reading on from its trial_rng Generator (20 attempts a trial), a
+    hard failure ends the report at its trial, and a non-finite residual
+    ends it after its trial."""
     out, failure = [], ""
     for trial in range(trials):
         rng = trial_rng(seed, f"{spec.name}|{curve_id}", trial)
         for _ in range(20):
             try:
-                result, = _drive(env, [spec.runner(env, *generator_draw(spec, env, rng))])
+                result = generator_trial(spec, env, rng)
                 if isinstance(result, Exception):
                     raise result
             except _RETRY:

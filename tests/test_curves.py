@@ -15,7 +15,7 @@ from faylab.curves import (HyperellipticCurve, period_matrix,
                            vanishing_locus_check,
                            integrate_path, BranchPointCollision, CurveError,
                            NotSymplectic, PathTooCloseToBranchPoint, PathTooLong)
-from faylab.theta import theta, ThetaChar
+from faylab.theta import theta, theta_batch, ThetaChar
 from faylab.kernels import random_line_bundle, riemann_constant, sample_point
 from faylab.registry import registry_entries
 
@@ -567,7 +567,7 @@ class TestCharacteristics:
         delta = find_odd_char(ctx.rm)
         assert delta.parity == 1
         z0 = np.zeros(ctx.g)
-        assert abs(theta(z0, ctx.rm, delta)) < 1e-10
+        assert abs(theta_batch(z0, ctx.rm, delta)[0][0]) < 1e-10
 
     def test_g1_odd_char_is_half_half(self, ctx_g1):
         assert find_odd_char(ctx_g1.rm) == ThetaChar((0.5,), (0.5,))

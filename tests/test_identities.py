@@ -12,7 +12,7 @@ from faylab.report import report_record
 from faylab.rng import trial_rng
 
 from conftest import build_context, one_trial, scale_theta
-from oracles import draw_one, generator_draw, per_trial_record
+from oracles import draw_one, generator_trial, per_trial_record, trial_steps
 
 
 def run_many(name, ctx, seed_label, trials=25):
@@ -138,7 +138,8 @@ class TestResidueIdentities:
 
     def test_coincident_draw_redrawn_by_run_identity(self, ctx_g1, monkeypatch):
         # one coincident draw raises BadTriple at once; run_identity then
-        # completes the trial with the next draws of the same stream
+        # completes the trial in a second round, with the next draws of the
+        # same stream
         import faylab.identities as ids
         from faylab.identities import BadTriple, IdentitySpec, _runner
         real, calls = ids.sample_points, []
@@ -154,13 +155,10 @@ class TestResidueIdentities:
         calls.clear()
         got = []
 
-        def body(ctx, pts):
-            got.append(pts)
+        def body(ctx):
+            got.append((yield _distinct_points, 3))
             return 0.0, 0.0
-            yield
-        body.draws = lambda ctx: [(_distinct_points, 3)]
-        runner = _runner(body)
-        spec = IdentitySpec("redraw", "hyperelliptic", runner, {1: (1, 1.0)}, runner.draws)
+        spec = IdentitySpec("redraw", "hyperelliptic", _runner(body), {1: (1, 1.0)})
         rep = run_identity(spec, ctx_g1, "lemniscatic", 1, 1.0, 7)
         assert (rep.completed, rep.passed, len(got), len(calls)) == (1, True, 1, 2)
         rng = trial_rng(7, "redraw|lemniscatic", 0)
@@ -258,7 +256,7 @@ class TestSuiteRunner:
     def test_completion_tracking(self, ctx_g1):
         # a runner that always rejects must fail the completion bar
         from faylab.identities import IdentitySpec
-        def always_near(env, rng):
+        def always_near(env, *rng):
             raise NearDivisor("synthetic rejection")
         spec = IdentitySpec(name="synthetic", kind="hyperelliptic",
                             runner=always_near, table={1: (10, 1e-8)})
@@ -320,11 +318,12 @@ class TestSuiteRunner:
             assert math.isinf(rep.max_rel_residual)
 
     def test_one_call_per_kernel_per_evaluate(self, monkeypatch):
-        # an evaluation of several draws calls ctx.aj and each kernel at
-        # most once; calls the kernels make themselves are not counted,
-        # except abel_jacobi's at any depth: only ctx.aj requests reach it
+        # a run of several trials calls ctx.aj and each kernel at most
+        # once; calls the kernels make themselves are not counted, except
+        # abel_jacobi's at any depth: only ctx.aj requests reach it
         import faylab.identities as ids
         import faylab.kernels as kernels
+        from faylab.rng import Table
         calls, total, depth = Counter(), Counter(), [0]
 
         def counter(fn, name):
@@ -349,15 +348,9 @@ class TestSuiteRunner:
             for spec in IDENTITIES.values():
                 if spec.kind != "hyperelliptic" or ctx.g not in spec.table:
                     continue
-                draws = []
-                for trial in range(4):
-                    try:
-                        rng = trial_rng(7, spec.name, trial)
-                        draws.append(spec.runner(ctx, *generator_draw(spec, ctx, rng)))
-                    except ids._RETRY:
-                        pass
+                started = [spec.runner(ctx) for _ in range(4)]
                 calls.clear()
-                ids._drive(ctx, draws)
+                ids._drive(ctx, started, Table(7, spec.name, range(4)).take, np.arange(4))
                 assert max(calls.values()) == 1, (spec.name, calls)
                 assert calls["aj"] == calls["abel_jacobi"], (spec.name, calls)
                 total += calls
@@ -379,21 +372,20 @@ def record(rep):
 
 
 def counted_drive(monkeypatch):
-    """Patch _drive to record the number of draws of each call."""
+    """Patch _drive to record the number of started bodies of each call."""
     import faylab.identities as ids
     drive, sizes = ids._drive, []
 
-    def counted(env, draws):
-        sizes.append(len(draws))
-        return drive(env, draws)
+    def counted(env, started, *streams):
+        sizes.append(len(started))
+        return drive(env, started, *streams)
     monkeypatch.setattr(ids, "_drive", counted)
     return sizes
 
 
 class TestLookAhead:
-    """run_identity draws every pending trial ahead of one evaluation per
-    round; its records must equal per_trial_record's, where each draw is
-    evaluated alone as it is made."""
+    """run_identity runs every pending trial of a round together; its
+    records must equal per_trial_record's, where each trial runs alone."""
 
     @staticmethod
     def fresh(cid):
@@ -471,17 +463,16 @@ class TestLookAhead:
         ctx.aj([ctx.base])                 # hub, branch and base constants
         attempts, calls = [], []
 
-        def runner(env, *draw):
-            attempts.append(draw)
-            return IDENTITIES["idcor"].runner(env, *draw)
+        def runner(env, *rng):
+            attempts.append(rng)
+            return IDENTITIES["idcor"].runner(env, *rng)
         real = curves.integrate_path
 
         def counted(*args):
             calls.append(args)
             return real(*args)
         monkeypatch.setattr(curves, "integrate_path", counted)
-        spec = IdentitySpec("idcor", "hyperelliptic", runner, {1: (20, 1e-9)},
-                            IDENTITIES["idcor"].draws)
+        spec = IdentitySpec("idcor", "hyperelliptic", runner, {1: (20, 1e-9)})
         rep = run_identity(spec, ctx, "lemniscatic", 20, 1e-9, 42)
         assert rep.completed == 20 and rep.passed
         assert (len(attempts), len(calls)) == (20, 1)
@@ -489,25 +480,20 @@ class TestLookAhead:
 
 @pytest.mark.parametrize("cid", ["lemniscatic", "g2-real", "g3-real"])
 def test_evaluate_equals_one_draw_evaluations(cid):
-    # every trial's residual has the bits it has when evaluated alone; a
-    # draw is a started body, which runs once, so each trial is drawn twice
+    # every trial's residual has the bits it has when run alone: 10 trials
+    # drawn from the rows of one Table and run together, then each drawn
+    # from its trial_rng Generator and run alone
     import faylab.identities as ids
+    from faylab.rng import Table
     ctx = build_context(cid)
     for spec in IDENTITIES.values():
         if spec.kind != "hyperelliptic" or ctx.g not in spec.table:
             continue
-        draws, again = [], []
-        for trial in range(30):
-            try:
-                drawn = generator_draw(spec, ctx, trial_rng(3, spec.name, trial))
-            except ids._RETRY:
-                continue
-            draws.append(spec.runner(ctx, *drawn))
-            again.append(spec.runner(ctx, *drawn))
-            if len(draws) == 10:
-                break
-        batch = np.array(ids._drive(ctx, draws))
-        alone = np.array([r for d in again for r in ids._drive(ctx, [d])])
+        started = [spec.runner(ctx) for _ in range(10)]
+        batch = np.array(ids._drive(ctx, started, Table(3, spec.name, range(10)).take,
+                                    np.arange(10)))
+        alone = np.array([generator_trial(spec, ctx, trial_rng(3, spec.name, trial))
+                          for trial in range(10)])
         assert batch.shape == (10, 2) and batch.tobytes() == alone.tobytes(), spec.name
 
 
@@ -518,11 +504,10 @@ def test_near_divisor_in_one_trial_gives_the_per_trial_record(monkeypatch):
     import faylab.identities as ids
     spec = IDENTITIES["trisecant_general_n1"]
     ctx = TestLookAhead.fresh("lemniscatic")
-    # a draw is (body, first request), and the first request is
-    # (CurveContext.aj, the trial's points); the body's next is fay_F's
-    gen, (_, pts) = spec.runner(ctx, *generator_draw(
-        spec, ctx, trial_rng(11, "trisecant_general_n1|lemniscatic", 2)))
-    _, marked, _ = gen.send(ctx.aj(pts))
+    # the first arguments of trial 2's fay_F request, the trial run alone
+    _, marked, _ = next(request for request, _ in trial_steps(
+        spec, ctx, trial_rng(11, "trisecant_general_n1|lemniscatic", 2))
+        if request[0] is ids.fay_F)
     real, rejected = ids.fay_F, []
 
     def near(ctx, A, B):
@@ -556,15 +541,15 @@ def test_bundle_near_the_theta_divisor_redraws_its_trial(name, monkeypatch):
     assert 1e-8 < abs(theta(near, ctx.rm)) / ctx.scale < 1e-4
     real = ids.random_line_bundle
     # prime_form draws its bundle first, cross_formula after its two points
-    marked = generator_draw(spec, ctx, trial_rng(11, label, 2))[name == "cross_formula_m3"][0]
+    marked, = next(answer for (fn, *_), answer in trial_steps(spec, ctx, trial_rng(11, label, 2))
+                   if fn is ids.random_line_bundle)
 
     def moved(ctx, take, rows, count):
         es, errors = real(ctx, take, rows, count)
         es[(es == marked).all(axis=-1)] = near
         return es, errors
     monkeypatch.setattr(ids, "random_line_bundle", moved)
-    result, = ids._drive(ctx, [spec.runner(ctx, *generator_draw(spec, ctx, trial_rng(11, label, 2)))])
-    assert isinstance(result, NearDivisor)
+    assert isinstance(generator_trial(spec, ctx, trial_rng(11, label, 2)), NearDivisor)
     sizes = counted_drive(monkeypatch)
     rep = run_identity(spec, ctx, "lemniscatic", 6, 1e-8, 11)
     assert sizes == [6, 1]
@@ -598,31 +583,56 @@ def test_outcomes_are_read_in_trial_order(nan_at, fail_at, completed, failure):
 
 
 def test_round_without_draws(monkeypatch):
-    # every trial's draw fails hard: the round gives _drive no draws, and
-    # the report fails at trial 0
+    # every trial's draw fails hard: the round's one sampler call stops
+    # all its bodies at their first request, and the report fails at trial 0
     import faylab.identities as ids
     from faylab.curves import CurveError
+    calls = []
 
     def fail(ctx, take, rows, count):
+        calls.append(len(rows))
         errors = dict.fromkeys(range(len(rows)), CurveError("synthetic failure"))
         return np.zeros((len(rows), count, 2), dtype=complex), errors
     monkeypatch.setattr(ids, "sample_points", fail)
     spec = IDENTITIES["idcor"]
-    assert ids._drive(None, []) == []
+    assert ids._drive(None, [], None, np.arange(0)) == []
     sizes = counted_drive(monkeypatch)
     rep = run_identity(spec, build_context("lemniscatic"), "lemniscatic", 4, 1e-9, 11)
-    assert sizes == [0]
+    assert sizes == calls == [4]
     assert (rep.completed, rep.failure) == (0, "CurveError: synthetic failure")
     assert math.isinf(rep.max_rel_residual)
     assert record(rep) == per_trial_record(spec, build_context("lemniscatic"),
                                            "lemniscatic", 4, 1e-9, 11)
 
 
+@pytest.mark.parametrize("name,cid,message", [
+    ("residue_n3", "g2-real", "residue identity implemented for n = 2, and n = 3 at genus 1 "
+     "(degree count: n(g-1) = 2g-2 forces n = 2 otherwise), not n = 3 at genus 2"),
+    ("maincor_kernel", "g2-real", "kernel-form corollary check runs at genus 1"),
+    ("quasidet_geometric_diag", "g3-real", "diagonal flat bundles are exercised at genus 1"),
+    ("theta_derivative_divisor", "g3-real", "divisor-vanishing check runs at genus 1 or 2")])
+def test_guard_refusal_fails_its_report(name, cid, message, monkeypatch):
+    # a body refuses a curve it is not made for before its first request:
+    # its report fails at trial 0 with the guard's message, and no sampler
+    # is called
+    import faylab.identities as ids
+    calls = []
+
+    def sampler(*args):
+        calls.append(args)
+        raise AssertionError("a sampler called past a guard")
+    for sampler_name in ("sample_points", "sample_xi", "random_line_bundle", "_distinct_points"):
+        monkeypatch.setattr(ids, sampler_name, sampler)
+    rep = run_identity(IDENTITIES[name], build_context(cid), cid, 5, 1e-8, 42)
+    assert (rep.completed, rep.passed, rep.failure) == (0, False, f"SuiteError: {message}")
+    assert math.isinf(rep.max_rel_residual) and calls == []
+
+
 @pytest.mark.parametrize("cid", ["lemniscatic", "g2-real", "g3-real"])
 def test_draws_are_pure_sampling(cid, monkeypatch):
-    # a draw, from a Table or a Generator, and its body's run up to the
-    # first kernel request sample, and evaluate no theta row and integrate
-    # no path
+    # _drive answering only draw requests, from a Table or a Generator, runs
+    # each body up to its first kernel request: the draws sample, and
+    # evaluate no theta row and integrate no path
     import sys
     import faylab.identities as ids
     from faylab.rng import Table
@@ -634,17 +644,16 @@ def test_draws_are_pure_sampling(cid, monkeypatch):
         for name in ("theta_batch", "integrate_path"):
             if hasattr(mod, name):
                 monkeypatch.setattr(mod, name, refuse)
+    monkeypatch.setattr(ids, "_rows", lambda env, kernel, parts: [
+        SuiteError("kernel request")] * len(parts))
     for spec in IDENTITIES.values():
         if spec.kind == "hyperelliptic" and ctx.g in spec.table:
-            table = Table(3, spec.name, range(10))
-            for drawn in ids._draw(ctx, spec.draws(ctx), table.take, np.arange(10)):
-                if not isinstance(drawn, Exception):
-                    spec.runner(ctx, *drawn)
-            for trial in range(10):
-                try:
-                    spec.runner(ctx, *generator_draw(spec, ctx, trial_rng(3, spec.name, trial)))
-                except ids._RETRY:
-                    pass
+            started = [spec.runner(ctx) for _ in range(10)]
+            got = ids._drive(ctx, started, Table(3, spec.name, range(10)).take, np.arange(10))
+            got += [generator_trial(spec, ctx, trial_rng(3, spec.name, trial))
+                    for trial in range(10)]
+            assert all(isinstance(r, ids._RETRY) or str(r) == "kernel request"
+                       for r in got), spec.name
 
 
 def test_failed_call_is_split_in_halves():
@@ -699,39 +708,47 @@ class TestForcedRedraws:
 
     @staticmethod
     def records(monkeypatch, trials=12):
+        """run_identity's record, checked against per_trial_record's, and,
+        in run_identity, the Counter of the draws' rejections, the number
+        of bodies _drive started in each round and the number of rejections
+        of each _distinct_points call."""
         import faylab.identities as ids
-        rejected, real = Counter(), ids._distinct_points
+        rejected, per_call, real = Counter(), [], ids._distinct_points
 
         def counted(*args):
             pts, errors = real(*args)
             rejected.update(type(ex).__name__ for ex in errors.values())
+            per_call.append(len(errors))
             return pts, errors
         monkeypatch.setattr(ids, "_distinct_points", counted)
         sizes = counted_drive(monkeypatch)
         spec = IDENTITIES["trisecant_classical"]
         got = record(run_identity(spec, TestLookAhead.fresh("lemniscatic"),
                                   "lemniscatic", trials, 1.0, 42))
-        rounds, draws, rejected = len(sizes), sum(sizes), Counter(rejected)
+        counts = Counter(rejected), list(sizes), list(per_call)
         want = per_trial_record(spec, TestLookAhead.fresh("lemniscatic"),
                                 "lemniscatic", trials, 1.0, 42)
         assert got == want
-        return got, rejected, rounds, draws
+        return (got, *counts)
 
     def test_redraw_during_the_draw(self, monkeypatch):
         # half a min_gap between two of 4 points rejects about a third of
-        # the draws as they are made; each is drawn again at once
+        # the draws as they are made; the trials rejected in a round, and
+        # only they, start again in the next, until no draw is rejected
         import faylab.identities as ids
         monkeypatch.setattr(ids, "CLOSE_POINTS", 0.5)
-        got, rejected, rounds, draws = self.records(monkeypatch)
-        assert rejected["BadTriple"] >= 3 and (rounds, draws, got["completed"]) == (1, 12, 12)
+        got, rejected, sizes, per_call = self.records(monkeypatch)
+        assert rejected["BadTriple"] >= 3 and got["completed"] == 12
+        assert (sizes[0], sizes[1:], per_call[-1]) == (12, per_call[:-1], 0)
+        assert sum(sizes) == 12 + rejected["BadTriple"]
 
     def test_redraw_after_evaluation(self, monkeypatch):
         # the body's denominators reject many evaluated draws, each drawn
         # again in a later round from where its cursor stopped
         import faylab.identities as ids
         monkeypatch.setattr(ids, "NEAR_DIVISOR", 0.5)
-        got, rejected, rounds, draws = self.records(monkeypatch)
-        assert rounds >= 3 and draws > 12 and got["completed"] == 12 and not rejected
+        got, rejected, sizes, _ = self.records(monkeypatch)
+        assert len(sizes) >= 3 and sum(sizes) > 12 and got["completed"] == 12 and not rejected
 
     def test_trial_out_of_attempts(self, monkeypatch):
         # 2 min_gap between two of 4 points rejects most draws: a trial

@@ -25,6 +25,14 @@ def test_uniforms_are_the_generator_doubles(seed, width):
     assert got.shape == (len(ks), width) and got.tobytes() == want.tobytes()
 
 
+@pytest.mark.parametrize("width", [0, 1, 16])
+def test_no_streams(width):
+    # a table of no trials (a report whose environment failed to build)
+    # reads as (0, n) arrays
+    assert uniforms(42, "x", [], width).shape == (0, width)
+    assert Table(42, "x", range(0)).take(np.arange(0), 5).shape == (0, 5)
+
+
 @pytest.mark.parametrize("seed", [0, 42, 2**64 - 1])
 def test_table_reads_each_stream_in_order_past_its_width(seed):
     # cursors move on their own; reads of 1, 2, 7 and 40 doubles take the

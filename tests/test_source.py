@@ -231,15 +231,20 @@ def _generator_functions(tree):
     return found
 
 
+#: the draw samplers a body yields as (sampler, count) instead of calling
+SAMPLERS = {"sample_points", "sample_point", "sample_xi", "random_line_bundle",
+            "_distinct_points"}
+
+
 def _kernel_calls_in_generators(tree):
-    """(function, line, name) for every call of a BATCH_ENTRIES name, or of
-    theta_batch, that a generator function makes itself."""
+    """(function, line, name) for every call of a BATCH_ENTRIES name, of
+    theta_batch or of a sampler that a generator function makes itself."""
     hits = []
     for fn, own in _generator_functions(tree):
         for node in own:
             if isinstance(node, ast.Call):
                 name = getattr(node.func, "attr", getattr(node.func, "id", None))
-                if name in BATCH_ENTRIES | {"theta_batch"}:
+                if name in BATCH_ENTRIES | SAMPLERS | {"theta_batch"}:
                     hits.append((fn.name, node.lineno, name))
     return sorted(hits)
 
@@ -253,22 +258,30 @@ def test_kernel_calls_in_generators_detected():
                      "def sub(ctx):\n    x = yield from body(ctx, [])\n"
                      "    return CurveContext.theta_delta(ctx, x)\n"
                      "def outer(ctx):\n    def gen():\n        yield theta_form\n"
-                     "    return massey_m3_prime(ctx, 1, 2, 3), gen\n")
+                     "    return massey_m3_prime(ctx, 1, 2, 3), gen\n"
+                     "def drawn(ctx, take, rows):\n    pts = yield sample_points, 2\n"
+                     "    xi = ids.sample_xi(ctx, take, rows, 1)\n"
+                     "    pts, _ = _distinct_points(ctx, take, rows, 3)\n"
+                     "    yield CurveContext.aj, pts\n"
+                     "def helper(ctx, rng):\n    return sample_point(ctx, rng)\n")
     assert _kernel_calls_in_generators(tree) == [("body", 2, "aj"),
                                                  ("body", 4, "theta_batch"),
+                                                 ("drawn", 19, "sample_xi"),
+                                                 ("drawn", 20, "_distinct_points"),
                                                  ("sub", 12, "theta_delta")]
 
 
 def test_no_kernel_calls_in_identity_bodies():
-    # an identity body yields its kernel requests, which _drive makes in one
-    # call per report; a body calling a kernel would make one per trial
+    # an identity body yields its draw and kernel requests, which _drive
+    # makes in one call per round; a body calling a sampler or a kernel
+    # would make one per trial
     hits = []
     for name, bodies in (("identities.py", 15), ("quartic.py", 5)):
         tree = ast.parse((SRC / name).read_text())
         assert len(_generator_functions(tree)) >= bodies, name
         hits += [f"{name}:{line} {fn}: {kernel}"
                  for fn, line, kernel in _kernel_calls_in_generators(tree)]
-    assert hits == [], "kernel called in a generator body: " + ", ".join(hits)
+    assert hits == [], "sampler or kernel called in a generator body: " + ", ".join(hits)
 
 
 def _defaults(tree):
@@ -340,7 +353,6 @@ def test_unset_options_detected():
 #: sets it
 TEST_HOOKS = {
     "main.argv": "test_cli.py::run_cli",
-    "theta.char": "test_theta.py::test_g1_char_series_match",
 }
 
 
