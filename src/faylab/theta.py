@@ -7,18 +7,33 @@ Evaluates
 
 by a truncated lattice sum over an ellipsoid chosen from one certified
 Gaussian tail bound, the splitting bound of `_tail_bound`; one bound is
-enough because a lattice-cell integral bound is tighter only below the
-crossover at Im(Omega) of about 0.1.  Arguments are reduced modulo the
-period lattice Z^g + Omega Z^g before summation: `_reduce_arguments`
-returns the log of the exact exponential prefactor of the reduction, and
-`theta_batch` sums the series at the reduced argument and multiplies by
-exp of that log, so unreduced Abel-Jacobi vectors never overflow the
-series itself.
+enough, as a lattice-cell integral bound gives a smaller radius only once
+Im(Omega) falls below about 0.1 (5.25 against 6.25 at tau = 1e-4 i, tol
+1e-10).  Arguments are reduced modulo the period lattice Z^g + Omega Z^g
+before summation: `_reduce_arguments` returns the log of the exact
+exponential prefactor of the reduction, and `theta_batch` sums the series
+at the reduced argument and multiplies by exp of that log, so unreduced
+Abel-Jacobi vectors never overflow the series itself.
+
+Each term is a product of per-axis factors (Deconinck, Heil, Bobenko, van
+Hoeij & Schmies, "Computing Riemann theta functions", Math. Comp. 73, 2004):
+E(n) = exp(pi i (n+a)' Omega (n+a)) is cached per lattice and a block of rows
+takes W_k[j] = exp(2 pi i (j + a_k)(z_k + b_k)) over each axis's span of j,
+so the term at n is E(n) W_1[n_1] ... W_g[n_g].  As |Im z_k| <= (1/2) sum_i
+|Im Omega_ki| for a reduced z, log|W_k[j]| <= 2 pi max_j |j + a_k| (1/2)
+sum_i |Im Omega_ki|, far below the 709 at which a double overflows.
+Rounding, to first order in eps = 2^-53: with Q_n = pi sum_ij |n_i + a_i|
+|Omega_ij| |n_j + a_j| and L_n = 2 pi sum_k |n_k + a_k| |z_k + b_k|, a term
+t_n (g + 1 exps of rounded arguments, g products) is within 2(g + 2) eps
+(1 + Q_n + L_n) |t_n| and a sum of N terms within eps sum_n (2(g + 2)(1 +
+Q_n + L_n) + N + 2) |t_n|, the gradient's k-th entry with |t_n| weighted by
+2 pi |n_k + a_k|; the direct exp(quadratic + linear) sum obeys this bound too.
 """
 
 from __future__ import annotations
 
 import math
+from collections import namedtuple
 from dataclasses import dataclass
 from itertools import product
 
@@ -40,12 +55,15 @@ class ToleranceUnachievable(ThetaError):
 #: default cap on the number of lattice terms a single evaluation may use
 MAX_LATTICE_TERMS = 10**8
 
-#: most rows x lattice terms theta_batch sums at once (256 KB per complex
-#: array), so that a whole report's batch does not raise the peak memory
+#: most terms x rows theta_batch holds at once over its two complex buffers
+#: (128 KB each), so that a whole report's batch does not raise peak memory
 THETA_BLOCK = 2**14
 
 TWO_PI_I = 2j * math.pi
 PI_I = 1j * math.pi
+
+#: a cached lattice: n + a, E(n), each axis's index of n_k and span of j + a_k
+_Lattice = namedtuple("_Lattice", "na E index spans")
 
 
 class RiemannMatrix:
@@ -116,12 +134,8 @@ class ThetaChar:
 
 def theta_chars(g):
     """All 4^g half-integer characteristics, in lexicographic order."""
-    vals = (0.0, 0.5)
-    out = []
-    for a in product(vals, repeat=g):
-        for b in product(vals, repeat=g):
-            out.append(ThetaChar(a, b))
-    return out
+    vals = list(product((0.0, 0.5), repeat=g))
+    return [ThetaChar(a, b) for a in vals for b in vals]
 
 
 def odd_theta_chars(g):
@@ -138,16 +152,12 @@ def _tail_bound(rm: RiemannMatrix, R, gradient, center_offset):
            <= sup_{r >= R} [f(r) e^{-r^2/2}] * e^{-R^2/4}
               * prod_axes sum_n e^{-sigma^2 (n+c)^2 / 4}
 
-    where each axis sum is bounded by 2 + 2 sqrt(4 pi) / sigma.  A
-    cell-sum integral bound would give a smaller radius only once Im(Omega)
-    falls below about 0.1 (5.25 against 6.25 at tau = 1e-4 i, tol 1e-10);
-    on every registry curve this bound gives the smaller one.
+    where each axis sum is bounded by 2 + 2 sqrt(4 pi) / sigma.
     """
-    g = rm.g
     sigma = 1.0 / rm._Sinv_norm
-    axis = 2.0 + 2.0 * math.sqrt(4.0 * math.pi) / sigma
+    axis = (2.0 + 2.0 * math.sqrt(4.0 * math.pi) / sigma)**rm.g
     if not gradient:
-        return math.exp(-0.5 * R * R) * math.exp(-0.25 * R * R) * axis**g
+        return math.exp(-0.5 * R * R) * math.exp(-0.25 * R * R) * axis
     alpha = 2.0 * math.pi * rm._Sinv_norm
     beta = 2.0 * math.pi * center_offset
     # sup over r >= R of (alpha r + beta) exp(-r^2/2)
@@ -155,7 +165,7 @@ def _tail_bound(rm: RiemannMatrix, R, gradient, center_offset):
     r_star = 0.5 * (-q + math.sqrt(q * q + 4.0))
     r_sup = max(R, r_star)
     sup = (alpha * r_sup + beta) * math.exp(-0.5 * r_sup * r_sup)
-    return sup * math.exp(-0.25 * R * R) * axis**g
+    return sup * math.exp(-0.25 * R * R) * axis
 
 
 def _term_estimate(rm: RiemannMatrix, R):
@@ -189,17 +199,15 @@ def _ellipsoid_points(rm: RiemannMatrix, center, R):
     lows = np.ceil(-center - ext).astype(int)
     highs = np.floor(-center + ext).astype(int)
     axes = [np.arange(lo, hi + 1) for lo, hi in zip(lows, highs)]
-    grids = np.meshgrid(*axes, indexing="ij")
-    pts = np.stack([a.ravel() for a in grids], axis=-1).astype(float)
+    pts = np.stack([x.ravel() for x in np.meshgrid(*axes, indexing="ij")], -1).astype(float)
     w = (pts + center) @ rm._S.T
     keep = np.einsum("ij,ij->i", w, w) <= R * R
     return pts[keep]
 
 
 def _reduce_arguments(Z, rm: RiemannMatrix, char: ThetaChar):
-    """Reduce each row of Z modulo the lattice; return (Zr, log prefactors)."""
-    a = np.array(char.a)
-    b = np.array(char.b)
+    """Reduce each row of Z modulo the lattice; return (Zr, m0, log prefactors)."""
+    a, b = np.array(char.a), np.array(char.b)
     m0 = np.round(Z.imag @ rm.imag_inv.T)
     Z1 = Z - m0 @ rm.omega.T
     n0 = np.round(Z1.real)
@@ -224,11 +232,9 @@ def theta_batch(Z, rm: RiemannMatrix, char: ThetaChar = None, tol=1e-10,
         raise ValueError("argument dimension does not match genus")
     if char is None:
         char = ThetaChar.zero(rm.g)
-    a = np.array(char.a)
-    b = np.array(char.b)
+    a, b = np.array(char.a), np.array(char.b)
     Zr, m0, lp = _reduce_arguments(Z, rm, char)
-    centers = a + Zr.imag @ rm.imag_inv.T
-    c_off = float(np.max(np.linalg.norm(centers - a, axis=1))) if len(centers) else 0.0
+    c_off = float(np.max(np.linalg.norm(Zr.imag @ rm.imag_inv.T, axis=1), initial=0.0))
     # without a gradient the tail bound does not depend on the offset
     r_key = (tol, gradient, c_off if gradient else 0.0)
     if r_key not in rm._radius_cache:
@@ -243,26 +249,33 @@ def theta_batch(Z, rm: RiemannMatrix, char: ThetaChar = None, tol=1e-10,
     key = (char.a, R_cache)
     if key not in rm._lattice_cache:
         pts = _ellipsoid_points(rm, a, R_cache)
-        na = pts + a
-        e_quad = PI_I * np.einsum("ij,ij->i", na @ rm.omega, na)
-        rm._lattice_cache[key] = (na, e_quad)
-    na, e_quad = rm._lattice_cache[key]
-    # rows in blocks of at most THETA_BLOCK rows x terms, a lone last row
-    # joined to the block before: a one-row sum takes another numpy loop
-    bounds = list(range(0, len(Z), max(2, THETA_BLOCK // len(na)))) + [len(Z)]
-    if len(bounds) > 2 and bounds[-1] - bounds[-2] == 1:
-        del bounds[-2]
+        na, low = pts + a, pts.min(axis=0)
+        E = np.exp(PI_I * np.einsum("ij,ij->i", na @ rm.omega, na))
+        spans = [np.arange(lo, hi + 1) + ak for lo, hi, ak in zip(low, pts.max(axis=0), a)]
+        rm._lattice_cache[key] = _Lattice(na, E, (pts - low).T.astype(np.intp), spans)
+    lat = rm._lattice_cache[key]
+    N = len(lat.E)
+    # rows in blocks of THETA_BLOCK / 2 terms x rows, a lone last row joined
+    # to the block before: a one-row sum takes another numpy loop
+    step = max(2, THETA_BLOCK // (2 * N))
+    bounds = list(range(0, max(len(Z) - 1, 1), step)) + [len(Z)]
+    buf = np.empty((2, N * min(len(Z), step + 1)), dtype=complex)
     vals_red = np.empty(len(Z), dtype=complex)
     grads_red = np.empty((len(Z), rm.g), dtype=complex) if gradient else None
     for s, u in zip(bounds[:-1], bounds[1:]):
-        # one (terms, rows) buffer: exp(e_quad + 2 pi i n.(z + b)) in place
-        terms = na @ (Zr[s:u] + b).T
-        np.exp(np.add(e_quad[:, None], np.multiply(TWO_PI_I, terms, out=terms),
-                      out=terms), out=terms)
+        # term (n, row) = E(n) prod_k W_k[n_k, row], W_k from each axis's span;
+        # the indices lie in their spans, and mode="clip" keeps take unbuffered
+        terms, factor = buf[:, :N * (u - s)].reshape(2, N, u - s)
+        for k, (span, idx, zk) in enumerate(zip(lat.spans, lat.index, (Zr[s:u] + b).T)):
+            w = np.multiply.outer(span, zk)
+            np.exp(np.multiply(TWO_PI_I, w, out=w), out=w)
+            w.take(idx, axis=0, out=factor if k else terms, mode="clip")
+            if k:
+                terms *= factor
+        terms *= lat.E[:, None]
         vals_red[s:u] = terms.sum(axis=0)
         if gradient:
-            grads_red[s:u] = TWO_PI_I * np.einsum("nm,ng->mg", terms, na)
-        del terms           # before the next block's buffer is made
+            grads_red[s:u] = TWO_PI_I * np.einsum("nm,ng->mg", terms, lat.na)
     pref = np.exp(lp)
     # d/dz of the prefactor contributes -2 pi i m0 times the value
     grads = (pref[:, None] * (grads_red - TWO_PI_I * m0 * vals_red[:, None])

@@ -1,4 +1,5 @@
 import importlib
+from itertools import product
 
 import numpy as np
 import pytest
@@ -194,17 +195,23 @@ def test_parity_property(seed):
     assert abs(tm - sign * tp) < 1e-10 * max(abs(tp), 1e-3)
 
 
-def box_sum(rm, char, z, R):
-    """theta[char](z) summed term by term over every n in the bounding box
-    of the truncation ellipsoid of radius R about the series' centre."""
+def box_terms(rm, char, Z, R):
+    """The points n + a and the terms of theta[char] at each row of Z, as
+    an (M, rows) array, over every n in a box holding each row's truncation
+    ellipsoid of radius R about the series' centre."""
     a, b = np.array(char.a), np.array(char.b)
-    centre = a + rm.imag_inv @ z.imag
+    centres = a + Z.imag @ rm.imag_inv.T
     ext = R * np.sqrt(np.diag(np.linalg.inv(np.pi * rm.imag)))
-    axes = [np.arange(np.floor(-c - e), np.ceil(-c + e) + 1)
-            for c, e in zip(centre, ext)]
+    axes = [np.arange(np.floor(-c.max() - e), np.ceil(-c.min() + e) + 1)
+            for c, e in zip(centres.T, ext)]
     na = np.stack([x.ravel() for x in np.meshgrid(*axes, indexing="ij")], -1) + a
     quad = np.einsum("ij,ij->i", na @ rm.omega, na)
-    return np.exp(1j * np.pi * quad + 2j * np.pi * (na @ (z + b))).sum()
+    return na, np.exp(1j * np.pi * quad[:, None] + 2j * np.pi * (na @ (Z + b).T))
+
+
+def box_sum(rm, char, z, R):
+    """theta[char](z) summed term by term over the box of box_terms."""
+    return box_terms(rm, char, z[None, :], R)[1].sum()
 
 
 cell = st.floats(min_value=-0.49, max_value=0.49)
@@ -273,7 +280,7 @@ def test_radius_memo_matches_fresh_matrix():
 
 
 def test_lattice_shared_across_b():
-    # the lattice points and their quadratic exponent depend on a and the
+    # the lattice points and their factors E(n) depend on a and the
     # radius only: two odd characteristics with one a hold one lattice, and
     # the second one's values are those of a fresh matrix
     c1, c2 = [c for c in odd_theta_chars(3) if c.a == (0.0, 0.0, 0.5)][:2]
@@ -286,17 +293,92 @@ def test_lattice_shared_across_b():
 
 
 def test_blocks_equal_calls_of_two_or_three_rows():
-    # at genus 3 a block holds THETA_BLOCK // terms rows; a call of two
-    # blocks and one row more sums the lone row with the block before it,
-    # and every row has the bits it has in calls of two or three rows
+    # at genus 3 a block holds THETA_BLOCK // (2 terms) rows, its terms and
+    # one axis's factors; a call of two blocks and one row more sums the lone
+    # row with the block before it, and every row, value and gradient, has
+    # the bits it has in calls of two or three rows.  Every row's reduced
+    # centre lies 0.45 sqrt(3) from the characteristic, so the gradient calls
+    # too share one radius and lattice.
     rng = np.random.default_rng(31)
-    rm, char = RiemannMatrix(RM3.omega), odd_theta_chars(3)[0]
-    theta_batch(np.zeros((2, 3)), rm, char)
-    (na, _), = rm._lattice_cache.values()
-    n = 2 * (THETA_BLOCK // len(na)) + 1
-    Z = rng.uniform(-1, 1, (n, 3)) + rng.uniform(-1, 1, (n, 3)) @ rm.omega.T
-    whole = theta_batch(Z, rm, char)[0]
-    cuts = list(range(0, n - 3, 3)) + [n]
-    parts = np.concatenate([theta_batch(Z[a:b], rm, char)[0]
-                            for a, b in zip(cuts[:-1], cuts[1:])])
-    assert whole.tobytes() == parts.tobytes()
+    char = odd_theta_chars(3)[0]
+    beta = 0.45 * rng.choice([-1.0, 1.0], (200, 3))
+    pool = rng.uniform(-1, 1, (200, 3)) + beta @ RM3.omega.T
+    for grad in (False, True):
+        rm = RiemannMatrix(RM3.omega)
+        theta_batch(pool[:2], rm, char, gradient=grad)
+        lattice, = rm._lattice_cache.values()
+        n = 2 * (THETA_BLOCK // (2 * len(lattice.na))) + 1
+        assert 5 < n <= len(pool)
+        Z = pool[:n]
+        whole = theta_batch(Z, rm, char, gradient=grad)
+        cuts = list(range(0, n - 3, 3)) + [n]
+        calls = [theta_batch(Z[a:b], rm, char, gradient=grad)
+                 for a, b in zip(cuts[:-1], cuts[1:])]
+        assert len(rm._lattice_cache) == 1
+        for k, part in enumerate(zip(*calls)):
+            if part[0] is not None:
+                assert whole[k].tobytes() == np.concatenate(part).tobytes()
+
+
+# the corners alpha + Omega beta of the fundamental cell, beta in
+# {-0.49, 0.49}^g and alpha = +-(0.49, ..., 0.49): the rows whose series
+# centres lie farthest from the characteristic's, with the largest |Im z_k|
+CORNERS = {g: np.array([(s * np.full(g, 0.49), beta) for s in (-1, 1)
+                        for beta in product((-0.49, 0.49), repeat=g)]) for g in RMS}
+
+
+def rounding_bound(rm, char, na, Z):
+    """The module docstring's first-order rounding bound on the sums over
+    the points na at the rows of Z: (rows,) for the values, (rows, g) for
+    the gradients."""
+    g, zb = rm.g, Z + np.array(char.b)
+    quad = np.einsum("ni,ij,nj->n", na, rm.omega, na)
+    Q = np.pi * np.einsum("ni,ij,nj->n", abs(na), abs(rm.omega), abs(na))
+    L = 2 * np.pi * abs(na) @ abs(zb).T
+    t = abs(np.exp(1j * np.pi * quad[:, None] + 2j * np.pi * (na @ zb.T)))
+    w = np.finfo(float).eps / 2 * (2 * (g + 2) * (1 + Q[:, None] + L) + len(na) + 2) * t
+    return w.sum(axis=0), 2 * np.pi * w.T @ abs(na)
+
+
+@pytest.mark.parametrize("g", [1, 2, 3])
+def test_product_form_matches_direct_sum(g):
+    # every characteristic's per-axis product sum, values and gradients, at
+    # the cell's corners on a matrix with Re(Omega) != 0 (g >= 2), against
+    # the direct exponential sum (box_terms, its gradient weighting each
+    # term by 2 pi i (n + a)) within the tail bound and both sums' rounding
+    # bounds
+    rm0 = RMS[g]
+    Z = CORNERS[g][:, 0] + CORNERS[g][:, 1] @ rm0.omega.T
+    # the reduced arguments: beta in the cell, alpha moved by whole periods
+    Zr = Z - np.round(Z.real)
+    scale = np.exp(np.pi * np.einsum("ri,ij,rj->r", Z.imag, rm0.imag_inv, Z.imag))
+    for char in theta_chars(g):
+        calls = []
+        for grad in (False, True):
+            rm = RiemannMatrix(rm0.omega)
+            vals, grads = theta_batch(Z, rm, char, tol=1e-12, gradient=grad)
+            # the call's one radius and lattice
+            ((_, _, c_off), R), = rm._radius_cache.items()
+            lattice, = rm._lattice_cache.values()
+            calls.append((vals, grads, R, c_off, rounding_bound(rm, char, lattice.na, Zr)))
+        na, terms = box_terms(rm0, char, Z, max(call[2] for call in calls) + 3)
+        direct = terms.sum(axis=0), 2j * np.pi * np.einsum("nm,ng->mg", terms, na)
+        r_direct = rounding_bound(rm0, char, na, Z)
+        for vals, grads, R, c_off, r_sum in calls:
+            bound = _tail_bound(rm0, R, False, 0.0) * scale + r_sum[0] + r_direct[0]
+            assert (abs(vals - direct[0]) <= bound).all(), char
+            if grads is not None:
+                bound = _tail_bound(rm0, R, True, c_off) * scale
+                bound = bound[:, None] + r_sum[1] + r_direct[1]
+                assert (abs(grads - direct[1]) <= bound).all(), char
+
+
+def test_g3_real_has_one_vanishing_even_constant(ctx_g3):
+    # a genus-3 curve is hyperelliptic exactly when one of its 36 even theta
+    # constants vanishes; each of them sums a lattice shifted by its a
+    even = [c for c in theta_chars(3) if c.parity == 0]
+    assert len(even) == 36
+    consts = np.array([abs(theta_batch(np.zeros((1, 3)), ctx_g3.rm, c, tol=1e-14)[0][0])
+                       for c in even])
+    assert (consts < 1e-12).sum() == 1
+    assert np.sort(consts)[1] > 1e-2
