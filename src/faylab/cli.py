@@ -112,8 +112,7 @@ def _cmd_quasidet_selftest(args):
         A = random_quasimatrix(rng, n, k)
         r1 = check_sylvester(A, max(1, n - 2))
         r2 = check_column_expansion(A)
-        idx = rng.permutation(n)
-        jdx = rng.permutation(n)
+        idx, jdx = rng.permutation(n), rng.permutation(n)
         r3 = check_homological(A, int(idx[0]), int(jdx[0]), int(idx[1]), int(jdx[1]))
         worst = max(r1, r2, r3)
         return worst, worst
@@ -162,15 +161,8 @@ def build_parser():
 
 def main(argv=None):
     args = build_parser().parse_args(argv)
-    if args.command == "list-curves":
-        return _cmd_list_curves(args)
-    if args.command == "periods":
-        return _cmd_periods(args)
-    if args.command == "verify":
-        return _cmd_verify(args)
-    if args.command == "quasidet-selftest":
-        return _cmd_quasidet_selftest(args)
-    return 2
+    return {"list-curves": _cmd_list_curves, "periods": _cmd_periods, "verify": _cmd_verify,
+            "quasidet-selftest": _cmd_quasidet_selftest}[args.command](args)
 
 
 if __name__ == "__main__":

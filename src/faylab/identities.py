@@ -1,6 +1,6 @@
 """Scalar identity checks: each identity evaluated as a residual over
-randomized inputs on registry curves, with deterministic per-trial
-random streams and resampling of rejected draws.
+randomized inputs on registry curves, with deterministic per-trial random
+streams, resampling of rejected draws, and one body run per round of trials.
 
 All bundle parameters are carried as exact C^g vectors (never reduced
 mid-identity) so that every term of an identity uses one consistent set
@@ -57,9 +57,15 @@ _RETRY = (NearDivisor, CoincidentPoints, SingularMinor, BadTriple,
 _HARD = (KernelError, CurveError, SuiteError, QuarticError)
 
 
+def _abs(z):
+    """|z|, with the bits of Python's abs of each number (not np.abs's)."""
+    return np.hypot(z.real, z.imag)
+
+
 def _rel(total, blocks):
-    m = max(abs(b) for b in blocks)
-    return abs(total), abs(total) / m
+    """(|total|, |total| / its largest |block|) per trial of blocks (T, n)."""
+    a = _abs(total)
+    return a, a / _abs(blocks).max(axis=1)
 
 
 def _distinct_points(ctx, take, rows, count):
@@ -78,66 +84,74 @@ def _theta(ctx, Z):
     return theta_batch(Z, ctx.rm, tol=ctx.tol)[0]
 
 
+def _qdet(ctx, ent):
+    """|A|_00 of each quasimatrix A of the stack ent (N, n, n, k, k)."""
+    return QuasiMatrix(ent).qdet(0, 0)
+
+
 # ---------------------------------------------------------------------------
 # theta-kernel identities
 #
 # Each identity (here, in faylab.quartic, or a carrier check) is a generator
-# body(env, *rng, **params).  A hyperelliptic body yields its draw requests
-# (sampler, count) and is sent its arrays; the others take a Generator, make
-# one trial's random choices and reject bad ones.  A body yields each kernel
-# request (kernel, *args), is sent the kernel's rows for its own args and
-# returns the trial's (abs, rel).  The bodies never call a sampler or a
-# kernel: _drive makes each request in one call for all the trials of a
-# round, so a trial's residual does not depend on the trials run with it.
+# body(env, *rng, **params).  A hyperelliptic body runs once over T trials:
+# it yields draws (sampler, count), sent (T, count, ...) arrays, kernel
+# requests (kernel, *args) of (T, m, ...) args, sent (T, m, ...) rows, and
+# refusals {trial: exception} of trials it rejects, and returns (abs, rel)
+# as two (T,) arrays.  Its arithmetic keeps each trial's bits at any T:
+# elementwise operations, sums and products over other axes with the trial
+# axis outermost in memory, stacked solves, and _abs.  The quartic and
+# carrier bodies take one trial's Generator and run in _lockstep.  No body
+# calls a sampler or a kernel: _drive makes each request in one call a round.
 
 
 def _mainid(X, Y, Z, T, xi):
     """The residual of eq. (mainid), the three-block sum of F-products,
-    over the AJ vectors of x, y, z_i, t_i (Z and T of shape (n, g)) and xi,
-    from one fay_F request: F(z_i - z_j, z_j - t_j) for i != j; for each i
-    F(z_i - x, xi), F(y - z_i, S + xi), F(x - z_i, z_i - t_i) and
+    over the AJ vectors of x, y, z_i, t_i (Z and T of shape (trials, n, g))
+    and xi, from one fay_F request: F(z_i - z_j, z_j - t_j) for i != j; for
+    each i F(z_i - x, xi), F(y - z_i, S + xi), F(x - z_i, z_i - t_i) and
     F(y - z_i, z_i - t_i); then F(y - x, S + xi) and F(y - x, xi)."""
-    n = len(Z)
+    n = Z.shape[1]
     i, j = np.nonzero(~np.eye(n, dtype=bool))
     D = Z - T
-    S = D.sum(axis=0)
-    xis = np.broadcast_to(xi, Z.shape)
-    F = yield (fay_F, np.concatenate([Z[i] - Z[j], Z - X, Y - Z, X - Z, Y - Z, [Y - X] * 2]),
-               np.concatenate([D[j], xis, S + xis, D, D, [S + xi, xi]]))
-    Fzz = np.ones((n, n), dtype=complex)
-    Fzz[i, j] = F[:len(i)]
-    a, b, c, e = F[len(i):-2].reshape(4, n)
-    blocks = list(Fzz.prod(axis=1) * (a * b))
-    blocks.append(c.prod() * F[-2])
-    blocks.append(-(e.prod() * F[-1]))
-    return _rel(sum(blocks), blocks)
+    S = D.sum(axis=1)
+    X, Y, xis = X[:, None], Y[:, None], np.broadcast_to(xi[:, None], Z.shape)
+    F = yield (fay_F, np.concatenate([Z[:, i] - Z[:, j], Z - X, Y - Z, X - Z, Y - Z,
+                                      Y - X, Y - X], axis=1),
+               np.concatenate([D[:, j], xis, S[:, None] + xis, D, D,
+                               (S + xi)[:, None], xi[:, None]], axis=1))
+    Fzz = np.ones((len(Z), n, n), dtype=complex)
+    Fzz[:, i, j] = F[:, :len(i)]
+    a, b, c, e = F[:, len(i):-2].reshape(len(Z), 4, n).transpose(1, 0, 2)
+    blocks = np.concatenate([Fzz.prod(axis=2) * (a * b), (c.prod(axis=1) * F[:, -2])[:, None],
+                             -(e.prod(axis=1) * F[:, -1])[:, None]], axis=1)
+    return _rel(blocks.sum(axis=1), blocks)
 
 
 def trisecant_general(ctx, n):
     """Eq. (mainid): the three-block sum of F-products over x, y, z_i, t_i
     (2 + 2n points) and a free Jacobian point xi."""
     pts = yield _distinct_points, 2 + 2 * n
-    xi, = yield sample_xi, 1
+    xi = yield sample_xi, 1
     V = yield CurveContext.aj, pts
-    return (yield from _mainid(V[0], V[1], V[2:2 + n], V[2 + n:], xi))
+    return (yield from _mainid(V[:, 0], V[:, 1], V[:, 2:2 + n], V[:, 2 + n:], xi[:, 0]))
 
 
 def trisecant_classical(ctx):
     """The two-fraction n=1 form of the trisecant identity over x, y, z, t
     and xi."""
     pts = yield _distinct_points, 4
-    xi, = yield sample_xi, 1
-    X, Y, Z, T = yield CurveContext.aj, pts
-    (xt, yz, xz, yt, t_xi, t_long, zt, yx, zx, t_zx, t_yt, r1, r2) = yield (
-        CurveContext.theta_delta, [X - T, Y - Z, X - Z, Y - T, xi, xi + Y - X + Z - T,
-                                   Z - T, Y - X, Z - X, xi + Z - X, xi + Y - T,
-                                   xi + Z - T, xi + Y - X])
-    if min(abs(xz), abs(yt), abs(zx)) < NEAR_DIVISOR * ctx.scale:
-        raise NearDivisor("trisecant denominator too small")
+    xi = (yield sample_xi, 1)[:, 0]
+    X, Y, Z, T = (yield CurveContext.aj, pts).transpose(1, 0, 2)
+    (xt, yz, xz, yt, t_xi, t_long, zt, yx, zx, t_zx, t_yt, r1, r2) = (yield (
+        CurveContext.theta_delta, np.stack([X - T, Y - Z, X - Z, Y - T, xi, xi + Y - X + Z - T,
+                                            Z - T, Y - X, Z - X, xi + Z - X, xi + Y - T,
+                                            xi + Z - T, xi + Y - X], axis=1))).T
+    near = np.minimum(np.minimum(_abs(xz), _abs(yt)), _abs(zx)) < NEAR_DIVISOR * ctx.scale
+    yield {i: NearDivisor("trisecant denominator too small") for i in np.flatnonzero(near)}
     L1 = (xt * yz / (xz * yt)) * t_xi * t_long
     L2 = (zt * yx / (zx * yt)) * t_zx * t_yt
     R = r1 * r2
-    return _rel(L1 + L2 - R, [L1, L2, R] if abs(R) > 0 else [L1, L2, 1.0])
+    return _rel(L1 + L2 - R, np.stack([L1, L2, np.where(_abs(R) > 0, R, 1.0)], axis=1))
 
 
 def divisor_symmetric(ctx, n):
@@ -146,34 +160,39 @@ def divisor_symmetric(ctx, n):
     xi = z_0 - t_0."""
     pts = yield _distinct_points, 2 * n + 3
     V = yield CurveContext.aj, pts
-    return (yield from _mainid(V[1], V[0], V[2:n + 2], V[n + 3:], V[1] - V[n + 2]))
+    return (yield from _mainid(V[:, 1], V[:, 0], V[:, 2:n + 2], V[:, n + 3:],
+                               V[:, 1] - V[:, n + 2]))
 
 
 def prime_form_identity(ctx, n):
     """The three-block E/theta identity for an arbitrary degree-1 theta,
     realized with a random translate e of the plain theta, e off the theta
     divisor, over x, y, z_i, t_i (2 + 2n points)."""
-    e, = yield random_line_bundle, 1
+    e = yield random_line_bundle, 1
     pts = yield _distinct_points, 2 + 2 * n
     V = yield CurveContext.aj, pts
-    X, Y, Z, T = V[0], V[1], V[2:2 + n], V[2 + n:]
-    S = (Z - T).sum(axis=0)
-    v = yield _theta, np.concatenate([Z - X + e, Y - Z + S + e,
-                                      [Y - X + e, S + e, Y - X + S + e, e]])
-    if abs(v[-1]) <= 1e-4 * ctx.scale:
-        raise NearDivisor("line bundle near the theta divisor")
-    # E[a, b] = E(pts[a], pts[b]), 1 on the diagonal, with the point
+    X, Y, Z, T = V[:, :1], V[:, 1:2], V[:, 2:2 + n], V[:, 2 + n:]
+    S = (Z - T).sum(axis=1, keepdims=True)
+    v = yield _theta, np.concatenate([Z - X + e, Y - Z + S + e, Y - X + e, S + e,
+                                      Y - X + S + e, e], axis=1)
+    near = _abs(v[:, -1]) <= 1e-4 * ctx.scale
+    yield {i: NearDivisor("line bundle near the theta divisor") for i in np.flatnonzero(near)}
+    # E[:, a, b] = E(pts[a], pts[b]), 1 on the diagonal, with the point
     # indices x = 0, y = 1, z_i = 2 + i, t_i = 2 + n + i
-    a, b = np.nonzero(~np.eye(len(pts), dtype=bool))
-    E = np.ones((len(pts), len(pts)), dtype=complex)
-    E[a, b] = yield prime_form, V[b] - V[a], pts[a], pts[b]
+    a, b = np.nonzero(~np.eye(pts.shape[1], dtype=bool))
+    E = np.ones((len(V), pts.shape[1], pts.shape[1]), dtype=complex)
+    E[:, a, b] = yield prime_form, V[:, b] - V[:, a], pts[:, a], pts[:, b]
     z = 2 + np.arange(n)
-    t = z + n
-    blocks = list(E[np.ix_(t, z)].prod(axis=0) / E[np.ix_(z, z)].prod(axis=0)
-                  * E[0, 1] / (E[0, z] * E[1, z]) * v[:n] * v[n:2 * n])
-    blocks.append((E[t, 1] / E[z, 1]).prod() * v[2 * n] * v[2 * n + 1])
-    blocks.append(-(E[t, 0] / E[z, 0]).prod() * v[2 * n + 2] * v[2 * n + 3])
-    return _rel(sum(blocks), blocks)
+    # the rows t_i and z_i, C-contiguous (an index array would lay the
+    # trial axis innermost, and a product over i would then depend on T)
+    Et, Ez = E.take(z + n, axis=1), E.take(z, axis=1)
+    blocks = np.concatenate([
+        Et.take(z, axis=2).prod(axis=1) / Ez.take(z, axis=2).prod(axis=1) * E[:, :1, 1]
+        / (E[:, 0, z] * E[:, 1, z]) * v[:, :n] * v[:, n:2 * n],
+        ((Et[:, :, 1] / Ez[:, :, 1]).prod(axis=1) * v[:, 2 * n] * v[:, 2 * n + 1])[:, None],
+        -((Et[:, :, 0] / Ez[:, :, 0]).prod(axis=1) * v[:, 2 * n + 2] * v[:, 2 * n + 3])[:, None]],
+        axis=1)
+    return _rel(blocks.sum(axis=1), blocks)
 
 
 def residue_identity(ctx, n):
@@ -192,15 +211,15 @@ def residue_identity(ctx, n):
             f"n(g-1) = 2g-2 forces n = 2 otherwise), not n = {n} at genus {ctx.g}")
     xs = yield _distinct_points, n
     xis = yield sample_xi, n - 1
-    xis = np.concatenate([xis, [-sum(xis)]])
+    xis = np.concatenate([xis, -xis.sum(axis=1, keepdims=True)], axis=1)
     V = yield CurveContext.aj, xs
     i, j = np.nonzero(~np.eye(n, dtype=bool))
-    m = np.ones((n, n), dtype=complex)
-    m[i, j] = yield massey_m3_prime, xis[j], V[i] - V[j], xs[j], xs[i]
-    blocks = m.prod(axis=1)
+    m = np.ones((len(xs), n, n), dtype=complex)
+    m[:, i, j] = yield massey_m3_prime, xis[:, j], V[:, i] - V[:, j], xs[:, j], xs[:, i]
+    blocks = m.prod(axis=2)
     if n == 3:
         blocks = blocks / (yield h_values, xs)
-    return _rel(blocks.sum(), blocks)
+    return _rel(blocks.sum(axis=1), blocks)
 
 
 def maincor_kernel(ctx):
@@ -211,19 +230,20 @@ def maincor_kernel(ctx):
     if ctx.g != 1:
         raise SuiteError("kernel-form corollary check runs at genus 1")
     pts = yield _distinct_points, 4
-    xi, = yield sample_xi, 1
-    X, Y, Z, T = yield CurveContext.aj, pts
+    xi = (yield sample_xi, 1)[:, 0]
+    X, Y, Z, T = (yield CurveContext.aj, pts).transpose(1, 0, 2)
     # phi(p) = theta[delta](p - t) / theta[delta](p - z)
-    zt, xt, xz, yt, yz = yield CurveContext.theta_delta, [Z - T, X - T, X - Z, Y - T, Y - Z]
-    m_xz, m_yz, m_yx, m_xy = yield (massey_m3_prime,
-                                    np.array([xi, Z - T - xi, Z - T - xi, xi]),
-                                    np.array([Z - X, Z - Y, X - Y, Y - X]),
-                                    pts[[0, 1, 1, 0]], pts[[2, 2, 0, 1]])
-    h, = yield h_values, pts[2:3]
+    zt, xt, xz, yt, yz = (yield CurveContext.theta_delta,
+                          np.stack([Z - T, X - T, X - Z, Y - T, Y - Z], axis=1)).T
+    m_xz, m_yz, m_yx, m_xy = (yield (massey_m3_prime,
+                                     np.stack([xi, Z - T - xi, Z - T - xi, xi], axis=1),
+                                     np.stack([Z - X, Z - Y, X - Y, Y - X], axis=1),
+                                     pts[:, [0, 1, 1, 0]], pts[:, [2, 2, 0, 1]])).T
+    h = (yield h_values, pts[:, 2:3])[:, 0]
     t0 = zt / h**2 * m_xz * m_yz
     t1 = xt / xz * m_yx
     t2 = yt / yz * m_xy
-    return _rel(t0 + t1 + t2, [t0, t1, t2])
+    return _rel(t0 + t1 + t2, np.stack([t0, t1, t2], axis=1))
 
 
 def cross_formula(ctx):
@@ -231,14 +251,13 @@ def cross_formula(ctx):
     x, y, then the xi of a random bundle off the theta divisor."""
     pts = yield _distinct_points, 2
     es = yield random_line_bundle, 1
-    th, = yield _theta, es
-    if abs(th) <= 1e-4 * ctx.scale:
-        raise NearDivisor("line bundle near the theta divisor")
+    near = _abs((yield _theta, es)[:, 0]) <= 1e-4 * ctx.scale
+    yield {i: NearDivisor("line bundle near the theta divisor") for i in np.flatnonzero(near)}
     V = yield CurveContext.aj, pts
-    args = ctx.xi_of_bundle(es), V[1:] - V[:1], pts[:1], pts[1:]
-    m1, = yield (massey_m3_prime, *args)
-    m2, = yield (massey_m3_theta, *args)
-    return abs(m1 - m2), abs(m1 - m2) / abs(m1)
+    args = ctx.xi_of_bundle(es), V[:, 1:] - V[:, :1], pts[:, :1], pts[:, 1:]
+    m1 = (yield (massey_m3_prime, *args))[:, 0]
+    m2 = (yield (massey_m3_theta, *args))[:, 0]
+    return _abs(m1 - m2), _abs(m1 - m2) / _abs(m1)
 
 
 def idcor(ctx):
@@ -247,15 +266,16 @@ def idcor(ctx):
     E(x,y)/(E(z,y)E(x,z)) that turns the abstract bundle equality into
     numbers in the affine frames."""
     pts = yield _distinct_points, 3
-    xi, = yield sample_xi, 1
-    X, Y, Z = yield CurveContext.aj, pts
-    m_xz, m_xy, m_zy = yield (massey_m3_prime, np.array([xi, xi, xi + X - Z]),
-                              np.array([Z - X, Y - X, Y - Z]), pts[[0, 0, 2]], pts[[2, 1, 1]])
-    E_zy, E_xz, E_xy = yield (prime_form, np.array([Y - Z, Z - X, Y - X]),
-                              pts[[2, 0, 0]], pts[[1, 2, 1]])
+    xi = (yield sample_xi, 1)[:, 0]
+    X, Y, Z = (yield CurveContext.aj, pts).transpose(1, 0, 2)
+    m_xz, m_xy, m_zy = (yield (massey_m3_prime, np.stack([xi, xi, xi + X - Z], axis=1),
+                               np.stack([Z - X, Y - X, Y - Z], axis=1),
+                               pts[:, [0, 0, 2]], pts[:, [2, 1, 1]])).T
+    E_zy, E_xz, E_xy = (yield (prime_form, np.stack([Y - Z, Z - X, Y - X], axis=1),
+                               pts[:, [2, 0, 0]], pts[:, [1, 2, 1]])).T
     lhs = m_zy * E_zy * E_xz / E_xy
     rhs = m_xy / m_xz
-    return abs(lhs - rhs), abs(lhs - rhs) / abs(rhs)
+    return _abs(lhs - rhs), _abs(lhs - rhs) / _abs(rhs)
 
 
 def theta_derivative_divisor(ctx):
@@ -276,14 +296,14 @@ def theta_derivative_divisor(ctx):
     if ctx.g == 2:
         roots, dists = delta_divisor_root(ctx)
         # no root: the divisor sits at the branch point at infinity
-        zero_val = float(dists.max()) / ctx.curve.min_gap if len(roots) else 0.0
+        zero_val = np.full(len(vals), dists.max() / ctx.curve.min_gap if len(roots) else 0.0)
     else:
-        x, s = controls.T.copy()
-        ratios = vals * s * ctx.curve.y_principal(x)
-        zero_val = float(np.abs(ratios - ratios.mean()).max() / abs(ratios.mean()))
-    scale = float(np.median(np.abs(vals)))
-    if float(np.abs(vals).min()) / scale < 1e-3:
-        raise NearDivisor("control point accidentally near the divisor")
+        ratios = vals * controls[..., 1] * ctx.curve.y_principal(controls[..., 0])
+        mean = ratios.mean(axis=1)
+        zero_val = np.abs(ratios - mean[:, None]).max(axis=1) / _abs(mean)
+    scale = np.median(np.abs(vals), axis=1)
+    near = np.abs(vals).min(axis=1) / scale < 1e-3
+    yield {i: NearDivisor("control point near the divisor") for i in np.flatnonzero(near)}
     return zero_val * scale, zero_val
 
 
@@ -299,76 +319,103 @@ def quasidet_geometric(ctx, n, block):
     pts = yield _distinct_points, 2 * (n + 1)
     xi = yield sample_xi, block
     V = yield CurveContext.aj, pts
-    X, Y = V[1:n + 1], V[n + 2:]
-    # entries m3(xi_s, x_j, y_i) for every (s, i, j), then m3(xi_s + shift, x_0, y_0),
-    # with x_k point k and y_k point n + 1 + k; EF = prod_k E(x_0, x_k) E(y_0, y_k)
-    # / (E(x_0, y_k) E(y_0, x_k))
+    X, Y = V[:, 1:n + 1], V[:, n + 2:]
+    # m3(xi_s, x_j, y_i) for every (s, i, j), then m3(xi_s + shift, x_0, y_0), x_k point k and
+    # y_k point n + 1 + k; EF = prod_k E(x_0, x_k) E(y_0, y_k) / (E(x_0, y_k) E(y_0, x_k))
     s, i, j = np.indices((block, n + 1, n + 1)).reshape(3, -1)
     p, q = [*j] + [0] * block, [*(n + 1 + i)] + [n + 1] * block
-    m = yield (massey_m3_prime, np.concatenate([xi[s], xi + sum(X - Y)]),
-               V[q] - V[p], pts[p], pts[q])
+    m = yield (massey_m3_prime,
+               np.concatenate([xi[:, s], xi + (X - Y).sum(axis=1, keepdims=True)], axis=1),
+               V[:, q] - V[:, p], pts[:, p], pts[:, q])
     x, y = np.arange(1, n + 1), np.arange(n + 2, 2 * n + 2)
     a, b = np.repeat([0, n + 1] * 2, n), np.concatenate([x, y, y, x])
-    E_xx, E_yy, E_xy, E_yx = (yield prime_form, V[b] - V[a], pts[a], pts[b]).reshape(4, n)
-    ent = np.zeros((n + 1, n + 1, block, block), dtype=complex)
-    ent[i, j, s, s] = m[:len(s)]
-    lhs = QuasiMatrix(ent).qdet(0, 0)
-    rhs = np.diag(m[len(s):] * (E_xx * E_yy / (E_xy * E_yx)).prod())
-    num = float(np.abs(lhs - rhs).max())
-    return num, num / float(np.abs(rhs).max())
+    E_xx, E_yy, E_xy, E_yx = (yield prime_form, V[:, b] - V[:, a], pts[:, a],
+                              pts[:, b]).reshape(len(V), 4, n).transpose(1, 0, 2)
+    ent = np.zeros((len(V), 1, n + 1, n + 1, block, block), dtype=complex)
+    ent[:, 0, i, j, s, s] = m[:, :len(s)]
+    lhs = (yield _qdet, ent)[:, 0]
+    rhs = (m[:, len(s):] * (E_xx * E_yy / (E_xy * E_yx)).prod(axis=1)[:, None])[..., None]
+    rhs = rhs * np.eye(block)
+    num = np.abs(lhs - rhs).max(axis=(1, 2))
+    return num, num / np.abs(rhs).max(axis=(1, 2))
 
 
 def _runner(body, **params):
-    """The table's runner of a body: one trial (given its Generator, if the
-    body takes one) run up to its first request, as (generator, request).
-    The generator yields the body's result last, as the request (None,
-    (abs, rel))."""
+    """The runner of a body, which starts one trial for _drive: the body
+    bound to env and params, or, given a Generator, [generator, request],
+    the body run to its first request, its result last as (None, result)."""
     @functools.wraps(body)
     def runner(env, *rng):
+        if not rng:
+            return functools.partial(body, env, **params)
+
         def trial():
             yield None, (yield from body(env, *rng, **params))
-        gen = trial()
-        return gen, next(gen)
+        return [gen := trial(), next(gen)]
     return runner
 
 
-def _rows(env, kernel, parts):
-    """kernel's rows for each part (one body's request arguments) from one
-    call on all parts, each argument joined trial after trial along its
-    first axis.  If that raises a rejection or a hard failure, each half of
-    the parts is called again, down to the failing parts alone, which get
-    their exception."""
-    try:
-        rows = kernel(env, *[np.concatenate(col) for col in zip(*parts)])
-    except _RETRY + _HARD as ex:
-        h = len(parts) // 2
-        return _rows(env, kernel, parts[:h]) + _rows(env, kernel, parts[h:]) if h else [ex]
-    return np.split(rows, np.cumsum([len(part[0]) for part in parts])[:-1])
+def _rows(env, kernel, *args):
+    """kernel's (T, m, ...) answer to (T, m, ...) args, one call on T m rows."""
+    T, m = args[0].shape[:2]
+    rows = kernel(env, *[a.reshape(T * m, *a.shape[2:]) for a in args])
+    return rows.reshape(T, m, *rows.shape[1:])
 
 
-def _drive(env, started, take, rows):
-    """Runs the started bodies (each a runner's (generator, request)) to
-    their ends, rows[i] the stream of started[i].  The bodies make the same
-    requests, so each step is one call for the bodies still running: for a
-    draw request (sampler, count), count an int, one sampler call reading
-    the streams with take (see sample_points), else one _rows call.  Each
-    body is sent its array or has its exception raised at its request.
-    Returns, per body, (abs, rel) or the exception that stopped it."""
-    gens, requests = [gen for gen, _ in started], [request for _, request in started]
-    while live := [k for k, request in enumerate(requests) if request[0] is not None]:
-        fn, *args = requests[live[0]]
-        if isinstance(args[0], int):
-            values, errors = fn(env, take, rows[live], args[0])
-            answers = [errors.get(i, values[i]) for i in range(len(live))]
-        else:
-            answers = _rows(env, fn, [requests[k][1:] for k in live])
-        for k, answer in zip(live, answers):
+def _lockstep(trials):
+    """Per-trial bodies, each trial a [generator, request] kept current, as one
+    trial-axis body: requests stacked, each trial sent its row, refused if it raises."""
+    while (fn := trials[0][1][0]) is not None:
+        answer = yield (fn, *map(np.stack, zip(*[trial[1][1:] for trial in trials])))
+        refusals = {}
+        for i, trial in enumerate(trials):
             try:
-                requests[k] = (gens[k].throw(answer) if isinstance(answer, Exception)
-                               else gens[k].send(answer))
+                trial[1] = trial[0].send(answer[i])
             except _RETRY + _HARD as ex:
-                requests[k] = None, ex
-    return [result for _, result in requests]
+                refusals[i] = ex
+        yield refusals
+    return tuple(map(np.array, zip(*[trial[1][1] for trial in trials])))
+
+
+def _drive(env, started, draws, rows):
+    """Runs a round's started trials as one trial-axis body: the started body,
+    trial i drawing from row rows[i] of the Table draws, or, if draws is
+    None, _lockstep over per-trial bodies.  A draw (sampler, count) is one
+    sampler call, a kernel request one _rows call, a refusal {trial:
+    exception} its own answer.  Trials a draw or a refusal fails end there,
+    their cursors where they stopped; the body runs again over the others,
+    their cursors set back.  If a request or the body raises, it runs again
+    over each of its trials alone (cheaper than halving when several of 50
+    fail).  Returns per trial (abs, rel), with its bits alone, or its exception."""
+    outcomes, todo = [None] * len(started), [np.arange(len(started))] if started else []
+    start = None if draws is None else draws.at[rows].copy()
+    while todo:
+        live = todo.pop()
+        if draws is not None:
+            draws.at[rows[live]] = start[live]
+        body = _lockstep([started[k] for k in live]) if draws is None else started[live[0]]()
+        answer, ended = None, {}
+        try:
+            while not ended:
+                request = body.send(answer)
+                if isinstance(request, dict):
+                    answer, ended = None, request
+                elif isinstance(request[1], int):
+                    answer, ended = request[0](env, draws.take, rows[live], request[1])
+                else:
+                    answer = _rows(env, *request)
+        except StopIteration as stop:
+            ended = dict(enumerate(zip(*[np.asarray(r).tolist() for r in stop.value])))
+        except _RETRY + _HARD as ex:
+            if len(live) > 1:
+                todo += list(live[::-1, None])      # each trial alone, in order
+                continue
+            ended = {0: ex}
+        for i, outcome in ended.items():
+            outcomes[live[i]] = outcome
+        if len(ended) < len(live):
+            todo.append(np.delete(live, list(ended)))
+    return outcomes
 
 
 # ---------------------------------------------------------------------------
@@ -379,8 +426,7 @@ def quasidet_det_ratio_residual(env, rng):
     n = int(rng.integers(2, 6))
     A = random_quasimatrix(rng, n, 1)
     M = A.entries[:, :, 0, 0]
-    i = int(rng.integers(0, n))
-    j = int(rng.integers(0, n))
+    i, j = int(rng.integers(0, n)), int(rng.integers(0, n))
     minor = np.delete(np.delete(M, i, 0), j, 1)
     dm = np.linalg.det(minor)
     if abs(dm) < 1e-8:
@@ -411,10 +457,7 @@ def column_expansion_residual(env, rng):
 
 def homological_residual(env, rng):
     A = random_quasimatrix(rng, CARRIER_N, CARRIER_K)
-    idx = rng.permutation(CARRIER_N)
-    i, krow = int(idx[0]), int(idx[1])
-    idx = rng.permutation(CARRIER_N)
-    j, lcol = int(idx[0]), int(idx[1])
+    (i, krow), (j, lcol) = (map(int, rng.permutation(CARRIER_N)[:2]) for _ in range(2))
     r = check_homological(A, i, j, krow, lcol)
     return r, r
     yield
@@ -426,17 +469,11 @@ def homological_residual(env, rng):
 
 @dataclass
 class IdentitySpec:
-    """One identity and the (trials, tol) it runs at, per key.
-
-    `runner(env, *rng)` is _runner(body, **params), which starts one trial
-    for _drive; a hyperelliptic body draws by its requests, the others are
-    given the trial's Generator.
-    `kind` is a registry curve type ("hyperelliptic" or "plane_quartic"),
-    or "carrier" for checks that need no curve.  `table` maps a curve id
-    or a genus to (trials, tol); a curve takes the row of its id if there
-    is one, else the row of its genus, and carrier specs use the id "-".
-    A (spec, curve) pair runs only if the curve finds a row.
-    """
+    """One identity, its runner _runner(body, **params), its `kind` (a
+    registry curve type, or "carrier" for checks that need no curve), and
+    its `table` from a curve id or a genus to (trials, tol): a curve takes
+    the row of its id if there is one, else that of its genus; carrier
+    specs use the id "-"."""
     name: str
     kind: str
     runner: object
@@ -474,16 +511,12 @@ IDENTITIES = {name: IdentitySpec(name, kind, runner, table)
          {1: (100, 1e-9), 2: (50, 1e-8), 3: (50, 1e-8)}),
         ("quasidet_geometric_n2", _runner(quasidet_geometric, n=2, block=1),
          {1: (50, 1e-9), 2: (50, 1e-8), 3: (50, 1e-8)}),
-        ("quasidet_geometric_diag", _runner(quasidet_geometric, n=1, block=2),
-         {1: (50, 1e-9)}),
+        ("quasidet_geometric_diag", _runner(quasidet_geometric, n=1, block=2), {1: (50, 1e-9)}),
     ]),
     ("plane_quartic", [
-        ("canprop", _runner(canprop_residual),
-         {"fermat": (200, 1e-9), 3: (100, 1e-8)}),
-        ("cor2_three_term", _runner(cor2_residual),
-         {"fermat": (100, 1e-9), 3: (50, 1e-8)}),
-        ("ratio_dual", _runner(ratio_dual_residual),
-         {"fermat": (200, 1e-9), 3: (100, 1e-8)}),
+        ("canprop", _runner(canprop_residual), {"fermat": (200, 1e-9), 3: (100, 1e-8)}),
+        ("cor2_three_term", _runner(cor2_residual), {"fermat": (100, 1e-9), 3: (50, 1e-8)}),
+        ("ratio_dual", _runner(ratio_dual_residual), {"fermat": (200, 1e-9), 3: (100, 1e-8)}),
         ("tangent_reconstruction", _runner(tangent_reconstruction_residual),
          {"fermat": (100, 1e-8), 3: (100, 1e-8)}),
         ("reconstruct_synthetic", _runner(reconstruct_synthetic_residual),
@@ -500,25 +533,21 @@ IDENTITIES = {name: IdentitySpec(name, kind, runner, table)
 
 def run_identity(spec: IdentitySpec, env, curve_id, trials, tol, seed):
     """Run one identity for `trials` trials, each with its own stream and
-    20 attempts, in rounds.  A round starts every pending trial's runner, a
-    hyperelliptic body drawing from the trial's row of one Table and the
-    others given the trial's Generator, and _drive runs them together; a
-    trial rejected (_RETRY) at its draw or in its evaluation is pending in
-    the next round and reads on from where its stream stopped.  Rows do not
-    depend on the trials run with them, so the record is that of running
-    each trial alone, in trial order: a hard failure fails the report at
-    its trial, a non-finite residual (inf or NaN) ends it with both maxima
-    inf, and a trial out of attempts is not completed.  Completion below
-    90% fails the report regardless of residuals.  An environment that
-    failed to build (an exception in place of env) runs no trial and fails.
-    """
+    20 attempts, in rounds: each starts every pending trial's runner (a
+    hyperelliptic trial draws from its row of one Table, the others from
+    their Generators) and _drive runs them; a rejected trial (_RETRY) reads
+    on in the next round.  The record is that of each trial run alone, in
+    order: a hard failure fails the report at its trial, a non-finite
+    residual ends it with both maxima inf, a trial out of attempts is not
+    completed, and completion below 90% fails.  An environment that failed
+    to build (an exception in place of env) runs no trial."""
     t0 = time.perf_counter()
     failure = f"{type(env).__name__}: {env}" if isinstance(env, Exception) else ""
     label, n = f"{spec.name}|{curve_id}", 0 if failure else trials
     if spec.kind == "hyperelliptic":
-        take, rngs = Table(seed, label, range(n)).take, [()] * n
+        draws, rngs = Table(seed, label, range(n)), [()] * n
     else:
-        take, rngs = None, [(trial_rng(seed, label, trial),) for trial in range(n)]
+        draws, rngs = None, [(trial_rng(seed, label, trial),) for trial in range(n)]
     outcomes, pending, rounds = [None] * n, range(n), 0
     while pending and rounds < 20:      # a pending trial's attempts, one a round
         started, rounds = {}, rounds + 1
@@ -528,33 +557,26 @@ def run_identity(spec: IdentitySpec, env, curve_id, trials, tol, seed):
             except _RETRY + _HARD as ex:
                 outcomes[k] = ex
         ks = np.array(list(started), dtype=int)
-        for k, outcome in zip(ks, _drive(env, list(started.values()), take, ks)):
+        for k, outcome in zip(ks, _drive(env, list(started.values()), draws, ks)):
             outcomes[k] = outcome
         pending = [k for k in pending if isinstance(outcomes[k], _RETRY)]
-    completed = 0
-    max_abs = max_rel = 0.0
+    completed, max_abs, max_rel = 0, 0.0, 0.0
     for outcome in [outcome for outcome in outcomes if not isinstance(outcome, _RETRY)]:
         if isinstance(outcome, Exception):
             failure = f"{type(outcome).__name__}: {outcome}"
             break
         completed += 1
-        abs_r, rel_r = outcome
-        if not (math.isfinite(abs_r) and math.isfinite(rel_r)):
-            # max() below would drop a NaN
-            max_abs = max_rel = math.inf
+        if not all(map(math.isfinite, outcome)):
+            max_abs = max_rel = math.inf        # max() below would drop a NaN
             break
-        max_abs = max(max_abs, abs_r)
-        max_rel = max(max_rel, rel_r)
+        max_abs, max_rel = max(max_abs, outcome[0]), max(max_rel, outcome[1])
     if failure or completed == 0:
         # a hard failure, or no residual measured: report none, never a 0.0
         max_abs = max_rel = math.inf
     elapsed = int(1000 * (time.perf_counter() - t0))
     passed = (completed >= math.ceil(0.9 * trials)) and (max_rel < tol)
-    return IdentityReport(identity_id=spec.name, curve_id=curve_id,
-                          trials=trials, completed=completed,
-                          max_abs_residual=max_abs, max_rel_residual=max_rel,
-                          seed=seed, tol=tol, passed=passed, elapsed_ms=elapsed,
-                          failure=failure)
+    return IdentityReport(spec.name, curve_id, trials, completed, max_abs, max_rel, seed,
+                          tol, passed, elapsed, failure)
 
 
 @dataclass
@@ -566,10 +588,9 @@ class SuiteConfig:
     tol: float = None             # override per-identity defaults
 
     def validate(self):
-        if self.identities is not None:
-            for name in self.identities:
-                if name not in IDENTITIES:
-                    raise UnknownIdentity(f"unknown identity {name!r}")
+        for name in self.identities or ():
+            if name not in IDENTITIES:
+                raise UnknownIdentity(f"unknown identity {name!r}")
         if self.trials is not None and self.trials < 1:
             raise SuiteError("trials must be >= 1")
         if self.tol is not None and not 0 < self.tol < math.inf:
@@ -578,42 +599,29 @@ class SuiteConfig:
             raise SuiteError(f"seed must be >= 0 and < {SEED_LIMIT}")
 
 
-_CARRIER = {"id": "-", "type": "carrier"}
-
-
 def _build_env(entry):
     """The evaluation environment a registry curve's identities run on."""
     if entry["type"] == "plane_quartic":
         return PlaneQuartic(entry["coefficients"], entry["id"])
     curve = HyperellipticCurve(entry["branch_points"], entry["id"])
-    _, _, periods = period_matrix(curve)
-    return CurveContext(curve, periods)
+    return CurveContext(curve, period_matrix(curve)[2])
 
 
 def run_suite(config: SuiteConfig, progress=None):
-    """Execute the configured identities over the configured curves.
-
-    Identities run in the configured order (all of them, sorted, if None);
-    each runs on the configured curves of its kind in configured order, or
-    once on "-" if it is a carrier check, whenever its table has a row for
-    that curve (see IdentitySpec).  Environments are built once per curve,
-    on first use.  Deterministic given (config, master_seed); per-check
-    errors, and a curve whose environment cannot be built, give failing
-    reports instead of aborting the suite.
-    """
+    """Execute the configured identities (all of them, sorted, if None) in
+    order, each on the configured curves of its kind, or once on "-" if it
+    is a carrier check, where its table has a row.  Environments are built
+    once per curve, on first use.  Deterministic given (config,
+    master_seed); per-check errors and unbuilt environments fail reports."""
     config.validate()
     entries = registry_entries()
-    if config.curves is None:
-        curve_ids = sorted(entries)
-    else:
-        curve_ids = list(config.curves)
-        for cid in curve_ids:
-            if cid not in entries:
-                raise SuiteError(f"unknown curve {cid!r}")
+    curve_ids = sorted(entries) if config.curves is None else list(config.curves)
+    for cid in curve_ids:
+        if cid not in entries:
+            raise SuiteError(f"unknown curve {cid!r}")
     names = config.identities if config.identities is not None else sorted(IDENTITIES)
-    targets = [_CARRIER] + [entries[cid] for cid in curve_ids]
-    envs = {"-": None}
-    reports = []
+    targets = [{"id": "-", "type": "carrier"}] + [entries[cid] for cid in curve_ids]
+    envs, reports = {"-": None}, []
     for name in names:
         spec = IDENTITIES[name]
         for entry in targets:
@@ -621,9 +629,7 @@ def run_suite(config: SuiteConfig, progress=None):
             row = spec.table.get(cid, spec.table.get(entry.get("genus")))
             if entry["type"] != spec.kind or row is None:
                 continue
-            trials, tol = row
-            trials = config.trials or trials
-            tol = config.tol or tol
+            trials, tol = config.trials or row[0], config.tol or row[1]
             if cid not in envs:
                 try:
                     envs[cid] = _build_env(entry)

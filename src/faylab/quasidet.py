@@ -5,7 +5,8 @@ blocks (k = 1 recovers the commutative scalar case).
 the column j without i.  A block matrix over M_k(C) is a dense complex
 matrix, so the minor is flattened to one (n-1)k x (n-1)k matrix and the
 Schur complement costs one linear solve (Gelfand, Gelfand, Retakh &
-Wilson, "Quasideterminants", Adv. Math. 193 (2005)).
+Wilson, "Quasideterminants", Adv. Math. 193 (2005)); a stack of them, one
+stacked solve that gives each matrix the bits it has alone.
 """
 
 from __future__ import annotations
@@ -21,9 +22,9 @@ _RCOND = 1e-8
 
 
 def _solve(M, rhs):
-    """M^{-1} rhs; fails when M is ill-conditioned (rcond below 1e-8)."""
+    """M^{-1} rhs, stacked; fails when any M is ill-conditioned (rcond < 1e-8)."""
     sv = np.linalg.svd(M, compute_uv=False)
-    if sv[-1] <= _RCOND * sv[0] or sv[0] == 0.0:
+    if ((sv[..., -1] <= _RCOND * sv[..., 0]) | (sv[..., 0] == 0.0)).any():
         raise SingularMinor("matrix not invertible (rcond below 1e-8)")
     return np.linalg.solve(M, rhs)
 
@@ -35,18 +36,18 @@ def carrier_inv(a):
 
 
 class QuasiMatrix:
-    """Square grid of carrier elements, entries of shape (n, n, k, k)."""
+    """Square grid of carrier elements, entries (n, n, k, k) or a stack (..., n, n, k, k)."""
 
     def __init__(self, entries):
         entries = np.asarray(entries, dtype=complex)
         if entries.ndim == 2:
             entries = entries[:, :, None, None]
-        if entries.ndim != 4 or entries.shape[0] != entries.shape[1] \
-                or entries.shape[2] != entries.shape[3]:
-            raise ValueError("entries must be (n, n, k, k)")
+        if entries.ndim < 4 or entries.shape[-4] != entries.shape[-3] \
+                or entries.shape[-2] != entries.shape[-1]:
+            raise ValueError("entries must be (..., n, n, k, k)")
         self.entries = entries
-        self.n = entries.shape[0]
-        self.k = entries.shape[2]
+        self.n = entries.shape[-3]
+        self.k = entries.shape[-1]
 
     def qdet(self, i, j, rows=None, cols=None):
         """(i, j)-quasideterminant of the submatrix on rows x cols (all of
@@ -57,13 +58,14 @@ class QuasiMatrix:
             raise ValueError("need i in rows, j in cols and a square submatrix")
         ri = [r for r in rows if r != i]
         ci = [c for c in cols if c != j]
+        A, mk, k = self.entries, len(ri) * self.k, self.k
         if not ri:
-            return self.entries[i, j].copy()
-        m, k = len(ri), self.k
-        minor = self.entries[np.ix_(ri, ci)].transpose(0, 2, 1, 3).reshape(m * k, m * k)
-        row = self.entries[i, ci].transpose(1, 0, 2).reshape(k, m * k)
-        col = self.entries[ri, j].reshape(m * k, k)
-        return self.entries[i, j] - row @ _solve(minor, col)
+            return A[..., i, j, :, :].copy()
+        lead = A.shape[:-4]
+        minor = A.take(ri, axis=-4).take(ci, axis=-3).swapaxes(-3, -2).reshape(*lead, mk, mk)
+        row = A[..., i, :, :, :].take(ci, axis=-3).swapaxes(-3, -2).reshape(*lead, k, mk)
+        col = A[..., :, j, :, :].take(ri, axis=-3).reshape(*lead, mk, k)
+        return A[..., i, j, :, :] - row @ _solve(minor, col)
 
 
 def random_quasimatrix(rng, n, k):

@@ -65,8 +65,8 @@ def uniforms(seed, label, ks, width):
 
 
 class Table:
-    """uniforms of the streams ks, each read in order from its own cursor;
-    the rows are recomputed wider when a read passes their end."""
+    """uniforms of the streams ks, each read in order from its cursor at[i]
+    (a reader may set it back); rows are recomputed wider past their end."""
 
     def __init__(self, seed, label, ks):
         self.stream, self.u = (seed, label, ks), uniforms(seed, label, ks, 16)

@@ -173,41 +173,60 @@ def scalar_points(ctx, rng, count):
     return np.array(pts)
 
 
-def generator_take(rng):
-    """A sampler's take(rows, n) for one stream read from the Generator rng
-    (rows a one- or zero-element index array)."""
-    return lambda rows, n: rng.random((len(rows), n))
+class GeneratorDraws:
+    """The draws of one stream read from the Generator rng, for a sampler's
+    take(rows, n) (rows a one- or zero-element index array) and a Table's
+    cursor; a trial run alone has no other trial to set its cursor back for."""
+
+    def __init__(self, rng):
+        self.rng, self.at = rng, np.zeros(1, dtype=int)
+
+    def take(self, rows, n):
+        return self.rng.random((len(rows), n))
 
 
 def draw_one(sampler, ctx, rng, count=1):
     """sampler's count draws for one stream read from the Generator rng
     (the exception that stops it raised)."""
-    values, errors = sampler(ctx, generator_take(rng), np.zeros(1, dtype=int), count)
+    values, errors = sampler(ctx, GeneratorDraws(rng).take, np.zeros(1, dtype=int), count)
     if errors:
         raise errors[0]
     return values[0]
 
 
 def generator_trial(spec, env, rng):
-    """One trial of spec run alone by _drive, reading the Generator rng: a
-    hyperelliptic body draws from it by its requests, the others are given
-    it.  Returns (abs, rel) or the exception that stopped the trial after
-    its start; a runner that refuses to start raises."""
-    args = () if spec.kind == "hyperelliptic" else (rng,)
-    result, = _drive(env, [spec.runner(env, *args)], generator_take(rng), np.zeros(1, dtype=int))
+    """One trial of spec run alone (T = 1) by _drive, reading the Generator
+    rng: a hyperelliptic body draws from it by its requests, the others are
+    given it.  Returns (abs, rel) or the exception that stopped the trial
+    after its start; a runner that refuses to start raises."""
+    if spec.kind == "hyperelliptic":
+        started, draws = spec.runner(env), GeneratorDraws(rng)
+    else:
+        started, draws = spec.runner(env, rng), None
+    result, = _drive(env, [started], draws, np.zeros(1, dtype=int))
     return result
 
 
 def trial_steps(spec, env, rng):
-    """(request, answer) for each request of one hyperelliptic trial of spec
-    run alone: a draw read from the Generator rng by draw_one, a kernel
-    request answered by its kernel."""
-    gen, request = spec.runner(env)
-    while request[0] is not None:
+    """(request, answer) for each draw and kernel request of one
+    hyperelliptic trial of spec run alone (T = 1): a draw read from the
+    Generator rng by draw_one, a kernel request answered by its kernel on
+    the trial's rows.  A refusal of the trial ends the steps."""
+    body, answer = spec.runner(env)(), None
+    while True:
+        try:
+            request = body.send(answer)
+        except StopIteration:
+            return
+        if isinstance(request, dict):
+            if request:
+                return
+            answer = None
+            continue
         fn, *args = request
-        answer = draw_one(fn, env, rng, *args) if isinstance(args[0], int) else fn(env, *args)
+        answer = (draw_one(fn, env, rng, *args) if isinstance(args[0], int)
+                  else fn(env, *[a[0] for a in args]))[None]
         yield request, answer
-        request = gen.send(answer)
 
 
 def per_trial_record(spec, env, curve_id, trials, tol, seed):

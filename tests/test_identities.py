@@ -1,3 +1,4 @@
+import functools
 import math
 from collections import Counter
 
@@ -11,7 +12,7 @@ from faylab.registry import registry_entries
 from faylab.report import report_record
 from faylab.rng import trial_rng
 
-from conftest import build_context, one_trial, scale_theta
+from conftest import HYPERELLIPTIC, build_context, one_trial, scale_theta
 from oracles import draw_one, generator_trial, per_trial_record, trial_steps
 
 
@@ -157,12 +158,12 @@ class TestResidueIdentities:
 
         def body(ctx):
             got.append((yield _distinct_points, 3))
-            return 0.0, 0.0
+            return np.zeros(len(got[-1])), np.zeros(len(got[-1]))
         spec = IdentitySpec("redraw", "hyperelliptic", _runner(body), {1: (1, 1.0)})
         rep = run_identity(spec, ctx_g1, "lemniscatic", 1, 1.0, 7)
         assert (rep.completed, rep.passed, len(got), len(calls)) == (1, True, 1, 2)
         rng = trial_rng(7, "redraw|lemniscatic", 0)
-        assert np.array_equal(got[0], [sample_point(ctx_g1, rng) for _ in range(6)][3:])
+        assert np.array_equal(got[0][0], [sample_point(ctx_g1, rng) for _ in range(6)][3:])
 
     def test_maincor_kernel(self, ctx_g1):
         assert run_many("maincor_kernel", ctx_g1, "mk") < 1e-8
@@ -350,7 +351,7 @@ class TestSuiteRunner:
                     continue
                 started = [spec.runner(ctx) for _ in range(4)]
                 calls.clear()
-                ids._drive(ctx, started, Table(7, spec.name, range(4)).take, np.arange(4))
+                ids._drive(ctx, started, Table(7, spec.name, range(4)), np.arange(4))
                 assert max(calls.values()) == 1, (spec.name, calls)
                 assert calls["aj"] == calls["abel_jacobi"], (spec.name, calls)
                 total += calls
@@ -404,8 +405,8 @@ class TestLookAhead:
     def test_same_records_as_without(self, cid, monkeypatch):
         # every spec's record equals per_trial_record's, with the kernels as
         # they are and with fay_F and massey_m3_theta refusing (NearDivisor)
-        # any call on more rows than one body requests, so that each joined
-        # call is split in halves down to the bodies alone
+        # any call on more rows than one trial requests, so that each round
+        # runs again with each trial alone
         import faylab.identities as ids
         g = build_context(cid).g
         specs = [s for s in IDENTITIES.values() if s.kind == "hyperelliptic" and g in s.table]
@@ -429,8 +430,8 @@ class TestLookAhead:
         for spec in specs:
             got, want = self.both(spec, cid, 4)
             assert got == want and got["completed"] == 4, spec.name
-        # cross_formula_m3's 4 one-row bodies: refused as 4, then as 2 and 2
-        assert refused["fay_F"] >= 5 and refused["massey_m3_theta"] == 3
+        # cross_formula_m3's 4 one-row trials: refused as 4, then run alone
+        assert refused["fay_F"] >= 5 and refused["massey_m3_theta"] == 1
 
     def test_failed_batch_fails_the_same_trial(self, monkeypatch):
         # integrate_path refuses trial 3's first point: the joined ctx.aj
@@ -478,29 +479,31 @@ class TestLookAhead:
         assert (len(attempts), len(calls)) == (20, 1)
 
 
-@pytest.mark.parametrize("cid", ["lemniscatic", "g2-real", "g3-real"])
+@pytest.mark.parametrize("cid", HYPERELLIPTIC)
 def test_evaluate_equals_one_draw_evaluations(cid):
-    # every trial's residual has the bits it has when run alone: 10 trials
-    # drawn from the rows of one Table and run together, then each drawn
-    # from its trial_rng Generator and run alone
+    # every trial's residual has the bits it has when run alone: for every
+    # identity with a table row for the curve, at two seeds, 10 trials drawn
+    # from the rows of one Table and run together over the trial axis, then
+    # each drawn from its trial_rng Generator and run alone (T = 1)
     import faylab.identities as ids
     from faylab.rng import Table
-    ctx = build_context(cid)
+    ctx, genus = build_context(cid), registry_entries()[cid]["genus"]
     for spec in IDENTITIES.values():
-        if spec.kind != "hyperelliptic" or ctx.g not in spec.table:
+        if spec.kind != "hyperelliptic" or spec.table.get(cid, spec.table.get(genus)) is None:
             continue
-        started = [spec.runner(ctx) for _ in range(10)]
-        batch = np.array(ids._drive(ctx, started, Table(3, spec.name, range(10)).take,
-                                    np.arange(10)))
-        alone = np.array([generator_trial(spec, ctx, trial_rng(3, spec.name, trial))
-                          for trial in range(10)])
-        assert batch.shape == (10, 2) and batch.tobytes() == alone.tobytes(), spec.name
+        for seed in (3, 2027):
+            started = [spec.runner(ctx) for _ in range(10)]
+            batch = np.array(ids._drive(ctx, started, Table(seed, spec.name, range(10)),
+                                        np.arange(10)))
+            alone = np.array([generator_trial(spec, ctx, trial_rng(seed, spec.name, trial))
+                              for trial in range(10)])
+            assert batch.shape == (10, 2) and batch.tobytes() == alone.tobytes(), spec.name
 
 
 def test_near_divisor_in_one_trial_gives_the_per_trial_record(monkeypatch):
     # fay_F rejects trial 2's first draw: the round's joined call of 6
-    # bodies (6 rows each) is split in halves down to trial 2 alone (trials
-    # 0-5, 0-2, 1-2, 2), and trial 2 alone is drawn again in a second round
+    # trials (6 rows each) fails, each trial runs alone, and trial 2 alone
+    # is drawn again in a second round
     import faylab.identities as ids
     spec = IDENTITIES["trisecant_general_n1"]
     ctx = TestLookAhead.fresh("lemniscatic")
@@ -511,14 +514,14 @@ def test_near_divisor_in_one_trial_gives_the_per_trial_record(monkeypatch):
     real, rejected = ids.fay_F, []
 
     def near(ctx, A, B):
-        if (A == marked[0]).all(axis=1).any():
+        if (A == marked[0, 0]).all(axis=1).any():
             rejected.append(len(A))
             raise NearDivisor("synthetic rejection")
         return real(ctx, A, B)
     monkeypatch.setattr(ids, "fay_F", near)
     sizes = counted_drive(monkeypatch)
     rep = run_identity(spec, TestLookAhead.fresh("lemniscatic"), "lemniscatic", 6, 1e-9, 11)
-    assert sizes == [6, 1] and rejected == [36, 18, 12, 6]
+    assert sizes == [6, 1] and rejected == [36, 6]
     assert (rep.completed, rep.passed, rep.failure) == (6, True, "")
     assert record(rep) == per_trial_record(spec, TestLookAhead.fresh("lemniscatic"),
                                            "lemniscatic", 6, 1e-9, 11)
@@ -626,6 +629,8 @@ def test_guard_refusal_fails_its_report(name, cid, message, monkeypatch):
     rep = run_identity(IDENTITIES[name], build_context(cid), cid, 5, 1e-8, 42)
     assert (rep.completed, rep.passed, rep.failure) == (0, False, f"SuiteError: {message}")
     assert math.isinf(rep.max_rel_residual) and calls == []
+    assert record(rep) == per_trial_record(IDENTITIES[name], build_context(cid), cid, 5, 1e-8, 42)
+    assert calls == []
 
 
 @pytest.mark.parametrize("cid", ["lemniscatic", "g2-real", "g3-real"])
@@ -644,39 +649,57 @@ def test_draws_are_pure_sampling(cid, monkeypatch):
         for name in ("theta_batch", "integrate_path"):
             if hasattr(mod, name):
                 monkeypatch.setattr(mod, name, refuse)
-    monkeypatch.setattr(ids, "_rows", lambda env, kernel, parts: [
-        SuiteError("kernel request")] * len(parts))
+    def kernel_request(env, kernel, *args):
+        raise SuiteError("kernel request")
+    monkeypatch.setattr(ids, "_rows", kernel_request)
     for spec in IDENTITIES.values():
         if spec.kind == "hyperelliptic" and ctx.g in spec.table:
             started = [spec.runner(ctx) for _ in range(10)]
-            got = ids._drive(ctx, started, Table(3, spec.name, range(10)).take, np.arange(10))
+            got = ids._drive(ctx, started, Table(3, spec.name, range(10)), np.arange(10))
             got += [generator_trial(spec, ctx, trial_rng(3, spec.name, trial))
                     for trial in range(10)]
             assert all(isinstance(r, ids._RETRY) or str(r) == "kernel request"
                        for r in got), spec.name
 
 
-def test_failed_call_is_split_in_halves():
-    # a kernel that refuses one of 16 parts is called at most 2 log2(16) + 1
-    # times, and every part gets the rows or the exception it gets alone
-    from faylab.identities import _rows
+def test_failed_call_runs_each_trial_alone():
+    # a kernel that refuses one of 16 trials is called once for all and
+    # once for each trial alone, and the refused trial gets the exception it
+    # gets alone; with a kernel that refuses calls of more than 2 rows,
+    # every trial gets the rows it gets alone
+    from faylab.identities import _drive
+    from faylab.rng import Table
     calls = []
 
-    def kernel(env, X):
+    def refusing(env, X):
         calls.append(len(X))
         if 11.0 in X:
-            raise NearDivisor("part 11 refused")
+            raise NearDivisor("trial 11 refused")
         return 2 * X
-    parts = [(np.array([float(k), k + 0.5]),) for k in range(16)]
-    got = _rows(None, kernel, parts)
-    assert len(calls) <= 9
-    for part, rows in zip(parts, got):
-        alone, = _rows(None, kernel, [part])
-        if isinstance(alone, Exception):
-            assert (type(rows), rows.args) == (type(alone), alone.args)
-        else:
-            assert rows.tobytes() == alone.tobytes()
-    assert sum(isinstance(rows, NearDivisor) for rows in got) == 1
+
+    def small(env, X):
+        if len(X) > 2:
+            raise NearDivisor("call refused")
+        return X / 3
+
+    def trial_index(env, take, rows, count):
+        return rows[:, None] + np.zeros(count), {}
+
+    def body(env, kernel):
+        Y = (yield kernel, (yield trial_index, 1))[:, 0]
+        return Y, Y
+
+    def run(kernel, rows):
+        started = [functools.partial(body, None, kernel)] * len(rows)
+        return _drive(None, started, Table(0, "halves", range(16)), np.array(rows))
+    got = run(refusing, range(16))
+    assert calls == [16] + [1] * 16
+    assert [k for k, r in enumerate(got) if isinstance(r, NearDivisor)] == [11]
+    alone, = run(refusing, [11])
+    assert (type(got[11]), got[11].args) == (type(alone), alone.args)
+    assert [r for k, r in enumerate(got) if k != 11] == [
+        (2.0 * k,) * 2 for k in range(16) if k != 11]
+    assert run(small, range(16)) == [run(small, [k])[0] for k in range(16)]
 
 
 def test_one_trial_model(fermat, monkeypatch):
@@ -739,7 +762,9 @@ class TestForcedRedraws:
         monkeypatch.setattr(ids, "CLOSE_POINTS", 0.5)
         got, rejected, sizes, per_call = self.records(monkeypatch)
         assert rejected["BadTriple"] >= 3 and got["completed"] == 12
-        assert (sizes[0], sizes[1:], per_call[-1]) == (12, per_call[:-1], 0)
+        # a round's first draw rejects the trials of the next round; the
+        # round's others, over its survivors, reject none
+        assert (sizes[0], sizes[1:], per_call[-1]) == (12, [e for e in per_call if e], 0)
         assert sum(sizes) == 12 + rejected["BadTriple"]
 
     def test_redraw_after_evaluation(self, monkeypatch):
@@ -770,3 +795,91 @@ class TestForcedRedraws:
         assert 0 < got["completed"] < 12 and math.isinf(got["max_rel_residual"])
         assert got["failure"] == "CurveError: could not sample a point clear of the branch locus"
         assert rejected["CurveError"] >= 1
+
+
+class TestTrialAxisFailures:
+    """Failures forced in-process go through the trial-axis path: the record
+    equals per_trial_record's, and in a round where some trials fail, the
+    others keep the bits they have in the same round unforced."""
+
+    @staticmethod
+    def first_round(spec, cid, trials=12, seed=42):
+        """The outcomes of a report's first round: every trial started and
+        run together by _drive, drawing from its row of one Table."""
+        import faylab.identities as ids
+        from faylab.rng import Table
+        ctx = TestLookAhead.fresh(cid)
+        started = [spec.runner(ctx) for _ in range(trials)]
+        return ids._drive(ctx, started, Table(seed, f"{spec.name}|{cid}", range(trials)),
+                          np.arange(trials))
+
+    def check(self, monkeypatch, spec, cid, force, trials=12, seed=42):
+        """The trials force fails in the first round; run_identity's record
+        under force equals per_trial_record's, and every other trial keeps
+        its unforced bits."""
+        unforced = self.first_round(spec, cid, trials, seed)
+        assert not any(isinstance(r, Exception) for r in unforced)
+        force()
+        forced = self.first_round(spec, cid, trials, seed)
+        failed = [k for k, r in enumerate(forced) if isinstance(r, Exception)]
+        kept = [k for k in range(trials) if k not in failed]
+        assert np.array([forced[k] for k in kept]).tobytes() == np.array(
+            [unforced[k] for k in kept]).tobytes()
+        got = record(run_identity(spec, TestLookAhead.fresh(cid), cid, trials, 1.0, seed))
+        assert got == per_trial_record(spec, TestLookAhead.fresh(cid), cid, trials, 1.0, seed)
+        assert got["completed"] == trials
+        return failed
+
+    def test_close_points(self, monkeypatch):
+        # half a min_gap between two of 4 points rejects some draws
+        import faylab.identities as ids
+        failed = self.check(monkeypatch, IDENTITIES["trisecant_classical"], "lemniscatic",
+                            lambda: monkeypatch.setattr(ids, "CLOSE_POINTS", 0.5))
+        assert 0 < len(failed) < 12
+
+    def test_kernel_refusing_chosen_trials(self, monkeypatch):
+        # fay_F refuses every call with a row of trial 2, 5 or 7
+        import faylab.identities as ids
+        spec, cid = IDENTITIES["trisecant_general_n1"], "lemniscatic"
+        ctx = TestLookAhead.fresh(cid)
+        marked = [next(request[1][0, 0] for request, _ in trial_steps(
+            spec, ctx, trial_rng(42, f"{spec.name}|{cid}", k)) if request[0] is ids.fay_F)
+            for k in (2, 5, 7)]
+        real = ids.fay_F
+
+        def refusing(ctx, A, B):
+            if any((A == row).all(axis=1).any() for row in marked):
+                raise NearDivisor("trial refused")
+            return real(ctx, A, B)
+        failed = self.check(monkeypatch, spec, cid,
+                            lambda: monkeypatch.setattr(ids, "fay_F", refusing))
+        assert failed == [2, 5, 7]
+
+    def test_bundle_near_the_theta_divisor(self, monkeypatch):
+        # trial 2's first bundle moved next to the theta divisor: prime_form
+        # refuses it after its theta request
+        import faylab.identities as ids
+        from faylab.curves import lattice_coords
+        from faylab.kernels import riemann_constant
+        spec, cid = IDENTITIES["prime_form_n1"], "lemniscatic"
+        ctx = TestLookAhead.fresh(cid)
+        al, be = lattice_coords(riemann_constant(build_context(cid)), ctx.rm)
+        near = al % 1.0 + 1e-6 + ctx.rm.omega @ (be % 1.0)
+        marked, = next(answer for (fn, *_), answer in trial_steps(
+            spec, ctx, trial_rng(42, f"{spec.name}|{cid}", 2)) if fn is ids.random_line_bundle)
+        real = ids.random_line_bundle
+
+        def moved(ctx, take, rows, count):
+            es, errors = real(ctx, take, rows, count)
+            es[(es == marked).all(axis=-1)] = near
+            return es, errors
+        failed = self.check(monkeypatch, spec, cid,
+                            lambda: monkeypatch.setattr(ids, "random_line_bundle", moved))
+        assert failed == [2]
+
+    def test_singular_minor_in_the_batched_quasideterminant(self, monkeypatch):
+        # a condition bound of 0.1 makes some trials' 2 x 2 minors singular
+        import faylab.quasidet as quasidet
+        failed = self.check(monkeypatch, IDENTITIES["quasidet_geometric_n2"], "lemniscatic",
+                            lambda: monkeypatch.setattr(quasidet, "_RCOND", 0.1))
+        assert 0 < len(failed) < 12

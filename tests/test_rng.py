@@ -11,7 +11,7 @@ from faylab.kernels import random_line_bundle, sample_xi
 from faylab.rng import Table, trial_rng, uniforms
 from faylab.theta import RiemannMatrix
 
-from oracles import generator_take
+from oracles import GeneratorDraws
 
 
 @pytest.mark.parametrize("seed", [0, 42, 2**64 - 1])
@@ -73,6 +73,6 @@ def test_one_stream_draws_as_a_generator_does():
     # a draw of 3 Jacobian points reads the stream's next 6g doubles
     ctx = SimpleNamespace(g=2, rm=_riemann_matrix(2, np.random.default_rng(5)))
     rng, twin = trial_rng(7, "pin|xi", 0), trial_rng(7, "pin|xi", 0)
-    xis, _ = sample_xi(ctx, generator_take(rng), np.arange(1), 3)
+    xis, _ = sample_xi(ctx, GeneratorDraws(rng).take, np.arange(1), 3)
     U = 0.9 * (twin.random((3, 2, 2)) - 0.5)
     assert xis[0].tobytes() == np.array([u + ctx.rm.omega @ v for u, v in U]).tobytes()

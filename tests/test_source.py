@@ -271,10 +271,26 @@ def test_kernel_calls_in_generators_detected():
                                                  ("sub", 12, "theta_delta")]
 
 
+def test_kernel_calls_in_trial_axis_bodies_detected():
+    # a trial-axis body (draws as (T, count, ...) arrays, kernel rows as
+    # (T, m, ...)) that calls a kernel on its stacked rows, or a sampler
+    # for its trials' streams, instead of yielding the request
+    tree = ast.parse("def by_kernel(ctx):\n    pts = yield _distinct_points, 4\n"
+                     "    V = (yield CurveContext.aj, pts).transpose(1, 0, 2)\n"
+                     "    F = fay_F(ctx, V[0] - V[1], V[2] - V[3])\n"
+                     "    return np.abs(F), np.abs(F)\n"
+                     "def by_sampler(ctx, take, rows):\n"
+                     "    xi, _ = sample_xi(ctx, take, rows, 1)\n"
+                     "    th = yield _theta, xi\n"
+                     "    return np.abs(th[:, 0]), np.abs(th[:, 0])\n")
+    assert _kernel_calls_in_generators(tree) == [("by_kernel", 4, "fay_F"),
+                                                 ("by_sampler", 7, "sample_xi")]
+
+
 def test_no_kernel_calls_in_identity_bodies():
     # an identity body yields its draw and kernel requests, which _drive
     # makes in one call per round; a body calling a sampler or a kernel
-    # would make one per trial
+    # would make its own call, outside the round's one
     hits = []
     for name, bodies in (("identities.py", 15), ("quartic.py", 5)):
         tree = ast.parse((SRC / name).read_text())

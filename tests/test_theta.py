@@ -8,7 +8,8 @@ from hypothesis import given, settings, strategies as st
 from faylab.theta import (RiemannMatrix, ThetaChar, theta, theta_batch,
                           theta_gradient, truncation_radius, theta_chars,
                           odd_theta_chars, NonPositiveDefinite,
-                          ToleranceUnachievable, THETA_BLOCK, _tail_bound)
+                          ToleranceUnachievable, THETA_BLOCK, _reduce_arguments,
+                          _tail_bound)
 
 from oracles import qseries_theta3, qseries_theta_char, qseries_theta_char_deriv
 
@@ -220,14 +221,18 @@ cell = st.floats(min_value=-0.49, max_value=0.49)
 @settings(max_examples=60, deadline=None, derandomize=True)
 @given(g=st.integers(min_value=1, max_value=3), data=st.data())
 def test_tail_bound_certifies_truncation(g, data):
-    # z = alpha + Omega beta in the fundamental cell is its own reduced
-    # argument, so the certified bound scales by exp(pi y' Im(Omega)^-1 y)
+    # z = alpha + Omega beta, beta in the fundamental cell, less the whole
+    # real periods by which Re(Omega) beta moves it out of the cell, is its
+    # own reduced argument, so the certified bound scales by
+    # exp(pi y' Im(Omega)^-1 y)
     rm = RMS[g]
     alpha = np.array(data.draw(st.lists(cell, min_size=g, max_size=g)))
     beta = np.array(data.draw(st.lists(cell, min_size=g, max_size=g)))
     char = data.draw(st.sampled_from(theta_chars(g)))
     tol = data.draw(st.sampled_from([1e-3, 1e-5, 1e-7, 1e-9]))
     z = alpha + rm.omega @ beta
+    z = z - np.round(z.real)
+    assert np.array_equal(_reduce_arguments(z[None, :], rm, char)[0][0], z)
     vals, _ = theta_batch(z[None, :], rm, char, tol=tol)
     # the radius and the certified bound of the sum theta_batch made
     R = truncation_radius(rm, tol)
