@@ -813,7 +813,7 @@ class TestTrialAxisFailures:
         return ids._drive(ctx, started, Table(seed, f"{spec.name}|{cid}", range(trials)),
                           np.arange(trials))
 
-    def check(self, monkeypatch, spec, cid, force, trials=12, seed=42):
+    def check(self, spec, cid, force, trials=12, seed=42):
         """The trials force fails in the first round; run_identity's record
         under force equals per_trial_record's, and every other trial keeps
         its unforced bits."""
@@ -833,7 +833,7 @@ class TestTrialAxisFailures:
     def test_close_points(self, monkeypatch):
         # half a min_gap between two of 4 points rejects some draws
         import faylab.identities as ids
-        failed = self.check(monkeypatch, IDENTITIES["trisecant_classical"], "lemniscatic",
+        failed = self.check(IDENTITIES["trisecant_classical"], "lemniscatic",
                             lambda: monkeypatch.setattr(ids, "CLOSE_POINTS", 0.5))
         assert 0 < len(failed) < 12
 
@@ -851,7 +851,7 @@ class TestTrialAxisFailures:
             if any((A == row).all(axis=1).any() for row in marked):
                 raise NearDivisor("trial refused")
             return real(ctx, A, B)
-        failed = self.check(monkeypatch, spec, cid,
+        failed = self.check(spec, cid,
                             lambda: monkeypatch.setattr(ids, "fay_F", refusing))
         assert failed == [2, 5, 7]
 
@@ -873,13 +873,13 @@ class TestTrialAxisFailures:
             es, errors = real(ctx, take, rows, count)
             es[(es == marked).all(axis=-1)] = near
             return es, errors
-        failed = self.check(monkeypatch, spec, cid,
+        failed = self.check(spec, cid,
                             lambda: monkeypatch.setattr(ids, "random_line_bundle", moved))
         assert failed == [2]
 
     def test_singular_minor_in_the_batched_quasideterminant(self, monkeypatch):
         # a condition bound of 0.1 makes some trials' 2 x 2 minors singular
         import faylab.quasidet as quasidet
-        failed = self.check(monkeypatch, IDENTITIES["quasidet_geometric_n2"], "lemniscatic",
+        failed = self.check(IDENTITIES["quasidet_geometric_n2"], "lemniscatic",
                             lambda: monkeypatch.setattr(quasidet, "_RCOND", 0.1))
         assert 0 < len(failed) < 12
