@@ -12,9 +12,10 @@ import numpy as np
 from .curves import (HyperellipticCurve, period_matrix, BranchPointCollision,
                      CurveError)
 from .identities import (IdentitySpec, SuiteConfig, run_identity, run_suite,
-                         SuiteError, UnknownIdentity, _runner)
-from .quasidet import (random_quasimatrix, check_sylvester, check_column_expansion,
-                       check_homological)
+                         SuiteError, UnknownIdentity, _runner, _carrier, _each, _homological,
+                         doubles)
+from .quartic import normals
+from .quasidet import check_sylvester, check_column_expansion
 from .registry import registry_entries, load_curve_entry, RegistryError
 from .report import write_report, format_report_line
 from .rng import SEED_LIMIT
@@ -108,15 +109,15 @@ def _cmd_quasidet_selftest(args):
               f"and --seed >= 0 and < {SEED_LIMIT}", file=sys.stderr)
         return 2
 
-    def body(env, rng):
-        A = random_quasimatrix(rng, n, k)
-        r1 = check_sylvester(A, max(1, n - 2))
-        r2 = check_column_expansion(A)
-        idx, jdx = rng.permutation(n), rng.permutation(n)
-        r3 = check_homological(A, int(idx[0]), int(jdx[0]), int(idx[1]), int(jdx[1]))
-        worst = max(r1, r2, r3)
-        return worst, worst
-        yield                           # no kernel request
+    def selftest(z, u):
+        A = _carrier(z, n, k)
+        return max(check_sylvester(A, max(1, n - 2)), check_column_expansion(A),
+                   _homological(A, u))
+
+    def body(env):
+        z = yield normals, n * n * k * k
+        u = yield doubles, 4
+        return _each(selftest, z, u)
 
     tol = 1e-9
     spec = IdentitySpec(f"quasidet_selftest_n{n}_k{k}", "carrier", _runner(body),

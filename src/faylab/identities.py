@@ -23,15 +23,15 @@ from .kernels import (CurveContext, fay_F, prime_form, massey_m3_prime,
                       massey_m3_theta, h_values, theta_form, random_line_bundle,
                       sample_points, sample_xi, delta_divisor_root,
                       NEAR_DIVISOR, NearDivisor, CoincidentPoints, KernelError)
-from .quasidet import (QuasiMatrix, SingularMinor, random_quasimatrix,
-                       check_sylvester, check_column_expansion, check_homological)
+from .quasidet import (QuasiMatrix, SingularMinor, check_sylvester, check_column_expansion,
+                       check_homological)
 from .quartic import (PlaneQuartic, QuarticError, TangentOrSingularLine,
-                      HigherOrderZero, NotAZero, DegenerateRatios, canprop_residual,
+                      HigherOrderZero, NotAZero, DegenerateRatios, _abs, normals, canprop_residual,
                       cor2_residual, ratio_dual_residual,
                       tangent_reconstruction_residual, reconstruct_synthetic_residual)
 from .registry import registry_entries
 from .report import IdentityReport
-from .rng import SEED_LIMIT, Table, trial_rng
+from .rng import SEED_LIMIT, Table
 
 
 class SuiteError(Exception):
@@ -55,11 +55,6 @@ _RETRY = (NearDivisor, CoincidentPoints, SingularMinor, BadTriple,
           TangentOrSingularLine, HigherOrderZero, NotAZero, DegenerateRatios)
 #: hard failures of a trial: they fail its report at that trial
 _HARD = (KernelError, CurveError, SuiteError, QuarticError)
-
-
-def _abs(z):
-    """|z|, with the bits of Python's abs of each number (not np.abs's)."""
-    return np.hypot(z.real, z.imag)
 
 
 def _rel(total, blocks):
@@ -93,14 +88,14 @@ def _qdet(ctx, ent):
 # theta-kernel identities
 #
 # Each identity (here, in faylab.quartic, or a carrier check) is a generator
-# body(env, *rng, **params).  A hyperelliptic body runs once over T trials:
-# it yields draws (sampler, count), sent (T, count, ...) arrays, kernel
-# requests (kernel, *args) of (T, m, ...) args, sent (T, m, ...) rows, and
-# refusals {trial: exception} of trials it rejects, and returns (abs, rel)
-# as two (T,) arrays.  Its arithmetic keeps each trial's bits at any T:
-# elementwise operations, sums and products over other axes with the trial
-# axis outermost in memory, stacked solves, and _abs.  The quartic and
-# carrier bodies take one trial's Generator and run in _lockstep.  No body
+# body(env, **params) that runs once over T trials: it yields draws
+# (sampler, count), sent (T, count, ...) arrays read from the trials' rows
+# of the report's Table, kernel requests (kernel, *args) of (T, m, ...)
+# args, sent (T, m, ...) rows, and refusals {trial: exception} of trials it
+# rejects, and returns (abs, rel) as two (T,) arrays.  Its arithmetic keeps
+# each trial's bits at any T: elementwise operations, sums and products over
+# other axes with the trial axis outermost in memory, stacked solves, _abs,
+# and the carrier checks' one-trial functions mapped over the rows.  No body
 # calls a sampler or a kernel: _drive makes each request in one call a round.
 
 
@@ -341,17 +336,11 @@ def quasidet_geometric(ctx, n, block):
 
 
 def _runner(body, **params):
-    """The runner of a body, which starts one trial for _drive: the body
-    bound to env and params, or, given a Generator, [generator, request],
-    the body run to its first request, its result last as (None, result)."""
+    """The runner of a body, which starts one trial attempt for _drive: the
+    body bound to env and params, named after the body."""
     @functools.wraps(body)
-    def runner(env, *rng):
-        if not rng:
-            return functools.partial(body, env, **params)
-
-        def trial():
-            yield None, (yield from body(env, *rng, **params))
-        return [gen := trial(), next(gen)]
+    def runner(env):
+        return functools.partial(body, env, **params)
     return runner
 
 
@@ -362,38 +351,22 @@ def _rows(env, kernel, *args):
     return rows.reshape(T, m, *rows.shape[1:])
 
 
-def _lockstep(trials):
-    """Per-trial bodies, each trial a [generator, request] kept current, as one
-    trial-axis body: requests stacked, each trial sent its row, refused if it raises."""
-    while (fn := trials[0][1][0]) is not None:
-        answer = yield (fn, *map(np.stack, zip(*[trial[1][1:] for trial in trials])))
-        refusals = {}
-        for i, trial in enumerate(trials):
-            try:
-                trial[1] = trial[0].send(answer[i])
-            except _RETRY + _HARD as ex:
-                refusals[i] = ex
-        yield refusals
-    return tuple(map(np.array, zip(*[trial[1][1] for trial in trials])))
-
-
 def _drive(env, started, draws, rows):
-    """Runs a round's started trials as one trial-axis body: the started body,
-    trial i drawing from row rows[i] of the Table draws, or, if draws is
-    None, _lockstep over per-trial bodies.  A draw (sampler, count) is one
-    sampler call, a kernel request one _rows call, a refusal {trial:
-    exception} its own answer.  Trials a draw or a refusal fails end there,
-    their cursors where they stopped; the body runs again over the others,
-    their cursors set back.  If a request or the body raises, it runs again
-    over each of its trials alone (cheaper than halving when several of 50
-    fail).  Returns per trial (abs, rel), with its bits alone, or its exception."""
+    """Runs a round's started trials (each its runner's bound body) as one
+    trial-axis body, trial i drawing from row rows[i] of the Table draws.
+    A draw (sampler, count) is one sampler call, a kernel request one _rows
+    call, a refusal {trial: exception} its own answer.  Trials a draw or a
+    refusal fails end there, their cursors where they stopped; the body runs
+    again over the others, their cursors set back.  If a request or the body
+    raises, it runs again over each of its trials alone (cheaper than
+    halving when several of 50 fail).  Returns per trial (abs, rel), with
+    its bits alone, or its exception."""
     outcomes, todo = [None] * len(started), [np.arange(len(started))] if started else []
-    start = None if draws is None else draws.at[rows].copy()
+    start = draws.at[rows].copy()
     while todo:
         live = todo.pop()
-        if draws is not None:
-            draws.at[rows[live]] = start[live]
-        body = _lockstep([started[k] for k in live]) if draws is None else started[live[0]]()
+        draws.at[rows[live]] = start[live]
+        body = started[live[0]]()
         answer, ended = None, {}
         try:
             while not ended:
@@ -419,48 +392,84 @@ def _drive(env, started, draws, rows):
 
 
 # ---------------------------------------------------------------------------
-# carrier-level checks (no curve): bodies that return before any request
+# carrier-level checks (no curve): bodies that draw complex normals and
+# doubles, and map a one-trial check over their trials' rows
 
 
-def quasidet_det_ratio_residual(env, rng):
-    n = int(rng.integers(2, 6))
-    A = random_quasimatrix(rng, n, 1)
-    M = A.entries[:, :, 0, 0]
-    i, j = int(rng.integers(0, n)), int(rng.integers(0, n))
-    minor = np.delete(np.delete(M, i, 0), j, 1)
-    dm = np.linalg.det(minor)
+def doubles(env, take, rows, count):
+    """count doubles u in [0, 1) per stream of rows, as a (len(rows), count)
+    array, and no failures ({}).  An integer in 0..n-1 is floor(n u), and an
+    ordered pair of distinct indices of 0..n-1 (the first two of a random
+    permutation) is i = floor(n u), k = (i + 1 + floor((n - 1) u')) mod n,
+    from two doubles u, u'."""
+    return take(rows, count), {}
+
+
+def _carrier(z, n, k):
+    """The n x n quasimatrix of k x k blocks of the first n^2 k^2 normals z."""
+    return QuasiMatrix(z[:n * n * k * k].reshape(n, n, k, k))
+
+
+def _each(check, z, u):
+    """check(z[t], u[t]) for each trial t, a residual r or a pair (abs, rel),
+    as two (T,) arrays; a raise fails the round, and _drive then runs each
+    trial alone."""
+    r = np.array(list(map(check, z, u))).reshape(len(z), -1)
+    return r[:, 0], r[:, -1]
+
+
+def _det_ratio(z, u):
+    """|A|_ij of an n x n scalar matrix A of normals z, n, i and j drawn from
+    u, against (-1)^(i+j) det A / det A^{ij}."""
+    n = 2 + int(4 * u[0])
+    M = z[:n * n].reshape(n, n)
+    i, j = int(n * u[1]), int(n * u[2])
+    dm = np.linalg.det(np.delete(np.delete(M, i, 0), j, 1))
     if abs(dm) < 1e-8:
         raise SingularMinor("oracle minor too small")
     oracle = (-1) ** (i + j) * np.linalg.det(M) / dm
-    q = A.qdet(i, j)[0, 0]
+    q = QuasiMatrix(M).qdet(i, j)[0, 0]
     return abs(q - oracle), abs(q - oracle) / abs(oracle)
-    yield
+
+
+def _homological(A, u):
+    """check_homological of A at the row pair (i, k), drawn from u[:2], and
+    the column pair (j, l), drawn from u[2:4], by doubles' rule."""
+    n = A.n
+    i, j = int(n * u[0]), int(n * u[2])
+    k = (i + 1 + int((n - 1) * u[1])) % n
+    l = (j + 1 + int((n - 1) * u[3])) % n
+    return check_homological(A, i, j, k, l)
 
 
 #: n x n carriers of k x k blocks; the column expansion draws n in 2..COLUMN_N
 CARRIER_N, CARRIER_K, COLUMN_N = 3, 2, 4
 
 
-def sylvester_residual(env, rng):
-    A = random_quasimatrix(rng, CARRIER_N, CARRIER_K)
-    r = check_sylvester(A, int(rng.integers(1, CARRIER_N)))
-    return r, r
-    yield
+def quasidet_det_ratio_residual(env):
+    z = yield normals, 25
+    u = yield doubles, 3
+    return _each(_det_ratio, z, u)
 
 
-def column_expansion_residual(env, rng):
-    A = random_quasimatrix(rng, int(rng.integers(2, COLUMN_N + 1)), CARRIER_K)
-    r = check_column_expansion(A)
-    return r, r
-    yield
+def sylvester_residual(env):
+    z = yield normals, CARRIER_N**2 * CARRIER_K**2
+    u = yield doubles, 1
+    return _each(lambda z, u: check_sylvester(_carrier(z, CARRIER_N, CARRIER_K),
+                                              1 + int((CARRIER_N - 1) * u[0])), z, u)
 
 
-def homological_residual(env, rng):
-    A = random_quasimatrix(rng, CARRIER_N, CARRIER_K)
-    (i, krow), (j, lcol) = (map(int, rng.permutation(CARRIER_N)[:2]) for _ in range(2))
-    r = check_homological(A, i, j, krow, lcol)
-    return r, r
-    yield
+def column_expansion_residual(env):
+    z = yield normals, COLUMN_N**2 * CARRIER_K**2
+    u = yield doubles, 1
+    return _each(lambda z, u: check_column_expansion(
+        _carrier(z, 2 + int((COLUMN_N - 1) * u[0]), CARRIER_K)), z, u)
+
+
+def homological_residual(env):
+    z = yield normals, CARRIER_N**2 * CARRIER_K**2
+    u = yield doubles, 4
+    return _each(lambda z, u: _homological(_carrier(z, CARRIER_N, CARRIER_K), u), z, u)
 
 
 # ---------------------------------------------------------------------------
@@ -532,11 +541,10 @@ IDENTITIES = {name: IdentitySpec(name, kind, runner, table)
 
 
 def run_identity(spec: IdentitySpec, env, curve_id, trials, tol, seed):
-    """Run one identity for `trials` trials, each with its own stream and
-    20 attempts, in rounds: each starts every pending trial's runner (a
-    hyperelliptic trial draws from its row of one Table, the others from
-    their Generators) and _drive runs them; a rejected trial (_RETRY) reads
-    on in the next round.  The record is that of each trial run alone, in
+    """Run one identity for `trials` trials, each with its own stream (its
+    row of one Table) and 20 attempts, in rounds: each starts every pending
+    trial's runner and _drive runs them; a rejected trial (_RETRY) reads on
+    in the next round.  The record is that of each trial run alone, in
     order: a hard failure fails the report at its trial, a non-finite
     residual ends it with both maxima inf, a trial out of attempts is not
     completed, and completion below 90% fails.  An environment that failed
@@ -544,20 +552,11 @@ def run_identity(spec: IdentitySpec, env, curve_id, trials, tol, seed):
     t0 = time.perf_counter()
     failure = f"{type(env).__name__}: {env}" if isinstance(env, Exception) else ""
     label, n = f"{spec.name}|{curve_id}", 0 if failure else trials
-    if spec.kind == "hyperelliptic":
-        draws, rngs = Table(seed, label, range(n)), [()] * n
-    else:
-        draws, rngs = None, [(trial_rng(seed, label, trial),) for trial in range(n)]
+    draws = Table(seed, label, range(n))
     outcomes, pending, rounds = [None] * n, range(n), 0
     while pending and rounds < 20:      # a pending trial's attempts, one a round
-        started, rounds = {}, rounds + 1
-        for k in pending:
-            try:
-                started[k] = spec.runner(env, *rngs[k])
-            except _RETRY + _HARD as ex:
-                outcomes[k] = ex
-        ks = np.array(list(started), dtype=int)
-        for k, outcome in zip(ks, _drive(env, list(started.values()), draws, ks)):
+        ks, rounds = np.array(pending, dtype=int), rounds + 1
+        for k, outcome in zip(ks, _drive(env, [spec.runner(env) for k in ks], draws, ks)):
             outcomes[k] = outcome
         pending = [k for k in pending if isinstance(outcomes[k], _RETRY)]
     completed, max_abs, max_rel = 0, 0.0, 0.0

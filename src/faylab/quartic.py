@@ -177,9 +177,15 @@ def l_of_v(C4: PlaneQuartic, L, lifts):
     return mu
 
 
+def _abs(z):
+    """|z|, with the bits of Python's abs of each number (not np.abs's)."""
+    return np.hypot(z.real, z.imag)
+
+
 def residue_sum(numerators, mu):
-    """Sum over zeros P_i of a form l on the quartic of numerators[i] /
-    mu[i], mu[i] = l(v_P_i), as (|sum|, |sum| / largest |term|).
+    """Sum over zeros P_i of a form l on the quartic of numerators[..., i] /
+    mu[..., i], mu = l(v_P_i), over the last axis, as (|sum|, |sum| /
+    largest |term|), (0, 0) where every term is 0.
 
     Each term is the residue of a twisted adjoint form at P.  With the
     whole section {l = 0} and numerators Q(P) for a quadric Q this is the
@@ -188,58 +194,52 @@ def residue_sum(numerators, mu):
     t it is the three-term identity sum eta_1 eta_2 / eta' = 0 (cor2).
     """
     terms = np.asarray(numerators) / mu
-    total = abs(terms.sum())
-    scale = np.abs(terms).max()
-    if scale == 0.0:
-        return 0.0, 0.0
-    return float(total), float(total / scale)
+    total = _abs(terms.sum(axis=-1))
+    scale = _abs(terms).max(axis=-1)
+    return total, np.divide(total, scale, out=np.zeros_like(total), where=scale > 0)
 
 
 def ratio_r(l, residual, x, y):
     """The hyperplane ratio r(x~, y~, H) of H = {l = 0} through the rows
-    D_1, D_2 of `residual`, the section points other than x and y.  The
-    form on H vanishing at D_i is L_i(X) = det(l, D_i, X) = (l x D_i) . X,
-    and
+    D_1, D_2 of `residual`, the section points other than x and y, over
+    any leading axes.  The form on H vanishing at D_i is
+    L_i(X) = det(l, D_i, X) = (l x D_i) . X, and
 
         r = L1(y~) L2(y~) / (L1(x~) L2(x~)),
 
     the genus-3 case of a conic through the residual divisor.  The
     tangent machinery gives the same ratio as -l(v_y~) / l(v_x~).
     """
-    L = np.cross(l, residual)
-    return complex(np.prod(L @ y) / np.prod(L @ x))
+    L = np.cross(l[..., None, :], residual)
+    return (L * y[..., None, :]).sum(axis=-1).prod(axis=-1) / (
+        L * x[..., None, :]).sum(axis=-1).prod(axis=-1)
 
 
-def reconstruct_tangent_coords(a_seq, b_seq):
+def reconstruct_tangent_coords(a, b):
     """Tangent coordinates from hyperplane ratios: the continued-product
     formula
 
         (1 : (b2-b1)/(a2-b2) : ... :
          prod (a_i - b_{i-1})(b_{i+1} - b_i) / (b_i - b_{i-1})(a_{i+1} - b_{i+1}))
 
-    for sequences a_i, b_i of length g-2 >= 1 (1-indexed as displayed).
+    for sequences a_i, b_i of length g-2 >= 1 (1-indexed as displayed),
+    along the last axis of a and b, over any leading axes.  Raises if any
+    denominator is below 1e-10 of its sequences' largest modulus (or 1).
     """
-    a = [complex(v) for v in a_seq]
-    b = [complex(v) for v in b_seq]
-    if len(a) != len(b) or not a:
+    a = np.asarray(a, dtype=complex)
+    b = np.asarray(b, dtype=complex)
+    if a.shape != b.shape or a.ndim == 0 or not a.shape[-1]:
         raise ValueError("need equal nonempty ratio sequences")
-    m = len(a)
-    scale = max(max(abs(v) for v in a), max(abs(v) for v in b), 1.0)
-    out = [1.0 + 0.0j]
-    if m == 1:
-        return out
-    den = a[1] - b[1]
-    if abs(den) < 1e-10 * scale:
-        raise DegenerateRatios("a2 - b2 too small")
-    out.append(out[0] * (b[1] - b[0]) / den)
-    for i in range(1, m - 1):          # u_{i+2}/u_{i+1} in 0-based terms
-        d1 = b[i] - b[i - 1]
-        d2 = a[i + 1] - b[i + 1]
-        if min(abs(d1), abs(d2)) < 1e-10 * scale:
-            raise DegenerateRatios("degenerate ratio denominators")
-        ratio = (a[i] - b[i - 1]) * (b[i + 1] - b[i]) / (d1 * d2)
-        out.append(out[-1] * ratio)
-    return out
+    scale = np.maximum(np.maximum(_abs(a).max(axis=-1), _abs(b).max(axis=-1)), 1.0)
+    ab = a[..., 1:] - b[..., 1:]                # a_i - b_i, i >= 2
+    db = b[..., 1:] - b[..., :-1]               # b_i - b_{i-1}, i >= 2
+    dens = np.concatenate([ab, db[..., :-1]], axis=-1)
+    if (_abs(dens) < 1e-10 * scale[..., None]).any():
+        raise DegenerateRatios("degenerate ratio denominators")
+    # each coordinate over the one before: 1, then (b2-b1)/(a2-b2), then the rest
+    later = (a[..., 1:-1] - b[..., :-2]) * db[..., 1:] / (db[..., :-1] * ab[..., 1:])
+    steps = np.concatenate([np.ones_like(a[..., :1]), db[..., :1] / ab[..., :1], later], axis=-1)
+    return np.cumprod(steps, axis=-1)
 
 
 def projective_distance(p, q):
@@ -247,61 +247,61 @@ def projective_distance(p, q):
     p = np.asarray(p, dtype=complex)
     q = np.asarray(q, dtype=complex)
     M = p[..., :, None] * q[..., None, :]
-    num = np.abs(M - np.swapaxes(M, -1, -2)).max(axis=(-2, -1))
+    num = _abs(M - np.swapaxes(M, -1, -2)).max(axis=(-2, -1))
     return num / (np.linalg.norm(p, axis=-1) * np.linalg.norm(q, axis=-1))
 
 
 # ---------------------------------------------------------------------------
-# samplers and identity bodies, driven as those of faylab.identities; their
-# kernel requests are (line_section, L) and (l_of_v, L, lifts)
+# the sampler and identity bodies, driven as those of faylab.identities over
+# a leading trial axis; their kernel requests are (line_section, L) and
+# (l_of_v, L, lifts)
 
 
-def _random_form(rng):
-    return rng.standard_normal(3) + 1j * rng.standard_normal(3)
+def normals(env, take, rows, count):
+    """count complex normals per stream of rows, as a (len(rows), count)
+    array, and no failures ({}); take(rows, n) reads the next n doubles of
+    each stream.  Entry i is one complex Box-Muller draw (Box & Muller,
+    Ann. Math. Stat. 29, 1958) from the stream's doubles u = 2i and
+    v = 2i + 1: sqrt(-2 log(1 - u)) exp(2 pi i v), whose real and
+    imaginary parts are independent N(0, 1).  Each step runs elementwise
+    on a new array, so a row has the bits it has alone."""
+    u = take(rows, 2 * count).reshape(len(rows), count, 2)
+    return np.sqrt(-2 * np.log1p(-u[..., 0])) * np.exp(2j * np.pi * u[..., 1]), {}
 
 
-def _random_quadric(rng):
-    M = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
-    return 0.5 * (M + M.T)
+def canprop_residual(C4: PlaneQuartic):
+    l = yield normals, 3
+    Q = (yield normals, 9).reshape(-1, 3, 3)          # the quadric X^T Q X
+    pts = (yield line_section, l[:, None])[:, 0]
+    mu = yield l_of_v, np.broadcast_to(l[:, None], pts.shape), pts
+    return residue_sum((pts[:, :, :, None] * Q[:, None] * pts[:, :, None]).sum(axis=(2, 3)), mu)
 
 
-def _form_through(rng, x):
-    """Random linear form vanishing at the lift x."""
-    null = np.linalg.svd(np.asarray(x, dtype=complex)[None])[2][1:].conj()
-    return (rng.standard_normal(2) + 1j * rng.standard_normal(2)) @ null
-
-
-def canprop_residual(C4: PlaneQuartic, rng):
-    l, Q = _random_form(rng), _random_quadric(rng)
-    pts, = yield line_section, l[None]
-    mu = yield l_of_v, np.array([l] * 4), pts
-    return residue_sum(np.einsum("ia,ab,ib->i", pts, Q, pts), mu)
-
-
-def cor2_residual(C4: PlaneQuartic, rng):
-    l = _random_form(rng)
-    pts, = yield line_section, l[None]
-    t = pts[3]
-    j = int(np.argmax(np.abs(t)))
+def cor2_residual(C4: PlaneQuartic):
+    l = yield normals, 3
+    m = (yield normals, 6).reshape(-1, 2, 3)
+    pts = (yield line_section, l[:, None])[:, 0]
+    t, k = pts[:, 3], np.arange(len(l))
+    j = _abs(t).argmax(axis=1)
     # two random forms, each moved along X_j to vanish at t
-    m = np.array([_random_form(rng) for _ in range(2)])
-    m[:, j] -= m @ t / t[j]
-    mu = yield l_of_v, np.array([l] * 3), pts[:3]
-    return residue_sum((pts[:3] @ m.T).prod(axis=1), mu)
+    m[k, :, j] -= (m * t[:, None]).sum(axis=2) / t[k, j, None]
+    mu = yield l_of_v, np.broadcast_to(l[:, None], (len(l), 3, 3)), pts[:, :3]
+    return residue_sum((pts[:, :3, None] * m[:, None]).sum(axis=3).prod(axis=2), mu)
 
 
-def ratio_dual_residual(C4: PlaneQuartic, rng):
-    l = _random_form(rng)
-    pts, = yield line_section, l[None]
-    scales = rng.standard_normal(2) + 1j * rng.standard_normal(2)
-    x, y = pts[0] * scales[0], pts[1] * scales[1]
-    mu_x, mu_y = yield l_of_v, np.array([l, l]), np.array([x, y])
-    r_div = ratio_r(l, pts[2:], x, y)
-    err = abs(r_div + mu_y / mu_x)          # r_tan = -mu_y / mu_x
-    return err, err / abs(r_div)
+def ratio_dual_residual(C4: PlaneQuartic):
+    l = yield normals, 3
+    scales = yield normals, 2
+    pts = (yield line_section, l[:, None])[:, 0]
+    x, y = pts[:, 0] * scales[:, :1], pts[:, 1] * scales[:, 1:]
+    mu_x, mu_y = (yield l_of_v, np.broadcast_to(l[:, None], (len(l), 2, 3)),
+                  np.stack([x, y], axis=1)).T
+    r_div = ratio_r(l, pts[:, 2:], x, y)
+    err = _abs(r_div + mu_y / mu_x)          # r_tan = -mu_y / mu_x
+    return err, err / _abs(r_div)
 
 
-def tangent_reconstruction_residual(C4: PlaneQuartic, rng):
+def tangent_reconstruction_residual(C4: PlaneQuartic):
     """Genus-3 tangent reconstruction from hyperplane-section ratios.
 
     Through two points of the plane there is a single line, so the
@@ -315,36 +315,35 @@ def tangent_reconstruction_residual(C4: PlaneQuartic, rng):
 
     The result must match the direct tangent-machinery values.
     """
-    l0 = _random_form(rng)
-    pts0, = yield line_section, l0[None]
-    x, y0 = pts0[:2]
-    l1 = _form_through(rng, x)
-    pts1, = yield line_section, l1[None]
+    l0 = yield normals, 3
+    w = yield normals, 3
+    pts0 = (yield line_section, l0[:, None])[:, 0]
+    x, y0 = pts0[:, 0], pts0[:, 1]
+    l1 = np.cross(x, w)                     # a random form through x
+    pts1 = (yield line_section, l1[:, None])[:, 0]
     # x must be one simple point of the second section; y1 is the first other
-    d = projective_distance(pts1, x)
-    near = np.argsort(d)
-    if d[near[0]] > 1e-6:
-        raise QuarticError("x does not lie on the second section")
-    if d[near[1]] <= 1e-6:
-        raise TangentOrSingularLine("x is not a simple point of the second section")
-    rest = np.delete(pts1, near[0], axis=0)
-    y1 = rest[0]
-    mu0, mu1 = (yield l_of_v, np.array([l0, l0, l1, l1]),
-                np.array([y0, x, y1, x])).reshape(2, 2)
-    recon = -np.array([mu0[0] / ratio_r(l0, pts0[2:], x, y0),
-                       mu1[0] / ratio_r(l1, rest[1:], x, y1)])
-    dist = projective_distance(recon, [mu0[1], mu1[1]])
+    d = projective_distance(pts1, x[:, None])
+    near = np.argsort(d, axis=1)
+    d0, d1 = np.take_along_axis(d, near[:, :2], axis=1).T
+    yield {i: QuarticError("x does not lie on the second section")
+           for i in np.flatnonzero(d0 > 1e-6)}
+    yield {i: TangentOrSingularLine("x is not a simple point of the second section")
+           for i in np.flatnonzero(d1 <= 1e-6)}
+    rest = np.take_along_axis(pts1, np.sort(near[:, 1:], axis=1)[..., None], axis=1)
+    y1 = rest[:, 0]
+    mu = yield l_of_v, np.stack([l0, l0, l1, l1], axis=1), np.stack([y0, x, y1, x], axis=1)
+    recon = -np.stack([mu[:, 0] / ratio_r(l0, pts0[:, 2:], x, y0),
+                       mu[:, 2] / ratio_r(l1, rest[:, 1:], x, y1)], axis=1)
+    dist = projective_distance(recon, mu[:, [1, 3]])
     return dist, dist
 
 
-def reconstruct_synthetic_residual(C4: PlaneQuartic, rng):
+def reconstruct_synthetic_residual(C4: PlaneQuartic):
     """Oracle for the continued-product formula: choose u, v, feed the
     ratios a_i = -v_i/u_i, b_i = -(sum v)/(sum u); output must be
     proportional to u (sequences of length 5)."""
-    u = rng.standard_normal(5) + 1j * rng.standard_normal(5)
-    v = rng.standard_normal(5) + 1j * rng.standard_normal(5)
-    a = -v / u
-    b = [-v[:i + 1].sum() / u[:i + 1].sum() for i in range(5)]
-    dist = projective_distance(reconstruct_tangent_coords(a, b), u / u[0])
+    u = yield normals, 5
+    v = yield normals, 5
+    b = -v.cumsum(axis=1) / u.cumsum(axis=1)
+    dist = projective_distance(reconstruct_tangent_coords(-v / u, b), u / u[:, :1])
     return dist, dist
-    yield

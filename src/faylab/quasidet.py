@@ -68,11 +68,6 @@ class QuasiMatrix:
         return A[..., i, j, :, :] - row @ _solve(minor, col)
 
 
-def random_quasimatrix(rng, n, k):
-    ent = rng.standard_normal((n, n, k, k)) + 1j * rng.standard_normal((n, n, k, k))
-    return QuasiMatrix(ent)
-
-
 def _rel(diff, ref):
     """max |diff| / max |ref|, for carrier elements."""
     return float(np.abs(diff).max()) / max(float(np.abs(ref).max()), 1e-300)

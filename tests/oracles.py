@@ -14,6 +14,7 @@ import numpy as np
 
 from faylab.curves import CurveError, make_point
 from faylab.identities import _HARD, _RETRY, _drive
+from faylab.quasidet import QuasiMatrix
 from faylab.report import IdentityReport, report_record
 from faylab.rng import trial_rng
 
@@ -195,21 +196,16 @@ def draw_one(sampler, ctx, rng, count=1):
 
 
 def generator_trial(spec, env, rng):
-    """One trial of spec run alone (T = 1) by _drive, reading the Generator
-    rng: a hyperelliptic body draws from it by its requests, the others are
-    given it.  Returns (abs, rel) or the exception that stopped the trial
-    after its start; a runner that refuses to start raises."""
-    if spec.kind == "hyperelliptic":
-        started, draws = spec.runner(env), GeneratorDraws(rng)
-    else:
-        started, draws = spec.runner(env, rng), None
-    result, = _drive(env, [started], draws, np.zeros(1, dtype=int))
+    """One trial of spec run alone (T = 1) by _drive, its draws read from
+    the Generator rng.  Returns (abs, rel) or the exception that stopped the
+    trial after its start; a runner that refuses to start raises."""
+    result, = _drive(env, [spec.runner(env)], GeneratorDraws(rng), np.zeros(1, dtype=int))
     return result
 
 
 def trial_steps(spec, env, rng):
-    """(request, answer) for each draw and kernel request of one
-    hyperelliptic trial of spec run alone (T = 1): a draw read from the
+    """(request, answer) for each draw and kernel request of one trial of
+    spec run alone (T = 1): a draw read from the
     Generator rng by draw_one, a kernel request answered by its kernel on
     the trial's rows.  A refusal of the trial ends the steps."""
     body, answer = spec.runner(env)(), None
@@ -262,3 +258,10 @@ def per_trial_record(spec, env, curve_id, trials, tol, seed):
                                        max_rel, seed, tol, passed, 0, failure))
     del rec["elapsed_ms"]
     return dict(rec, failure=failure)
+
+
+def random_quasimatrix(rng, n, k):
+    """An n x n quasimatrix of k x k blocks of complex normals drawn from the
+    Generator rng."""
+    ent = rng.standard_normal((n, n, k, k)) + 1j * rng.standard_normal((n, n, k, k))
+    return QuasiMatrix(ent)

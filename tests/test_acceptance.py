@@ -16,14 +16,13 @@ from faylab.kernels import (prime_form, massey_m3_prime, massey_m3_theta,
                             sample_point, random_line_bundle, NearDivisor,
                             CoincidentPoints)
 from faylab.identities import run_suite, SuiteConfig, _distinct_points
-from faylab.quasidet import (random_quasimatrix, check_sylvester,
-                             check_column_expansion, check_homological,
+from faylab.quasidet import (check_sylvester, check_column_expansion, check_homological,
                              SingularMinor)
 from faylab.rng import trial_rng
 from faylab.report import report_record
 
 from conftest import build_context, far_path_aj, one_trial, pair_args
-from oracles import agm_tau, draw_one, qseries_theta3
+from oracles import agm_tau, draw_one, qseries_theta3, random_quasimatrix
 
 RMS = {1: RiemannMatrix([[1j]]),
        2: RiemannMatrix([[1.0j, 0.3], [0.3, 1.3j]]),

@@ -6,8 +6,9 @@ import numpy as np
 import pytest
 
 from faylab.identities import (IDENTITIES, SuiteConfig, run_suite, run_identity,
-                               UnknownIdentity, SuiteError, _distinct_points)
+                               UnknownIdentity, SuiteError, _build_env, _distinct_points)
 from faylab.kernels import CurveContext, fay_F, NearDivisor, sample_point
+from faylab.quasidet import SingularMinor
 from faylab.registry import registry_entries
 from faylab.report import report_record
 from faylab.rng import trial_rng
@@ -255,12 +256,14 @@ class TestSuiteRunner:
             assert abs(r1[trial] - r2) < 1e-12
 
     def test_completion_tracking(self, ctx_g1):
-        # a runner that always rejects must fail the completion bar
-        from faylab.identities import IdentitySpec
-        def always_near(env, *rng):
-            raise NearDivisor("synthetic rejection")
+        # a body that rejects every trial must fail the completion bar
+        from faylab.identities import IdentitySpec, _runner, doubles
+
+        def always_near(env):
+            u = yield doubles, 1
+            yield {i: NearDivisor("synthetic rejection") for i in range(len(u))}
         spec = IdentitySpec(name="synthetic", kind="hyperelliptic",
-                            runner=always_near, table={1: (10, 1e-8)})
+                            runner=_runner(always_near), table={1: (10, 1e-8)})
         rep = run_identity(spec, ctx_g1, "lemniscatic", 10, 1e-8, 1)
         assert rep.completed == 0
         assert not rep.passed
@@ -271,13 +274,12 @@ class TestSuiteRunner:
     def test_non_finite_residual_fails_the_report(self, bad):
         # max() drops a NaN: trial 3's NaN residual must end the report as
         # an infinite one does, with both maxima inf
-        from faylab.identities import IdentitySpec, _runner
-        calls = []
+        from faylab.identities import IdentitySpec, _runner, doubles
+        third = trial_rng(42, "nan|-", 2).random()
 
-        def body(env, rng):
-            calls.append(rng)
-            return bad if len(calls) == 3 else (1e-12, 1e-12)
-            yield
+        def body(env):
+            hit = (yield doubles, 1)[:, 0] == third
+            return np.where(hit, bad[0], 1e-12), np.where(hit, bad[1], 1e-12)
         spec = IdentitySpec("nan", "carrier", _runner(body), {"-": (10, 1e-9)})
         rep = run_identity(spec, None, "-", 10, 1e-9, 42)
         assert (rep.completed, rep.passed, rep.failure) == (3, False, "")
@@ -365,6 +367,15 @@ class TestSuiteRunner:
         assert all(r.passed for r in reports)
 
 
+def target(cid):
+    """The kind of the identities that run on a registry curve id, or on
+    "-", and the curve's genus."""
+    if cid == "-":
+        return "carrier", None
+    entry = registry_entries()[cid]
+    return entry["type"], entry["genus"]
+
+
 def record(rep):
     """A report's ndjson record without elapsed_ms, with its failure."""
     rec = report_record(rep)
@@ -390,6 +401,9 @@ class TestLookAhead:
 
     @staticmethod
     def fresh(cid):
+        """A new environment of the registry curve cid, or None for "-"."""
+        if target(cid)[0] != "hyperelliptic":
+            return None if cid == "-" else _build_env(registry_entries()[cid])
         base = build_context(cid)
         return CurveContext(base.curve, base.periods)
 
@@ -479,23 +493,25 @@ class TestLookAhead:
         assert (len(attempts), len(calls)) == (20, 1)
 
 
-@pytest.mark.parametrize("cid", HYPERELLIPTIC)
+@pytest.mark.parametrize("cid", HYPERELLIPTIC + ["fermat", "quartic-generic", "-"])
 def test_evaluate_equals_one_draw_evaluations(cid):
     # every trial's residual has the bits it has when run alone: for every
-    # identity with a table row for the curve, at two seeds, 10 trials drawn
-    # from the rows of one Table and run together over the trial axis, then
-    # each drawn from its trial_rng Generator and run alone (T = 1)
+    # identity with a table row for the curve (or, on "-", every carrier
+    # check), at two seeds, 10 trials drawn from the rows of one Table and
+    # run together over the trial axis, then each drawn from its trial_rng
+    # Generator and run alone (T = 1)
     import faylab.identities as ids
     from faylab.rng import Table
-    ctx, genus = build_context(cid), registry_entries()[cid]["genus"]
-    for spec in IDENTITIES.values():
-        if spec.kind != "hyperelliptic" or spec.table.get(cid, spec.table.get(genus)) is None:
-            continue
+    env, kind, genus = TestLookAhead.fresh(cid), *target(cid)
+    specs = [spec for spec in IDENTITIES.values()
+             if spec.kind == kind and spec.table.get(cid, spec.table.get(genus)) is not None]
+    assert specs
+    for spec in specs:
         for seed in (3, 2027):
-            started = [spec.runner(ctx) for _ in range(10)]
-            batch = np.array(ids._drive(ctx, started, Table(seed, spec.name, range(10)),
+            started = [spec.runner(env) for _ in range(10)]
+            batch = np.array(ids._drive(env, started, Table(seed, spec.name, range(10)),
                                         np.arange(10)))
-            alone = np.array([generator_trial(spec, ctx, trial_rng(seed, spec.name, trial))
+            alone = np.array([generator_trial(spec, env, trial_rng(seed, spec.name, trial))
                               for trial in range(10)])
             assert batch.shape == (10, 2) and batch.tobytes() == alone.tobytes(), spec.name
 
@@ -566,7 +582,7 @@ def test_bundle_near_the_theta_divisor_redraws_its_trial(name, monkeypatch):
 def test_outcomes_are_read_in_trial_order(nan_at, fail_at, completed, failure):
     # one trial's residual is NaN and another's kernel call fails hard, in
     # one round: whichever comes first in trial order ends the report
-    from faylab.identities import IdentitySpec, _runner
+    from faylab.identities import IdentitySpec, _runner, doubles
     from faylab.kernels import KernelError
     first = [trial_rng(11, "ordered|-", k).random() for k in range(6)]
 
@@ -575,8 +591,8 @@ def test_outcomes_are_read_in_trial_order(nan_at, fail_at, completed, failure):
             raise KernelError("synthetic failure")
         return np.where(X == first[nan_at], np.nan, X)
 
-    def body(ctx, rng):
-        x, = yield kernel, np.array([rng.random()])
+    def body(ctx):
+        x = (yield kernel, (yield doubles, 1))[:, 0]
         return x, x
     spec = IdentitySpec("ordered", "carrier", _runner(body), {"-": (6, 1.0)})
     rep = run_identity(spec, None, "-", 6, 1.0, 11)
@@ -590,6 +606,7 @@ def test_round_without_draws(monkeypatch):
     # all its bodies at their first request, and the report fails at trial 0
     import faylab.identities as ids
     from faylab.curves import CurveError
+    from faylab.rng import Table
     calls = []
 
     def fail(ctx, take, rows, count):
@@ -598,7 +615,7 @@ def test_round_without_draws(monkeypatch):
         return np.zeros((len(rows), count, 2), dtype=complex), errors
     monkeypatch.setattr(ids, "sample_points", fail)
     spec = IDENTITIES["idcor"]
-    assert ids._drive(None, [], None, np.arange(0)) == []
+    assert ids._drive(None, [], Table(11, "none", range(0)), np.arange(0)) == []
     sizes = counted_drive(monkeypatch)
     rep = run_identity(spec, build_context("lemniscatic"), "lemniscatic", 4, 1e-9, 11)
     assert sizes == calls == [4]
@@ -703,24 +720,35 @@ def test_failed_call_runs_each_trial_alone():
 
 
 def test_one_trial_model(fermat, monkeypatch):
-    # every runner is _runner(body) of a generator body, and a quartic draw
-    # is pure sampling: it sections no line and reads no l(v_P)
+    # every runner is _runner(body) of a generator body and takes env alone,
+    # and a quartic draw is pure sampling: _drive answering only draw
+    # requests sections no line and reads no l(v_P)
     import inspect
     import faylab.identities as ids
     import faylab.quartic as quartic
+    from faylab.rng import Table
     code = ids._runner(test_one_trial_model).__code__
     for spec in IDENTITIES.values():
         assert spec.runner.__code__ is code, spec.name
+        assert list(inspect.signature(spec.runner, follow_wrapped=False).parameters) == [
+            "env"], spec.name
         assert inspect.isgeneratorfunction(spec.runner.__wrapped__), spec.name
 
     def refuse(*args):
         raise AssertionError("a quartic kernel called in a draw")
     for name in ("line_section", "l_of_v"):
         monkeypatch.setattr(quartic, name, refuse)
+
+    def kernel_request(env, kernel, *args):
+        raise SuiteError("kernel request")
+    monkeypatch.setattr(ids, "_rows", kernel_request)
     for spec in IDENTITIES.values():
         if spec.kind == "plane_quartic":
-            for trial in range(10):
-                spec.runner(fermat, trial_rng(3, spec.name, trial))
+            got = ids._drive(fermat, [spec.runner(fermat)] * 10, Table(3, spec.name, range(10)),
+                             np.arange(10))
+            # reconstruct_synthetic requests no kernel
+            assert all(str(r) == "kernel request" or spec.name == "reconstruct_synthetic"
+                       for r in got), spec.name
 
 
 class TestForcedRedraws:
@@ -883,3 +911,41 @@ class TestTrialAxisFailures:
         failed = self.check(IDENTITIES["quasidet_geometric_n2"], "lemniscatic",
                             lambda: monkeypatch.setattr(quasidet, "_RCOND", 0.1))
         assert 0 < len(failed) < 12
+
+    def test_tangent_reconstruction_refusing_one_trial(self, monkeypatch):
+        # trial 2's second section holds x twice: its body refuses the trial
+        # (x is not a simple point), which is drawn again in a second round
+        import faylab.quartic as quartic
+        from faylab.quartic import projective_distance
+        spec, cid = IDENTITIES["tangent_reconstruction"], "fermat"
+        first, second = [(request, answer) for request, answer in trial_steps(
+            spec, TestLookAhead.fresh(cid), trial_rng(42, f"{spec.name}|{cid}", 2))
+            if request[0] is quartic.line_section]
+        x, marked = first[1][0, 0, 0], second[0][1][0, 0]
+        real = quartic.line_section
+
+        def doubled_x(C4, L):
+            pts = real(C4, L)
+            for i in np.flatnonzero((L == marked).all(axis=1)):
+                pts[i, np.argmax(projective_distance(pts[i], x))] = (0.5 + 2j) * x
+            return pts
+        failed = self.check(spec, cid,
+                            lambda: monkeypatch.setattr(quartic, "line_section", doubled_x))
+        assert failed == [2]
+
+    def test_singular_minor_in_one_det_ratio_trial(self, monkeypatch):
+        # trial 2's check raises SingularMinor: the round's body raises, each
+        # trial runs alone, and trial 2 alone is drawn again in a second round
+        import faylab.identities as ids
+        from faylab.quartic import normals
+        spec = IDENTITIES["quasidet_det_ratio"]
+        marked = next(answer for (fn, *_), answer in trial_steps(
+            spec, None, trial_rng(42, f"{spec.name}|-", 2)) if fn is normals)[0]
+        real = ids._det_ratio
+
+        def singular(z, u):
+            if (z == marked).all():
+                raise SingularMinor("forced singular minor")
+            return real(z, u)
+        failed = self.check(spec, "-", lambda: monkeypatch.setattr(ids, "_det_ratio", singular))
+        assert failed == [2]

@@ -3,14 +3,22 @@ import pytest
 
 from faylab.quartic import (PlaneQuartic, line_section, l_of_v, residue_sum,
                             ratio_r, reconstruct_tangent_coords,
-                            projective_distance, _random_form,
-                            _random_quadric, TangentOrSingularLine,
+                            projective_distance, TangentOrSingularLine,
                             DegenerateForm, NotSmooth, NotAZero, HigherOrderZero,
                             DegenerateRatios, QuarticError)
 from faylab.registry import registry_entries
 from faylab.rng import trial_rng
 
 from conftest import one_trial
+
+
+def _random_form(rng):
+    return rng.standard_normal(3) + 1j * rng.standard_normal(3)
+
+
+def _random_quadric(rng):
+    M = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
+    return 0.5 * (M + M.T)
 
 
 def _monomial_sum(coefficients, X):
@@ -383,10 +391,15 @@ class TestReconstruction:
         assert worst < 1e-8
 
     def test_second_line_missing_x_is_hard_failure(self, monkeypatch, fermat):
-        # x must be among the points of the second line: a form not through
-        # x is a fault of the runner, not a draw to resample
+        # x must be among the points of the second line: a second section of
+        # another line is a fault of the runner, not a draw to resample
         import faylab.quartic as quartic
-        monkeypatch.setattr(quartic, "_form_through", lambda rng, x: _random_form(rng))
+        sections = []
+
+        def other_second_line(C4, L):
+            sections.append(L)
+            return line_section(C4, L.conj() if len(sections) == 2 else L)
+        monkeypatch.setattr(quartic, "line_section", other_second_line)
         with pytest.raises(QuarticError, match="does not lie") as info:
             one_trial("tangent_reconstruction", fermat, trial_rng(25, "recon", 0))
         assert not isinstance(info.value, TangentOrSingularLine)

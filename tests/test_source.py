@@ -233,7 +233,7 @@ def _generator_functions(tree):
 
 #: the draw samplers a body yields as (sampler, count) instead of calling
 SAMPLERS = {"sample_points", "sample_point", "sample_xi", "random_line_bundle",
-            "_distinct_points"}
+            "_distinct_points", "normals", "doubles"}
 
 
 def _kernel_calls_in_generators(tree):
@@ -282,8 +282,19 @@ def test_kernel_calls_in_trial_axis_bodies_detected():
                      "def by_sampler(ctx, take, rows):\n"
                      "    xi, _ = sample_xi(ctx, take, rows, 1)\n"
                      "    th = yield _theta, xi\n"
-                     "    return np.abs(th[:, 0]), np.abs(th[:, 0])\n")
-    assert _kernel_calls_in_generators(tree) == [("by_kernel", 4, "fay_F"),
+                     "    return np.abs(th[:, 0]), np.abs(th[:, 0])\n"
+                     "def by_normals(C4, take, rows):\n"
+                     "    l, _ = quartic.normals(C4, take, rows, 3)\n"
+                     "    u = yield doubles, 1\n"
+                     "    pts = (yield line_section, l[:, None])[:, 0]\n"
+                     "    return u[:, 0], _abs(pts[:, 0, 0])\n"
+                     "def by_doubles(env, take, rows):\n"
+                     "    z = yield normals, 25\n"
+                     "    u, _ = doubles(env, take, rows, 3)\n"
+                     "    return _each(_det_ratio, z, u)\n")
+    assert _kernel_calls_in_generators(tree) == [("by_doubles", 17, "doubles"),
+                                                 ("by_kernel", 4, "fay_F"),
+                                                 ("by_normals", 11, "normals"),
                                                  ("by_sampler", 7, "sample_xi")]
 
 
@@ -292,7 +303,7 @@ def test_no_kernel_calls_in_identity_bodies():
     # makes in one call per round; a body calling a sampler or a kernel
     # would make its own call, outside the round's one
     hits = []
-    for name, bodies in (("identities.py", 15), ("quartic.py", 5)):
+    for name, bodies in (("identities.py", 15), ("quartic.py", 5), ("cli.py", 1)):
         tree = ast.parse((SRC / name).read_text())
         assert len(_generator_functions(tree)) >= bodies, name
         hits += [f"{name}:{line} {fn}: {kernel}"
