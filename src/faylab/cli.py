@@ -12,8 +12,7 @@ import numpy as np
 from .curves import (HyperellipticCurve, period_matrix, BranchPointCollision,
                      CurveError)
 from .identities import (IdentitySpec, SuiteConfig, run_identity, run_suite,
-                         SuiteError, UnknownIdentity, _runner, _carrier, _each, _homological,
-                         doubles)
+                         SuiteError, UnknownIdentity, _runner, _carrier, _homological, doubles)
 from .quartic import normals
 from .quasidet import check_sylvester, check_column_expansion
 from .registry import registry_entries, load_curve_entry, RegistryError
@@ -109,15 +108,13 @@ def _cmd_quasidet_selftest(args):
               f"and --seed >= 0 and < {SEED_LIMIT}", file=sys.stderr)
         return 2
 
-    def selftest(z, u):
-        A = _carrier(z, n, k)
-        return max(check_sylvester(A, max(1, n - 2)), check_column_expansion(A),
-                   _homological(A, u))
-
     def body(env):
         z = yield normals, n * n * k * k
         u = yield doubles, 4
-        return _each(selftest, z, u)
+        A = _carrier(z, n, k)
+        r = np.max([check_sylvester(A, max(1, n - 2)), check_column_expansion(A),
+                    _homological(A, u)], axis=0)
+        return r, r
 
     tol = 1e-9
     spec = IdentitySpec(f"quasidet_selftest_n{n}_k{k}", "carrier", _runner(body),

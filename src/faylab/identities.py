@@ -24,7 +24,7 @@ from .kernels import (CurveContext, fay_F, prime_form, massey_m3_prime,
                       sample_points, sample_xi, delta_divisor_root,
                       NEAR_DIVISOR, NearDivisor, CoincidentPoints, KernelError)
 from .quasidet import (QuasiMatrix, SingularMinor, check_sylvester, check_column_expansion,
-                       check_homological)
+                       check_homological, qdet_at)
 from .quartic import (PlaneQuartic, QuarticError, TangentOrSingularLine,
                       HigherOrderZero, NotAZero, DegenerateRatios, _abs, normals, canprop_residual,
                       cor2_residual, ratio_dual_residual,
@@ -95,8 +95,8 @@ def _qdet(ctx, ent):
 # rejects, and returns (abs, rel) as two (T,) arrays.  Its arithmetic keeps
 # each trial's bits at any T: elementwise operations, sums and products over
 # other axes with the trial axis outermost in memory, stacked solves, _abs,
-# and the carrier checks' one-trial functions mapped over the rows.  No body
-# calls a sampler or a kernel: _drive makes each request in one call a round.
+# and the carrier checks, stacked per n (_by_shape) at gathered indices.  No
+# body calls a sampler or a kernel: _drive makes each request in one call a round.
 
 
 def _mainid(X, Y, Z, T, xi):
@@ -393,7 +393,7 @@ def _drive(env, started, draws, rows):
 
 # ---------------------------------------------------------------------------
 # carrier-level checks (no curve): bodies that draw complex normals and
-# doubles, and map a one-trial check over their trials' rows
+# doubles, and run the stacked checks over each group of trials of one shape
 
 
 def doubles(env, take, rows, count):
@@ -406,39 +406,39 @@ def doubles(env, take, rows, count):
 
 
 def _carrier(z, n, k):
-    """The n x n quasimatrix of k x k blocks of the first n^2 k^2 normals z."""
-    return QuasiMatrix(z[:n * n * k * k].reshape(n, n, k, k))
+    """The n x n quasimatrices of k x k blocks of each row's first n^2 k^2 normals z."""
+    return QuasiMatrix(z[:, :n * n * k * k].reshape(len(z), n, n, k, k))
 
 
-def _each(check, z, u):
-    """check(z[t], u[t]) for each trial t, a residual r or a pair (abs, rel),
-    as two (T,) arrays; a raise fails the round, and _drive then runs each
-    trial alone."""
-    r = np.array(list(map(check, z, u))).reshape(len(z), -1)
-    return r[:, 0], r[:, -1]
+def _by_shape(sizes, check):
+    """check(t, n), a (..., len(t)) array, for the trials t of each value n
+    of the (T,) sizes, joined in trial order: a (..., T) array."""
+    groups = [np.flatnonzero(sizes == n) for n in sorted(set(sizes.tolist()))]
+    out = np.concatenate([check(t, int(sizes[t[0]])) for t in groups], axis=-1)
+    out[..., np.concatenate(groups)] = out.copy()
+    return out
 
 
-def _det_ratio(z, u):
-    """|A|_ij of an n x n scalar matrix A of normals z, n, i and j drawn from
-    u, against (-1)^(i+j) det A / det A^{ij}."""
-    n = 2 + int(4 * u[0])
-    M = z[:n * n].reshape(n, n)
-    i, j = int(n * u[1]), int(n * u[2])
-    dm = np.linalg.det(np.delete(np.delete(M, i, 0), j, 1))
-    if abs(dm) < 1e-8:
-        raise SingularMinor("oracle minor too small")
-    oracle = (-1) ** (i + j) * np.linalg.det(M) / dm
-    q = QuasiMatrix(M).qdet(i, j)[0, 0]
-    return abs(q - oracle), abs(q - oracle) / abs(oracle)
+def _det_ratio(z, n, i, j):
+    """|A|_ij of the n x n scalar matrix A of the first n^2 normals z of each
+    trial against (-1)^(i+j) det A / det A^{ij}, as (abs, rel); it refuses
+    the trials whose oracle minor has |det A^{ij}| < 1e-8."""
+    def dets(t, n):
+        M = z[t, :n * n].reshape(len(t), n, n)
+        kept = (np.arange(n) != i[t, None])[:, :, None] & (np.arange(n) != j[t, None])[:, None]
+        return np.stack([np.linalg.det(M), np.linalg.det(M[kept].reshape(len(t), n - 1, n - 1))])
+    d, dm = _by_shape(n, dets)
+    yield {t: SingularMinor("oracle minor too small") for t in np.flatnonzero(_abs(dm) < 1e-8)}
+    oracle = (-1) ** (i + j) * d / dm
+    q = _by_shape(n, lambda t, n: qdet_at(_carrier(z[t], n, 1), i[t], j[t])[:, 0, 0])
+    return _abs(q - oracle), _abs(q - oracle) / _abs(oracle)
 
 
 def _homological(A, u):
-    """check_homological of A at the row pair (i, k), drawn from u[:2], and
-    the column pair (j, l), drawn from u[2:4], by doubles' rule."""
-    n = A.n
-    i, j = int(n * u[0]), int(n * u[2])
-    k = (i + 1 + int((n - 1) * u[1])) % n
-    l = (j + 1 + int((n - 1) * u[3])) % n
+    """check_homological of the stack A at each trial's rows (i, k) and
+    columns (j, l), drawn from u[:, :2] and u[:, 2:4] by doubles' rule."""
+    i, j = (A.n * u[:, [0, 2]]).astype(int).T
+    k, l = (np.stack([i, j]) + 1 + ((A.n - 1) * u[:, [1, 3]]).astype(int).T) % A.n
     return check_homological(A, i, j, k, l)
 
 
@@ -449,27 +449,28 @@ CARRIER_N, CARRIER_K, COLUMN_N = 3, 2, 4
 def quasidet_det_ratio_residual(env):
     z = yield normals, 25
     u = yield doubles, 3
-    return _each(_det_ratio, z, u)
+    n = 2 + (4 * u[:, 0]).astype(int)
+    return (yield from _det_ratio(z, n, (n * u[:, 1]).astype(int), (n * u[:, 2]).astype(int)))
 
 
 def sylvester_residual(env):
     z = yield normals, CARRIER_N**2 * CARRIER_K**2
-    u = yield doubles, 1
-    return _each(lambda z, u: check_sylvester(_carrier(z, CARRIER_N, CARRIER_K),
-                                              1 + int((CARRIER_N - 1) * u[0])), z, u)
+    p = 1 + ((CARRIER_N - 1) * (yield doubles, 1)[:, 0]).astype(int)
+    r = _by_shape(p, lambda t, p: check_sylvester(_carrier(z[t], CARRIER_N, CARRIER_K), p))
+    return r, r
 
 
 def column_expansion_residual(env):
     z = yield normals, COLUMN_N**2 * CARRIER_K**2
-    u = yield doubles, 1
-    return _each(lambda z, u: check_column_expansion(
-        _carrier(z, 2 + int((COLUMN_N - 1) * u[0]), CARRIER_K)), z, u)
+    n = 2 + ((COLUMN_N - 1) * (yield doubles, 1)[:, 0]).astype(int)
+    r = _by_shape(n, lambda t, n: check_column_expansion(_carrier(z[t], n, CARRIER_K)))
+    return r, r
 
 
 def homological_residual(env):
     z = yield normals, CARRIER_N**2 * CARRIER_K**2
-    u = yield doubles, 4
-    return _each(lambda z, u: _homological(_carrier(z, CARRIER_N, CARRIER_K), u), z, u)
+    r = _homological(_carrier(z, CARRIER_N, CARRIER_K), (yield doubles, 4))
+    return r, r
 
 
 # ---------------------------------------------------------------------------

@@ -3,10 +3,11 @@ blocks (k = 1 recovers the commutative scalar case).
 
 |A|_ij = a_ij - r_i (A^{ij})^{-1} c_j, with r_i the row i without j and c_j
 the column j without i.  A block matrix over M_k(C) is a dense complex
-matrix, so the minor is flattened to one (n-1)k x (n-1)k matrix and the
-Schur complement costs one linear solve (Gelfand, Gelfand, Retakh &
-Wilson, "Quasideterminants", Adv. Math. 193 (2005)); a stack of them, one
-stacked solve that gives each matrix the bits it has alone.
+matrix, so the minor is flattened and the Schur complement is one linear
+solve (Gelfand, Gelfand, Retakh & Wilson, "Quasideterminants", Adv. Math.
+193 (2005)); a stack's, one stacked solve that gives each matrix the bits it
+has alone.  Each structural check takes a stack (T, n, n, k, k) of one n and
+gives (T,) residuals, gathering submatrices at indices drawn per trial.
 """
 
 from __future__ import annotations
@@ -30,9 +31,9 @@ def _solve(M, rhs):
 
 
 def carrier_inv(a):
-    """Partial inversion of a carrier element; fails on ill-conditioned blocks."""
+    """Partial inversion of carrier elements (..., k, k); fails on ill-conditioned blocks."""
     a = np.asarray(a, dtype=complex)
-    return _solve(a, np.eye(a.shape[0], dtype=complex))
+    return _solve(a, np.eye(a.shape[-1], dtype=complex))
 
 
 class QuasiMatrix:
@@ -69,13 +70,23 @@ class QuasiMatrix:
 
 
 def _rel(diff, ref):
-    """max |diff| / max |ref|, for carrier elements."""
-    return float(np.abs(diff).max()) / max(float(np.abs(ref).max()), 1e-300)
+    """max |diff| / max |ref| of each carrier element of a stack (T, k, k)."""
+    return np.abs(diff).max(axis=(-2, -1)) / np.maximum(np.abs(ref).max(axis=(-2, -1)), 1e-300)
 
 
-def _but(n, r):
-    """The indices 0..n-1 without r."""
-    return [x for x in range(n) if x != r]
+def qdet_at(A: QuasiMatrix, r, c, r_out=None, c_out=None):
+    """|A^{r_out c_out}|_rc of each trial of the stack A (|A|_rc if r_out and
+    c_out are None) at (T,) indices: qdet on the submatrix gathered with the
+    other rows and columns in order and r and c last, which gives each trial
+    the bits of its A.qdet(r, c, rows, cols) alone."""
+    t = np.arange(len(r))
+    def order(p, out):
+        keep = np.ones((len(p), A.n), dtype=bool)
+        keep[t, p] = keep[t, p if out is None else out] = False
+        return np.column_stack([np.nonzero(keep)[1].reshape(len(p), -1), p])
+    B = QuasiMatrix(A.entries[t[:, None, None], order(r, r_out)[:, :, None],
+                              order(c, c_out)[:, None]])
+    return B.qdet(B.n - 1, B.n - 1)
 
 
 # ---------------------------------------------------------------------------
@@ -89,38 +100,29 @@ def check_sylvester(A: QuasiMatrix, n_pivot):
     With P the last n_pivot indices and c_ij = |A_{(i,P),(j,P)}|_{ij} for
     leading indices i, j, the identity is |C|_{00} = |A|_{00}.
     """
-    m = A.n - n_pivot
-    piv = list(range(m, A.n))
-    C = np.zeros((m, m, A.k, A.k), dtype=complex)
-    for i in range(m):
-        for j in range(m):
-            C[i, j] = A.qdet(i, j, [i] + piv, [j] + piv)
+    m, piv = A.n - n_pivot, list(range(A.n - n_pivot, A.n))
+    C = np.array([[A.qdet(i, j, [i] + piv, [j] + piv) for j in range(m)] for i in range(m)])
     rhs = A.qdet(0, 0)
-    return _rel(QuasiMatrix(C).qdet(0, 0) - rhs, rhs)
+    return _rel(QuasiMatrix(np.moveaxis(C, 2, 0)).qdet(0, 0) - rhs, rhs)
 
 
 def check_column_expansion(A: QuasiMatrix):
     """|A|_00 = a_00 - sum_{i>=1} |A^{i0}|_{0i} |A^{00}|_{ii}^(-1) a_{i0}."""
-    lhs = A.qdet(0, 0)
-    acc = A.entries[0, 0].copy()
-    rest = _but(A.n, 0)
+    lhs, acc, rest = A.qdet(0, 0), A.entries[:, 0, 0], list(range(1, A.n))
     for i in rest:
-        term = (A.qdet(0, i, _but(A.n, i), rest)
-                @ carrier_inv(A.qdet(i, i, rest, rest))
-                @ A.entries[i, 0])
-        acc = acc - term
+        acc = acc - (A.qdet(0, i, [r for r in range(A.n) if r != i], rest)
+                     @ carrier_inv(A.qdet(i, i, rest, rest)) @ A.entries[:, i, 0])
     return _rel(lhs - acc, lhs)
 
 
 def check_homological(A: QuasiMatrix, i, j, k_row, l_col):
-    """The larger residual of the row relation
+    """The larger residual, at (T,) indices, of the row relation
     |A|_ij |A^{il}|_{kj}^{-1} = -|A|_il |A^{ij}|_{kl}^{-1} and the column
     relation |A^{kj}|_{il}^{-1} |A|_ij = -|A^{ij}|_{kl}^{-1} |A|_kj."""
-    n = A.n
-    a_ij = A.qdet(i, j)
-    inv_ij = carrier_inv(A.qdet(k_row, l_col, _but(n, i), _but(n, j)))
-    lhs = a_ij @ carrier_inv(A.qdet(k_row, j, _but(n, i), _but(n, l_col)))
-    row = _rel(lhs + A.qdet(i, l_col) @ inv_ij, lhs)
-    lhs = carrier_inv(A.qdet(i, l_col, _but(n, k_row), _but(n, j))) @ a_ij
-    col = _rel(lhs + inv_ij @ A.qdet(k_row, j), lhs)
-    return max(row, col)
+    a_ij = qdet_at(A, i, j)
+    inv_ij = carrier_inv(qdet_at(A, k_row, l_col, i, j))
+    lhs = a_ij @ carrier_inv(qdet_at(A, k_row, j, i, l_col))
+    row = _rel(lhs + qdet_at(A, i, l_col) @ inv_ij, lhs)
+    lhs = carrier_inv(qdet_at(A, i, l_col, k_row, j)) @ a_ij
+    col = _rel(lhs + inv_ij @ qdet_at(A, k_row, j), lhs)
+    return np.maximum(row, col)

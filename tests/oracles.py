@@ -260,8 +260,10 @@ def per_trial_record(spec, env, curve_id, trials, tol, seed):
     return dict(rec, failure=failure)
 
 
-def random_quasimatrix(rng, n, k):
+def random_quasimatrix(rng, n, k, lead=()):
     """An n x n quasimatrix of k x k blocks of complex normals drawn from the
-    Generator rng."""
-    ent = rng.standard_normal((n, n, k, k)) + 1j * rng.standard_normal((n, n, k, k))
+    Generator rng, or a stack of them of leading shape lead (the same
+    normals at lead (1,))."""
+    shape = (*lead, n, n, k, k)
+    ent = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
     return QuasiMatrix(ent)

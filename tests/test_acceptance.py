@@ -264,15 +264,14 @@ def test_criterion_6_quasidet_suite():
 
     def structural(rng):
         n = int(rng.integers(2, 5))
-        A = random_quasimatrix(rng, n, 2)
-        vals = [check_column_expansion(A)]
+        A = random_quasimatrix(rng, n, 2, (1,))      # a stack of one
+        vals = [check_column_expansion(A)[0]]
         if n >= 2:
-            vals.append(check_sylvester(A, n - 1))
+            vals.append(check_sylvester(A, n - 1)[0])
         if n >= 3:
             idx = rng.permutation(n)
             jdx = rng.permutation(n)
-            vals.append(check_homological(A, int(idx[0]), int(jdx[0]),
-                                          int(idx[1]), int(jdx[1])))
+            vals.append(check_homological(A, idx[:1], jdx[:1], idx[1:2], jdx[1:2])[0])
         return max(vals)
     r = run_trials(structural, 100, "acc6|struct")
     checks.append(("sylvester/column/homological k=2", r, 1e-9))

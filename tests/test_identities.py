@@ -934,8 +934,9 @@ class TestTrialAxisFailures:
         assert failed == [2]
 
     def test_singular_minor_in_one_det_ratio_trial(self, monkeypatch):
-        # trial 2's check raises SingularMinor: the round's body raises, each
-        # trial runs alone, and trial 2 alone is drawn again in a second round
+        # trial 2's check refuses it with SingularMinor, as its oracle guard
+        # refuses a small minor: the others go on in the round, and trial 2
+        # alone is drawn again in a second round
         import faylab.identities as ids
         from faylab.quartic import normals
         spec = IDENTITIES["quasidet_det_ratio"]
@@ -943,9 +944,9 @@ class TestTrialAxisFailures:
             spec, None, trial_rng(42, f"{spec.name}|-", 2)) if fn is normals)[0]
         real = ids._det_ratio
 
-        def singular(z, u):
-            if (z == marked).all():
-                raise SingularMinor("forced singular minor")
-            return real(z, u)
+        def singular(z, n, i, j):
+            forced = np.flatnonzero((z == marked).all(axis=1))
+            yield {t: SingularMinor("forced singular minor") for t in forced}
+            return (yield from real(z, n, i, j))
         failed = self.check(spec, "-", lambda: monkeypatch.setattr(ids, "_det_ratio", singular))
         assert failed == [2]

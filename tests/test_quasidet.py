@@ -1,7 +1,13 @@
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from faylab.identities import (CARRIER_K, CARRIER_N, COLUMN_N, column_expansion_residual,
+                               doubles, homological_residual, quasidet_det_ratio_residual,
+                               sylvester_residual)
+from faylab.quartic import normals
 from faylab.quasidet import (QuasiMatrix, carrier_inv, check_sylvester,
                              check_column_expansion, check_homological,
                              SingularMinor)
@@ -121,25 +127,25 @@ class TestStructuralIdentities:
     def test_sylvester_block(self):
         rng = np.random.default_rng(6)
         for n, k, npiv in [(3, 2, 1), (3, 2, 2), (4, 2, 2)]:
-            A = random_quasimatrix(rng, n, k)
-            assert check_sylvester(A, npiv) < 1e-9
+            A = random_quasimatrix(rng, n, k, (1,))
+            assert check_sylvester(A, npiv)[0] < 1e-9
 
     def test_sylvester_scalar(self):
         rng = np.random.default_rng(7)
-        A = random_quasimatrix(rng, 4, 1)
-        assert check_sylvester(A, 2) < 1e-10
+        A = random_quasimatrix(rng, 4, 1, (1,))
+        assert check_sylvester(A, 2)[0] < 1e-10
 
     def test_sylvester_identity_matrix(self):
-        ent = np.zeros((3, 3, 2, 2), dtype=complex)
+        ent = np.zeros((1, 3, 3, 2, 2), dtype=complex)
         for i in range(3):
-            ent[i, i] = np.eye(2)
-        assert check_sylvester(QuasiMatrix(ent), 1) < 1e-14
+            ent[0, i, i] = np.eye(2)
+        assert check_sylvester(QuasiMatrix(ent), 1)[0] < 1e-14
 
     def test_column_expansion(self):
         rng = np.random.default_rng(8)
         for n in (2, 4):
-            A = random_quasimatrix(rng, n, 2)
-            assert check_column_expansion(A) < (1e-10 if n == 2 else 1e-9)
+            A = random_quasimatrix(rng, n, 2, (1,))
+            assert check_column_expansion(A)[0] < (1e-10 if n == 2 else 1e-9)
 
     def test_column_expansion_upper_triangular(self):
         rng = np.random.default_rng(9)
@@ -154,9 +160,106 @@ class TestStructuralIdentities:
     def test_homological_relations(self):
         rng = np.random.default_rng(10)
         for _ in range(5):
-            A = random_quasimatrix(rng, 3, 2)
+            A = random_quasimatrix(rng, 3, 2, (1,))
             idx = rng.permutation(3)
             jdx = rng.permutation(3)
-            i, k = int(idx[0]), int(idx[1])
-            j, l = int(jdx[0]), int(jdx[1])
-            assert check_homological(A, i, j, k, l) < 1e-9
+            assert check_homological(A, idx[:1], jdx[:1], idx[1:2], jdx[1:2])[0] < 1e-9
+
+
+def run_carrier_body(body, z, u):
+    """(abs, rel), a (2, T) array, of a carrier body over the trials of the
+    rows of z and u, sent as its normals and its doubles (their first count
+    columns); the body must refuse no trial."""
+    gen, answer = body(None), None
+    while True:
+        try:
+            request = gen.send(answer)
+        except StopIteration as stop:
+            return np.array(stop.value)
+        if isinstance(request, dict):
+            assert request == {}
+            answer = None
+        else:
+            answer = {normals: z, doubles: u}[request[0]][:, :request[1]]
+
+
+def normals_for(rng, trials):
+    return rng.standard_normal((trials, 64)) + 1j * rng.standard_normal((trials, 64))
+
+
+def index_double(v, n):
+    """The double u with floor(n u) = v."""
+    return (v + 0.5) / n
+
+
+def pair_double(i, k, n):
+    """The double u' with (i + 1 + floor((n - 1) u')) mod n = k."""
+    return index_double((k - i - 1) % n, n - 1)
+
+
+class TestStackedChecks:
+    """One mixed stack of trials, of several shapes and every index
+    combination, has the bits of each trial run alone (T = 1)."""
+
+    @staticmethod
+    def alone_equals_stacked(run, trials):
+        stacked = run(np.arange(trials))
+        alone = np.concatenate([run(np.array([t])) for t in range(trials)], axis=-1)
+        assert stacked.shape[-1] == trials
+        assert stacked.tobytes() == alone.tobytes()
+
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_homological_every_index(self, n):
+        # at n = 2 the submatrices A^{ij} are 1 x 1, qdet's branch without a minor
+        rng = np.random.default_rng(20 + n)
+        i, j, k, l = np.array([c for c in itertools.product(range(n), repeat=4)
+                               if c[0] != c[2] and c[1] != c[3]]).T
+        A = random_quasimatrix(rng, n, 2, (len(i),))
+        self.alone_equals_stacked(
+            lambda t: check_homological(QuasiMatrix(A.entries[t]), i[t], j[t], k[t], l[t]),
+            len(i))
+
+    def test_det_ratio_every_n_and_index(self):
+        rng = np.random.default_rng(30)
+        combos = [(n, i, j) for n in range(2, 6) for i in range(n) for j in range(n)]
+        n, i, j = np.array(combos)[rng.permutation(len(combos))].T
+        u = np.column_stack([index_double(n - 2, 4), index_double(i, n), index_double(j, n)])
+        z = normals_for(rng, len(u))
+        self.alone_equals_stacked(
+            lambda t: run_carrier_body(quasidet_det_ratio_residual, z[t], u[t]), len(u))
+
+    def test_column_expansion_mixed_n(self):
+        rng = np.random.default_rng(31)
+        n = np.array([4, 2, 3, 3, 2, 4, 2, 4])
+        u, z = index_double(n - 2, COLUMN_N - 1)[:, None], normals_for(rng, len(n))
+        self.alone_equals_stacked(
+            lambda t: run_carrier_body(column_expansion_residual, z[t], u[t]), len(n))
+
+    def test_sylvester_both_pivot_sizes(self):
+        rng = np.random.default_rng(32)
+        pivot = np.array([2, 1, 1, 2, 1, 2, 2])
+        u, z = index_double(pivot - 1, CARRIER_N - 1)[:, None], normals_for(rng, len(pivot))
+        self.alone_equals_stacked(
+            lambda t: run_carrier_body(sylvester_residual, z[t], u[t]), len(pivot))
+
+    def test_homological_body_draws_every_index(self):
+        rng = np.random.default_rng(33)
+        n = CARRIER_N
+        i, j, k, l = np.array([c for c in itertools.product(range(n), repeat=4)
+                               if c[0] != c[2] and c[1] != c[3]]).T
+        u = np.column_stack([index_double(i, n), pair_double(i, k, n),
+                             index_double(j, n), pair_double(j, l, n)])
+        z = normals_for(rng, len(u))
+        A = QuasiMatrix(z[:, :n * n * CARRIER_K**2].reshape(len(u), n, n, CARRIER_K, CARRIER_K))
+        r = run_carrier_body(homological_residual, z, u)
+        assert r.tobytes() == np.array([check_homological(A, i, j, k, l)] * 2).tobytes()
+
+    def test_det_ratio_refuses_a_small_oracle_minor(self):
+        # n = 2, i = j = 0: the minor is the entry a_11, zero in trial 1
+        z = normals_for(np.random.default_rng(34), 3)
+        z[1, 3] = 0.0
+        gen = quasidet_det_ratio_residual(None)
+        assert gen.send(None)[0] is normals
+        assert gen.send(z[:, :25])[0] is doubles
+        refused = gen.send(np.full((3, 3), [index_double(0, 4), 0.0, 0.0]))
+        assert list(refused) == [1] and isinstance(refused[1], SingularMinor)

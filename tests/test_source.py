@@ -289,9 +289,10 @@ def test_kernel_calls_in_trial_axis_bodies_detected():
                      "    pts = (yield line_section, l[:, None])[:, 0]\n"
                      "    return u[:, 0], _abs(pts[:, 0, 0])\n"
                      "def by_doubles(env, take, rows):\n"
-                     "    z = yield normals, 25\n"
-                     "    u, _ = doubles(env, take, rows, 3)\n"
-                     "    return _each(_det_ratio, z, u)\n")
+                     "    z = yield normals, 36\n"
+                     "    u, _ = doubles(env, take, rows, 4)\n"
+                     "    r = _homological(_carrier(z, 3, 2), u)\n"
+                     "    return r, r\n")
     assert _kernel_calls_in_generators(tree) == [("by_doubles", 17, "doubles"),
                                                  ("by_kernel", 4, "fay_F"),
                                                  ("by_normals", 11, "normals"),
