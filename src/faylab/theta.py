@@ -5,15 +5,17 @@ Evaluates
     theta[a,b](z | Omega) = sum_{n in Z^g} exp(pi*i (n+a)' Omega (n+a)
                                                + 2*pi*i (n+a)' (z+b))
 
-by a truncated lattice sum over an ellipsoid chosen from one certified
-Gaussian tail bound, the splitting bound of `_tail_bound`; one bound is
-enough, as a lattice-cell integral bound gives a smaller radius only once
-Im(Omega) falls below about 0.1 (5.25 against 6.25 at tau = 1e-4 i, tol
-1e-10).  Arguments are reduced modulo the period lattice Z^g + Omega Z^g
-before summation: `_reduce_arguments` returns the log of the exact
-exponential prefactor of the reduction, and `theta_batch` sums the series
-at the reduced argument and multiplies by exp of that log, so unreduced
-Abel-Jacobi vectors never overflow the series itself.
+by a truncated lattice sum.  `theta_batch` sums the series at each row
+reduced modulo Z^g + Omega Z^g and multiplies by the exact prefactor of the
+reduction (`_reduce_arguments` returns its log), so unreduced Abel-Jacobi
+vectors never overflow the series.  A reduced row's terms decay as
+exp(-|S(n + a + y)|^2), |y_k| <= 1/2, S'S = pi Im(Omega), and its sum takes
+the ball |S(n + a + y)| <= R of one certified tail bound (`_tail_bound`; a
+lattice-cell integral bound is smaller only once Im(Omega) < 0.1, and Thm 2
+of Deconinck et al. below by 0.25-0.5 on the registry curves).  One lattice
+per (a, R) serves every row: the n whose w = S(n + a) has |w| - (1/2) sum_k
+|w.S_k| / |w| at most R + 0.05 (S_k column k of S; theta_batch rounds the
+threshold up), as |S(n + a + y)| >= w.S(n + a + y) / |w| >= that left side.
 
 Each term is a product of per-axis factors (Deconinck, Heil, Bobenko, van
 Hoeij & Schmies, "Computing Riemann theta functions", Math. Comp. 73, 2004):
@@ -168,13 +170,6 @@ def _tail_bound(rm: RiemannMatrix, R, gradient, center_offset):
     return sup * math.exp(-0.25 * R * R) * axis
 
 
-def _term_estimate(rm: RiemannMatrix, R):
-    """Rough count of lattice points inside radius R."""
-    g = rm.g
-    ball = math.pi ** (g / 2.0) / math.exp(math.lgamma(g / 2.0 + 1.0))
-    return ball * R**g / rm._det_S + 3**g
-
-
 def truncation_radius(rm: RiemannMatrix, tol, gradient=False, center_offset=0.0):
     """Smallest grid radius whose certified tail bound is below tol.
 
@@ -184,24 +179,28 @@ def truncation_radius(rm: RiemannMatrix, tol, gradient=False, center_offset=0.0)
     """
     if not 0.0 < tol:
         raise ValueError("tol must be positive")
-    R = 0.5
+    R, g = 0.5, rm.g
+    # the volume of the radius-R ball over det S, a rough count of its points
+    ball = math.pi ** (g / 2.0) / math.exp(math.lgamma(g / 2.0 + 1.0)) / rm._det_S
     while _tail_bound(rm, R, gradient, center_offset) > tol:
         R += 0.25
-        if _term_estimate(rm, R) > MAX_LATTICE_TERMS:
+        if ball * R**g + 3**g > MAX_LATTICE_TERMS:
             raise ToleranceUnachievable(f"radius {R:.1f} would need more than "
                                         f"{MAX_LATTICE_TERMS:.0g} lattice terms")
     return R
 
 
-def _ellipsoid_points(rm: RiemannMatrix, center, R):
-    """Integer points n with |S (n + center)| <= R, as an (N, g) array."""
+def _ellipsoid_points(rm: RiemannMatrix, center, R, R_row):
+    """Integer points n with |w| <= R, w = S (n + center), and |w| - (1/2)
+    sum_k |w.S_k| / |w| <= R_row (S_k column k of S), as an (N, g) array."""
     ext = R * np.sqrt(np.diag(rm._StS_inv))
     lows = np.ceil(-center - ext).astype(int)
     highs = np.floor(-center + ext).astype(int)
     axes = [np.arange(lo, hi + 1) for lo, hi in zip(lows, highs)]
     pts = np.stack([x.ravel() for x in np.meshgrid(*axes, indexing="ij")], -1).astype(float)
     w = (pts + center) @ rm._S.T
-    keep = np.einsum("ij,ij->i", w, w) <= R * R
+    ww = np.einsum("ij,ij->i", w, w)
+    keep = (ww <= R * R) & (ww - 0.5 * np.abs(w @ rm._S).sum(axis=1) <= R_row * np.sqrt(ww))
     return pts[keep]
 
 
@@ -238,17 +237,18 @@ def theta_batch(Z, rm: RiemannMatrix, char: ThetaChar = None, tol=1e-10,
     # without a gradient the tail bound does not depend on the offset
     r_key = (tol, gradient, c_off if gradient else 0.0)
     if r_key not in rm._radius_cache:
-        rm._radius_cache[r_key] = truncation_radius(rm, tol, gradient=gradient,
-                                                    center_offset=c_off)
+        rm._radius_cache[r_key] = truncation_radius(rm, tol, gradient, c_off)
     R = rm._radius_cache[r_key]
-    # reduced arguments keep their centers within D/2 of the characteristic,
-    # so one cached enumeration around `a` covers every batch at this radius
-    # (b enters only the linear term, summed per batch)
+    # rows center their balls at a + y, |y_k| <= 1/2, so |S y| <= D/2; one
+    # cached lattice around `a` holds every row's ball (b enters only the
+    # linear term): n with w = S(n + a) lies in none if |w| - (1/2) sum_k
+    # |w.S_k| / |w| > R_cache - D/2, which is at least R + 0.05 (the 0.05
+    # covers y rounded past 1/2), as |S(n + a + y)| >= w.S(n + a + y) / |w|
     D = rm._S_norm * math.sqrt(rm.g)
     R_cache = 0.25 * math.ceil((R + 0.5 * D + 0.05) / 0.25)
     key = (char.a, R_cache)
     if key not in rm._lattice_cache:
-        pts = _ellipsoid_points(rm, a, R_cache)
+        pts = _ellipsoid_points(rm, a, R_cache, R_cache - 0.5 * D)
         na, low = pts + a, pts.min(axis=0)
         E = np.exp(PI_I * np.einsum("ij,ij->i", na @ rm.omega, na))
         spans = [np.arange(lo, hi + 1) + ak for lo, hi, ak in zip(low, pts.max(axis=0), a)]

@@ -11,6 +11,7 @@ from faylab.theta import (RiemannMatrix, ThetaChar, theta, theta_batch,
                           ToleranceUnachievable, THETA_BLOCK, _reduce_arguments,
                           _tail_bound)
 
+from conftest import HYPERELLIPTIC, build_context
 from oracles import qseries_theta3, qseries_theta_char, qseries_theta_char_deriv
 
 RM1 = RiemannMatrix([[1j]])
@@ -295,6 +296,40 @@ def test_lattice_shared_across_b():
     vals = theta_batch(Z, rm, c2)[0]
     assert len(rm._lattice_cache) == 1
     assert vals.tobytes() == theta_batch(Z, RiemannMatrix(RM3.omega), c2)[0].tobytes()
+
+
+@pytest.mark.parametrize("cid", HYPERELLIPTIC)
+def test_cut_lattice_covers_every_row_ball(cid):
+    # a row reduced to y, |y_k| <= 1/2, sums the n with |S(n + a + y)| <= R
+    # (S'S = pi Im(Omega)): the lattice its call caches must hold every such
+    # n, at the 2^g corners of the cube, where the cut's bound is met, and at
+    # 200 random y, for each a, with and without the gradient.  On g3-real
+    # the cut must also leave out a fifth or more of the R_cache ball.
+    rm0 = build_context(cid).rm
+    g = rm0.g
+    S = np.sqrt(np.pi) * np.linalg.cholesky(rm0.imag).T
+    Y = np.vstack([list(product((-0.5, 0.5), repeat=g)),
+                   np.random.default_rng(33).uniform(-0.5, 0.5, (200, g))])
+    SY = Y @ S.T
+    for a, grad, tol in product(sorted({c.a for c in theta_chars(g)}), (False, True),
+                                (1e-10, 1e-8)):
+        rm = RiemannMatrix(rm0.omega)
+        theta_batch(Y @ rm.omega.T, rm, ThetaChar(a, (0.0,) * g), tol, gradient=grad)
+        R, = rm._radius_cache.values()
+        ((_, R_cache), lattice), = rm._lattice_cache.items()
+        # a box holding every n with |S(n + a)| <= R_cache + 1: the uncut
+        # ball, and every row's ball, which lies within R + |S y| of a
+        assert R + np.sqrt(np.einsum("ij,ij->i", SY, SY)).max() <= R_cache + 1
+        ext = (R_cache + 1) * np.sqrt(np.diag(np.linalg.inv(S.T @ S)))
+        box = np.array(list(product(*[np.arange(-np.ceil(e), np.ceil(e) + 1) for e in ext])))
+        w = (box + a) @ S.T
+        ww = np.einsum("ij,ij->i", w, w)
+        d2 = ww[:, None] + 2 * w @ SY.T + np.einsum("ij,ij->i", SY, SY)
+        need = {tuple(n) for n in box[(d2 <= R * R).any(axis=1)]}
+        have = {tuple(n) for n in lattice.na - a}
+        assert need <= have, (a, grad, tol, len(need - have))
+        if cid == "g3-real":
+            assert len(have) <= 0.8 * (ww <= R_cache * R_cache).sum(), (a, grad, tol)
 
 
 def test_blocks_equal_calls_of_two_or_three_rows():
