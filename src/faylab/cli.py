@@ -11,7 +11,7 @@ import numpy as np
 
 from .curves import (HyperellipticCurve, period_matrix, BranchPointCollision,
                      CurveError)
-from .identities import (IdentitySpec, SuiteConfig, run_identity, run_suite,
+from .identities import (IdentitySpec, SuiteConfig, run_identity, run_suite, MAX_TRIALS,
                          SuiteError, UnknownIdentity, _runner, _carrier, _homological, doubles)
 from .quartic import normals
 from .quasidet import check_sylvester, check_column_expansion
@@ -42,7 +42,7 @@ def _cmd_periods(args):
         return 2
     try:
         curve = HyperellipticCurve(entry["branch_points"], entry["id"])
-        _, _, pd = period_matrix(curve, quadrature_order=args.order)
+        A, B, pd = period_matrix(curve)
     except (BranchPointCollision, ValueError) as ex:
         print(f"error: {ex}", file=sys.stderr)
         return 2
@@ -54,7 +54,8 @@ def _cmd_periods(args):
     print(f"curve {entry['id']} (genus {curve.genus})")
     print("Omega =")
     print(om)
-    sym = np.abs(om - om.T).max() / max(np.abs(om).max(), 1.0)
+    raw = np.linalg.solve(A, B)        # Omega as period_matrix gates it, before pd.rm
+    sym = np.abs(raw - raw.T).max() / max(np.abs(raw).max(), 1.0)
     eigs = np.linalg.eigvalsh(om.imag)
     print(f"symmetry residual: {sym:.3e}")
     print(f"Im(Omega) eigenvalues: {eigs}")
@@ -103,9 +104,13 @@ def _cmd_verify(args):
 
 def _cmd_quasidet_selftest(args):
     n, k = args.size, args.block
-    if not (2 <= n <= 16 and 1 <= k <= 8 and 0 <= args.seed < SEED_LIMIT) or args.trials < 1:
-        print("error: need --size >= 2 and <= 16, --block >= 1 and <= 8, --trials >= 1 "
-              f"and --seed >= 0 and < {SEED_LIMIT}", file=sys.stderr)
+    # a trial draws n^2 k^2 normals: in all, no more than MAX_TRIALS trials at n = 3, k = 2
+    most = min(MAX_TRIALS, 36 * MAX_TRIALS // max(1, n * n * k * k))
+    if not (2 <= n <= 16 and 1 <= k <= 8 and 0 <= args.seed < SEED_LIMIT
+            and 1 <= args.trials <= most):
+        print("error: need --size >= 2 and <= 16, --block >= 1 and <= 8, --trials >= 1 and "
+              f"<= {most} at this size and block, and --seed >= 0 and < {SEED_LIMIT}",
+              file=sys.stderr)
         return 2
 
     def body(env):
@@ -134,7 +139,6 @@ def build_parser():
 
     pp = sub.add_parser("periods", help="period matrix diagnostics")
     pp.add_argument("--curve", required=True, help="registry id or JSON path")
-    pp.add_argument("--order", type=int, default=32, help="quadrature order")
 
     pv = sub.add_parser("verify", help="run identity checks")
     pv.add_argument("--identity", default="all",

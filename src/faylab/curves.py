@@ -9,7 +9,8 @@ analytic continuation of y (no branch-cut bookkeeping).
 
 One routine, `integrate_path`, continues y through the Gauss-Legendre
 nodes of a batch of polygons and integrates each on its own slice: all
-periods are one call, all crossing sheet matches one, each AJ batch one.
+periods are one call at PERIOD_ORDER, the legs to the cycles' crossings
+(found in one array pass over all pairs of edges) one, each AJ batch one.
 
 Abel-Jacobi integrals, at the certified order AJ_ORDER = 12, take one leg
 per P from a cached table of AJ from e_k to the eighth-turn vertices of a
@@ -21,7 +22,6 @@ array, s = +-1 its sheet: y = s sqrt f(x).
 from __future__ import annotations
 
 import functools
-import itertools
 import math
 
 import numpy as np
@@ -147,7 +147,7 @@ def lattice_coords(z, rm: RiemannMatrix):
 # ---------------------------------------------------------------------------
 # analytic continuation of y along polygonal paths
 
-#: most quadrature nodes of one path (a registry cycle at order 256: ~11,000)
+#: most quadrature nodes of one path (a registry cycle at PERIOD_ORDER: ~1,400)
 MAX_PATH_NODES = 2**21
 
 #: Gauss-Legendre order of the Abel-Jacobi integrals.  On a panel no wider
@@ -155,6 +155,9 @@ MAX_PATH_NODES = 2**21
 #: 4 + sqrt(15), where |integrand| <= M; n + 1 nodes then err by at most
 #: (64/15) M rho^(-2n) / (rho^2 - 1) (Trefethen 2008), 1.3e-21 M at 12 nodes.
 AJ_ORDER = 12
+
+#: Gauss-Legendre order of the periods; at order 64 g2-real's Omega moves by under 1e-10
+PERIOD_ORDER = 32
 
 #: most nodes integrate_path lays at once, unless one path has more (an
 #: Abel-Jacobi leg has about 50), so that a whole report's batch keeps its
@@ -296,41 +299,32 @@ def _build_cycles(curve):
     return a_cycles, b_cycles
 
 
-def _segment_crossing(a0, a1, b0, b1):
-    """Transversal crossing of open segments; returns (t, sign) or None."""
-    d1 = a1 - a0
-    d2 = b1 - b0
+def _crossings(cycles):
+    """i, j, p, q, t and the sign of d_p x d_q of each edge z_p + t d_p of cycle
+    i that crosses an edge z_q + s d_q of cycle j > i (z the vertices of all
+    cycles, t and s in (1e-9, 1 - 1e-9), |d_p x d_q| >= 1e-14 |d_p| |d_q|)."""
+    z, lens = np.concatenate(cycles), np.array([len(c) for c in cycles])
+    d, cyc = np.diff(z, append=0), np.repeat(np.arange(len(cycles)), lens)
+    d[np.cumsum(lens) - 1] = 0      # a cycle's last vertex starts no edge: none crosses d = 0
+    p, q = np.nonzero(cyc[:, None] < cyc)
+    w, d1, d2 = z[q] - z[p], d[p], d[q]
     denom = d1.real * d2.imag - d1.imag * d2.real
-    if abs(denom) < 1e-14 * (abs(d1) * abs(d2) + 1e-300):
-        return None
-    w = b0 - a0
-    t = (w.real * d2.imag - w.imag * d2.real) / denom
-    s = (w.real * d1.imag - w.imag * d1.real) / denom
-    if not (1e-9 < t < 1 - 1e-9 and 1e-9 < s < 1 - 1e-9):
-        return None
-    return t, 1 if denom > 0 else -1
+    ok = ~(np.abs(denom) < 1e-14 * (np.abs(d1) * np.abs(d2) + 1e-300))
+    t = (w.real * d2.imag - w.imag * d2.real) / np.where(ok, denom, 1.0)
+    s = (w.real * d1.imag - w.imag * d1.real) / np.where(ok, denom, 1.0)
+    hit = ok & (1e-9 < t) & (t < 1 - 1e-9) & (1e-9 < s) & (s < 1 - 1e-9)
+    return cyc[p[hit]], cyc[q[hit]], p[hit], q[hit], t[hit], np.where(denom[hit] > 0, 1, -1)
 
 
-def _intersection_matrix(curve, cycles, ys, order):
-    """Signed sheet-matched crossing counts of each pair of cycles on the
-    surface, ys[i] the y values at the vertices of cycles[i]; y is continued
-    along every crossing leg in one integrate_path call.  Returns the
-    antisymmetric matrix."""
-    legs, y0s, hits = [], [], []
-    for i, j in itertools.combinations(range(len(cycles)), 2):
-        for m, (a0, a1) in enumerate(zip(cycles[i][:-1], cycles[i][1:])):
-            for n, (b0, b1) in enumerate(zip(cycles[j][:-1], cycles[j][1:])):
-                hit = _segment_crossing(a0, a1, b0, b1)
-                if hit is not None:
-                    zc = a0 + hit[0] * (a1 - a0)
-                    legs += [[a0, zc], [b0, zc]]
-                    y0s += [ys[i][m], ys[j][n]]
-                    hits.append((i, j, hit[1]))
+def _intersection_matrix(curve, cycles, ys):
+    """The antisymmetric matrix of the cycles' signed crossings (see _crossings)
+    where y, continued from ys at z_p and at z_q to the crossing, is on one sheet."""
+    i, j, p, q, t, sign = _crossings(cycles)
+    z, pq = np.concatenate(cycles), np.ravel([p, q], "F")
+    legs = np.stack([z[pq], np.repeat(z[p] + t * (z[p + 1] - z[p]), 2)], axis=1)
+    y = integrate_path(curve, legs, ys[pq], PERIOD_ORDER)[1][1::2]
     M = np.zeros((len(cycles), len(cycles)), dtype=int)
-    ends = integrate_path(curve, legs, y0s, order)[1][1::2]
-    for (i, j, sign), y1, y2 in zip(hits, ends[::2], ends[1::2]):
-        if abs(y1 - y2) < abs(y1 + y2):
-            M[i, j] += sign
+    np.add.at(M, (i, j), sign * (np.abs(y[::2] - y[1::2]) < np.abs(y[::2] + y[1::2])))
     return M - M.T
 
 
@@ -350,26 +344,24 @@ class PeriodData:
         self._branch = None     # row k: A^-1 int_{e_0}^{e_k}
 
 
-def period_matrix(curve: HyperellipticCurve, quadrature_order=32):
-    """Integrate x^(i-1) dx / y over the homology basis; Omega = A^-1 B.
+def period_matrix(curve: HyperellipticCurve):
+    """Integrate x^(i-1) dx / y over the homology basis at the order
+    PERIOD_ORDER; Omega = A^-1 B.
 
     The constructed basis is verified combinatorially: the sheet-matched
     crossing matrix must equal the standard symplectic pairing (b-cycles
     are flipped as needed to make a_k . b_k = +1).
     """
-    if not 16 <= quadrature_order <= 256:
-        raise ValueError("quadrature_order must be between 16 and 256")
     g = curve.genus
     a_cycles, b_cycles = _build_cycles(curve)
     cycles = a_cycles + b_cycles
-    # y continued around every cycle from its principal value at vertex 0
-    integrals, ys = integrate_path(curve, cycles, curve.y_principal([c[0] for c in cycles]),
-                                   quadrature_order)
-    ys = np.split(ys, np.cumsum([len(c) for c in cycles])[:-1])
-    # closed on the surface: y returns to its start
-    if any(abs(y[-1] - y[0]) > 1e-8 * abs(y[0]) for y in ys):
+    # y continued around every cycle from its principal value y0 at vertex 0
+    y0 = curve.y_principal([c[0] for c in cycles])
+    integrals, ys = integrate_path(curve, cycles, y0, PERIOD_ORDER)
+    # closed on the surface: y returns to y0
+    if (abs(ys[np.cumsum([len(c) for c in cycles]) - 1] - y0) > 1e-8 * abs(y0)).any():
         raise NotSymplectic("cycle does not close on the surface")
-    M = _intersection_matrix(curve, cycles, ys, quadrature_order)
+    M = _intersection_matrix(curve, cycles, ys)
     # normalize orientations: reversing b_k with a_k . b_k = -1 makes it +1
     signs = M[range(g), range(g, 2 * g)]
     if (abs(signs) != 1).any():

@@ -48,6 +48,8 @@ class BadTriple(KernelError):
 
 #: a draw with two x-coordinates within CLOSE_POINTS * min_gap is rejected
 CLOSE_POINTS = 1e-3
+#: most trials of a report, which holds all their draws at once: 270 MB at genus 3
+MAX_TRIALS = 10_000
 
 
 #: rejections of a trial's draw: run_identity resamples from the same stream
@@ -591,8 +593,8 @@ class SuiteConfig:
         for name in self.identities or ():
             if name not in IDENTITIES:
                 raise UnknownIdentity(f"unknown identity {name!r}")
-        if self.trials is not None and self.trials < 1:
-            raise SuiteError("trials must be >= 1")
+        if self.trials is not None and not 1 <= self.trials <= MAX_TRIALS:
+            raise SuiteError(f"trials must be >= 1 and <= {MAX_TRIALS}")
         if self.tol is not None and not 0 < self.tol < math.inf:
             raise SuiteError("tol must be positive and finite")
         if not 0 <= self.master_seed < SEED_LIMIT:

@@ -1,18 +1,21 @@
 """Independent oracles for the test suite: direct 1-D q-series for genus-1
 theta functions, AGM period computation, finite differences, path
 integrals continued by a cumulative sum of half-log ratios, Abel-Jacobi
-along hub paths, and the record of a report run one trial at a time, each
-trial drawn from its own Generator.
+along hub paths, cycle crossings found one pair of edges at a time, and
+the record of a report run one trial at a time, each trial drawn from its
+own Generator.
 
 These deliberately avoid the package's lattice-ellipsoid evaluator and
-period integrator code paths, and its rounds of trials.
+period integrator code paths, and its rounds of trials; only the crossing
+count continues y with the package's integrate_path.
 """
 
+import itertools
 import math
 
 import numpy as np
 
-from faylab.curves import CurveError, make_point
+from faylab.curves import CurveError, integrate_path, make_point
 from faylab.identities import _HARD, _RETRY, _drive
 from faylab.quasidet import QuasiMatrix
 from faylab.report import IdentityReport, report_record
@@ -149,6 +152,54 @@ def hub_aj_rows(periods, ks, pts):
         sign = 1 if abs(ys[-1] - y) < abs(ys[-1] + y) else -1
         rows.append(sign * periods.A_inv @ (consts[k] + vec))
     return np.array(rows)
+
+
+def segment_crossing(a0, a1, b0, b1):
+    """Transversal crossing of the open segments [a0, a1] and [b0, b1], as
+    (t, sign) with the crossing at a0 + t (a1 - a0) and sign that of the
+    cross product of their directions, or None; one pair of edges at a time."""
+    d1 = a1 - a0
+    d2 = b1 - b0
+    denom = d1.real * d2.imag - d1.imag * d2.real
+    if abs(denom) < 1e-14 * (abs(d1) * abs(d2) + 1e-300):
+        return None
+    w = b0 - a0
+    t = (w.real * d2.imag - w.imag * d2.real) / denom
+    s = (w.real * d1.imag - w.imag * d1.real) / denom
+    if not (1e-9 < t < 1 - 1e-9 and 1e-9 < s < 1 - 1e-9):
+        return None
+    return t, 1 if denom > 0 else -1
+
+
+def pairwise_crossings(cycles):
+    """(i, j, m, n, t, sign) for each crossing of edge m of cycles[i] with
+    edge n of cycles[j], i < j, by segment_crossing over every pair."""
+    hits = []
+    for i, j in itertools.combinations(range(len(cycles)), 2):
+        for m, (a0, a1) in enumerate(zip(cycles[i][:-1], cycles[i][1:])):
+            for n, (b0, b1) in enumerate(zip(cycles[j][:-1], cycles[j][1:])):
+                hit = segment_crossing(a0, a1, b0, b1)
+                if hit is not None:
+                    hits.append((i, j, m, n) + hit)
+    return hits
+
+
+def pairwise_intersection_matrix(curve, cycles, ys, order):
+    """The antisymmetric matrix of signed sheet-matched crossing counts of
+    the cycles, ys[i] the y at the vertices of cycles[i]: each crossing of
+    pairwise_crossings counts where y continued along the legs from both
+    edges' starts to it lands on one sheet."""
+    legs, y0s, hits = [], [], pairwise_crossings(cycles)
+    for i, j, m, n, t, _ in hits:
+        zc = cycles[i][m] + t * (cycles[i][m + 1] - cycles[i][m])
+        legs += [[cycles[i][m], zc], [cycles[j][n], zc]]
+        y0s += [ys[i][m], ys[j][n]]
+    M = np.zeros((len(cycles), len(cycles)), dtype=int)
+    ends = integrate_path(curve, legs, y0s, order)[1][1::2]
+    for (i, j, _, _, _, sign), y1, y2 in zip(hits, ends[::2], ends[1::2]):
+        if abs(y1 - y2) < abs(y1 + y2):
+            M[i, j] += sign
+    return M - M.T
 
 
 def scalar_points(ctx, rng, count):

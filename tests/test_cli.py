@@ -1,13 +1,17 @@
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
 
+from faylab import identities
 from faylab.cli import main
 from faylab.report import IdentityReport, write_report, format_report_line
+
+from conftest import HYPERELLIPTIC
 
 
 SRC = str(Path(__file__).resolve().parent.parent / "src")
@@ -26,12 +30,18 @@ class TestSubcommands:
             assert cid in out
 
     def test_periods_lemniscatic(self, capsys):
-        assert run_cli(["periods", "--curve", "lemniscatic"]) == 0
-        out = capsys.readouterr().out
-        assert "positive definite: True" in out
-        # Omega = i to 1e-8
-        assert "1j" in out.replace(" ", "") or "+1.j" in out.replace(" ", "") \
-            or "0.999999999" in out or "1.000000000" in out
+        # every registry hyperelliptic curve; the printed symmetry residual is
+        # that of A^-1 B, which period_matrix gates at 1e-8
+        for cid in HYPERELLIPTIC:
+            assert run_cli(["periods", "--curve", cid]) == 0
+            out = capsys.readouterr().out
+            assert "positive definite: True" in out
+            residual, = re.findall(r"symmetry residual: (\S+)", out)
+            assert float(residual) < 1e-8
+            if cid == "lemniscatic":
+                # Omega = i to 1e-8
+                assert "1j" in out.replace(" ", "") or "+1.j" in out.replace(" ", "") \
+                    or "0.999999999" in out or "1.000000000" in out
 
     def test_periods_unknown_curve(self, capsys):
         assert run_cli(["periods", "--curve", "nope"]) == 2
@@ -233,15 +243,16 @@ class TestBadCurves:
 class TestBadInput:
     @pytest.mark.parametrize("args,reason", [
         (["periods", "--curve", "COLLIDE"], "branch points closer"),
-        (["periods", "--curve", "lemniscatic", "--order", "8"], "quadrature_order"),
+        # a trial count past MAX_TRIALS is refused before any draw table is built
+        (["verify", "--identity", "skewsym_n2", "--curve", "lemniscatic",
+          "--trials", str(10**12)], "trials must be >= 1 and <= 10000"),
         (["quasidet-selftest", "--size", "1"], "--size >= 2"),
         (["quasidet-selftest", "--block", "0"], "--block >= 1"),
         (["quasidet-selftest", "--trials", "0"], "--trials >= 1"),
         (["verify", "--identity", "idcor", "--curve", "fermat"],
          "no (identity, curve) pair"),
         (["periods", "--curve", "NAN"], "non-finite branch point"),
-        (["periods", "--curve", "lemniscatic", "--order", "1000000000"],
-         "quadrature_order"),
+        (["quasidet-selftest", "--trials", str(10**12)], "--trials >= 1 and <= 10000"),
         (["quasidet-selftest", "--size", "17"], "--size >= 2 and <= 16"),
         (["quasidet-selftest", "--block", "9"], "--block >= 1 and <= 8"),
         (["verify", "--identity", "skewsym_n2", "--curve", "lemniscatic",
@@ -262,8 +273,13 @@ class TestBadInput:
         (["FAYLAB_REGISTRY=MISSING", "list-curves"], "is not a directory"),
         (["FAYLAB_REGISTRY=NAN", "verify", "--identity", "skewsym_n2", "--curve",
           "lemniscatic", "--trials", "1"], "is not a directory"),
+        # the largest carriers take as many normals in all as 10,000 default trials
+        (["quasidet-selftest", "--size", "16", "--block", "8", "--trials", "22"],
+         "--trials >= 1 and <= 21"),
     ])
     def test_exit_2_with_message(self, tmp_path, monkeypatch, capsys, args, reason):
+        # no report's draw table is built
+        monkeypatch.setattr(identities, "Table", None)
         collide = tmp_path / "collide.json"
         collide.write_text(json.dumps(
             {"id": "collide", "type": "hyperelliptic",
