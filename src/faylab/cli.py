@@ -91,7 +91,11 @@ def _cmd_verify(args):
         print("error: no (identity, curve) pair selected", file=sys.stderr)
         return 2
     if args.out:
-        write_report(reports, args.out)
+        try:
+            write_report(reports, args.out)
+        except OSError as ex:
+            print(f"error: cannot write --out: {ex}", file=sys.stderr)
+            return 2
     failing = [r for r in reports if not r.passed]
     if failing:
         for r in failing:

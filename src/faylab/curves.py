@@ -14,9 +14,10 @@ periods are one call at PERIOD_ORDER, the legs to the cycles' crossings
 
 Abel-Jacobi integrals, at the certified order AJ_ORDER = 12, take one leg
 per P from a cached table of AJ from e_k to the eighth-turn vertices of a
-circle about each e_k.  AJ from e_0 to each e_k is chained once across
-neighbouring pairs and cached.  A curve point is a row (x, s) of a complex
-array, s = +-1 its sheet: y = s sqrt f(x).
+circle about each e_k.  AJ from e_0 to each e_k is the half-period that
+the homology basis fixes, stated by one 0/1 table for every genus (see
+_branch_constants).  A curve point is a row (x, s) of a complex array,
+s = +-1 its sheet: y = s sqrt f(x).
 """
 
 from __future__ import annotations
@@ -437,36 +438,28 @@ def _branch_constants(periods):
     int_{e_k}^{V_kj} = R_k0 + I_kj, the arcs I_kj = A^-1 int_{h_k}^{V_kj}
     in one integrate_path batch.  The involution negates integrals from e_k,
     and the half turns end on opposite sheets: R_k0 = -(I_k,8 + I_k,-8)/2.
-    Then the chain from e_0 across each pair (e_j, e_k) whose midpoint m has
-    no nearer branch point (so every k is reached): int_{e_0}^{e_k} =
-    int_{e_0}^{e_j} + int_{e_j}^m - int_{e_k}^m, all legs in one batch,
-    each reduced into the cell [-1/4, 3/4)^2g of lattice coordinates."""
+
+    The rows are the half-periods the basis fixes (Mumford, Tata Lectures
+    on Theta II, IIIa 5.3): row k = alpha_k + Omega beta_k (see
+    lattice_coords), where the step from e_2j to e_2j+1 adds the unit u_j
+    to 2 alpha and the step from e_2j+1 to e_2j+2 adds u_j + u_j+1 to
+    2 beta (u_g = 0), both mod 2."""
     if periods._branch is None:
-        curve, e, rm = periods.curve, periods.curve.branch_points, periods.rm
+        curve, e, g = periods.curve, periods.curve.branch_points, periods.curve.genus
         V = _arc_vertices(e, 0.5 * np.sort(np.abs(e - e[:, None]), axis=1)[:, 1])
         # arc (k, j): V_k0, V_k1, .. V_kj (or V_k,-1, .. for j < 0)
         arcs = [V[k, 8::1 if j >= 0 else -1][:abs(j) + 1]
                 for k in range(len(e)) for j in range(-8, 9)]
         vecs, ys = integrate_path(curve, arcs, np.repeat(curve.y_principal(V[:, 8]), 17),
                                   AJ_ORDER)
-        arc = (periods.A_inv @ vecs[..., None])[..., 0].reshape(len(e), 17, curve.genus)
+        arc = (periods.A_inv @ vecs[..., None])[..., 0].reshape(len(e), 17, g)
         periods._arcs = (V, ys[np.cumsum([len(a) for a in arcs]) - 1].reshape(V.shape),
                          arc - 0.5 * (arc[:, :1] + arc[:, 16:]))
-        chain, reached = [], [0]
-        for j in reached:
-            for k in range(len(e)):
-                m = 0.5 * (e[j] + e[k])
-                if k not in reached and np.abs(e - m).min() >= (1 - 1e-9) * abs(m - e[j]):
-                    chain.append((j, k, np.array([m, 1])))
-                    reached.append(k)
-        js, ks, ms = zip(*chain)
-        legs = _from_hubs(periods, np.array(ms + ms), list(js + ks))
-        consts = {0: np.zeros(periods.curve.genus, dtype=complex)}
-        for (j, k, _), to_j, to_k in zip(chain, legs, legs[len(chain):]):
-            v = consts[j] + to_j - to_k
-            al, be = lattice_coords(v, rm)
-            consts[k] = v - np.floor(al + 0.25) - rm.omega @ np.floor(be + 0.25)
-        periods._branch = np.array([consts[k] for k in range(len(e))])
+        # row i + 1: the step from e_i to e_i+1 in (2 alpha, 2 beta), row k's sum mod 2
+        u, steps = np.eye(g + 1, g), np.zeros((2 * g + 1, 2, g))
+        steps[1::2, 0], steps[2::2, 1] = u[:g], u[:g] + u[1:]
+        ab = np.cumsum(steps, axis=0) % 2
+        periods._branch = 0.5 * (ab[:, 0] + (periods.rm.omega @ ab[:, 1, :, None])[..., 0])
     return periods._branch
 
 

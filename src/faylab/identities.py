@@ -593,6 +593,9 @@ class SuiteConfig:
         for name in self.identities or ():
             if name not in IDENTITIES:
                 raise UnknownIdentity(f"unknown identity {name!r}")
+        for kind, ids in (("identity", self.identities or []), ("curve", self.curves or [])):
+            if len(set(ids)) < len(ids):
+                raise SuiteError(f"{kind} {max(ids, key=ids.count)!r} given twice")
         if self.trials is not None and not 1 <= self.trials <= MAX_TRIALS:
             raise SuiteError(f"trials must be >= 1 and <= {MAX_TRIALS}")
         if self.tol is not None and not 0 < self.tol < math.inf:

@@ -26,14 +26,13 @@ would otherwise surface in cross-formula comparisons).
 
 from __future__ import annotations
 
-from itertools import product
-
 import numpy as np
 
 from .theta import theta_batch, theta_gradient
 from .curves import (HyperellipticCurve, PeriodData, make_point,
-                     abel_jacobi, abel_jacobi_from_branch, find_odd_char,
-                     lattice_coords, theta_scale, CurveError)
+                     abel_jacobi, abel_jacobi_between_branch_points,
+                     abel_jacobi_from_branch, find_odd_char, lattice_coords,
+                     theta_scale, CurveError)
 
 
 class KernelError(Exception):
@@ -45,10 +44,6 @@ class NearDivisor(KernelError):
 
 
 class CoincidentPoints(KernelError):
-    pass
-
-
-class RootSearchFailed(KernelError):
     pass
 
 
@@ -255,33 +250,17 @@ def random_line_bundle(ctx: CurveContext, take, rows, count):
 
 def riemann_constant(ctx: CurveContext):
     """Vector kappa with theta(AJ(D) - kappa) = 0 for effective divisors D
-    of degree g-1 (Abel-Jacobi taken from the context base).
+    of degree g-1 (Abel-Jacobi taken from the context base), reduced into
+    the cell [-1/4, 3/4)^2g of lattice coordinates.
 
-    Calibration solve: kappa is a half-period shifted by (g-1) times the
-    base-to-branch-point vector; candidates, each reduced into the
-    fundamental cell, are scanned and verified on g + 2 sampled divisors.
-    """
-    g = ctx.g
-    V1 = abel_jacobi_from_branch(ctx.periods, ctx.base)
-    rng = np.random.default_rng(20240719)
-    # g + 2 divisors of g - 1 points each, summed in draw order
-    pts = np.array([sample_point(ctx, rng) for _ in range((g + 2) * (g - 1))]).reshape(-1, 2)
-    Us = ctx.aj(pts).reshape(g + 2, g - 1, g).sum(axis=1)
-    best = None
-    for a in product((0.0, 0.5), repeat=g):
-        for b in product((0.0, 0.5), repeat=g):
-            kap = ctx.rm.omega @ np.array(a) + np.array(b) - (g - 1) * V1
-            # theta(U - kap) changes by an exponential factor under lattice
-            # shifts of kap: score every candidate in one cell
-            al, be = lattice_coords(kap, ctx.rm)
-            kap = kap - np.floor(al + 0.25) - ctx.rm.omega @ np.floor(be + 0.25)
-            vals, _ = theta_batch(Us - kap, ctx.rm, tol=ctx.tol)
-            score = float(np.abs(vals).max()) / ctx.scale
-            if best is None or score < best[0]:
-                best = (score, kap)
-    if best[0] > 1e-6:
-        raise RootSearchFailed(f"Riemann constant calibration failed ({best[0]:.2e})")
-    return best[1]
+    For the Weierstrass base e_0 it is the sum of the half-periods
+    AJ_{e_0}(e_k) over the even k (Mumford, Tata Lectures on Theta II, IIIa
+    5.3); the context base moves it by -(g-1) AJ_{e_0}(base)."""
+    even = range(0, 2 * ctx.g + 1, 2)
+    kap = (sum(abel_jacobi_between_branch_points(ctx.periods, k, 0) for k in even)
+           - (ctx.g - 1) * abel_jacobi_from_branch(ctx.periods, ctx.base))
+    al, be = lattice_coords(kap, ctx.rm)
+    return kap - np.floor(al + 0.25) - ctx.rm.omega @ np.floor(be + 0.25)
 
 
 def delta_divisor_root(ctx: CurveContext):

@@ -1,13 +1,14 @@
 """Independent oracles for the test suite: direct 1-D q-series for genus-1
 theta functions, AGM period computation, finite differences, path
 integrals continued by a cumulative sum of half-log ratios, Abel-Jacobi
-along hub paths, cycle crossings found one pair of edges at a time, and
-the record of a report run one trial at a time, each trial drawn from its
-own Generator.
+along hub paths, branch-point constants chained across neighbouring pairs,
+cycle crossings found one pair of edges at a time, and the record of a
+report run one trial at a time, each trial drawn from its own Generator.
 
 These deliberately avoid the package's lattice-ellipsoid evaluator and
 period integrator code paths, and its rounds of trials; only the crossing
-count continues y with the package's integrate_path.
+count and the chained branch constants continue y with the package's
+integrate_path (the chain through its arc-table legs).
 """
 
 import itertools
@@ -15,7 +16,8 @@ import math
 
 import numpy as np
 
-from faylab.curves import CurveError, integrate_path, make_point
+from faylab.curves import (CurveError, _branch_constants, _from_hubs, integrate_path,
+                           lattice_coords, make_point)
 from faylab.identities import _HARD, _RETRY, _drive
 from faylab.quasidet import QuasiMatrix
 from faylab.report import IdentityReport, report_record
@@ -152,6 +154,31 @@ def hub_aj_rows(periods, ks, pts):
         sign = 1 if abs(ys[-1] - y) < abs(ys[-1] + y) else -1
         rows.append(sign * periods.A_inv @ (consts[k] + vec))
     return np.array(rows)
+
+
+def chained_branch_constants(periods):
+    """Row k: A^-1 int_{e_0}^{e_k} chained from e_0 across each pair (e_j,
+    e_k) whose midpoint m has no nearer branch point (so every k is
+    reached): int_{e_0}^{e_k} = int_{e_0}^{e_j} + int_{e_j}^m - int_{e_k}^m,
+    the legs from the arc table by _from_hubs in one batch, each row reduced
+    into the cell [-1/4, 3/4)^2g of lattice coordinates."""
+    _branch_constants(periods)          # builds the arc table _from_hubs reads
+    e, rm = periods.curve.branch_points, periods.rm
+    chain, reached = [], [0]
+    for j in reached:
+        for k in range(len(e)):
+            m = 0.5 * (e[j] + e[k])
+            if k not in reached and np.abs(e - m).min() >= (1 - 1e-9) * abs(m - e[j]):
+                chain.append((j, k, np.array([m, 1])))
+                reached.append(k)
+    js, ks, ms = zip(*chain)
+    legs = _from_hubs(periods, np.array(ms + ms), list(js + ks))
+    consts = {0: np.zeros(periods.curve.genus, dtype=complex)}
+    for (j, k, _), to_j, to_k in zip(chain, legs, legs[len(chain):]):
+        v = consts[j] + to_j - to_k
+        al, be = lattice_coords(v, rm)
+        consts[k] = v - np.floor(al + 0.25) - rm.omega @ np.floor(be + 0.25)
+    return np.array([consts[k] for k in range(len(e))])
 
 
 def segment_crossing(a0, a1, b0, b1):

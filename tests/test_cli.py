@@ -276,6 +276,11 @@ class TestBadInput:
         # the largest carriers take as many normals in all as 10,000 default trials
         (["quasidet-selftest", "--size", "16", "--block", "8", "--trials", "22"],
          "--trials >= 1 and <= 21"),
+        # a repeated id would run its reports twice
+        (["verify", "--identity", "idcor,idcor", "--curve", "lemniscatic", "--trials", "3"],
+         "identity 'idcor' given twice"),
+        (["verify", "--identity", "idcor", "--curve", "lemniscatic,lemniscatic",
+          "--trials", "3"], "curve 'lemniscatic' given twice"),
     ])
     def test_exit_2_with_message(self, tmp_path, monkeypatch, capsys, args, reason):
         # no report's draw table is built
@@ -306,6 +311,19 @@ class TestBadInput:
         assert reason in captured.err
         # rejected before any report ran
         assert "[pass]" not in captured.out
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+def test_failed_out_write_exits_2():
+    # /dev/full opens for append, so the suite runs; its write then fails
+    # with ENOSPC, which ends in a message, not a traceback
+    proc = subprocess.run(
+        [sys.executable, "-m", "faylab.cli", "verify", "--identity", "idcor", "--curve",
+         "lemniscatic", "--trials", "1", "--out", "/dev/full"],
+        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": SRC})
+    assert proc.returncode == 2
+    assert "error: cannot write --out:" in proc.stderr
+    assert "Traceback" not in proc.stderr
 
 
 def test_cli_import_loads_no_scipy():

@@ -21,8 +21,9 @@ from faylab.registry import registry_entries
 
 from conftest import HYPERELLIPTIC, build_context, far_path_aj, pair_args, polygon_clearance
 from oracles import (agm_tau, branch_expansion, brute_force_continuation, hub_aj_rows,
-                     draw_one, hub_path_one, involution, log_sum_path, point_y,
-                     pairwise_crossings, pairwise_intersection_matrix, qseries_theta_char)
+                     chained_branch_constants, draw_one, hub_path_one, involution,
+                     log_sum_path, point_y, pairwise_crossings, pairwise_intersection_matrix,
+                     qseries_theta_char)
 
 
 def frac_dist(z, rm):
@@ -408,6 +409,39 @@ class TestAbelJacobi:
                 assert np.abs(2 * al - np.round(2 * al)).max() < 1e-13
                 assert np.abs(2 * be - np.round(2 * be)).max() < 1e-13
 
+    def test_stated_half_periods_match_the_chain(self):
+        # the table of _branch_constants against AJ chained from e_0 by
+        # midpoint legs, in 2x lattice coordinates: on the registry, on a
+        # genus-2 curve with non-real branch points given as five points and
+        # as six (so that _to_odd_model runs), and on seeded random real,
+        # complex and even-degree curves of genus 1-3; the curves that
+        # period_matrix refuses are skipped and counted
+        def two(rows, rm):
+            return 2 * np.concatenate(lattice_coords(np.transpose(rows), rm))
+
+        def off(pd):
+            table = curves._branch_constants(pd)
+            return np.abs(two(table, pd.rm) - two(chained_branch_constants(pd), pd.rm)).max()
+
+        item4 = [0, 1 + 0.5j, -1 + 0.3j, 2 - 0.4j, 0.5 + 1.5j]
+        for pts in [build_context(cid).curve.branch_points for cid in HYPERELLIPTIC] + [
+                item4, item4 + [3 + 2j]]:
+            assert off(period_matrix(HyperellipticCurve(pts))[2]) < 1e-12, pts
+        rng = np.random.default_rng(35)
+        for g in (1, 2, 3):
+            accepted, refused = 0, 0
+            for kind in ("real", "complex", "even") * 9:
+                n = 2 * g + 1 + (kind == "even")
+                pts = rng.uniform(-2, 2, n) + 1j * rng.uniform(-2, 2, n) * (kind != "real")
+                try:
+                    pd = period_matrix(HyperellipticCurve(pts))[2]
+                except CurveError:
+                    refused += 1
+                    continue
+                assert off(pd) < 1e-12, pts
+                accepted += 1
+            assert accepted >= 20, (g, refused)
+
     @pytest.mark.parametrize("cid", HYPERELLIPTIC)
     def test_from_branch_differences(self, cid):
         # the branch-point endpoint cancels: AJ from e_k to P minus AJ from
@@ -690,7 +724,7 @@ class TestRiemannConstant:
         kappa = riemann_constant(kernels.CurveContext(ctx.curve, ctx.periods))
         assert frac_dist(kappa - ref, ctx.rm) < 1e-12
 
-    @pytest.mark.parametrize("cid", ["lemniscatic", "g2-real", "g3-real"])
+    @pytest.mark.parametrize("cid", HYPERELLIPTIC)
     def test_vanishing_on_divisors(self, cid):
         ctx = build_context(cid)
         kappa = riemann_constant(ctx)
