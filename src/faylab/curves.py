@@ -3,21 +3,21 @@ theta characteristics and degree-(g-1) line bundles as Jacobian points.
 
 Curve model: y^2 = lead * prod_k (x - e_k) over an odd number 2g+1 of
 finite branch points (one branch point at infinity).  Even-degree input
-models are converted by a Moebius change of variable.  All contour work
-is done on closed polygonal paths in the x-plane with continuous
-analytic continuation of y (no branch-cut bookkeeping).
+models are converted by a Moebius change of variable.  A curve point is a
+row (x, s) of a complex array, s = +-1 its sheet: y = s sqrt f(x).
 
-One routine, `integrate_path`, continues y through the Gauss-Legendre
-nodes of a batch of polygons and integrates each on its own slice: all
-periods are one call at PERIOD_ORDER, the legs to the cycles' crossings
-(found in one array pass over all pairs of edges) one, each AJ batch one.
+Periods are integrals over closed polygons in the x-plane, along which one
+routine, `integrate_path`, continues y through the Gauss-Legendre nodes of
+a batch of polygons and integrates each on its own slice: all periods are
+one call at PERIOD_ORDER, the legs to the cycles' crossings one.
 
-Abel-Jacobi integrals, at the certified order AJ_ORDER = 12, take one leg
-per P from a cached table of AJ from e_k to the eighth-turn vertices of a
-circle about each e_k.  AJ from e_0 to each e_k is the half-period that
-the homology basis fixes, stated by one 0/1 table for every genus (see
-_branch_constants).  A curve point is a row (x, s) of a complex array,
-s = +-1 its sheet: y = s sqrt f(x).
+Abel-Jacobi needs no continuation: AJ from a nearest branch point e_k to P
+runs along the ray x = e_k + t^2, t from 0 to sqrt(x_P - e_k), where dx / y
+= 2 dt / r(t) and r is a product of principal roots that the ray keeps off
+their cuts, so the sheet of P is one sign.  Its panels, no wider than half
+their clearance from the singular points of 1 / r, take RAY_ORDER = 9
+nodes: 3e-16 relative error by the Bernstein-ellipse bound.  AJ from e_0
+to each e_k is the half-period the homology basis fixes (_branch_constants).
 """
 
 from __future__ import annotations
@@ -148,22 +148,22 @@ def lattice_coords(z, rm: RiemannMatrix):
 # ---------------------------------------------------------------------------
 # analytic continuation of y along polygonal paths
 
-#: most quadrature nodes of one path (a registry cycle at PERIOD_ORDER: ~1,400)
+#: most quadrature nodes of one path or ray (a registry cycle at PERIOD_ORDER: ~1,400)
 MAX_PATH_NODES = 2**21
 
-#: Gauss-Legendre order of the Abel-Jacobi integrals.  On a panel no wider
-#: than dmin/2 the integrand is analytic inside the Bernstein ellipse rho =
-#: 4 + sqrt(15), where |integrand| <= M; n + 1 nodes then err by at most
-#: (64/15) M rho^(-2n) / (rho^2 - 1) (Trefethen 2008), 1.3e-21 M at 12 nodes.
-AJ_ORDER = 12
+#: Gauss-Legendre order of the Abel-Jacobi rays.  On a panel no wider than
+#: half its clearance the integrand is analytic inside the Bernstein ellipse
+#: rho = 4 + sqrt(15), where |integrand| <= M; n + 1 nodes then err by at most
+#: (64/15) M rho^(-2n) / (rho^2 - 1) (Trefethen 2008), 3e-16 M at 9 nodes.
+RAY_ORDER = 9
 
 #: Gauss-Legendre order of the periods; at order 64 g2-real's Omega moves by under 1e-10
 PERIOD_ORDER = 32
 
-#: most nodes integrate_path lays at once, unless one path has more (an
-#: Abel-Jacobi leg has about 50), so that a whole report's batch keeps its
-#: node buffers small: heap memory a call grows by is handed back after it
-#: and faulted in again by the next call
+#: most nodes integrate_path or _from_rays lays at once, unless one path or
+#: ray has more, so that a whole report's batch keeps its node buffers
+#: small: heap memory a call grows by is handed back after it and faulted
+#: in again by the next call
 PATH_NODES = 2**12
 
 
@@ -341,8 +341,7 @@ class PeriodData:
         self.curve = curve
         self.A_inv = np.linalg.inv(A)
         self.rm = rm
-        self._arcs = None       # the arc table (see _branch_constants)
-        self._branch = None     # row k: A^-1 int_{e_0}^{e_k}
+        self._branch = _branch_constants(self)      # row k: A^-1 int_{e_0}^{e_k}
 
 
 def period_matrix(curve: HyperellipticCurve):
@@ -386,81 +385,82 @@ def period_matrix(curve: HyperellipticCurve):
 # Abel-Jacobi
 
 
-def _arc_vertices(e, rho):
-    """The arc table's V_kj = e_k + rho_k exp(i j pi/8) in column j + 8, |j| <= 8."""
-    return e[:, None] + rho[:, None] * np.exp(1j * np.pi / 8 * np.arange(-8, 9))
-
-
-def _arc_column(d):
-    """Column j + 8 of the leg to e_k + d: V_kj, j = trunc(arg d / (pi/8))."""
-    return np.trunc(np.angle(d) / (np.pi / 8)).astype(int) + 8
-
-
-def _from_hubs(periods, pts, ks):
-    """Rows A^-1 int_{e_k}^P for the point rows P = pts[i] from their branch
-    points k = ks[i]: R_kj from the arc table (see _branch_constants) plus
-    the leg [V_kj, x] of column _arc_column(x - e_k), all legs in one
-    integrate_path call.  A leg landing on iota P gives -AJ(P).
-
-    If e_k is a nearest branch point of x, r = |x - e_k|, rho = rho_k and
-    phi <= pi/8 the angle at e_k from V_kj to x, the leg keeps min(0.7 rho,
-    r) clear of all.  Of e_k: leg points project onto the bisector of phi
-    at cos(pi/16) min(rho, r) or more, 0.7 rho unless r <= rho cos(phi),
-    when x is nearest.  Of e_m, m != k, 2 rho or more from e_k and r from x:
-    the leg lies within max(rho, r) of e_k, so a leg point z with a =
-    |z - e_k| <= 1.3 rho is 0.7 rho from e_m; for a in (1.3 rho, r],
-    |z - x|^2 <= a^2 + r^2 - 2 a r cos(pi/8) <= (r - 0.7 rho)^2 (convex in
-    a, so checked at a = 1.3 rho and a = r), so |z - e_m| >= r - |z - x|
-    >= 0.7 rho.
-    Sliding V_kj round the circle to the angle of x sweeps legs that keep
-    this clearance, so the leg is homotopic to the hub route (round the
-    circle from h_k to the angle of x, then straight out): same lattice
-    representative."""
-    curve, (V, y_V, R) = periods.curve, periods._arcs
-    x, s = pts.T.copy()
-    col = _arc_column(x - curve.branch_points[ks])
-    vecs, ys = integrate_path(curve, np.stack([V[ks, col], x], axis=1), y_V[ks, col], AJ_ORDER)
+def _from_rays(periods, pts, ks):
+    """Rows A^-1 int_{e_k}^P for the point rows P = pts[i] = (x, s), k =
+    ks[i], e_k a nearest branch point of x, along the ray x = e_k + t^2, t in
+    [0, T], T = sqrt(x - e_k): dx / y = 2 dt / r(t), r = c_k prod_{m != k}
+    sqrt(1 - t^2 / (e_m - e_k)), c_k^2 = lead prod_{m != k} (e_k - e_m).  A
+    factor's principal root is r's: 1 - s^2 (x - e_k) / (e_m - e_k) <= 0 for
+    an s in [0, 1] would put x beyond e_m from e_k, nearer e_m.  I(T) is odd
+    in T: the row is sigma A^-1 I(T), sigma T r(T) = y = s sqrt f(x) (else
+    CurveError).  A point within 1e-6 of e_k, or a ray of more than
+    MAX_PATH_NODES nodes (PathTooLong), is refused before any node is laid:
+    panels of RAY_ORDER nodes no wider than half the ray's clearance from the
+    4g points +-sqrt(e_m - e_k), in blocks of at most PATH_NODES nodes
+    unless of one ray (see _ray_block)."""
+    curve, e, ks = periods.curve, periods.curve.branch_points, np.asarray(ks)
+    d = (e - e[:, None])[~np.eye(len(e), dtype=bool)].reshape(len(e), -1)
+    c = np.sqrt(curve.lead * np.prod(-d, axis=1))
+    x, s = pts.T
+    if (np.abs(x - e[ks]) <= 1e-6).any():
+        raise PathTooCloseToBranchPoint("a point within 1e-6 of a branch point")
+    T = np.sqrt(x - e[ks])
+    # clearance / |T|: over T the ray is [0, 1], and of +-z the nearer is beyond or beside it
+    z = np.sqrt(d[ks]) / T[:, None]
+    clear = np.hypot(np.maximum(np.abs(z.real) - 1.0, 0.0), z.imag).min(axis=1)
+    size = np.ceil(2.0 / clear).astype(int) * RAY_ORDER
+    if size.max(initial=0) > MAX_PATH_NODES:
+        raise PathTooLong(f"ray needs {size.max()} quadrature nodes, more than {MAX_PATH_NODES}")
+    vecs, a = [np.empty((0, curve.genus), dtype=complex)], 0
+    while a < len(pts):
+        b = a + max(1, np.searchsorted(np.cumsum(size[a:]), PATH_NODES, "right"))
+        vecs.append(_ray_block(e, d, c, ks[a:b], T[a:b], size[a:b] // RAY_ORDER))
+        a = b
+    end = T * _ray_r(c, d, x - e[ks], ks)
     y = s * curve.y_principal(x)
-    end = ys[1::2] / y                  # +-1 where a leg lands on +-y
-    sign = np.sign(end.real)
-    if (abs(end - sign) > 1e-6).any():
-        raise CurveError("sheet tracking did not land on the requested point")
+    sign = np.sign((y / end).real)
+    if (abs(sign * end - y) > 1e-6 * abs(y)).any():
+        raise CurveError("ray did not land on the requested point")
     # A^-1 applied row by row (a stacked matrix-vector product), as for one point
-    return sign[:, None] * (R[ks, col] + (periods.A_inv @ vecs[..., None])[..., 0])
+    return sign[:, None] * (periods.A_inv @ np.concatenate(vecs)[..., None])[..., 0]
+
+
+def _ray_r(c, d, t2, ks):
+    """r at t^2 = t2[i] on a ray from e_k, k = ks[i], a factor at a time."""
+    r = c[ks]
+    for m in range(d.shape[1]):
+        r *= np.sqrt(1.0 - t2 / d[ks, m])
+    return r
+
+
+def _ray_block(e, d, c, ks, T, panels):
+    """The (n, g) integrals I(T) of the rays from e_k, k = ks[i], to T[i] in
+    panels[i] panels, at nodes laid in one pass and summed by one reduceat,
+    each on its ray's own slice, so a ray's row does not depend on its block."""
+    nodes, weights = _gl_nodes(RAY_ORDER)
+    ray = np.repeat(np.arange(len(T)), panels)
+    k = np.arange(len(ray)) - np.repeat(np.cumsum(panels) - panels, panels)
+    at, Ta = np.repeat(ks[ray], RAY_ORDER), np.repeat(T[ray], RAY_ORDER)
+    t2 = np.square(Ta * ((k[:, None] + 0.5 * (nodes + 1.0)) / panels[ray, None]).ravel())
+    # complex exponents, as the power loop takes them, spare a cast buffer
+    integrand = (e[at] + t2) ** np.arange(d.shape[1] // 2, dtype=complex)[:, None]
+    # x^i dx / y = x^i 2 dt / r, the weights on [0, 1] carrying the 2 and T
+    integrand *= (weights / panels[ray, None]).ravel() * Ta / _ray_r(c, d, t2, at)
+    return np.add.reduceat(integrand, (np.cumsum(panels) - panels) * RAY_ORDER, axis=1).T
 
 
 def _branch_constants(periods):
-    """Row k: A^-1 int_{e_0}^{e_k}, built on first use with the arc table.
-
-    The table: about each e_k, rho_k half its nearest gap, the vertices
-    V_kj (see _arc_vertices), y continued to them along the circle's chords
-    from the principal root at the hub h_k = V_k0, and R_kj = A^-1
-    int_{e_k}^{V_kj} = R_k0 + I_kj, the arcs I_kj = A^-1 int_{h_k}^{V_kj}
-    in one integrate_path batch.  The involution negates integrals from e_k,
-    and the half turns end on opposite sheets: R_k0 = -(I_k,8 + I_k,-8)/2.
-
-    The rows are the half-periods the basis fixes (Mumford, Tata Lectures
-    on Theta II, IIIa 5.3): row k = alpha_k + Omega beta_k (see
-    lattice_coords), where the step from e_2j to e_2j+1 adds the unit u_j
-    to 2 alpha and the step from e_2j+1 to e_2j+2 adds u_j + u_j+1 to
-    2 beta (u_g = 0), both mod 2."""
-    if periods._branch is None:
-        curve, e, g = periods.curve, periods.curve.branch_points, periods.curve.genus
-        V = _arc_vertices(e, 0.5 * np.sort(np.abs(e - e[:, None]), axis=1)[:, 1])
-        # arc (k, j): V_k0, V_k1, .. V_kj (or V_k,-1, .. for j < 0)
-        arcs = [V[k, 8::1 if j >= 0 else -1][:abs(j) + 1]
-                for k in range(len(e)) for j in range(-8, 9)]
-        vecs, ys = integrate_path(curve, arcs, np.repeat(curve.y_principal(V[:, 8]), 17),
-                                  AJ_ORDER)
-        arc = (periods.A_inv @ vecs[..., None])[..., 0].reshape(len(e), 17, g)
-        periods._arcs = (V, ys[np.cumsum([len(a) for a in arcs]) - 1].reshape(V.shape),
-                         arc - 0.5 * (arc[:, :1] + arc[:, 16:]))
-        # row i + 1: the step from e_i to e_i+1 in (2 alpha, 2 beta), row k's sum mod 2
-        u, steps = np.eye(g + 1, g), np.zeros((2 * g + 1, 2, g))
-        steps[1::2, 0], steps[2::2, 1] = u[:g], u[:g] + u[1:]
-        ab = np.cumsum(steps, axis=0) % 2
-        periods._branch = 0.5 * (ab[:, 0] + (periods.rm.omega @ ab[:, 1, :, None])[..., 0])
-    return periods._branch
+    """Row k: A^-1 int_{e_0}^{e_k}, the half-period the basis fixes
+    (Mumford, Tata Lectures on Theta II, IIIa 5.3): row k = alpha_k +
+    Omega beta_k (see lattice_coords), where the step from e_2j to e_2j+1
+    adds the unit u_j to 2 alpha and the step from e_2j+1 to e_2j+2 adds
+    u_j + u_j+1 to 2 beta (u_g = 0), both mod 2."""
+    g = periods.curve.genus
+    # row i + 1: the step from e_i to e_i+1 in (2 alpha, 2 beta), row k's sum mod 2
+    u, steps = np.eye(g + 1, g), np.zeros((2 * g + 1, 2, g))
+    steps[1::2, 0], steps[2::2, 1] = u[:g], u[:g] + u[1:]
+    ab = np.cumsum(steps, axis=0) % 2
+    return 0.5 * (ab[:, 0] + (periods.rm.omega @ ab[:, 1, :, None])[..., 0])
 
 
 def abel_jacobi(periods: PeriodData, P, base):
@@ -475,17 +475,16 @@ def abel_jacobi(periods: PeriodData, P, base):
 def abel_jacobi_from_branch(periods: PeriodData, P):
     """A^-1 int_{e_0}^P, through the branch point nearest P; a (g,) vector
     for one point row P, an (N, g) array for N rows, whose points take one
-    integrate_path call."""
+    _from_rays call."""
     pts = np.reshape(P, (-1, 2))
     n = np.argmin(np.abs(periods.curve.branch_points - pts[:, :1]), axis=1)
-    consts = _branch_constants(periods)
-    v = consts[n] + _from_hubs(periods, pts, n)
+    v = periods._branch[n] + _from_rays(periods, pts, n)
     return v.reshape(np.shape(P)[:-1] + v.shape[1:])
 
 
 def abel_jacobi_between_branch_points(periods: PeriodData, j, k):
     """A^-1 int_{e_k}^{e_j}."""
-    return _branch_constants(periods)[j] - _branch_constants(periods)[k]
+    return periods._branch[j] - periods._branch[k]
 
 
 # ---------------------------------------------------------------------------

@@ -1,14 +1,15 @@
 """Independent oracles for the test suite: direct 1-D q-series for genus-1
 theta functions, AGM period computation, finite differences, path
 integrals continued by a cumulative sum of half-log ratios, Abel-Jacobi
-along hub paths, branch-point constants chained across neighbouring pairs,
-cycle crossings found one pair of edges at a time, and the record of a
-report run one trial at a time, each trial drawn from its own Generator.
+along hub paths and along legs from a table of arcs about each branch
+point, branch-point constants chained across neighbouring pairs, cycle
+crossings found one pair of edges at a time, and the record of a report
+run one trial at a time, each trial drawn from its own Generator.
 
-These deliberately avoid the package's lattice-ellipsoid evaluator and
-period integrator code paths, and its rounds of trials; only the crossing
-count and the chained branch constants continue y with the package's
-integrate_path (the chain through its arc-table legs).
+These deliberately avoid the package's lattice-ellipsoid evaluator,
+period integrator and Abel-Jacobi rays, and its rounds of trials; only the
+crossing count, the arc table and its legs (and so the chained branch
+constants) continue y with the package's integrate_path.
 """
 
 import itertools
@@ -16,8 +17,7 @@ import math
 
 import numpy as np
 
-from faylab.curves import (CurveError, _branch_constants, _from_hubs, integrate_path,
-                           lattice_coords, make_point)
+from faylab.curves import CurveError, integrate_path, lattice_coords, make_point
 from faylab.identities import _HARD, _RETRY, _drive
 from faylab.quasidet import QuasiMatrix
 from faylab.report import IdentityReport, report_record
@@ -98,10 +98,14 @@ def branch_expansion(e_k, x, y, genus):
 def hub_path_one(e_k, rho, x, turns=0):
     """The hub path of one point: from the hub e_k + rho round the circle
     |z - e_k| = rho in chords of at most a quarter turn to the angle of x
-    (plus `turns` full turns), then straight to x."""
+    (plus `turns` full turns), then straight to x, through the radii rho
+    2^-j > |x - e_k| on the way in, so that no edge is longer than twice
+    its clearance from e_k."""
     angle = np.angle(x - e_k) + 2.0 * np.pi * turns
     n = max(1, int(np.ceil(abs(angle) / (0.5 * np.pi))))
-    return list(e_k + rho * np.exp(1j * angle * np.arange(n + 1) / n)) + [x]
+    arc = e_k + rho * np.exp(1j * angle * np.arange(n + 1) / n)
+    halves = 0.5 ** np.arange(1, max(1, int(np.log2(rho / abs(x - e_k))) + 1))
+    return list(arc) + list(e_k + (arc[-1] - e_k) * halves[halves * rho > abs(x - e_k)]) + [x]
 
 
 def log_sum_path(curve, path, y0, order):
@@ -156,13 +160,78 @@ def hub_aj_rows(periods, ks, pts):
     return np.array(rows)
 
 
+#: Gauss-Legendre order of the arc table and its legs: on panels no wider
+#: than half their clearance, 12 nodes err by at most 1.3e-21 M (the
+#: Bernstein-ellipse bound, rho = 4 + sqrt(15))
+ARC_ORDER = 12
+
+
+def arc_vertices(e, rho):
+    """The arc table's V_kj = e_k + rho_k exp(i j pi/8) in column j + 8, |j| <= 8."""
+    return e[:, None] + rho[:, None] * np.exp(1j * np.pi / 8 * np.arange(-8, 9))
+
+
+def arc_column(d):
+    """Column j + 8 of the leg to e_k + d: V_kj, j = trunc(arg d / (pi/8))."""
+    return np.trunc(np.angle(d) / (np.pi / 8)).astype(int) + 8
+
+
+def arc_table(periods):
+    """(V, y_V, R): about each e_k, rho_k half its nearest gap, the vertices
+    V_kj (see arc_vertices), y continued to them along the circle's chords
+    from the principal root at the hub h_k = V_k0, and R_kj = A^-1
+    int_{e_k}^{V_kj} = R_k0 + I_kj, the arcs I_kj = A^-1 int_{h_k}^{V_kj}
+    in one integrate_path batch.  The involution negates integrals from e_k,
+    and the half turns end on opposite sheets: R_k0 = -(I_k,8 + I_k,-8)/2."""
+    curve, e, g = periods.curve, periods.curve.branch_points, periods.curve.genus
+    V = arc_vertices(e, 0.5 * np.sort(np.abs(e - e[:, None]), axis=1)[:, 1])
+    # arc (k, j): V_k0, V_k1, .. V_kj (or V_k,-1, .. for j < 0)
+    arcs = [V[k, 8::1 if j >= 0 else -1][:abs(j) + 1]
+            for k in range(len(e)) for j in range(-8, 9)]
+    vecs, ys = integrate_path(curve, arcs, np.repeat(curve.y_principal(V[:, 8]), 17), ARC_ORDER)
+    arc = (periods.A_inv @ vecs[..., None])[..., 0].reshape(len(e), 17, g)
+    return (V, ys[np.cumsum([len(a) for a in arcs]) - 1].reshape(V.shape),
+            arc - 0.5 * (arc[:, :1] + arc[:, 16:]))
+
+
+def arc_leg_rows(periods, pts, ks):
+    """Rows A^-1 int_{e_k}^P for the point rows P = pts[i] from their branch
+    points k = ks[i]: R_kj from the arc table plus the leg [V_kj, x] of
+    column arc_column(x - e_k), all legs in one integrate_path call.  A leg
+    landing on iota P gives -AJ(P).
+
+    If e_k is a nearest branch point of x, r = |x - e_k|, rho = rho_k and
+    phi <= pi/8 the angle at e_k from V_kj to x, the leg keeps min(0.7 rho,
+    r) clear of all.  Of e_k: leg points project onto the bisector of phi
+    at cos(pi/16) min(rho, r) or more, 0.7 rho unless r <= rho cos(phi),
+    when x is nearest.  Of e_m, m != k, 2 rho or more from e_k and r from x:
+    the leg lies within max(rho, r) of e_k, so a leg point z with a =
+    |z - e_k| <= 1.3 rho is 0.7 rho from e_m; for a in (1.3 rho, r],
+    |z - x|^2 <= a^2 + r^2 - 2 a r cos(pi/8) <= (r - 0.7 rho)^2 (convex in
+    a, so checked at a = 1.3 rho and a = r), so |z - e_m| >= r - |z - x|
+    >= 0.7 rho.
+    Sliding V_kj round the circle to the angle of x sweeps legs that keep
+    this clearance, so the leg is homotopic to the hub route (round the
+    circle from h_k to the angle of x, then straight out): same lattice
+    representative."""
+    curve, (V, y_V, R) = periods.curve, arc_table(periods)
+    x, s = pts.T.copy()
+    col = arc_column(x - curve.branch_points[ks])
+    vecs, ys = integrate_path(curve, np.stack([V[ks, col], x], axis=1), y_V[ks, col], ARC_ORDER)
+    y = s * curve.y_principal(x)
+    end = ys[1::2] / y                  # +-1 where a leg lands on +-y
+    sign = np.sign(end.real)
+    if (abs(end - sign) > 1e-6).any():
+        raise CurveError("sheet tracking did not land on the requested point")
+    return sign[:, None] * (R[ks, col] + (periods.A_inv @ vecs[..., None])[..., 0])
+
+
 def chained_branch_constants(periods):
     """Row k: A^-1 int_{e_0}^{e_k} chained from e_0 across each pair (e_j,
     e_k) whose midpoint m has no nearer branch point (so every k is
     reached): int_{e_0}^{e_k} = int_{e_0}^{e_j} + int_{e_j}^m - int_{e_k}^m,
-    the legs from the arc table by _from_hubs in one batch, each row reduced
-    into the cell [-1/4, 3/4)^2g of lattice coordinates."""
-    _branch_constants(periods)          # builds the arc table _from_hubs reads
+    the legs by arc_leg_rows in one batch, each row reduced into the cell
+    [-1/4, 3/4)^2g of lattice coordinates."""
     e, rm = periods.curve.branch_points, periods.rm
     chain, reached = [], [0]
     for j in reached:
@@ -172,7 +241,7 @@ def chained_branch_constants(periods):
                 chain.append((j, k, np.array([m, 1])))
                 reached.append(k)
     js, ks, ms = zip(*chain)
-    legs = _from_hubs(periods, np.array(ms + ms), list(js + ks))
+    legs = arc_leg_rows(periods, np.array(ms + ms), list(js + ks))
     consts = {0: np.zeros(periods.curve.genus, dtype=complex)}
     for (j, k, _), to_j, to_k in zip(chain, legs, legs[len(chain):]):
         v = consts[j] + to_j - to_k

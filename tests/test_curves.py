@@ -20,10 +20,10 @@ from faylab.kernels import random_line_bundle, riemann_constant, sample_point
 from faylab.registry import registry_entries
 
 from conftest import HYPERELLIPTIC, build_context, far_path_aj, pair_args, polygon_clearance
-from oracles import (agm_tau, branch_expansion, brute_force_continuation, hub_aj_rows,
-                     chained_branch_constants, draw_one, hub_path_one, involution,
-                     log_sum_path, point_y, pairwise_crossings, pairwise_intersection_matrix,
-                     qseries_theta_char)
+from oracles import (agm_tau, arc_column, arc_table, arc_vertices, branch_expansion,
+                     brute_force_continuation, hub_aj_rows, chained_branch_constants,
+                     draw_one, hub_path_one, involution, log_sum_path, point_y,
+                     pairwise_crossings, pairwise_intersection_matrix, qseries_theta_char)
 
 
 def frac_dist(z, rm):
@@ -241,15 +241,14 @@ class TestTracker:
     @pytest.mark.parametrize("cid", HYPERELLIPTIC)
     def test_continuation_matches_log_sum(self, cid):
         # y at every vertex of the period cycles (order 32) and of 200 legs
-        # from the arc table (order 12) is the log-sum continuation's
+        # from the oracle's arc table (order 12) is the log-sum continuation's
         ctx = build_context(cid)
-        abel_jacobi_between_branch_points(ctx.periods, 0, 0)  # the arc table built
-        c, (V, y_V, _) = ctx.curve, ctx.periods._arcs
+        c, (V, y_V, _) = ctx.curve, arc_table(ctx.periods)
         cycles = sum(curves._build_cycles(c), [])
         rng = np.random.default_rng(29)
         xs = np.array([sample_point(ctx, rng)[0] for _ in range(200)])
         ks = np.argmin(np.abs(c.branch_points - xs[:, None]), axis=1)
-        js = curves._arc_column(xs - c.branch_points[ks])
+        js = arc_column(xs - c.branch_points[ks])
         legs = [[V[k, j], x] for k, j, x in zip(ks, js, xs)]
         for paths, y0s, order in ((cycles, c.y_principal([z[0] for z in cycles]), 32),
                                   (legs, y_V[ks, js], 12)):
@@ -352,6 +351,49 @@ class TestPeriods:
         om = pd.rm.omega
         assert np.abs(om - om.T).max() < 1e-10
         assert np.linalg.eigvalsh(om.imag).min() > 0
+
+
+def hub_cases(c, rng, n_box):
+    """(ks, pts): point rows on both sheets and a branch point each for the
+    hub oracle: its nearest, or for a point on the bisector of two nearest,
+    both.  The points: n_box in the sampling box 1.6 times c.box and as many
+    outside c.box; at 1e-3 rho_k and at 2e-6 from each e_k; at arg(x - e_k)
+    = pi and about +-pi and +-pi/8, 0.5 rho_k out; and four on each
+    bisector whose branch points stay nearest there."""
+    e = c.branch_points
+    rho = 0.5 * np.sort(np.abs(e - e[:, None]), axis=1)[:, 1]
+    c_r, c_i, half_r, half_i = c.box
+    xs = [c_r + 1.6 * half_r * (2 * rng.random(n_box) - 1)
+          + 1j * (c_i + 1.6 * half_i * (2 * rng.random(n_box) - 1))]
+    out = (c_r + 1j * c_i + (1.1 + 3 * rng.random(n_box)) * (half_r + half_i)
+           * np.exp(2j * np.pi * rng.random(n_box)))
+    assert ((abs(out.real - c_r) > half_r) | (abs(out.imag - c_i) > half_i)).all()
+    xs.append(out)
+    for k in range(len(e)):
+        xs.append(e[k] + 1e-3 * rho[k] * np.exp(2j * np.pi * rng.random(4)))
+        xs.append(e[k] + 2e-6 * np.exp(2j * np.pi * rng.random(2)))
+        xs.append(e[k] + 0.5 * rho[k] * np.append(
+            -1.0, np.exp(1j * np.pi * np.array([1.0, -1.0, 0.125, -0.125]))))
+    xs = np.concatenate(xs)
+    xs = xs[c.dist_to_branch(xs) > 1e-6]
+    ks = list(np.argmin(np.abs(e - xs[:, None]), axis=1))
+    for j, k in combinations(range(len(e)), 2):
+        m, r = 0.5 * (e[j] + e[k]), 0.5 * abs(e[k] - e[j])
+        u = 1j * (e[k] - e[j]) / abs(e[k] - e[j])
+        for x in m + np.array([-0.6, -0.25, 0.25, 0.6]) * r * u:
+            if c.dist_to_branch(x) >= (1 - 1e-9) * max(abs(x - e[j]), abs(x - e[k])):
+                xs, ks = np.append(xs, [x, x]), ks + [j, k]
+    pts = np.array([(x, s) for x in xs for s in (1, -1)], dtype=complex)
+    return np.repeat(ks, 2), pts
+
+
+def assert_rays_keep_the_hub_representatives(pd, ks, pts):
+    """_from_rays's rows of pts from ks equal hub_aj_rows's within 1e-12 of
+    max(1, |row|)."""
+    rows = curves._from_rays(pd, pts, ks)
+    old = hub_aj_rows(pd, ks, pts)
+    scale = np.maximum(1.0, np.abs(old).max(axis=1))
+    assert (np.abs(rows - old).max(axis=1) <= 1e-12 * scale).all()
 
 
 class TestAbelJacobi:
@@ -496,38 +538,49 @@ class TestAbelJacobi:
                     continue                  # e_j and e_k no longer nearest
                 for sheet in (1, -1):
                     X = np.array([x, sheet], dtype=complex)
-                    to_j, to_k = curves._from_hubs(pd, np.array([X, X]), [j, k])
+                    to_j, to_k = curves._from_rays(pd, np.array([X, X]), [j, k])
                     assert frac_dist((B[j] + to_j) - (B[k] + to_k), pd.rm) < 1e-12
                     checked += 1
         assert checked >= 8
 
     @pytest.mark.parametrize("cid", HYPERELLIPTIC)
     def test_legs_keep_the_hub_representatives(self, cid):
-        # every row from the arc table and one leg is the hub route's, with
-        # its full-turn hub constant and log-sum continuation, unreduced: on
-        # 1,000 points of the sampling box, 1e-3 rho_k from each e_k, and at
-        # arg(x - e_k) = pi and about +-pi and +-pi/8, all on both sheets
-        ctx = build_context(cid)
-        pd, c = ctx.periods, ctx.curve
-        e = c.branch_points
-        rho = 0.5 * np.sort(np.abs(e - e[:, None]), axis=1)[:, 1]
-        rng = np.random.default_rng(31)
-        c_r, c_i, half_r, half_i = c.box
-        xs = [c_r + 1.6 * half_r * (2 * rng.random(1000) - 1)
-              + 1j * (c_i + 1.6 * half_i * (2 * rng.random(1000) - 1))]
-        for k in range(len(e)):
-            xs.append(e[k] + 1e-3 * rho[k] * np.exp(2j * np.pi * rng.random(4)))
-            xs.append(e[k] + 0.5 * rho[k] * np.append(
-                -1.0, np.exp(1j * np.pi * np.array([1.0, -1.0, 0.125, -0.125]))))
-        xs = np.concatenate(xs)
-        xs = xs[c.dist_to_branch(xs) > 1e-6]
-        ks = np.argmin(np.abs(e - xs[:, None]), axis=1)
-        pts = np.array([(x, s) for x in xs for s in (1, -1)], dtype=complex)
-        abel_jacobi_between_branch_points(pd, 0, 0)         # the arc table built
-        rows = curves._from_hubs(pd, pts, np.repeat(ks, 2))
-        old = hub_aj_rows(pd, np.repeat(ks, 2), pts)
-        scale = np.maximum(1.0, np.abs(old).max(axis=1))
-        assert (np.abs(rows - old).max(axis=1) <= 1e-12 * scale).all()
+        # every ray's row is the hub route's, with its full-turn hub
+        # constant and log-sum continuation, unreduced: on 1,000 points of
+        # the sampling box and the edge cases of hub_cases, all on both sheets
+        pd = build_context(cid).periods
+        ks, pts = hub_cases(pd.curve, np.random.default_rng(31), 1000)
+        assert_rays_keep_the_hub_representatives(pd, ks, pts)
+
+    def test_rays_keep_the_hub_representatives_on_seeded_curves(self, monkeypatch):
+        # the hub oracle against the rays on 20 seeded complex curves of
+        # genus 1-3 (period_matrix's refusals skipped), 40 box points and the
+        # edge cases a curve; every row, in a batch that spans blocks of at
+        # most 256 nodes, is bitwise its own one-point call
+        rng, accepted, genera = np.random.default_rng(36), 0, []
+        monkeypatch.setattr(curves, "PATH_NODES", 2**8)
+        blocks, real = [], curves._ray_block
+        monkeypatch.setattr(curves, "_ray_block", lambda *args: blocks.append(len(args[4]))
+                            or real(*args))
+        for attempt in range(60):
+            g = 1 + attempt % 3
+            e = rng.uniform(-2, 2, 2 * g + 1) + 1j * rng.uniform(-2, 2, 2 * g + 1)
+            try:
+                pd = period_matrix(HyperellipticCurve(e))[2]
+            except CurveError:
+                continue
+            ks, pts = hub_cases(pd.curve, rng, 40)
+            assert_rays_keep_the_hub_representatives(pd, ks, pts)
+            blocks.clear()
+            rows = curves._from_rays(pd, pts, ks)
+            assert len(blocks) > 1 and max(blocks) > 1
+            for k, p, row in zip(ks, pts, rows):
+                assert np.array_equal(curves._from_rays(pd, p[None], [k])[0], row)
+            accepted += 1
+            genera.append(g)
+            if accepted == 20:
+                break
+        assert accepted == 20 and set(genera) == {1, 2, 3}
 
     @pytest.mark.parametrize("cid", ["lemniscatic", "g2-real", "g3-real"])
     def test_one_point_call_as_in_a_batch(self, cid):
@@ -542,51 +595,102 @@ class TestAbelJacobi:
             assert one.shape == (ctx.g,) and np.array_equal(one, row)
 
     def test_unlanded_sheet_raises(self, ctx_g1, monkeypatch):
-        # a continuation that ends on neither sheet over P is an error, not
-        # a silent pick of the nearer sheet, and it fails P's whole batch
+        # a ray ending on neither sheet over P (its row's sheet made 1j, so
+        # y = 1j sqrt f(x)) is an error, not a silent pick of the nearer
+        # sheet, and it fails P's whole batch
         pd = ctx_g1.periods
         ps = [sample_point(ctx_g1, np.random.default_rng(s)) for s in (17, 18, 19)]
-        abel_jacobi(pd, ps, ctx_g1.base)          # the arc table built
+        real = curves._from_rays
 
-        def off_sheet(curve, paths, y0s, order):
-            vecs, ys = integrate_path(curve, paths, y0s, order)
-            ys[len(paths[0]) + len(paths[1]) - 1] = 1j * point_y(curve, ps[1])
-            return vecs, ys
+        def off_sheet(periods, pts, ks):
+            pts = pts.copy()
+            pts[1, 1] = 1j
+            return real(periods, pts, ks)
 
-        monkeypatch.setattr(curves, "integrate_path", off_sheet)
+        monkeypatch.setattr(curves, "_from_rays", off_sheet)
         with pytest.raises(CurveError, match="did not land"):
             abel_jacobi(pd, ps, ctx_g1.base)
 
     @pytest.mark.parametrize("cid", ["lemniscatic", "g2-real"])
     def test_long_lists_integrate_in_chunks(self, cid, monkeypatch):
-        # 400 points and the base take one integrate_path call, which lays
-        # the nodes of consecutive paths in blocks of at most PATH_NODES
-        # nodes and vertices (more only for a block of one path), and every
-        # row is the point's own, bitwise
+        # 400 points and the base take one _from_rays call, which lays the
+        # nodes of consecutive rays in blocks of at most PATH_NODES nodes
+        # (more only for a block of one ray), and every row is the point's
+        # own, bitwise
         ctx = build_context(cid)
         pd = ctx.periods
         rng = np.random.default_rng(23)
         ps = [sample_point(ctx, rng) for _ in range(400)]
         one = np.array([abel_jacobi(pd, p, ctx.base) for p in ps])
-        calls, blocks, real = [], [], curves._integrate_paths
+        calls, blocks, real = [], [], curves._ray_block
 
-        def counted(curve, za, zb, panels, first, y0s, order):
-            # paths, nodes and vertices, and those of the first path
-            sizes = np.add.reduceat(panels * order + 1, first)
-            blocks.append((len(first), sizes.sum(), sizes[0]))
-            return real(curve, za, zb, panels, first, y0s, order)
-        monkeypatch.setattr(curves, "_integrate_paths", counted)
-        real_call = curves.integrate_path
-        monkeypatch.setattr(curves, "integrate_path",
-                            lambda curve, paths, *args: calls.append(len(paths))
-                            or real_call(curve, paths, *args))
+        def counted(e, d, c, ks, T, panels):
+            # rays, nodes, and those of the first ray
+            sizes = panels * curves.RAY_ORDER
+            blocks.append((len(T), sizes.sum(), sizes[0]))
+            return real(e, d, c, ks, T, panels)
+        monkeypatch.setattr(curves, "_ray_block", counted)
+        real_call = curves._from_rays
+        monkeypatch.setattr(curves, "_from_rays",
+                            lambda periods, pts, ks: calls.append(len(pts))
+                            or real_call(periods, pts, ks))
         rows = abel_jacobi(pd, ps, ctx.base)
         assert calls == [401] and sum(n for n, _, _ in blocks) == 401 and len(blocks) > 2
         assert all(size <= curves.PATH_NODES or n == 1 for n, size, _ in blocks)
-        # a block ends only where its next path would not fit
+        # a block ends only where its next ray would not fit
         assert all(size + nxt > curves.PATH_NODES
                    for (_, size, _), (_, _, nxt) in zip(blocks, blocks[1:]))
         assert np.array_equal(rows, one)
+
+    def test_point_near_a_branch_point_refused(self, ctx_g2):
+        # a row within 1e-6 of a branch point, or on it, is refused as the
+        # leg ending there was, though its ray would be short and clear,
+        # and it fails its whole batch
+        pd, e = ctx_g2.periods, ctx_g2.curve.branch_points
+        P = sample_point(ctx_g2, np.random.default_rng(5))
+        for k in range(len(e)):
+            for d in (9e-7, -9e-7j, 0.0):
+                with pytest.raises(PathTooCloseToBranchPoint):
+                    abel_jacobi(pd, [P, np.array([e[k] + d, 1])], ctx_g2.base)
+
+    def test_long_ray_refused_before_any_node(self, monkeypatch):
+        # under a cap of 2,000 nodes a path or ray, not a batch: the periods
+        # (cycles of at most about 1,400 nodes) and the report batches of
+        # lemniscatic (rays of at most 45 nodes) pass, while g2-real with
+        # its base point moved out to x = 1e5 (a ray of 5,697 nodes) fails
+        # its own reports, PathTooLong raised before _ray_block lays a node
+        # of its batch
+        import faylab.identities as ids
+        from faylab.identities import SuiteConfig, run_suite
+        monkeypatch.setattr(curves, "MAX_PATH_NODES", 2000)
+        real_env, real_rays, real_block = ids._build_env, curves._from_rays, curves._ray_block
+        asked, laid = [], []
+
+        def far_base(entry):
+            env = real_env(entry)
+            if entry["id"] == "g2-real":
+                env.base = make_point(env.curve, 1e5, 1)
+            return env
+
+        def rays(periods, pts, ks):
+            asked.append(periods.curve.curve_id)
+            return real_rays(periods, pts, ks)
+
+        def block(*args):
+            laid.append(asked[-1])
+            return real_block(*args)
+        monkeypatch.setattr(ids, "_build_env", far_base)
+        monkeypatch.setattr(curves, "_from_rays", rays)
+        monkeypatch.setattr(curves, "_ray_block", block)
+        reps = run_suite(SuiteConfig(curves=["lemniscatic", "g2-real"], trials=20,
+                                     identities=["idcor", "quasidet_det_ratio"]))
+        got = [(r.identity_id, r.curve_id, r.completed, r.passed, r.failure.split(":")[0])
+               for r in reps]
+        assert got == [("idcor", "lemniscatic", 20, True, ""),
+                       ("idcor", "g2-real", 0, False, "PathTooLong"),
+                       ("quasidet_det_ratio", "-", 20, True, "")]
+        assert reps[1].failure.endswith("ray needs 5697 quadrature nodes, more than 2000")
+        assert "g2-real" in asked and set(laid) == {"lemniscatic"}
 
 
 unit_square = st.tuples(st.floats(-1.0, 1.0), st.floats(-1.0, 1.0)).map(
@@ -610,8 +714,8 @@ def test_hub_path_clearance(pts, xs):
     ks = np.argmin(np.abs(e - xs[:, None]), axis=1)
     assume((np.abs(xs - e[ks]) > 1e-6).all())
     rho = 0.5 * np.sort(np.abs(e - e[:, None]), axis=1)[:, 1]
-    V = curves._arc_vertices(e, rho)
-    for k, j, x in zip(ks, curves._arc_column(xs - e[ks]), xs):
+    V = arc_vertices(e, rho)
+    for k, j, x in zip(ks, arc_column(xs - e[ks]), xs):
         eighths = math.trunc(cmath.phase(x - e[k]) / (math.pi / 8))
         assert j == eighths + 8
         assert abs(V[k, j] - (e[k] + rho[k] * cmath.exp(1j * math.pi / 8 * eighths))) <= 1e-15

@@ -448,19 +448,19 @@ class TestLookAhead:
         assert refused["fay_F"] >= 5 and refused["massey_m3_theta"] == 1
 
     def test_failed_batch_fails_the_same_trial(self, monkeypatch):
-        # integrate_path refuses trial 3's first point: the joined ctx.aj
-        # call fails, each body's points are mapped on their own, and the
-        # report fails at trial 3
+        # _from_rays refuses trial 3's first point: the joined ctx.aj call
+        # fails, each body's points are mapped on their own, and the report
+        # fails at trial 3
         import faylab.curves as curves
         from faylab.kernels import sample_point
         bad = sample_point(self.fresh("lemniscatic"), trial_rng(11, "idcor|lemniscatic", 3))[0]
-        real = curves.integrate_path
+        real = curves._from_rays
 
-        def refuse(curve, paths, y0s, order):
-            if any(p[-1] == bad for p in paths):
+        def refuse(periods, pts, ks):
+            if (pts[:, 0] == bad).any():
                 raise curves.PathTooLong("synthetic refusal")
-            return real(curve, paths, y0s, order)
-        monkeypatch.setattr(curves, "integrate_path", refuse)
+            return real(periods, pts, ks)
+        monkeypatch.setattr(curves, "_from_rays", refuse)
         spec = IDENTITIES["idcor"]
         sizes = counted_drive(monkeypatch)
         got = record(run_identity(spec, self.fresh("lemniscatic"), "lemniscatic", 6, 1.0, 11))
@@ -471,22 +471,22 @@ class TestLookAhead:
 
     def test_one_batch_for_first_draws(self, monkeypatch):
         # after set-up a 20-trial report draws each trial once and
-        # integrates its 60 points in one integrate_path call
+        # integrates its 60 points in one _from_rays call
         import faylab.curves as curves
         from faylab.identities import IdentitySpec
         ctx = self.fresh("lemniscatic")
-        ctx.aj([ctx.base])                 # hub, branch and base constants
+        ctx.aj([ctx.base])                 # branch and base constants
         attempts, calls = [], []
 
         def runner(env, *rng):
             attempts.append(rng)
             return IDENTITIES["idcor"].runner(env, *rng)
-        real = curves.integrate_path
+        real = curves._from_rays
 
         def counted(*args):
             calls.append(args)
             return real(*args)
-        monkeypatch.setattr(curves, "integrate_path", counted)
+        monkeypatch.setattr(curves, "_from_rays", counted)
         spec = IdentitySpec("idcor", "hyperelliptic", runner, {1: (20, 1e-9)})
         rep = run_identity(spec, ctx, "lemniscatic", 20, 1e-9, 42)
         assert rep.completed == 20 and rep.passed
@@ -663,7 +663,7 @@ def test_draws_are_pure_sampling(cid, monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("theta or a path evaluated in a draw")
     for mod in [m for n, m in sys.modules.items() if n.split(".")[0] == "faylab"]:
-        for name in ("theta_batch", "integrate_path"):
+        for name in ("theta_batch", "integrate_path", "_from_rays"):
             if hasattr(mod, name):
                 monkeypatch.setattr(mod, name, refuse)
     def kernel_request(env, kernel, *args):

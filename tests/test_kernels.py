@@ -391,21 +391,21 @@ class TestBatches:
                 kernel(ctx_g2, *args)
 
     def test_one_integration_per_attempt(self, monkeypatch):
-        # once the hub and branch constants are built, every idcor attempt
-        # that gets past _distinct_points, evaluated alone, maps all its
-        # points in one integrate_path call, and no kernel integrates again
+        # every idcor attempt that gets past _distinct_points, evaluated
+        # alone, maps all its points in one _from_rays call, and no kernel
+        # integrates again
         import faylab.curves as curves
         import faylab.identities as identities
         from faylab.rng import trial_rng
         base = build_context("lemniscatic")
         ctx = CurveContext(base.curve, base.periods)
         ctx.aj([base.base])
-        calls = {"integrate_path": 0, "_distinct_points": 0}
-        for mod, name in ((curves, "integrate_path"), (identities, "_distinct_points")):
+        calls = {"_from_rays": 0, "_distinct_points": 0}
+        for mod, name in ((curves, "_from_rays"), (identities, "_distinct_points")):
             def counted(*args, _fn=getattr(mod, name), _name=name):
                 out = _fn(*args)
                 # a draw counts if no stream of it was rejected
-                calls[_name] += _name == "integrate_path" or not out[1]
+                calls[_name] += _name == "_from_rays" or not out[1]
                 return out
             monkeypatch.setattr(mod, name, counted)
         for k in range(20):
@@ -414,7 +414,7 @@ class TestBatches:
             except identities.KernelError:
                 pass
         assert calls["_distinct_points"] >= 15
-        assert calls["integrate_path"] == calls["_distinct_points"]
+        assert calls["_from_rays"] == calls["_distinct_points"]
 
 
 def flip_h(monkeypatch, point, seen):
