@@ -85,9 +85,10 @@ class PlaneQuartic:
         return np.einsum("abcd,...a,...b,...c,...d->...", self.T, X, X, X, X)
 
     def grad(self, X):
-        """4 T(., X, X, X), gradient axis last."""
+        """4 T(., X, X, X), gradient axis last, contracted one X at a time."""
         X = np.asarray(X, dtype=complex)
-        return 4 * np.einsum("abcd,...b,...c,...d->...a", self.T, X, X, X)
+        G = np.einsum("...bcd,...d->...bc", np.einsum("abcd,...d->...abc", self.T, X), X)
+        return 4 * np.einsum("...ab,...b->...a", G, X)
 
     def assert_smooth(self):
         """Random-line smoothness probe: each of 200 probe lines must meet
@@ -113,15 +114,23 @@ def _horner(c, x):
     return y
 
 
+def _restrict(T, W):
+    """T(W_i, W_j, W_k, W_l) of each (2, 3) block W[n], contracted one index at a time."""
+    S = np.einsum("abcd,nld->nlabc", T, W)
+    for step in ("nlabc,nkc->nklab", "nklab,njb->njkla", "njkla,nia->nijkl"):
+        S = np.einsum(step, S, W)
+    return S
+
+
 def line_section(C4: PlaneQuartic, L):
     """The 4 points on the quartic of each line {l = 0}, l a row of the
     (N, 3) forms L, as an (N, 4, 3) array of lifts.  With u, v the unit
     vectors off l's largest coordinate, moved into the line along it, the
-    points are lam u + v for the roots lam of the binary form F(s u + v)
-    (companion-matrix eigenvalues, one Newton step) and u itself where its
+    points are lam u + v for the roots lam of the binary form F(s u + v),
+    whose coefficients are T(u, .., v) contracted one vector at a time
+    (companion-matrix eigenvalues, one Newton step), and u itself where its
     leading coefficients vanish.  Row k is L[k]'s section alone, bit for
-    bit; raises if any line is degenerate or meets the quartic in a
-    multiple point."""
+    bit; raises if any line is degenerate or meets it in a multiple point."""
     L = np.asarray(L, dtype=complex)
     n = np.arange(len(L))[:, None]
     a = np.abs(L).argmax(axis=1)[:, None]
@@ -131,7 +140,7 @@ def line_section(C4: PlaneQuartic, L):
     W = np.eye(3, dtype=complex)[o]                     # rows u, v
     W[n, [0, 1], a] = -L[n, o] / L[n, a]
     # c_m = C(4, m) T(u^(4-m), v^m) at flat index 2^m - 1: F(su + tv) = sum c_m s^(4-m) t^m
-    S = np.einsum("abcd,nia,njb,nkc,nld->nijkl", C4.T, W, W, W, W).reshape(-1, 16)
+    S = _restrict(C4.T, W).reshape(-1, 16)
     c = S[:, [0, 1, 3, 7, 15]] * [1, 4, 6, 4, 1]
     if not np.abs(c).max(axis=1).all():
         raise DegenerateForm("line lies on the quartic")
@@ -142,7 +151,7 @@ def line_section(C4: PlaneQuartic, L):
     first, last = nz.argmax(axis=1), 4 - nz[:, ::-1].argmax(axis=1)
     fin = np.arange(4) < 4 - first[:, None]
     lam = np.zeros((len(L), 4), dtype=complex)
-    for k, m in [(0, 4), (0, 3), (1, 4), (1, 3)]:
+    for k, m in {(0, 4), (0, 3), (1, 4), (1, 3)} & set(zip(first, last)):   # those with rows
         rows = (first == k) & (last == m)
         A = np.tile(np.eye(m - k, k=-1, dtype=complex), (rows.sum(), 1, 1))
         A[:, 0] = -c[rows, k + 1:m + 1] / c[rows, k:k + 1]

@@ -2,8 +2,8 @@
 
 Stream k is numpy's Philox4x64-10 keyed by (seed, label hash): its block b
 is Philox of the counter (b + 1, 0, 0, k) (Salmon, Moraes, Dror & Shaw,
-SC'11), each of its 4 words u the double (u >> 11) 2^-53.  trial_rng gives
-a stream as a Generator, uniforms the doubles of many as rows of one array.
+SC'11), its words u the doubles (u >> 11) 2^-53.  trial_rng gives a stream
+as a Generator; uniforms gives many as rows, each round one stacked mulhi.
 """
 
 from __future__ import annotations
@@ -34,39 +34,38 @@ def trial_rng(master_seed: int, label: str, trial: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(counter=counter, key=key))
 
 
-#: Philox4x64's round multipliers and the key's steps between rounds
-_MULTIPLIERS = (0xD2E7470EE14C6C93, 0xCA5A826395121157)
-_KEY_STEPS = (0x9E3779B97F4A7C15, 0xBB67AE8584CAA73B)
+#: Philox4x64's round multipliers and key steps, against the stacked words 0 and 2
+_MULTIPLIERS = np.array([0xD2E7470EE14C6C93, 0xCA5A826395121157], dtype=np.uint64)[:, None, None]
+_KEY_STEPS = np.array([0x9E3779B97F4A7C15, 0xBB67AE8584CAA73B], dtype=np.uint64)[:, None, None]
 
 
-def _mulhilo(a, m):
-    """The high and low words of a * m (a uint64 array) from 32-bit limbs."""
+def _mulhi(a, m):
+    """The high words of a * m, uint64 arrays, from 32-bit limbs as in Hacker's
+    Delight's mulhu: a1 m1 + hi(u) + hi(a0 m1 + lo(u)), u = a1 m0 + hi(a0 m0)."""
     low, c32 = np.uint64(2**32 - 1), np.uint64(32)
-    a0, a1, m0, m1 = a & low, a >> c32, np.uint64(m % 2**32), np.uint64(m >> 32)
-    mid, cross = a1 * m0, a0 * m1
-    carry = ((a0 * m0) >> c32) + (mid & low) + (cross & low)
-    return a1 * m1 + (mid >> c32) + (cross >> c32) + (carry >> c32), a * np.uint64(m)
+    a0, a1, m0, m1 = a & low, a >> c32, m & low, m >> c32
+    u = a1 * m0 + ((a0 * m0) >> c32)
+    return a1 * m1 + (u >> c32) + ((a0 * m1 + (u & low)) >> c32)
 
 
-def uniforms(seed, label, ks, width):
-    """The first width doubles of the streams ks, as a (len(ks), width)
-    array: row i is trial_rng(seed, label, ks[i]).random(width)."""
-    k, blocks = np.asarray(ks, dtype=np.uint64)[:, None], -(-width // 4)
-    zero = np.zeros_like(k)
-    # the counters (b + 1, 0, 0, k) of blocks b = 0, 1, .. of each stream
-    x = [np.arange(1, blocks + 1, dtype=np.uint64) + zero, zero, zero, k]
-    key = [seed, _label_hash(label)]
+def uniforms(seed, label, ks, width, start=0):
+    """Doubles start .. width - 1 of the streams ks, as a (len(ks), width -
+    start) array: row i is trial_rng(seed, label, ks[i]).random(width)[start:]."""
+    k, first = np.asarray(ks, dtype=np.uint64)[:, None], start // 4
+    b = np.arange(first + 1, -(-width // 4) + 1, dtype=np.uint64) + 0 * k
+    # words 0 and 2, then 1 and 3, of the counters (b, 0, 0, k), b - 1 = first, first + 1, ..
+    even, odd = np.stack([b, 0 * b]), np.stack([0 * b, k + 0 * b])
+    key = np.array([seed, _label_hash(label)], dtype=np.uint64)[:, None, None]
     for _ in range(10):
-        (h0, l0), (h1, l1) = _mulhilo(x[0], _MULTIPLIERS[0]), _mulhilo(x[2], _MULTIPLIERS[1])
-        x = [h1 ^ x[1] ^ np.uint64(key[0]), l1, h0 ^ x[3] ^ np.uint64(key[1]), l0]
-        key = [(v + step) % SEED_LIMIT for v, step in zip(key, _KEY_STEPS)]
-    words = np.stack(x, axis=-1).reshape(len(k), 4 * blocks)[:, :width]
-    return (words >> np.uint64(11)) * 2.0**-53
+        even, odd = _mulhi(even, _MULTIPLIERS)[::-1] ^ odd ^ key, (even * _MULTIPLIERS)[::-1]
+        key = key + _KEY_STEPS
+    words = np.stack([even[0], odd[0], even[1], odd[1]], axis=-1).reshape(len(k), 4 * b.shape[1])
+    return (words[:, start - 4 * first:width - 4 * first] >> np.uint64(11)) * 2.0**-53
 
 
 class Table:
     """uniforms of the streams ks, each read in order from its cursor at[i]
-    (a reader may set it back); rows are recomputed wider past their end."""
+    (a reader may set it back); a read past the width appends the doubles after it."""
 
     def __init__(self, seed, label, ks):
         self.stream, self.u = (seed, label, ks), uniforms(seed, label, ks, 16)
@@ -76,7 +75,8 @@ class Table:
         """The next n doubles of each stream rows[i] (distinct indices into
         ks), as a (len(rows), n) array."""
         at = self.at[rows]
-        if len(rows) and at.max() + n > self.u.shape[1]:
-            self.u = uniforms(*self.stream, max(at.max() + n, 2 * self.u.shape[1]))
+        w = self.u.shape[1]
+        if len(rows) and at.max() + n > w:
+            self.u = np.hstack([self.u, uniforms(*self.stream, max(at.max() + n, 2 * w), w)])
         self.at[rows] = at + n
         return self.u[rows[:, None], at[:, None] + np.arange(n)]

@@ -3,8 +3,10 @@ theta functions, AGM period computation, finite differences, path
 integrals continued by a cumulative sum of half-log ratios, Abel-Jacobi
 along hub paths and along legs from a table of arcs about each branch
 point, branch-point constants chained across neighbouring pairs, cycle
-crossings found one pair of edges at a time, and the record of a report
-run one trial at a time, each trial drawn from its own Generator.
+crossings found one pair of edges at a time, the plane-quartic line
+restriction and gradient as one many-operand einsum each, and the record
+of a report run one trial at a time, each trial drawn from its own
+Generator.
 
 These deliberately avoid the package's lattice-ellipsoid evaluator,
 period integrator and Abel-Jacobi rays, and its rounds of trials; only the
@@ -108,31 +110,46 @@ def hub_path_one(e_k, rho, x, turns=0):
     return list(arc) + list(e_k + (arc[-1] - e_k) * halves[halves * rho > abs(x - e_k)]) + [x]
 
 
-def log_sum_path(curve, path, y0, order):
-    """(1, x, .., x^(g-1)) dx / y along one polygon, y = y0 at its vertex 0,
-    edge by edge: Gauss-Legendre panels no wider than half the edge's
-    clearance from the branch points, y continued through every node by a
-    cumulative sum of half-log ratios of f, and the integral one matmul.
-    Returns the (g,) integral and y at every vertex."""
+def log_sum_path(curve, paths, y0s, order):
+    """(1, x, .., x^(g-1)) dx / y along each polygon of paths, y = y0s[i] at
+    vertex 0 of path i, in one array pass: every edge in Gauss-Legendre
+    panels no wider than half its clearance from the branch points, y
+    continued through every node by a cumulative sum of half-log ratios of
+    f within its path, and each path's integral one np.add.reduceat.
+    Returns the (len(paths), g) integrals and y at every vertex, path by
+    path, as integrate_path does."""
     e = curve.branch_points
     nodes, weights = np.polynomial.legendre.leggauss(order)
-    xs, ws, at_vertex = [np.array([path[0]])], [np.zeros(1)], [0]
-    for za, zb in zip(path[:-1], path[1:]):
-        if zb != za:
-            t = np.clip(((e - za) / (zb - za)).real, 0.0, 1.0)
-            n = math.ceil(abs(zb - za) / (0.5 * np.abs(za + t * (zb - za) - e).min()))
-            ts = ((np.arange(n)[:, None] + 0.5 * (nodes + 1.0)) / n).ravel()
-            xs.append(za + ts * (zb - za))
-            ws.append(np.tile(weights, n) * 0.5 * (zb - za) / n)
-        xs.append(np.array([zb]))
-        ws.append(np.zeros(1))
-        at_vertex.append(sum(map(len, xs)) - 1)
-    x, w = np.concatenate(xs), np.concatenate(ws)
+    lens = np.array([len(p) for p in paths])
+    zb = np.concatenate([np.asarray(p, dtype=complex) for p in paths])
+    za, first = np.roll(zb, 1), np.cumsum(lens) - lens
+    za[first] = zb[first]           # vertex 0 of a path ends an edge of no length
+    d = zb - za
+    with np.errstate(divide="ignore", invalid="ignore"):
+        t = np.clip(((e - za[:, None]) / d[:, None]).real, 0.0, 1.0)
+        gap = np.abs(za[:, None] + t * d[:, None] - e).min(axis=1)
+        n = np.where(d != 0, np.ceil(np.abs(d) / (0.5 * gap)), 0).astype(int)
+    # edge i: n_i panels of order nodes, then its end vertex zb_i
+    size = n * order + 1
+    item, offset = np.repeat(np.arange(len(zb)), size), np.cumsum(size) - size
+    p, j = np.divmod(np.arange(size.sum()) - offset[item], order)
+    inner, ni = p < n[item], np.maximum(n[item], 1)
+    ts = (p + 0.5 * (nodes[j] + 1.0)) / ni
+    x = np.where(inner, za[item] + ts * d[item], zb[item])
+    w = np.where(inner, weights[j] * 0.5 * d[item] / ni, 0.0)
+    path = np.repeat(np.arange(len(paths)), lens)[item]
+    starts = offset[first]
     fx = curve.f(x)
-    log_y = np.concatenate([[0.0], np.cumsum(0.5 * np.log(fx[1:] / fx[:-1]))])
-    y = y0 * np.exp(log_y)
-    integral = (x ** np.arange(curve.genus)[:, None] / y) @ w
-    return integral, y[at_vertex]
+    step = np.concatenate([[0.0], 0.5 * np.log(fx[1:] / fx[:-1])])
+    # each path's first step takes back the one before's total, so that the
+    # running sum starts each path near 0 and rounds as the path's own would
+    step[starts] = 0.0
+    step[starts[1:]] = -np.add.reduceat(step, starts)[:-1]
+    log_y = np.cumsum(step)
+    y = np.asarray(y0s)[path] * np.exp(log_y - log_y[starts][path])
+    wy = w / y
+    return (np.stack([np.add.reduceat(x ** i * wy, starts) for i in range(curve.genus)], axis=1),
+            y[~inner])
 
 
 def hub_aj_rows(periods, ks, pts):
@@ -141,23 +158,23 @@ def hub_aj_rows(periods, ks, pts):
     continued by log_sum_path from the principal root at the hub, with the
     hub constant A^-1 int_{e_k}^{hub} half a full turn from the hub's other
     sheet; a row is negated where its path lands on iota P.  Each hub
-    constant and each path is integrated once."""
+    constant and each path is integrated once, all in one log_sum_path."""
     curve, e = periods.curve, periods.curve.branch_points
-    consts, routes, rows = {}, {}, []
-    for k, P in zip(ks, pts):
-        rho = 0.5 * np.sort(np.abs(e - e[k]))[1]
-        y_h = curve.y_principal(np.array([e[k] + rho]))[0]
-        if k not in consts:
-            loop, _ = log_sum_path(curve, hub_path_one(e[k], rho, e[k] + rho, turns=1),
-                                   -y_h, 12)
-            consts[k] = 0.5 * loop
-        if (k, P[0]) not in routes:
-            routes[k, P[0]] = log_sum_path(curve, hub_path_one(e[k], rho, P[0]), y_h, 12)
-        vec, ys = routes[k, P[0]]
-        y = point_y(curve, P)
-        sign = 1 if abs(ys[-1] - y) < abs(ys[-1] + y) else -1
-        rows.append(sign * periods.A_inv @ (consts[k] + vec))
-    return np.array(rows)
+    rho = 0.5 * np.sort(np.abs(e - e[:, None]), axis=1)[:, 1]
+    y_h = curve.y_principal(e + rho)
+    hubs, routes = list(dict.fromkeys(ks)), list(dict.fromkeys(zip(ks, pts[:, 0])))
+    paths = ([hub_path_one(e[k], rho[k], e[k] + rho[k], turns=1) for k in hubs]
+             + [hub_path_one(e[k], rho[k], x) for k, x in routes])
+    y0s = np.concatenate([-y_h[hubs], [y_h[k] for k, _ in routes]])
+    # in groups of 256 paths, to bound the node arrays
+    vecs, ys = map(np.concatenate, zip(*(log_sum_path(curve, paths[i:i + 256], y0s[i:i + 256], 12)
+                                          for i in range(0, len(paths), 256))))
+    ends = ys[np.cumsum([len(p) for p in paths]) - 1]
+    at = {r: i for i, r in enumerate(hubs + routes)}
+    hub, route = np.array([at[k] for k in ks]), np.array([at[r] for r in zip(ks, pts[:, 0])])
+    y = pts[:, 1] * curve.y_principal(pts[:, 0])
+    sign = np.where(np.abs(ends[route] - y) < np.abs(ends[route] + y), 1, -1)
+    return sign[:, None] * (0.5 * vecs[hub] + vecs[route]) @ periods.A_inv.T
 
 
 #: Gauss-Legendre order of the arc table and its legs: on panels no wider
@@ -248,6 +265,16 @@ def chained_branch_constants(periods):
         al, be = lattice_coords(v, rm)
         consts[k] = v - np.floor(al + 0.25) - rm.omega @ np.floor(be + 0.25)
     return np.array([consts[k] for k in range(len(e))])
+
+
+def section_tensor(T, W):
+    """T(W_i, W_j, W_k, W_l) of each (2, 3) block W[n], as one 5-operand einsum."""
+    return np.einsum("abcd,nia,njb,nkc,nld->nijkl", T, W, W, W, W)
+
+
+def tensor_gradient(T, X):
+    """4 T(., X, X, X), gradient axis last, as one 4-operand einsum."""
+    return 4 * np.einsum("abcd,...b,...c,...d->...a", T, X, X, X)
 
 
 def segment_crossing(a0, a1, b0, b1):

@@ -1,8 +1,8 @@
 import numpy as np
 import pytest
 
-from faylab.quartic import (PlaneQuartic, line_section, l_of_v, residue_sum,
-                            ratio_r, reconstruct_tangent_coords,
+from faylab.quartic import (MONOMIALS, PlaneQuartic, _restrict, line_section, l_of_v,
+                            residue_sum, ratio_r, reconstruct_tangent_coords,
                             projective_distance, TangentOrSingularLine,
                             DegenerateForm, NotSmooth, NotAZero, HigherOrderZero,
                             DegenerateRatios, QuarticError)
@@ -10,6 +10,7 @@ from faylab.registry import registry_entries
 from faylab.rng import trial_rng
 
 from conftest import one_trial
+from oracles import section_tensor, tensor_gradient
 
 
 def _random_form(rng):
@@ -58,6 +59,33 @@ def test_tensor_matches_monomial_sum(cid):
 KLEIN = {(3, 1, 0): 1.0, (0, 3, 1): 1.0, (1, 0, 3): 1.0}
 
 
+def _coefficients(cid):
+    """A registry quartic's coefficients, Klein's, or for "random-i" the
+    i-th of five seeded complex-normal quartics."""
+    if cid.startswith("random-"):
+        c = np.random.default_rng(37).standard_normal((5, len(MONOMIALS), 2)) @ [1, 1j]
+        return dict(zip(MONOMIALS, c[int(cid[7:])]))
+    return KLEIN if cid == "klein" else registry_entries()[cid]["coefficients"]
+
+
+@pytest.mark.parametrize("cid", ["fermat", "quartic-generic", "klein"]
+                         + [f"random-{i}" for i in range(5)])
+def test_contractions_match_the_one_einsum_references(cid):
+    # the line restriction and the gradient, contracted one index at a
+    # time, against one einsum over all of T's indices, on 200 random
+    # (u, v) pairs and 200 x 4 random lifts, within 1e-14 of each row's
+    # largest entry
+    C4 = PlaneQuartic(_coefficients(cid), cid)
+    rng = np.random.default_rng(41)
+    W, X = (rng.standard_normal((200, m, 3, 2)) @ [1, 1j] for m in (2, 4))
+    for got, want, n in ((_restrict(C4.T, W), section_tensor(C4.T, W), 16),
+                         (C4.grad(X), tensor_gradient(C4.T, X), 3),
+                         (C4.grad(X[0, 0]), tensor_gradient(C4.T, X[0, 0]), 3)):
+        assert got.shape == want.shape
+        got, want = got.reshape(-1, n), want.reshape(-1, n)
+        assert (np.abs(got - want).max(axis=1) <= 1e-14 * np.abs(want).max(axis=1)).all()
+
+
 class TestLineSection:
     def test_fermat_coordinate_line(self, fermat):
         # X2 = 0 meets the Fermat quartic where u^4 = -1
@@ -98,8 +126,7 @@ class TestLineSection:
         # leading coefficient is exactly 0, and u is the 4th point.  With
         # l = (1, 0.5, 0) the other basis point v = (0, 0, 1) is on it: the
         # trailing coefficient is exactly 0, and the roots are np.roots'
-        coefficients = KLEIN if cid == "klein" else registry_entries()[cid]["coefficients"]
-        C4 = PlaneQuartic(coefficients, cid)
+        C4 = PlaneQuartic(_coefficients(cid), cid)
         rng = np.random.default_rng(31)
         L = rng.standard_normal((40, 3)) + 1j * rng.standard_normal((40, 3))
         if cid == "klein":

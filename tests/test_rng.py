@@ -7,8 +7,9 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
+from faylab import rng as rng_module
 from faylab.kernels import random_line_bundle, sample_xi
-from faylab.rng import Table, trial_rng, uniforms
+from faylab.rng import _MULTIPLIERS, _mulhi, Table, trial_rng, uniforms
 from faylab.theta import RiemannMatrix
 
 from oracles import GeneratorDraws
@@ -46,6 +47,40 @@ def test_table_reads_each_stream_in_order_past_its_width(seed):
         want = np.array([streams[k].random(n) for k in rows])
         assert table.take(rows, n).tobytes() == want.tobytes()
     assert table.u.shape[1] >= table.at.max() and table.take(np.arange(0), 3).shape == (0, 3)
+
+
+def test_mulhi_is_the_high_word_of_the_product():
+    # the stacked high words against Python integers, for each round
+    # multiplier, the largest multiplier, and words at the limb edges
+    edges = [0, 1, 2**32 - 1, 2**32, 2**32 + 1, 2**63, 2**64 - 2**32, 2**64 - 1]
+    a = np.concatenate([np.array(edges, dtype=np.uint64), np.random.default_rng(3).integers(
+        0, 2**64 - 1, 500, dtype=np.uint64, endpoint=True)])
+    m = np.append(_MULTIPLIERS.ravel(), np.uint64(2**64 - 1))[:, None]
+    got = _mulhi(np.broadcast_to(a, (len(m), len(a))), m)
+    want = [[int(x) * int(y) >> 64 for x in a] for y in m[:, 0]]
+    assert got.tolist() == want
+
+
+@pytest.mark.parametrize("reads, starts", [
+    ((41, 49), [16, 41]), ((16, 3, 77), [16, 32]), ((4, 60, 3, 200, 1), [16, 64, 128, 267])],
+    ids=["from_partial_block", "from_full_blocks", "mixed"])
+def test_table_widens_past_its_width_only(monkeypatch, reads, starts):
+    # each widening asks uniforms for the doubles from the old width on, so
+    # for no block below it: reads of 41 then 49 doubles widen the table to
+    # 41, then from 41, inside block 10, to 90.  Every row keeps its
+    # stream's bits
+    calls, real = [], rng_module.uniforms
+    monkeypatch.setattr(rng_module, "uniforms", lambda *args: calls.append(args[3:]) or real(*args))
+    label, trials = "pin|widen", 5
+    table, widths = Table(42, label, range(trials)), []
+    for n in reads:
+        before = table.u.shape[1]
+        table.take(np.arange(trials), n)
+        if table.u.shape[1] > before:
+            widths.append(table.u.shape[1])
+    assert calls == [(16,)] + list(zip(widths, starts))
+    want = np.array([trial_rng(42, label, k).random(widths[-1]) for k in range(trials)])
+    assert table.u.tobytes() == want.tobytes()
 
 
 def _riemann_matrix(g, rng):
