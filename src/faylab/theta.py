@@ -18,18 +18,23 @@ per (a, R) serves every row: the n whose w = S(n + a) has |w| - (1/2) sum_k
 threshold up), as |S(n + a + y)| >= w.S(n + a + y) / |w| >= that left side.
 
 Each term is a product of per-axis factors (Deconinck, Heil, Bobenko, van
-Hoeij & Schmies, "Computing Riemann theta functions", Math. Comp. 73, 2004):
-E(n) = exp(pi i (n+a)' Omega (n+a)) is cached per lattice and a block of rows
-takes W_k[j] = exp(2 pi i (j + a_k)(z_k + b_k)) over each axis's span of j,
-so the term at n is E(n) W_1[n_1] ... W_g[n_g].  As |Im z_k| <= (1/2) sum_i
-|Im Omega_ki| for a reduced z, log|W_k[j]| <= 2 pi max_j |j + a_k| (1/2)
-sum_i |Im Omega_ki|, far below the 709 at which a double overflows.
-Rounding, to first order in eps = 2^-53: with Q_n = pi sum_ij |n_i + a_i|
-|Omega_ij| |n_j + a_j| and L_n = 2 pi sum_k |n_k + a_k| |z_k + b_k|, a term
-t_n (g + 1 exps of rounded arguments, g products) is within 2(g + 2) eps
-(1 + Q_n + L_n) |t_n| and a sum of N terms within eps sum_n (2(g + 2)(1 +
-Q_n + L_n) + N + 2) |t_n|, the gradient's k-th entry with |t_n| weighted by
-2 pi |n_k + a_k|; the direct exp(quadratic + linear) sum obeys this bound too.
+Hoeij & Schmies, "Computing Riemann theta functions", Math. Comp. 73, 2004),
+E(n) W_1[n_1] ... W_g[n_g]: E(n) = exp(pi i (n+a)' Omega (n+a)) is cached per
+lattice, and a block builds W_k[j] = exp(2 pi i (j + a_k) zb_k), zb = z + b,
+by one exp at j = 0 and |j| products by exp(+-2 pi i zb_k).  Per prefix
+(n_1..n_{g-1}), in meshgrid order, an einsum sums E(n) W_g[n_g] over n_g
+ascending; that takes the prefix's factors W_1[n_1] ... W_{g-1}[n_{g-1}], and
+the prefixes are summed in order.  For a reduced z, log|W_k[j]| <= pi max_j
+|j + a_k| sum_i |Im Omega_ki|, far below the 709 at which a double overflows.
+Rounding, to first order in eps = 2^-53 (numpy's complex exp within 2.5 eps of
+the exp of its rounded argument, a complex product within sqrt(5) eps): W_k[j]
+is within (5(|j| + 1) + 4 pi (|j + a_k| + 1)|zb_k|) eps of its value, a direct
+exp within (2.5 + 6 pi |j + a_k| |zb_k|) eps.  With Q_n = pi sum_ij |n_i + a_i|
+|Omega_ij| |n_j + a_j| and L_n = 2 pi sum_k |n_k + a_k| |zb_k|, a term t_n of
+the direct exp(quadratic + linear) sum is within 2(g + 2)(1 + Q_n + L_n) eps
+|t_n|, one of the nested sum within M_n = 5 sum_k |n_k| eps |t_n| more (its
+products), and a sum of N terms within eps sum_n (2(g + 2)(1 + Q_n + L_n) + M_n
++ N + 2) |t_n|, the gradient's k-th entry with |t_n| weighted by 2 pi |n_k + a_k|.
 """
 
 from __future__ import annotations
@@ -57,15 +62,17 @@ class ToleranceUnachievable(ThetaError):
 #: default cap on the number of lattice terms a single evaluation may use
 MAX_LATTICE_TERMS = 10**8
 
-#: most terms x rows theta_batch holds at once over its two complex buffers
-#: (128 KB each), so that a whole report's batch does not raise peak memory
+#: most complex entries x rows over a theta_batch block's axis tables, contraction
+#: and one prefix factor (256 KB), so that a report's batch does not raise peak memory
 THETA_BLOCK = 2**14
 
 TWO_PI_I = 2j * math.pi
 PI_I = 1j * math.pi
 
-#: a cached lattice: n + a, E(n), each axis's index of n_k and span of j + a_k
-_Lattice = namedtuple("_Lattice", "na E index spans")
+#: a cached lattice: n + a; E(n) and E(n)(n_k + a_k), k = 1..g, as a ((g + 1) P,
+#: span) table over P prefixes n_1..n_{g-1} and the span of n_g, zero off the lattice;
+#: the prefixes and that span as axis-table indices; _axis_tables' anchors, lo, runs
+_Lattice = namedtuple("_Lattice", "na E prefix last anchors lo runs")
 
 
 class RiemannMatrix:
@@ -93,7 +100,7 @@ class RiemannMatrix:
         self.imag_inv = np.linalg.inv(self.imag)
         # S = sqrt(pi) M, with the row map M = L' (|M v|^2 = v' Im(Omega) v)
         self._S = math.sqrt(math.pi) * self._chol.T.copy()
-        self._StS_inv = np.linalg.inv(self._S.T @ self._S)
+        self._ext = np.sqrt(np.diag(np.linalg.inv(self._S.T @ self._S)))  # box of |Sv| <= 1
         self._S_norm = np.linalg.norm(self._S, 2)
         self._Sinv_norm = np.linalg.norm(np.linalg.inv(self._S), 2)
         self._det_S = math.pi ** (self.g / 2.0) * float(np.prod(np.diag(self._chol)))
@@ -190,18 +197,40 @@ def truncation_radius(rm: RiemannMatrix, tol, gradient=False, center_offset=0.0)
     return R
 
 
-def _ellipsoid_points(rm: RiemannMatrix, center, R, R_row):
-    """Integer points n with |w| <= R, w = S (n + center), and |w| - (1/2)
-    sum_k |w.S_k| / |w| <= R_row (S_k column k of S), as an (N, g) array."""
-    ext = R * np.sqrt(np.diag(rm._StS_inv))
-    lows = np.ceil(-center - ext).astype(int)
-    highs = np.floor(-center + ext).astype(int)
-    axes = [np.arange(lo, hi + 1) for lo, hi in zip(lows, highs)]
-    pts = np.stack([x.ravel() for x in np.meshgrid(*axes, indexing="ij")], -1).astype(float)
-    w = (pts + center) @ rm._S.T
+def _lattice(rm: RiemannMatrix, a, R):
+    """The cached _Lattice at a that holds every row's ball of radius R: the n
+    with w = S (n + a), |w| <= Rc and |w| - (1/2) sum_k |w.S_k| / |w| <= Rc - D/2
+    (S_k column k of S).  A row's ball is centred at a + y, |y_k| <= 1/2, so
+    |S y| <= D/2, and |S(n + a + y)| >= w.S(n + a + y) / |w| >= that left side,
+    which cuts no ball as Rc - D/2 >= R + 0.05 (0.05 for y rounded past 1/2)."""
+    D = rm._S_norm * math.sqrt(rm.g)
+    Rc = 0.25 * math.ceil((R + 0.5 * D + 0.05) / 0.25)
+    if (a, Rc) in rm._lattice_cache:
+        return rm._lattice_cache[a, Rc]
+    Rr, ext = Rc - 0.5 * D, (Rc * rm._ext).tolist()
+    low = [math.ceil(-ak - ek) for ak, ek in zip(a, ext)]
+    shape = [math.floor(ek - ak) - lk + 1 for ak, ek, lk in zip(a, ext, low)]
+    # n + a over the box in meshgrid order: each run of shape[-1] points, n_g
+    # fastest, shares its prefix n_1..n_{g-1}
+    box = np.add(np.indices(shape, dtype=float).reshape(rm.g, -1).T, np.add(low, a), order="C")
+    w = box @ rm._S.T
     ww = np.einsum("ij,ij->i", w, w)
-    keep = (ww <= R * R) & (ww - 0.5 * np.abs(w @ rm._S).sum(axis=1) <= R_row * np.sqrt(ww))
-    return pts[keep]
+    keep = (ww <= Rc * Rc) & (ww - 0.5 * np.abs(w @ rm._S).sum(axis=1) <= Rr * np.sqrt(ww))
+    na, E = box[keep], np.zeros((rm.g + 1, len(box)), dtype=complex)
+    E[0, keep] = np.exp(PI_I * np.einsum("ij,ij->i", na @ rm.omega, na))
+    np.multiply(E[0], box.T, out=E[1:])
+    kept = keep.reshape(-1, shape[-1])
+    rows, cols = kept.any(axis=1), np.flatnonzero(kept.any(axis=0))
+    E = E.reshape(rm.g + 1, *kept.shape)[:, rows, cols[0]:cols[-1] + 1]
+    # n = 0 is kept, so lo <= 0 <= hi
+    lo, hi = min(low), max(map(sum, zip(low, shape))) - 1
+    first = low[-1] + int(cols[0]) - lo
+    return rm._lattice_cache.setdefault((a, Rc), _Lattice(
+        na, E.reshape(-1, E.shape[-1]),
+        (box[::shape[-1], :-1][rows] - np.add(a[:-1], lo)).T.astype(np.intp),
+        slice(first, first + E.shape[-1]),
+        TWO_PI_I * np.array([[ak, 1.0, -1.0] for ak in a])[:, :, None], lo,
+        np.array([2] * -lo + [0] + [1] * hi)))
 
 
 def _reduce_arguments(Z, rm: RiemannMatrix, char: ThetaChar):
@@ -218,6 +247,15 @@ def _reduce_arguments(Z, rm: RiemannMatrix, char: ThetaChar):
     return Zr, m0, lp
 
 
+def _axis_tables(lat, zb):
+    """W_k[j], j = lo..hi, at rows zb (g, rows) as a (g, hi - lo + 1, rows) array:
+    exp(anchors zb) at j's entry of runs, then products outward from j = 0."""
+    W, lo = np.exp(lat.anchors * zb[:, None]).take(lat.runs, axis=1), lat.lo
+    np.cumprod(W[:, -lo:], axis=1, out=W[:, -lo:])
+    np.cumprod(W[:, -lo::-1], axis=1, out=W[:, -lo::-1])
+    return W
+
+
 def theta_batch(Z, rm: RiemannMatrix, char: ThetaChar = None, tol=1e-10,
                 gradient=False):
     """Evaluate theta[char](z | Omega) for every row z of Z.
@@ -229,58 +267,35 @@ def theta_batch(Z, rm: RiemannMatrix, char: ThetaChar = None, tol=1e-10,
     Z = np.atleast_2d(np.asarray(Z, dtype=complex))
     if Z.shape[1] != rm.g:
         raise ValueError("argument dimension does not match genus")
-    if char is None:
-        char = ThetaChar.zero(rm.g)
-    a, b = np.array(char.a), np.array(char.b)
+    char = char or ThetaChar.zero(rm.g)
+    b = np.array(char.b)
     Zr, m0, lp = _reduce_arguments(Z, rm, char)
-    c_off = float(np.max(np.linalg.norm(Zr.imag @ rm.imag_inv.T, axis=1), initial=0.0))
     # without a gradient the tail bound does not depend on the offset
-    r_key = (tol, gradient, c_off if gradient else 0.0)
+    c_off = (math.sqrt(np.max(np.square(Zr.imag @ rm.imag_inv.T).sum(axis=1), initial=0.0))
+             if gradient else 0.0)
+    r_key = (tol, gradient, c_off)
     if r_key not in rm._radius_cache:
         rm._radius_cache[r_key] = truncation_radius(rm, tol, gradient, c_off)
-    R = rm._radius_cache[r_key]
-    # rows center their balls at a + y, |y_k| <= 1/2, so |S y| <= D/2; one
-    # cached lattice around `a` holds every row's ball (b enters only the
-    # linear term): n with w = S(n + a) lies in none if |w| - (1/2) sum_k
-    # |w.S_k| / |w| > R_cache - D/2, which is at least R + 0.05 (the 0.05
-    # covers y rounded past 1/2), as |S(n + a + y)| >= w.S(n + a + y) / |w|
-    D = rm._S_norm * math.sqrt(rm.g)
-    R_cache = 0.25 * math.ceil((R + 0.5 * D + 0.05) / 0.25)
-    key = (char.a, R_cache)
-    if key not in rm._lattice_cache:
-        pts = _ellipsoid_points(rm, a, R_cache, R_cache - 0.5 * D)
-        na, low = pts + a, pts.min(axis=0)
-        E = np.exp(PI_I * np.einsum("ij,ij->i", na @ rm.omega, na))
-        spans = [np.arange(lo, hi + 1) + ak for lo, hi, ak in zip(low, pts.max(axis=0), a)]
-        rm._lattice_cache[key] = _Lattice(na, E, (pts - low).T.astype(np.intp), spans)
-    lat = rm._lattice_cache[key]
-    N = len(lat.E)
-    # rows in blocks of THETA_BLOCK / 2 terms x rows, a lone last row joined
-    # to the block before: a one-row sum takes another numpy loop
-    step = max(2, THETA_BLOCK // (2 * N))
+    lat = _lattice(rm, char.a, rm._radius_cache[r_key])
+    P = len(lat.E) // (rm.g + 1)
+    E = lat.E if gradient else lat.E[:P]
+    # rows in blocks of at most THETA_BLOCK entries x rows, a lone last row
+    # joined to the block before: a one-row sum takes another numpy loop
+    step = max(2, THETA_BLOCK // (len(E) + P + rm.g * len(lat.runs)))
     bounds = list(range(0, max(len(Z) - 1, 1), step)) + [len(Z)]
-    buf = np.empty((2, N * min(len(Z), step + 1)), dtype=complex)
-    vals_red = np.empty(len(Z), dtype=complex)
-    grads_red = np.empty((len(Z), rm.g), dtype=complex) if gradient else None
+    sums = np.empty((len(E) // P, len(Z)), dtype=complex)
     for s, u in zip(bounds[:-1], bounds[1:]):
-        # term (n, row) = E(n) prod_k W_k[n_k, row], W_k from each axis's span;
-        # the indices lie in their spans, and mode="clip" keeps take unbuffered
-        terms, factor = buf[:, :N * (u - s)].reshape(2, N, u - s)
-        for k, (span, idx, zk) in enumerate(zip(lat.spans, lat.index, (Zr[s:u] + b).T)):
-            w = np.multiply.outer(span, zk)
-            np.exp(np.multiply(TWO_PI_I, w, out=w), out=w)
-            w.take(idx, axis=0, out=factor if k else terms, mode="clip")
-            if k:
-                terms *= factor
-        terms *= lat.E[:, None]
-        vals_red[s:u] = terms.sum(axis=0)
-        if gradient:
-            grads_red[s:u] = TWO_PI_I * np.einsum("nm,ng->mg", terms, lat.na)
+        W = _axis_tables(lat, (Zr[s:u] + b).T)
+        # one contraction per prefix over the last axis, then its other factors
+        C = np.einsum("pj,jr->pr", E, W[-1, lat.last]).reshape(len(sums), P, u - s)
+        for w, idx in zip(W, lat.prefix):
+            C *= w.take(idx, axis=0, mode="clip")
+        sums[:, s:u] = C.sum(axis=1)
     pref = np.exp(lp)
     # d/dz of the prefactor contributes -2 pi i m0 times the value
-    grads = (pref[:, None] * (grads_red - TWO_PI_I * m0 * vals_red[:, None])
+    grads = (pref[:, None] * TWO_PI_I * (sums[1:].T - m0 * sums[0, :, None])
              if gradient else None)
-    return pref * vals_red, grads
+    return pref * sums[0], grads
 
 
 def _one_row(z, tol):

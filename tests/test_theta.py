@@ -8,8 +8,8 @@ from hypothesis import given, settings, strategies as st
 from faylab.theta import (RiemannMatrix, ThetaChar, theta, theta_batch,
                           theta_gradient, truncation_radius, theta_chars,
                           odd_theta_chars, NonPositiveDefinite,
-                          ToleranceUnachievable, THETA_BLOCK, _reduce_arguments,
-                          _tail_bound)
+                          ToleranceUnachievable, THETA_BLOCK, _axis_tables,
+                          _lattice, _reduce_arguments, _tail_bound)
 
 from conftest import HYPERELLIPTIC, build_context
 from oracles import qseries_theta3, qseries_theta_char, qseries_theta_char_deriv
@@ -332,25 +332,35 @@ def test_cut_lattice_covers_every_row_ball(cid):
             assert len(have) <= 0.8 * (ww <= R_cache * R_cache).sum(), (a, grad, tol)
 
 
-def test_blocks_equal_calls_of_two_or_three_rows():
-    # at genus 3 a block holds THETA_BLOCK // (2 terms) rows, its terms and
-    # one axis's factors; a call of two blocks and one row more sums the lone
-    # row with the block before it, and every row, value and gradient, has
-    # the bits it has in calls of two or three rows.  Every row's reduced
-    # centre lies 0.45 sqrt(3) from the characteristic, so the gradient calls
-    # too share one radius and lattice.
+def test_blocks_equal_calls_of_two_or_three_rows(monkeypatch):
+    # at genus 3 a block holds THETA_BLOCK // (entries a row) rows, the
+    # entries being its axis tables, its contraction (P rows, (g + 1) P with
+    # gradients) and one prefix factor (P rows); a call of two blocks and one
+    # row more sums the lone row with the block before it, and every row,
+    # value and gradient, has the bits it has in calls of two or three rows.
+    # Every row's reduced centre lies 0.45 sqrt(3) from the characteristic,
+    # so the gradient calls too share one radius and lattice.
     rng = np.random.default_rng(31)
     char = odd_theta_chars(3)[0]
-    beta = 0.45 * rng.choice([-1.0, 1.0], (200, 3))
-    pool = rng.uniform(-1, 1, (200, 3)) + beta @ RM3.omega.T
+    beta = 0.45 * rng.choice([-1.0, 1.0], (300, 3))
+    pool = rng.uniform(-1, 1, (300, 3)) + beta @ RM3.omega.T
+    blocks = []
+    def axis_tables(lat, zb):
+        blocks.append(zb.shape[1])
+        return _axis_tables(lat, zb)
+    monkeypatch.setattr(importlib.import_module("faylab.theta"), "_axis_tables", axis_tables)
     for grad in (False, True):
         rm = RiemannMatrix(RM3.omega)
         theta_batch(pool[:2], rm, char, gradient=grad)
         lattice, = rm._lattice_cache.values()
-        n = 2 * (THETA_BLOCK // (2 * len(lattice.na))) + 1
+        P = len(lattice.E) // 4
+        step = THETA_BLOCK // ((5 if grad else 2) * P + 3 * len(lattice.runs))
+        n = 2 * step + 1
         assert 5 < n <= len(pool)
         Z = pool[:n]
+        blocks.clear()
         whole = theta_batch(Z, rm, char, gradient=grad)
+        assert blocks == [step, step + 1]
         cuts = list(range(0, n - 3, 3)) + [n]
         calls = [theta_batch(Z[a:b], rm, char, gradient=grad)
                  for a, b in zip(cuts[:-1], cuts[1:])]
@@ -358,6 +368,32 @@ def test_blocks_equal_calls_of_two_or_three_rows():
         for k, part in enumerate(zip(*calls)):
             if part[0] is not None:
                 assert whole[k].tobytes() == np.concatenate(part).tobytes()
+
+
+@pytest.mark.skipif(np.finfo(np.longdouble).eps > 1e-18, reason="long double is double here")
+@pytest.mark.parametrize("a", [0.0, 0.5])
+def test_axis_tables_against_long_double_exps(a):
+    # W_k[j] = exp(2 pi i (j + a_k) zb_k), zb = z + b, is one exp at j = 0
+    # and |j| products outward: at |j| <= 6 and rows z in RM3's reduced cell,
+    # within the module docstring's bound (5 (|j| + 1) + 4 pi (|j + a_k| +
+    # 1) |zb_k|) eps of a long-double exp, and at j = 0 the direct exp
+    rng = np.random.default_rng(41)
+    g, b = 3, np.array([0.0, 0.5, 0.5])
+    Z = rng.uniform(-2, 2, (300, g)) @ RM3.omega.T + rng.uniform(-2, 2, (300, g))
+    Zr = _reduce_arguments(Z, RM3, ThetaChar((a,) * g, tuple(b)))[0]
+    lattice = _lattice(RiemannMatrix(RM3.omega), (a,) * g, 11.0)
+    assert lattice.lo <= -6 and len(lattice.runs) + lattice.lo > 6
+    zb = (Zr + b).T
+    W = _axis_tables(lattice, zb)
+    j = np.arange(-6, 7)
+    pi = 4 * np.arctan(np.longdouble(1))
+    ref = np.exp(2j * pi * (j[:, None] + np.longdouble(a)) * zb[:, None].astype(np.clongdouble))
+    err = np.abs(W[:, j - lattice.lo] - ref).astype(float) / np.abs(ref).astype(float)
+    eps = np.finfo(float).eps / 2
+    bound = eps * (5 * (abs(j)[:, None] + 1)
+                   + 4 * np.pi * (abs(j + a)[:, None] + 1) * abs(zb)[:, None])
+    assert (err <= bound).all()
+    assert np.array_equal(W[:, -lattice.lo], np.exp(2j * np.pi * (a * zb)))
 
 
 # the corners alpha + Omega beta of the fundamental cell, beta in
