@@ -12,11 +12,13 @@ a batch of polygons and integrates each on its own slice: all periods are
 one call at PERIOD_ORDER, the legs to the cycles' crossings one.
 
 Abel-Jacobi needs no continuation: AJ from a nearest branch point e_k to P
-runs along the ray x = e_k + t^2, t from 0 to sqrt(x_P - e_k), where dx / y
-= 2 dt / r(t) and r is a product of principal roots that the ray keeps off
-their cuts, so the sheet of P is one sign.  Its panels, no wider than half
-their clearance from the singular points of 1 / r, take RAY_ORDER = 9
-nodes: 3e-16 relative error by the Bernstein-ellipse bound.  AJ from e_0
+runs along the ray x = e_k + t^2, t = s T, T = sqrt(x_P - e_k), s from 0 to
+1, where dx / y = 2 dt / r, r = c_k prod_m sqrt(F_m), F_m = 1 - s^2 w_m, w_m =
+(x_P - e_k) / (e_m - e_k).  As e_k is nearest, Re w_m <= 1/2, so Re F_m >=
+1/2: each root is principal, by real arithmetic with no term cancelling, and
+P's sheet is one sign.  A ray's p panels, no wider than half their clearance
+from the singular points of 1 / r, take RAY_ORDER nodes each; the rays of one
+p are laid as dense blocks, each row summed over its own nodes.  AJ from e_0
 to each e_k is the half-period the homology basis fixes (_branch_constants).
 """
 
@@ -160,10 +162,9 @@ RAY_ORDER = 9
 #: Gauss-Legendre order of the periods; at order 64 g2-real's Omega moves by under 1e-10
 PERIOD_ORDER = 32
 
-#: most nodes integrate_path or _from_rays lays at once, unless one path or
-#: ray has more, so that a whole report's batch keeps its node buffers
-#: small: heap memory a call grows by is handed back after it and faulted
-#: in again by the next call
+#: most nodes integrate_path or a _from_rays block lays at once (more only for
+#: one path or ray), so a report's batch keeps its node buffers small: heap memory
+#: a call grows by is handed back after it and faulted in again by the next call
 PATH_NODES = 2**12
 
 
@@ -386,67 +387,67 @@ def period_matrix(curve: HyperellipticCurve):
 
 
 def _from_rays(periods, pts, ks):
-    """Rows A^-1 int_{e_k}^P for the point rows P = pts[i] = (x, s), k =
-    ks[i], e_k a nearest branch point of x, along the ray x = e_k + t^2, t in
-    [0, T], T = sqrt(x - e_k): dx / y = 2 dt / r(t), r = c_k prod_{m != k}
-    sqrt(1 - t^2 / (e_m - e_k)), c_k^2 = lead prod_{m != k} (e_k - e_m).  A
-    factor's principal root is r's: 1 - s^2 (x - e_k) / (e_m - e_k) <= 0 for
-    an s in [0, 1] would put x beyond e_m from e_k, nearer e_m.  I(T) is odd
-    in T: the row is sigma A^-1 I(T), sigma T r(T) = y = s sqrt f(x) (else
-    CurveError).  A point within 1e-6 of e_k, or a ray of more than
-    MAX_PATH_NODES nodes (PathTooLong), is refused before any node is laid:
-    panels of RAY_ORDER nodes no wider than half the ray's clearance from the
-    4g points +-sqrt(e_m - e_k), in blocks of at most PATH_NODES nodes
-    unless of one ray (see _ray_block)."""
+    """Rows A^-1 int_{e_k}^P of the point rows P = pts[i] = (x, s), e_k (k = ks[i]) nearest
+    x, by the module docstring's ray, c_k^2 = lead prod_m (e_k - e_m): sigma A^-1 I(T), as
+    I is odd, sigma T r(T) = y = s sqrt f(x) (else CurveError).  A point within 1e-6 of e_k,
+    or a ray of over MAX_PATH_NODES nodes (PathTooLong), is refused before any node is laid."""
     curve, e, ks = periods.curve, periods.curve.branch_points, np.asarray(ks)
     d = (e - e[:, None])[~np.eye(len(e), dtype=bool)].reshape(len(e), -1)
-    c = np.sqrt(curve.lead * np.prod(-d, axis=1))
+    c, d = np.sqrt(curve.lead * np.prod(-d, axis=1))[ks], d[ks]
     x, s = pts.T
-    if (np.abs(x - e[ks]) <= 1e-6).any():
+    if (np.abs(u := x - e[ks]) <= 1e-6).any():
         raise PathTooCloseToBranchPoint("a point within 1e-6 of a branch point")
-    T = np.sqrt(x - e[ks])
+    T = np.sqrt(u)
     # clearance / |T|: over T the ray is [0, 1], and of +-z the nearer is beyond or beside it
-    z = np.sqrt(d[ks]) / T[:, None]
+    z = np.sqrt(d) / T[:, None]
     clear = np.hypot(np.maximum(np.abs(z.real) - 1.0, 0.0), z.imag).min(axis=1)
-    size = np.ceil(2.0 / clear).astype(int) * RAY_ORDER
-    if size.max(initial=0) > MAX_PATH_NODES:
-        raise PathTooLong(f"ray needs {size.max()} quadrature nodes, more than {MAX_PATH_NODES}")
-    vecs, a = [np.empty((0, curve.genus), dtype=complex)], 0
-    while a < len(pts):
-        b = a + max(1, np.searchsorted(np.cumsum(size[a:]), PATH_NODES, "right"))
-        vecs.append(_ray_block(e, d, c, ks[a:b], T[a:b], size[a:b] // RAY_ORDER))
-        a = b
-    end = T * _ray_r(c, d, x - e[ks], ks)
+    panels = np.ceil(2.0 / clear).astype(int)
+    if (n := panels.max(initial=0) * RAY_ORDER) > MAX_PATH_NODES:
+        raise PathTooLong(f"ray needs {n} quadrature nodes, more than {MAX_PATH_NODES}")
+    hw, vecs = -0.5 * u[:, None] / d, np.empty((len(pts), curve.genus), dtype=complex)
+    for p in np.unique(panels).tolist():
+        step, at = max(1, PATH_NODES // (p * RAY_ORDER)), np.flatnonzero(panels == p)
+        for b in np.split(at, range(step, len(at), step)):
+            vecs[b] = _dense_rays(e[ks[b]], u[b], hw[b], T[b] / c[b], *_ray_pattern(p))
+    end = T * c * _ray_roots(hw, np.ones(1))[:, 0]
     y = s * curve.y_principal(x)
     sign = np.sign((y / end).real)
     if (abs(sign * end - y) > 1e-6 * abs(y)).any():
         raise CurveError("ray did not land on the requested point")
     # A^-1 applied row by row (a stacked matrix-vector product), as for one point
-    return sign[:, None] * (periods.A_inv @ np.concatenate(vecs)[..., None])[..., 0]
+    return sign[:, None] * (periods.A_inv @ vecs[..., None])[..., 0]
 
 
-def _ray_r(c, d, t2, ks):
-    """r at t^2 = t2[i] on a ray from e_k, k = ks[i], a factor at a time."""
-    r = c[ks]
-    for m in range(d.shape[1]):
-        r *= np.sqrt(1.0 - t2 / d[ks, m])
+@functools.lru_cache(maxsize=None)
+def _ray_pattern(panels):
+    """s^2 and the weights (carrying dx / y's 2) of panels Gauss-Legendre panels on [0, 1]."""
+    nodes, weights = _gl_nodes(RAY_ORDER)
+    s = (np.arange(panels)[:, None] + 0.5 * (nodes + 1.0)) / panels
+    return np.square(s).ravel(), np.tile(weights / panels, panels)
+
+
+def _ray_roots(hw, s2):
+    """The (n, len(s2)) products over m of sqrt(F_m), F_m / 2 = 1/2 + s2 hw[:, m]:
+    with Re F >= 1/2, the principal root a + i Im F / (2a), a = sqrt((|F| + Re F) / 2)."""
+    r = None
+    for h in hw.T[..., None]:
+        root = 0.5 + h * s2
+        np.sqrt(np.abs(root) + root.real, out=root.real)
+        root.imag /= root.real
+        r = root if r is None else np.multiply(r, root, out=r)
     return r
 
 
-def _ray_block(e, d, c, ks, T, panels):
-    """The (n, g) integrals I(T) of the rays from e_k, k = ks[i], to T[i] in
-    panels[i] panels, at nodes laid in one pass and summed by one reduceat,
-    each on its ray's own slice, so a ray's row does not depend on its block."""
-    nodes, weights = _gl_nodes(RAY_ORDER)
-    ray = np.repeat(np.arange(len(T)), panels)
-    k = np.arange(len(ray)) - np.repeat(np.cumsum(panels) - panels, panels)
-    at, Ta = np.repeat(ks[ray], RAY_ORDER), np.repeat(T[ray], RAY_ORDER)
-    t2 = np.square(Ta * ((k[:, None] + 0.5 * (nodes + 1.0)) / panels[ray, None]).ravel())
-    # complex exponents, as the power loop takes them, spare a cast buffer
-    integrand = (e[at] + t2) ** np.arange(d.shape[1] // 2, dtype=complex)[:, None]
-    # x^i dx / y = x^i 2 dt / r, the weights on [0, 1] carrying the 2 and T
-    integrand *= (weights / panels[ray, None]).ravel() * Ta / _ray_r(c, d, t2, at)
-    return np.add.reduceat(integrand, (np.cumsum(panels) - panels) * RAY_ORDER, axis=1).T
+def _dense_rays(ek, u, hw, scale, s2, weights):
+    """The (n, g) integrals I(T) of rays of one panel count, ray i from ek[i] to ek[i] +
+    u[i], -w_m / 2 = hw[i, m], T / c_k = scale[i], at its _ray_pattern s2: each row of the
+    dense (g, n, len(s2)) integrand x^i 2 T / r is summed over its own nodes alone."""
+    integrand = np.empty((hw.shape[1] // 2, len(u), len(s2)), dtype=complex)
+    np.divide(np.multiply.outer(scale, weights), _ray_roots(hw, s2), out=integrand[0])
+    for i in range(1, len(integrand)):      # the columns x^i as running products
+        x = ek[:, None] + np.multiply.outer(u, s2) if i == 1 else x
+        np.multiply(integrand[i - 1], x, out=integrand[i])
+    return integrand.sum(axis=2).T
 
 
 def _branch_constants(periods):

@@ -103,6 +103,7 @@ class RiemannMatrix:
         self._ext = np.sqrt(np.diag(np.linalg.inv(self._S.T @ self._S)))  # box of |Sv| <= 1
         self._S_norm = np.linalg.norm(self._S, 2)
         self._Sinv_norm = np.linalg.norm(np.linalg.inv(self._S), 2)
+        self._axis = (2.0 + 2.0 * math.sqrt(4.0 * math.pi) / (1.0 / self._Sinv_norm))**self.g
         self._det_S = math.pi ** (self.g / 2.0) * float(np.prod(np.diag(self._chol)))
         self._lattice_cache = {}
         self._radius_cache = {}
@@ -161,24 +162,20 @@ def _tail_bound(rm: RiemannMatrix, R, gradient, center_offset):
            <= sup_{r >= R} [f(r) e^{-r^2/2}] * e^{-R^2/4}
               * prod_axes sum_n e^{-sigma^2 (n+c)^2 / 4}
 
-    where each axis sum is bounded by 2 + 2 sqrt(4 pi) / sigma.
+    where each axis sum is bounded by 2 + 2 sqrt(4 pi) / sigma (the product: rm._axis).
     """
-    sigma = 1.0 / rm._Sinv_norm
-    axis = (2.0 + 2.0 * math.sqrt(4.0 * math.pi) / sigma)**rm.g
     if not gradient:
-        return math.exp(-0.5 * R * R) * math.exp(-0.25 * R * R) * axis
-    alpha = 2.0 * math.pi * rm._Sinv_norm
-    beta = 2.0 * math.pi * center_offset
-    # sup over r >= R of (alpha r + beta) exp(-r^2/2)
+        return math.exp(-0.5 * R * R) * math.exp(-0.25 * R * R) * rm._axis
+    alpha, beta = 2.0 * math.pi * rm._Sinv_norm, 2.0 * math.pi * center_offset
+    # sup over r >= R of (alpha r + beta) exp(-r^2/2): at max(R, r*), r* its stationary point
     q = beta / alpha
-    r_star = 0.5 * (-q + math.sqrt(q * q + 4.0))
-    r_sup = max(R, r_star)
+    r_sup = max(R, 0.5 * (-q + math.sqrt(q * q + 4.0)))
     sup = (alpha * r_sup + beta) * math.exp(-0.5 * r_sup * r_sup)
-    return sup * math.exp(-0.25 * R * R) * axis
+    return sup * math.exp(-0.25 * R * R) * rm._axis
 
 
 def truncation_radius(rm: RiemannMatrix, tol, gradient=False, center_offset=0.0):
-    """Smallest grid radius whose certified tail bound is below tol.
+    """Smallest grid radius 0.5 + 0.25 k whose certified tail bound is below tol.
 
     Monotone: shrinking tol can only grow the radius.  Raises
     ToleranceUnachievable when the implied number of lattice terms exceeds
@@ -186,7 +183,9 @@ def truncation_radius(rm: RiemannMatrix, tol, gradient=False, center_offset=0.0)
     """
     if not 0.0 < tol:
         raise ValueError("tol must be positive")
-    R, g = 0.5, rm.g
+    # the value bound exp(-3 R^2 / 4) axis falls to tol at R*; a grid step below it, over 1.2 tol
+    Rs = 0.0 if gradient else math.sqrt(max(0.0, (math.log(rm._axis) - math.log(tol)) / 0.75))
+    R, g = max(0.5, math.floor(4.0 * Rs) / 4.0 - 0.25), rm.g
     # the volume of the radius-R ball over det S, a rough count of its points
     ball = math.pi ** (g / 2.0) / math.exp(math.lgamma(g / 2.0 + 1.0)) / rm._det_S
     while _tail_bound(rm, R, gradient, center_offset) > tol:

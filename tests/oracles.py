@@ -4,9 +4,9 @@ integrals continued by a cumulative sum of half-log ratios, Abel-Jacobi
 along hub paths and along legs from a table of arcs about each branch
 point, branch-point constants chained across neighbouring pairs, cycle
 crossings found one pair of edges at a time, the plane-quartic line
-restriction and gradient as one many-operand einsum each, and the record
-of a report run one trial at a time, each trial drawn from its own
-Generator.
+restriction and gradient as one many-operand einsum each, the record of a
+report run one trial at a time, each trial drawn from its own Generator,
+and the theta radius search stepped from 0.5.
 
 These deliberately avoid the package's lattice-ellipsoid evaluator,
 period integrator and Abel-Jacobi rays, and its rounds of trials; only the
@@ -14,6 +14,7 @@ crossing count, the arc table and its legs (and so the chained branch
 constants) continue y with the package's integrate_path.
 """
 
+import importlib
 import itertools
 import math
 
@@ -24,6 +25,21 @@ from faylab.identities import _HARD, _RETRY, _drive
 from faylab.quasidet import QuasiMatrix
 from faylab.report import IdentityReport, report_record
 from faylab.rng import trial_rng
+from faylab.theta import ToleranceUnachievable, _tail_bound
+
+
+def stepped_truncation_radius(rm, tol, gradient=False, center_offset=0.0):
+    """The least R = 0.5 + 0.25 k with _tail_bound(R) <= tol by stepping up
+    from 0.5, refused (ToleranceUnachievable) at the first step whose ball
+    holds more than MAX_LATTICE_TERMS points (read when called)."""
+    theta = importlib.import_module("faylab.theta")
+    R, g = 0.5, rm.g
+    ball = math.pi ** (g / 2.0) / math.exp(math.lgamma(g / 2.0 + 1.0)) / rm._det_S
+    while _tail_bound(rm, R, gradient, center_offset) > tol:
+        R += 0.25
+        if ball * R**g + 3**g > theta.MAX_LATTICE_TERMS:
+            raise ToleranceUnachievable(f"radius {R:.1f}")
+    return R
 
 
 def point_y(curve, P):

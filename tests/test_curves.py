@@ -395,6 +395,16 @@ def assert_rays_keep_the_hub_representatives(pd, ks, pts):
     assert (np.abs(rows - old).max(axis=1) <= 1e-12 * scale).all()
 
 
+def assert_block_rule(blocks, alone):
+    """Each block of _dense_rays, given as (its rays' x - e_k, the nodes a
+    ray), holds rays of one panel count, each the count the same ray took
+    in a smaller call (alone[x - e_k], in nodes), and at most PATH_NODES
+    nodes unless it is one ray."""
+    for us, size in blocks:
+        assert size % curves.RAY_ORDER == 0 and all(alone[u] == size for u in us)
+        assert len(us) * size <= curves.PATH_NODES or len(us) == 1
+
+
 class TestAbelJacobi:
     def test_zero_path(self, ctx_g1):
         pd = ctx_g1.periods
@@ -555,12 +565,16 @@ class TestAbelJacobi:
         # the hub oracle against the rays on 20 seeded complex curves of
         # genus 1-3 (period_matrix's refusals skipped), 40 box points and the
         # edge cases a curve; every row, in a batch that spans blocks of at
-        # most 256 nodes, is bitwise its own one-point call
+        # most 256 nodes, is bitwise its own one-point call, and each ray is
+        # laid at the panel count it takes alone
         rng, accepted, genera = np.random.default_rng(36), 0, []
         monkeypatch.setattr(curves, "PATH_NODES", 2**8)
-        blocks, real = [], curves._ray_block
-        monkeypatch.setattr(curves, "_ray_block", lambda *args: blocks.append(len(args[4]))
-                            or real(*args))
+        blocks, real = [], curves._dense_rays
+
+        def watched(ek, u, hw, scale, s2, weights):
+            blocks.append((u.tolist(), len(s2)))
+            return real(ek, u, hw, scale, s2, weights)
+        monkeypatch.setattr(curves, "_dense_rays", watched)
         for attempt in range(60):
             g = 1 + attempt % 3
             e = rng.uniform(-2, 2, 2 * g + 1) + 1j * rng.uniform(-2, 2, 2 * g + 1)
@@ -572,14 +586,53 @@ class TestAbelJacobi:
             assert_rays_keep_the_hub_representatives(pd, ks, pts)
             blocks.clear()
             rows = curves._from_rays(pd, pts, ks)
-            assert len(blocks) > 1 and max(blocks) > 1
+            batch, alone = blocks[:], {}
+            assert len(batch) > 1 and max(len(us) for us, _ in batch) > 1
             for k, p, row in zip(ks, pts, rows):
+                blocks.clear()
                 assert np.array_equal(curves._from_rays(pd, p[None], [k])[0], row)
+                [([u], alone[u])] = blocks
+            assert_block_rule(batch, alone)
             accepted += 1
             genera.append(g)
             if accepted == 20:
                 break
         assert accepted == 20 and set(genera) == {1, 2, 3}
+
+    def test_root_factors_keep_real_part_over_half(self):
+        # Re F_m = 1 - s^2 Re w_m is linear in s^2, so on a ray it is least at
+        # t = 0 (where it is 1) or at t = T: there it is at least 1/2, to
+        # rounding, for every factor, on the registry curves and 30 seeded
+        # complex curves, at box points and hub_cases's edge cases (bisector
+        # ties, 2e-6 from a branch point, outside HyperellipticCurve.box)
+        rng = np.random.default_rng(39)
+        cs = [build_context(cid).curve for cid in HYPERELLIPTIC]
+        for attempt in range(30):
+            g = 1 + attempt % 3
+            cs.append(HyperellipticCurve(rng.uniform(-2, 2, 2 * g + 1)
+                                         + 1j * rng.uniform(-2, 2, 2 * g + 1)))
+        for c in cs:
+            ks, pts = hub_cases(c, rng, 200)
+            e = c.branch_points
+            d = (e - e[:, None])[~np.eye(len(e), dtype=bool)].reshape(len(e), -1)[ks]
+            # F_m / 2 = 1/2 + hw_m at t = T, as _from_rays forms it
+            hw = -0.5 * (pts[:, 0] - e[ks])[:, None] / d
+            assert (2.0 * (0.5 + hw.real) >= 0.5 - 1e-15).all()
+
+    def test_ray_root_is_the_principal_root(self):
+        # sqrt F = a + i Im F / (2a), a = sqrt((|F| + Re F) / 2), is within 4
+        # eps of np.sqrt(F), relative, on 1e5 seeded F (F / 2 = 1/2 + hw as
+        # _ray_roots forms it) with Re F from 1/2 to 1e8 and |Im F| up to 1e8
+        rng = np.random.default_rng(39)
+        n = 10**5
+        hr = -0.25 + 10.0 ** rng.uniform(-17, 8, n)
+        hi = rng.choice([-1.0, 1.0], n) * 10.0 ** rng.uniform(-17, 7.7, n)
+        hr[:100], hi[100:200] = -0.25, 0.0
+        hw = (hr + 1j * hi)[:, None]
+        F = 2.0 * (0.5 + hw[:, 0])
+        assert F.real.min() >= 0.5 and np.abs(F.imag).max() > 1e7
+        root, want = curves._ray_roots(hw, np.ones(1))[:, 0], np.sqrt(F)
+        assert (np.abs(root - want) <= 4 * np.finfo(float).eps * np.abs(want)).all()
 
     @pytest.mark.parametrize("cid", ["lemniscatic", "g2-real", "g3-real"])
     def test_one_point_call_as_in_a_batch(self, cid):
@@ -613,32 +666,34 @@ class TestAbelJacobi:
     @pytest.mark.parametrize("cid", ["lemniscatic", "g2-real"])
     def test_long_lists_integrate_in_chunks(self, cid, monkeypatch):
         # 400 points and the base take one _from_rays call, which lays the
-        # nodes of consecutive rays in blocks of at most PATH_NODES nodes
+        # rays of each panel count in blocks of at most PATH_NODES nodes
         # (more only for a block of one ray), and every row is the point's
         # own, bitwise
         ctx = build_context(cid)
         pd = ctx.periods
         rng = np.random.default_rng(23)
         ps = [sample_point(ctx, rng) for _ in range(400)]
-        one = np.array([abel_jacobi(pd, p, ctx.base) for p in ps])
-        calls, blocks, real = [], [], curves._ray_block
+        calls, blocks, real = [], [], curves._dense_rays
 
-        def counted(e, d, c, ks, T, panels):
-            # rays, nodes, and those of the first ray
-            sizes = panels * curves.RAY_ORDER
-            blocks.append((len(T), sizes.sum(), sizes[0]))
-            return real(e, d, c, ks, T, panels)
-        monkeypatch.setattr(curves, "_ray_block", counted)
+        def counted(ek, u, hw, scale, s2, weights):
+            blocks.append((u.tolist(), len(s2)))
+            return real(ek, u, hw, scale, s2, weights)
+        monkeypatch.setattr(curves, "_dense_rays", counted)
+        one = np.array([abel_jacobi(pd, p, ctx.base) for p in ps])
+        alone = {u: size for us, size in blocks for u in us}
+        blocks.clear()
         real_call = curves._from_rays
         monkeypatch.setattr(curves, "_from_rays",
                             lambda periods, pts, ks: calls.append(len(pts))
                             or real_call(periods, pts, ks))
         rows = abel_jacobi(pd, ps, ctx.base)
-        assert calls == [401] and sum(n for n, _, _ in blocks) == 401 and len(blocks) > 2
-        assert all(size <= curves.PATH_NODES or n == 1 for n, size, _ in blocks)
-        # a block ends only where its next ray would not fit
-        assert all(size + nxt > curves.PATH_NODES
-                   for (_, size, _), (_, _, nxt) in zip(blocks, blocks[1:]))
+        assert calls == [401] and sum(len(us) for us, _ in blocks) == 401 and len(blocks) > 2
+        assert_block_rule(blocks, alone)
+        # a panel count's blocks are full but for its last
+        for size in {size for _, size in blocks}:
+            counts = [len(us) for us, n in blocks if n == size]
+            cap = max(1, curves.PATH_NODES // size)
+            assert all(n == cap for n in counts[:-1]) and 0 < counts[-1] <= cap
         assert np.array_equal(rows, one)
 
     def test_point_near_a_branch_point_refused(self, ctx_g2):
@@ -657,12 +712,12 @@ class TestAbelJacobi:
         # (cycles of at most about 1,400 nodes) and the report batches of
         # lemniscatic (rays of at most 45 nodes) pass, while g2-real with
         # its base point moved out to x = 1e5 (a ray of 5,697 nodes) fails
-        # its own reports, PathTooLong raised before _ray_block lays a node
+        # its own reports, PathTooLong raised before _dense_rays lays a node
         # of its batch
         import faylab.identities as ids
         from faylab.identities import SuiteConfig, run_suite
         monkeypatch.setattr(curves, "MAX_PATH_NODES", 2000)
-        real_env, real_rays, real_block = ids._build_env, curves._from_rays, curves._ray_block
+        real_env, real_rays, real_block = ids._build_env, curves._from_rays, curves._dense_rays
         asked, laid = [], []
 
         def far_base(entry):
@@ -680,7 +735,7 @@ class TestAbelJacobi:
             return real_block(*args)
         monkeypatch.setattr(ids, "_build_env", far_base)
         monkeypatch.setattr(curves, "_from_rays", rays)
-        monkeypatch.setattr(curves, "_ray_block", block)
+        monkeypatch.setattr(curves, "_dense_rays", block)
         reps = run_suite(SuiteConfig(curves=["lemniscatic", "g2-real"], trials=20,
                                      identities=["idcor", "quasidet_det_ratio"]))
         got = [(r.identity_id, r.curve_id, r.completed, r.passed, r.failure.split(":")[0])

@@ -12,7 +12,8 @@ from faylab.theta import (RiemannMatrix, ThetaChar, theta, theta_batch,
                           _lattice, _reduce_arguments, _tail_bound)
 
 from conftest import HYPERELLIPTIC, build_context
-from oracles import qseries_theta3, qseries_theta_char, qseries_theta_char_deriv
+from oracles import (qseries_theta3, qseries_theta_char, qseries_theta_char_deriv,
+                     stepped_truncation_radius)
 
 RM1 = RiemannMatrix([[1j]])
 RM2 = RiemannMatrix([[1.0j, 0.3], [0.3, 1.3j]])
@@ -174,6 +175,44 @@ class TestTruncation:
             cur = theta(z, RM1, tol=tol)
             assert abs(cur - prev) < 2e-6
             prev = cur
+
+    def test_search_from_the_closed_form_as_stepped(self, monkeypatch):
+        # a value search starts a grid step below R* = sqrt((4/3) ln(axis /
+        # tol)), a gradient search at 0.5: each returns the radius of the
+        # search stepped from 0.5, or is refused where it is, on the test
+        # matrices, 12 seeded ones of genus 1-3 and tolerances 1e-3 to 1e-14,
+        # at the lattice-term cap and at a cap of 400; a value search takes at
+        # most three bound evaluations
+        theta_mod = importlib.import_module("faylab.theta")
+        rng, rms = np.random.default_rng(39), [RM1, RM2, RM3]
+        for k in range(12):
+            g = 1 + k % 3
+            a = rng.standard_normal((g, g))
+            im = a @ a.T * 10.0 ** rng.uniform(-1.5, 0.5) + 0.05 * np.eye(g)
+            re = rng.uniform(-0.5, 0.5, (g, g))
+            rms.append(RiemannMatrix(0.5 * (re + re.T) + 1j * im))
+        calls, real = [], theta_mod._tail_bound
+        monkeypatch.setattr(theta_mod, "_tail_bound", lambda *args: calls.append(1)
+                            or real(*args))
+        outcomes = set()
+        for cap in (theta_mod.MAX_LATTICE_TERMS, 400):
+            monkeypatch.setattr(theta_mod, "MAX_LATTICE_TERMS", cap)
+            for rm, tol, (gradient, c_off) in product(
+                    rms, 10.0 ** -np.arange(3.0, 14.5, 0.5), ((False, 0.0), (True, 0.0),
+                                                              (True, 0.7))):
+                try:
+                    want = stepped_truncation_radius(rm, tol, gradient, c_off)
+                except ToleranceUnachievable:
+                    want = None
+                calls.clear()
+                try:
+                    got = truncation_radius(rm, tol, gradient, c_off)
+                except ToleranceUnachievable:
+                    got = None
+                assert got == want
+                assert gradient or len(calls) <= 3
+                outcomes.add(got is None)
+        assert outcomes == {False, True}
 
     def test_terms_cap(self, monkeypatch):
         monkeypatch.setattr(importlib.import_module("faylab.theta"),
